@@ -322,9 +322,9 @@ func cmdRun(args []string) error {
 	}
 	if *qf.stats {
 		s := eng.Stats()
-		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d backward=%d planCacheHits=%d fpCollisions=%d parallel=%d symbols=%d\n",
+		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d backward=%d quota=%d planCacheHits=%d fpCollisions=%d parallel=%d symbols=%d\n",
 			s.PathsProduced, s.JoinProbes, s.IndexedScans, s.Recursions, s.SeededRecursions,
-			s.BackwardRecursions, s.PlanCacheHits, s.FingerprintCollisions,
+			s.BackwardRecursions, s.QuotaRecursions, s.PlanCacheHits, s.FingerprintCollisions,
 			eng.Parallelism(), g.NumSymbols())
 	}
 	return nil

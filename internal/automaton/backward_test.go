@@ -9,22 +9,9 @@ import (
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/path"
-	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/rpq"
+	"pathalgebra/internal/testutil"
 )
-
-// equalOrdered compares two sets element-wise, order included.
-func equalOrdered(a, b *pathset.Set) bool {
-	if a.Len() != b.Len() {
-		return false
-	}
-	for i, p := range a.Paths() {
-		if !p.Equal(b.At(i)) {
-			return false
-		}
-	}
-	return true
-}
 
 // randExpr builds a random regular path expression over the SNB labels.
 func randExpr(rng *rand.Rand, depth int) rpq.Expr {
@@ -127,7 +114,7 @@ func TestSeededSubset(t *testing.T) {
 				t.Fatalf("%s seeded: %v", name, err)
 			}
 			want := full.Filter(func(p path.Path) bool { return inSeeds(p.First()) })
-			if !equalOrdered(got, want) {
+			if !testutil.SameSequence(got, want) {
 				t.Errorf("%s: seeded forward differs from filtered full result (got %d, want %d)",
 					name, got.Len(), want.Len())
 			}

@@ -64,3 +64,26 @@ func BenchmarkEvalShortestOnly(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSelectorPushdown is the search half of ANY 2 TRAIL over every
+// endpoint pair: the per-pair quota is applied inside the product search,
+// so allocations must follow the paths returned (reported as paths/op),
+// not the trails enumerated — scripts/check_allocs.sh gates the ratio.
+func BenchmarkSelectorPushdown(b *testing.B) {
+	g := ldbc.MustGenerate(ldbc.Config{
+		Persons: 50, Messages: 100, KnowsPerPerson: 3, LikesPerPerson: 2,
+		CycleFraction: 0.3, Seed: 1,
+	})
+	nfa := automaton.Build(rpq.MustParse(":Knows+"))
+	opts := automaton.EvalOptions{Workers: 1, Quota: core.Quota{K: 2}}
+	b.ReportAllocs()
+	paths := 0
+	for i := 0; i < b.N; i++ {
+		out, err := automaton.EvalWithOptions(g, nfa, core.Trail, core.Limits{MaxLen: 7}, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths = out.Len()
+	}
+	b.ReportMetric(float64(paths), "paths/op")
+}

@@ -85,6 +85,13 @@ type EvalOptions struct {
 	// merge in list order, so an ascending list reproduces exactly the
 	// relative order of the corresponding unseeded evaluation.
 	Seeds []graph.NodeID
+	// Quota, when K > 0, declares that the caller keeps per (seed, reached
+	// node) pair only the first K paths in discovery order — or, ByLength,
+	// the paths of the K smallest distinct lengths — and lets the search
+	// skip the rest: the result is the subsequence of the unrestricted
+	// result that such a caller would have kept (see quotaState). Shortest
+	// semantics ignores it; its answer is already minimal.
+	Quota core.Quota
 }
 
 // seedAt resolves the i-th seed: the identity when no seed list is given.
@@ -129,7 +136,13 @@ func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limi
 	if sem == core.Shortest {
 		return evalShortest(g, c, lim, bud, workers, o.Seeds, count, back, sp)
 	}
-	return evalSearch(g, c, sem, lim, bud, workers, o.Seeds, count, back, sp)
+	if o.Quota.K > 0 {
+		sp.SetInt("quota_k", int64(o.Quota.K))
+		if o.Quota.ByLength {
+			sp.SetInt("quota_by_length", 1)
+		}
+	}
+	return evalSearch(g, c, sem, lim, bud, workers, o.Seeds, count, back, o.Quota, sp)
 }
 
 func normalizeWorkers(workers, sources int) int {
@@ -309,6 +322,7 @@ type evalScratch struct {
 	frontier, next []searchItem
 	runs           []symbolScan
 	visited        []*path.RefSet // per NFA state
+	quota          quotaState     // used only under an EvalOptions.Quota
 	span           *obs.Span      // this worker's shard span; nil when untraced
 }
 
@@ -321,6 +335,124 @@ func newEvalScratch(states int, wsp *obs.Span) *evalScratch {
 	return sc
 }
 
+// quotaCount is one quota counter: the arrivals counted so far — paths,
+// or distinct BFS levels under a length quota — and the last level
+// counted.
+type quotaCount struct {
+	n, level int32
+	// awaited marks a target the early stop waits for (see quotaState).
+	awaited bool
+}
+
+// admits reports whether one more arrival at BFS level `level` is within
+// quota q.
+//
+//pathalgebra:hotpath
+func (c quotaCount) admits(q core.Quota, level int) bool {
+	return int(c.n) < q.K || (q.ByLength && int(c.level) == level)
+}
+
+// count records an admitted arrival and reports whether it filled the
+// quota: the K-th path, or the first path of the K-th distinct level.
+//
+//pathalgebra:hotpath
+func (c *quotaCount) count(q core.Quota, level int) bool {
+	if q.ByLength && c.n > 0 && int(c.level) == level {
+		return false
+	}
+	c.n++
+	c.level = int32(level)
+	return int(c.n) == q.K
+}
+
+// quotaState is one worker's bookkeeping for a search under a selector
+// quota, reset per source. A source's BFS discovers the paths of each
+// (source, target) pair in ascending length, so a caller that keeps the
+// first K paths — or the K smallest lengths — of every pair keeps a
+// per-pair prefix of the discovery order, and the search may skip
+// everything past that prefix without changing what the caller ends up
+// with, or its order. It skips in three ways:
+//
+//   - emission cut: a path to a target whose quota is full is never
+//     materialized (targets);
+//   - state pruning, Walk only: a (node, NFA state) product state is not
+//     expanded again once K visitors (K distinct visit levels) were — a
+//     later visitor p′ reaches every target through the same suffixes as
+//     those K earlier, no longer visitors, so each p′·w is preceded by K
+//     paths (lengths) to the same target and is cut anyway (states).
+//     Under the other semantics a suffix's admissibility depends on the
+//     prefix, so nothing dominates;
+//   - early stop, all but Walk (whose pruned frontier drains by itself):
+//     every restricted path is a walk, so the targets a product BFS
+//     reaches within MaxLen are the only ones that can ever receive a
+//     path — minus the source itself under Acyclic. Once each of them is
+//     full the source is finished (open, done). The BFS costs about what
+//     a search that cuts nothing costs, so it runs only once the cut has
+//     dropped as many paths as the search kept (see evalSource).
+//
+// All of it is sized by what the source touches, never by the graph.
+type quotaState struct {
+	targets map[graph.NodeID]quotaCount
+	states  []map[graph.NodeID]quotaCount // per NFA state, like evalScratch.visited
+	reach   productBFS
+	// armed says the early stop is on; open counts the awaited targets
+	// whose quota is not full yet; done latches when the last one fills.
+	armed, done bool
+	open        int
+	// suppressed and pruned count the result paths not materialized and
+	// the product-state visitors not expanded.
+	suppressed, pruned int64
+}
+
+// begin resets the bookkeeping for a new source of a search over an
+// automaton with the given number of states.
+func (qs *quotaState) begin(states int) {
+	if qs.targets == nil {
+		qs.targets = make(map[graph.NodeID]quotaCount)
+		qs.states = make([]map[graph.NodeID]quotaCount, states)
+		for s := range qs.states {
+			qs.states[s] = make(map[graph.NodeID]quotaCount)
+		}
+	}
+	clear(qs.targets)
+	for _, m := range qs.states {
+		clear(m)
+	}
+	qs.armed, qs.done, qs.open, qs.suppressed, qs.pruned = false, false, 0, 0, 0
+}
+
+// arm turns the early stop on, between two BFS levels: it marks every
+// target src can reach at all as awaited and counts those not full yet.
+func (qs *quotaState) arm(g *graph.Graph, c *CompiledNFA, sem core.Semantics, q core.Quota, maxLen int, src graph.NodeID, bud *core.Budget, back bool) error {
+	if err := qs.reach.run(g, c, src, maxLen, bud, back); err != nil {
+		return err
+	}
+	for ps := range qs.reach.dist {
+		if !c.nfa.Accepting(ps.state) || (sem == core.Acyclic && ps.node == src) {
+			continue
+		}
+		if tc := qs.targets[ps.node]; !tc.awaited {
+			tc.awaited = true
+			qs.targets[ps.node] = tc
+			if int(tc.n) < q.K {
+				qs.open++
+			}
+		}
+	}
+	qs.armed, qs.done = true, qs.open == 0
+	return nil
+}
+
+// emitted records a result path of the given length to dst, whose counter
+// the caller looked up as tc.
+func (qs *quotaState) emitted(q core.Quota, dst graph.NodeID, tc quotaCount, length int) {
+	if tc.count(q, length) && tc.awaited {
+		qs.open--
+		qs.done = qs.open == 0
+	}
+	qs.targets[dst] = tc
+}
+
 // shard is one source node's slice of the result: the admitted paths in
 // per-source discovery order, plus the cumulative result count at the end
 // of each BFS depth so the merge can interleave shards in the sequential
@@ -331,16 +463,21 @@ type shard struct {
 	err    error
 }
 
-func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, workers int, seeds []graph.NodeID, count int, back bool, sp *obs.Span) (*pathset.Set, error) {
+func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, workers int, seeds []graph.NodeID, count int, back bool, quota core.Quota, sp *obs.Span) (*pathset.Set, error) {
 	shards := make([]*shard, count)
 	perr := runSharded(sp, count, workers,
 		func(wsp *obs.Span) *evalScratch { return newEvalScratch(c.nfa.NumStates(), wsp) },
 		func(sc *evalScratch, i int) bool {
-			sh := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back)
+			sh := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back, quota)
 			shards[i] = sh
 			sc.span.AddInt("sources", 1)
 			sc.span.AddInt("paths", int64(sh.set.Len()))
 			sc.span.MaxInt("arena_bytes", int64(sc.arena.Bytes()))
+			if quota.K > 0 {
+				sp.AddInt("suppressed", sc.quota.suppressed)
+				sp.AddInt("pruned", sc.quota.pruned)
+				sp.MaxInt("stop_depth", int64(max(len(sh.levels)-1, 0)))
+			}
 			return sh.err == nil
 		})
 	if perr != nil {
@@ -369,8 +506,10 @@ func mergeShardsTraced(sp *obs.Span, shards []*shard) (*pathset.Set, error) {
 // accounting matches the sequential search exactly: every admitted result
 // path charges ChargePath (1 path + Len+1 work — including the length-zero
 // seed path when the automaton accepts the empty word), and every visited
-// mark that extends the frontier charges ChargeWork.
-func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, src graph.NodeID, bud *core.Budget, sc *evalScratch, back bool) *shard {
+// mark that extends the frontier charges ChargeWork. Under a quota (K > 0)
+// the search additionally skips what quotaState proves the caller drops;
+// skipped paths and states charge nothing.
+func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, src graph.NodeID, bud *core.Budget, sc *evalScratch, back bool, quota core.Quota) *shard {
 	nfa := c.nfa
 	// The zero Set defers its index allocation until the first Add, so
 	// sources admitting no paths cost no map allocation.
@@ -395,14 +534,26 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		sc.frontier, sc.next = frontier, next
 		return sh
 	}
+	qs := &sc.quota
+	limited := quota.K > 0
+	prune := limited && sem == core.Walk
+	if limited {
+		qs.begin(nfa.NumStates())
+	}
 	if nfa.AcceptsEmpty() {
 		sh.set.AddArena(a, seed)
 		if !bud.ChargePath(0) {
 			return finish(chargeErr(bud))
 		}
+		if limited {
+			qs.emitted(quota, src, quotaCount{}, 0)
+		}
 	}
 	sh.levels = append(sh.levels, sh.set.Len())
-	for len(frontier) > 0 {
+	// A length quota fills at the first path of a level and the rest of
+	// that level still belongs to it, so it stops between levels; a path
+	// quota stops at the filling path.
+	for len(frontier) > 0 && !qs.done {
 		sc.span.MaxInt("max_frontier", int64(len(frontier)))
 		next = next[:0]
 		for _, it := range frontier {
@@ -430,15 +581,49 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 					np := a.Extend(it.ref, eid, dst)
 					npLen := a.PathLen(np)
 					kept := false
+					// One path is one answer however many accepting states
+					// it reaches.
+					answered := !admitOK
 					for _, q := range targets {
-						if admitOK && nfa.Accepting(q) && addResult(sh.set, a, np, back) {
-							if !bud.ChargePath(npLen) {
-								return finish(chargeErr(bud))
+						if !answered && nfa.Accepting(q) {
+							answered = true
+							var tc quotaCount
+							if limited {
+								tc = qs.targets[dst]
+							}
+							switch {
+							case limited && !tc.admits(quota, npLen):
+								qs.suppressed++
+							case addResult(sh.set, a, np, back):
+								if !bud.ChargePath(npLen) {
+									return finish(chargeErr(bud))
+								}
+								if limited {
+									qs.emitted(quota, dst, tc, npLen)
+									if qs.done && !quota.ByLength {
+										return finish(nil)
+									}
+								}
 							}
 						}
-						if extend && sc.visited[q].Add(np) {
+						if !extend {
+							continue
+						}
+						var visits quotaCount
+						if prune {
+							visits = qs.states[q][dst]
+							if !visits.admits(quota, npLen) {
+								qs.pruned++
+								continue
+							}
+						}
+						if sc.visited[q].Add(np) {
 							if !bud.ChargeWork(npLen) {
 								return finish(chargeErr(bud))
+							}
+							if prune {
+								visits.count(quota, npLen)
+								qs.states[q][dst] = visits
 							}
 							next = append(next, searchItem{ref: np, state: q})
 							kept = true
@@ -452,6 +637,15 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		}
 		frontier, next = next, frontier
 		sh.levels = append(sh.levels, sh.set.Len())
+		// Arming costs one product BFS: worth it once the cut drops at
+		// least as much as the search keeps, which is when stopping early
+		// has something to save. Walk needs none — its frontier drains.
+		if limited && !prune && !qs.armed && qs.suppressed > 0 && qs.suppressed >= int64(sh.set.Len()) {
+			if err := qs.arm(g, c, sem, quota, lim.MaxLen, src, bud, back); err != nil {
+				sh.err = err
+				break
+			}
+		}
 	}
 	sc.frontier, sc.next = frontier, next
 	return sh
@@ -545,15 +739,13 @@ func classifyExtend(sem core.Semantics, a *path.Arena, r path.Ref, e graph.EdgeI
 // the merge is a plain source-order concatenation — the sequential
 // insertion order.
 func evalShortest(g *graph.Graph, c *CompiledNFA, lim core.Limits, bud *core.Budget, workers int, seeds []graph.NodeID, count int, back bool, sp *obs.Span) (*pathset.Set, error) {
-	n := g.NumNodes()
 	sets := make([]*pathset.Set, count)
 	errs := make([]error, count)
 	perr := runSharded(sp, count, workers,
 		func(wsp *obs.Span) *shortestScratch {
 			return &shortestScratch{
 				arena:  path.NewArena(0),
-				dist:   make(map[productState]int32, n),
-				minAcc: make(map[graph.NodeID]int32, n),
+				minAcc: make(map[graph.NodeID]int32),
 				span:   wsp,
 			}
 		},
@@ -607,16 +799,74 @@ func wrapChargeErr(bud *core.Budget) error {
 	return fmt.Errorf("automaton: %w", chargeErr(bud))
 }
 
+// productBFS is the reusable storage of one breadth-first sweep over the
+// product (node, NFA state) space. It grows with the states a sweep
+// reaches, not with the graph.
+type productBFS struct {
+	dist           map[productState]int32
+	frontier, next []productState
+	runs           []symbolScan
+}
+
+// run fills p.dist with the BFS distance of every product state reachable
+// from (src, 0) by a walk of at most maxLen edges (<= 0: unbounded). Every
+// discovered state charges the work budget its node slots, so
+// Limits.MaxWork bounds the sweep.
+func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLen int, bud *core.Budget, back bool) error {
+	if p.dist == nil {
+		p.dist = make(map[productState]int32)
+	}
+	clear(p.dist)
+	dist := p.dist
+	dist[productState{node: src, state: 0}] = 0
+	if !bud.ChargeWork(0) {
+		return chargeErr(bud)
+	}
+	frontier := append(p.frontier[:0], productState{node: src, state: 0})
+	next := p.next[:0]
+	defer func() { p.frontier, p.next = frontier, next }()
+	depth := int32(0)
+	for len(frontier) > 0 && (maxLen <= 0 || int(depth) < maxLen) {
+		depth++
+		next = next[:0]
+		for _, ps := range frontier {
+			// Poll cancellation once per frontier item: already-seen product
+			// states charge nothing, so charges alone would not bound the
+			// abort latency on dense graphs.
+			if bud.Cancelled() {
+				return chargeErr(bud)
+			}
+			p.runs = scanRuns(p.runs, g, c, ps.node, ps.state, back)
+			for _, rs := range p.runs {
+				for _, eid := range rs.edges {
+					dst := stepNode(g, eid, back)
+					for _, q := range rs.targets {
+						nps := productState{node: dst, state: q}
+						if _, seen := dist[nps]; !seen {
+							dist[nps] = depth
+							if !bud.ChargeWork(int(depth)) {
+								return chargeErr(bud)
+							}
+							next = append(next, nps)
+						}
+					}
+				}
+			}
+		}
+		frontier, next = next, frontier
+	}
+	return nil
+}
+
 // shortestScratch holds the per-source working storage of shortestFrom so
 // consecutive sources reuse it instead of reallocating.
 type shortestScratch struct {
-	arena          *path.Arena
-	dist           map[productState]int32
-	minAcc         map[graph.NodeID]int32
-	frontier, next []productState
-	work           []shortestItem
-	runs           []symbolScan
-	span           *obs.Span // this worker's shard span; nil when untraced
+	arena  *path.Arena
+	bfs    productBFS
+	minAcc map[graph.NodeID]int32
+	work   []shortestItem
+	runs   []symbolScan
+	span   *obs.Span // this worker's shard span; nil when untraced
 }
 
 type shortestItem struct {
@@ -635,47 +885,10 @@ func shortestFrom(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLen int, 
 		return nil
 	}
 	// Phase 1: BFS distances over the product space.
-	clear(sc.dist)
-	dist := sc.dist
-	dist[productState{node: src, state: 0}] = 0
-	if !bud.ChargeWork(0) {
-		return wrapChargeErr(bud)
+	if err := sc.bfs.run(g, c, src, maxLen, bud, back); err != nil {
+		return fmt.Errorf("automaton: %w", err)
 	}
-	frontier := append(sc.frontier[:0], productState{node: src, state: 0})
-	next := sc.next[:0]
-	depth := int32(0)
-	for len(frontier) > 0 && (maxLen <= 0 || int(depth) < maxLen) {
-		depth++
-		next = next[:0]
-		for _, ps := range frontier {
-			// Poll cancellation once per frontier item: already-seen product
-			// states charge nothing, so charges alone would not bound the
-			// abort latency on dense graphs.
-			if bud.Cancelled() {
-				sc.frontier, sc.next = frontier, next
-				return wrapChargeErr(bud)
-			}
-			sc.runs = scanRuns(sc.runs, g, c, ps.node, ps.state, back)
-			for _, rs := range sc.runs {
-				for _, eid := range rs.edges {
-					dst := stepNode(g, eid, back)
-					for _, q := range rs.targets {
-						nps := productState{node: dst, state: q}
-						if _, seen := dist[nps]; !seen {
-							dist[nps] = depth
-							if !bud.ChargeWork(int(depth)) {
-								sc.frontier, sc.next = frontier, next
-								return wrapChargeErr(bud)
-							}
-							next = append(next, nps)
-						}
-					}
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	sc.frontier, sc.next = frontier, next
+	dist := sc.bfs.dist
 
 	// minAcc is the per-target minimum over accepting states — the length
 	// of the shortest matching path src→target.

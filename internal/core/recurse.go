@@ -72,6 +72,26 @@ func (l Limits) withinLen(p path.Path) bool {
 	return l.MaxLen <= 0 || p.Len() <= l.MaxLen
 }
 
+// Quota is what a selector pipeline above a pattern recursion keeps per
+// (source, target) endpoint pair: the first K paths in discovery order,
+// or — ByLength — every path of the K smallest distinct lengths. The
+// planner derives it from the π/τ/γ shape (opt.AnalyzeQuota) and the
+// product search applies it while enumerating; like Direction it is an
+// execution hint that never changes a plan's result. The zero value
+// means no quota.
+type Quota struct {
+	K        int
+	ByLength bool
+}
+
+// String renders the quota for explain output.
+func (q Quota) String() string {
+	if q.ByLength {
+		return fmt.Sprintf("k=%d lengths per pair", q.K)
+	}
+	return fmt.Sprintf("k=%d per pair", q.K)
+}
+
 // EvalRecurse implements the recursive operator ϕSem(S) of Definition 4.1:
 // the closure of S under path join, restricted to paths admitted by the
 // semantics. The result always contains the admissible paths of S itself

@@ -3,8 +3,10 @@
 // reference operator implementations in internal/core: joins use endpoint
 // hashing instead of nested loops, label-equality selections over the
 // Edges/Nodes atoms use the graph's label indexes, selections over
-// pattern recursions seed a directed product search, and every
-// evaluation runs under an explicit recursion budget. Engine.Run plans
+// pattern recursions seed a directed product search, selector pipelines
+// (π over τ over γ) push the number of paths they keep per endpoint pair
+// into that search, and every evaluation runs under an explicit recursion
+// budget. Engine.Run plans
 // through the cost-based planner (internal/opt) and an LRU plan cache;
 // Engine.Explain reports the chosen plan with estimated vs. actual
 // per-operator cardinalities. The randomized differential harness
@@ -134,6 +136,10 @@ type Stats struct {
 	// BackwardRecursions counts product searches the planner ran
 	// backward (reversed automaton over the in-adjacency).
 	BackwardRecursions int64
+	// QuotaRecursions counts product searches that ran under a selector
+	// quota pushed down from the projection above them
+	// (opt.AnalyzeQuota).
+	QuotaRecursions int64
 	// ReachKernelRuns counts Reach calls answered by the bitset
 	// reachability kernel; ReachFallbacks counts Reach calls that
 	// enumerated instead (ineligible plan or infeasible bitset index).
@@ -299,7 +305,7 @@ func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, err
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
-	out, err := b.evalPathsCtx(obs.WithSpan(ctx, sp), plan)
+	out, err := b.evalPathsCtx(obs.WithSpan(ctx, sp), plan, core.Quota{})
 	if out != nil {
 		sp.SetInt("paths", int64(out.Len()))
 	}
@@ -372,6 +378,7 @@ func (e *Engine) Stats() Stats {
 		ExpandedRecursions:    atomic.LoadInt64(&e.stats.ExpandedRecursions),
 		SeededRecursions:      atomic.LoadInt64(&e.stats.SeededRecursions),
 		BackwardRecursions:    atomic.LoadInt64(&e.stats.BackwardRecursions),
+		QuotaRecursions:       atomic.LoadInt64(&e.stats.QuotaRecursions),
 		ReachKernelRuns:       atomic.LoadInt64(&e.stats.ReachKernelRuns),
 		ReachFallbacks:        atomic.LoadInt64(&e.stats.ReachFallbacks),
 		PlanCacheHits:         atomic.LoadInt64(&e.stats.PlanCacheHits),
@@ -413,14 +420,19 @@ func ctxErr(ctx context.Context) error {
 func (e *Engine) EvalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
 	b, release := e.pin()
 	defer release()
-	out, err := b.evalPathsCtx(ctx, x)
+	out, err := b.evalPathsCtx(ctx, x, core.Quota{})
 	e.noteEvalErr(err)
 	return out, err
 }
 
 // evalPathsCtx is the recursive evaluator body, always running on a
-// bound (or static) engine.
-func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
+// bound (or static) engine. q is the selector quota of the projection
+// pipeline directly above x (zero: none): the Project case derives it
+// from the pipeline's shape, and it travels down through exactly the
+// operators opt.AnalyzeQuota admitted — σ, ∪ — to the pattern recursions,
+// whose product search applies it. Every other operator evaluates its
+// inputs without one.
+func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr, q core.Quota) (*pathset.Set, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -434,23 +446,23 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 		addStat(&e.stats.PathsProduced, int64(s.Len()))
 		return s, nil
 	case core.Select:
-		return e.evalSelect(ctx, x)
+		return e.evalSelect(ctx, x, q)
 	case core.Join:
-		l, err := e.evalPathsCtx(ctx, x.L)
+		l, err := e.evalPathsCtx(ctx, x.L, core.Quota{})
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.evalPathsCtx(ctx, x.R)
+		r, err := e.evalPathsCtx(ctx, x.R, core.Quota{})
 		if err != nil {
 			return nil, err
 		}
 		return e.join(l, r), nil
 	case core.Union:
-		l, err := e.evalPathsCtx(ctx, x.L)
+		l, err := e.evalPathsCtx(ctx, x.L, q)
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.evalPathsCtx(ctx, x.R)
+		r, err := e.evalPathsCtx(ctx, x.R, q)
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +472,7 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 	case core.Recurse:
 		addStat(&e.stats.Recursions, 1)
 		if !e.opts.DisableExpand {
-			if out, ok, err := e.expandRecurse(ctx, x); ok {
+			if out, ok, err := e.expandRecurse(ctx, x, q); ok {
 				if err != nil {
 					return nil, fmt.Errorf("engine: ϕ%s: %w", x.Sem, err)
 				}
@@ -469,7 +481,7 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 				return out, nil
 			}
 		}
-		base, err := e.evalPathsCtx(ctx, x.In)
+		base, err := e.evalPathsCtx(ctx, x.In, core.Quota{})
 		if err != nil {
 			return nil, err
 		}
@@ -480,7 +492,7 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 		addStat(&e.stats.PathsProduced, int64(out.Len()))
 		return out, nil
 	case core.Restrict:
-		in, err := e.evalPathsCtx(ctx, x.In)
+		in, err := e.evalPathsCtx(ctx, x.In, core.Quota{})
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +500,7 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 		addStat(&e.stats.PathsProduced, int64(out.Len()))
 		return out, nil
 	case core.Project:
-		ss, err := e.evalSpaceCtx(ctx, x.In)
+		ss, err := e.evalSpaceCtx(ctx, x.In, e.pushedQuota(x))
 		if err != nil {
 			return nil, err
 		}
@@ -502,6 +514,17 @@ func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 	}
 }
 
+// pushedQuota is the selector quota the pipeline of p lets the product
+// searches below it apply; zero when the shape admits none or the
+// expansion fast path that would apply it is off.
+func (e *Engine) pushedQuota(p core.Project) core.Quota {
+	if e.opts.DisableExpand {
+		return core.Quota{}
+	}
+	q, _ := opt.AnalyzeQuota(p)
+	return q
+}
+
 // EvalSpace evaluates a space-sorted expression to a solution space.
 func (e *Engine) EvalSpace(x core.SpaceExpr) (*core.SolutionSpace, error) {
 	return e.EvalSpaceCtx(context.Background(), x)
@@ -511,23 +534,24 @@ func (e *Engine) EvalSpace(x core.SpaceExpr) (*core.SolutionSpace, error) {
 func (e *Engine) EvalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.SolutionSpace, error) {
 	b, release := e.pin()
 	defer release()
-	return b.evalSpaceCtx(ctx, x)
+	return b.evalSpaceCtx(ctx, x, core.Quota{})
 }
 
-// evalSpaceCtx is the recursive space-evaluator body on a bound engine.
-func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.SolutionSpace, error) {
+// evalSpaceCtx is the recursive space-evaluator body on a bound engine;
+// q is handed through γ and τ to the path input (see evalPathsCtx).
+func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr, q core.Quota) (*core.SolutionSpace, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
 	switch x := x.(type) {
 	case core.GroupBy:
-		in, err := e.evalPathsCtx(ctx, x.In)
+		in, err := e.evalPathsCtx(ctx, x.In, q)
 		if err != nil {
 			return nil, err
 		}
 		return core.EvalGroupBy(x.Key, in), nil
 	case core.OrderBy:
-		in, err := e.evalSpaceCtx(ctx, x.In)
+		in, err := e.evalSpaceCtx(ctx, x.In, q)
 		if err != nil {
 			return nil, err
 		}
@@ -542,7 +566,7 @@ func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.Solu
 // evalSelect evaluates σ, answering label-equality selections over the
 // Edges/Nodes atoms straight from the graph's label indexes when allowed,
 // and σ over pattern recursions by a seeded product search.
-func (e *Engine) evalSelect(ctx context.Context, s core.Select) (*pathset.Set, error) {
+func (e *Engine) evalSelect(ctx context.Context, s core.Select, q core.Quota) (*pathset.Set, error) {
 	if !e.opts.DisableLabelIndex {
 		if out, ok := e.indexedSelect(s); ok {
 			addStat(&e.stats.IndexedScans, 1)
@@ -551,7 +575,7 @@ func (e *Engine) evalSelect(ctx context.Context, s core.Select) (*pathset.Set, e
 		}
 	}
 	if !e.opts.DisableExpand {
-		if out, ok, err := e.seededRecurse(ctx, s); ok {
+		if out, ok, err := e.seededRecurse(ctx, s, q); ok {
 			if err != nil {
 				return nil, err
 			}
@@ -559,7 +583,7 @@ func (e *Engine) evalSelect(ctx context.Context, s core.Select) (*pathset.Set, e
 			return out, nil
 		}
 	}
-	in, err := e.evalPathsCtx(ctx, s.In)
+	in, err := e.evalPathsCtx(ctx, s.In, q)
 	if err != nil {
 		return nil, err
 	}
@@ -577,7 +601,7 @@ func (e *Engine) evalSelect(ctx context.Context, s core.Select) (*pathset.Set, e
 // per-seed shards merge in ascending seed order, the relative order the
 // unseeded evaluation would have produced — at a fraction of the search
 // work. Remaining conjuncts filter the admitted paths afterwards.
-func (e *Engine) seededRecurse(ctx context.Context, s core.Select) (*pathset.Set, bool, error) {
+func (e *Engine) seededRecurse(ctx context.Context, s core.Select, q core.Quota) (*pathset.Set, bool, error) {
 	rec, ok := s.In.(core.Recurse)
 	if !ok {
 		return nil, false, nil
@@ -607,6 +631,9 @@ func (e *Engine) seededRecurse(ctx context.Context, s core.Select) (*pathset.Set
 	if back {
 		addStat(&e.stats.BackwardRecursions, 1)
 	}
+	if q.K > 0 {
+		addStat(&e.stats.QuotaRecursions, 1)
+	}
 	seeds := e.seedNodes(seedConds)
 	if len(seedConds) > 0 {
 		addStat(&e.stats.SeededRecursions, 1)
@@ -620,6 +647,7 @@ func (e *Engine) seededRecurse(ctx context.Context, s core.Select) (*pathset.Set
 		Workers: e.opts.parallelism(),
 		Dir:     rec.Dir,
 		Seeds:   seeds,
+		Quota:   q,
 	})
 	if err != nil {
 		return nil, true, fmt.Errorf("engine: σϕ%s: %w", rec.Sem, err)
@@ -699,7 +727,7 @@ func (e *Engine) indexedSelect(s core.Select) (*pathset.Set, bool) {
 // The closure of such a base equals the language (pattern)+, so the
 // recursion is exactly an RPQ and the automaton evaluator applies. ok is
 // false when the base has a different shape.
-func (e *Engine) expandRecurse(ctx context.Context, x core.Recurse) (*pathset.Set, bool, error) {
+func (e *Engine) expandRecurse(ctx context.Context, x core.Recurse, q core.Quota) (*pathset.Set, bool, error) {
 	re, ok := labelPattern(x.In)
 	if !ok {
 		return nil, false, nil
@@ -708,11 +736,15 @@ func (e *Engine) expandRecurse(ctx context.Context, x core.Recurse) (*pathset.Se
 		re = rpq.Reverse(re)
 		addStat(&e.stats.BackwardRecursions, 1)
 	}
+	if q.K > 0 {
+		addStat(&e.stats.QuotaRecursions, 1)
+	}
 	nfa := automaton.Build(rpq.Plus{In: re})
 	out, err := automaton.EvalWithOptions(e.g, nfa, x.Sem, e.opts.Limits, automaton.EvalOptions{
 		Ctx:     ctx,
 		Workers: e.opts.parallelism(),
 		Dir:     x.Dir,
+		Quota:   q,
 	})
 	return out, true, err
 }

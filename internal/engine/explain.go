@@ -64,7 +64,7 @@ func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 		CacheHit: atomic.LoadInt64(&e.stats.PlanCacheHits) > hitsBefore,
 		Kernel:   e.reachRoute(plan),
 	}
-	out, err := e.explainPath(ctx, plan, 0, ex)
+	out, err := e.explainPath(ctx, plan, core.Quota{}, 0, ex)
 	if err != nil {
 		return nil, err
 	}
@@ -72,41 +72,51 @@ func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 	return ex, nil
 }
 
-func (e *Engine) explainPath(ctx context.Context, x core.PathExpr, depth int, ex *Explain) (*pathset.Set, error) {
-	out, err := e.evalPathsCtx(ctx, x)
+// explainPath evaluates x under the selector quota q its context pushes
+// down (see evalPathsCtx) and hands q on to the children that evaluate
+// under it too, so every line's actual count is what Run produces there
+// and a recursion's line names the quota it searched under.
+func (e *Engine) explainPath(ctx context.Context, x core.PathExpr, q core.Quota, depth int, ex *Explain) (*pathset.Set, error) {
+	out, err := e.evalPathsCtx(ctx, x, q)
 	if err != nil {
 		return nil, err
 	}
-	ex.Lines = append(ex.Lines, ExplainLine{
-		Depth: depth, Op: opLabel(x), Est: e.cm.Card(x), Actual: out.Len(),
-	})
+	op := opLabel(x)
 	var children []core.PathExpr
+	var childQuota core.Quota
 	switch x := x.(type) {
 	case core.Select:
-		children = []core.PathExpr{x.In}
+		children, childQuota = []core.PathExpr{x.In}, q
 	case core.Join:
 		children = []core.PathExpr{x.L, x.R}
 	case core.Union:
-		children = []core.PathExpr{x.L, x.R}
+		children, childQuota = []core.PathExpr{x.L, x.R}, q
 	case core.Recurse:
 		children = []core.PathExpr{x.In}
+		if q.K > 0 {
+			op += fmt.Sprintf(" [quota %s]", q)
+		}
 	case core.Restrict:
 		children = []core.PathExpr{x.In}
-	case core.Project:
-		if err := e.explainSpace(ctx, x.In, depth+1, ex); err != nil {
+	}
+	ex.Lines = append(ex.Lines, ExplainLine{
+		Depth: depth, Op: op, Est: e.cm.Card(x), Actual: out.Len(),
+	})
+	if p, ok := x.(core.Project); ok {
+		if err := e.explainSpace(ctx, p.In, e.pushedQuota(p), depth+1, ex); err != nil {
 			return nil, err
 		}
 	}
 	for _, c := range children {
-		if _, err := e.explainPath(ctx, c, depth+1, ex); err != nil {
+		if _, err := e.explainPath(ctx, c, childQuota, depth+1, ex); err != nil {
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (e *Engine) explainSpace(ctx context.Context, x core.SpaceExpr, depth int, ex *Explain) error {
-	ss, err := e.evalSpaceCtx(ctx, x)
+func (e *Engine) explainSpace(ctx context.Context, x core.SpaceExpr, q core.Quota, depth int, ex *Explain) error {
+	ss, err := e.evalSpaceCtx(ctx, x, q)
 	if err != nil {
 		return err
 	}
@@ -129,10 +139,10 @@ func (e *Engine) explainSpace(ctx context.Context, x core.SpaceExpr, depth int, 
 	}
 	ex.Lines = append(ex.Lines, ExplainLine{Depth: depth, Op: op, Est: est, Actual: ss.NumPaths()})
 	if inner != nil {
-		return e.explainSpace(ctx, inner, depth+1, ex)
+		return e.explainSpace(ctx, inner, q, depth+1, ex)
 	}
 	if pathIn != nil {
-		_, err := e.explainPath(ctx, pathIn, depth+1, ex)
+		_, err := e.explainPath(ctx, pathIn, q, depth+1, ex)
 		return err
 	}
 	return nil

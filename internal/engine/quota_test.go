@@ -1,0 +1,393 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"pathalgebra/internal/cond"
+	"pathalgebra/internal/core"
+	"pathalgebra/internal/graph"
+	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/obs"
+	"pathalgebra/internal/opt"
+	"pathalgebra/internal/pathset"
+	"pathalgebra/internal/testutil"
+)
+
+// The selector-quota pushdown differential. A Table 7 pipeline evaluated
+// by the engine — which pushes the pipeline's per-pair quota into the
+// product search — must return the same paths in the same order as the
+// same plan evaluated without the pushdown (testutil.Unpushed: the path
+// input evaluated on its own, then γ, τ, π by the reference operators).
+// That is the byte-identity claim, and it is checked for every selector ×
+// restrictor × pattern × endpoint form × direction × worker count over
+// sealed, overlay and compacted views of random graphs.
+//
+// Against the two definitional evaluators (core.EvalExpr and the engine
+// with DisableExpand, which closes a materialized base set) only what the
+// paper defines is comparable: they discover paths in a different order,
+// so for the selectors that keep "some k" paths of a pair they
+// legitimately keep different ones (see TestRandomizedDifferential).
+// Set-determined selectors must match them exactly; for the others the
+// per-pair counts must match, every kept path must be in the closure, and
+// under τA the kept lengths must match.
+
+var (
+	quotaSelectors = []struct {
+		text string
+		// setDetermined: the surviving paths do not depend on discovery
+		// order. byLength: the order-dependent survivors are the shortest.
+		setDetermined, byLength bool
+	}{
+		{"ALL", true, false},
+		{"ANY SHORTEST", false, true},
+		{"ALL SHORTEST", true, false},
+		{"ANY", false, false},
+		{"ANY 2", false, false},
+		{"SHORTEST 2", false, true},
+		{"SHORTEST 2 GROUP", true, false},
+	}
+	quotaRestrictors = []string{"WALK", "TRAIL", "ACYCLIC", "SIMPLE"}
+	// One single-state pattern, one whose NFA alternates two states, one
+	// whose two recursions compile to a ∪ the quota must cross.
+	quotaPatterns = []string{":Knows+", "(:Knows/:Likes)+", "(:Knows+)|(:Likes/:Has_creator)+"}
+	// %d is a person id.
+	quotaEndpoints = []string{
+		"(?x)-[%s]->(?y)",
+		"(?x:Person {id:%d})-[%s]->(?y)",
+		"(?x)-[%s]->(?y:Person {id:%d})",
+	}
+)
+
+// flipBackward sets every pattern recursion of the plan to backward
+// evaluation — what the planner's choose-backward does where it may.
+func flipBackward(x core.PathExpr) core.PathExpr {
+	switch x := x.(type) {
+	case core.Select:
+		x.In = flipBackward(x.In)
+		return x
+	case core.Union:
+		x.L, x.R = flipBackward(x.L), flipBackward(x.R)
+		return x
+	case core.Recurse:
+		x.Dir = core.Backward
+		return x
+	case core.Project:
+		x.In = flipBackwardSpace(x.In)
+		return x
+	default:
+		return x
+	}
+}
+
+func flipBackwardSpace(x core.SpaceExpr) core.SpaceExpr {
+	switch x := x.(type) {
+	case core.GroupBy:
+		x.In = flipBackward(x.In)
+		return x
+	case core.OrderBy:
+		x.In = flipBackwardSpace(x.In)
+		return x
+	default:
+		return x
+	}
+}
+
+// quotaViews returns a sealed graph, the same graph under an overlay of
+// random inserts and deletes, and that overlay compacted.
+func quotaViews(t *testing.T, rng *rand.Rand, seed int64) map[string]*graph.Graph {
+	base := ldbc.MustGenerate(ldbc.Config{
+		Persons:        7 + rng.Intn(6),
+		Messages:       4 + rng.Intn(5),
+		KnowsPerPerson: 2 + rng.Intn(2),
+		LikesPerPerson: 1 + rng.Intn(2),
+		CycleFraction:  0.3 + 0.1*float64(rng.Intn(5)),
+		Seed:           seed,
+	})
+	store := graph.NewStore(base, graph.StoreOptions{CompactThreshold: -1})
+	t.Cleanup(store.Close)
+	m, seq := seedMirror(base), 0
+	for i := 0; i < 4; i++ {
+		b := randBatch(rng, m, &seq, false)
+		if len(b.Ops) == 0 {
+			continue
+		}
+		if _, err := store.Apply(b); err != nil {
+			t.Fatalf("apply: %v", err)
+		}
+		m.apply(b)
+	}
+	views := map[string]*graph.Graph{"sealed": base, "overlay": store.Graph()}
+	if err := store.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	views["compacted"] = store.Graph()
+	return views
+}
+
+func TestQuotaPushdownDifferential(t *testing.T) {
+	trials := 2
+	if testing.Short() {
+		trials = 1
+	}
+	lim := core.Limits{MaxLen: 4}
+	checked, pushed := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(7100 + trial)))
+		for view, g := range quotaViews(t, rng, int64(trial+1)) {
+			id := 1 + rng.Intn(5)
+			for _, sel := range quotaSelectors {
+				for _, res := range quotaRestrictors {
+					for _, pat := range quotaPatterns {
+						for ei, ep := range quotaEndpoints {
+							args := []any{pat}
+							if ei == 1 {
+								args = []any{id, pat}
+							} else if ei == 2 {
+								args = []any{pat, id}
+							}
+							query := "MATCH " + sel.text + " " + res + " p = " + fmt.Sprintf(ep, args...)
+							logical, err := compileQuery(query)
+							if err != nil {
+								t.Fatalf("%s: %v", query, err)
+							}
+							name := fmt.Sprintf("trial%d/%s/%s", trial, view, query)
+
+							// The definitional answers, once per query.
+							ref, err := core.EvalExpr(g, logical, lim)
+							if err != nil {
+								t.Fatalf("%s: reference: %v", name, err)
+							}
+							gb, _ := core.BottomGroupBy(logical.(core.Project).In)
+							closure, err := core.EvalExpr(g, gb.In, lim)
+							if err != nil {
+								t.Fatalf("%s: reference closure: %v", name, err)
+							}
+							slow, err := New(g, Options{Limits: lim, DisableExpand: true}).EvalPaths(logical)
+							if err != nil {
+								t.Fatalf("%s: DisableExpand: %v", name, err)
+							}
+							if !slow.Equal(ref) {
+								t.Fatalf("%s: DisableExpand engine != core.EvalExpr", name)
+							}
+
+							// As compiled (ANY/ALL SHORTEST WALK keep their
+							// ϕWalk), as planned, and both run backward.
+							planned, _ := New(g, Options{Limits: lim}).Plan(logical)
+							plans := map[string]core.PathExpr{
+								"compiled": logical, "planned": planned,
+								"compiled←": flipBackward(logical), "planned←": flipBackward(planned),
+							}
+							for form, plan := range plans {
+								var baseline *pathset.Set
+								for _, par := range []int{1, 8} {
+									eng := New(g, Options{Limits: lim, Parallelism: par})
+									got, err := eng.EvalPaths(plan)
+									if err != nil {
+										t.Fatalf("%s %s par=%d: %v", name, form, par, err)
+									}
+									if eng.Stats().QuotaRecursions > 0 {
+										pushed++
+									} else if _, ok := opt.AnalyzeQuota(plan.(core.Project)); ok {
+										t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
+									}
+									want, err := testutil.Unpushed(New(g, Options{Limits: lim, Parallelism: par}).EvalPaths, plan.(core.Project))
+									if err != nil {
+										t.Fatalf("%s %s par=%d unpushed: %v", name, form, par, err)
+									}
+									if !testutil.SameSequence(got, want) {
+										t.Fatalf("%s %s par=%d: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
+											name, form, par, renderSet(g, got), renderSet(g, want))
+									}
+									if baseline == nil {
+										baseline = got
+									} else if !testutil.SameSequence(got, baseline) {
+										t.Fatalf("%s %s: par=%d differs from par=1", name, form, par)
+									}
+									checked++
+								}
+								got := baseline
+								if sel.setDetermined {
+									if !got.Equal(ref) {
+										t.Fatalf("%s %s: engine (%d paths) != reference (%d paths)", name, form, got.Len(), ref.Len())
+									}
+									continue
+								}
+								for _, p := range got.Paths() {
+									if !closure.Contains(p) {
+										t.Fatalf("%s %s: kept %s, not in the closure", name, form, p.Format(g))
+									}
+								}
+								gotLens, refLens := testutil.PairLengths(got), testutil.PairLengths(ref)
+								if len(gotLens) != len(refLens) {
+									t.Fatalf("%s %s: %d pairs, reference %d", name, form, len(gotLens), len(refLens))
+								}
+								for pair, want := range refLens {
+									have := gotLens[pair]
+									if len(have) != len(want) {
+										t.Fatalf("%s %s: pair %v keeps %d paths, reference %d", name, form, pair, len(have), len(want))
+									}
+									if sel.byLength && fmt.Sprint(have) != fmt.Sprint(want) {
+										t.Fatalf("%s %s: pair %v keeps lengths %v, reference %v", name, form, pair, have, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if pushed == 0 {
+		t.Error("no evaluation took the quota pushdown")
+	}
+	t.Logf("%d evaluations compared in order against the unpushed pipeline, %d under a quota", checked, pushed)
+}
+
+// TestQuotaNotPushed: pipelines whose discarded paths decide what
+// survives must evaluate without a quota.
+func TestQuotaNotPushed(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 9, Messages: 5, KnowsPerPerson: 2, LikesPerPerson: 1, CycleFraction: 0.5, Seed: 3})
+	all, two := core.AllCount(), core.NCount(2)
+	rec := core.Recurse{Sem: core.Trail, In: knowsSel()}
+	gST := core.GroupBy{Key: core.GroupST, In: rec}
+	gSTL := core.OrderBy{Key: core.OrderGroup, In: core.GroupBy{Key: core.GroupSTL, In: rec}}
+	under := func(in core.PathExpr) core.SpaceExpr { return core.GroupBy{Key: core.GroupST, In: in} }
+	plans := map[string]core.Project{
+		"descending paths":  {Parts: all, Groups: all, Paths: two.Descending(), In: gST},
+		"descending groups": {Parts: all, Groups: two.Descending(), Paths: all, In: gSTL},
+		"bounded parts":     {Parts: two, Groups: all, Paths: two, In: gST},
+		"both bounded":      {Parts: all, Groups: two, Paths: two, In: gSTL},
+		"group by source":   {Parts: all, Groups: all, Paths: two, In: core.GroupBy{Key: core.GroupSource, In: rec}},
+		"partition order":   {Parts: all, Groups: all, Paths: two, In: core.OrderBy{Key: core.OrderPartition | core.OrderPath, In: gST}},
+		"length σ":          {Parts: all, Groups: all, Paths: two, In: under(core.Select{Cond: cond.LenCmp{Op: cond.GE, K: 2}, In: rec})},
+		"interior σ":        {Parts: all, Groups: all, Paths: two, In: under(core.Select{Cond: cond.Label(cond.NodeAt(2), ldbc.LabelPerson), In: rec})},
+		"join under γ":      {Parts: all, Groups: all, Paths: two, In: under(core.Join{L: rec, R: knowsSel()})},
+		"restrict under γ":  {Parts: all, Groups: all, Paths: two, In: under(core.Restrict{Sem: core.Acyclic, In: rec})},
+		"shortest":          {Parts: all, Groups: all, Paths: two, In: under(core.Recurse{Sem: core.Shortest, In: knowsSel()})},
+		"non-pattern base":  {Parts: all, Groups: all, Paths: two, In: under(core.Recurse{Sem: core.Trail, In: core.Union{L: knowsSel(), R: core.Nodes{}}})},
+	}
+	lim := core.Limits{MaxLen: 4}
+	for name, plan := range plans {
+		if q, ok := opt.AnalyzeQuota(plan); ok {
+			t.Errorf("%s: AnalyzeQuota = %v, want no quota", name, q)
+		}
+		eng := New(g, Options{Limits: lim})
+		got, err := eng.EvalPaths(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if n := eng.Stats().QuotaRecursions; n != 0 {
+			t.Errorf("%s: %d recursions ran under a quota", name, n)
+		}
+		want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan)
+		if err != nil {
+			t.Fatalf("%s unpushed: %v", name, err)
+		}
+		if !testutil.SameSequence(got, want) {
+			t.Errorf("%s: result differs from the operator-by-operator evaluation", name)
+		}
+	}
+	// The positive control: the same recursion under the plain shapes.
+	for name, plan := range map[string]core.Project{
+		"ANY 2":            {Parts: all, Groups: all, Paths: two, In: gST},
+		"SHORTEST 2":       {Parts: all, Groups: all, Paths: two, In: core.OrderBy{Key: core.OrderPath, In: gST}},
+		"SHORTEST 2 GROUP": {Parts: all, Groups: two, Paths: all, In: gSTL},
+	} {
+		eng := New(g, Options{Limits: lim})
+		if _, err := eng.EvalPaths(plan); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if eng.Stats().QuotaRecursions != 1 {
+			t.Errorf("%s: quota not pushed", name)
+		}
+		slow := New(g, Options{Limits: lim, DisableExpand: true})
+		if _, err := slow.EvalPaths(plan); err != nil {
+			t.Fatalf("%s DisableExpand: %v", name, err)
+		}
+		if slow.Stats().QuotaRecursions != 0 {
+			t.Errorf("%s: DisableExpand still pushed a quota", name)
+		}
+	}
+}
+
+// findSpan returns the first span named name in the forest, depth first.
+func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
+	for _, s := range spans {
+		if s.Name == name {
+			return s
+		}
+		if f := findSpan(s.Children, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestQuotaTrace: the search span says which quota it ran under and what
+// the quota saved; Explain names the quota on the recursion's line.
+func TestQuotaTrace(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 6, KnowsPerPerson: 3, LikesPerPerson: 1, CycleFraction: 0.5, Seed: 2})
+	for _, tc := range []struct {
+		query    string
+		attrs    map[string]int64 // exact values
+		positive []string         // must be > 0
+	}{
+		{`MATCH ANY 2 TRAIL p = (?x)-[:Knows+]->(?y)`,
+			map[string]int64{"quota_k": 2}, []string{"suppressed", "stop_depth"}},
+		{`MATCH SHORTEST 2 GROUP WALK p = (?x)-[:Knows+]->(?y)`,
+			map[string]int64{"quota_k": 2, "quota_by_length": 1}, []string{"suppressed", "pruned", "stop_depth"}},
+	} {
+		plan, err := compileQuery(tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(g, Options{Limits: core.Limits{MaxLen: 6}})
+		tr := obs.NewTrace()
+		root := tr.Start("query")
+		if _, err := eng.RunCtx(obs.WithSpan(context.Background(), root), plan); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		search := findSpan(tr.Tree(), "search")
+		if search == nil {
+			t.Fatalf("%s: no search span in\n%s", tc.query, tr.Format())
+		}
+		for k, want := range tc.attrs {
+			if got, ok := search.Attrs[k]; !ok || got != want {
+				t.Errorf("%s: search span %s = %d (present %v), want %d", tc.query, k, got, ok, want)
+			}
+		}
+		for _, k := range tc.positive {
+			if search.Attrs[k] <= 0 {
+				t.Errorf("%s: search span %s = %d, want > 0", tc.query, k, search.Attrs[k])
+			}
+		}
+		if _, ok := search.Attrs["quota_by_length"]; ok != (tc.attrs["quota_by_length"] == 1) {
+			t.Errorf("%s: quota_by_length present = %v", tc.query, ok)
+		}
+		ex, err := eng.Explain(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("[quota %s]", core.Quota{K: 2, ByLength: tc.attrs["quota_by_length"] == 1}); !strings.Contains(ex.Format(), want) {
+			t.Errorf("%s: explain lacks %q:\n%s", tc.query, want, ex.Format())
+		}
+	}
+	// An unquota'd search carries none of the attributes.
+	plan, _ := compileQuery(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`)
+	tr := obs.NewTrace()
+	root := tr.Start("query")
+	if _, err := New(g, Options{Limits: core.Limits{MaxLen: 4}}).RunCtx(obs.WithSpan(context.Background(), root), plan); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	for k := range findSpan(tr.Tree(), "search").Attrs {
+		if strings.HasPrefix(k, "quota") || k == "suppressed" || k == "pruned" || k == "stop_depth" {
+			t.Errorf("unquota'd search span carries %s", k)
+		}
+	}
+}

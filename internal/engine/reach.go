@@ -79,7 +79,7 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 		// Bitset index infeasible: enumerate like an ineligible plan.
 	}
 	addStat(&e.stats.ReachFallbacks, 1)
-	set, err := b.evalPathsCtx(ctx, plan)
+	set, err := b.evalPathsCtx(ctx, plan, core.Quota{})
 	if err != nil {
 		e.noteEvalErr(err)
 		return nil, err

@@ -98,7 +98,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 				s.err = core.Recovered(r)
 			}
 		}()
-		s.set, s.err = b.evalPathsCtx(evalCtx, plan)
+		s.set, s.err = b.evalPathsCtx(evalCtx, plan, core.Quota{})
 		if s.set != nil {
 			sp.SetInt("paths", int64(s.set.Len()))
 		}

@@ -30,6 +30,12 @@
 //     bound keep a cheap Walk recursion instead of paying the two-phase
 //     Shortest evaluation.
 //
+// Two shape analyses sit beside the rewrites and change no plan: they tell
+// the engine when a cheaper physical evaluation returns the same answer.
+// AnalyzeReach routes path-free answers to the bitset kernel; AnalyzeQuota
+// lets a selector pipeline push the number of paths it keeps per endpoint
+// pair into the product search below it.
+//
 // Every cost-based decision is restricted to order-insensitive contexts
 // (no truncating projection above), so a wrong estimate can change speed
 // but never results — the invariant the randomized differential harness

@@ -1,6 +1,7 @@
 package opt_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/opt"
+	"pathalgebra/internal/testutil"
 )
 
 func applied(res opt.Result, rule string) bool {
@@ -190,10 +192,80 @@ func TestWalkToShortestAnyShortest(t *testing.T) {
 	if got.Len() != 9 {
 		t.Errorf("ANY SHORTEST result = %d paths, want 9", got.Len())
 	}
-	// The unoptimized plan diverges (budget error) on the same graph.
-	eng2 := engine.New(g, engine.Options{Limits: core.Limits{MaxPaths: 10000}})
-	if _, err := eng2.EvalPaths(plan); err == nil {
-		t.Error("unoptimized ANY SHORTEST WALK should exceed budget on a cyclic graph")
+	// The unoptimized plan diverges (budget error) on the same graph under
+	// the definitional evaluation — ϕWalk over a cycle is infinite. (The
+	// engine itself no longer diverges on it: the selector's per-pair quota
+	// is pushed into the product search, see TestQuotaWalkTerminates.)
+	lim := core.Limits{MaxPaths: 10000}
+	if _, err := core.EvalExpr(g, plan, lim); !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Errorf("reference ANY SHORTEST WALK on a cyclic graph: err = %v, want ErrBudgetExceeded", err)
+	}
+	if _, err := engine.New(g, engine.Options{Limits: lim, DisableExpand: true}).EvalPaths(plan); !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Errorf("closure-evaluated ANY SHORTEST WALK on a cyclic graph: err = %v, want ErrBudgetExceeded", err)
+	}
+}
+
+// TestQuotaWalkTerminates: selector pipelines over ϕWalk that no rewrite
+// turns into ϕShortest terminate on the cyclic Figure 1 graph with no
+// limits at all, because the per-pair quota prunes the walk search — and
+// they return what the definition returns once it is given the MaxLen it
+// needs to terminate (the longest path the engine kept).
+func TestQuotaWalkTerminates(t *testing.T) {
+	g := ldbc.Figure1()
+	for _, tc := range []struct {
+		query string
+		// setDetermined: which paths survive does not depend on discovery
+		// order, so the reference must return the very same set.
+		setDetermined bool
+	}{
+		{`MATCH ANY 2 WALK p = (?x)-[:Knows+]->(?y)`, false},
+		{`MATCH SHORTEST 2 GROUP WALK p = (?x)-[:Knows+]->(?y)`, true},
+		{`MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y)`, false}, // unoptimized: still ϕWalk
+	} {
+		plan := gql.MustCompile(tc.query)
+		eng := engine.New(g, engine.Options{})
+		got, err := eng.EvalPaths(plan)
+		if err != nil {
+			t.Fatalf("%s with zero Limits: %v", tc.query, err)
+		}
+		if eng.Stats().QuotaRecursions != 1 {
+			t.Errorf("%s: QuotaRecursions = %d, want 1", tc.query, eng.Stats().QuotaRecursions)
+		}
+		maxLen := 0
+		for _, p := range got.Paths() {
+			maxLen = max(maxLen, p.Len())
+		}
+		want, err := core.EvalExpr(g, plan, core.Limits{MaxLen: maxLen})
+		if err != nil {
+			t.Fatalf("%s reference at MaxLen %d: %v", tc.query, maxLen, err)
+		}
+		if tc.setDetermined {
+			if !got.Equal(want) {
+				t.Errorf("%s: engine %d paths != reference %d paths", tc.query, got.Len(), want.Len())
+			}
+			continue
+		}
+		// Which k paths of a pair survive is the evaluator's choice; how
+		// many, and that they are answers at all, is not.
+		gb, _ := core.BottomGroupBy(plan.(core.Project).In)
+		all, err := core.EvalExpr(g, gb.In, core.Limits{MaxLen: maxLen})
+		if err != nil {
+			t.Fatalf("%s reference closure: %v", tc.query, err)
+		}
+		for _, p := range got.Paths() {
+			if !all.Contains(p) {
+				t.Errorf("%s: engine kept %s, not a path of the closure", tc.query, p.Format(g))
+			}
+		}
+		gotPairs, wantPairs := testutil.PairLengths(got), testutil.PairLengths(want)
+		if len(gotPairs) != len(wantPairs) {
+			t.Errorf("%s: engine %d pairs, reference %d", tc.query, len(gotPairs), len(wantPairs))
+		}
+		for pair, n := range wantPairs {
+			if len(gotPairs[pair]) != len(n) {
+				t.Errorf("%s: pair %v: engine kept %d paths, reference %d", tc.query, pair, len(gotPairs[pair]), len(n))
+			}
+		}
 	}
 }
 

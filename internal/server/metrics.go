@@ -125,6 +125,7 @@ func (s *Server) engineStats() engine.Stats {
 		agg.ExpandedRecursions += st.ExpandedRecursions
 		agg.SeededRecursions += st.SeededRecursions
 		agg.BackwardRecursions += st.BackwardRecursions
+		agg.QuotaRecursions += st.QuotaRecursions
 		agg.ReachKernelRuns += st.ReachKernelRuns
 		agg.ReachFallbacks += st.ReachFallbacks
 		agg.PlanCacheHits += st.PlanCacheHits
@@ -158,6 +159,7 @@ func (s *Server) registerCollectors() {
 		{"pathalgebra_engine_expanded_recursions_total", "Recursions via automaton expansion.", func(st engine.Stats) int64 { return st.ExpandedRecursions }},
 		{"pathalgebra_engine_seeded_recursions_total", "Recursions seeded from endpoint conditions.", func(st engine.Stats) int64 { return st.SeededRecursions }},
 		{"pathalgebra_engine_backward_recursions_total", "Recursions evaluated backward.", func(st engine.Stats) int64 { return st.BackwardRecursions }},
+		{"pathalgebra_engine_quota_recursions_total", "Recursions searched under a pushed-down selector quota.", func(st engine.Stats) int64 { return st.QuotaRecursions }},
 		{"pathalgebra_engine_reach_kernel_runs_total", "Path-free answers via the bitset kernel.", func(st engine.Stats) int64 { return st.ReachKernelRuns }},
 		{"pathalgebra_engine_reach_fallbacks_total", "Path-free answers via enumeration fallback.", func(st engine.Stats) int64 { return st.ReachFallbacks }},
 		{"pathalgebra_engine_plan_cache_hits_total", "Plan cache hits.", func(st engine.Stats) int64 { return st.PlanCacheHits }},

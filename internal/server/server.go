@@ -585,10 +585,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if thr := s.cfg.SlowQuery; thr > 0 {
 			if el := time.Since(evalStart); el >= thr {
-				s.metrics.slowQueries.Inc()
+				// Log, then count: whoever sees the counter move can rely
+				// on the line being written.
 				log.Printf("server: slow query %s (%v >= %v): query=%q limits={maxlen:%d maxpaths:%d maxwork:%d} plan=%s trace: %s",
 					id, el.Round(time.Microsecond), thr, req.Query,
 					lim.MaxLen, lim.MaxPaths, lim.MaxWork, plan, cur.trace.Summary())
+				s.metrics.slowQueries.Inc()
 			}
 		}
 		set, err := cur.stream.Result()

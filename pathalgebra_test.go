@@ -1,6 +1,7 @@
 package pathalgebra
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -55,11 +56,22 @@ func TestRunOptimizesWalk(t *testing.T) {
 	if res.Len() != 9 {
 		t.Errorf("result = %d paths, want 9", res.Len())
 	}
-	// Without optimization the same query needs a budget and fails.
-	_, err = Run(g, `MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y)`,
+	// Without the rewrite the recursion stays ϕWalk, infinite on this
+	// graph; the engine still terminates, because it pushes the selector's
+	// one-path-per-pair quota into the walk search.
+	raw, err := Run(g, `MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y)`,
 		RunOptions{NoOptimize: true, Limits: Limits{MaxPaths: 1000}})
-	if err == nil {
-		t.Error("unoptimized cyclic walk should exceed its budget")
+	if err != nil {
+		t.Fatalf("unoptimized cyclic walk under a selector: %v", err)
+	}
+	if raw.Len() != 9 {
+		t.Errorf("unoptimized result = %d paths, want 9", raw.Len())
+	}
+	// A bare walk has no selector to bound it and must exceed its budget.
+	_, err = Run(g, `MATCH WALK p = (?x)-[:Knows+]->(?y)`,
+		RunOptions{NoOptimize: true, Limits: Limits{MaxPaths: 1000}})
+	if !errors.Is(err, ErrBudgetExceeded) {
+		t.Errorf("bare cyclic walk: err = %v, want ErrBudgetExceeded", err)
 	}
 }
 

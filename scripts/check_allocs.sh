@@ -154,3 +154,32 @@ if [ "$nilinst" -ne 0 ]; then
     exit 1
 fi
 echo "check_allocs: disabled observability at zero-alloc parity (trace $niltrace, instruments $nilinst allocs/op)"
+
+# Selector-pushdown gate: ANY 2 TRAIL over every endpoint pair enumerates
+# ~20x the trails it returns; with the per-pair quota applied inside the
+# product search, what it allocates must follow the paths RETURNED
+# (paths/op), not the trails enumerated: at most 1.2 x 3 allocations per
+# returned path (nodes, edges, index entry). Allocation counts alone would
+# not catch a regression — slab carving amortizes them either way — so
+# the bytes are gated too: 1 KiB per returned path is ~2x today's and a
+# tenth of what materializing the whole enumeration costs.
+out=$(go test -run xxx -bench 'BenchmarkSelectorPushdown' -benchtime 3x -benchmem ./internal/automaton 2>&1)
+printf '%s\n' "$out"
+
+field() { printf '%s\n' "$out" | awk -v unit="$1" '/^BenchmarkSelectorPushdown/ { for (i = 1; i < NF; i++) if ($(i+1) == unit) print int($i) }'; }
+paths=$(field paths/op)
+allocs=$(field allocs/op)
+bytes=$(field B/op)
+if [ -z "$paths" ] || [ -z "$allocs" ] || [ -z "$bytes" ] || [ "$paths" -eq 0 ]; then
+    echo "check_allocs: could not find BenchmarkSelectorPushdown paths/op, allocs/op and B/op in benchmark output" >&2
+    exit 1
+fi
+if [ $((allocs * 10)) -gt $((paths * 36)) ]; then
+    echo "check_allocs: selector pushdown allocates $allocs allocs/op for $paths returned paths > 1.2 x 3 per path" >&2
+    exit 1
+fi
+if [ "$bytes" -gt $((paths * 1024)) ]; then
+    echo "check_allocs: selector pushdown allocates $bytes B/op for $paths returned paths > 1 KiB per path — the search is materializing what the selector drops" >&2
+    exit 1
+fi
+echo "check_allocs: selector pushdown allocates $allocs allocs/op, $bytes B/op for $paths returned paths"
