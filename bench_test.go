@@ -20,17 +20,9 @@ package pathalgebra
 // implementation rather than reproduce published timings.
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http/httptest"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
@@ -39,7 +31,6 @@ import (
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/rpq"
-	"pathalgebra/internal/server"
 )
 
 // benchGraph is a moderately cyclic SNB-like graph sized so that the full
@@ -336,80 +327,6 @@ func BenchmarkSemanticsSweep(b *testing.B) {
 	}
 }
 
-// parallelWorkerCounts is the worker matrix of the parallel benchmarks.
-var parallelWorkerCounts = []int{1, 2, 4, 8}
-
-// parallelBenchGraph is sized so each recursion evaluation carries enough
-// per-source work for sharding to matter.
-func parallelBenchGraph() *Graph {
-	return ldbc.MustGenerate(ldbc.Config{
-		Persons: 150, Messages: 100, KnowsPerPerson: 3, LikesPerPerson: 2,
-		CycleFraction: 0.3, Seed: 29,
-	})
-}
-
-// BenchmarkParallelRecursion measures the sharded product search itself —
-// the multi-source recursion hot path — across worker counts.
-func BenchmarkParallelRecursion(b *testing.B) {
-	g := parallelBenchGraph()
-	nfa := automaton.Build(rpq.MustParse(":Knows+"))
-	lim := core.Limits{MaxLen: 5}
-	for _, w := range parallelWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := automaton.EvalParallel(g, nfa, core.Trail, lim, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelSelectors runs the Table 1 selector suite across
-// worker counts.
-func BenchmarkParallelSelectors(b *testing.B) {
-	g := benchGraph()
-	for _, w := range parallelWorkerCounts {
-		for _, sel := range gql.AllSelectors(2) {
-			pattern := rpq.Compile(rpq.MustParse(":Knows+"), core.Trail)
-			plan, err := gql.CompileSelector(sel, pattern)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fmt.Sprintf("workers=%d/%s", w, sel), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					eng := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: 8}, Parallelism: w})
-					if _, err := eng.EvalPaths(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkParallelRestrictors runs the Table 2/3 restrictor suite across
-// worker counts.
-func BenchmarkParallelRestrictors(b *testing.B) {
-	g := benchGraph()
-	for _, w := range parallelWorkerCounts {
-		for _, sem := range core.AllSemantics() {
-			plan := rpq.Compile(rpq.MustParse(":Knows+"), sem)
-			b.Run(fmt.Sprintf("workers=%d/%s", w, sem), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					eng := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: 6}, Parallelism: w})
-					if _, err := eng.EvalPaths(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkParser measures the §7 front-end alone.
 func BenchmarkParser(b *testing.B) {
 	query := `MATCH ALL PARTITIONS ALL GROUPS 1 PATHS TRAIL p =
@@ -498,7 +415,7 @@ func fanInGraph(persons, messages int) *Graph {
 // BenchmarkDirection compares forward, backward and planner-chosen
 // evaluation of a small-target-set query (σ[label(last)=Message] over
 // (Knows|Likes)+): the planner should pick backward and match the forced-
-// backward time. BENCH_pr4.json records the pre/post numbers.
+// backward time. docs/history records the pre/post numbers.
 func BenchmarkDirection(b *testing.B) {
 	g := fanInGraph(400, 2)
 	lim := Limits{MaxLen: 4}
@@ -629,226 +546,6 @@ func BenchmarkStreamDelivery(b *testing.B) {
 	})
 }
 
-// BenchmarkServerThroughput drives the HTTP query service with
-// concurrent clients, each running a cursor through a full result set,
-// and reports queries/sec and p99 end-to-end latency — the PR 5
-// service-layer headline numbers (recorded in BENCH_pr5.json). The
-// nocache variant evaluates every query; the cached variant measures the
-// result-LRU serving path; the traced variant re-runs nocache with
-// "trace": true on every query, so each evaluation builds the full span
-// tree and ships it back in the final trailer — the enabled-tracing
-// overhead the observability layer must keep marginal.
-func BenchmarkServerThroughput(b *testing.B) {
-	g := benchGraph()
-	queries := []string{
-		`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`,
-		`MATCH ACYCLIC p = (?x)-[(:Knows|:Likes)+]->(?y)`,
-		`MATCH ANY SHORTEST WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y)`,
-	}
-	const clients = 8
-	run := func(b *testing.B, noCache, traced bool) {
-		svc, err := server.New(server.Config{
-			Graph:       g,
-			Engine:      engine.Options{Limits: Limits{MaxLen: 4}},
-			MaxInFlight: clients, // admission sized to the client pool
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(svc)
-		defer ts.Close()
-		defer svc.Close()
-		client := ts.Client()
-		oneQuery := func(q string) error {
-			body, _ := json.Marshal(map[string]any{"query": q, "no_cache": noCache, "trace": traced})
-			resp, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return err
-			}
-			var qr struct {
-				ID string `json:"id"`
-			}
-			err = json.NewDecoder(resp.Body).Decode(&qr)
-			resp.Body.Close()
-			if err != nil {
-				return err
-			}
-			if resp.StatusCode != 201 || qr.ID == "" {
-				return fmt.Errorf("POST /query status %d id %q", resp.StatusCode, qr.ID)
-			}
-			for {
-				page, err := client.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID))
-				if err != nil {
-					return err
-				}
-				if page.StatusCode != 200 {
-					page.Body.Close()
-					return fmt.Errorf("page status %d", page.StatusCode)
-				}
-				// The trailer is the last line; scan for its done flag.
-				done := false
-				sc := bufio.NewScanner(page.Body)
-				sc.Buffer(make([]byte, 1<<20), 1<<20)
-				for sc.Scan() {
-					line := sc.Bytes()
-					if bytes.Contains(line, []byte(`"done":true`)) {
-						done = true
-					}
-				}
-				page.Body.Close()
-				if done {
-					return nil
-				}
-			}
-		}
-		if !noCache { // warm the result LRU
-			for _, q := range queries {
-				if err := oneQuery(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		var next atomic.Int64
-		lats := make([]time.Duration, b.N)
-		b.ReportAllocs()
-		b.ResetTimer()
-		start := time.Now()
-		var wg sync.WaitGroup
-		for c := 0; c < clients; c++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(b.N) {
-						return
-					}
-					t0 := time.Now()
-					if err := oneQuery(queries[i%int64(len(queries))]); err != nil {
-						b.Error(err)
-						return
-					}
-					lats[i] = time.Since(t0)
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		b.StopTimer()
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "queries/sec")
-		p99 := lats[min(len(lats)-1, len(lats)*99/100)]
-		b.ReportMetric(float64(p99)/1e6, "p99-ms")
-	}
-	b.Run("nocache", func(b *testing.B) { run(b, true, false) })
-	b.Run("cached", func(b *testing.B) { run(b, false, false) })
-	b.Run("traced", func(b *testing.B) { run(b, true, true) })
-}
-
-// BenchmarkIngest measures delta-apply throughput: the full deterministic
-// LDBC-style update stream (8 batches × 16 ops) applied to a live store,
-// with compaction disabled, synchronous, and forced-every-batch.
-func BenchmarkIngest(b *testing.B) {
-	base := benchGraph()
-	stream := ldbc.MustUpdateStream(ldbc.UpdateConfig{
-		Batches: 8, OpsPerBatch: 16, ExistingPersons: 40, PersonFraction: 0.4, Seed: 7,
-	})
-	ops := 0
-	for _, batch := range stream {
-		ops += len(batch.Ops)
-	}
-	cases := []struct {
-		name      string
-		threshold int
-		compact   bool // force a Compact after every batch
-	}{
-		{"delta-only", -1, false},
-		{"auto-compact-64", 64, false},
-		{"compact-every-batch", -1, true},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s := NewStore(base, StoreOptions{CompactThreshold: tc.threshold})
-				for _, batch := range stream {
-					if _, err := s.Apply(batch); err != nil {
-						b.Fatal(err)
-					}
-					if tc.compact {
-						if err := s.Compact(); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				s.Close()
-			}
-			b.ReportMetric(float64(ops)*float64(b.N)/b.Elapsed().Seconds(), "ops/sec")
-		})
-	}
-}
-
-// BenchmarkQueryUnderIngest measures query latency on a live engine while
-// a saturating writer churns batches (and the background compactor folds
-// them), against an idle-store baseline. The writer adds a batch of
-// person+knows pairs then deletes it, so the graph stays bounded and the
-// measured gap is the cost of reading through COW overlays and racing
-// epoch swaps, not of a growing result set.
-func BenchmarkQueryUnderIngest(b *testing.B) {
-	plan := gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`)
-	run := func(b *testing.B, ingest bool) {
-		s := NewStore(benchGraph(), StoreOptions{CompactThreshold: 256})
-		defer s.Close()
-		eng := NewEngineWithStore(s, engine.Options{Limits: Limits{MaxLen: 5}})
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		if ingest {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				seq := 0
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					add, del := Batch{}, Batch{}
-					for k := 0; k < 8; k++ {
-						key := fmt.Sprintf("ing%d", seq)
-						add.Ops = append(add.Ops,
-							Op{Kind: OpAddNode, Key: key, Label: "Person"},
-							Op{Kind: OpAddEdge, Key: "e" + key,
-								Src: fmt.Sprintf("p%d", seq%40+1), Dst: key, Label: "Knows"})
-						del.Ops = append(del.Ops, Op{Kind: OpDelNode, Key: key})
-						seq++
-					}
-					if _, err := s.Apply(add); err != nil {
-						b.Error(err)
-						return
-					}
-					if _, err := s.Apply(del); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}()
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Run(plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		close(stop)
-		wg.Wait()
-	}
-	b.Run("idle", func(b *testing.B) { run(b, false) })
-	b.Run("under-ingest", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkSnapshotOverlayRead runs the same recursive query over three
 // physically distinct but logically related graphs:
 //
@@ -858,6 +555,10 @@ func BenchmarkQueryUnderIngest(b *testing.B) {
 //     scripts/check_allocs.sh;
 //   - with-delta: the same content with the delta still in the COW
 //     overlay (ov != nil) — documents the overlay read penalty.
+//
+// Each case evaluates on a single-worker engine: sharded searches
+// allocate per worker, and work stealing makes that vary by a dozen
+// allocations from run to run, which the exact parity gate cannot absorb.
 func BenchmarkSnapshotOverlayRead(b *testing.B) {
 	base := benchGraph()
 	batch := ldbc.MustUpdateStream(ldbc.UpdateConfig{
@@ -899,7 +600,10 @@ func BenchmarkSnapshotOverlayRead(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				mustEval(b, tc.g, plan, lim)
+				eng := engine.New(tc.g, engine.Options{Limits: lim, Parallelism: 1})
+				if _, err := eng.EvalPaths(plan); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

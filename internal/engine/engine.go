@@ -6,8 +6,10 @@
 // pattern recursions seed a directed product search, selector pipelines
 // (π over τ over γ) push the number of paths they keep per endpoint pair
 // into that search, and every evaluation runs under an explicit recursion
-// budget. Engine.Run plans
-// through the cost-based planner (internal/opt) and an LRU plan cache;
+// budget. The engine recognizes none of these shapes itself: it evaluates
+// the annotated tree opt.Derive produces and dispatches on the properties
+// it carries. Engine.Run plans through the cost-based planner
+// (internal/opt) and an LRU plan cache that keeps each plan's derivation;
 // Engine.Explain reports the chosen plan with estimated vs. actual
 // per-operator cardinalities. The randomized differential harness
 // cross-checks every route against the reference implementations.
@@ -29,7 +31,6 @@ import (
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/path"
 	"pathalgebra/internal/pathset"
-	"pathalgebra/internal/rpq"
 )
 
 // JoinStrategy selects the physical join operator.
@@ -138,7 +139,7 @@ type Stats struct {
 	BackwardRecursions int64
 	// QuotaRecursions counts product searches that ran under a selector
 	// quota pushed down from the projection above them
-	// (opt.AnalyzeQuota).
+	// (opt.Node.Quota).
 	QuotaRecursions int64
 	// ReachKernelRuns counts Reach calls answered by the bitset
 	// reachability kernel; ReachFallbacks counts Reach calls that
@@ -258,23 +259,28 @@ func (e *Engine) CostModel() *opt.CostModel { return e.cm }
 // Plan turns a logical plan into the physical plan the engine will
 // evaluate, consulting the LRU plan cache first. Cache misses run the
 // cost-based planner (opt.Plan) — or the statistics-free opt.Optimize
-// when DisablePlanner is set — and memoize the result under the
-// normalized fingerprint of the input plan's canonical rendering.
+// when DisablePlanner is set — derive the plan's properties (opt.Derive)
+// and memoize both under the normalized fingerprint of the input plan's
+// canonical rendering.
 func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 	b, release := e.pin()
 	defer release()
-	return b.plan(x)
+	ent := b.plan(x)
+	return ent.plan, ent.applied
 }
 
-// plan is Plan on an already-bound engine: the cache key includes the
-// pinned epoch, so plans costed against one epoch's statistics are never
-// replayed against another's.
-func (e *Engine) plan(x core.PathExpr) (core.PathExpr, []string) {
+// derive is opt.Derive; a variable so tests can count derivations.
+var derive = opt.Derive
+
+// plan is Plan on an already-bound engine, returning the whole cache
+// entry: the cache key includes the pinned epoch, so plans costed against
+// one epoch's statistics are never replayed against another's.
+func (e *Engine) plan(x core.PathExpr) *planEntry {
 	key := x.String()
 	fp := planFingerprint(key)
-	if plan, applied, ok := e.plans.get(e.epoch, fp, key); ok {
+	if ent, ok := e.plans.get(e.epoch, fp, key); ok {
 		addStat(&e.stats.PlanCacheHits, 1)
-		return plan, applied
+		return ent
 	}
 	addStat(&e.stats.PlanCacheMisses, 1)
 	var res opt.Result
@@ -283,8 +289,9 @@ func (e *Engine) plan(x core.PathExpr) (core.PathExpr, []string) {
 	} else {
 		res = opt.Plan(x, e.cm)
 	}
-	e.plans.put(e.epoch, fp, key, res.Plan, res.Applied)
-	return res.Plan, res.Applied
+	ent := &planEntry{epoch: e.epoch, key: key, plan: res.Plan, applied: res.Applied, derived: derive(res.Plan)}
+	e.plans.put(fp, ent)
+	return ent
 }
 
 // Run plans x (through the cache) and evaluates the chosen plan.
@@ -301,11 +308,11 @@ func (e *Engine) Run(x core.PathExpr) (*pathset.Set, error) {
 func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
 	b, release := e.pin()
 	defer release()
-	plan, _ := b.planTraced(ctx, x)
+	ent := b.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
-	out, err := b.evalPathsCtx(obs.WithSpan(ctx, sp), plan, core.Quota{})
+	out, err := b.eval(obs.WithSpan(ctx, sp), ent.derived.Root)
 	if out != nil {
 		sp.SetInt("paths", int64(out.Len()))
 	}
@@ -317,21 +324,21 @@ func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, err
 // cache behavior, detected as the explain path does: by the
 // PlanCacheHits delta (shared stats make this approximate under
 // concurrent evaluations, which tracing tolerates).
-func (e *Engine) planTraced(ctx context.Context, x core.PathExpr) (core.PathExpr, []string) {
+func (e *Engine) planTraced(ctx context.Context, x core.PathExpr) *planEntry {
 	sp := obs.SpanFrom(ctx).Start("plan")
 	defer sp.End()
 	if sp == nil {
 		return e.plan(x)
 	}
 	before := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	plan, applied := e.plan(x)
+	ent := e.plan(x)
 	var hit int64
 	if atomic.LoadInt64(&e.stats.PlanCacheHits) > before {
 		hit = 1
 	}
 	sp.SetInt("cache_hit", hit)
 	sp.SetInt("epoch", int64(e.epoch))
-	return plan, applied
+	return ent
 }
 
 // noteEvalErr accounts a finished evaluation's error into the stats —
@@ -416,113 +423,93 @@ func ctxErr(ctx context.Context) error {
 // operator boundary checks ctx, and the recursive operators (the
 // unbounded-work part of any plan) additionally abort mid-flight via
 // their budget's cancel check. On a live engine the whole evaluation runs
-// against one pinned epoch.
+// against one pinned epoch. x is evaluated as given, not planned; it is
+// derived once at its root, so selector quotas are pushed as in Run.
 func (e *Engine) EvalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
 	b, release := e.pin()
 	defer release()
-	out, err := b.evalPathsCtx(ctx, x, core.Quota{})
+	out, err := b.eval(ctx, derive(x).Root)
 	e.noteEvalErr(err)
 	return out, err
 }
 
-// evalPathsCtx is the recursive evaluator body, always running on a
-// bound (or static) engine. q is the selector quota of the projection
-// pipeline directly above x (zero: none): the Project case derives it
-// from the pipeline's shape, and it travels down through exactly the
-// operators opt.AnalyzeQuota admitted — σ, ∪ — to the pattern recursions,
-// whose product search applies it. Every other operator evaluates its
-// inputs without one.
-func (e *Engine) evalPathsCtx(ctx context.Context, x core.PathExpr, q core.Quota) (*pathset.Set, error) {
+// eval is the recursive evaluator body over a derived plan, always
+// running on a bound (or static) engine. A node a label index or a product
+// search answers is dispatched on that property; every other node
+// evaluates its operator over its operands.
+func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	switch x := x.(type) {
+	if n.Scan != nil && !e.opts.DisableLabelIndex {
+		out := e.indexScan(*n.Scan)
+		addStat(&e.stats.IndexedScans, 1)
+		addStat(&e.stats.PathsProduced, int64(out.Len()))
+		return out, nil
+	}
+	if n.Search != nil && !e.opts.DisableExpand {
+		return e.search(ctx, n)
+	}
+	var out *pathset.Set
+	switch x := n.Path.(type) {
 	case core.Nodes:
-		s := core.EvalNodes(e.g)
-		addStat(&e.stats.PathsProduced, int64(s.Len()))
-		return s, nil
+		out = core.EvalNodes(e.g)
 	case core.Edges:
-		s := core.EvalEdges(e.g)
-		addStat(&e.stats.PathsProduced, int64(s.Len()))
-		return s, nil
+		out = core.EvalEdges(e.g)
 	case core.Select:
-		return e.evalSelect(ctx, x, q)
-	case core.Join:
-		l, err := e.evalPathsCtx(ctx, x.L, core.Quota{})
+		in, err := e.eval(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.evalPathsCtx(ctx, x.R, core.Quota{})
+		out = core.EvalSelect(e.g, x.Cond, in)
+	case core.Join:
+		l, err := e.eval(ctx, n.In[0])
+		if err != nil {
+			return nil, err
+		}
+		r, err := e.eval(ctx, n.In[1])
 		if err != nil {
 			return nil, err
 		}
 		return e.join(l, r), nil
 	case core.Union:
-		l, err := e.evalPathsCtx(ctx, x.L, q)
+		l, err := e.eval(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
-		r, err := e.evalPathsCtx(ctx, x.R, q)
+		r, err := e.eval(ctx, n.In[1])
 		if err != nil {
 			return nil, err
 		}
-		u := core.EvalUnion(l, r)
-		addStat(&e.stats.PathsProduced, int64(u.Len()))
-		return u, nil
+		out = core.EvalUnion(l, r)
 	case core.Recurse:
 		addStat(&e.stats.Recursions, 1)
-		if !e.opts.DisableExpand {
-			if out, ok, err := e.expandRecurse(ctx, x, q); ok {
-				if err != nil {
-					return nil, fmt.Errorf("engine: ϕ%s: %w", x.Sem, err)
-				}
-				addStat(&e.stats.ExpandedRecursions, 1)
-				addStat(&e.stats.PathsProduced, int64(out.Len()))
-				return out, nil
-			}
-		}
-		base, err := e.evalPathsCtx(ctx, x.In, core.Quota{})
+		base, err := e.eval(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
-		out, err := core.EvalRecurseCtx(ctx, x.Sem, base, e.opts.Limits)
-		if err != nil {
+		if out, err = core.EvalRecurseCtx(ctx, x.Sem, base, e.opts.Limits); err != nil {
 			return nil, fmt.Errorf("engine: ϕ%s: %w", x.Sem, err)
 		}
-		addStat(&e.stats.PathsProduced, int64(out.Len()))
-		return out, nil
 	case core.Restrict:
-		in, err := e.evalPathsCtx(ctx, x.In, core.Quota{})
+		in, err := e.eval(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
-		out := core.EvalRestrict(x.Sem, in)
-		addStat(&e.stats.PathsProduced, int64(out.Len()))
-		return out, nil
+		out = core.EvalRestrict(x.Sem, in)
 	case core.Project:
-		ss, err := e.evalSpaceCtx(ctx, x.In, e.pushedQuota(x))
+		ss, err := e.evalSpace(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
-		out := core.EvalProject(x.Parts, x.Groups, x.Paths, ss)
-		addStat(&e.stats.PathsProduced, int64(out.Len()))
-		return out, nil
+		out = core.EvalProject(x.Parts, x.Groups, x.Paths, ss)
 	case nil:
 		return nil, fmt.Errorf("engine: nil path expression")
 	default:
 		return nil, fmt.Errorf("engine: unsupported path expression %T", x)
 	}
-}
-
-// pushedQuota is the selector quota the pipeline of p lets the product
-// searches below it apply; zero when the shape admits none or the
-// expansion fast path that would apply it is off.
-func (e *Engine) pushedQuota(p core.Project) core.Quota {
-	if e.opts.DisableExpand {
-		return core.Quota{}
-	}
-	q, _ := opt.AnalyzeQuota(p)
-	return q
+	addStat(&e.stats.PathsProduced, int64(out.Len()))
+	return out, nil
 }
 
 // EvalSpace evaluates a space-sorted expression to a solution space.
@@ -534,24 +521,23 @@ func (e *Engine) EvalSpace(x core.SpaceExpr) (*core.SolutionSpace, error) {
 func (e *Engine) EvalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.SolutionSpace, error) {
 	b, release := e.pin()
 	defer release()
-	return b.evalSpaceCtx(ctx, x, core.Quota{})
+	return b.evalSpace(ctx, opt.DeriveSpace(x).Root)
 }
 
-// evalSpaceCtx is the recursive space-evaluator body on a bound engine;
-// q is handed through γ and τ to the path input (see evalPathsCtx).
-func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr, q core.Quota) (*core.SolutionSpace, error) {
+// evalSpace is the space-sorted half of eval.
+func (e *Engine) evalSpace(ctx context.Context, n *opt.Node) (*core.SolutionSpace, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	switch x := x.(type) {
+	switch x := n.Space.(type) {
 	case core.GroupBy:
-		in, err := e.evalPathsCtx(ctx, x.In, q)
+		in, err := e.eval(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
 		return core.EvalGroupBy(x.Key, in), nil
 	case core.OrderBy:
-		in, err := e.evalSpaceCtx(ctx, x.In, q)
+		in, err := e.evalSpace(ctx, n.In[0])
 		if err != nil {
 			return nil, err
 		}
@@ -563,99 +549,46 @@ func (e *Engine) evalSpaceCtx(ctx context.Context, x core.SpaceExpr, q core.Quot
 	}
 }
 
-// evalSelect evaluates σ, answering label-equality selections over the
-// Edges/Nodes atoms straight from the graph's label indexes when allowed,
-// and σ over pattern recursions by a seeded product search.
-func (e *Engine) evalSelect(ctx context.Context, s core.Select, q core.Quota) (*pathset.Set, error) {
-	if !e.opts.DisableLabelIndex {
-		if out, ok := e.indexedSelect(s); ok {
-			addStat(&e.stats.IndexedScans, 1)
-			addStat(&e.stats.PathsProduced, int64(out.Len()))
-			return out, nil
-		}
-	}
-	if !e.opts.DisableExpand {
-		if out, ok, err := e.seededRecurse(ctx, s, q); ok {
-			if err != nil {
-				return nil, err
-			}
-			addStat(&e.stats.PathsProduced, int64(out.Len()))
-			return out, nil
-		}
-	}
-	in, err := e.evalPathsCtx(ctx, s.In, q)
-	if err != nil {
-		return nil, err
-	}
-	out := core.EvalSelect(e.g, s.Cond, in)
-	addStat(&e.stats.PathsProduced, int64(out.Len()))
-	return out, nil
-}
-
-// seededRecurse answers σc(ϕSem(pattern)) by a product search seeded only
-// at the nodes that can satisfy c's seed-side endpoint conjuncts: the
-// first-node conjuncts of a forward search, the last-node conjuncts of a
-// backward one. A first-only (last-only) conjunct's value is a function
-// of the path's first (last) node alone, so seeding is exactly
-// "evaluate everything, then filter" — including its result order, since
-// per-seed shards merge in ascending seed order, the relative order the
-// unseeded evaluation would have produced — at a fraction of the search
-// work. Remaining conjuncts filter the admitted paths afterwards.
-func (e *Engine) seededRecurse(ctx context.Context, s core.Select, q core.Quota) (*pathset.Set, bool, error) {
-	rec, ok := s.In.(core.Recurse)
-	if !ok {
-		return nil, false, nil
-	}
-	re, ok := labelPattern(rec.In)
-	if !ok {
-		return nil, false, nil
-	}
-	first, last, rest := opt.SplitByEndpoint(s.Cond)
-	back := rec.Dir == core.Backward
-	var seedConds, filterConds []cond.Cond
-	if back {
-		seedConds = last
-		filterConds = append(append([]cond.Cond{}, first...), rest...)
-		re = rpq.Reverse(re)
-	} else {
-		if len(first) == 0 {
-			// Nothing to seed with: the plain expansion path plus a
-			// post-filter does the same work.
-			return nil, false, nil
-		}
-		seedConds = first
-		filterConds = append(append([]cond.Cond{}, last...), rest...)
-	}
+// search answers n by the product search the derivation attached to it —
+// ϕ over a label pattern, or σ over one seeded at the nodes that satisfy
+// its seed-side conjuncts (opt.Search) — under the selector quota pushed
+// to n, then applies the search's filter.
+func (e *Engine) search(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
+	s := n.Search
 	addStat(&e.stats.Recursions, 1)
 	addStat(&e.stats.ExpandedRecursions, 1)
-	if back {
+	if s.Rec.Dir == core.Backward {
 		addStat(&e.stats.BackwardRecursions, 1)
 	}
-	if q.K > 0 {
+	if n.Quota.K > 0 {
 		addStat(&e.stats.QuotaRecursions, 1)
 	}
-	seeds := e.seedNodes(seedConds)
-	if len(seedConds) > 0 {
+	var seeds []graph.NodeID
+	if len(s.Seed) > 0 {
 		addStat(&e.stats.SeededRecursions, 1)
-		if seeds == nil {
+		if seeds = e.seedNodes(s.Seed); seeds == nil {
 			seeds = []graph.NodeID{} // non-nil: zero seeds, not all nodes
 		}
 	}
-	nfa := automaton.Build(rpq.Plus{In: re})
-	out, err := automaton.EvalWithOptions(e.g, nfa, rec.Sem, e.opts.Limits, automaton.EvalOptions{
+	out, err := automaton.EvalWithOptions(e.g, s.NFA, s.Rec.Sem, e.opts.Limits, automaton.EvalOptions{
 		Ctx:     ctx,
 		Workers: e.opts.parallelism(),
-		Dir:     rec.Dir,
+		Dir:     s.Rec.Dir,
 		Seeds:   seeds,
-		Quota:   q,
+		Quota:   n.Quota,
 	})
 	if err != nil {
-		return nil, true, fmt.Errorf("engine: σϕ%s: %w", rec.Sem, err)
+		op := "ϕ"
+		if _, ok := n.Path.(core.Select); ok {
+			op = "σϕ"
+		}
+		return nil, fmt.Errorf("engine: %s%s: %w", op, s.Rec.Sem, err)
 	}
-	if len(filterConds) > 0 {
-		out = core.EvalSelect(e.g, cond.Conj(filterConds...), out)
+	if s.Filter != nil {
+		out = core.EvalSelect(e.g, s.Filter, out)
 	}
-	return out, true, nil
+	addStat(&e.stats.PathsProduced, int64(out.Len()))
+	return out, nil
 }
 
 // seedNodes lists, ascending, the nodes whose length-zero path satisfies
@@ -685,110 +618,31 @@ func (e *Engine) seedNodes(conds []cond.Cond) []graph.NodeID {
 	return seeds
 }
 
-// indexedSelect recognizes σ[label(edge(1)) = L](Edges(G)) and
-// σ[label(first|node(1)) = L](Nodes(G)) and answers them from indexes.
-func (e *Engine) indexedSelect(s core.Select) (*pathset.Set, bool) {
-	lc, ok := s.Cond.(cond.LabelCmp)
-	if !ok || lc.Op != cond.EQ {
-		return nil, false
-	}
-	switch s.In.(type) {
-	case core.Edges:
-		if lc.Target.Kind != cond.TargetEdge || lc.Target.Pos != 1 {
-			return nil, false
-		}
-		ids := e.g.EdgesWithLabel(lc.Value)
+// indexScan answers σ[label(edge(1)) = L](Edges(G)) and
+// σ[label(first|node(1)) = L](Nodes(G)) from the graph's label indexes.
+func (e *Engine) indexScan(s opt.Scan) *pathset.Set {
+	if s.Edge {
+		ids := e.g.EdgesWithLabel(s.Label)
 		out := pathset.New(len(ids))
 		for _, id := range ids {
 			out.Add(path.FromEdge(e.g, id))
 		}
-		return out, true
-	case core.Nodes:
-		isFirst := lc.Target.Kind == cond.TargetFirst ||
-			(lc.Target.Kind == cond.TargetNode && lc.Target.Pos == 1) ||
-			lc.Target.Kind == cond.TargetLast // first == last on length-0 paths
-		if !isFirst {
-			return nil, false
-		}
-		ids := e.g.NodesWithLabel(lc.Value)
-		out := pathset.New(len(ids))
-		for _, id := range ids {
-			out.Add(path.FromNode(id))
-		}
-		return out, true
-	default:
-		return nil, false
+		return out
 	}
+	ids := e.g.NodesWithLabel(s.Label)
+	out := pathset.New(len(ids))
+	for _, id := range ids {
+		out.Add(path.FromNode(id))
+	}
+	return out
 }
 
-// expandRecurse answers ϕSem(In) by product search over the graph's
-// adjacency lists when the base expression is a label pattern —
-// σ[label(edge(1)) = L](Edges(G)), Edges(G), or joins/unions of such.
-// The closure of such a base equals the language (pattern)+, so the
-// recursion is exactly an RPQ and the automaton evaluator applies. ok is
-// false when the base has a different shape.
-func (e *Engine) expandRecurse(ctx context.Context, x core.Recurse, q core.Quota) (*pathset.Set, bool, error) {
-	re, ok := labelPattern(x.In)
-	if !ok {
-		return nil, false, nil
-	}
-	if x.Dir == core.Backward {
-		re = rpq.Reverse(re)
-		addStat(&e.stats.BackwardRecursions, 1)
-	}
-	if q.K > 0 {
-		addStat(&e.stats.QuotaRecursions, 1)
-	}
-	nfa := automaton.Build(rpq.Plus{In: re})
-	out, err := automaton.EvalWithOptions(e.g, nfa, x.Sem, e.opts.Limits, automaton.EvalOptions{
-		Ctx:     ctx,
-		Workers: e.opts.parallelism(),
-		Dir:     x.Dir,
-		Quota:   q,
-	})
-	return out, true, err
-}
-
-// labelPattern converts a base expression built from label-equality
-// selections over Edges(G), joins and unions into the equivalent regular
-// path expression.
-func labelPattern(x core.PathExpr) (rpq.Expr, bool) {
-	switch x := x.(type) {
-	case core.Edges:
-		return rpq.AnyLabel{}, true
-	case core.Select:
-		lc, ok := x.Cond.(cond.LabelCmp)
-		if !ok || lc.Op != cond.EQ || lc.Target.Kind != cond.TargetEdge || lc.Target.Pos != 1 {
-			return nil, false
-		}
-		if _, ok := x.In.(core.Edges); !ok {
-			return nil, false
-		}
-		return rpq.Label{Name: lc.Value}, true
-	case core.Join:
-		l, ok := labelPattern(x.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := labelPattern(x.R)
-		if !ok {
-			return nil, false
-		}
-		return rpq.Concat{L: l, R: r}, true
-	case core.Union:
-		l, ok := labelPattern(x.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := labelPattern(x.R)
-		if !ok {
-			return nil, false
-		}
-		return rpq.Alt{L: l, R: r}, true
-	default:
-		return nil, false
-	}
-}
+// PlanFootprint returns the label footprint of a physical plan
+// (opt.Derivation.Footprint): which node and edge label populations the
+// plan's result can depend on. The query service tags cached results with
+// it so ingest batches invalidate only the entries whose plans actually
+// read a touched label (graph.Store.ValidAt).
+func PlanFootprint(x core.PathExpr) graph.Footprint { return opt.Derive(x).Footprint }
 
 // join dispatches on the configured strategy.
 func (e *Engine) join(l, r *pathset.Set) *pathset.Set {

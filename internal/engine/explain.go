@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
 )
 
@@ -57,101 +58,63 @@ func (e *Engine) ExplainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 
 func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
 	hitsBefore := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	plan, applied := e.plan(x)
+	ent := e.plan(x)
 	ex := &Explain{
-		Plan:     plan,
-		Applied:  applied,
+		Plan:     ent.plan,
+		Applied:  ent.applied,
 		CacheHit: atomic.LoadInt64(&e.stats.PlanCacheHits) > hitsBefore,
-		Kernel:   e.reachRoute(plan),
+		Kernel:   e.reachRoute(ent.derived),
 	}
-	out, err := e.explainPath(ctx, plan, core.Quota{}, 0, ex)
-	if err != nil {
+	if err := e.explain(ctx, ent.derived.Root, 0, ex); err != nil {
 		return nil, err
 	}
-	ex.Result = out
 	return ex, nil
 }
 
-// explainPath evaluates x under the selector quota q its context pushes
-// down (see evalPathsCtx) and hands q on to the children that evaluate
-// under it too, so every line's actual count is what Run produces there
-// and a recursion's line names the quota it searched under.
-func (e *Engine) explainPath(ctx context.Context, x core.PathExpr, q core.Quota, depth int, ex *Explain) (*pathset.Set, error) {
-	out, err := e.evalPathsCtx(ctx, x, q)
-	if err != nil {
-		return nil, err
-	}
-	op := opLabel(x)
-	var children []core.PathExpr
-	var childQuota core.Quota
-	switch x := x.(type) {
-	case core.Select:
-		children, childQuota = []core.PathExpr{x.In}, q
-	case core.Join:
-		children = []core.PathExpr{x.L, x.R}
-	case core.Union:
-		children, childQuota = []core.PathExpr{x.L, x.R}, q
-	case core.Recurse:
-		children = []core.PathExpr{x.In}
-		if q.K > 0 {
-			op += fmt.Sprintf(" [quota %s]", q)
+// explain evaluates n, appends its line and explains its operands one
+// level deeper. Every node evaluates under the quota the derivation pushed
+// to it, so each line's actual count is what Run produces there, and a
+// recursion's line names the quota it searched under.
+func (e *Engine) explain(ctx context.Context, n *opt.Node, depth int, ex *Explain) error {
+	line := ExplainLine{Depth: depth, Op: e.opLabel(n)}
+	if n.Space != nil {
+		ss, err := e.evalSpace(ctx, n)
+		if err != nil {
+			return err
 		}
-	case core.Restrict:
-		children = []core.PathExpr{x.In}
-	}
-	ex.Lines = append(ex.Lines, ExplainLine{
-		Depth: depth, Op: op, Est: e.cm.Card(x), Actual: out.Len(),
-	})
-	if p, ok := x.(core.Project); ok {
-		if err := e.explainSpace(ctx, p.In, e.pushedQuota(p), depth+1, ex); err != nil {
-			return nil, err
+		if g, ok := core.BottomGroupBy(n.Space); ok {
+			line.Est = e.cm.Card(g.In)
 		}
-	}
-	for _, c := range children {
-		if _, err := e.explainPath(ctx, c, childQuota, depth+1, ex); err != nil {
-			return nil, err
+		line.Actual = ss.NumPaths()
+	} else {
+		out, err := e.eval(ctx, n)
+		if err != nil {
+			return err
 		}
+		if depth == 0 {
+			ex.Result = out
+		}
+		line.Est, line.Actual = e.cm.Card(n.Path), out.Len()
 	}
-	return out, nil
-}
-
-func (e *Engine) explainSpace(ctx context.Context, x core.SpaceExpr, q core.Quota, depth int, ex *Explain) error {
-	ss, err := e.evalSpaceCtx(ctx, x, q)
-	if err != nil {
-		return err
-	}
-	var op string
-	var inner core.SpaceExpr
-	var pathIn core.PathExpr
-	switch x := x.(type) {
-	case core.GroupBy:
-		op = fmt.Sprintf("γ%s", x.Key)
-		pathIn = x.In
-	case core.OrderBy:
-		op = fmt.Sprintf("τ%s", x.Key)
-		inner = x.In
-	default:
-		op = fmt.Sprintf("%T", x)
-	}
-	var est float64
-	if g, ok := core.BottomGroupBy(x); ok {
-		est = e.cm.Card(g.In)
-	}
-	ex.Lines = append(ex.Lines, ExplainLine{Depth: depth, Op: op, Est: est, Actual: ss.NumPaths()})
-	if inner != nil {
-		return e.explainSpace(ctx, inner, q, depth+1, ex)
-	}
-	if pathIn != nil {
-		_, err := e.explainPath(ctx, pathIn, q, depth+1, ex)
-		return err
+	ex.Lines = append(ex.Lines, line)
+	for _, in := range n.In {
+		if err := e.explain(ctx, in, depth+1, ex); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
 // opLabel is the one-line operator label of an explain row — the node's
 // own operator without its subtree.
-func opLabel(x core.PathExpr) string {
-	switch x := x.(type) {
+func (e *Engine) opLabel(n *opt.Node) string {
+	switch x := n.Space.(type) {
+	case core.GroupBy:
+		return fmt.Sprintf("γ%s", x.Key)
+	case core.OrderBy:
+		return fmt.Sprintf("τ%s", x.Key)
+	}
+	switch x := n.Path.(type) {
 	case core.Nodes:
 		return "Nodes(G)"
 	case core.Edges:
@@ -163,10 +126,14 @@ func opLabel(x core.PathExpr) string {
 	case core.Union:
 		return "∪"
 	case core.Recurse:
+		op := fmt.Sprintf("ϕ%s", x.Sem)
 		if x.Dir == core.Backward {
-			return fmt.Sprintf("ϕ%s←", x.Sem)
+			op += "←"
 		}
-		return fmt.Sprintf("ϕ%s", x.Sem)
+		if n.Quota.K > 0 && !e.opts.DisableExpand {
+			op += fmt.Sprintf(" [quota %s]", n.Quota)
+		}
+		return op
 	case core.Restrict:
 		return fmt.Sprintf("ρ%s", x.Sem)
 	case core.Project:

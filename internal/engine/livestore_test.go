@@ -184,7 +184,6 @@ func TestLiveStoreDifferential(t *testing.T) {
 		rpq.Plus{In: rpq.Alt{L: rpq.Label{Name: ldbc.LabelKnows}, R: rpq.Label{Name: ldbc.LabelLikes}}},
 	}
 	lim := core.Limits{MaxLen: 3}
-	interleavings := 0
 
 	for trial := 0; trial < 20; trial++ {
 		trial := trial
@@ -251,13 +250,11 @@ func TestLiveStoreDifferential(t *testing.T) {
 				}
 				m.apply(b)
 				check(fmt.Sprintf("step%d", step))
-				interleavings++
 				if step == steps/2 {
 					if err := store.Compact(); err != nil {
 						t.Fatalf("compact: %v", err)
 					}
 					check(fmt.Sprintf("step%d-compacted", step))
-					interleavings++
 				}
 			}
 		})
@@ -265,7 +262,6 @@ func TestLiveStoreDifferential(t *testing.T) {
 	// 20 trials × (5–8 batch steps + 1 compaction point) ≥ 200 checked
 	// interleavings in aggregate; each check covers 2 patterns × 5
 	// semantics × parallelism {1, 8} × {cold, warm} engines.
-	_ = interleavings
 }
 
 // TestLiveStoreCursorPinning: a stream opened before later batches and a

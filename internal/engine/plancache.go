@@ -5,6 +5,7 @@ import (
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/lru"
+	"pathalgebra/internal/opt"
 )
 
 // planCache is a fixed-capacity LRU of planned queries. Keys are the
@@ -13,9 +14,11 @@ import (
 // normalize (whitespace, label quoting and operator sugar all disappear
 // in the expression tree) — so syntactically different spellings of the
 // same logical plan share one cache slot. The stored value is the fully
-// planned physical tree, which is immutable and safely shared across
-// evaluations. Hits verify the full key text: a fingerprint collision
-// (≈2^-64 per pair) degrades to a miss, never to a wrong plan.
+// planned physical tree with its derivation (opt.Derive: the annotated
+// tree the engine evaluates, automata included), both immutable and
+// safely shared across evaluations — a hit re-derives nothing. Hits
+// verify the full key text: a fingerprint collision (≈2^-64 per pair)
+// degrades to a miss, never to a wrong plan.
 //
 // The cache is engine-private and mutex-guarded (lru.Cache): concurrent
 // Plan/Run calls on one engine serialize only the cache probe and the
@@ -35,6 +38,7 @@ type planEntry struct {
 	key     string
 	plan    core.PathExpr
 	applied []string
+	derived *opt.Derivation
 }
 
 func newPlanCache(capacity int) *planCache {
@@ -64,16 +68,16 @@ func epochFp(epoch, fp uint64) uint64 {
 	return h.Sum64()
 }
 
-func (c *planCache) get(epoch, fp uint64, key string) (core.PathExpr, []string, bool) {
+func (c *planCache) get(epoch, fp uint64, key string) (*planEntry, bool) {
 	ent, ok := c.entries.Get(epochFp(epoch, fp))
 	if !ok || ent.key != key || ent.epoch != epoch {
-		return nil, nil, false
+		return nil, false
 	}
-	return ent.plan, ent.applied, true
+	return ent, true
 }
 
-func (c *planCache) put(epoch, fp uint64, key string, plan core.PathExpr, applied []string) {
-	c.entries.Put(epochFp(epoch, fp), &planEntry{epoch: epoch, key: key, plan: plan, applied: applied})
+func (c *planCache) put(fp uint64, ent *planEntry) {
+	c.entries.Put(epochFp(ent.epoch, fp), ent)
 }
 
 // Len returns the number of cached plans.

@@ -1,13 +1,17 @@
 package engine
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
+	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/gql"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/opt"
 )
 
 func TestPlanCacheHit(t *testing.T) {
@@ -78,6 +82,74 @@ func TestPlanCacheEviction(t *testing.T) {
 	if got := e.Stats().PlanCacheMisses; got != misses+1 {
 		t.Errorf("evicted plan should miss: misses %d → %d", misses, got)
 	}
+}
+
+// TestPlanCacheHitReusesDerivation: a plan-cache hit re-derives nothing.
+// Run, RunStream, Reach and Explain on a cached plan all evaluate the
+// derivation — automata included — that the miss stored, and the engine
+// builds no automaton outside a derivation.
+func TestPlanCacheHitReusesDerivation(t *testing.T) {
+	derivations := 0
+	defer func(orig func(core.PathExpr) *opt.Derivation) { derive = orig }(derive)
+	derive = func(x core.PathExpr) *opt.Derivation {
+		derivations++
+		return opt.Derive(x)
+	}
+	for _, q := range []string{
+		`MATCH ANY 2 TRAIL p = (?x:Person)-[:Knows+]->(?y)`, // quota'd, seeded
+		`MATCH WALK p = (?x)-[:Knows+]->(?y:Person)`,        // kernel-eligible
+	} {
+		e := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 4}})
+		plan := gql.MustCompile(q)
+		if _, err := e.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+		key := plan.String()
+		ent, ok := e.plans.get(0, planFingerprint(key), key)
+		if !ok || derivations != 1 {
+			t.Fatalf("%s: cached %v after %d derivations, want cached after 1", q, ok, derivations)
+		}
+		automata := nfasOf(ent.derived.Root)
+		if len(automata) == 0 {
+			t.Fatalf("%s: derivation holds no automaton", q)
+		}
+
+		if _, err := e.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+		s := e.RunStream(context.Background(), plan, StreamOptions{})
+		if _, err := s.Result(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if _, err := e.Reach(plan, opt.ReachPairs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Explain(plan); err != nil {
+			t.Fatal(err)
+		}
+		if st := e.Stats(); st.PlanCacheHits != 4 || derivations != 1 {
+			t.Errorf("%s: %d plan-cache hits and %d derivations, want 4 and 1", q, st.PlanCacheHits, derivations)
+		}
+		if again, _ := e.plans.get(0, planFingerprint(key), key); again.derived != ent.derived ||
+			!reflect.DeepEqual(nfasOf(again.derived.Root), automata) {
+			t.Errorf("%s: the cached derivation or its automata were replaced", q)
+		}
+		derivations = 0
+	}
+}
+
+// nfasOf lists the automata of a derived plan's searches, in evaluation
+// order.
+func nfasOf(n *opt.Node) []*automaton.NFA {
+	var out []*automaton.NFA
+	if n.Search != nil {
+		out = append(out, n.Search.NFA)
+	}
+	for _, in := range n.In {
+		out = append(out, nfasOf(in)...)
+	}
+	return out
 }
 
 // TestSeededSelectMatchesGeneric: σ with endpoint conditions over a

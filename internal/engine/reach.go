@@ -6,14 +6,12 @@ import (
 	"fmt"
 	"sort"
 
-	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/reach"
-	"pathalgebra/internal/rpq"
 )
 
 // ReachResult is a path-free answer: a property of the plan's result set
@@ -45,7 +43,8 @@ type ReachResult struct {
 }
 
 // Reach plans x like Run and answers the path-free question mode about
-// its result set. Eligible plans (opt.AnalyzeReach) route to the bitset
+// its result set. Eligible plans (opt.AnalyzeReach, read off the plan's
+// cached derivation) route to the bitset
 // reachability kernel — no path is ever materialized; everything else,
 // and any graph whose bitset index exceeds graph.MaxBitsetBytes, falls
 // back to full enumeration with the answer derived by erasing bodies.
@@ -59,12 +58,12 @@ func (e *Engine) Reach(x core.PathExpr, mode opt.ReachMode) (*ReachResult, error
 func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMode) (*ReachResult, error) {
 	b, release := e.pin()
 	defer release()
-	plan, _ := b.planTraced(ctx, x)
+	d := b.planTraced(ctx, x).derived
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
 	ctx = obs.WithSpan(ctx, sp)
-	if rp, ok := opt.AnalyzeReach(plan, mode); ok {
+	if rp, ok := d.Reach(mode); ok {
 		res, err := b.reachKernel(ctx, rp, mode)
 		switch {
 		case err == nil:
@@ -79,7 +78,7 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 		// Bitset index infeasible: enumerate like an ineligible plan.
 	}
 	addStat(&e.stats.ReachFallbacks, 1)
-	set, err := b.evalPathsCtx(ctx, plan, core.Quota{})
+	set, err := b.eval(ctx, d.Root)
 	if err != nil {
 		e.noteEvalErr(err)
 		return nil, err
@@ -90,22 +89,22 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 }
 
 // reachRoute names the evaluation route a path-free Reach call would
-// take for this physical plan — explain output. ReachPairs is the
+// take for this derived plan — explain output. ReachPairs is the
 // representative mode: every kernel-admitted mode shares its eligibility.
-func (e *Engine) reachRoute(plan core.PathExpr) string {
-	rp, ok := opt.AnalyzeReach(plan, opt.ReachPairs)
+func (e *Engine) reachRoute(d *opt.Derivation) string {
+	rp, ok := d.Reach(opt.ReachPairs)
 	if !ok {
 		return "enumeration"
 	}
-	if _, feasible := reach.NewEvaluator(e.g, automaton.Build(rpq.Plus{In: rp.Pattern})); !feasible {
+	if _, feasible := reach.NewEvaluator(e.g, rp.NFA); !feasible {
 		return "enumeration"
 	}
 	return "reach-bitset"
 }
 
 // reachKernel runs an eligible plan on the bitset kernel: seeds and
-// targets come from the endpoint conjuncts' node sets, the automaton from
-// the recursion pattern. The engine's limits bound the BFS exactly as
+// targets come from the endpoint conjuncts' node sets, the automaton is
+// the one derived for the plan. The engine's limits bound the BFS exactly as
 // they bound enumeration (shared MaxLen, work and answer budgets).
 func (e *Engine) reachKernel(ctx context.Context, rp opt.ReachPlan, mode opt.ReachMode) (*ReachResult, error) {
 	seeds := e.seedNodes(rp.SeedConds)
@@ -117,7 +116,7 @@ func (e *Engine) reachKernel(ctx context.Context, rp opt.ReachPlan, mode opt.Rea
 		targets = []graph.NodeID{} // non-nil: zero targets, not all nodes
 	}
 	q := reach.Query{
-		NFA:         automaton.Build(rpq.Plus{In: rp.Pattern}),
+		NFA:         rp.NFA,
 		Seeds:       seeds,
 		Targets:     targets,
 		NeedLengths: mode == opt.ReachShortestLengths,

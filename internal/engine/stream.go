@@ -79,7 +79,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 		epoch:   b.epoch,
 		release: release,
 	}
-	plan, _ := b.planTraced(ctx, x)
+	ent := b.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	sp.SetInt("epoch", int64(b.epoch))
 	evalCtx := obs.WithSpan(ctx, sp)
@@ -98,7 +98,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 				s.err = core.Recovered(r)
 			}
 		}()
-		s.set, s.err = b.evalPathsCtx(evalCtx, plan, core.Quota{})
+		s.set, s.err = b.eval(evalCtx, ent.derived.Root)
 		if s.set != nil {
 			sp.SetInt("paths", int64(s.set.Len()))
 		}

@@ -32,141 +32,30 @@ var EpochPin = &Analyzer{
 	Name: "epochpin",
 	Doc: "every graph.Store.Snapshot pin must be released on all paths: " +
 		"defer Release, or transfer ownership of the handle; pinned graphs must not outlive their pin",
-	Run: runEpochPin,
+	Run: epochPin.run,
 }
 
-func runEpochPin(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkEpochPins(pass, fn)
-			}
-		}
-	}
-	return nil
-}
-
-func checkEpochPins(pass *Pass, fn *ast.FuncDecl) {
-	var pins []*ast.Ident
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, method, ok := methodCall(pass.Info, call)
-		if !ok || method != "Snapshot" || recv != "Store" {
-			return true
-		}
-		id, bound := snapshotBinding(fn.Body, call)
-		if !bound {
-			pass.Reportf(call.Pos(), "Store.Snapshot pins an epoch but the handle is dropped; the pin can never be released")
-			return true
-		}
-		if id != nil {
-			pins = append(pins, id)
-		}
-		return true
-	})
-
-	for _, id := range pins {
-		def := pass.Info.Defs[id]
-		if def == nil {
-			continue
-		}
-		u := pinUsage{pass: pass, def: def}
-		u.scan(fn.Body, id)
-		switch {
-		case u.deferred:
-			u.checkGraphEscape(fn, id)
-		case u.transferred:
-			// Ownership moved; the holder releases.
-		case u.plainRelease:
-			pass.Reportf(id.Pos(), "pin %s is released without defer: an early return or panic between Snapshot and Release leaks the epoch; use defer %s.Release() or transfer ownership", id.Name, id.Name)
-		default:
-			pass.Reportf(id.Pos(), "pin %s is never released: defer %s.Release() or transfer ownership of the handle", id.Name, id.Name)
-		}
-	}
-}
-
-// pinUsage classifies how one Snapshot handle is used in a function.
-type pinUsage struct {
-	pass *Pass
-	def  types.Object
-
-	deferred, transferred, plainRelease bool
-	graphCalls                          map[ast.Expr]bool // sn.Graph() call sites
-}
-
-// usesVar reports whether e is an identifier use of the pin variable.
-func (u *pinUsage) usesVar(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && u.pass.Info.Uses[id] == u.def
-}
-
-// releaseValue reports whether e is `sn.Release` (the method value).
-func (u *pinUsage) releaseValue(e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	return ok && u.usesVar(sel.X) && sel.Sel.Name == "Release"
-}
-
-func (u *pinUsage) scan(body *ast.BlockStmt, id *ast.Ident) {
-	u.graphCalls = make(map[ast.Expr]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if u.releaseValue(n.Call.Fun) {
-				u.deferred = true
-				return false
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && u.usesVar(sel.X) {
-				switch sel.Sel.Name {
-				case "Release":
-					u.plainRelease = true
-				case "Graph":
-					u.graphCalls[n] = true
-				}
-				return true
-			}
-			for _, arg := range n.Args {
-				if u.usesVar(arg) || u.releaseValue(arg) {
-					u.transferred = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if u.usesVar(r) || u.releaseValue(r) {
-					u.transferred = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				if u.releaseValue(r) {
-					u.transferred = true
-				}
-				if u.usesVar(r) && !definesIdent(n, id) {
-					u.transferred = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if u.usesVar(e) || u.releaseValue(e) {
-					u.transferred = true
-				}
-			}
-		}
-		return true
-	})
+var epochPin = &pairing{
+	acquire:      "Snapshot",
+	receivers:    []string{"Store"},
+	release:      "Release",
+	dropped:      "%s.Snapshot pins an epoch but the handle is dropped; the pin can never be released",
+	plainRelease: "pin %[1]s is released without defer: an early return or panic between Snapshot and Release leaks the epoch; use defer %[1]s.Release() or transfer ownership",
+	unreleased:   "pin %[1]s is never released: defer %[1]s.Release() or transfer ownership of the handle",
+	scoped:       checkGraphEscape,
 }
 
 // checkGraphEscape flags returns of sn.Graph()-derived values when the
 // pin is function-scoped (Release deferred here).
-func (u *pinUsage) checkGraphEscape(fn *ast.FuncDecl, id *ast.Ident) {
-	// Local variables assigned from sn.Graph().
+func checkGraphEscape(h *handle, fn *ast.FuncDecl) {
+	// sn.Graph() call sites and the locals assigned from them.
+	graphCalls := make(map[ast.Expr]bool)
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && h.methodValue(call.Fun, "Graph") {
+			graphCalls[call] = true
+		}
+		return true
+	})
 	graphObjs := make(map[types.Object]bool)
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
@@ -174,11 +63,11 @@ func (u *pinUsage) checkGraphEscape(fn *ast.FuncDecl, id *ast.Ident) {
 			return true
 		}
 		for i, r := range as.Rhs {
-			if !u.graphCalls[r] || i >= len(as.Lhs) {
+			if !graphCalls[r] || i >= len(as.Lhs) {
 				continue
 			}
 			if li, ok := as.Lhs[i].(*ast.Ident); ok {
-				if obj := u.pass.Info.Defs[li]; obj != nil {
+				if obj := h.pass.Info.Defs[li]; obj != nil {
 					graphObjs[obj] = true
 				}
 			}
@@ -191,75 +80,14 @@ func (u *pinUsage) checkGraphEscape(fn *ast.FuncDecl, id *ast.Ident) {
 			return true
 		}
 		for _, r := range ret.Results {
-			escapes := u.graphCalls[r]
-			if ri, ok := r.(*ast.Ident); ok && graphObjs[u.pass.Info.Uses[ri]] {
+			escapes := graphCalls[r]
+			if ri, ok := r.(*ast.Ident); ok && graphObjs[h.pass.Info.Uses[ri]] {
 				escapes = true
 			}
 			if escapes {
-				u.pass.Reportf(r.Pos(), "graph of pin %s escapes its pin scope: Release is deferred in this function, so the returned graph may be compacted under the caller", id.Name)
+				h.pass.Reportf(r.Pos(), "graph of pin %s escapes its pin scope: Release is deferred in this function, so the returned graph may be compacted under the caller", h.id.Name)
 			}
 		}
 		return true
 	})
-}
-
-// definesIdent reports whether assign's LHS contains exactly id (its
-// defining := statement).
-func definesIdent(assign *ast.AssignStmt, id *ast.Ident) bool {
-	for _, l := range assign.Lhs {
-		if li, ok := l.(*ast.Ident); ok && li == id {
-			return true
-		}
-	}
-	return false
-}
-
-// snapshotBinding locates how call's result is bound: the defining
-// identifier (nil for _), and bound=false when the result is dropped as
-// a bare expression statement. A Snapshot returned or passed along
-// directly counts as bound (ownership transfer).
-func snapshotBinding(body *ast.BlockStmt, call *ast.CallExpr) (id *ast.Ident, bound bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, r := range n.Rhs {
-				if r == call && i < len(n.Lhs) {
-					bound = true
-					if li, ok := n.Lhs[i].(*ast.Ident); ok && li.Name != "_" {
-						id = li
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, v := range n.Values {
-				if v == call && i < len(n.Names) {
-					bound = true
-					if n.Names[i].Name != "_" {
-						id = n.Names[i]
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if r == call {
-					bound = true
-				}
-			}
-		case *ast.CallExpr:
-			if n == call {
-				return true
-			}
-			for _, a := range n.Args {
-				if a == call {
-					bound = true
-				}
-			}
-		case *ast.SelectorExpr:
-			// store.Snapshot().Graph() chains: treat as dropped unless the
-			// chain itself is bound — conservatively let the outer walk
-			// decide; nothing to do here.
-		}
-		return true
-	})
-	return id, bound
 }

@@ -1,10 +1,5 @@
 package lint
 
-import (
-	"go/ast"
-	"go/types"
-)
-
 // SpanEnd checks the trace-span lifetime discipline around obs: every
 // span opened with Trace.Start or Span.Start must be provably ended —
 // an open span misreports its duration (Tree() clamps it to render
@@ -37,213 +32,15 @@ var SpanEnd = &Analyzer{
 	Name: "spanend",
 	Doc: "every obs Trace.Start/Span.Start span must be ended on all paths: " +
 		"defer End (directly or in a deferred closure), or transfer ownership of the span",
-	Run: runSpanEnd,
+	Run: spanEnd.run,
 }
 
-func runSpanEnd(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkSpanEnds(pass, fn)
-			}
-		}
-	}
-	return nil
-}
-
-func checkSpanEnds(pass *Pass, fn *ast.FuncDecl) {
-	var spans []*ast.Ident
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		recv, method, ok := methodCall(pass.Info, call)
-		if !ok || method != "Start" || (recv != "Trace" && recv != "Span") {
-			return true
-		}
-		id, bound := spanBinding(fn.Body, call)
-		if !bound {
-			pass.Reportf(call.Pos(), "%s.Start opens a span but the result is dropped; the span can never be ended", recv)
-			return true
-		}
-		if id != nil {
-			spans = append(spans, id)
-		}
-		return true
-	})
-
-	for _, id := range spans {
-		// Spans may bind via := (Defs) or land in a pre-declared var
-		// (Uses) — the conditional-tracing pattern `var root *obs.Span;
-		// if traced { root = tr.Start(...) }`.
-		obj := pass.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Info.Uses[id]
-		}
-		if obj == nil {
-			continue
-		}
-		u := spanUsage{pass: pass, def: obj}
-		u.scan(fn.Body, id)
-		switch {
-		case u.deferred:
-			// Scoped span: End runs on every exit path.
-		case u.transferred:
-			// Ownership moved; the holder ends it.
-		case u.plainEnd:
-			pass.Reportf(id.Pos(), "span %s is ended without defer: an early return or panic between Start and End leaves the span open; use defer %s.End() or transfer ownership", id.Name, id.Name)
-		default:
-			pass.Reportf(id.Pos(), "span %s is never ended: defer %s.End() or transfer ownership of the span", id.Name, id.Name)
-		}
-	}
-}
-
-// spanUsage classifies how one started span is used in a function.
-type spanUsage struct {
-	pass *Pass
-	def  types.Object
-
-	deferred, transferred, plainEnd bool
-}
-
-// usesVar reports whether e is an identifier use of the span variable.
-func (u *spanUsage) usesVar(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && u.pass.Info.Uses[id] == u.def
-}
-
-// endValue reports whether e is `sp.End` (the method value).
-func (u *spanUsage) endValue(e ast.Expr) bool {
-	sel, ok := e.(*ast.SelectorExpr)
-	return ok && u.usesVar(sel.X) && sel.Sel.Name == "End"
-}
-
-// endsWithin reports whether the function literal calls sp.End()
-// anywhere in its body.
-func (u *spanUsage) endsWithin(fl *ast.FuncLit) bool {
-	found := false
-	ast.Inspect(fl.Body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && u.endValue(call.Fun) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-func (u *spanUsage) scan(body *ast.BlockStmt, id *ast.Ident) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			if u.endValue(n.Call.Fun) {
-				u.deferred = true
-				return false
-			}
-			// defer func() { sp.SetInt(...); sp.End() }() — the End
-			// inside the deferred closure discharges the obligation;
-			// skip the subtree so it is not also counted as a plain End.
-			if fl, ok := n.Call.Fun.(*ast.FuncLit); ok && u.endsWithin(fl) {
-				u.deferred = true
-				return false
-			}
-		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && u.usesVar(sel.X) {
-				// Method calls on the span: End is the lifetime event;
-				// SetInt/AddInt/Start(child) are annotations, never a
-				// transfer.
-				if sel.Sel.Name == "End" {
-					u.plainEnd = true
-				}
-				return true
-			}
-			for _, arg := range n.Args {
-				if u.usesVar(arg) || u.endValue(arg) {
-					u.transferred = true
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if u.usesVar(r) || u.endValue(r) {
-					u.transferred = true
-				}
-			}
-		case *ast.AssignStmt:
-			for _, r := range n.Rhs {
-				if u.endValue(r) {
-					u.transferred = true
-				}
-				if u.usesVar(r) && !definesIdent(n, id) {
-					u.transferred = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if u.usesVar(e) || u.endValue(e) {
-					u.transferred = true
-				}
-			}
-		}
-		return true
-	})
-}
-
-// spanBinding locates how call's result is bound: the binding
-// identifier (nil for _), and bound=false when the result is dropped as
-// a bare expression statement. A span returned, passed along, or placed
-// directly in a composite literal counts as bound (ownership transfer).
-func spanBinding(body *ast.BlockStmt, call *ast.CallExpr) (id *ast.Ident, bound bool) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, r := range n.Rhs {
-				if r == call && i < len(n.Lhs) {
-					bound = true
-					if li, ok := n.Lhs[i].(*ast.Ident); ok && li.Name != "_" {
-						id = li
-					}
-				}
-			}
-		case *ast.ValueSpec:
-			for i, v := range n.Values {
-				if v == call && i < len(n.Names) {
-					bound = true
-					if n.Names[i].Name != "_" {
-						id = n.Names[i]
-					}
-				}
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if r == call {
-					bound = true
-				}
-			}
-		case *ast.CallExpr:
-			if n == call {
-				return true
-			}
-			for _, a := range n.Args {
-				if a == call {
-					bound = true
-				}
-			}
-		case *ast.CompositeLit:
-			for _, el := range n.Elts {
-				e := el
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					e = kv.Value
-				}
-				if e == call {
-					bound = true
-				}
-			}
-		}
-		return true
-	})
-	return id, bound
+var spanEnd = &pairing{
+	acquire:          "Start",
+	receivers:        []string{"Trace", "Span"},
+	release:          "End",
+	releaseInClosure: true,
+	dropped:          "%s.Start opens a span but the result is dropped; the span can never be ended",
+	plainRelease:     "span %[1]s is ended without defer: an early return or panic between Start and End leaves the span open; use defer %[1]s.End() or transfer ownership",
+	unreleased:       "span %[1]s is never ended: defer %[1]s.End() or transfer ownership of the span",
 }

@@ -14,8 +14,6 @@ type Cache[K comparable, V any] struct {
 	capacity int
 	entries  map[K]*list.Element
 	order    *list.List // front = most recently used
-	hits     int64
-	misses   int64
 }
 
 type entry[K comparable, V any] struct {
@@ -32,18 +30,15 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 	}
 }
 
-// Get returns the value under k, bumping its recency and the hit/miss
-// counters.
+// Get returns the value under k, bumping its recency.
 func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[k]
 	if !ok {
-		c.misses++
 		var zero V
 		return zero, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	return el.Value.(*entry[K, V]).val, true
 }
@@ -67,7 +62,7 @@ func (c *Cache[K, V]) Put(k K, v V) {
 }
 
 // Delete removes the entry under k, if present, and reports whether it
-// existed. Hit/miss counters are unaffected.
+// existed.
 func (c *Cache[K, V]) Delete(k K) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -87,8 +82,7 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Clear empties the cache and returns how many entries it dropped. The
-// hit/miss counters are preserved.
+// Clear empties the cache and returns how many entries it dropped.
 func (c *Cache[K, V]) Clear() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -96,11 +90,4 @@ func (c *Cache[K, V]) Clear() int {
 	clear(c.entries)
 	c.order.Init()
 	return n
-}
-
-// Counters returns the cumulative hit and miss counts.
-func (c *Cache[K, V]) Counters() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -42,10 +42,6 @@ func TestReplaceAndClear(t *testing.T) {
 	if _, ok := c.Get("k"); ok {
 		t.Error("entry survived Clear")
 	}
-	hits, misses := c.Counters()
-	if hits != 1 || misses != 1 {
-		t.Errorf("counters = %d/%d, want hits 1 (pre-Clear) / misses 1 (post-Clear)", hits, misses)
-	}
 }
 
 // TestConcurrent hammers one cache from many goroutines under -race.

@@ -343,18 +343,15 @@ func (cm *CostModel) distinctEndpoint(e core.PathExpr, last bool, m *estMemo) fl
 		}
 		// The label-pattern leaf σ[label(edge(1)) = L](Edges) has exact
 		// distinct endpoint counts in the symbol table.
-		if lc, ok := x.Cond.(cond.LabelCmp); ok && lc.Op == cond.EQ &&
-			lc.Target.Kind == cond.TargetEdge && lc.Target.Pos == 1 {
-			if _, isEdges := x.In.(core.Edges); isEdges {
-				if sym := st.SymbolByLabel(lc.Value); sym != nil {
-					if last {
-						d = float64(sym.DistinctDst)
-					} else {
-						d = float64(sym.DistinctSrc)
-					}
+		if s, ok := labelScan(x); ok && s.Edge {
+			if sym := st.SymbolByLabel(s.Label); sym != nil {
+				if last {
+					d = float64(sym.DistinctDst)
 				} else {
-					d = 0
+					d = float64(sym.DistinctSrc)
 				}
+			} else {
+				d = 0
 			}
 		}
 	case core.Join:

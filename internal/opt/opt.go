@@ -30,11 +30,28 @@
 //     bound keep a cheap Walk recursion instead of paying the two-phase
 //     Shortest evaluation.
 //
-// Two shape analyses sit beside the rewrites and change no plan: they tell
-// the engine when a cheaper physical evaluation returns the same answer.
-// AnalyzeReach routes path-free answers to the bitset kernel; AnalyzeQuota
-// lets a selector pipeline push the number of paths it keeps per endpoint
-// pair into the product search below it.
+// One derivation sits beside the rewrites and changes no plan: Derive
+// walks a physical plan once bottom-up and once top-down and annotates
+// every operator with the properties that tell the engine when a cheaper
+// physical evaluation returns the same answer. Each consumer reads its
+// property instead of recognizing plan shapes itself:
+//
+//   - the label pattern of a subtree (Node.Pattern, with its first and
+//     last label sets) — the choose-backward cost pass, LabelPattern, and
+//     the product search that answers ϕ over a pattern (Node.Search, its
+//     automaton built once per plan);
+//   - the label-index σ forms (Node.Scan) — the engine's index scans and
+//     the plan's label footprint (Derivation.Footprint), which the query
+//     service's result caches invalidate by; the distinct-endpoint
+//     estimate shares the one recognizer;
+//   - the endpoint split of σ over a pattern recursion (Node.Ends) — the
+//     seeded search for the recursion's direction (σ's Node.Search) and
+//     the reach-kernel plan (Derivation.Reach, AnalyzeReach);
+//   - the selector quota a π/τ/γ pipeline pushes through σ and ∪
+//     (Node.Quota, AnalyzeQuota) — the product search's per-pair cut.
+//
+// The engine's plan cache keeps the derivation beside the plan, so a
+// cached plan is never re-derived.
 //
 // Every cost-based decision is restricted to order-insensitive contexts
 // (no truncating projection above), so a wrong estimate can change speed

@@ -154,8 +154,10 @@ func (w *costWalker) recurse(rec core.Recurse, c cond.Cond, sensitive bool) core
 	if sensitive || rec.Dir != core.Forward {
 		return rec
 	}
-	info, ok := patternEndpoints(rec.In)
-	if !ok {
+	pat := annotate(rec.In).Pattern
+	if pat == nil {
+		// Not a label pattern: the generic closure evaluates it, and
+		// direction has no meaning there.
 		return rec
 	}
 	st := w.cm.Stats
@@ -169,8 +171,8 @@ func (w *costWalker) recurse(rec core.Recurse, c cond.Cond, sensitive bool) core
 			lastSel *= w.cm.Selectivity(lc)
 		}
 	}
-	fwdSeeds, fwdFan := endpointCost(st, info.first, info.firstAny, false)
-	bwdSeeds, bwdFan := endpointCost(st, info.last, info.lastAny, true)
+	fwdSeeds, fwdFan := endpointCost(st, pat.First, false)
+	bwdSeeds, bwdFan := endpointCost(st, pat.Last, true)
 	fwdCost := fwdSeeds * firstSel * (1 + fwdFan)
 	bwdCost := bwdSeeds * lastSel * (1 + bwdFan)
 	if bwdCost < backwardBias*fwdCost {
@@ -180,81 +182,12 @@ func (w *costWalker) recurse(rec core.Recurse, c cond.Cond, sensitive bool) core
 	return rec
 }
 
-// patternEndpoints extracts the label sets a pattern-shaped recursion
-// base can start and end with — the same shapes the engine's expansion
-// fast path recognizes (σ[label(edge(1)) = L](Edges), Edges, joins and
-// unions of such). ok is false for any other shape; those evaluate via
-// the generic closure, where direction has no meaning.
-type endpointInfo struct {
-	first, last       map[string]bool
-	firstAny, lastAny bool
-}
-
-func patternEndpoints(e core.PathExpr) (endpointInfo, bool) {
-	switch x := e.(type) {
-	case core.Edges:
-		return endpointInfo{firstAny: true, lastAny: true}, true
-	case core.Select:
-		lc, ok := x.Cond.(cond.LabelCmp)
-		if !ok || lc.Op != cond.EQ || lc.Target.Kind != cond.TargetEdge || lc.Target.Pos != 1 {
-			return endpointInfo{}, false
-		}
-		if _, ok := x.In.(core.Edges); !ok {
-			return endpointInfo{}, false
-		}
-		set := map[string]bool{lc.Value: true}
-		return endpointInfo{first: set, last: set}, true
-	case core.Join:
-		l, ok := patternEndpoints(x.L)
-		if !ok {
-			return endpointInfo{}, false
-		}
-		r, ok := patternEndpoints(x.R)
-		if !ok {
-			return endpointInfo{}, false
-		}
-		return endpointInfo{
-			first: l.first, firstAny: l.firstAny,
-			last: r.last, lastAny: r.lastAny,
-		}, true
-	case core.Union:
-		l, ok := patternEndpoints(x.L)
-		if !ok {
-			return endpointInfo{}, false
-		}
-		r, ok := patternEndpoints(x.R)
-		if !ok {
-			return endpointInfo{}, false
-		}
-		return endpointInfo{
-			first: unionSet(l.first, r.first), firstAny: l.firstAny || r.firstAny,
-			last: unionSet(l.last, r.last), lastAny: l.lastAny || r.lastAny,
-		}, true
-	default:
-		return endpointInfo{}, false
-	}
-}
-
-func unionSet(a, b map[string]bool) map[string]bool {
-	if a == nil {
-		return b
-	}
-	out := make(map[string]bool, len(a)+len(b))
-	for l := range a {
-		out[l] = true
-	}
-	for l := range b {
-		out[l] = true
-	}
-	return out
-}
-
 // endpointCost aggregates seed count and first-step fan-out for one side
 // of a pattern: the distinct sources (targets) of the labels the pattern
 // can start (end) with, and the average matching degree of those nodes.
-func endpointCost(st *stats.Stats, labels map[string]bool, any bool, backward bool) (seeds, fanout float64) {
+func endpointCost(st *stats.Stats, labels LabelSet, backward bool) (seeds, fanout float64) {
 	var distinct, edges float64
-	if any {
+	if labels.Any {
 		sym := &st.Any
 		if backward {
 			distinct, edges = float64(sym.DistinctDst), float64(sym.Edges)
@@ -262,7 +195,7 @@ func endpointCost(st *stats.Stats, labels map[string]bool, any bool, backward bo
 			distinct, edges = float64(sym.DistinctSrc), float64(sym.Edges)
 		}
 	} else {
-		for l := range labels {
+		for _, l := range labels.Labels {
 			sym := st.SymbolByLabel(l)
 			if sym == nil {
 				continue

@@ -29,8 +29,15 @@ import "pathalgebra/internal/core"
 // anyway; and under Walk a product state's k-th visitor dominates every
 // later one (same suffixes, earlier discovery).
 func AnalyzeQuota(p core.Project) (core.Quota, bool) {
+	q := pipelineQuota(p, annotate(p))
+	return q, q.K > 0
+}
+
+// pipelineQuota is the rule AnalyzeQuota documents, read off the π node n
+// of p: the quota Derive pushes below n's γ, zero when none.
+func pipelineQuota(p core.Project, n *Node) core.Quota {
 	if !unbounded(p.Parts) {
-		return core.Quota{}, false
+		return core.Quota{}
 	}
 	var gb core.GroupBy
 	var order core.OrderKey
@@ -40,11 +47,11 @@ func AnalyzeQuota(p core.Project) (core.Quota, bool) {
 	case core.OrderBy:
 		inner, ok := in.In.(core.GroupBy)
 		if !ok {
-			return core.Quota{}, false
+			return core.Quota{}
 		}
 		gb, order = inner, in.Key
 	default:
-		return core.Quota{}, false
+		return core.Quota{}
 	}
 	var q core.Quota
 	switch {
@@ -55,34 +62,15 @@ func AnalyzeQuota(p core.Project) (core.Quota, bool) {
 		unbounded(p.Paths) && bounded(p.Groups):
 		q = core.Quota{K: p.Groups.N, ByLength: true}
 	default:
-		return core.Quota{}, false
+		return core.Quota{}
 	}
-	if !quotaInput(gb.In) {
-		return core.Quota{}, false
+	if in := pathInput(n); in == nil || !in.perPair {
+		return core.Quota{}
 	}
-	return q, true
+	return q
 }
 
 // unbounded reports the ascending * bound; bounded an ascending first-n
 // bound with n ≥ 1.
 func unbounded(c core.Count) bool { return c.All && !c.Desc }
 func bounded(c core.Count) bool   { return !c.All && !c.Desc && c.N >= 1 }
-
-// quotaInput reports whether x is built only from operators that keep a
-// per-pair prefix intact (see AnalyzeQuota).
-func quotaInput(x core.PathExpr) bool {
-	switch x := x.(type) {
-	case core.Recurse:
-		if x.Sem == core.Shortest {
-			return false
-		}
-		_, ok := LabelPattern(x.In)
-		return ok
-	case core.Select:
-		return endpointsOnly(x.Cond) && quotaInput(x.In)
-	case core.Union:
-		return quotaInput(x.L) && quotaInput(x.R)
-	default:
-		return false
-	}
-}

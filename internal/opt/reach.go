@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/rpq"
@@ -59,6 +60,8 @@ type ReachPlan struct {
 	// Pattern is the recursion base as a regular path expression; the
 	// kernel's automaton is built over (Pattern)+.
 	Pattern rpq.Expr
+	// NFA is the Glushkov automaton of (Pattern)+, built once by Derive.
+	NFA *automaton.NFA
 	// Sem is the recursion's path semantics (Walk or Shortest — the two
 	// the analysis admits). It does not change the kernel's answer (both
 	// share endpoint pairs and minimal lengths under a common MaxLen);
@@ -72,13 +75,18 @@ type ReachPlan struct {
 
 // AnalyzeReach decides whether a physical plan may be answered by the
 // reachability kernel for the given mode, and extracts the kernel plan if
-// so. The analysis is deliberately conservative — it recognizes exactly
-// the shapes whose mode-answer is provably invariant under erasing path
-// bodies, and rejects everything else (the engine then enumerates):
+// so (Derivation.Reach). The analysis is deliberately conservative — it
+// recognizes exactly the shapes whose mode-answer is provably invariant
+// under erasing path bodies, and rejects everything else (the engine then
+// enumerates):
 //
 //   - ϕSem(pattern) with Sem ∈ {Walk, Shortest}: the recursion is the RPQ
 //     (pattern)+; its endpoint pairs and per-pair minimal lengths are
-//     exactly the kernel's BFS answer under the shared MaxLen.
+//     exactly the kernel's BFS answer under the shared MaxLen. Trail,
+//     Acyclic and Simple are rejected: although their endpoint pairs
+//     coincide with Walk's in the uncapped case (a minimal walk repeats no
+//     node), the interaction with MaxPaths-truncated enumeration fallbacks
+//     has not been pinned down, and conservatism is the contract here.
 //   - σc(ϕSem(pattern)) where every conjunct of c touches a single
 //     endpoint: first-node conjuncts restrict seeds, last-node conjuncts
 //     restrict targets. A conjunct over interior nodes or edges would
@@ -97,97 +105,67 @@ type ReachPlan struct {
 // ReachCountPaths is rejected for every shape: even the recursion alone
 // distinguishes parallel multigraph edges the kernel cannot see.
 func AnalyzeReach(plan core.PathExpr, mode ReachMode) (ReachPlan, bool) {
-	if mode > ReachShortestLengths || mode == ReachCountPaths {
-		return ReachPlan{}, false
-	}
-	switch x := plan.(type) {
-	case core.Recurse, core.Select:
-		return analyzeReachCore(plan)
-	case core.Project:
-		inner, ok := analyzeReachProject(x)
-		if !ok {
-			return ReachPlan{}, false
-		}
-		return analyzeReachCore(inner)
-	default:
-		return ReachPlan{}, false
-	}
+	return Derive(plan).Reach(mode)
 }
 
-// analyzeReachCore recognizes the recursion core: ϕ over a label pattern,
-// optionally under an endpoint-only selection.
-func analyzeReachCore(x core.PathExpr) (ReachPlan, bool) {
-	switch x := x.(type) {
-	case core.Recurse:
-		return analyzeRecurse(x)
-	case core.Select:
-		rec, ok := x.In.(core.Recurse)
-		if !ok {
-			return ReachPlan{}, false
+// reachOf is the root rule of the derivation that AnalyzeReach documents:
+// the kernel plan of n, nil when no mode may route to the kernel.
+func reachOf(n *Node) *ReachPlan {
+	if p, ok := n.Path.(core.Project); ok {
+		if !kernelProjection(p) {
+			return nil
 		}
-		first, last, rest := SplitByEndpoint(x.Cond)
-		if len(rest) > 0 {
-			// A conjunct over interior nodes or edges reads path bodies.
-			return ReachPlan{}, false
+		if n = pathInput(n); n == nil {
+			return nil
 		}
-		rp, ok := analyzeRecurse(rec)
-		if !ok {
-			return ReachPlan{}, false
-		}
-		rp.SeedConds = first
-		rp.TargetConds = last
-		return rp, true
-	default:
-		return ReachPlan{}, false
 	}
+	var ends *Ends
+	if _, ok := n.Path.(core.Select); ok {
+		if n.Ends == nil || len(n.Ends.Rest) > 0 {
+			// Not over a pattern recursion, or a conjunct reads path bodies.
+			return nil
+		}
+		ends, n = n.Ends, n.In[0]
+	}
+	rec, pat, ok := n.patternRec()
+	if !ok || (rec.Sem != core.Walk && rec.Sem != core.Shortest) {
+		return nil
+	}
+	rp := &ReachPlan{Pattern: pat.Expr, NFA: n.Search.NFA, Sem: rec.Sem}
+	if rec.Dir == core.Backward {
+		// The search runs the reversed automaton; the kernel the forward one.
+		rp.NFA = automaton.Build(rpq.Plus{In: pat.Expr})
+	}
+	if ends != nil {
+		rp.SeedConds, rp.TargetConds = ends.First, ends.Last
+	}
+	return rp
 }
 
-// analyzeRecurse accepts ϕSem(pattern) for Walk and Shortest semantics.
-// Trail, Acyclic and Simple are rejected: although their endpoint pairs
-// coincide with Walk's in the uncapped case (a minimal walk repeats no
-// node), the interaction with MaxPaths-truncated enumeration fallbacks
-// has not been pinned down, and conservatism is the contract here.
-func analyzeRecurse(rec core.Recurse) (ReachPlan, bool) {
-	if rec.Sem != core.Walk && rec.Sem != core.Shortest {
-		return ReachPlan{}, false
-	}
-	re, ok := LabelPattern(rec.In)
-	if !ok {
-		return ReachPlan{}, false
-	}
-	return ReachPlan{Pattern: re, Sem: rec.Sem}, true
-}
-
-// analyzeReachProject classifies a projection pipeline as the identity
-// (all-bounds) or the ANY SHORTEST truncation, returning the GroupBy
-// input. Both preserve pairs, pair counts, existence and minimal
-// lengths — everything the admitted modes read.
-func analyzeReachProject(p core.Project) (core.PathExpr, bool) {
+// kernelProjection classifies a projection pipeline as the identity
+// (all-bounds) or the ANY SHORTEST truncation. Both preserve pairs, pair
+// counts, existence and minimal lengths — everything the admitted modes
+// read.
+func kernelProjection(p core.Project) bool {
 	if !p.Parts.All || p.Parts.Desc || !p.Groups.All || p.Groups.Desc {
-		return nil, false
+		return false
 	}
 	gb, ok := core.BottomGroupBy(p.In)
 	if !ok {
-		return nil, false
+		return false
 	}
 	switch {
 	case p.Paths.All && !p.Paths.Desc:
 		// π(*,*,*): identity on the path set, any group key.
-		return gb.In, true
+		return true
 	case !p.Paths.All && p.Paths.N == 1 && !p.Paths.Desc:
 		// π(*,*,1): one path per group. Kernel-shaped only when the
 		// partitions are exactly the endpoint pairs and paths are ranked
 		// by length somewhere in the order-by chain — otherwise the kept
 		// path is rank-arbitrary, not shortest.
-		if gb.Key != core.GroupSource|core.GroupTarget {
-			return nil, false
-		}
-		if !orderChainRanksPaths(p.In) {
-			return nil, false
-		}
-		return gb.In, true
+		return gb.Key == core.GroupSource|core.GroupTarget && orderChainRanksPaths(p.In)
 	default:
-		return nil, false
+		return false
 	}
 }
 
@@ -211,44 +189,11 @@ func orderChainRanksPaths(e core.SpaceExpr) bool {
 
 // LabelPattern converts a base expression built from label-equality
 // selections over Edges(G), joins and unions into the equivalent regular
-// path expression: Edges(G) ↦ any-label, σ[label(edge(1))=L](Edges) ↦ L,
-// ⋈ ↦ concatenation, ∪ ↦ alternation. ok is false for any other shape.
-// It is the planner-side mirror of the engine's pattern recognizer, so
-// eligibility here agrees with what the enumeration fast path accepts.
+// path expression (Pattern.Expr); ok is false for any other shape.
 func LabelPattern(x core.PathExpr) (rpq.Expr, bool) {
-	switch x := x.(type) {
-	case core.Edges:
-		return rpq.AnyLabel{}, true
-	case core.Select:
-		lc, ok := x.Cond.(cond.LabelCmp)
-		if !ok || lc.Op != cond.EQ || lc.Target.Kind != cond.TargetEdge || lc.Target.Pos != 1 {
-			return nil, false
-		}
-		if _, ok := x.In.(core.Edges); !ok {
-			return nil, false
-		}
-		return rpq.Label{Name: lc.Value}, true
-	case core.Join:
-		l, ok := LabelPattern(x.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := LabelPattern(x.R)
-		if !ok {
-			return nil, false
-		}
-		return rpq.Concat{L: l, R: r}, true
-	case core.Union:
-		l, ok := LabelPattern(x.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := LabelPattern(x.R)
-		if !ok {
-			return nil, false
-		}
-		return rpq.Alt{L: l, R: r}, true
-	default:
+	p := annotate(x).Pattern
+	if p == nil {
 		return nil, false
 	}
+	return p.Expr, true
 }

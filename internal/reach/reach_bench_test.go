@@ -71,7 +71,7 @@ func BenchmarkReachKernelSteady(b *testing.B) {
 
 // BenchmarkReachKernelVsEnumeration compares the two kernels on the
 // same reachability-shaped query (all-pairs endpoint set + shortest
-// lengths for a+ under MaxLen): the numbers feed BENCH_pr9.json. The
+// lengths for a+ under MaxLen): docs/history records its numbers. The
 // enumeration side uses Shortest semantics — the cheapest enumerating
 // route to the same answer (Walk would enumerate every walk body).
 func BenchmarkReachKernelVsEnumeration(b *testing.B) {

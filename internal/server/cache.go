@@ -1,75 +1,93 @@
 package server
 
 import (
+	"sync/atomic"
+
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/lru"
 	"pathalgebra/internal/pathset"
 )
 
-// cacheEntry is one cached query result: the materialized set, the graph
-// view its path IDs resolve against, the epoch it was computed at, and
-// the label footprint of the plan that produced it (which node/edge
-// labels the result can depend on).
-type cacheEntry struct {
-	set   *pathset.Set
-	g     *graph.Graph
+// footprintCache is an LRU (lru.Cache) of answers that stay valid only
+// while no ingest batch touches a label their plan reads. Every entry
+// records the epoch its answer was computed at and the label footprint
+// of the plan that produced it (engine.PlanFootprint); a probe hits only
+// while no batch since that epoch has touched any of those labels
+// (Store.ValidAt consults the store's per-label modification clock). A
+// delta touching only `knows` therefore evicts entries whose plan reads
+// `knows` and leaves the rest servable. Hits and misses are counted after
+// that check, so an invalidated entry — evicted on probe — counts as a
+// miss. Capacity is counted in entries; explicit invalidation (the
+// /cache/invalidate endpoint) empties the cache wholesale.
+//
+// The server keeps two instances. The result cache holds fully
+// materialized query results keyed by the canonical rendering of the
+// PLANNED physical plan plus the evaluation limits (the two inputs that
+// determine a result byte for byte — the engine's evaluation is
+// deterministic at every parallelism); cached sets are immutable and
+// shared, so a hit pages the same *pathset.Set through a fresh cursor at
+// no evaluation or copying cost. The reach cache holds rendered POST
+// /reach answers. They are separate instances on purpose: reach answers
+// are path-free while query results are path sets, and the two
+// evaluation routes must never alias — a kernel answer under a key an
+// enumeration could hit would be a correctness bug, not a cache policy
+// choice. Reach keys also carry a "reach:<mode>:" prefix, so even a
+// merged store could not collide them.
+type footprintCache[V any] struct {
+	entries      *lru.Cache[string, stamped[V]]
+	hits, misses atomic.Int64
+}
+
+// stamped is a cached answer with the epoch it was computed at and its
+// plan's label footprint.
+type stamped[V any] struct {
+	val   V
 	epoch uint64
 	fp    graph.Footprint
 }
 
-// resultCache is an LRU (lru.Cache) of fully materialized query results,
-// keyed by the canonical rendering of the PLANNED physical plan plus the
-// evaluation limits (the two inputs that determine a result byte for
-// byte — the engine's evaluation is deterministic at every parallelism).
-// Cached sets are immutable and shared: hits page the same *pathset.Set
-// through a fresh cursor, so a hit costs no evaluation and no copying.
-//
-// Capacity is counted in entries. Invalidation is label-footprint-based:
-// every entry records the epoch it was computed at and the set of labels
-// its plan reads; a hit is valid only while no ingest batch since that
-// epoch has touched any of those labels (Store.ValidAt consults the
-// store's per-label modification clock). A delta touching only `knows`
-// therefore evicts entries whose plan reads `knows` and leaves the rest
-// servable. Explicit invalidation (the /cache/invalidate endpoint) still
-// empties the cache wholesale.
-type resultCache struct {
-	entries *lru.Cache[string, *cacheEntry]
+// cachedSet is one cached query result: the materialized set and the
+// graph view its path IDs resolve against.
+type cachedSet struct {
+	set *pathset.Set
+	g   *graph.Graph
 }
 
-func newResultCache(capacity int) *resultCache {
-	return &resultCache{entries: lru.New[string, *cacheEntry](capacity)}
+func newFootprintCache[V any](capacity int) *footprintCache[V] {
+	return &footprintCache[V]{entries: lru.New[string, stamped[V]](capacity)}
 }
 
-// get returns the cached result for key if it is still valid at the
-// store's current epoch, bumping its recency. Entries invalidated by a
-// later write to a label in their footprint are evicted on probe (and
-// counted as misses).
-func (c *resultCache) get(store *graph.Store, key string) (*cacheEntry, bool) {
+// get returns the cached answer for key if it is still valid at the
+// store's current epoch, bumping its recency.
+func (c *footprintCache[V]) get(store *graph.Store, key string) (V, bool) {
+	var zero V
 	if c == nil {
-		return nil, false
+		return zero, false
 	}
 	ent, ok := c.entries.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if !store.ValidAt(ent.fp, ent.epoch) {
+	if ok && !store.ValidAt(ent.fp, ent.epoch) {
 		c.entries.Delete(key)
-		return nil, false
+		ok = false
 	}
-	return ent, true
+	if !ok {
+		c.misses.Add(1)
+		return zero, false
+	}
+	c.hits.Add(1)
+	return ent.val, true
 }
 
-// put admits a completed result, evicting least-recently-used entries
-// beyond capacity.
-func (c *resultCache) put(key string, ent *cacheEntry) {
+// put admits an answer computed at epoch by a plan with footprint fp,
+// evicting least-recently-used entries beyond capacity.
+func (c *footprintCache[V]) put(key string, val V, epoch uint64, fp graph.Footprint) {
 	if c == nil {
 		return
 	}
-	c.entries.Put(key, ent)
+	c.entries.Put(key, stamped[V]{val: val, epoch: epoch, fp: fp})
 }
 
 // invalidate empties the cache and returns how many entries it dropped.
-func (c *resultCache) invalidate() int {
+func (c *footprintCache[V]) invalidate() int {
 	if c == nil {
 		return 0
 	}
@@ -77,74 +95,9 @@ func (c *resultCache) invalidate() int {
 }
 
 // snapshot returns (entries, hits, misses) for /stats.
-func (c *resultCache) snapshot() (entries int, hits, misses int64) {
+func (c *footprintCache[V]) snapshot() (entries int, hits, misses int64) {
 	if c == nil {
 		return 0, 0, 0
 	}
-	hits, misses = c.entries.Counters()
-	return c.entries.Len(), hits, misses
-}
-
-// reachEntry is one cached POST /reach answer: the fully rendered
-// response (node keys resolved against the evaluation view, so no graph
-// needs to be retained), the epoch it was computed at and the plan's
-// label footprint for invalidation.
-type reachEntry struct {
-	resp  reachResponse
-	epoch uint64
-	fp    graph.Footprint
-}
-
-// reachCache is the POST /reach result LRU. It is a SEPARATE cache from
-// resultCache on purpose: reach answers are path-free (pairs, counts,
-// lengths) while query results are path sets, and the two evaluation
-// routes must never alias — a kernel answer under a key an enumeration
-// could hit (or vice versa) would be a correctness bug, not a cache
-// policy choice. Keys carry a "reach:<mode>:" prefix on top of the
-// structural separation, so even a future merged store could not
-// collide them. Invalidation follows the same label-footprint scheme as
-// resultCache.
-type reachCache struct {
-	entries *lru.Cache[string, *reachEntry]
-}
-
-func newReachCache(capacity int) *reachCache {
-	return &reachCache{entries: lru.New[string, *reachEntry](capacity)}
-}
-
-func (c *reachCache) get(store *graph.Store, key string) (*reachEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	ent, ok := c.entries.Get(key)
-	if !ok {
-		return nil, false
-	}
-	if !store.ValidAt(ent.fp, ent.epoch) {
-		c.entries.Delete(key)
-		return nil, false
-	}
-	return ent, true
-}
-
-func (c *reachCache) put(key string, ent *reachEntry) {
-	if c == nil {
-		return
-	}
-	c.entries.Put(key, ent)
-}
-
-func (c *reachCache) invalidate() int {
-	if c == nil {
-		return 0
-	}
-	return c.entries.Clear()
-}
-
-func (c *reachCache) snapshot() (entries int, hits, misses int64) {
-	if c == nil {
-		return 0, 0, 0
-	}
-	hits, misses = c.entries.Counters()
-	return c.entries.Len(), hits, misses
+	return c.entries.Len(), c.hits.Load(), c.misses.Load()
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
@@ -197,6 +198,61 @@ func TestIngestFootprintInvalidation(t *testing.T) {
 		}
 	}
 	_ = s
+}
+
+// TestInvalidatedProbeCountsAsMiss: a probe that finds an entry the
+// label footprint has invalidated is a miss in /stats, not a hit — for
+// the result cache and the reach cache alike.
+func TestInvalidatedProbeCountsAsMiss(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	stats := func() statsResponse { return decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats")) }
+	query := func() {
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: knowsWalk}))
+		drainCursor(t, ts.URL, qr.ID)
+	}
+	reach := func() {
+		resp := postJSON(t, ts.URL+"/reach", reachRequest{Query: knowsWalk, Mode: "pairs"})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reach status %d", resp.StatusCode)
+		}
+		resp.Body.Close()
+	}
+
+	query()
+	reach()
+	// The result cache admits on the evaluation's completion watcher,
+	// which may trail the cursor's last page.
+	deadline := time.Now().Add(5 * time.Second)
+	for stats().ResultCache.Entries == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("completed query never entered the result cache")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	before := stats()
+
+	ing := postBody(t, ts.URL+"/ingest", "application/x-ndjson",
+		`{"op":"add_edge","key":"knows-new","src":"n4","dst":"n1","label":"Knows"}`+"\n")
+	if ing.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", ing.StatusCode)
+	}
+	ing.Body.Close()
+	query()
+	reach()
+
+	after := stats()
+	for _, c := range []struct {
+		name          string
+		before, after cacheStats
+	}{
+		{"result cache", before.ResultCache, after.ResultCache},
+		{"reach cache", before.ReachCache, after.ReachCache},
+	} {
+		if c.after.Hits != c.before.Hits || c.after.Misses != c.before.Misses+1 {
+			t.Errorf("%s: hits %d -> %d, misses %d -> %d; want hits unchanged, misses +1",
+				c.name, c.before.Hits, c.after.Hits, c.before.Misses, c.after.Misses)
+		}
+	}
 }
 
 // TestStatsStoreSection: /stats surfaces epoch, delta and compaction

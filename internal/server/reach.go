@@ -120,8 +120,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	key := reachKey(mode, plan, lim)
 
 	if !req.NoCache {
-		if ent, ok := s.probeReachCache(root, key); ok {
-			resp := ent.resp
+		if resp, ok := probeCache(root, s.store, s.reach, key); ok {
 			resp.Cached = true
 			if wantTrace {
 				resp.Trace = tr.Tree()
@@ -153,11 +152,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	// Cache the response before attaching the trace: a later hit gets the
 	// answer, not this request's spans.
 	if !req.NoCache {
-		s.reach.put(key, &reachEntry{
-			resp:  resp,
-			epoch: res.Epoch,
-			fp:    engine.PlanFootprint(plan),
-		})
+		s.reach.put(key, resp, res.Epoch, engine.PlanFootprint(plan))
 	}
 	if wantTrace {
 		resp.Trace = tr.Tree()

@@ -173,8 +173,8 @@ type Server struct {
 	enginesMu sync.Mutex
 	engines   map[core.Limits]*engine.Engine
 
-	cache    *resultCache
-	reach    *reachCache
+	cache    *footprintCache[cachedSet]
+	reach    *footprintCache[reachResponse]
 	cursors  *cursorTable
 	inflight atomic.Int64
 	metrics  *serverMetrics
@@ -219,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.engines[cfg.Engine.Limits] = s.base
 	if n := cfg.cacheSize(); n > 0 {
-		s.cache = newResultCache(n)
-		s.reach = newReachCache(n)
+		s.cache = newFootprintCache[cachedSet](n)
+		s.reach = newFootprintCache[reachResponse](n)
 	}
 	s.metrics = newServerMetrics()
 	s.registerCollectors()
@@ -522,7 +522,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if !req.NoCache {
-		if ent, ok := s.probeResultCache(root, key); ok {
+		if ent, ok := probeCache(root, s.store, s.cache, key); ok {
 			cur.cached = true
 			cur.cancel = func() {}
 			// The cached set's path IDs belong to the epoch it was computed
@@ -600,13 +600,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.completed.Inc()
 		if !req.NoCache {
-			fp := engine.PlanFootprint(plan)
-			s.cache.put(key, &cacheEntry{
-				set:   set,
-				g:     cur.stream.Graph(),
-				epoch: cur.stream.Epoch(),
-				fp:    fp,
-			})
+			s.cache.put(key, cachedSet{set: set, g: cur.stream.Graph()},
+				cur.stream.Epoch(), engine.PlanFootprint(plan))
 		}
 	}()
 
@@ -749,17 +744,9 @@ type statsResponse struct {
 		Panics      int64 `json:"panics_recovered"`
 		SlowQueries int64 `json:"slow_queries"`
 	} `json:"server"`
-	ResultCache struct {
-		Entries int   `json:"entries"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-	} `json:"result_cache"`
-	ReachCache struct {
-		Entries int   `json:"entries"`
-		Hits    int64 `json:"hits"`
-		Misses  int64 `json:"misses"`
-	} `json:"reach_cache"`
-	Graph struct {
+	ResultCache cacheStats `json:"result_cache"`
+	ReachCache  cacheStats `json:"reach_cache"`
+	Graph       struct {
 		Nodes   int `json:"nodes"`
 		Edges   int `json:"edges"`
 		Symbols int `json:"symbols"`
@@ -790,6 +777,13 @@ type statsResponse struct {
 		WALRecords int   `json:"wal_records"`
 		WALBytes   int64 `json:"wal_bytes"`
 	} `json:"store"`
+}
+
+// cacheStats is the /stats section of one footprint-invalidated cache.
+type cacheStats struct {
+	Entries int   `json:"entries"`
+	Hits    int64 `json:"hits"`
+	Misses  int64 `json:"misses"`
 }
 
 // handleStats snapshots engine stats (aggregated across the per-limits

@@ -5,6 +5,7 @@ import (
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
 	"pathalgebra/internal/pathset"
 )
@@ -35,26 +36,16 @@ func tracePlan(root *obs.Span, eng *engine.Engine, logical core.PathExpr) core.P
 	return plan
 }
 
-// probeResultCache looks up the result LRU under a "cache_probe" span.
-func (s *Server) probeResultCache(root *obs.Span, key string) (*cacheEntry, bool) {
+// probeCache looks up a footprint-invalidated cache under a
+// "cache_probe" span.
+func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V], key string) (V, bool) {
 	sp := root.Start("cache_probe")
 	defer sp.End()
-	ent, ok := s.cache.get(s.store, key)
+	val, ok := c.get(store, key)
 	if ok {
 		sp.SetInt("hit", 1)
 	}
-	return ent, ok
-}
-
-// probeReachCache looks up the reach LRU under a "cache_probe" span.
-func (s *Server) probeReachCache(root *obs.Span, key string) (*reachEntry, bool) {
-	sp := root.Start("cache_probe")
-	defer sp.End()
-	ent, ok := s.reach.get(s.store, key)
-	if ok {
-		sp.SetInt("hit", 1)
-	}
-	return ent, ok
+	return val, ok
 }
 
 // writePage writes one page's path lines under a "deliver" span of the

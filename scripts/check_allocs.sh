@@ -76,8 +76,11 @@ echo "check_allocs: streaming delivery allocates $extra allocs/op over batch ($s
 # Live-store gate: a store whose delta is empty (post-compaction, ov ==
 # nil) must evaluate with EXACTLY the allocation profile of a from-scratch
 # sealed CSR — the overlay is a nil-check on the read path, nothing more.
-# Any drift means epoch plumbing started taxing sealed reads.
-out=$(go test -run xxx -bench 'BenchmarkSnapshotOverlayRead/(sealed|empty-delta)' -benchtime 5x -benchmem . 2>&1)
+# Any drift means epoch plumbing started taxing sealed reads. Both cases
+# run single-worker engines, so the count is deterministic apart from the
+# runtime's own background allocations after a collection — a handful per
+# GC, which 20 iterations' integer allocs/op absorbs.
+out=$(go test -run xxx -bench 'BenchmarkSnapshotOverlayRead/(sealed|empty-delta)' -benchtime 20x -benchmem . 2>&1)
 printf '%s\n' "$out"
 
 sealed=$(printf '%s\n' "$out" | awk '/^BenchmarkSnapshotOverlayRead\/sealed/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
