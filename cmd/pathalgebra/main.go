@@ -322,8 +322,8 @@ func cmdRun(args []string) error {
 	}
 	if *qf.stats {
 		s := eng.Stats()
-		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d backward=%d quota=%d planCacheHits=%d fpCollisions=%d parallel=%d symbols=%d\n",
-			s.PathsProduced, s.JoinProbes, s.IndexedScans, s.Recursions, s.SeededRecursions,
+		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d seedScans=%d backward=%d quota=%d planCacheHits=%d fpCollisions=%d parallel=%d symbols=%d\n",
+			s.PathsProduced, s.JoinProbes, s.IndexedScans, s.Recursions, s.SeededRecursions, s.SeedScans,
 			s.BackwardRecursions, s.QuotaRecursions, s.PlanCacheHits, s.FingerprintCollisions,
 			eng.Parallelism(), g.NumSymbols())
 	}

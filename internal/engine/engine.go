@@ -134,6 +134,11 @@ type Stats struct {
 	// condition's node set instead of every node (σ over a pattern
 	// recursion).
 	SeededRecursions int64
+	// SeedScans counts seed sets (of a product search or a reach-kernel
+	// evaluation) computed by scanning every node, because no conjunct of
+	// the endpoint condition is an equality the label or property
+	// postings answer.
+	SeedScans int64
 	// BackwardRecursions counts product searches the planner ran
 	// backward (reversed automaton over the in-adjacency).
 	BackwardRecursions int64
@@ -384,6 +389,7 @@ func (e *Engine) Stats() Stats {
 		Recursions:            atomic.LoadInt64(&e.stats.Recursions),
 		ExpandedRecursions:    atomic.LoadInt64(&e.stats.ExpandedRecursions),
 		SeededRecursions:      atomic.LoadInt64(&e.stats.SeededRecursions),
+		SeedScans:             atomic.LoadInt64(&e.stats.SeedScans),
 		BackwardRecursions:    atomic.LoadInt64(&e.stats.BackwardRecursions),
 		QuotaRecursions:       atomic.LoadInt64(&e.stats.QuotaRecursions),
 		ReachKernelRuns:       atomic.LoadInt64(&e.stats.ReachKernelRuns),
@@ -563,18 +569,14 @@ func (e *Engine) search(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 	if n.Quota.K > 0 {
 		addStat(&e.stats.QuotaRecursions, 1)
 	}
-	var seeds []graph.NodeID
 	if len(s.Seed) > 0 {
 		addStat(&e.stats.SeededRecursions, 1)
-		if seeds = e.seedNodes(s.Seed); seeds == nil {
-			seeds = []graph.NodeID{} // non-nil: zero seeds, not all nodes
-		}
 	}
 	out, err := automaton.EvalWithOptions(e.g, s.NFA, s.Rec.Sem, e.opts.Limits, automaton.EvalOptions{
 		Ctx:     ctx,
 		Workers: e.opts.parallelism(),
 		Dir:     s.Rec.Dir,
-		Seeds:   seeds,
+		Seeds:   e.seedNodes(ctx, s.Seed),
 		Quota:   n.Quota,
 	})
 	if err != nil {
@@ -591,31 +593,105 @@ func (e *Engine) search(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 	return out, nil
 }
 
-// seedNodes lists, ascending, the nodes whose length-zero path satisfies
-// the conjunction — the seed set of a directed product search. A single
-// label-equality condition answers from the label index; anything else
-// scans the node set once.
-func (e *Engine) seedNodes(conds []cond.Cond) []graph.NodeID {
+// seedNodes lists, ascending, the live nodes whose length-zero path
+// satisfies every conjunct — the seed set of a directed product search or
+// a reach-kernel evaluation. It returns nil only for no conjuncts (every
+// node seeds); an empty seed set is non-nil. On a length-zero path first,
+// last and node(1) are the node itself, so an equality conjunct on one of
+// them names a posting list (NodesWithLabel, NodesWithProp). The smallest
+// such list is the candidate set and the conjuncts are evaluated on its
+// nodes only, bar a label conjunct that supplied the list, which is
+// exact. Only when no conjunct has a list are all nodes scanned. A lone
+// label conjunct returns the label index itself; do not modify it.
+func (e *Engine) seedNodes(ctx context.Context, conds []cond.Cond) []graph.NodeID {
 	if len(conds) == 0 {
 		return nil
 	}
-	if len(conds) == 1 {
-		if lc, ok := conds[0].(cond.LabelCmp); ok && lc.Op == cond.EQ {
-			return e.g.NodesWithLabel(lc.Value)
+	sp := obs.SpanFrom(ctx).Start("seed")
+	defer sp.End()
+	var cands []graph.NodeID
+	pick := -1
+	for i, c := range conds {
+		if ids, ok := e.postings(c); ok && (pick < 0 || len(ids) < len(cands)) {
+			cands, pick = ids, i
 		}
 	}
-	c := cond.Conj(conds...)
 	var seeds []graph.NodeID
-	for n := 0; n < e.g.NumNodes(); n++ {
-		id := graph.NodeID(n)
-		if !e.g.NodeAlive(id) {
-			continue
+	scanned := 0
+	switch {
+	case pick < 0:
+		addStat(&e.stats.SeedScans, 1)
+		for n := 0; n < e.g.NumNodes(); n++ {
+			if id := graph.NodeID(n); e.g.NodeAlive(id) {
+				scanned++
+				if e.holds(conds, -1, id) {
+					seeds = append(seeds, id)
+				}
+			}
 		}
-		if c.Eval(e.g, path.FromNode(id)) {
-			seeds = append(seeds, id)
+	case len(conds) == 1 && isLabel(conds[0]):
+		seeds = cands
+	default:
+		skip := -1
+		if isLabel(conds[pick]) {
+			skip = pick
+		}
+		for _, id := range cands {
+			if e.holds(conds, skip, id) {
+				seeds = append(seeds, id)
+			}
 		}
 	}
+	if seeds == nil {
+		seeds = []graph.NodeID{} // zero seeds, not all nodes
+	}
+	sp.SetInt("conjuncts", int64(len(conds)))
+	sp.SetInt("candidates", int64(max(len(cands), scanned)))
+	sp.SetInt("seeds", int64(len(seeds)))
+	sp.SetInt("scanned", int64(scanned))
 	return seeds
+}
+
+// postings returns the posting list of an equality conjunct on the seed
+// node: label(first|last|node(1)) = L, or first|last|node(1).k = v when
+// the graph can index v. A label list is exact; a property list may hold
+// non-matches (see graph.NodesWithProp).
+func (e *Engine) postings(c cond.Cond) ([]graph.NodeID, bool) {
+	switch c := c.(type) {
+	case cond.LabelCmp:
+		if c.Op == cond.EQ && onSeed(c.Target) {
+			if c.Value == "" {
+				return nil, true // an unlabelled node satisfies no label condition
+			}
+			return e.g.NodesWithLabel(c.Value), true
+		}
+	case cond.PropCmp:
+		if c.Op == cond.EQ && onSeed(c.Target) {
+			return e.g.NodesWithProp(c.Prop, c.Value)
+		}
+	}
+	return nil, false
+}
+
+func onSeed(t cond.Target) bool {
+	return t.Kind == cond.TargetFirst || t.Kind == cond.TargetLast || (t.Kind == cond.TargetNode && t.Pos == 1)
+}
+
+func isLabel(c cond.Cond) bool {
+	_, ok := c.(cond.LabelCmp)
+	return ok
+}
+
+// holds reports whether node id's length-zero path satisfies every
+// conjunct except conds[skip].
+func (e *Engine) holds(conds []cond.Cond, skip int, id graph.NodeID) bool {
+	p := path.FromNode(id)
+	for i, c := range conds {
+		if i != skip && !c.Eval(e.g, p) {
+			return false
+		}
+	}
+	return true
 }
 
 // indexScan answers σ[label(edge(1)) = L](Edges(G)) and

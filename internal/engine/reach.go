@@ -107,18 +107,10 @@ func (e *Engine) reachRoute(d *opt.Derivation) string {
 // the one derived for the plan. The engine's limits bound the BFS exactly as
 // they bound enumeration (shared MaxLen, work and answer budgets).
 func (e *Engine) reachKernel(ctx context.Context, rp opt.ReachPlan, mode opt.ReachMode) (*ReachResult, error) {
-	seeds := e.seedNodes(rp.SeedConds)
-	if len(rp.SeedConds) > 0 && seeds == nil {
-		seeds = []graph.NodeID{} // non-nil: zero seeds, not all nodes
-	}
-	targets := e.seedNodes(rp.TargetConds)
-	if len(rp.TargetConds) > 0 && targets == nil {
-		targets = []graph.NodeID{} // non-nil: zero targets, not all nodes
-	}
 	q := reach.Query{
 		NFA:         rp.NFA,
-		Seeds:       seeds,
-		Targets:     targets,
+		Seeds:       e.seedNodes(ctx, rp.SeedConds),
+		Targets:     e.seedNodes(ctx, rp.TargetConds),
 		NeedLengths: mode == opt.ReachShortestLengths,
 		Workers:     e.opts.parallelism(),
 	}

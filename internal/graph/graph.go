@@ -99,6 +99,11 @@ type Graph struct {
 	// stale rows (see the bitset.go package comment).
 	bitsets atomic.Pointer[bitsetCell]
 
+	// props lazily caches this graph value's node-property equality
+	// postings, one index per key (propindex.go); sealed graphs only —
+	// a delta view reads its base's.
+	props atomic.Pointer[map[string]*propIndex]
+
 	// ov, when non-nil, makes this Graph a delta view: an immutable
 	// overlay of appended nodes/edges, tombstones and per-node adjacency
 	// patches over a sealed base epoch (see overlay.go). A sealed graph

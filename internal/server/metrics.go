@@ -124,6 +124,7 @@ func (s *Server) engineStats() engine.Stats {
 		agg.Recursions += st.Recursions
 		agg.ExpandedRecursions += st.ExpandedRecursions
 		agg.SeededRecursions += st.SeededRecursions
+		agg.SeedScans += st.SeedScans
 		agg.BackwardRecursions += st.BackwardRecursions
 		agg.QuotaRecursions += st.QuotaRecursions
 		agg.ReachKernelRuns += st.ReachKernelRuns
@@ -158,6 +159,7 @@ func (s *Server) registerCollectors() {
 		{"pathalgebra_engine_recursions_total", "Recursive operator evaluations.", func(st engine.Stats) int64 { return st.Recursions }},
 		{"pathalgebra_engine_expanded_recursions_total", "Recursions via automaton expansion.", func(st engine.Stats) int64 { return st.ExpandedRecursions }},
 		{"pathalgebra_engine_seeded_recursions_total", "Recursions seeded from endpoint conditions.", func(st engine.Stats) int64 { return st.SeededRecursions }},
+		{"pathalgebra_engine_seed_scans_total", "Seed sets computed by scanning every node (no equality conjunct had postings).", func(st engine.Stats) int64 { return st.SeedScans }},
 		{"pathalgebra_engine_backward_recursions_total", "Recursions evaluated backward.", func(st engine.Stats) int64 { return st.BackwardRecursions }},
 		{"pathalgebra_engine_quota_recursions_total", "Recursions searched under a pushed-down selector quota.", func(st engine.Stats) int64 { return st.QuotaRecursions }},
 		{"pathalgebra_engine_reach_kernel_runs_total", "Path-free answers via the bitset kernel.", func(st engine.Stats) int64 { return st.ReachKernelRuns }},

@@ -105,6 +105,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`pathalgebra_engine_plan_cache_hits_total`,
 		`pathalgebra_engine_reach_kernel_runs_total`,
 		`pathalgebra_engine_budget_exhaustions_total`,
+		`pathalgebra_engine_seed_scans_total`,
 		// store layer
 		`pathalgebra_store_epoch`,
 		`pathalgebra_store_delta_size`,

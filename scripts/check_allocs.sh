@@ -186,3 +186,22 @@ if [ "$bytes" -gt $((paths * 1024)) ]; then
     exit 1
 fi
 echo "check_allocs: selector pushdown allocates $allocs allocs/op, $bytes B/op for $paths returned paths"
+
+# Seed gate: a seeded query's seed set comes from the label and property
+# postings, so what it costs follows the candidate nodes, not |V|. The
+# seed set of (?x:Person {id:N}) must allocate EXACTLY as much on 100k
+# persons as on 10k; a scan of the node set would allocate per node.
+out=$(go test -run xxx -bench 'BenchmarkSeedNodes' -benchtime 100x -benchmem ./internal/engine 2>&1)
+printf '%s\n' "$out"
+
+small=$(printf '%s\n' "$out" | awk '/^BenchmarkSeedNodes\/persons=10000-/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+large=$(printf '%s\n' "$out" | awk '/^BenchmarkSeedNodes\/persons=100000-/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+if [ -z "$small" ] || [ -z "$large" ]; then
+    echo "check_allocs: could not find BenchmarkSeedNodes allocs/op in benchmark output" >&2
+    exit 1
+fi
+if [ "$large" -ne "$small" ]; then
+    echo "check_allocs: seeding allocates $large allocs/op on 100k persons vs $small on 10k — seed cost grows with the graph" >&2
+    exit 1
+fi
+echo "check_allocs: seeding allocates $small allocs/op on 10k and 100k persons"
