@@ -285,25 +285,35 @@ func BenchmarkAlgebraVsAutomaton(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinStrategies compares the hash join against the Definition
-// 3.1 nested loop on growing inputs.
+// benchEngineVsReference times plan on a fresh engine (sub-benchmark
+// engine/<suffix>) and on the definitional evaluator core.EvalExpr
+// (reference/<suffix>).
+func benchEngineVsReference(b *testing.B, suffix string, g *Graph, plan PathExpr, lim Limits) {
+	b.Run("engine"+suffix, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mustEval(b, g, plan, lim)
+		}
+	})
+	b.Run("reference"+suffix, func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.EvalExpr(g, plan, lim); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkJoinStrategies compares the engine's hash join against the
+// Definition 3.1 nested loop of the reference evaluator on growing inputs.
 func BenchmarkJoinStrategies(b *testing.B) {
 	for _, persons := range []int{25, 50, 100} {
 		g := ldbc.MustGenerate(ldbc.Config{
 			Persons: persons, KnowsPerPerson: 4, CycleFraction: 0.2, Seed: 5,
 		})
 		plan := gql.MustCompile(`MATCH WALK p = (?x)-[:Knows/:Knows]->(?y)`)
-		for _, strat := range []engine.JoinStrategy{engine.HashJoin, engine.NestedLoop} {
-			b.Run(fmt.Sprintf("%s/persons=%d", strat, persons), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					eng := engine.New(g, engine.Options{Join: strat})
-					if _, err := eng.EvalPaths(plan); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+		benchEngineVsReference(b, fmt.Sprintf("/persons=%d", persons), g, plan, Limits{})
 	}
 }
 
@@ -350,29 +360,11 @@ func BenchmarkGlushkov(b *testing.B) {
 }
 
 // BenchmarkExpandAblation compares the engine's automaton-backed
-// expansion fast path against the generic materialize-then-close
-// evaluation of the same recursion.
+// expansion fast path against the reference evaluator's materialize-then-
+// close evaluation of the same recursion.
 func BenchmarkExpandAblation(b *testing.B) {
-	g := benchGraph()
 	plan := rpq.Compile(rpq.MustParse("(:Likes/:Has_creator)+"), core.Trail)
-	for _, disable := range []bool{false, true} {
-		name := "expand"
-		if disable {
-			name = "generic"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				eng := engine.New(g, engine.Options{
-					Limits:        core.Limits{MaxLen: 6},
-					DisableExpand: disable,
-				})
-				if _, err := eng.EvalPaths(plan); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	benchEngineVsReference(b, "", benchGraph(), plan, Limits{MaxLen: 6})
 }
 
 // BenchmarkCompose measures the §2.3 composed-query pipeline end to end.

@@ -294,7 +294,7 @@ func cmdRun(args []string) error {
 		res, err = eng.EvalPathsCtx(ctx, plan)
 	case *qf.explain:
 		var ex *pathalgebra.Explain
-		ex, err = eng.ExplainCtx(ctx, plan)
+		ex, err = eng.Explain(ctx, plan)
 		if err == nil {
 			fmt.Println("plan:")
 			fmt.Print(pathalgebra.PrintPlan(ex.Plan))

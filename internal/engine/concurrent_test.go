@@ -91,7 +91,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 					shared.Plan(plan)
 					_ = shared.Stats()
 				case 3: // explain (evaluates every subtree)
-					ex, err := shared.Explain(plan)
+					ex, err := shared.Explain(context.Background(), plan)
 					if err != nil {
 						errs <- fmt.Errorf("worker %d Explain: %w", w, err)
 						return

@@ -44,8 +44,8 @@ func randPattern(rng *rand.Rand, depth int) rpq.Expr {
 
 // TestDifferentialRandom cross-checks three independent evaluation routes
 // — the expansion fast path, the generic closure over a materialized base
-// set, and the automaton product search — on random graphs and random
-// recursive patterns under every semantics.
+// set (core.EvalExpr), and the automaton product search — on random
+// graphs and random recursive patterns under every semantics.
 func TestDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for trial := 0; trial < 12; trial++ {
@@ -71,8 +71,7 @@ func TestDifferentialRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s fast: %v", name, err)
 			}
-			slow := New(g, Options{Limits: lim, DisableExpand: true, Join: NestedLoop})
-			b, err := slow.EvalPaths(plan)
+			b, err := core.EvalExpr(g, plan, lim)
 			if err != nil {
 				t.Fatalf("%s generic: %v", name, err)
 			}

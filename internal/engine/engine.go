@@ -33,46 +33,12 @@ import (
 	"pathalgebra/internal/pathset"
 )
 
-// JoinStrategy selects the physical join operator.
-type JoinStrategy uint8
-
-const (
-	// HashJoin builds a hash index on First(p2) and probes with Last(p1).
-	HashJoin JoinStrategy = iota
-	// NestedLoop compares every pair, as in Definition 3.1. Mainly useful
-	// as a baseline for the join-strategy ablation benchmark.
-	NestedLoop
-)
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case HashJoin:
-		return "hash"
-	case NestedLoop:
-		return "nested-loop"
-	default:
-		return fmt.Sprintf("JoinStrategy(%d)", uint8(s))
-	}
-}
-
 // Options configures an Engine.
 type Options struct {
 	// Limits bounds every recursive operator evaluation. The zero value
-	// applies core.DefaultMaxPaths as a safety net.
+	// applies core.DefaultMaxPaths as a safety net. WithLimits returns a
+	// view of the engine that evaluates under other limits.
 	Limits core.Limits
-	// Join selects the physical join operator (default HashJoin).
-	Join JoinStrategy
-	// DisableLabelIndex turns off the label-index shortcut for selections
-	// of the form σ[label(edge(1)) = L](Edges(G)); used by ablation
-	// benchmarks.
-	DisableLabelIndex bool
-	// DisableExpand turns off the graph-expansion fast path for
-	// recursions over single-label bases (ϕ over σ[label]Edges), which
-	// otherwise evaluates via product search on the adjacency lists
-	// instead of materializing the base set first; used by ablation
-	// benchmarks.
-	DisableExpand bool
 	// Parallelism is the number of worker goroutines used by the
 	// parallelizable physical operators: the automaton product search
 	// (sharded by source node) and the hash-join build side. Results are
@@ -86,20 +52,10 @@ type Options struct {
 	// the baseline of the differential harness and ablation benchmarks.
 	// The plan cache stays on either way.
 	DisablePlanner bool
-	// PlanCacheSize bounds the engine's LRU plan cache (number of
-	// plans); <= 0 selects defaultPlanCacheSize.
-	PlanCacheSize int
 }
 
-// defaultPlanCacheSize is the plan-cache capacity when unset.
-const defaultPlanCacheSize = 64
-
-func (o Options) planCacheSize() int {
-	if o.PlanCacheSize <= 0 {
-		return defaultPlanCacheSize
-	}
-	return o.PlanCacheSize
-}
+// planCacheSize is the capacity of an engine's plan cache, in plans.
+const planCacheSize = 64
 
 // parallelism resolves the configured worker count.
 func (o Options) parallelism() int {
@@ -119,8 +75,7 @@ func (o Options) parallelism() int {
 type Stats struct {
 	// PathsProduced counts paths emitted by all operators.
 	PathsProduced int64
-	// JoinProbes counts path pair comparisons (nested loop) or hash
-	// probes (hash join).
+	// JoinProbes counts hash-join probes: the path pairs that concatenate.
 	JoinProbes int64
 	// IndexedScans counts selections answered from a label index.
 	IndexedScans int64
@@ -180,48 +135,68 @@ func fingerprintCollisions() int64 {
 // Engine evaluates plans against one graph. An Engine is safe for
 // concurrent use: evaluation state is per-call, the stats counters are
 // atomic, and the plan cache is mutex-guarded — one engine can serve
-// Run/RunStream/Explain/Stats from many goroutines at once (the query
-// service layer does exactly that). ResetStats is the one exception: it
-// snapshots non-atomically and should only run while no evaluation is in
-// flight. The engine's own internal parallelism (Options.Parallelism) is
-// independently race-safe: evaluation budgets are shared atomically
-// across workers and worker results merge before stats are counted.
+// Run/RunStream/Explain/Stats from many goroutines at once, each call
+// under its own limits (WithLimits; the query service layer does exactly
+// that). ResetStats is the one exception: it snapshots non-atomically and
+// should only run while no evaluation is in flight. The engine's own
+// internal parallelism (Options.Parallelism) is independently race-safe:
+// evaluation budgets are shared atomically across workers and worker
+// results merge before stats are counted.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
 	// store, when non-nil, makes this a live engine: every public entry
 	// point pins the store's current epoch and evaluates a bound copy of
 	// the engine against that epoch's immutable graph and statistics. A
-	// static engine (store == nil) evaluates e.g directly, exactly as
-	// before the live-graph layer existed.
+	// static engine (store == nil) evaluates g directly.
 	store *graph.Store
 	// epoch is the pinned epoch of a bound copy (and the cache key its
 	// Plan calls use); always 0 on a static engine.
 	epoch uint64
-	// stats is shared by pointer so bound copies account into the same
-	// counters.
-	stats *Stats
+	// stats is shared by pointer so bound copies and limits views account
+	// into the same counters.
+	stats *counters
+	// cm is the cost model over the pinned epoch's statistics and the
+	// engine's limits; it drives Plan (unless DisablePlanner) and the
+	// -explain estimates.
+	cm *opt.CostModel
+	// plans is the LRU plan cache consulted by Plan, keyed by
+	// (epoch, limits, plan); shared across bound copies and limits views.
+	plans *planCache
+}
+
+// counters is an engine's accumulating state.
+type counters struct {
+	Stats
 	// collisionBase is the fingerprintCollisions reading at construction
 	// (or last ResetStats); Stats reports the delta since then.
 	collisionBase int64
-	// cm is the cost model over the pinned epoch's statistics; it drives
-	// Plan (unless DisablePlanner) and the -explain estimates.
-	cm *opt.CostModel
-	// plans is the LRU plan cache consulted by Plan, keyed by
-	// (epoch, plan); shared across bound copies.
-	plans *planCache
 }
 
 // New returns a static engine over g with the given options.
 func New(g *graph.Graph, opts Options) *Engine {
 	return &Engine{
-		g:             g,
-		opts:          opts,
-		stats:         &Stats{},
-		collisionBase: fingerprintCollisions(),
-		cm:            &opt.CostModel{Stats: g.Stats(), Limits: opts.Limits},
-		plans:         newPlanCache(opts.planCacheSize()),
+		g:     g,
+		opts:  opts,
+		stats: &counters{collisionBase: fingerprintCollisions()},
+		cm:    &opt.CostModel{Stats: g.Stats(), Limits: opts.Limits},
+		plans: newPlanCache(planCacheSize),
 	}
+}
+
+// WithLimits returns the engine evaluating under lim: the receiver when
+// lim is its limits already, otherwise a view that shares the receiver's
+// graph or store, stats and plan cache and differs only in its limits.
+// A plan is cached per limits, since the planner costs recursions by
+// MaxLen.
+func (e *Engine) WithLimits(lim core.Limits) *Engine {
+	if lim == e.opts.Limits {
+		return e
+	}
+	v := *e
+	v.opts.Limits = lim
+	v.cm = &opt.CostModel{Stats: e.cm.Stats, Limits: lim}
+	return &v
 }
 
 // NewWithStore returns a live engine over a store: every Run, RunStream,
@@ -257,10 +232,6 @@ func (e *Engine) pin() (*Engine, func()) {
 	return &b, sn.Release
 }
 
-// CostModel returns the engine's cost model (the graph's build-time
-// statistics plus the engine's limits).
-func (e *Engine) CostModel() *opt.CostModel { return e.cm }
-
 // Plan turns a logical plan into the physical plan the engine will
 // evaluate, consulting the LRU plan cache first. Cache misses run the
 // cost-based planner (opt.Plan) — or the statistics-free opt.Optimize
@@ -270,7 +241,7 @@ func (e *Engine) CostModel() *opt.CostModel { return e.cm }
 func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 	b, release := e.pin()
 	defer release()
-	ent := b.plan(x)
+	ent, _ := b.plan(x)
 	return ent.plan, ent.applied
 }
 
@@ -278,14 +249,15 @@ func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 var derive = opt.Derive
 
 // plan is Plan on an already-bound engine, returning the whole cache
-// entry: the cache key includes the pinned epoch, so plans costed against
-// one epoch's statistics are never replayed against another's.
-func (e *Engine) plan(x core.PathExpr) *planEntry {
+// entry and whether the cache held it: the cache key includes the pinned
+// epoch and the limits, so plans costed against one epoch's statistics or
+// one MaxLen are never replayed against another's.
+func (e *Engine) plan(x core.PathExpr) (*planEntry, bool) {
 	key := x.String()
 	fp := planFingerprint(key)
-	if ent, ok := e.plans.get(e.epoch, fp, key); ok {
+	if ent, ok := e.plans.get(e.epoch, e.opts.Limits, fp, key); ok {
 		addStat(&e.stats.PlanCacheHits, 1)
-		return ent
+		return ent, true
 	}
 	addStat(&e.stats.PlanCacheMisses, 1)
 	var res opt.Result
@@ -294,9 +266,9 @@ func (e *Engine) plan(x core.PathExpr) *planEntry {
 	} else {
 		res = opt.Plan(x, e.cm)
 	}
-	ent := &planEntry{epoch: e.epoch, key: key, plan: res.Plan, applied: res.Applied, derived: derive(res.Plan)}
+	ent := &planEntry{epoch: e.epoch, limits: e.opts.Limits, key: key, plan: res.Plan, applied: res.Applied, derived: derive(res.Plan)}
 	e.plans.put(fp, ent)
-	return ent
+	return ent, false
 }
 
 // Run plans x (through the cache) and evaluates the chosen plan.
@@ -326,22 +298,16 @@ func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, err
 }
 
 // planTraced is plan wrapped in a "plan" trace span annotated with
-// cache behavior, detected as the explain path does: by the
-// PlanCacheHits delta (shared stats make this approximate under
-// concurrent evaluations, which tracing tolerates).
+// whether the plan cache held the plan.
 func (e *Engine) planTraced(ctx context.Context, x core.PathExpr) *planEntry {
 	sp := obs.SpanFrom(ctx).Start("plan")
 	defer sp.End()
-	if sp == nil {
-		return e.plan(x)
+	ent, hit := e.plan(x)
+	var h int64
+	if hit {
+		h = 1
 	}
-	before := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	ent := e.plan(x)
-	var hit int64
-	if atomic.LoadInt64(&e.stats.PlanCacheHits) > before {
-		hit = 1
-	}
-	sp.SetInt("cache_hit", hit)
+	sp.SetInt("cache_hit", h)
 	sp.SetInt("epoch", int64(e.epoch))
 	return ent
 }
@@ -364,18 +330,6 @@ func (e *Engine) Graph() *graph.Graph {
 	return e.g
 }
 
-// Epoch returns the engine's current epoch: the store's epoch on a live
-// engine, the pinned epoch on a bound copy, 0 on a static engine.
-func (e *Engine) Epoch() uint64 {
-	if e.store != nil {
-		return e.store.Epoch()
-	}
-	return e.epoch
-}
-
-// Store returns the live engine's store, or nil for a static engine.
-func (e *Engine) Store() *graph.Store { return e.store }
-
 // Parallelism returns the resolved worker count used by the engine's
 // parallelizable operators.
 func (e *Engine) Parallelism() int { return e.opts.parallelism() }
@@ -397,7 +351,7 @@ func (e *Engine) Stats() Stats {
 		PlanCacheHits:         atomic.LoadInt64(&e.stats.PlanCacheHits),
 		PlanCacheMisses:       atomic.LoadInt64(&e.stats.PlanCacheMisses),
 		BudgetExhaustions:     atomic.LoadInt64(&e.stats.BudgetExhaustions),
-		FingerprintCollisions: fingerprintCollisions() - e.collisionBase,
+		FingerprintCollisions: fingerprintCollisions() - e.stats.collisionBase,
 	}
 }
 
@@ -406,8 +360,7 @@ func addStat(counter *int64, n int64) { atomic.AddInt64(counter, n) }
 
 // ResetStats zeroes the counters.
 func (e *Engine) ResetStats() {
-	*e.stats = Stats{}
-	e.collisionBase = fingerprintCollisions()
+	*e.stats = counters{collisionBase: fingerprintCollisions()}
 }
 
 // EvalPaths evaluates a path-sorted expression to a set of paths.
@@ -447,13 +400,13 @@ func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
-	if n.Scan != nil && !e.opts.DisableLabelIndex {
+	if n.Scan != nil {
 		out := e.indexScan(*n.Scan)
 		addStat(&e.stats.IndexedScans, 1)
 		addStat(&e.stats.PathsProduced, int64(out.Len()))
 		return out, nil
 	}
-	if n.Search != nil && !e.opts.DisableExpand {
+	if n.Search != nil {
 		return e.search(ctx, n)
 	}
 	var out *pathset.Set
@@ -477,7 +430,7 @@ func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		return e.join(l, r), nil
+		out = e.hashJoin(l, r)
 	case core.Union:
 		l, err := e.eval(ctx, n.In[0])
 		if err != nil {
@@ -516,18 +469,6 @@ func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 	}
 	addStat(&e.stats.PathsProduced, int64(out.Len()))
 	return out, nil
-}
-
-// EvalSpace evaluates a space-sorted expression to a solution space.
-func (e *Engine) EvalSpace(x core.SpaceExpr) (*core.SolutionSpace, error) {
-	return e.EvalSpaceCtx(context.Background(), x)
-}
-
-// EvalSpaceCtx is EvalSpace under cooperative cancellation.
-func (e *Engine) EvalSpaceCtx(ctx context.Context, x core.SpaceExpr) (*core.SolutionSpace, error) {
-	b, release := e.pin()
-	defer release()
-	return b.evalSpace(ctx, opt.DeriveSpace(x).Root)
 }
 
 // evalSpace is the space-sorted half of eval.
@@ -715,38 +656,11 @@ func (e *Engine) indexScan(s opt.Scan) *pathset.Set {
 
 // PlanFootprint returns the label footprint of a physical plan
 // (opt.Derivation.Footprint): which node and edge label populations the
-// plan's result can depend on. The query service tags cached results with
-// it so ingest batches invalidate only the entries whose plans actually
-// read a touched label (graph.Store.ValidAt).
+// plan's result can depend on, so that ingest batches invalidate only the
+// cached results whose plans read a touched label (graph.Store.ValidAt).
+// An evaluation reports the footprint of the plan it ran
+// (Stream.Footprint, ReachResult.Footprint) without deriving it again.
 func PlanFootprint(x core.PathExpr) graph.Footprint { return opt.Derive(x).Footprint }
-
-// join dispatches on the configured strategy.
-func (e *Engine) join(l, r *pathset.Set) *pathset.Set {
-	var out *pathset.Set
-	switch e.opts.Join {
-	case NestedLoop:
-		out = e.nestedLoopJoin(l, r)
-	default:
-		out = e.hashJoin(l, r)
-	}
-	addStat(&e.stats.PathsProduced, int64(out.Len()))
-	return out
-}
-
-func (e *Engine) nestedLoopJoin(l, r *pathset.Set) *pathset.Set {
-	out := pathset.New(l.Len())
-	probes := int64(0)
-	for _, p := range l.Paths() {
-		for _, q := range r.Paths() {
-			probes++
-			if p.CanConcat(q) {
-				out.Add(p.Concat(q))
-			}
-		}
-	}
-	addStat(&e.stats.JoinProbes, probes)
-	return out
-}
 
 // hashJoin builds a positional index on First(q) over r and probes it with
 // Last(p) for every p in l. Buckets hold int32 positions into r's path

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -9,8 +10,8 @@ import (
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/gql"
-	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/opt"
 	"pathalgebra/internal/path"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/rpq"
@@ -37,87 +38,14 @@ func TestAtoms(t *testing.T) {
 }
 
 // TestEngineMatchesReference cross-checks every operator against the
-// reference implementations in internal/core on randomized plans.
+// definitional evaluator core.EvalExpr (nested-loop ⋈, σ by scan, ϕ by
+// closing a materialized base set) on compiled queries.
 func TestEngineMatchesReference(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 10, Messages: 6, KnowsPerPerson: 2, LikesPerPerson: 1,
 		CycleFraction: 0.5, Seed: 3,
 	})
 	lim := core.Limits{MaxLen: 4}
-
-	// referenceEval is a direct recursive evaluator over core's
-	// definitional operators.
-	var referenceEval func(x core.PathExpr) (*pathset.Set, error)
-	var referenceSpace func(x core.SpaceExpr) (*core.SolutionSpace, error)
-	referenceEval = func(x core.PathExpr) (*pathset.Set, error) {
-		switch x := x.(type) {
-		case core.Nodes:
-			return core.EvalNodes(g), nil
-		case core.Edges:
-			return core.EvalEdges(g), nil
-		case core.Select:
-			in, err := referenceEval(x.In)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalSelect(g, x.Cond, in), nil
-		case core.Join:
-			l, err := referenceEval(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := referenceEval(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalJoin(l, r), nil
-		case core.Union:
-			l, err := referenceEval(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := referenceEval(x.R)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalUnion(l, r), nil
-		case core.Recurse:
-			in, err := referenceEval(x.In)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalRecurse(x.Sem, in, lim)
-		case core.Project:
-			ss, err := referenceSpace(x.In)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalProject(x.Parts, x.Groups, x.Paths, ss), nil
-		default:
-			t.Fatalf("unexpected expr %T", x)
-			return nil, nil
-		}
-	}
-	referenceSpace = func(x core.SpaceExpr) (*core.SolutionSpace, error) {
-		switch x := x.(type) {
-		case core.GroupBy:
-			in, err := referenceEval(x.In)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalGroupBy(x.Key, in), nil
-		case core.OrderBy:
-			in, err := referenceSpace(x.In)
-			if err != nil {
-				return nil, err
-			}
-			return core.EvalOrderBy(x.Key, in), nil
-		default:
-			t.Fatalf("unexpected space expr %T", x)
-			return nil, nil
-		}
-	}
-
 	queries := []string{
 		`MATCH WALK p = (?x)-[:Knows]->(?y)`,
 		`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`,
@@ -130,52 +58,48 @@ func TestEngineMatchesReference(t *testing.T) {
 		`MATCH ALL PARTITIONS 2 GROUPS 1 PATHS TRAIL p = (?x)-[:Knows*]->(?y) GROUP BY SOURCE LENGTH ORDER BY PARTITION GROUP PATH`,
 		`MATCH WALK p = (?x)-[:Knows/:Knows]->(?y) WHERE first.name != "Moe_1"`,
 	}
-	for _, strategy := range []JoinStrategy{HashJoin, NestedLoop} {
-		for _, qs := range queries {
-			plan := gql.MustCompile(qs)
-			want, err := referenceEval(plan)
-			if err != nil {
-				t.Fatalf("%s reference: %v", qs, err)
-			}
-			eng := New(g, Options{Limits: lim, Join: strategy})
-			got, err := eng.EvalPaths(plan)
-			if err != nil {
-				t.Fatalf("%s engine(%s): %v", qs, strategy, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s under %s: engine %d paths, reference %d",
-					qs, strategy, got.Len(), want.Len())
-			}
+	for _, qs := range queries {
+		plan := gql.MustCompile(qs)
+		want, err := core.EvalExpr(g, plan, lim)
+		if err != nil {
+			t.Fatalf("%s reference: %v", qs, err)
+		}
+		got, err := New(g, Options{Limits: lim}).EvalPaths(plan)
+		if err != nil {
+			t.Fatalf("%s engine: %v", qs, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: engine %d paths, reference %d", qs, got.Len(), want.Len())
 		}
 	}
 }
 
+// TestJoinStrategiesAgree: the hash join returns the nested-loop join of
+// Definition 3.1 and probes only the pairs that concatenate.
 func TestJoinStrategiesAgree(t *testing.T) {
 	g := ldbc.Figure1()
 	plan := core.Join{L: knowsSel(), R: knowsSel()}
-	hash := New(g, Options{Join: HashJoin})
-	nested := New(g, Options{Join: NestedLoop})
+	hash := New(g, Options{})
 	a, err := hash.EvalPaths(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := nested.EvalPaths(plan)
+	b, err := core.EvalExpr(g, plan, core.Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Equal(b) {
 		t.Error("hash and nested-loop joins disagree")
 	}
-	if hash.Stats().JoinProbes >= nested.Stats().JoinProbes {
-		t.Errorf("hash join should probe less: %d vs %d",
-			hash.Stats().JoinProbes, nested.Stats().JoinProbes)
+	knows := int64(len(g.EdgesWithLabel(ldbc.LabelKnows)))
+	if probes := hash.Stats().JoinProbes; probes != int64(b.Len()) || probes >= knows*knows {
+		t.Errorf("hash join probed %d pairs, want the %d that concatenate of %d", probes, b.Len(), knows*knows)
 	}
 }
 
 func TestIndexedSelect(t *testing.T) {
 	g := ldbc.Figure1()
 	indexed := New(g, Options{})
-	plain := New(g, Options{DisableLabelIndex: true})
 
 	plans := []core.PathExpr{
 		knowsSel(),
@@ -188,7 +112,7 @@ func TestIndexedSelect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := plain.EvalPaths(plan)
+		b, err := core.EvalExpr(g, plan, core.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,9 +122,6 @@ func TestIndexedSelect(t *testing.T) {
 	}
 	if indexed.Stats().IndexedScans != int64(len(plans)) {
 		t.Errorf("IndexedScans = %d, want %d", indexed.Stats().IndexedScans, len(plans))
-	}
-	if plain.Stats().IndexedScans != 0 {
-		t.Error("disabled index still used")
 	}
 }
 
@@ -240,7 +161,7 @@ func TestNilAndUnknownExpr(t *testing.T) {
 	if _, err := e.EvalPaths(nil); err == nil {
 		t.Error("nil path expr must error")
 	}
-	if _, err := e.EvalSpace(nil); err == nil {
+	if _, err := e.evalSpace(context.Background(), &opt.Node{}); err == nil {
 		t.Error("nil space expr must error")
 	}
 }
@@ -263,22 +184,13 @@ func TestStatsReset(t *testing.T) {
 func TestEvalSpaceDirect(t *testing.T) {
 	g := ldbc.Figure1()
 	e := New(g, Options{})
-	ss, err := e.EvalSpace(core.OrderBy{Key: core.OrderPath,
-		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}})
+	ss, err := e.evalSpace(context.Background(), opt.DeriveSpace(core.OrderBy{Key: core.OrderPath,
+		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}}).Root)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ss.Partitions) != 4 {
 		t.Errorf("partitions = %d, want 4 (one per Knows edge pair)", len(ss.Partitions))
-	}
-}
-
-func TestJoinStrategyString(t *testing.T) {
-	if HashJoin.String() != "hash" || NestedLoop.String() != "nested-loop" {
-		t.Error("JoinStrategy names")
-	}
-	if JoinStrategy(9).String() != "JoinStrategy(9)" {
-		t.Error("unknown strategy name")
 	}
 }
 
@@ -336,7 +248,7 @@ func TestLabelIndexConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := New(g, Options{DisableLabelIndex: true}).EvalPaths(plan)
+		b, err := core.EvalExpr(g, plan, core.Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,18 +259,12 @@ func TestLabelIndexConsistency(t *testing.T) {
 }
 
 func TestOptionsDefaults(t *testing.T) {
-	var opts Options
-	if opts.Join != HashJoin {
-		t.Error("default join strategy must be HashJoin")
-	}
-	g := ldbc.Figure1()
-	e := New(g, opts)
+	e := New(ldbc.Figure1(), Options{})
 	// Default limits protect against divergence.
 	_, err := e.EvalPaths(core.Recurse{Sem: core.Walk, In: knowsSel()})
 	if !errors.Is(err, core.ErrBudgetExceeded) {
 		t.Errorf("default limits should trip on a cyclic walk, got %v", err)
 	}
-	_ = graph.Graph{} // keep graph import for the builder-based tests above
 }
 
 // TestFingerprintCollisionStat checks the observability hook for the

@@ -11,8 +11,8 @@ import (
 )
 
 // TestExpandMatchesGeneric: the graph-expansion fast path and the generic
-// closure evaluation return identical results for every recognizable base
-// shape and semantics.
+// closure evaluation (core.EvalExpr) return identical results for every
+// recognizable base shape and semantics.
 func TestExpandMatchesGeneric(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 14, Messages: 10, KnowsPerPerson: 2, LikesPerPerson: 1,
@@ -27,10 +27,8 @@ func TestExpandMatchesGeneric(t *testing.T) {
 	}
 	lim := core.Limits{MaxLen: 5}
 	for _, pat := range patterns {
-		plan := rpq.Compile(rpq.MustParse(pat), core.Trail)
 		for _, sem := range core.AllSemantics() {
 			p := rpq.Compile(rpq.MustParse(pat), sem)
-			_ = plan
 			fast := New(g, Options{Limits: lim})
 			a, err := fast.EvalPaths(p)
 			if err != nil {
@@ -39,13 +37,9 @@ func TestExpandMatchesGeneric(t *testing.T) {
 			if fast.Stats().ExpandedRecursions == 0 {
 				t.Errorf("%s/%s: fast path not taken", pat, sem)
 			}
-			slow := New(g, Options{Limits: lim, DisableExpand: true})
-			b, err := slow.EvalPaths(p)
+			b, err := core.EvalExpr(g, p, lim)
 			if err != nil {
 				t.Fatalf("%s/%s generic: %v", pat, sem, err)
-			}
-			if slow.Stats().ExpandedRecursions != 0 {
-				t.Errorf("%s/%s: DisableExpand ignored", pat, sem)
 			}
 			if !a.Equal(b) {
 				t.Errorf("%s/%s: fast %d paths, generic %d paths", pat, sem, a.Len(), b.Len())
@@ -55,9 +49,11 @@ func TestExpandMatchesGeneric(t *testing.T) {
 }
 
 // TestExpandNotTakenForComplexBases: recursions over bases the expansion
-// cannot express as a label pattern fall back to the generic evaluator.
+// cannot express as a label pattern fall back to closing the materialized
+// base, and return what core.EvalExpr returns.
 func TestExpandNotTakenForComplexBases(t *testing.T) {
 	g := ldbc.Figure1()
+	lim := core.Limits{MaxLen: 3}
 	bases := []core.PathExpr{
 		// Property selection, not a label pattern.
 		core.Select{Cond: cond.Prop(cond.First(), "name", graph.StringValue("Moe")), In: core.Edges{}},
@@ -69,12 +65,21 @@ func TestExpandNotTakenForComplexBases(t *testing.T) {
 		core.Union{L: knowsSel(), R: core.Nodes{}},
 	}
 	for _, base := range bases {
-		e := New(g, Options{Limits: core.Limits{MaxLen: 3}})
-		if _, err := e.EvalPaths(core.Recurse{Sem: core.Acyclic, In: base}); err != nil {
+		plan := core.Recurse{Sem: core.Acyclic, In: base}
+		e := New(g, Options{Limits: lim})
+		got, err := e.EvalPaths(plan)
+		if err != nil {
 			t.Fatalf("%s: %v", base, err)
 		}
 		if e.Stats().ExpandedRecursions != 0 {
 			t.Errorf("expansion wrongly taken for base %s", base)
+		}
+		want, err := core.EvalExpr(g, plan, lim)
+		if err != nil {
+			t.Fatalf("%s reference: %v", base, err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("base %s: engine %d paths, reference %d", base, got.Len(), want.Len())
 		}
 	}
 }

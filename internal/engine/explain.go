@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/opt"
@@ -40,32 +39,22 @@ type Explain struct {
 // chosen plan, recording its estimated and actual cardinality. Each
 // subtree is evaluated independently (the engine memoizes nothing across
 // operators), so Explain costs O(depth) times the plain evaluation —
-// a diagnostic tool, not an execution mode.
-func (e *Engine) Explain(x core.PathExpr) (*Explain, error) {
-	return e.ExplainCtx(context.Background(), x)
-}
-
-// ExplainCtx is Explain under cooperative cancellation (see RunCtx). On
-// a live engine the whole explanation — planning, estimates and every
-// operator evaluation — runs against one pinned epoch.
-func (e *Engine) ExplainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
+// a diagnostic tool, not an execution mode. Cancelling ctx aborts it as
+// it aborts RunCtx. On a live engine the whole explanation — planning,
+// estimates and every operator evaluation — runs against one pinned
+// epoch.
+func (e *Engine) Explain(ctx context.Context, x core.PathExpr) (*Explain, error) {
 	b, release := e.pin()
 	defer release()
-	ex, err := b.explainCtx(ctx, x)
-	e.noteEvalErr(err)
-	return ex, err
-}
-
-func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, error) {
-	hitsBefore := atomic.LoadInt64(&e.stats.PlanCacheHits)
-	ent := e.plan(x)
+	ent, hit := b.plan(x)
 	ex := &Explain{
 		Plan:     ent.plan,
 		Applied:  ent.applied,
-		CacheHit: atomic.LoadInt64(&e.stats.PlanCacheHits) > hitsBefore,
-		Kernel:   e.reachRoute(ent.derived),
+		CacheHit: hit,
+		Kernel:   b.reachRoute(ent.derived),
 	}
-	if err := e.explain(ctx, ent.derived.Root, 0, ex); err != nil {
+	if err := b.explain(ctx, ent.derived.Root, 0, ex); err != nil {
+		e.noteEvalErr(err)
 		return nil, err
 	}
 	return ex, nil
@@ -76,7 +65,7 @@ func (e *Engine) explainCtx(ctx context.Context, x core.PathExpr) (*Explain, err
 // to it, so each line's actual count is what Run produces there, and a
 // recursion's line names the quota it searched under.
 func (e *Engine) explain(ctx context.Context, n *opt.Node, depth int, ex *Explain) error {
-	line := ExplainLine{Depth: depth, Op: e.opLabel(n)}
+	line := ExplainLine{Depth: depth, Op: opLabel(n)}
 	if n.Space != nil {
 		ss, err := e.evalSpace(ctx, n)
 		if err != nil {
@@ -107,7 +96,7 @@ func (e *Engine) explain(ctx context.Context, n *opt.Node, depth int, ex *Explai
 
 // opLabel is the one-line operator label of an explain row — the node's
 // own operator without its subtree.
-func (e *Engine) opLabel(n *opt.Node) string {
+func opLabel(n *opt.Node) string {
 	switch x := n.Space.(type) {
 	case core.GroupBy:
 		return fmt.Sprintf("γ%s", x.Key)
@@ -130,7 +119,7 @@ func (e *Engine) opLabel(n *opt.Node) string {
 		if x.Dir == core.Backward {
 			op += "←"
 		}
-		if n.Quota.K > 0 && !e.opts.DisableExpand {
+		if n.Quota.K > 0 {
 			op += fmt.Sprintf(" [quota %s]", n.Quota)
 		}
 		return op

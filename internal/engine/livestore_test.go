@@ -394,7 +394,7 @@ func TestLiveStoreHammer(t *testing.T) {
 					}
 					s.Close()
 				case 2:
-					if _, err := live.Explain(plan); err != nil {
+					if _, err := live.Explain(context.Background(), plan); err != nil {
 						t.Errorf("reader %d Explain: %v", r, err)
 						return
 					}

@@ -24,17 +24,19 @@ import (
 // Plan/Run calls on one engine serialize only the cache probe and the
 // (rare) planning of a cold query, never evaluation.
 //
-// On a live engine the key additionally carries the epoch the plan was
-// costed against (folded into the fingerprint, verified on the entry):
-// the same query text planned at epoch 4 and epoch 7 occupies two slots,
-// so stale-statistics plans are never replayed, and old epochs' entries
-// age out of the LRU naturally as new epochs fill it.
+// The key additionally carries the epoch the plan was costed against and
+// the limits it was planned under (folded into the fingerprint, verified
+// on the entry): the same query text planned at epoch 4 and epoch 7, or
+// under MaxLen 2 and MaxLen 5, occupies two slots, so a plan is never
+// replayed against statistics or limits it was not costed for, and old
+// epochs' entries age out of the LRU naturally as new epochs fill it.
 type planCache struct {
 	entries *lru.Cache[uint64, *planEntry]
 }
 
 type planEntry struct {
 	epoch   uint64
+	limits  core.Limits
 	key     string
 	plan    core.PathExpr
 	applied []string
@@ -52,32 +54,28 @@ func planFingerprint(key string) uint64 {
 	return h.Sum64()
 }
 
-// epochFp folds an epoch into a plan fingerprint (FNV-64a over the
-// fingerprint's bytes, seeded by the epoch).
-func epochFp(epoch, fp uint64) uint64 {
-	if epoch == 0 {
-		return fp
+// slotFp folds an epoch and limits into a plan fingerprint: FNV-64a over
+// their bytes, continued from the fingerprint.
+func slotFp(fp, epoch uint64, lim core.Limits) uint64 {
+	for _, v := range [...]uint64{epoch, uint64(lim.MaxLen), uint64(lim.MaxPaths), uint64(lim.MaxWork)} {
+		for i := 0; i < 8; i++ {
+			fp ^= uint64(byte(v >> (8 * i)))
+			fp *= 1099511628211 // the 64-bit FNV prime
+		}
 	}
-	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(epoch >> (8 * i))
-		buf[8+i] = byte(fp >> (8 * i))
-	}
-	h.Write(buf[:])
-	return h.Sum64()
+	return fp
 }
 
-func (c *planCache) get(epoch, fp uint64, key string) (*planEntry, bool) {
-	ent, ok := c.entries.Get(epochFp(epoch, fp))
-	if !ok || ent.key != key || ent.epoch != epoch {
+func (c *planCache) get(epoch uint64, lim core.Limits, fp uint64, key string) (*planEntry, bool) {
+	ent, ok := c.entries.Get(slotFp(fp, epoch, lim))
+	if !ok || ent.key != key || ent.epoch != epoch || ent.limits != lim {
 		return nil, false
 	}
 	return ent, true
 }
 
 func (c *planCache) put(fp uint64, ent *planEntry) {
-	c.entries.Put(epochFp(ent.epoch, fp), ent)
+	c.entries.Put(slotFp(fp, ent.epoch, ent.limits), ent)
 }
 
 // Len returns the number of cached plans.

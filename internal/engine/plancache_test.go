@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"pathalgebra/internal/automaton"
@@ -11,7 +13,9 @@ import (
 	"pathalgebra/internal/gql"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/obs"
 	"pathalgebra/internal/opt"
+	"pathalgebra/internal/testutil"
 )
 
 func TestPlanCacheHit(t *testing.T) {
@@ -60,7 +64,8 @@ func TestPlanCacheNormalization(t *testing.T) {
 
 func TestPlanCacheEviction(t *testing.T) {
 	g := ldbc.Figure1()
-	e := New(g, Options{Limits: core.Limits{MaxLen: 3}, PlanCacheSize: 2})
+	e := New(g, Options{Limits: core.Limits{MaxLen: 3}})
+	e.plans = newPlanCache(2)
 	plans := []core.PathExpr{
 		gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`),
 		gql.MustCompile(`MATCH ACYCLIC p = (?x)-[:Likes+]->(?y)`),
@@ -104,8 +109,8 @@ func TestPlanCacheHitReusesDerivation(t *testing.T) {
 		if _, err := e.Run(plan); err != nil {
 			t.Fatal(err)
 		}
-		key := plan.String()
-		ent, ok := e.plans.get(0, planFingerprint(key), key)
+		key, lim := plan.String(), e.opts.Limits
+		ent, ok := e.plans.get(0, lim, planFingerprint(key), key)
 		if !ok || derivations != 1 {
 			t.Fatalf("%s: cached %v after %d derivations, want cached after 1", q, ok, derivations)
 		}
@@ -125,17 +130,155 @@ func TestPlanCacheHitReusesDerivation(t *testing.T) {
 		if _, err := e.Reach(plan, opt.ReachPairs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Explain(plan); err != nil {
+		if _, err := e.Explain(context.Background(), plan); err != nil {
 			t.Fatal(err)
 		}
 		if st := e.Stats(); st.PlanCacheHits != 4 || derivations != 1 {
 			t.Errorf("%s: %d plan-cache hits and %d derivations, want 4 and 1", q, st.PlanCacheHits, derivations)
 		}
-		if again, _ := e.plans.get(0, planFingerprint(key), key); again.derived != ent.derived ||
+		if again, _ := e.plans.get(0, lim, planFingerprint(key), key); again.derived != ent.derived ||
 			!reflect.DeepEqual(nfasOf(again.derived.Root), automata) {
 			t.Errorf("%s: the cached derivation or its automata were replaced", q)
 		}
 		derivations = 0
+	}
+}
+
+// TestWithLimits: one engine evaluates each call under the limits of its
+// WithLimits view, exactly as an engine built with those limits does; the
+// views share the engine's plan cache and counters, and the cache holds a
+// plan once per (limits, plan).
+func TestWithLimits(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 6, KnowsPerPerson: 2, LikesPerPerson: 2, CycleFraction: 0.4, Seed: 8})
+	base := core.Limits{MaxLen: 4}
+	e := New(g, Options{Limits: base})
+	if e.WithLimits(base) != e {
+		t.Error("WithLimits of the engine's own limits must return the engine")
+	}
+	plan := gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y:Person)`)
+	for round := 0; round < 2; round++ {
+		for _, maxLen := range []int{4, 1, 2} {
+			lim := core.Limits{MaxLen: maxLen}
+			v := e.WithLimits(lim)
+			got, err := v.Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := New(g, Options{Limits: lim}).Run(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !testutil.SameSequence(got, want) {
+				t.Fatalf("max_len %d: view returned %d paths, fresh engine %d", maxLen, got.Len(), want.Len())
+			}
+			for _, p := range got.Paths() {
+				if p.Len() > maxLen {
+					t.Fatalf("max_len %d: path of length %d", maxLen, p.Len())
+				}
+			}
+			res, err := v.Reach(plan, opt.ReachCountPaths)
+			if err != nil || res.Count != want.Len() {
+				t.Fatalf("max_len %d: Reach counted %d paths (%v), want %d", maxLen, res.Count, err, want.Len())
+			}
+		}
+	}
+	// Run and Reach share the plan: 3 misses, then 9 hits.
+	if st := e.Stats(); st.PlanCacheMisses != 3 || st.PlanCacheHits != 9 {
+		t.Errorf("plan cache: %d misses, %d hits; want 3 and 9", st.PlanCacheMisses, st.PlanCacheHits)
+	}
+	if n := e.plans.Len(); n != 3 {
+		t.Errorf("plan cache holds %d plans, want one per limits (3)", n)
+	}
+}
+
+// TestExplainCacheHitUnderLoad: Explain and the "plan" trace span report
+// whether their own plan came out of the cache while eight goroutines
+// plan and evaluate other queries on the same engine — a miss when cold,
+// a hit when warm.
+func TestExplainCacheHitUnderLoad(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 6, KnowsPerPerson: 2, LikesPerPerson: 2, CycleFraction: 0.4, Seed: 9})
+	e := New(g, Options{Limits: core.Limits{MaxLen: 3}, Parallelism: 1})
+	others := []core.PathExpr{
+		gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`),
+		gql.MustCompile(`MATCH ANY 2 WALK p = (?x:Person)-[:Knows+]->(?y)`),
+	}
+	for _, p := range others {
+		e.Plan(p)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; ctx.Err() == nil; i++ {
+				if _, err := e.Run(others[i%len(others)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for e.Stats().PlanCacheHits == 0 {
+		runtime.Gosched()
+	}
+	// The "plan" span of a traced run reports the same.
+	planSpanHit := func(plan core.PathExpr) int64 {
+		tr := obs.NewTrace()
+		root := tr.Start("query")
+		if _, err := e.RunCtx(obs.WithSpan(context.Background(), root), plan); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		return findSpan(tr.Tree(), "plan").Attrs["cache_hit"]
+	}
+	traced := gql.MustCompile(`MATCH TRAIL p = (?x)-[:Likes/:Has_creator]->(?y)`)
+	if cold, warm := planSpanHit(traced), planSpanHit(traced); cold != 0 || warm != 1 {
+		t.Errorf("plan span cache_hit = %d cold, %d warm; want 0 and 1", cold, warm)
+	}
+	for _, q := range []string{
+		`MATCH SIMPLE p = (?x)-[:Likes+]->(?y)`,
+		`MATCH ACYCLIC p = (?x)-[(:Knows|:Likes)+]->(?y:Message)`,
+		`MATCH SHORTEST 2 TRAIL p = (?x)-[:Knows+]->(?y)`,
+	} {
+		plan := gql.MustCompile(q)
+		for i, want := range []bool{false, true} {
+			ex, err := e.Explain(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.CacheHit != want {
+				t.Errorf("%s: Explain #%d reports cache hit %v, want %v", q, i+1, ex.CacheHit, want)
+			}
+		}
+	}
+	cancel()
+	wg.Wait()
+}
+
+// TestEvaluationFootprint: a stream and a reach answer carry the label
+// footprint of the plan they evaluated, the one PlanFootprint derives.
+func TestEvaluationFootprint(t *testing.T) {
+	e := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 3}})
+	for _, q := range []string{
+		`MATCH TRAIL p = (?x:Person)-[:Knows+]->(?y)`,
+		`MATCH WALK p = (?x)-[(:Likes/:Has_creator)+]->(?y:Person)`,
+	} {
+		logical := gql.MustCompile(q)
+		physical, _ := e.Plan(logical)
+		want := PlanFootprint(physical)
+		s := e.RunStream(context.Background(), logical, StreamOptions{})
+		if _, err := s.Result(); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		res, err := e.Reach(logical, opt.ReachPairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(s.Footprint(), want) || !reflect.DeepEqual(res.Footprint, want) {
+			t.Errorf("%s: stream footprint %+v, reach footprint %+v, want %+v", q, s.Footprint(), res.Footprint, want)
+		}
 	}
 }
 
@@ -181,8 +324,7 @@ func TestSeededSelectMatchesGeneric(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s seeded: %v", q, err)
 		}
-		slow := New(g, Options{Limits: lim, DisableExpand: true, Join: NestedLoop})
-		b, err := slow.EvalPaths(plan)
+		b, err := core.EvalExpr(g, plan, lim)
 		if err != nil {
 			t.Fatalf("%s generic: %v", q, err)
 		}

@@ -26,11 +26,11 @@ import (
 // restrictor × pattern × endpoint form × direction × worker count over
 // sealed, overlay and compacted views of random graphs.
 //
-// Against the two definitional evaluators (core.EvalExpr and the engine
-// with DisableExpand, which closes a materialized base set) only what the
-// paper defines is comparable: they discover paths in a different order,
-// so for the selectors that keep "some k" paths of a pair they
-// legitimately keep different ones (see TestRandomizedDifferential).
+// Against the definitional evaluator (core.EvalExpr, which closes a
+// materialized base set) only what the paper defines is comparable: it
+// discovers paths in a different order, so for the selectors that keep
+// "some k" paths of a pair it legitimately keeps different ones (see
+// TestRandomizedDifferential).
 // Set-determined selectors must match them exactly; for the others the
 // per-pair counts must match, every kept path must be in the closure, and
 // under τA the kept lengths must match.
@@ -166,13 +166,6 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: reference closure: %v", name, err)
 							}
-							slow, err := New(g, Options{Limits: lim, DisableExpand: true}).EvalPaths(logical)
-							if err != nil {
-								t.Fatalf("%s: DisableExpand: %v", name, err)
-							}
-							if !slow.Equal(ref) {
-								t.Fatalf("%s: DisableExpand engine != core.EvalExpr", name)
-							}
 
 							// As compiled (ANY/ALL SHORTEST WALK keep their
 							// ϕWalk), as planned, and both run backward.
@@ -304,13 +297,6 @@ func TestQuotaNotPushed(t *testing.T) {
 		if eng.Stats().QuotaRecursions != 1 {
 			t.Errorf("%s: quota not pushed", name)
 		}
-		slow := New(g, Options{Limits: lim, DisableExpand: true})
-		if _, err := slow.EvalPaths(plan); err != nil {
-			t.Fatalf("%s DisableExpand: %v", name, err)
-		}
-		if slow.Stats().QuotaRecursions != 0 {
-			t.Errorf("%s: DisableExpand still pushed a quota", name)
-		}
 	}
 }
 
@@ -369,7 +355,7 @@ func TestQuotaTrace(t *testing.T) {
 		if _, ok := search.Attrs["quota_by_length"]; ok != (tc.attrs["quota_by_length"] == 1) {
 			t.Errorf("%s: quota_by_length present = %v", tc.query, ok)
 		}
-		ex, err := eng.Explain(plan)
+		ex, err := eng.Explain(context.Background(), plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -40,6 +40,9 @@ type ReachResult struct {
 	// epochs.
 	Graph *graph.Graph
 	Epoch uint64
+	// Footprint is the label footprint (see PlanFootprint) of the plan
+	// evaluated at Epoch.
+	Footprint graph.Footprint
 }
 
 // Reach plans x like Run and answers the path-free question mode about
@@ -69,7 +72,7 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 		case err == nil:
 			addStat(&e.stats.ReachKernelRuns, 1)
 			sp.SetInt("kernel", 1)
-			res.Graph, res.Epoch = b.g, b.epoch
+			res.Graph, res.Epoch, res.Footprint = b.g, b.epoch, d.Footprint
 			return res, nil
 		case !errors.Is(err, reach.ErrInfeasible):
 			e.noteEvalErr(err)
@@ -84,7 +87,7 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 		return nil, err
 	}
 	res := reachFromSet(set, mode)
-	res.Graph, res.Epoch = b.g, b.epoch
+	res.Graph, res.Epoch, res.Footprint = b.g, b.epoch, d.Footprint
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -156,7 +157,7 @@ func TestReachDispatch(t *testing.T) {
 // report the bitset route, ineligible ones enumeration.
 func TestExplainReportsKernel(t *testing.T) {
 	e := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 3}})
-	ex, err := e.Explain(knowsRecurse(core.Walk))
+	ex, err := e.Explain(context.Background(), knowsRecurse(core.Walk))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestExplainReportsKernel(t *testing.T) {
 	if s := ex.Format(); !strings.Contains(s, "reach kernel: reach-bitset") {
 		t.Errorf("Format missing kernel line:\n%s", s)
 	}
-	ex, err = e.Explain(knowsRecurse(core.Trail))
+	ex, err = e.Explain(context.Background(), knowsRecurse(core.Trail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestExplainReportsKernel(t *testing.T) {
 	graph.MaxBitsetBytes = 8
 	defer func() { graph.MaxBitsetBytes = old }()
 	e2 := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 3}})
-	ex, err = e2.Explain(knowsRecurse(core.Walk))
+	ex, err = e2.Explain(context.Background(), knowsRecurse(core.Walk))
 	if err != nil {
 		t.Fatal(err)
 	}

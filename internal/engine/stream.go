@@ -51,6 +51,8 @@ type Stream struct {
 	epoch   uint64
 	release func()
 	closed  atomic.Bool
+	// footprint is the label footprint of the plan the evaluation ran.
+	footprint graph.Footprint
 }
 
 // RunStream plans x like Run and evaluates the chosen plan in a
@@ -80,6 +82,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 		release: release,
 	}
 	ent := b.planTraced(ctx, x)
+	s.footprint = ent.derived.Footprint
 	sp := obs.SpanFrom(ctx).Start("eval")
 	sp.SetInt("epoch", int64(b.epoch))
 	evalCtx := obs.WithSpan(ctx, sp)
@@ -179,6 +182,10 @@ func (s *Stream) Graph() *graph.Graph { return s.g }
 
 // Epoch returns the epoch the stream evaluated against.
 func (s *Stream) Epoch() uint64 { return s.epoch }
+
+// Footprint returns the label footprint (see PlanFootprint) of the plan
+// the stream evaluated at its epoch; zero for a StreamOf stream.
+func (s *Stream) Footprint() graph.Footprint { return s.footprint }
 
 // Done returns a channel closed when the evaluation has finished
 // (successfully or not) and its worker goroutines have exited.

@@ -11,11 +11,11 @@ import (
 // footprintCache is an LRU (lru.Cache) of answers that stay valid only
 // while no ingest batch touches a label their plan reads. Every entry
 // records the epoch its answer was computed at and the label footprint
-// of the plan that produced it (engine.PlanFootprint); a probe hits only
-// while no batch since that epoch has touched any of those labels
-// (Store.ValidAt consults the store's per-label modification clock). A
-// delta touching only `knows` therefore evicts entries whose plan reads
-// `knows` and leaves the rest servable. Hits and misses are counted after
+// of the plan that produced it (Stream.Footprint, ReachResult.Footprint);
+// a probe hits only while no batch since that epoch has touched any of
+// those labels (Store.ValidAt consults the store's per-label modification
+// clock). A delta touching only `knows` therefore evicts entries whose
+// plan reads `knows` and leaves the rest servable. Hits and misses are counted after
 // that check, so an invalidated entry — evicted on probe — counts as a
 // miss. Capacity is counted in entries; explicit invalidation (the
 // /cache/invalidate endpoint) empties the cache wholesale.

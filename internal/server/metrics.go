@@ -109,36 +109,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reg.WritePrometheus(w)
 }
 
-// engineStats aggregates counters across the per-limits engine pool —
-// the engine-side half of /stats and the source for the engine
-// collectors below.
-func (s *Server) engineStats() engine.Stats {
-	var agg engine.Stats
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	for _, eng := range s.engines {
-		st := eng.Stats()
-		agg.PathsProduced += st.PathsProduced
-		agg.JoinProbes += st.JoinProbes
-		agg.IndexedScans += st.IndexedScans
-		agg.Recursions += st.Recursions
-		agg.ExpandedRecursions += st.ExpandedRecursions
-		agg.SeededRecursions += st.SeededRecursions
-		agg.SeedScans += st.SeedScans
-		agg.BackwardRecursions += st.BackwardRecursions
-		agg.QuotaRecursions += st.QuotaRecursions
-		agg.ReachKernelRuns += st.ReachKernelRuns
-		agg.ReachFallbacks += st.ReachFallbacks
-		agg.PlanCacheHits += st.PlanCacheHits
-		agg.PlanCacheMisses += st.PlanCacheMisses
-		agg.BudgetExhaustions += st.BudgetExhaustions
-		agg.FingerprintCollisions += st.FingerprintCollisions
-	}
-	return agg
-}
-
 // registerCollectors wires the scrape-time sources into the registry:
-// engine-pool aggregates, store and cache state, WAL latency histograms,
+// engine counters, store and cache state, WAL latency histograms,
 // and runtime health. Collectors read live state on every scrape — they
 // cost nothing between scrapes.
 func (s *Server) registerCollectors() {
@@ -167,9 +139,9 @@ func (s *Server) registerCollectors() {
 		{"pathalgebra_engine_plan_cache_hits_total", "Plan cache hits.", func(st engine.Stats) int64 { return st.PlanCacheHits }},
 		{"pathalgebra_engine_plan_cache_misses_total", "Plan cache misses.", func(st engine.Stats) int64 { return st.PlanCacheMisses }},
 		{"pathalgebra_engine_budget_exhaustions_total", "Evaluations aborted by budget exhaustion.", func(st engine.Stats) int64 { return st.BudgetExhaustions }},
-		{"pathalgebra_engine_fingerprint_collisions_total", "Plan fingerprint collisions detected.", func(st engine.Stats) int64 { return st.FingerprintCollisions }},
+		{"pathalgebra_engine_fingerprint_collisions_total", "Path-set fingerprint collisions resolved by exact comparison.", func(st engine.Stats) int64 { return st.FingerprintCollisions }},
 	} {
-		reg.CounterFunc(c.name, c.help, func() int64 { return c.pick(s.engineStats()) })
+		reg.CounterFunc(c.name, c.help, func() int64 { return c.pick(s.engine.Stats()) })
 	}
 
 	reg.GaugeFunc("pathalgebra_result_cache_entries", "Result LRU entries.",

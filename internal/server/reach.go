@@ -115,7 +115,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := s.limitsFor(&queryRequest{MaxLen: req.MaxLen, MaxPaths: req.MaxPaths, MaxWork: req.MaxWork})
-	eng := s.engineFor(lim)
+	eng := s.engine.WithLimits(lim)
 	plan := tracePlan(root, eng, logical)
 	key := reachKey(mode, plan, lim)
 
@@ -152,7 +152,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	// Cache the response before attaching the trace: a later hit gets the
 	// answer, not this request's spans.
 	if !req.NoCache {
-		s.reach.put(key, resp, res.Epoch, engine.PlanFootprint(plan))
+		s.reach.put(key, resp, res.Epoch, res.Footprint)
 	}
 	if wantTrace {
 		resp.Trace = tr.Tree()

@@ -10,9 +10,15 @@
 //	GET  /query/{id}/next  pages the result as NDJSON (path lines + trailer)
 //	DELETE /query/{id}     cancels the evaluation and discards the cursor
 //
-// plus GET /stats (engine + server counters), POST /explain (plan with
+// plus POST /reach (path-free answers: pairs, counts, existence, shortest
+// lengths), POST /ingest (apply an NDJSON mutation batch to the live
+// store), GET /stats (engine + server counters), GET /metrics (the same
+// counters in the Prometheus text format), POST /explain (plan with
 // estimated vs. actual cardinalities), POST /cache/invalidate (drop the
-// result LRU) and GET /healthz.
+// result and reach LRUs) and GET /healthz.
+//
+// One engine serves every request; a request's max_len, max_paths and
+// max_work override the configured limits for that request only.
 //
 // Failure modes are typed end to end: budget exhaustion surfaces as
 // core.ErrBudgetExceeded (HTTP 422), a per-query deadline as
@@ -165,13 +171,9 @@ type Server struct {
 	// ownStore records whether the server created the store itself (and
 	// must close its compactor on Close).
 	ownStore bool
-	base     *engine.Engine
-	// engines pools one engine per distinct per-query Limits so plan
-	// caches stay warm across requests that share limits; the map is
-	// bounded — beyond enginePoolMax distinct limit combinations the
-	// server serves transient engines (correct, just cache-cold).
-	enginesMu sync.Mutex
-	engines   map[core.Limits]*engine.Engine
+	// engine serves every request, each under its own limits
+	// (engine.WithLimits): one plan cache, one set of counters.
+	engine *engine.Engine
 
 	cache    *footprintCache[cachedSet]
 	reach    *footprintCache[reachResponse]
@@ -188,9 +190,6 @@ type Server struct {
 	closeOnce  sync.Once
 	mux        *http.ServeMux
 }
-
-// enginePoolMax bounds the per-limits engine pool.
-const enginePoolMax = 64
 
 // New returns a Server over cfg.Store (or a server-owned store wrapping
 // cfg.Graph).
@@ -209,15 +208,13 @@ func New(cfg Config) (*Server, error) {
 		cfg:        cfg,
 		store:      store,
 		ownStore:   own,
-		base:       engine.NewWithStore(store, cfg.Engine),
-		engines:    make(map[core.Limits]*engine.Engine),
+		engine:     engine.NewWithStore(store, cfg.Engine),
 		cursors:    newCursorTable(cfg.maxCursors()),
 		baseCtx:    baseCtx,
 		baseCancel: baseCancel,
 		sweepStop:  make(chan struct{}),
 		mux:        http.NewServeMux(),
 	}
-	s.engines[cfg.Engine.Limits] = s.base
 	if n := cfg.cacheSize(); n > 0 {
 		s.cache = newFootprintCache[cachedSet](n)
 		s.reach = newFootprintCache[reachResponse](n)
@@ -333,23 +330,6 @@ func (s *Server) sweepLoop(ttl time.Duration) {
 			}
 		}
 	}
-}
-
-// engineFor returns the pooled engine for the given limits, creating it
-// on first use; beyond the pool bound it returns a transient engine.
-func (s *Server) engineFor(lim core.Limits) *engine.Engine {
-	opts := s.cfg.Engine
-	opts.Limits = lim
-	s.enginesMu.Lock()
-	defer s.enginesMu.Unlock()
-	if eng, ok := s.engines[lim]; ok {
-		return eng
-	}
-	eng := engine.NewWithStore(s.store, opts)
-	if len(s.engines) < enginePoolMax {
-		s.engines[lim] = eng
-	}
-	return eng
 }
 
 // queryRequest is the POST /query (and POST /explain) body.
@@ -475,8 +455,8 @@ func compile(query string) (core.PathExpr, error) {
 
 // resultKey is the result-LRU key: the canonical rendering of the
 // physical plan the engine chose, plus the limits that bound its
-// evaluation. Everything else (parallelism, join strategy, planner
-// on/off) does not change results, by the repo's determinism invariants.
+// evaluation. Everything else (parallelism, planner on/off) does not
+// change results, by the repo's determinism invariants.
 func resultKey(plan core.PathExpr, lim core.Limits) string {
 	return fmt.Sprintf("%s|maxlen=%d|maxpaths=%d|maxwork=%d", plan, lim.MaxLen, lim.MaxPaths, lim.MaxWork)
 }
@@ -505,7 +485,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := s.limitsFor(req)
-	eng := s.engineFor(lim)
+	eng := s.engine.WithLimits(lim)
 	plan := tracePlan(root, eng, logical)
 	key := resultKey(plan, lim)
 
@@ -574,8 +554,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Completion watcher: release the admission slot, log slow queries,
 	// admit successful results into the result cache — tagged with the
-	// epoch and graph view the stream pinned, plus the plan's label
-	// footprint for invalidation.
+	// epoch and graph view the stream pinned, plus the label footprint of
+	// the plan it evaluated, for invalidation.
 	go func() {
 		defer func() { s.recovered(recover()) }()
 		<-cur.stream.Done()
@@ -601,7 +581,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.metrics.completed.Inc()
 		if !req.NoCache {
 			s.cache.put(key, cachedSet{set: set, g: cur.stream.Graph()},
-				cur.stream.Epoch(), engine.PlanFootprint(plan))
+				cur.stream.Epoch(), cur.stream.Footprint())
 		}
 	}()
 
@@ -786,13 +766,12 @@ type cacheStats struct {
 	Misses  int64 `json:"misses"`
 }
 
-// handleStats snapshots engine stats (aggregated across the per-limits
-// engine pool) plus the service counters. The counters are read from the
-// same obs instruments /metrics scrapes — one source of truth, two
-// renderings.
+// handleStats snapshots the engine's stats plus the service counters.
+// The counters are read from the same obs instruments /metrics scrapes —
+// one source of truth, two renderings.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var resp statsResponse
-	resp.Engine = s.engineStats()
+	resp.Engine = s.engine.Stats()
 	resp.Server.InFlight = s.inflight.Load()
 	resp.Server.LiveCursors = s.cursors.len()
 	resp.Server.Started = s.metrics.started.Value()
@@ -860,7 +839,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	ex, err := s.engineFor(s.limitsFor(req)).ExplainCtx(ctx, logical)
+	ex, err := s.engine.WithLimits(s.limitsFor(req)).Explain(ctx, logical)
 	if err != nil {
 		writeEvalError(w, err)
 		return

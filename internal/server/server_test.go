@@ -5,9 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"pathalgebra/internal/gql"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/pathset"
 )
 
 // newTestServer starts an httptest server over the given graph/config.
@@ -405,11 +408,15 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestPerQueryLimits: request-level limits select a pooled engine whose
-// evaluation honors them.
+// TestPerQueryLimits: request-level limits apply to that request only, on
+// the one engine that serves every request. /query, /reach and /explain
+// each honor them; the plan cache holds one plan per (plan, limits); and
+// eight clients mixing limits get exactly what an engine built with their
+// limits returns.
 func TestPerQueryLimits(t *testing.T) {
 	g := ldbc.Figure1()
-	_, ts := newTestServer(t, Config{Graph: g})
+	// Admission control is not under test: room for every client below.
+	_, ts := newTestServer(t, Config{Graph: g, MaxInFlight: 64})
 	// MaxLen 1 keeps only single-edge trails.
 	resp := postJSON(t, ts.URL+"/query", queryRequest{Query: `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`, MaxLen: 1})
 	qr := decodeBody[queryResponse](t, resp)
@@ -430,4 +437,138 @@ func TestPerQueryLimits(t *testing.T) {
 	if len(paths) != knows {
 		t.Fatalf("got %d paths, want the %d :Knows edges", len(paths), knows)
 	}
+
+	// The same query at the default limits, max_len 1 and max_len 2, over
+	// every evaluating endpoint, twice: the first round plans once per
+	// limits, the second is served from the caches.
+	const q = `MATCH TRAIL p = (?x:Person)-[:Knows+]->(?y)` // 12, 4 and 9 paths
+	statsNow := func() engine.Stats {
+		st, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return decodeBody[statsResponse](t, st).Engine
+	}
+	before := statsNow()
+	for round := 0; round < 2; round++ {
+		for _, maxLen := range []int{0, 1, 2} {
+			lim := core.Limits{MaxLen: maxLen}
+			want, err := engine.New(g, engine.Options{Limits: lim}).Run(gql.MustCompile(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, cached, err := fetchQuery(ts.URL, queryRequest{Query: q, MaxLen: maxLen})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != renderSet(g, want) || cached != (round == 1) {
+				t.Errorf("round %d max_len %d: /query (cached %v) returned\n%s\nwant\n%s", round, maxLen, cached, got, renderSet(g, want))
+			}
+			rr := decodeBody[reachResponse](t, postJSON(t, ts.URL+"/reach", reachRequest{Query: q, Mode: "count-paths", MaxLen: maxLen}))
+			if rr.Count != want.Len() || rr.Cached != (round == 1) {
+				t.Errorf("round %d max_len %d: /reach = %+v, want count %d", round, maxLen, rr, want.Len())
+			}
+			// /query planned it under these limits already.
+			ex := decodeBody[explainResponse](t, postJSON(t, ts.URL+"/explain", queryRequest{Query: q, MaxLen: maxLen}))
+			if ex.Total != want.Len() || !ex.CacheHit {
+				t.Errorf("round %d max_len %d: /explain total %d cache hit %v, want %d and a hit", round, maxLen, ex.Total, ex.CacheHit, want.Len())
+			}
+		}
+		// Round 0 plans 5 times per limits (/query plans, then evaluates;
+		// /reach likewise; /explain once), round 1 3 times (cache hits
+		// evaluate nothing): 3 misses, then 12 and 21 hits.
+		st := statsNow()
+		misses, hits := st.PlanCacheMisses-before.PlanCacheMisses, st.PlanCacheHits-before.PlanCacheHits
+		if wantHits := int64(12 + 9*round); misses != 3 || hits != wantHits {
+			t.Errorf("after round %d: %d plan-cache misses and %d hits, want 3 and %d", round, misses, hits, wantHits)
+		}
+	}
+
+	// Eight clients, mixed limits, mixed cache use, one engine.
+	queries := []string{
+		`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`,
+		`MATCH ACYCLIC p = (?x)-[(:Knows|:Likes)+]->(?y)`,
+		`MATCH ANY SHORTEST TRAIL p = (?x:Person)-[:Knows+]->(?y)`,
+	}
+	want := map[string]string{}
+	for _, q := range queries {
+		for maxLen := 0; maxLen <= 3; maxLen++ {
+			set, err := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: maxLen}}).Run(gql.MustCompile(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[fmt.Sprint(q, maxLen)] = renderSet(g, set)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				q, maxLen := queries[(c+i)%len(queries)], (c*i+i)%4
+				got, _, err := fetchQuery(ts.URL, queryRequest{Query: q, MaxLen: maxLen, ChunkSize: 4, NoCache: i%2 == 0})
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				if got != want[fmt.Sprint(q, maxLen)] {
+					t.Errorf("client %d: %s at max_len %d differs from a fresh engine's answer", c, q, maxLen)
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// fetchQuery posts a query and pages its cursor to completion, returning
+// the path lines exactly as they came over the wire and whether the
+// result came from the result cache. It reports failures as errors, so
+// client goroutines can call it.
+func fetchQuery(base string, req queryRequest) (string, bool, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return "", false, err
+	}
+	resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return "", false, err
+	}
+	var qr queryResponse
+	err = json.NewDecoder(resp.Body).Decode(&qr)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		return "", false, fmt.Errorf("POST /query: status %d (%v)", resp.StatusCode, err)
+	}
+	var lines strings.Builder
+	for {
+		resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", base, qr.ID))
+		if err != nil {
+			return "", false, err
+		}
+		page, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			return "", false, fmt.Errorf("GET next: status %d (%v)", resp.StatusCode, err)
+		}
+		// Path lines, then one trailer line; the page ends in a newline.
+		last := bytes.LastIndexByte(page[:len(page)-1], '\n') + 1
+		lines.Write(page[:last])
+		var trailer pageTrailer
+		if err := json.Unmarshal(page[last:], &trailer); err != nil {
+			return "", false, fmt.Errorf("page trailer: %w", err)
+		}
+		if trailer.Done {
+			return lines.String(), qr.Cached, nil
+		}
+	}
+}
+
+// renderSet renders a result set as the NDJSON path lines of its pages.
+func renderSet(g *graph.Graph, set *pathset.Set) string {
+	var sb strings.Builder
+	for _, p := range set.Paths() {
+		writeNDJSON(&sb, encodePath(g, p))
+	}
+	return sb.String()
 }
