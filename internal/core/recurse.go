@@ -38,11 +38,12 @@ const DefaultMaxPaths = 1 << 20
 // MaxWork is unset: at most ~16M node slots (≈128 MB of path data).
 const DefaultMaxWork = 1 << 24
 
-// ErrBudgetExceeded reports that a recursion produced more paths than its
-// budget allows. For ϕWalk over a cyclic input this is the expected
-// outcome unless MaxLen is set; the paper's Table 3 marks such queries as
-// having "an infinite number of solutions".
-var ErrBudgetExceeded = errors.New("core: recursion exceeded its path budget (ϕWalk over a cyclic input is infinite; set Limits.MaxLen or use a restrictive semantics)")
+// ErrBudgetExceeded reports that an evaluation exceeded Limits.MaxPaths
+// or Limits.MaxWork, under any semantics and whether or not MaxLen is
+// set. For ϕWalk over a cyclic input without MaxLen it is the expected
+// outcome; the paper's Table 3 marks such queries as having "an infinite
+// number of solutions".
+var ErrBudgetExceeded = errors.New("core: evaluation exceeded its budget (Limits.MaxPaths result paths or Limits.MaxWork work units)")
 
 // budgetErr resolves the typed error behind a failed budget charge —
 // the cancellation cause or ErrBudgetExceeded. A charge only fails

@@ -10,8 +10,9 @@
 // the annotated tree opt.Derive produces and dispatches on the properties
 // it carries. Engine.Run plans through the cost-based planner
 // (internal/opt) and an LRU plan cache that keeps each plan's derivation;
-// Engine.Explain reports the chosen plan with estimated vs. actual
-// per-operator cardinalities. The randomized differential harness
+// every evaluated operator opens a trace span, and Engine.Explain reports
+// the chosen plan with estimated cardinalities beside the actual ones
+// those spans record in one traced run. The randomized differential harness
 // cross-checks every route against the reference implementations.
 package engine
 
@@ -20,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"pathalgebra/internal/automaton"
@@ -39,12 +39,12 @@ type Options struct {
 	// applies core.DefaultMaxPaths as a safety net. WithLimits returns a
 	// view of the engine that evaluates under other limits.
 	Limits core.Limits
-	// Parallelism is the number of worker goroutines used by the
-	// parallelizable physical operators: the automaton product search
-	// (sharded by source node) and the hash-join build side. Results are
-	// byte-identical for every value — shards merge in the sequential
-	// order and budgets are shared globally. <= 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces single-threaded evaluation.
+	// Parallelism is the number of worker goroutines of the automaton
+	// product search, which shards by source node; every other operator
+	// runs on the evaluating goroutine. Results are byte-identical for
+	// every value — shards merge in the sequential order and budgets are
+	// shared globally. <= 0 selects runtime.GOMAXPROCS(0); 1 forces
+	// single-threaded evaluation.
 	Parallelism int
 	// DisablePlanner makes Plan/Run fall back to the statistics-free
 	// heuristic optimizer (opt.Optimize): no cost-based join
@@ -138,8 +138,8 @@ func fingerprintCollisions() int64 {
 // Run/RunStream/Explain/Stats from many goroutines at once, each call
 // under its own limits (WithLimits; the query service layer does exactly
 // that). ResetStats is the one exception: it snapshots non-atomically and
-// should only run while no evaluation is in flight. The engine's own
-// internal parallelism (Options.Parallelism) is independently race-safe:
+// should only run while no evaluation is in flight. The product search's
+// own parallelism (Options.Parallelism) is independently race-safe:
 // evaluation budgets are shared atomically across workers and worker
 // results merge before stats are counted.
 type Engine struct {
@@ -285,16 +285,24 @@ func (e *Engine) Run(x core.PathExpr) (*pathset.Set, error) {
 func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
 	b, release := e.pin()
 	defer release()
-	ent := b.planTraced(ctx, x)
+	_, out, err := b.run(ctx, x)
+	return out, err
+}
+
+// run is RunCtx on a bound engine: it plans x under a "plan" span and
+// evaluates the plan under an "eval" span, returning the plan-cache
+// entry it ran. Explain observes exactly this run.
+func (e *Engine) run(ctx context.Context, x core.PathExpr) (*planEntry, *pathset.Set, error) {
+	ent := e.planTraced(ctx, x)
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()
-	sp.SetInt("epoch", int64(b.epoch))
-	out, err := b.eval(obs.WithSpan(ctx, sp), ent.derived.Root)
+	sp.SetInt("epoch", int64(e.epoch))
+	out, err := e.eval(obs.WithSpan(ctx, sp), ent.derived.Root)
 	if out != nil {
 		sp.SetInt("paths", int64(out.Len()))
 	}
 	e.noteEvalErr(err)
-	return out, err
+	return ent, out, err
 }
 
 // planTraced is plan wrapped in a "plan" trace span annotated with
@@ -330,8 +338,7 @@ func (e *Engine) Graph() *graph.Graph {
 	return e.g
 }
 
-// Parallelism returns the resolved worker count used by the engine's
-// parallelizable operators.
+// Parallelism returns the resolved worker count of the product search.
 func (e *Engine) Parallelism() int { return e.opts.parallelism() }
 
 // Stats returns a snapshot of the counters accumulated so far.
@@ -392,11 +399,33 @@ func (e *Engine) EvalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Se
 	return out, err
 }
 
-// eval is the recursive evaluator body over a derived plan, always
-// running on a bound (or static) engine. A node a label index or a product
-// search answers is dispatched on that property; every other node
-// evaluates its operator over its operands.
+// eval is the recursive evaluator over a derived plan, always running on
+// a bound (or static) engine. Under a traced context every evaluated
+// node gets one operator span, named by opLabel and annotated with the
+// paths it produced; untraced, the span is nil and costs a nil check.
 func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
+	sp := opSpan(ctx, n)
+	defer sp.End()
+	out, err := e.evalOp(obs.WithSpan(ctx, sp), n)
+	if out != nil {
+		sp.SetInt("paths", int64(out.Len()))
+	}
+	return out, err
+}
+
+// opSpan opens n's operator span under ctx's span; nil when ctx carries
+// none, so the label is only rendered for a trace.
+func opSpan(ctx context.Context, n *opt.Node) *obs.Span {
+	if parent := obs.SpanFrom(ctx); parent != nil {
+		return parent.Start(opLabel(n))
+	}
+	return nil
+}
+
+// evalOp evaluates one node. A node a label index or a product search
+// answers is dispatched on that property; every other node evaluates its
+// operator over its operands.
+func (e *Engine) evalOp(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -471,8 +500,19 @@ func (e *Engine) eval(ctx context.Context, n *opt.Node) (*pathset.Set, error) {
 	return out, nil
 }
 
-// evalSpace is the space-sorted half of eval.
+// evalSpace is the space-sorted half of eval; its span's paths counts
+// the paths across all groups.
 func (e *Engine) evalSpace(ctx context.Context, n *opt.Node) (*core.SolutionSpace, error) {
+	sp := opSpan(ctx, n)
+	defer sp.End()
+	out, err := e.evalSpaceOp(obs.WithSpan(ctx, sp), n)
+	if out != nil {
+		sp.SetInt("paths", int64(out.NumPaths()))
+	}
+	return out, err
+}
+
+func (e *Engine) evalSpaceOp(ctx context.Context, n *opt.Node) (*core.SolutionSpace, error) {
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -665,14 +705,13 @@ func PlanFootprint(x core.PathExpr) graph.Footprint { return opt.Derive(x).Footp
 // hashJoin builds a positional index on First(q) over r and probes it with
 // Last(p) for every p in l. Buckets hold int32 positions into r's path
 // slice rather than path values, and the output set dedupes by fingerprint,
-// so the join materializes no per-pair identity strings at all. For large
-// build sides the index is built by parallel workers over disjoint chunks
-// and merged in chunk order, which keeps every bucket's positions
-// ascending — the probe phase (and therefore the output order) is
-// identical to the sequential build.
+// so the join materializes no per-pair identity strings at all.
 func (e *Engine) hashJoin(l, r *pathset.Set) *pathset.Set {
 	rp := r.Paths()
-	byFirst := e.buildJoinIndex(rp)
+	byFirst := make(map[graph.NodeID][]int32, len(rp))
+	for i, q := range rp {
+		byFirst[q.First()] = append(byFirst[q.First()], int32(i))
+	}
 	out := pathset.New(l.Len())
 	probes := int64(0)
 	for _, p := range l.Paths() {
@@ -683,52 +722,4 @@ func (e *Engine) hashJoin(l, r *pathset.Set) *pathset.Set {
 	}
 	addStat(&e.stats.JoinProbes, probes)
 	return out
-}
-
-// parallelBuildThreshold is the build-side size under which the hash-join
-// index is built sequentially: below it goroutine startup dominates the
-// map inserts being parallelized.
-const parallelBuildThreshold = 2048
-
-func (e *Engine) buildJoinIndex(rp []path.Path) map[graph.NodeID][]int32 {
-	workers := e.opts.parallelism()
-	if len(rp) < parallelBuildThreshold || workers <= 1 {
-		byFirst := make(map[graph.NodeID][]int32, len(rp))
-		for i, q := range rp {
-			byFirst[q.First()] = append(byFirst[q.First()], int32(i))
-		}
-		return byFirst
-	}
-	if workers > len(rp) {
-		workers = len(rp)
-	}
-	// Each worker indexes one contiguous chunk; chunks are merged in chunk
-	// order so per-node position lists stay ascending.
-	chunkMaps := make([]map[graph.NodeID][]int32, workers)
-	chunk := (len(rp) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(rp))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			m := make(map[graph.NodeID][]int32, hi-lo)
-			for i := lo; i < hi; i++ {
-				m[rp[i].First()] = append(m[rp[i].First()], int32(i))
-			}
-			chunkMaps[w] = m
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	byFirst := chunkMaps[0]
-	for _, m := range chunkMaps[1:] {
-		for n, positions := range m {
-			byFirst[n] = append(byFirst[n], positions...)
-		}
-	}
-	return byFirst
 }

@@ -3,15 +3,18 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/obs"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
 )
 
 // ExplainLine is one operator of an explained plan with its estimated and
-// actual output cardinality.
+// actual output cardinality; Actual is -1 for an operator the run never
+// evaluated on its own.
 type ExplainLine struct {
 	Depth  int
 	Op     string
@@ -35,67 +38,75 @@ type Explain struct {
 	Result   *pathset.Set
 }
 
-// Explain plans x like Run and then evaluates every operator of the
-// chosen plan, recording its estimated and actual cardinality. Each
-// subtree is evaluated independently (the engine memoizes nothing across
-// operators), so Explain costs O(depth) times the plain evaluation —
-// a diagnostic tool, not an execution mode. Cancelling ctx aborts it as
-// it aborts RunCtx. On a live engine the whole explanation — planning,
-// estimates and every operator evaluation — runs against one pinned
-// epoch.
+// Explain runs x exactly as RunCtx does, under a trace, and reads the
+// explanation off that run: the plan cache state from its "plan" span
+// and each operator's actual cardinality from its operator span. An
+// operator the run answered inside an ancestor's product search or
+// label-index scan was never evaluated on its own and reports Actual -1.
+// The estimates come from the cost model. When ctx already carries a
+// span, the run's spans also land in the caller's trace, under an
+// "explain" span. On a live engine the whole explanation runs against
+// one pinned epoch.
 func (e *Engine) Explain(ctx context.Context, x core.PathExpr) (*Explain, error) {
 	b, release := e.pin()
 	defer release()
-	ent, hit := b.plan(x)
-	ex := &Explain{
-		Plan:     ent.plan,
-		Applied:  ent.applied,
-		CacheHit: hit,
-		Kernel:   b.reachRoute(ent.derived),
+	sp := obs.SpanFrom(ctx).Start("explain")
+	if sp == nil {
+		sp = obs.NewTrace().Start("explain")
 	}
-	if err := b.explain(ctx, ent.derived.Root, 0, ex); err != nil {
-		e.noteEvalErr(err)
+	defer sp.End()
+	ent, out, err := b.run(obs.WithSpan(ctx, sp), x)
+	if err != nil {
 		return nil, err
 	}
+	ex := &Explain{
+		Plan:    ent.plan,
+		Applied: ent.applied,
+		Kernel:  b.reachRoute(ent.derived),
+		Result:  out,
+	}
+	var ops []*obs.SpanJSON
+	for _, c := range sp.Tree().Children {
+		switch c.Name {
+		case "plan":
+			ex.CacheHit = c.Attrs["cache_hit"] == 1
+		case "eval":
+			ops = c.Children
+		}
+	}
+	b.explainLines(ex, ent.derived.Root, ops, 0)
 	return ex, nil
 }
 
-// explain evaluates n, appends its line and explains its operands one
-// level deeper. Every node evaluates under the quota the derivation pushed
-// to it, so each line's actual count is what Run produces there, and a
-// recursion's line names the quota it searched under.
-func (e *Engine) explain(ctx context.Context, n *opt.Node, depth int, ex *Explain) error {
-	line := ExplainLine{Depth: depth, Op: opLabel(n)}
-	if n.Space != nil {
-		ss, err := e.evalSpace(ctx, n)
-		if err != nil {
-			return err
+// explainLines appends n's line and its operands' lines one level deeper,
+// and returns the spans after n's. n's operator span is the first of
+// spans named by its label, since operands evaluate in order, and its
+// operands match among that span's children; a node without a span
+// leaves its whole subtree without one.
+func (e *Engine) explainLines(ex *Explain, n *opt.Node, spans []*obs.SpanJSON, depth int) []*obs.SpanJSON {
+	line := ExplainLine{Depth: depth, Op: opLabel(n), Actual: -1}
+	if n.Space == nil {
+		line.Est = e.cm.Card(n.Path)
+	} else if g, ok := core.BottomGroupBy(n.Space); ok {
+		line.Est = e.cm.Card(g.In)
+	}
+	var kids []*obs.SpanJSON
+	for i, sp := range spans {
+		if sp.Name == line.Op {
+			line.Actual, kids, spans = int(sp.Attrs["paths"]), sp.Children, spans[i+1:]
+			break
 		}
-		if g, ok := core.BottomGroupBy(n.Space); ok {
-			line.Est = e.cm.Card(g.In)
-		}
-		line.Actual = ss.NumPaths()
-	} else {
-		out, err := e.eval(ctx, n)
-		if err != nil {
-			return err
-		}
-		if depth == 0 {
-			ex.Result = out
-		}
-		line.Est, line.Actual = e.cm.Card(n.Path), out.Len()
 	}
 	ex.Lines = append(ex.Lines, line)
 	for _, in := range n.In {
-		if err := e.explain(ctx, in, depth+1, ex); err != nil {
-			return err
-		}
+		kids = e.explainLines(ex, in, kids, depth+1)
 	}
-	return nil
+	return spans
 }
 
-// opLabel is the one-line operator label of an explain row — the node's
-// own operator without its subtree.
+// opLabel is the one-line operator label — the node's own operator
+// without its subtree — naming both its operator span and its explain
+// row.
 func opLabel(n *opt.Node) string {
 	switch x := n.Space.(type) {
 	case core.GroupBy:
@@ -148,8 +159,11 @@ func (ex *Explain) Format() string {
 	sb.WriteString("operators (estimated vs actual):\n")
 	for _, l := range ex.Lines {
 		indent := strings.Repeat("  ", l.Depth)
-		op := indent + l.Op
-		fmt.Fprintf(&sb, "  %-44s est=%-12s actual=%d\n", op, fmtEst(l.Est), l.Actual)
+		actual := "-"
+		if l.Actual >= 0 {
+			actual = strconv.Itoa(l.Actual)
+		}
+		fmt.Fprintf(&sb, "  %-44s est=%-12s actual=%s\n", indent+l.Op, fmtEst(l.Est), actual)
 	}
 	return sb.String()
 }

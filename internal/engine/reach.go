@@ -94,15 +94,14 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 // reachRoute names the evaluation route a path-free Reach call would
 // take for this derived plan — explain output. ReachPairs is the
 // representative mode: every kernel-admitted mode shares its eligibility.
+// Feasibility is the graph's bitset index being within graph.MaxBitsetBytes.
 func (e *Engine) reachRoute(d *opt.Derivation) string {
-	rp, ok := d.Reach(opt.ReachPairs)
-	if !ok {
-		return "enumeration"
+	if _, ok := d.Reach(opt.ReachPairs); ok {
+		if _, feasible := e.g.Bitsets(); feasible {
+			return "reach-bitset"
+		}
 	}
-	if _, feasible := reach.NewEvaluator(e.g, rp.NFA); !feasible {
-		return "enumeration"
-	}
-	return "reach-bitset"
+	return "enumeration"
 }
 
 // reachKernel runs an eligible plan on the bitset kernel: seeds and
@@ -115,7 +114,6 @@ func (e *Engine) reachKernel(ctx context.Context, rp opt.ReachPlan, mode opt.Rea
 		Seeds:       e.seedNodes(ctx, rp.SeedConds),
 		Targets:     e.seedNodes(ctx, rp.TargetConds),
 		NeedLengths: mode == opt.ReachShortestLengths,
-		Workers:     e.opts.parallelism(),
 	}
 	res, err := reach.Eval(ctx, e.g, q, e.opts.Limits)
 	if err != nil {

@@ -155,6 +155,22 @@ func (t *Trace) Tree() []*SpanJSON {
 	if t == nil {
 		return nil
 	}
+	roots, _ := t.render()
+	return roots
+}
+
+// Tree renders s and its descendants like Trace.Tree renders the whole
+// trace. Nil-safe (returns nil).
+func (s *Span) Tree() *SpanJSON {
+	if s == nil {
+		return nil
+	}
+	_, nodes := s.tr.render()
+	return nodes[s]
+}
+
+// render builds the SpanJSON forest and the span-to-node index.
+func (t *Trace) render() ([]*SpanJSON, map[*Span]*SpanJSON) {
 	now := int64(time.Since(t.start))
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -183,7 +199,7 @@ func (t *Trace) Tree() []*SpanJSON {
 			roots = append(roots, j)
 		}
 	}
-	return roots
+	return roots, nodes
 }
 
 // Format renders the tree as indented text for the CLI -trace flag.

@@ -24,7 +24,7 @@ func TestNilTrace(t *testing.T) {
 	sp.SetInt("k", 1)
 	sp.AddInt("k", 1)
 	sp.MaxInt("k", 1)
-	if tr.Tree() != nil || tr.Format() != "" || tr.Summary() != "" {
+	if tr.Tree() != nil || sp.Tree() != nil || tr.Format() != "" || tr.Summary() != "" {
 		t.Fatal("nil trace must render empty")
 	}
 	ctx := context.Background()
@@ -69,6 +69,9 @@ func TestTraceTree(t *testing.T) {
 	shj := q.Children[1].Children[0]
 	if shj.Attrs["paths"] != 7 || shj.Attrs["frontier"] != 9 {
 		t.Fatalf("attr merge wrong: %+v", shj.Attrs)
+	}
+	if sub := eval.Tree(); sub.Name != "eval" || len(sub.Children) != 1 || sub.Children[0].Attrs["paths"] != 7 {
+		t.Fatalf("eval subtree wrong: %+v", sub)
 	}
 	// Containment + duration consistency.
 	var sum int64

@@ -23,11 +23,8 @@ package reach
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/bits"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
@@ -59,13 +56,11 @@ type Query struct {
 	MaxLen int
 	// NeedLengths asks for Result.Lengths (ANY SHORTEST length-only).
 	NeedLengths bool
-	// Workers shards the sources across goroutines when > 1.
-	Workers int
 }
 
 // Result is a kernel answer: pairs ascending by (Src, Dst), and when
 // requested the minimum accepted walk length of each pair, parallel to
-// Pairs. Deterministic at any Workers setting.
+// Pairs.
 type Result struct {
 	Pairs   []Pair
 	Lengths []int32
@@ -91,8 +86,7 @@ type stateProg struct {
 }
 
 // Evaluator is a compiled (graph, NFA) kernel instance with reusable
-// scratch. Not safe for concurrent use; the parallel path gives each
-// worker its own scratch.
+// scratch. Not safe for concurrent use; sources run one after another.
 type Evaluator struct {
 	g   *graph.Graph
 	ix  *graph.BitsetIndex
@@ -107,24 +101,13 @@ type Evaluator struct {
 	targetMask []uint64
 }
 
-// scratch is one worker's BFS state: per-NFA-state node bitsets for the
+// scratch is one source's BFS state: per-NFA-state node bitsets for the
 // current frontier, the visited product set and the next layer, plus the
 // accepted-destination accumulator and per-node first-acceptance depths.
 type scratch struct {
 	frontier, seen, next [][]uint64
 	acc                  []uint64
 	lens                 []int32
-}
-
-func newScratch(states, words, n int) *scratch {
-	scr := &scratch{
-		frontier: makeRows(states, words),
-		seen:     makeRows(states, words),
-		next:     makeRows(states, words),
-		acc:      make([]uint64, words),
-		lens:     make([]int32, n),
-	}
-	return scr
 }
 
 func makeRows(states, words int) [][]uint64 {
@@ -178,7 +161,14 @@ func NewEvaluator(g *graph.Graph, nfa *automaton.NFA) (*Evaluator, bool) {
 			ev.accepting = append(ev.accepting, automaton.StateID(s))
 		}
 	}
-	ev.scr = *newScratch(nfa.NumStates(), ev.words, ev.n)
+	states := nfa.NumStates()
+	ev.scr = scratch{
+		frontier: makeRows(states, ev.words),
+		seen:     makeRows(states, ev.words),
+		next:     makeRows(states, ev.words),
+		acc:      make([]uint64, ev.words),
+		lens:     make([]int32, ev.n),
+	}
 	return ev, true
 }
 
@@ -268,22 +258,19 @@ func Eval(ctx context.Context, g *graph.Graph, q Query, lim core.Limits) (*Resul
 	return res, nil
 }
 
-// EvalInto evaluates q into res, reusing res's slices and the
-// evaluator's scratch — the steady-state path is allocation-free at
-// Workers <= 1. The budget is shared across all workers.
+// EvalInto evaluates q into res, one source after another, reusing res's
+// slices and the evaluator's scratch — the steady-state path is
+// allocation-free.
 func (ev *Evaluator) EvalInto(res *Result, q Query, bud *core.Budget) error {
 	res.Pairs = res.Pairs[:0]
 	res.Lengths = res.Lengths[:0]
 	seeds := ev.resolveSeeds(q.Seeds)
 	mask := ev.resolveTargets(q.Targets)
-	if q.Workers > 1 && len(seeds) > 1 {
-		return ev.evalParallel(res, q, seeds, mask, bud)
-	}
 	for i, s := range seeds {
 		if i > 0 && s == seeds[i-1] {
 			continue
 		}
-		if err := ev.runSource(&ev.scr, s, q.MaxLen, q.NeedLengths, mask, bud, &res.Pairs, &res.Lengths); err != nil {
+		if err := ev.runSource(res, s, q.MaxLen, q.NeedLengths, mask, bud); err != nil {
 			return err
 		}
 	}
@@ -335,14 +322,14 @@ func (ev *Evaluator) resolveTargets(targets []graph.NodeID) []uint64 {
 }
 
 // runSource runs one source's product BFS and appends its admitted
-// pairs (destinations ascending) to *pairs. The inner loops work on
+// pairs (destinations ascending) to res. The inner loops work on
 // whole bitset words: a frontier bit pulls the successor rows its
 // state's program selects and ORs them into the next layer — OR
 // idempotence makes overlapping transitions harmless.
 //
 //pathalgebra:hotpath
-func (ev *Evaluator) runSource(scr *scratch, src graph.NodeID, maxLen int, needLens bool, mask []uint64, bud *core.Budget, pairs *[]Pair, lens *[]int32) error {
-	words := ev.words
+func (ev *Evaluator) runSource(res *Result, src graph.NodeID, maxLen int, needLens bool, mask []uint64, bud *core.Budget) error {
+	words, scr := ev.words, &ev.scr
 	scr.reset()
 	scr.frontier[0][src>>6] |= 1 << (src & 63)
 	scr.seen[0][src>>6] |= 1 << (src & 63)
@@ -437,68 +424,10 @@ func (ev *Evaluator) runSource(scr *scratch, src graph.NodeID, maxLen int, needL
 		for word != 0 {
 			d := graph.NodeID(w<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
-			*pairs = append(*pairs, Pair{Src: src, Dst: d})
+			res.Pairs = append(res.Pairs, Pair{Src: src, Dst: d})
 			if needLens {
-				*lens = append(*lens, scr.lens[d])
+				res.Lengths = append(res.Lengths, scr.lens[d])
 			}
-		}
-	}
-	return nil
-}
-
-// evalParallel shards the sources over Workers goroutines against the
-// shared budget and reassembles the per-source blocks in seed order, so
-// the result is identical to the sequential path. A worker panic is
-// contained: it cancels the budget (aborting the other workers at their
-// next charge) and surfaces as an error.
-func (ev *Evaluator) evalParallel(res *Result, q Query, seeds []graph.NodeID, mask []uint64, bud *core.Budget) error {
-	type block struct {
-		pairs []Pair
-		lens  []int32
-	}
-	blocks := make([]block, len(seeds))
-	workers := q.Workers
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	var cursor atomic.Int64
-	var firstErr atomic.Pointer[error]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					err := fmt.Errorf("reach: kernel worker panic: %v", r)
-					firstErr.CompareAndSwap(nil, &err)
-					bud.Cancel(err)
-				}
-			}()
-			scr := newScratch(len(ev.prog), ev.words, ev.n)
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(seeds) {
-					return
-				}
-				if i > 0 && seeds[i] == seeds[i-1] {
-					continue
-				}
-				if err := ev.runSource(scr, seeds[i], q.MaxLen, q.NeedLengths, mask, bud, &blocks[i].pairs, &blocks[i].lens); err != nil {
-					firstErr.CompareAndSwap(nil, &err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if errp := firstErr.Load(); errp != nil {
-		return *errp
-	}
-	for i := range blocks {
-		res.Pairs = append(res.Pairs, blocks[i].pairs...)
-		if q.NeedLengths {
-			res.Lengths = append(res.Lengths, blocks[i].lens...)
 		}
 	}
 	return nil

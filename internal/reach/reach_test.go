@@ -190,30 +190,6 @@ func TestKernelSeedsAndTargets(t *testing.T) {
 	}
 }
 
-func TestKernelParallelDeterminism(t *testing.T) {
-	g := fixture(t)
-	lim := core.Limits{MaxLen: 6}
-	for _, tc := range kernelExprs {
-		seq, err := Eval(context.Background(), g, Query{NFA: automaton.Build(tc.e), NeedLengths: true}, lim)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", tc.name, err)
-		}
-		par, err := Eval(context.Background(), g, Query{NFA: automaton.Build(tc.e), NeedLengths: true, Workers: 8}, lim)
-		if err != nil {
-			t.Fatalf("%s parallel: %v", tc.name, err)
-		}
-		if len(seq.Pairs) != len(par.Pairs) {
-			t.Fatalf("%s: %d pairs sequential vs %d parallel", tc.name, len(seq.Pairs), len(par.Pairs))
-		}
-		for i := range seq.Pairs {
-			if seq.Pairs[i] != par.Pairs[i] || seq.Lengths[i] != par.Lengths[i] {
-				t.Fatalf("%s: divergence at %d: %v/%d vs %v/%d",
-					tc.name, i, seq.Pairs[i], seq.Lengths[i], par.Pairs[i], par.Lengths[i])
-			}
-		}
-	}
-}
-
 func TestKernelBudgetAndCancel(t *testing.T) {
 	g := fixture(t)
 	e := rpq.Plus{In: rpq.AnyLabel{}}

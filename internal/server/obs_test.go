@@ -214,6 +214,38 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
+// TestQueryOperatorSpans: a traced query's trailer holds one span per
+// operator the run evaluated — here π, τ, γ and the seeded σ, but not
+// the ϕ and atoms its search answers — nested as in the plan, and the
+// root operator's paths is the result size.
+func TestQueryOperatorSpans(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
+		queryRequest{Query: `MATCH ANY SHORTEST TRAIL p = (?x:Person)-[:Knows+]->(?y)`, Trace: true, NoCache: true}))
+	_, trailer := drainTraced(t, ts.URL, qr.ID)
+	var eval *obs.SpanJSON
+	for _, sp := range trailer.Trace[0].Children {
+		if sp.Name == "eval" {
+			eval = sp
+		}
+	}
+	if eval == nil || len(eval.Children) != 1 {
+		t.Fatalf("want one root operator span under eval, trace: %v", spanNames(trailer.Trace))
+	}
+	if root := eval.Children[0]; !strings.HasPrefix(root.Name, "π") || root.Attrs["paths"] != int64(trailer.Total) {
+		t.Errorf("root operator %s paths=%d, want π with paths=%d", root.Name, root.Attrs["paths"], trailer.Total)
+	}
+	var ops []string
+	for _, name := range spanNames(eval.Children) {
+		if r := []rune(name)[0]; strings.ContainsRune("πτγσϕ⋈∪ρ", r) || strings.HasSuffix(name, "(G)") {
+			ops = append(ops, string(r))
+		}
+	}
+	if got := strings.Join(ops, ""); got != "πτγσ" {
+		t.Errorf("operator spans %q, want πτγσ (depth first): %v", got, spanNames(eval.Children))
+	}
+}
+
 // TestTraceDifferential checks tracing is observation-only: the traced
 // run's path lines are identical to the untraced run's, at sequential
 // and parallel evaluation alike.

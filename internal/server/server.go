@@ -812,9 +812,10 @@ type explainResponse struct {
 }
 
 // handleExplain plans and evaluates the query, reporting the chosen plan
-// with estimated vs. actual per-operator cardinalities. Explain
-// evaluates each subtree independently (a diagnostic, not an execution
-// mode), so it runs under the same admission control as queries.
+// with estimated vs. actual per-operator cardinalities. Explain is one
+// traced run of the plan — it costs what the query costs and fails where
+// the query fails — so it runs under the same admission control as
+// queries.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r)
 	if err != nil {

@@ -376,6 +376,36 @@ func TestStatsAndExplain(t *testing.T) {
 	hz.Body.Close()
 }
 
+// TestExplainSeededBudget: /explain of a seeded query under a max_paths
+// its answer fits in and the all-pairs recursion does not succeeds, with
+// the total /query returns for the same request.
+func TestExplainSeededBudget(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 60, Messages: 120, KnowsPerPerson: 3, LikesPerPerson: 2, CycleFraction: 0.3, Seed: 1})
+	_, ts := newTestServer(t, Config{Graph: g, Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	total := func(req queryRequest) int {
+		t.Helper()
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", req))
+		_, trailer := drainTraced(t, ts.URL, qr.ID)
+		return trailer.Total
+	}
+	seeded := `MATCH TRAIL p = (?x:Person {id:7})-[:Knows+]->(?y)`
+	answer := total(queryRequest{Query: seeded, NoCache: true})
+	all := total(queryRequest{Query: `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`, NoCache: true})
+	req := queryRequest{Query: seeded, MaxPaths: (answer + all) / 2, NoCache: true}
+	if answer == 0 || req.MaxPaths <= answer || req.MaxPaths >= all {
+		t.Fatalf("fixture: seeded %d, all-pairs %d paths; need a budget strictly between", answer, all)
+	}
+	resp := postJSON(t, ts.URL+"/explain", req)
+	if resp.StatusCode != http.StatusOK {
+		er := decodeBody[errorResponse](t, resp)
+		t.Fatalf("/explain under max_paths %d = %d %+v, want 200", req.MaxPaths, resp.StatusCode, er)
+	}
+	ex := decodeBody[explainResponse](t, resp)
+	if want := total(req); ex.Total != want {
+		t.Errorf("/explain total %d, /query total %d", ex.Total, want)
+	}
+}
+
 // TestDrain: Close aborts running evaluations with the ErrDraining cause
 // (HTTP 503 kind "draining" on the next page read).
 func TestDrain(t *testing.T) {
