@@ -49,8 +49,9 @@ func BenchmarkEvalTwoLabelPattern(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalShortestOnly isolates the scratch-reusing shortest-path
-// evaluator (one BFS + enumeration per source node).
+// BenchmarkEvalShortestOnly isolates Shortest semantics with no MaxLen:
+// the Walk search under a one-length quota, which expands each product
+// state at its first BFS level only.
 func BenchmarkEvalShortestOnly(b *testing.B) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 30, Messages: 40, KnowsPerPerson: 2, LikesPerPerson: 2,

@@ -79,8 +79,8 @@ func TestEvalDeadline(t *testing.T) {
 	}
 }
 
-// TestEvalShortestCancellation: the two-phase shortest evaluator aborts
-// on cancellation too (both BFS phases poll the budget).
+// TestEvalShortestCancellation: a Shortest evaluation without MaxLen — the
+// Walk search under a one-length quota — aborts on cancellation too.
 func TestEvalShortestCancellation(t *testing.T) {
 	g := cancelGraph(t)
 	nfa := automaton.Build(rpq.MustParse("(:Knows|:Likes)+"))

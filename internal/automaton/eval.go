@@ -90,7 +90,8 @@ type EvalOptions struct {
 	// the paths of the K smallest distinct lengths — and lets the search
 	// skip the rest: the result is the subsequence of the unrestricted
 	// result that such a caller would have kept (see quotaState). Shortest
-	// semantics ignores it; its answer is already minimal.
+	// semantics ignores it: it runs as Walk under its own one-length
+	// quota, {K: 1, ByLength: true}.
 	Quota core.Quota
 }
 
@@ -133,8 +134,14 @@ func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limi
 	if back {
 		sp.SetInt("backward", 1)
 	}
+	// ϕShortest is the Walk search that keeps each pair's smallest length:
+	// under a one-length quota a product state expands only at its first
+	// BFS level and a pair keeps only its first length. Every prefix of a
+	// minimal path is a shortest product walk, so that is exactly the
+	// minimal paths, in Walk discovery order, and it terminates without
+	// MaxLen.
 	if sem == core.Shortest {
-		return evalShortest(g, c, lim, bud, workers, o.Seeds, count, back, sp)
+		sem, o.Quota = core.Walk, core.Quota{K: 1, ByLength: true}
 	}
 	if o.Quota.K > 0 {
 		sp.SetInt("quota_k", int64(o.Quota.K))
@@ -731,53 +738,6 @@ func classifyExtend(sem core.Semantics, a *path.Arena, r path.Ref, e graph.EdgeI
 	}
 }
 
-// evalShortest finds, for every endpoint pair (s, t), all minimal-length
-// paths whose label word the automaton accepts. Per source it runs a BFS
-// over the product (node, state) space to compute distances, then
-// enumerates exactly the paths that stay shortest at every step. Sources
-// are already independent here, so sharding distributes whole sources and
-// the merge is a plain source-order concatenation — the sequential
-// insertion order.
-func evalShortest(g *graph.Graph, c *CompiledNFA, lim core.Limits, bud *core.Budget, workers int, seeds []graph.NodeID, count int, back bool, sp *obs.Span) (*pathset.Set, error) {
-	sets := make([]*pathset.Set, count)
-	errs := make([]error, count)
-	perr := runSharded(sp, count, workers,
-		func(wsp *obs.Span) *shortestScratch {
-			return &shortestScratch{
-				arena:  path.NewArena(0),
-				minAcc: make(map[graph.NodeID]int32),
-				span:   wsp,
-			}
-		},
-		func(sc *shortestScratch, i int) bool {
-			out := new(pathset.Set) // index allocated lazily on first Add
-			err := shortestFrom(g, c, seedAt(seeds, i), lim.MaxLen, bud, out, sc, back)
-			sets[i], errs[i] = out, err
-			sc.span.AddInt("sources", 1)
-			sc.span.AddInt("paths", int64(out.Len()))
-			sc.span.MaxInt("arena_bytes", int64(sc.arena.Bytes()))
-			return err == nil
-		})
-	if perr != nil {
-		return nil, fmt.Errorf("automaton: %w", perr)
-	}
-	// Per-source shards are disjoint and deduped; concatenating them in
-	// source order is the sequential insertion order.
-	groups := make([][]path.Path, 0, len(sets))
-	for _, s := range sets {
-		if s != nil && s.Len() > 0 {
-			groups = append(groups, s.Paths())
-		}
-	}
-	out := pathset.FromOrderedDisjoint(groups)
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 type productState struct {
 	node  graph.NodeID
 	state StateID
@@ -791,12 +751,6 @@ func chargeErr(bud *core.Budget) error {
 		return err
 	}
 	return core.ErrBudgetExceeded
-}
-
-// wrapChargeErr is chargeErr with the package prefix applied, for the
-// shortest evaluator whose errors are not re-wrapped by a caller.
-func wrapChargeErr(bud *core.Budget) error {
-	return fmt.Errorf("automaton: %w", chargeErr(bud))
 }
 
 // productBFS is the reusable storage of one breadth-first sweep over the
@@ -855,106 +809,5 @@ func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLe
 		}
 		frontier, next = next, frontier
 	}
-	return nil
-}
-
-// shortestScratch holds the per-source working storage of shortestFrom so
-// consecutive sources reuse it instead of reallocating.
-type shortestScratch struct {
-	arena  *path.Arena
-	bfs    productBFS
-	minAcc map[graph.NodeID]int32
-	work   []shortestItem
-	runs   []symbolScan
-	span   *obs.Span // this worker's shard span; nil when untraced
-}
-
-type shortestItem struct {
-	ref   path.Ref
-	state StateID
-}
-
-// shortestFrom evaluates Shortest semantics for one source. Both phases
-// charge the shared work budget — every discovered product state in the
-// phase-1 BFS and every pushed enumeration state in phase 2 accounts its
-// node slots — so Limits.MaxWork bounds Shortest evaluation like every
-// other semantics; admitted result paths additionally charge ChargePath.
-func shortestFrom(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLen int, bud *core.Budget, result *pathset.Set, sc *shortestScratch, back bool) error {
-	nfa := c.nfa
-	if !g.NodeAlive(src) {
-		return nil
-	}
-	// Phase 1: BFS distances over the product space.
-	if err := sc.bfs.run(g, c, src, maxLen, bud, back); err != nil {
-		return fmt.Errorf("automaton: %w", err)
-	}
-	dist := sc.bfs.dist
-
-	// minAcc is the per-target minimum over accepting states — the length
-	// of the shortest matching path src→target.
-	clear(sc.minAcc)
-	minAcc := sc.minAcc
-	for ps, d := range dist {
-		if !nfa.Accepting(ps.state) {
-			continue
-		}
-		if cur, ok := minAcc[ps.node]; !ok || d < cur {
-			minAcc[ps.node] = d
-		}
-	}
-	if len(minAcc) == 0 {
-		return nil
-	}
-
-	// Phase 2: enumerate all paths that are shortest product walks at
-	// every prefix; admit those reaching their target at its minimum.
-	// Paths live in the arena; each admitted path materializes once.
-	a := sc.arena
-	a.Reset()
-	if !bud.ChargeWork(0) {
-		return wrapChargeErr(bud)
-	}
-	work := append(sc.work[:0], shortestItem{ref: a.Leaf(src), state: 0})
-	for len(work) > 0 {
-		if bud.Cancelled() {
-			sc.work = work
-			return wrapChargeErr(bud)
-		}
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		itLen := a.PathLen(it.ref)
-		last := a.Last(it.ref)
-		if nfa.Accepting(it.state) {
-			if m, ok := minAcc[last]; ok && itLen == int(m) {
-				if addResult(result, a, it.ref, back) && !bud.ChargePath(itLen) {
-					sc.work = work
-					return wrapChargeErr(bud)
-				}
-			}
-		}
-		sc.runs = scanRuns(sc.runs, g, c, last, it.state, back)
-		for _, rs := range sc.runs {
-			for _, eid := range rs.edges {
-				dst := stepNode(g, eid, back)
-				// One arena entry per edge, shared by all target states.
-				var np path.Ref
-				created := false
-				for _, q := range rs.targets {
-					if d, ok := dist[productState{node: dst, state: q}]; ok && int(d) == itLen+1 {
-						if !created {
-							np = a.Extend(it.ref, eid, dst)
-							created = true
-						}
-						if !bud.ChargeWork(itLen + 1) {
-							sc.work = work
-							return wrapChargeErr(bud)
-						}
-						work = append(work, shortestItem{ref: np, state: q})
-					}
-				}
-			}
-		}
-	}
-	sc.work = work
 	return nil
 }

@@ -85,13 +85,11 @@ func TestEvalParallelSharedBudget(t *testing.T) {
 	}
 }
 
-// TestShortestWorkBudget is the regression test for the Shortest MaxWork
-// bypass: shortestFrom used to charge only ChargePath for admitted result
-// paths — neither the phase-1 product BFS nor the phase-2 enumeration
-// stack ever charged ChargeWork — so Limits.MaxWork did not bound
-// Shortest-semantics evaluation at all. Both phases now charge work on
-// product-state discovery and on enumeration pushes, so a small MaxWork
-// must trip ErrBudgetExceeded even when MaxPaths would never be reached.
+// TestShortestWorkBudget: Limits.MaxWork bounds Shortest-semantics
+// evaluation like every other semantics. Shortest runs as the Walk search
+// under a one-length quota, whose visited marks charge work, so a small
+// MaxWork must trip ErrBudgetExceeded even when MaxPaths would never be
+// reached.
 func TestShortestWorkBudget(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 20, KnowsPerPerson: 3, CycleFraction: 0.5, Seed: 3,

@@ -92,6 +92,69 @@ func TestQuotaIsPerPairPrefix(t *testing.T) {
 	t.Logf("%d quota'd searches equal the per-pair prefix", checked)
 }
 
+// minimalPerPair keeps, in order, the paths of each (first, last) pair
+// whose length is that pair's minimum.
+func minimalPerPair(full *pathset.Set) *pathset.Set {
+	minLen := make(map[[2]graph.NodeID]int)
+	for _, p := range full.Paths() {
+		k := [2]graph.NodeID{p.First(), p.Last()}
+		if m, ok := minLen[k]; !ok || p.Len() < m {
+			minLen[k] = p.Len()
+		}
+	}
+	return full.Filter(func(p path.Path) bool {
+		return p.Len() == minLen[[2]graph.NodeID{p.First(), p.Last()}]
+	})
+}
+
+// TestShortestIsLengthQuotaWalk: Shortest semantics returns, in order,
+// the Walk search's result at the same MaxLen filtered to each pair's
+// minimal length — forward and backward, over every source and over a
+// seed list, at one and eight workers.
+func TestShortestIsLengthQuotaWalk(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"figure1": ldbc.Figure1(),
+		"ldbc3": ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 8, KnowsPerPerson: 2, LikesPerPerson: 2,
+			CycleFraction: 0.5, Seed: 3}),
+		"ldbc11": ldbc.MustGenerate(ldbc.Config{Persons: 9, Messages: 10, KnowsPerPerson: 3, LikesPerPerson: 1,
+			CycleFraction: 0.8, Seed: 11}),
+	}
+	lim := core.Limits{MaxLen: 5}
+	checked := 0
+	for gname, g := range graphs {
+		var seeds []graph.NodeID
+		for n := 0; n < g.NumNodes(); n += 2 {
+			seeds = append(seeds, graph.NodeID(n))
+		}
+		for _, pat := range []string{":Knows+", "(:Likes/:Has_creator)+", "(:Knows|:Likes)+"} {
+			re := rpq.MustParse(pat)
+			nfas := map[core.Direction]*NFA{core.Forward: Build(re), core.Backward: Build(rpq.Reverse(re))}
+			for dir, nfa := range nfas {
+				for _, sd := range [][]graph.NodeID{nil, seeds} {
+					walk, err := EvalWithOptions(g, nfa, core.Walk, lim, EvalOptions{Workers: 1, Dir: dir, Seeds: sd})
+					if err != nil {
+						t.Fatalf("%s/%s/%s walk: %v", gname, pat, dir, err)
+					}
+					want := minimalPerPair(walk)
+					for _, workers := range []int{1, 8} {
+						name := fmt.Sprintf("%s/%s/%s/seeded=%v/workers=%d", gname, pat, dir, sd != nil, workers)
+						got, err := EvalWithOptions(g, nfa, core.Shortest, lim, EvalOptions{Workers: workers, Dir: dir, Seeds: sd})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if !testutil.SameSequence(got, want) {
+							t.Fatalf("%s: Shortest gives %d paths, the minimal-length filter of Walk %d (or a different order)",
+								name, got.Len(), want.Len())
+						}
+						checked++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d Shortest evaluations equal the minimal-length filter of Walk", checked)
+}
+
 // TestQuotaWalkNeedsNoMaxLen: with a quota the Walk search terminates on a
 // cyclic graph with no length bound and no budget error, and what it
 // returns is the per-pair prefix of a search bounded just long enough to

@@ -19,9 +19,9 @@ import (
 //     n+1 work units (its node slots) — ChargePath;
 //   - every additionally materialized search state charges n+1 work units
 //     — ChargeWork. That covers the visited marks of the BFS product
-//     search, and under Shortest semantics the discovered product states
-//     of the phase-1 distance BFS and the pushes of the phase-2
-//     enumeration stack, so MaxWork bounds every semantics.
+//     search (which answers Shortest semantics too, as Walk under a
+//     one-length quota) and the product states its quota early-stop sweep
+//     discovers, so MaxWork bounds every semantics.
 //
 // Both charges are atomic adds, so exceeding the budget is detected
 // promptly but totals near the boundary may overshoot by at most one

@@ -48,9 +48,9 @@ type Options struct {
 	Parallelism int
 	// DisablePlanner makes Plan/Run fall back to the statistics-free
 	// heuristic optimizer (opt.Optimize): no cost-based join
-	// re-association, no backward evaluation, no estimate gating. Used as
-	// the baseline of the differential harness and ablation benchmarks.
-	// The plan cache stays on either way.
+	// re-association, no backward evaluation. Used as the baseline of the
+	// differential harness and ablation benchmarks. The plan cache stays
+	// on either way.
 	DisablePlanner bool
 }
 

@@ -134,7 +134,7 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 		trials = 1
 	}
 	lim := core.Limits{MaxLen: 4}
-	checked, pushed := 0, 0
+	checked, pushed, rewritten := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7100 + trial)))
 		for view, g := range quotaViews(t, rng, int64(trial+1)) {
@@ -174,6 +174,7 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 								"compiled": logical, "planned": planned,
 								"compiled←": flipBackward(logical), "planned←": flipBackward(planned),
 							}
+							results := make(map[string]*pathset.Set, len(plans))
 							for form, plan := range plans {
 								var baseline *pathset.Set
 								for _, par := range []int{1, 8} {
@@ -203,30 +204,26 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 									checked++
 								}
 								got := baseline
+								results[form] = got
 								if sel.setDetermined {
 									if !got.Equal(ref) {
 										t.Fatalf("%s %s: engine (%d paths) != reference (%d paths)", name, form, got.Len(), ref.Len())
 									}
-									continue
+								} else if err := checkKeptPaths(g, got, ref, closure, sel.byLength); err != nil {
+									t.Fatalf("%s %s: %v", name, form, err)
 								}
-								for _, p := range got.Paths() {
-									if !closure.Contains(p) {
-										t.Fatalf("%s %s: kept %s, not in the closure", name, form, p.Format(g))
+							}
+							// ϕShortest is the Walk search under a one-length
+							// quota, so the §7.3 rewrite changes no answer — not
+							// even the path ANY SHORTEST WALK picks.
+							if strings.Contains(planned.String(), "ϕShortest") {
+								for _, dir := range []string{"", "←"} {
+									if !testutil.SameSequence(results["planned"+dir], results["compiled"+dir]) {
+										t.Fatalf("%s: planned%s (ϕShortest) differs from compiled%s (ϕWalk)\n planned:\n%s compiled:\n%s",
+											name, dir, dir, renderSet(g, results["planned"+dir]), renderSet(g, results["compiled"+dir]))
 									}
 								}
-								gotLens, refLens := testutil.PairLengths(got), testutil.PairLengths(ref)
-								if len(gotLens) != len(refLens) {
-									t.Fatalf("%s %s: %d pairs, reference %d", name, form, len(gotLens), len(refLens))
-								}
-								for pair, want := range refLens {
-									have := gotLens[pair]
-									if len(have) != len(want) {
-										t.Fatalf("%s %s: pair %v keeps %d paths, reference %d", name, form, pair, len(have), len(want))
-									}
-									if sel.byLength && fmt.Sprint(have) != fmt.Sprint(want) {
-										t.Fatalf("%s %s: pair %v keeps lengths %v, reference %v", name, form, pair, have, want)
-									}
-								}
+								rewritten++
 							}
 						}
 					}
@@ -237,7 +234,39 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 	if pushed == 0 {
 		t.Error("no evaluation took the quota pushdown")
 	}
-	t.Logf("%d evaluations compared in order against the unpushed pipeline, %d under a quota", checked, pushed)
+	if rewritten == 0 {
+		t.Error("no plan was rewritten to ϕShortest")
+	}
+	t.Logf("%d evaluations compared in order against the unpushed pipeline, %d under a quota; %d ϕShortest plans equal their ϕWalk form",
+		checked, pushed, rewritten)
+}
+
+// checkKeptPaths is the representative-free oracle for a selector that
+// keeps "some k" paths per endpoint pair, against the definitional answer
+// ref and the closure the selector picks from (the reference evaluation of
+// the bottom γ's input): every kept path is in the closure, every pair
+// keeps as many paths as in ref, and — byLength, under τA or τG — the
+// same lengths.
+func checkKeptPaths(g *graph.Graph, got, ref, closure *pathset.Set, byLength bool) error {
+	for _, p := range got.Paths() {
+		if !closure.Contains(p) {
+			return fmt.Errorf("kept %s, not in the closure", p.Format(g))
+		}
+	}
+	gotLens, refLens := testutil.PairLengths(got), testutil.PairLengths(ref)
+	if len(gotLens) != len(refLens) {
+		return fmt.Errorf("%d pairs, reference %d", len(gotLens), len(refLens))
+	}
+	for pair, want := range refLens {
+		have := gotLens[pair]
+		if len(have) != len(want) {
+			return fmt.Errorf("pair %v keeps %d paths, reference %d", pair, len(have), len(want))
+		}
+		if byLength && fmt.Sprint(have) != fmt.Sprint(want) {
+			return fmt.Errorf("pair %v keeps lengths %v, reference %v", pair, have, want)
+		}
+	}
+	return nil
 }
 
 // TestQuotaNotPushed: pipelines whose discarded paths decide what
@@ -314,18 +343,24 @@ func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
 }
 
 // TestQuotaTrace: the search span says which quota it ran under and what
-// the quota saved; Explain names the quota on the recursion's line.
+// the quota saved; Explain names a pushed quota on the recursion's line.
+// ϕShortest (what ALL SHORTEST WALK plans to) runs under its own
+// one-length quota, which the span shows and Explain does not: nothing
+// was pushed.
 func TestQuotaTrace(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 6, KnowsPerPerson: 3, LikesPerPerson: 1, CycleFraction: 0.5, Seed: 2})
 	for _, tc := range []struct {
 		query    string
 		attrs    map[string]int64 // exact values
 		positive []string         // must be > 0
+		explain  string           // the quota Explain prints; "" for none
 	}{
 		{`MATCH ANY 2 TRAIL p = (?x)-[:Knows+]->(?y)`,
-			map[string]int64{"quota_k": 2}, []string{"suppressed", "stop_depth"}},
+			map[string]int64{"quota_k": 2}, []string{"suppressed", "stop_depth"}, "[quota k=2 per pair]"},
 		{`MATCH SHORTEST 2 GROUP WALK p = (?x)-[:Knows+]->(?y)`,
-			map[string]int64{"quota_k": 2, "quota_by_length": 1}, []string{"suppressed", "pruned", "stop_depth"}},
+			map[string]int64{"quota_k": 2, "quota_by_length": 1}, []string{"suppressed", "pruned", "stop_depth"}, "[quota k=2 lengths per pair]"},
+		{`MATCH ALL SHORTEST WALK p = (?x)-[:Knows+]->(?y)`,
+			map[string]int64{"quota_k": 1, "quota_by_length": 1}, []string{"pruned"}, ""},
 	} {
 		plan, err := compileQuery(tc.query)
 		if err != nil {
@@ -359,8 +394,11 @@ func TestQuotaTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := fmt.Sprintf("[quota %s]", core.Quota{K: 2, ByLength: tc.attrs["quota_by_length"] == 1}); !strings.Contains(ex.Format(), want) {
-			t.Errorf("%s: explain lacks %q:\n%s", tc.query, want, ex.Format())
+		switch txt := ex.Format(); {
+		case tc.explain == "" && strings.Contains(txt, "[quota"):
+			t.Errorf("%s: explain names a quota none was pushed:\n%s", tc.query, txt)
+		case tc.explain != "" && !strings.Contains(txt, tc.explain):
+			t.Errorf("%s: explain lacks %q:\n%s", tc.query, tc.explain, txt)
 		}
 	}
 	// An unquota'd search carries none of the attributes.

@@ -7,6 +7,7 @@ import (
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
+	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/testutil"
 )
@@ -25,6 +26,14 @@ import (
 // engine pins that order (identically for planner on/off — that is the
 // planner's core guarantee), but the reference closure discovers paths in
 // a different order and may legitimately pick different representatives.
+//
+// Selectors are also checked against the reference without
+// representatives: every kept path is in the reference closure, and per
+// pair the counts — and, under τA/τG, the lengths — equal the reference
+// answer's. That covers every sub-pipeline of a truncating plan whose
+// π/τ/γ part opt.AnalyzeQuota recognizes (ANY k, SHORTEST k, SHORTEST k
+// GROUP) over a truncation-free input, and each truncation-free plan
+// wrapped in ANY SHORTEST, ANY 2, SHORTEST 2 and SHORTEST 2 GROUP.
 const (
 	randomizedTrials = 500
 	shortTrials      = 60
@@ -46,7 +55,7 @@ func TestRandomizedDifferential(t *testing.T) {
 	}
 
 	semSeen := make(map[core.Semantics]int)
-	truncating, setDetermined := 0, 0
+	truncating, setDetermined, representativeFree := 0, 0, 0
 	for trial := 0; trial < trials; trial++ {
 		g := graphs[trial%len(graphs)]
 		plan := testutil.RandomPlan(rng, 3)
@@ -94,6 +103,42 @@ func TestRandomizedDifferential(t *testing.T) {
 				t.Fatalf("%s: par=%d differs from par=1", name, par)
 			}
 		}
+		// The representative-free oracle: selector pipelines over a
+		// truncation-free input, checked against the reference closure.
+		checked := false
+		checkSelector := func(p core.Project, closure *pathset.Set) {
+			for _, off := range []bool{false, true} {
+				got, err := New(g, Options{Limits: lim, Parallelism: 1, DisablePlanner: off}).Run(p)
+				if err == nil {
+					err = checkSelectorReference(g, p, got, closure)
+				}
+				if err != nil {
+					t.Fatalf("%s: selector %s (planner off: %v): %v", name, p, off, err)
+				}
+			}
+			checked = true
+		}
+		if compareReference {
+			for _, p := range selectorsOver(plan) {
+				checkSelector(p, want)
+			}
+		} else {
+			visitPlan(plan, func(e core.PathExpr) {
+				p, ok := e.(core.Project)
+				if !ok || !selectorPipeline(p) {
+					return
+				}
+				gb, _ := core.BottomGroupBy(p.In)
+				closure, err := core.EvalExpr(g, gb.In, lim)
+				if err != nil {
+					t.Fatalf("%s: reference closure of %s: %v", name, gb.In, err)
+				}
+				checkSelector(p, closure)
+			})
+		}
+		if checked {
+			representativeFree++
+		}
 	}
 	for _, sem := range core.AllSemantics() {
 		if semSeen[sem] == 0 {
@@ -104,36 +149,99 @@ func TestRandomizedDifferential(t *testing.T) {
 		t.Errorf("generator coverage hole: %d truncating, %d truncation-free plans",
 			truncating, setDetermined)
 	}
-	t.Logf("%d trials: %d truncation-free (3-way vs reference), %d truncating (engine-vs-engine); semantics %v",
-		trials, setDetermined, truncating, semSeen)
+	t.Logf("%d trials: %d truncation-free (3-way vs reference), %d truncating (engine-vs-engine); %d checked by the representative-free selector oracle; semantics %v",
+		trials, setDetermined, truncating, representativeFree, semSeen)
+}
+
+// selectorsOver wraps a truncation-free plan x in the selectors whose
+// answer depends on discovery order: ANY SHORTEST, ANY 2, SHORTEST 2, and
+// SHORTEST 2 GROUP, which does not but rides along.
+func selectorsOver(x core.PathExpr) []core.Project {
+	all, one, two := core.AllCount(), core.NCount(1), core.NCount(2)
+	st := core.GroupBy{Key: core.GroupST, In: x}
+	byLen := core.OrderBy{Key: core.OrderPath, In: st}
+	return []core.Project{
+		{Parts: all, Groups: all, Paths: one, In: byLen},
+		{Parts: all, Groups: all, Paths: two, In: st},
+		{Parts: all, Groups: all, Paths: two, In: byLen},
+		{Parts: all, Groups: two, Paths: all, In: core.OrderBy{Key: core.OrderGroup, In: core.GroupBy{Key: core.GroupSTL, In: x}}},
+	}
+}
+
+// selectorPipeline reports whether p's π/τ/γ pipeline is one
+// opt.AnalyzeQuota recognizes — ANY k, SHORTEST k or SHORTEST k GROUP —
+// over a truncation-free path input. AnalyzeQuota is asked about p with
+// that input replaced by a pattern recursion: the random inputs are
+// seldom ones it pushes a quota into, but the oracle needs only that
+// every evaluator reads the same set from them.
+func selectorPipeline(p core.Project) bool {
+	gb, ok := core.BottomGroupBy(p.In)
+	if !ok || !testutil.IsTruncationFree(gb.In) {
+		return false
+	}
+	probe := p
+	probe.In = withGroupInput(p.In, core.Recurse{Sem: core.Walk, In: core.Edges{}})
+	_, ok = opt.AnalyzeQuota(probe)
+	return ok
+}
+
+// withGroupInput returns x with the input of its bottom γ replaced by in.
+func withGroupInput(x core.SpaceExpr, in core.PathExpr) core.SpaceExpr {
+	switch x := x.(type) {
+	case core.GroupBy:
+		x.In = in
+		return x
+	case core.OrderBy:
+		x.In = withGroupInput(x.In, in)
+		return x
+	default:
+		return x
+	}
+}
+
+// checkSelectorReference checks the engine's answer got to the selector
+// pipeline p with checkKeptPaths, against the reference operators' γ, τ
+// and π over closure, the reference evaluation of p's path input. Lengths
+// must match where a τ ranks the paths by length.
+func checkSelectorReference(g *graph.Graph, p core.Project, got, closure *pathset.Set) error {
+	ref, err := testutil.Unpushed(func(core.PathExpr) (*pathset.Set, error) { return closure, nil }, p)
+	if err != nil {
+		return err
+	}
+	_, ranked := p.In.(core.OrderBy)
+	return checkKeptPaths(g, got, ref, closure, ranked)
+}
+
+// visitPlan calls visit on every path-sorted subplan of e, e first.
+func visitPlan(e core.PathExpr, visit func(core.PathExpr)) {
+	visit(e)
+	switch x := e.(type) {
+	case core.Select:
+		visitPlan(x.In, visit)
+	case core.Join:
+		visitPlan(x.L, visit)
+		visitPlan(x.R, visit)
+	case core.Union:
+		visitPlan(x.L, visit)
+		visitPlan(x.R, visit)
+	case core.Recurse:
+		visitPlan(x.In, visit)
+	case core.Restrict:
+		visitPlan(x.In, visit)
+	case core.Project:
+		if gb, ok := core.BottomGroupBy(x.In); ok {
+			visitPlan(gb.In, visit)
+		}
+	}
 }
 
 func countSemantics(e core.PathExpr, seen map[core.Semantics]int) {
-	switch x := e.(type) {
-	case core.Select:
-		countSemantics(x.In, seen)
-	case core.Join:
-		countSemantics(x.L, seen)
-		countSemantics(x.R, seen)
-	case core.Union:
-		countSemantics(x.L, seen)
-		countSemantics(x.R, seen)
-	case core.Recurse:
-		seen[x.Sem]++
-		countSemantics(x.In, seen)
-	case core.Restrict:
-		seen[x.Sem]++
-		countSemantics(x.In, seen)
-	case core.Project:
-		countSpaceSemantics(x.In, seen)
-	}
-}
-
-func countSpaceSemantics(e core.SpaceExpr, seen map[core.Semantics]int) {
-	switch x := e.(type) {
-	case core.GroupBy:
-		countSemantics(x.In, seen)
-	case core.OrderBy:
-		countSpaceSemantics(x.In, seen)
-	}
+	visitPlan(e, func(e core.PathExpr) {
+		switch x := e.(type) {
+		case core.Recurse:
+			seen[x.Sem]++
+		case core.Restrict:
+			seen[x.Sem]++
+		}
+	})
 }

@@ -181,10 +181,12 @@ func (t *Trace) render() ([]*SpanJSON, map[*Span]*SpanJSON) {
 		if end == 0 {
 			end = now
 		}
+		// Truncate both offsets to µs before subtracting: truncating the
+		// duration on its own could end a child 1µs after its parent.
 		j := &SpanJSON{
 			Name:    s.name,
 			StartUS: s.start / 1e3,
-			DurUS:   (end - s.start) / 1e3,
+			DurUS:   end/1e3 - s.start/1e3,
 		}
 		if len(s.attrs) > 0 {
 			j.Attrs = make(map[string]int64, len(s.attrs))

@@ -178,7 +178,8 @@ func annotate(x core.PathExpr) *Node {
 		n.perPair = l.perPair && r.perPair
 	case core.Recurse:
 		n.In = []*Node{annotate(x.In)}
-		// ϕShortest already enumerates only minimal paths: no prefix to cut.
+		// ϕShortest already enumerates only minimal paths — the search runs
+		// it under a one-length quota of its own: no prefix to cut.
 		_, _, ok := n.patternRec()
 		n.perPair = ok && x.Sem != core.Shortest
 	case core.Restrict:

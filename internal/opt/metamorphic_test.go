@@ -6,6 +6,7 @@ import (
 
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/engine"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
@@ -142,7 +143,7 @@ func TestDropNoopOrderByEquivalence(t *testing.T) {
 // order-sensitive ANY SHORTEST form by the weaker — but order-free —
 // property that actually defines it: one path per endpoint pair, each a
 // minimal-length path of that pair, pairs identical to the unrewritten
-// plan's.
+// plan's — and, evaluated by the engine, by in-order equality.
 func TestWalkToShortestEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(105))
 	pattern := func() core.PathExpr {
@@ -188,6 +189,22 @@ func TestWalkToShortestEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAnyShortest(t, before, after)
+
+		// The engine answers ϕShortest as the Walk search under a
+		// one-length quota, so there the rewrite keeps even the
+		// representative: both plans return the same paths in order.
+		eng := engine.New(g, engine.Options{Limits: metamorphicLimits})
+		before, err = eng.EvalPaths(anyShortest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err = eng.EvalPaths(res.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !testutil.SameSequence(before, after) {
+			t.Errorf("%s: engine picks different representatives after the rewrite (%s)", anyShortest, res.Plan)
+		}
 	}
 }
 

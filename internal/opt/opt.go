@@ -10,7 +10,8 @@
 //     ρSem(ρSem(x)) = ρSem(x);
 //   - walk-to-shortest: the §7.3 recursion rewrite turning diverging
 //     ϕWalk pipelines under shortest-consuming projections into
-//     terminating ϕShortest plans;
+//     terminating ϕShortest plans, which the product search answers as
+//     the Walk search under a one-length quota;
 //   - drop-noop-orderby: τ components that cannot affect projection
 //     disappear (the §6 τPG-over-γ∅ example).
 //
@@ -19,16 +20,14 @@
 // CostModel that estimates the cardinality of every algebra operator —
 // σ selectivity from label counts, ⋈ via the distinct-endpoint-count
 // estimate, ϕ via per-symbol fan-out raised to a bounded depth horizon.
-// Three statistics-driven decisions use the estimates:
+// After the heuristic rules, two statistics-driven passes use the
+// estimates:
 //
 //   - reassociate-joins: multi-join chains re-parenthesize by the
 //     matrix-chain DP over estimated intermediate cardinalities;
 //   - choose-backward: pattern recursions evaluate backward (reversed
 //     automaton over in-edges, seeded at path targets) when the target
-//     side is estimated cheaper — PathFinder's direction choice;
-//   - the walk-to-shortest gate: set-determined pipelines with a MaxLen
-//     bound keep a cheap Walk recursion instead of paying the two-phase
-//     Shortest evaluation.
+//     side is estimated cheaper — PathFinder's direction choice.
 //
 // One derivation sits beside the rewrites and changes no plan: Derive
 // walks a physical plan once bottom-up and once top-down and annotates
@@ -82,15 +81,10 @@ const maxRounds = 10
 // graph statistics; Optimize remains the statistics-free baseline (and
 // the planner-off engine path).
 func Optimize(plan core.PathExpr) Result {
-	return applyRules(plan, rules)
-}
-
-// applyRules drives a rule list to fixpoint (bounded by maxRounds).
-func applyRules(plan core.PathExpr, rs []rule) Result {
 	res := Result{Plan: plan}
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		for _, r := range rs {
+		for _, r := range rules {
 			p, fired := rewritePath(res.Plan, r.fn)
 			if fired {
 				res.Plan = p
@@ -359,7 +353,10 @@ func dropRedundantRestrict(e core.PathExpr) (core.PathExpr, bool) {
 // walkToShortest implements the §7.3 recursion rewrite: extended-algebra
 // pipelines that only ever consume minimal-length paths can evaluate the
 // recursion under Shortest semantics instead of Walk, turning a plan that
-// diverges on cyclic graphs into one that always terminates.
+// diverges on cyclic graphs into one that always terminates. A product
+// search answers ϕShortest as the Walk search under a one-length quota,
+// so its result is the in-order subsequence of ϕWalk's: the rewrite keeps
+// even the representative ANY SHORTEST picks.
 //
 // Recognized pipelines (X below is the pattern subtree, whose outermost
 // recursion must be ϕWalk):
@@ -371,20 +368,6 @@ func dropRedundantRestrict(e core.PathExpr) (core.PathExpr, bool) {
 //   - π(1, 1, _)(τG(γL(X)))        (paper's §7.3 example: globally
 //     shortest paths)
 func walkToShortest(e core.PathExpr) (core.PathExpr, bool) {
-	return walkToShortestGated(e, nil)
-}
-
-// walkToShortestGated is walkToShortest with an optional estimate gate:
-// when keepWalk is non-nil and the pipeline's result is fully determined
-// as a SET (no path-level truncation, so walk-order ties cannot leak into
-// the answer), keepWalk may veto the rewrite — the cost-based planner
-// does so when the walk closure is estimated cheap enough that the
-// two-phase shortest machinery would cost more than it saves. Pipelines
-// that pick single representative paths (ANY SHORTEST) always rewrite:
-// there the Shortest evaluator also guarantees termination of otherwise
-// diverging plans, and the gate must never trade that away on plans whose
-// representative choice could shift.
-func walkToShortestGated(e core.PathExpr, keepWalk func(core.GroupBy) bool) (core.PathExpr, bool) {
 	proj, ok := e.(core.Project)
 	if !ok {
 		return e, false
@@ -402,32 +385,15 @@ func walkToShortestGated(e core.PathExpr, keepWalk func(core.GroupBy) bool) (cor
 	if proj.Parts.Desc || proj.Groups.Desc || proj.Paths.Desc {
 		return e, false
 	}
-	matches, setDetermined := false, false
 	switch {
 	case ord.Key == core.OrderPath && grp.Key == core.GroupST &&
-		!proj.Paths.All && proj.Paths.N == 1:
-		matches = true
-		// π(_,_,1): one representative per pair — order-sensitive.
+		!proj.Paths.All && proj.Paths.N == 1: // ANY SHORTEST
 	case ord.Key == core.OrderGroup && grp.Key == core.GroupSTL &&
-		!proj.Groups.All && proj.Groups.N == 1:
-		matches = true
-		// ALL SHORTEST keeps every minimal path per pair: the result is a
-		// set-determined function of the input when no other level
-		// truncates (length ranks within a partition are distinct, so
-		// the group pick is unique).
-		setDetermined = proj.Parts.All && proj.Paths.All
+		!proj.Groups.All && proj.Groups.N == 1: // ALL SHORTEST
 	case ord.Key == core.OrderGroup && grp.Key == core.GroupLength &&
 		!proj.Parts.All && proj.Parts.N == 1 &&
-		!proj.Groups.All && proj.Groups.N == 1:
-		matches = true
-		// γL builds a single partition; picking its unique minimal-length
-		// group is set-determined as long as the paths level keeps all.
-		setDetermined = proj.Paths.All
-	}
-	if !matches {
-		return e, false
-	}
-	if keepWalk != nil && setDetermined && keepWalk(grp) {
+		!proj.Groups.All && proj.Groups.N == 1: // globally shortest
+	default:
 		return e, false
 	}
 	in, changed := replaceWalkRecursions(grp.In)

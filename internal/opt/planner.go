@@ -6,9 +6,8 @@ import (
 	"pathalgebra/internal/stats"
 )
 
-// The cost-based planner. Plan runs the heuristic rule set (with the
-// Walk→Shortest rewrite estimate-gated) and then two statistics-driven
-// passes over the tree:
+// The cost-based planner. Plan runs the heuristic rule set of Optimize and
+// then two statistics-driven passes over the tree:
 //
 //   - reassociate-joins: multi-join chains re-parenthesize by the
 //     matrix-chain dynamic program over estimated intermediate
@@ -34,10 +33,6 @@ import (
 // of the query's semantics.
 
 const (
-	// keepWalkMaxCard is the estimated walk-closure size under which the
-	// gated Walk→Shortest rewrite keeps the Walk recursion (set-determined
-	// pipelines with a MaxLen bound only; see walkToShortestGated).
-	keepWalkMaxCard = 256
 	// backwardBias is the advantage factor backward evaluation must show
 	// before it is chosen: ties and near-ties stay forward, the
 	// well-trodden default.
@@ -54,30 +49,11 @@ func Plan(plan core.PathExpr, cm *CostModel) Result {
 	if cm == nil || cm.Stats == nil {
 		return Optimize(plan)
 	}
-	res := applyRules(plan, plannerRules(cm))
+	res := Optimize(plan)
 	w := &costWalker{cm: cm}
-	p := w.path(res.Plan, false)
-	res.Plan = p
+	res.Plan = w.path(res.Plan, false)
 	res.Applied = append(res.Applied, w.applied...)
 	return res
-}
-
-// plannerRules is the heuristic rule list with the Walk→Shortest rewrite
-// gated by the cost model.
-func plannerRules(cm *CostModel) []rule {
-	keep := func(grp core.GroupBy) bool {
-		return cm.Limits.MaxLen > 0 && cm.Card(grp.In) <= keepWalkMaxCard
-	}
-	out := make([]rule, len(rules))
-	copy(out, rules)
-	for i, r := range out {
-		if r.name == "walk-to-shortest" {
-			out[i] = rule{name: r.name, fn: func(e core.PathExpr) (core.PathExpr, bool) {
-				return walkToShortestGated(e, keep)
-			}}
-		}
-	}
-	return out
 }
 
 // costWalker applies the statistics-driven passes with order-sensitivity

@@ -170,49 +170,37 @@ func TestPlanReassociatesJoins(t *testing.T) {
 	}
 }
 
-// TestPlanGatedWalkToShortest: a set-determined shortest pipeline over a
-// tiny bounded walk keeps the Walk recursion; the ungated baseline
-// rewrites it; and the order-sensitive ANY form always rewrites.
-func TestPlanGatedWalkToShortest(t *testing.T) {
+// TestPlanWalkToShortestLikeOptimize: opt.Plan rewrites Walk→Shortest
+// exactly where opt.Optimize does, whatever the estimates and the MaxLen
+// bound: on a tiny walk closure under MaxLen, on the order-sensitive ANY
+// form, and with no MaxLen, where ϕWalk diverges.
+func TestPlanWalkToShortestLikeOptimize(t *testing.T) {
 	g := fanInGraph(6, 2)
-	cm := &opt.CostModel{Stats: g.Stats(), Limits: core.Limits{MaxLen: 3}}
-	allShortest := func(in core.PathExpr) core.PathExpr {
-		return core.Project{
+	walk := core.Recurse{Sem: core.Walk, In: labelSelect("Likes")}
+	pipelines := map[string]core.PathExpr{
+		"ALL SHORTEST": core.Project{
 			Parts: core.AllCount(), Groups: core.NCount(1), Paths: core.AllCount(),
 			In: core.OrderBy{Key: core.OrderGroup,
-				In: core.GroupBy{Key: core.GroupSTL, In: in}},
+				In: core.GroupBy{Key: core.GroupSTL, In: walk}},
+		},
+		"ANY SHORTEST": core.Project{
+			Parts: core.AllCount(), Groups: core.AllCount(), Paths: core.NCount(1),
+			In: core.OrderBy{Key: core.OrderPath,
+				In: core.GroupBy{Key: core.GroupST, In: walk}},
+		},
+	}
+	for name, plan := range pipelines {
+		base := opt.Optimize(plan)
+		if !strings.Contains(base.Plan.String(), "ϕShortest") {
+			t.Fatalf("%s: Optimize should rewrite Walk→Shortest: %s", name, base.Plan)
 		}
-	}
-	walk := core.Recurse{Sem: core.Walk, In: labelSelect("Likes")}
-
-	base := opt.Optimize(allShortest(walk))
-	if !strings.Contains(base.Plan.String(), "ϕShortest") {
-		t.Fatalf("baseline should rewrite Walk→Shortest: %s", base.Plan)
-	}
-	planned := opt.Plan(allShortest(walk), cm)
-	if strings.Contains(planned.Plan.String(), "ϕShortest") {
-		t.Errorf("gated planner should keep the tiny bounded Walk: %s (applied %v)",
-			planned.Plan, planned.Applied)
-	}
-
-	// ANY SHORTEST (paths truncated to 1) must rewrite under the planner
-	// too — representative choice is order-sensitive.
-	anyShortest := core.Project{
-		Parts: core.AllCount(), Groups: core.AllCount(), Paths: core.NCount(1),
-		In: core.OrderBy{Key: core.OrderPath,
-			In: core.GroupBy{Key: core.GroupST, In: walk}},
-	}
-	planned = opt.Plan(anyShortest, cm)
-	if !strings.Contains(planned.Plan.String(), "ϕShortest") {
-		t.Errorf("ANY-form pipeline must still rewrite Walk→Shortest: %s", planned.Plan)
-	}
-
-	// Unbounded evaluation (no MaxLen) must also rewrite regardless of
-	// estimates: keeping Walk could diverge.
-	cmNoLen := &opt.CostModel{Stats: g.Stats()}
-	planned = opt.Plan(allShortest(walk), cmNoLen)
-	if !strings.Contains(planned.Plan.String(), "ϕShortest") {
-		t.Errorf("without MaxLen the gate must not keep Walk: %s", planned.Plan)
+		for _, lim := range []core.Limits{{MaxLen: 3}, {}} {
+			planned := opt.Plan(plan, &opt.CostModel{Stats: g.Stats(), Limits: lim})
+			if planned.Plan.String() != base.Plan.String() {
+				t.Errorf("%s, MaxLen %d: Plan gives %s (applied %v), Optimize %s",
+					name, lim.MaxLen, planned.Plan, planned.Applied, base.Plan)
+			}
+		}
 	}
 }
 
