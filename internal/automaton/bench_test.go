@@ -1,10 +1,12 @@
 package automaton_test
 
 import (
+	"fmt"
 	"testing"
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/rpq"
 )
@@ -87,4 +89,59 @@ func BenchmarkSelectorPushdown(b *testing.B) {
 		paths = out.Len()
 	}
 	b.ReportMetric(float64(paths), "paths/op")
+}
+
+// reachBenchGraph is a deterministic 256-node graph shaped like a
+// reachability workload: a labelled ring with skip chords, ~2.3
+// out-edges per node over two labels.
+func reachBenchGraph(tb testing.TB) *graph.Graph {
+	tb.Helper()
+	const n = 256
+	b := graph.NewBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode(fmt.Sprintf("n%d", i), "N", nil)
+	}
+	eid := 0
+	edge := func(src, dst int, label string) {
+		b.AddEdge(fmt.Sprintf("e%d", eid), fmt.Sprintf("n%d", src), fmt.Sprintf("n%d", dst), label, nil)
+		eid++
+	}
+	for i := 0; i < n; i++ {
+		edge(i, (i+1)%n, "a")
+		edge(i, (i+7)%n, "b")
+		if i%3 == 0 {
+			edge(i, (i+31)%n, "a")
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		tb.Fatalf("Build: %v", err)
+	}
+	return g
+}
+
+// BenchmarkReachKernelVsEnumeration answers all-pairs shortest lengths of
+// a+ under MaxLen 6 two ways: Reach's product BFS, and the cheapest
+// enumerating route to the same answer, the Shortest search (Walk would
+// enumerate every walk body).
+func BenchmarkReachKernelVsEnumeration(b *testing.B) {
+	g := reachBenchGraph(b)
+	nfa := automaton.Build(rpq.Plus{In: rpq.Label{Name: "a"}})
+	lim := core.Limits{MaxLen: 6}
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := automaton.Reach(g, nfa, lim, automaton.ReachOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("enumeration", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := automaton.Eval(g, nfa, core.Shortest, lim); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -395,13 +395,14 @@ func (c *quotaCount) count(q core.Quota, level int) bool {
 //     path — minus the source itself under Acyclic. Once each of them is
 //     full the source is finished (open, done). The BFS costs about what
 //     a search that cuts nothing costs, so it runs only once the cut has
-//     dropped as many paths as the search kept (see evalSource).
+//     dropped as many paths as the search kept (see evalSource). The BFS
+//     is the one Reach runs (productBFS).
 //
-// All of it is sized by what the source touches, never by the graph.
+// All of it costs what the source touches: the BFS's visited bitset,
+// sized by the graph, is pooled and cleared word by word (productBFS).
 type quotaState struct {
 	targets map[graph.NodeID]quotaCount
 	states  []map[graph.NodeID]quotaCount // per NFA state, like evalScratch.visited
-	reach   productBFS
 	// armed says the early stop is on; open counts the awaited targets
 	// whose quota is not full yet; done latches when the last one fills.
 	armed, done bool
@@ -430,20 +431,22 @@ func (qs *quotaState) begin(states int) {
 
 // arm turns the early stop on, between two BFS levels: it marks every
 // target src can reach at all as awaited and counts those not full yet.
+// It runs once per source, so each accepted node is new to it.
 func (qs *quotaState) arm(g *graph.Graph, c *CompiledNFA, sem core.Semantics, q core.Quota, maxLen int, src graph.NodeID, bud *core.Budget, back bool) error {
-	if err := qs.reach.run(g, c, src, maxLen, bud, back); err != nil {
+	bfs := bfsPool.Get().(*productBFS)
+	defer bfsPool.Put(bfs)
+	if err := bfs.run(g, c, src, maxLen, bud, back); err != nil {
 		return err
 	}
-	for ps := range qs.reach.dist {
-		if !c.nfa.Accepting(ps.state) || (sem == core.Acyclic && ps.node == src) {
+	for _, a := range bfs.accepted {
+		if sem == core.Acyclic && a.node == src {
 			continue
 		}
-		if tc := qs.targets[ps.node]; !tc.awaited {
-			tc.awaited = true
-			qs.targets[ps.node] = tc
-			if int(tc.n) < q.K {
-				qs.open++
-			}
+		tc := qs.targets[a.node]
+		tc.awaited = true
+		qs.targets[a.node] = tc
+		if int(tc.n) < q.K {
+			qs.open++
 		}
 	}
 	qs.armed, qs.done = true, qs.open == 0
@@ -738,11 +741,6 @@ func classifyExtend(sem core.Semantics, a *path.Arena, r path.Ref, e graph.EdgeI
 	}
 }
 
-type productState struct {
-	node  graph.NodeID
-	state StateID
-}
-
 // chargeErr resolves the typed error behind a failed budget charge — the
 // cancellation cause or core.ErrBudgetExceeded (the fallback is
 // defensive: a charge only fails over-limit or cancelled).
@@ -751,63 +749,4 @@ func chargeErr(bud *core.Budget) error {
 		return err
 	}
 	return core.ErrBudgetExceeded
-}
-
-// productBFS is the reusable storage of one breadth-first sweep over the
-// product (node, NFA state) space. It grows with the states a sweep
-// reaches, not with the graph.
-type productBFS struct {
-	dist           map[productState]int32
-	frontier, next []productState
-	runs           []symbolScan
-}
-
-// run fills p.dist with the BFS distance of every product state reachable
-// from (src, 0) by a walk of at most maxLen edges (<= 0: unbounded). Every
-// discovered state charges the work budget its node slots, so
-// Limits.MaxWork bounds the sweep.
-func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLen int, bud *core.Budget, back bool) error {
-	if p.dist == nil {
-		p.dist = make(map[productState]int32)
-	}
-	clear(p.dist)
-	dist := p.dist
-	dist[productState{node: src, state: 0}] = 0
-	if !bud.ChargeWork(0) {
-		return chargeErr(bud)
-	}
-	frontier := append(p.frontier[:0], productState{node: src, state: 0})
-	next := p.next[:0]
-	defer func() { p.frontier, p.next = frontier, next }()
-	depth := int32(0)
-	for len(frontier) > 0 && (maxLen <= 0 || int(depth) < maxLen) {
-		depth++
-		next = next[:0]
-		for _, ps := range frontier {
-			// Poll cancellation once per frontier item: already-seen product
-			// states charge nothing, so charges alone would not bound the
-			// abort latency on dense graphs.
-			if bud.Cancelled() {
-				return chargeErr(bud)
-			}
-			p.runs = scanRuns(p.runs, g, c, ps.node, ps.state, back)
-			for _, rs := range p.runs {
-				for _, eid := range rs.edges {
-					dst := stepNode(g, eid, back)
-					for _, q := range rs.targets {
-						nps := productState{node: dst, state: q}
-						if _, seen := dist[nps]; !seen {
-							dist[nps] = depth
-							if !bud.ChargeWork(int(depth)) {
-								return chargeErr(bud)
-							}
-							next = append(next, nps)
-						}
-					}
-				}
-			}
-		}
-		frontier, next = next, frontier
-	}
-	return nil
 }

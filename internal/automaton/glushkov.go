@@ -57,19 +57,6 @@ func (n *NFA) Visit(s StateID, label string, fn func(StateID)) {
 	}
 }
 
-// VisitAll calls fn once per transition out of s, exposing the target
-// state and the symbol it reads: any is true for the wildcard position
-// (rpq.AnyLabel), otherwise the transition reads label. It is the
-// introspection hook the reachability kernel (internal/reach) uses to
-// compile its per-state transition program; Visit remains the
-// string-matching evaluation API.
-func (n *NFA) VisitAll(s StateID, fn func(q StateID, label string, any bool)) {
-	for _, q := range n.next[s] {
-		p := n.positions[q-1]
-		fn(q, p.label, p.any)
-	}
-}
-
 // String renders the automaton for debugging.
 func (n *NFA) String() string {
 	var sb strings.Builder

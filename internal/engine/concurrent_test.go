@@ -9,11 +9,12 @@ import (
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/gql"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/opt"
 )
 
 // TestEngineConcurrentUse hammers ONE engine from many goroutines with a
-// mix of Run, RunStream, Explain, Stats and Plan (plan-cache hits and
-// misses), asserting under -race that the engine's concurrency contract
+// mix of Run, RunStream, Explain, Reach, Stats and Plan (plan-cache hits
+// and misses), asserting under -race that the engine's concurrency contract
 // holds and that every goroutine sees the same results as a private
 // engine would. The query set is small on purpose: most Plan calls are
 // cache hits, exercising the mutex-guarded LRU bump path concurrently.
@@ -31,6 +32,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 	}
 	// Reference results from a private engine.
 	want := make([]int, len(queries))
+	wantPairs := make([]int, len(queries))
 	ref := New(g, Options{Limits: lim})
 	for i, q := range queries {
 		res, err := ref.Run(gql.MustCompile(q))
@@ -38,6 +40,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 			t.Fatalf("reference %q: %v", q, err)
 		}
 		want[i] = res.Len()
+		wantPairs[i] = reachFromSet(res, opt.ReachCountPairs).Count
 	}
 
 	shared := New(g, Options{Limits: lim, Parallelism: 2})
@@ -87,9 +90,18 @@ func TestEngineConcurrentUse(t *testing.T) {
 						errs <- fmt.Errorf("worker %d RunStream: %d paths, want %d", w, total, want[qi])
 						return
 					}
-				case 2: // plan-cache hit + stats snapshot
+				case 2: // plan-cache hit, stats snapshot, path-free answer
 					shared.Plan(plan)
 					_ = shared.Stats()
+					res, err := shared.Reach(plan, opt.ReachCountPairs)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d Reach: %w", w, err)
+						return
+					}
+					if res.Count != wantPairs[qi] {
+						errs <- fmt.Errorf("worker %d Reach: %d pairs, want %d", w, res.Count, wantPairs[qi])
+						return
+					}
 				case 3: // explain (evaluates every subtree)
 					ex, err := shared.Explain(context.Background(), plan)
 					if err != nil {

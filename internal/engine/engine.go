@@ -101,9 +101,9 @@ type Stats struct {
 	// quota pushed down from the projection above them
 	// (opt.Node.Quota).
 	QuotaRecursions int64
-	// ReachKernelRuns counts Reach calls answered by the bitset
-	// reachability kernel; ReachFallbacks counts Reach calls that
-	// enumerated instead (ineligible plan or infeasible bitset index).
+	// ReachKernelRuns counts Reach calls answered by the product BFS;
+	// ReachFallbacks counts Reach calls whose plan is ineligible and
+	// enumerated instead.
 	ReachKernelRuns int64
 	ReachFallbacks  int64
 	// PlanCacheHits / PlanCacheMisses count Plan calls answered from /

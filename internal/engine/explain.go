@@ -26,9 +26,8 @@ type ExplainLine struct {
 // planner rules that shaped it, whether it came out of the plan cache,
 // and the per-operator estimated vs. actual cardinalities. Kernel reports
 // the route a path-free Reach call on this plan would take:
-// "reach-bitset" when the plan is kernel-eligible and the graph's bitset
-// index is feasible, "enumeration" otherwise. (Run always enumerates —
-// it returns paths.)
+// "product-bfs" when the plan is kernel-eligible, "enumeration"
+// otherwise. (Run always enumerates — it returns paths.)
 type Explain struct {
 	Plan     core.PathExpr
 	Applied  []string
@@ -62,7 +61,7 @@ func (e *Engine) Explain(ctx context.Context, x core.PathExpr) (*Explain, error)
 	ex := &Explain{
 		Plan:    ent.plan,
 		Applied: ent.applied,
-		Kernel:  b.reachRoute(ent.derived),
+		Kernel:  reachRoute(ent.derived),
 		Result:  out,
 	}
 	var ops []*obs.SpanJSON

@@ -2,24 +2,23 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
+	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
 	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
-	"pathalgebra/internal/reach"
 )
 
 // ReachResult is a path-free answer: a property of the plan's result set
 // that does not depend on path bodies (see opt.ReachMode). Pairs are
 // ascending by (Src, Dst); Lengths, when present, is parallel to Pairs.
 // Kernel reports which evaluation route produced the answer — true for
-// the bitset reachability kernel, false for plan enumeration followed by
-// body erasure. Both routes return identical data.
+// the product BFS (automaton.Reach), false for plan enumeration followed
+// by body erasure. Both routes return identical data.
 type ReachResult struct {
 	Mode opt.ReachMode
 	// Exists is always populated: whether the result set is non-empty.
@@ -29,10 +28,10 @@ type ReachResult struct {
 	Count int
 	// Pairs holds the distinct endpoint pairs for ReachPairs and
 	// ReachShortestLengths; nil for the scalar modes.
-	Pairs []reach.Pair
+	Pairs []automaton.Pair
 	// Lengths is the per-pair minimal path length (ReachShortestLengths).
 	Lengths []int32
-	// Kernel is true when the bitset kernel produced the answer.
+	// Kernel is true when the product BFS produced the answer.
 	Kernel bool
 	// Graph and Epoch report the pinned evaluation view (like
 	// Stream.Graph/Epoch): Pairs' node IDs were minted at this view and
@@ -47,10 +46,9 @@ type ReachResult struct {
 
 // Reach plans x like Run and answers the path-free question mode about
 // its result set. Eligible plans (opt.AnalyzeReach, read off the plan's
-// cached derivation) route to the bitset
-// reachability kernel — no path is ever materialized; everything else,
-// and any graph whose bitset index exceeds graph.MaxBitsetBytes, falls
-// back to full enumeration with the answer derived by erasing bodies.
+// cached derivation) route to the product BFS — no path is ever
+// materialized; everything else falls back to full enumeration with the
+// answer derived by erasing bodies.
 func (e *Engine) Reach(x core.PathExpr, mode opt.ReachMode) (*ReachResult, error) {
 	return e.ReachCtx(context.Background(), x, mode)
 }
@@ -66,27 +64,24 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 	defer sp.End()
 	sp.SetInt("epoch", int64(b.epoch))
 	ctx = obs.WithSpan(ctx, sp)
+	var res *ReachResult
 	if rp, ok := d.Reach(mode); ok {
-		res, err := b.reachKernel(ctx, rp, mode)
-		switch {
-		case err == nil:
-			addStat(&e.stats.ReachKernelRuns, 1)
-			sp.SetInt("kernel", 1)
-			res.Graph, res.Epoch, res.Footprint = b.g, b.epoch, d.Footprint
-			return res, nil
-		case !errors.Is(err, reach.ErrInfeasible):
+		var err error
+		if res, err = b.reachKernel(ctx, rp, mode); err != nil {
 			e.noteEvalErr(err)
 			return nil, fmt.Errorf("engine: reach %s: %w", mode, err)
 		}
-		// Bitset index infeasible: enumerate like an ineligible plan.
+		addStat(&e.stats.ReachKernelRuns, 1)
+		sp.SetInt("kernel", 1)
+	} else {
+		addStat(&e.stats.ReachFallbacks, 1)
+		set, err := b.eval(ctx, d.Root)
+		if err != nil {
+			e.noteEvalErr(err)
+			return nil, err
+		}
+		res = reachFromSet(set, mode)
 	}
-	addStat(&e.stats.ReachFallbacks, 1)
-	set, err := b.eval(ctx, d.Root)
-	if err != nil {
-		e.noteEvalErr(err)
-		return nil, err
-	}
-	res := reachFromSet(set, mode)
 	res.Graph, res.Epoch, res.Footprint = b.g, b.epoch, d.Footprint
 	return res, nil
 }
@@ -94,38 +89,32 @@ func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMo
 // reachRoute names the evaluation route a path-free Reach call would
 // take for this derived plan — explain output. ReachPairs is the
 // representative mode: every kernel-admitted mode shares its eligibility.
-// Feasibility is the graph's bitset index being within graph.MaxBitsetBytes.
-func (e *Engine) reachRoute(d *opt.Derivation) string {
+func reachRoute(d *opt.Derivation) string {
 	if _, ok := d.Reach(opt.ReachPairs); ok {
-		if _, feasible := e.g.Bitsets(); feasible {
-			return "reach-bitset"
-		}
+		return "product-bfs"
 	}
 	return "enumeration"
 }
 
-// reachKernel runs an eligible plan on the bitset kernel: seeds and
-// targets come from the endpoint conjuncts' node sets, the automaton is
-// the one derived for the plan. The engine's limits bound the BFS exactly as
-// they bound enumeration (shared MaxLen, work and answer budgets).
+// reachKernel runs an eligible plan on the product BFS: seeds and targets
+// come from the endpoint conjuncts' node sets, the automaton is the one
+// derived for the plan. The engine's limits bound the BFS exactly as they
+// bound enumeration (shared MaxLen, work and answer budgets).
 func (e *Engine) reachKernel(ctx context.Context, rp opt.ReachPlan, mode opt.ReachMode) (*ReachResult, error) {
-	q := reach.Query{
-		NFA:         rp.NFA,
-		Seeds:       e.seedNodes(ctx, rp.SeedConds),
-		Targets:     e.seedNodes(ctx, rp.TargetConds),
-		NeedLengths: mode == opt.ReachShortestLengths,
-	}
-	res, err := reach.Eval(ctx, e.g, q, e.opts.Limits)
+	pairs, lengths, err := automaton.Reach(e.g, rp.NFA, e.opts.Limits, automaton.ReachOptions{
+		Ctx:     ctx,
+		Seeds:   e.seedNodes(ctx, rp.SeedConds),
+		Targets: e.seedNodes(ctx, rp.TargetConds),
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ReachResult{Mode: mode, Kernel: true, Exists: len(res.Pairs) > 0, Count: len(res.Pairs)}
+	out := &ReachResult{Mode: mode, Kernel: true, Exists: len(pairs) > 0, Count: len(pairs)}
 	switch mode {
 	case opt.ReachPairs:
-		out.Pairs = res.Pairs
+		out.Pairs = pairs
 	case opt.ReachShortestLengths:
-		out.Pairs = res.Pairs
-		out.Lengths = res.Lengths
+		out.Pairs, out.Lengths = pairs, lengths
 	}
 	return out, nil
 }
@@ -139,15 +128,15 @@ func reachFromSet(set *pathset.Set, mode opt.ReachMode) *ReachResult {
 		out.Count = set.Len()
 		return out
 	}
-	minLen := make(map[reach.Pair]int32, set.Len())
+	minLen := make(map[automaton.Pair]int32, set.Len())
 	for _, p := range set.Paths() {
-		k := reach.Pair{Src: p.First(), Dst: p.Last()}
+		k := automaton.Pair{Src: p.First(), Dst: p.Last()}
 		l := int32(p.Len())
 		if old, ok := minLen[k]; !ok || l < old {
 			minLen[k] = l
 		}
 	}
-	pairs := make([]reach.Pair, 0, len(minLen))
+	pairs := make([]automaton.Pair, 0, len(minLen))
 	for k := range minLen {
 		pairs = append(pairs, k)
 	}

@@ -154,17 +154,17 @@ func TestReachDispatch(t *testing.T) {
 }
 
 // TestExplainReportsKernel pins the explain surface: eligible plans
-// report the bitset route, ineligible ones enumeration.
+// report the product BFS route, ineligible ones enumeration.
 func TestExplainReportsKernel(t *testing.T) {
 	e := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 3}})
 	ex, err := e.Explain(context.Background(), knowsRecurse(core.Walk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Kernel != "reach-bitset" {
-		t.Errorf("eligible plan explain kernel = %q, want reach-bitset", ex.Kernel)
+	if ex.Kernel != "product-bfs" {
+		t.Errorf("eligible plan explain kernel = %q, want product-bfs", ex.Kernel)
 	}
-	if s := ex.Format(); !strings.Contains(s, "reach kernel: reach-bitset") {
+	if s := ex.Format(); !strings.Contains(s, "reach kernel: product-bfs") {
 		t.Errorf("Format missing kernel line:\n%s", s)
 	}
 	ex, err = e.Explain(context.Background(), knowsRecurse(core.Trail))
@@ -174,34 +174,12 @@ func TestExplainReportsKernel(t *testing.T) {
 	if ex.Kernel != "enumeration" {
 		t.Errorf("ineligible plan explain kernel = %q, want enumeration", ex.Kernel)
 	}
-
-	// An infeasible bitset index flips the route even for eligible plans.
-	old := graph.MaxBitsetBytes
-	graph.MaxBitsetBytes = 8
-	defer func() { graph.MaxBitsetBytes = old }()
-	e2 := New(ldbc.Figure1(), Options{Limits: core.Limits{MaxLen: 3}})
-	ex, err = e2.Explain(context.Background(), knowsRecurse(core.Walk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Kernel != "enumeration" {
-		t.Errorf("infeasible-index explain kernel = %q, want enumeration", ex.Kernel)
-	}
-	// And Reach itself must fall back, not fail.
-	res, err := e2.Reach(knowsRecurse(core.Walk), opt.ReachPairs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Kernel {
-		t.Error("infeasible index: Reach must fall back to enumeration")
-	}
-	checkReachAgainstRun(t, e2, knowsRecurse(core.Walk), false)
 }
 
 // TestReachIngestNewLabelReseal is the label-clock seam regression: a
 // batch introducing a brand-new edge label takes the store's inline
 // reseal path. The resealed graph value must serve kernel answers that
-// see the new label — a stale bitset index reused across the reseal
+// see the new label — an automaton compiled against a stale symbol table
 // would silently return empty.
 func TestReachIngestNewLabelReseal(t *testing.T) {
 	b := graph.NewBuilder()
@@ -214,7 +192,7 @@ func TestReachIngestNewLabelReseal(t *testing.T) {
 	defer s.Close()
 	e := NewWithStore(s, Options{Limits: core.Limits{MaxLen: 4}})
 
-	// Build the pre-ingest bitset index by running a kernel query first.
+	// Answer a kernel query before the ingest.
 	checkReachAgainstRun(t, e, knowsRecurse(core.Walk), true)
 
 	// "likes" does not exist yet: the eligible plan must answer empty.
@@ -259,10 +237,9 @@ func TestReachIngestNewLabelReseal(t *testing.T) {
 	checkReachAgainstRun(t, e, knowsRecurse(core.Walk), true)
 }
 
-// randomReachPlan generates a kernel-eligible plan: a random label
-// pattern under Walk or Shortest, optionally wrapped in an endpoint
-// selection, an identity pipeline or the ANY SHORTEST truncation.
-func randomReachPlan(rng *rand.Rand) core.PathExpr {
+// randomReachRecursion generates a random label pattern under Walk or
+// Shortest.
+func randomReachRecursion(rng *rand.Rand) core.Recurse {
 	labels := []string{ldbc.LabelKnows, ldbc.LabelLikes, ldbc.LabelHasCreator}
 	var pattern func(depth int) core.PathExpr
 	pattern = func(depth int) core.PathExpr {
@@ -284,7 +261,21 @@ func randomReachPlan(rng *rand.Rand) core.PathExpr {
 	if rng.Intn(2) == 0 {
 		sem = core.Shortest
 	}
-	var plan core.PathExpr = core.Recurse{Sem: sem, In: pattern(2)}
+	return core.Recurse{Sem: sem, In: pattern(2)}
+}
+
+// anyShortest wraps plan in the ANY SHORTEST pipeline π(*,*,1)(τA(γST)).
+func anyShortest(plan core.PathExpr) core.PathExpr {
+	return core.Project{Parts: core.AllCount(), Groups: core.AllCount(), Paths: core.NCount(1),
+		In: core.OrderBy{Key: core.OrderPath,
+			In: core.GroupBy{Key: core.GroupSource | core.GroupTarget, In: plan}}}
+}
+
+// randomReachPlan generates a kernel-eligible plan: a random label
+// pattern under Walk or Shortest, optionally wrapped in an endpoint
+// selection, an identity pipeline or the ANY SHORTEST truncation.
+func randomReachPlan(rng *rand.Rand) core.PathExpr {
+	var plan core.PathExpr = randomReachRecursion(rng)
 	switch rng.Intn(4) {
 	case 0:
 		c := cond.Label(cond.First(), ldbc.LabelPerson)
@@ -297,9 +288,38 @@ func randomReachPlan(rng *rand.Rand) core.PathExpr {
 		plan = core.Project{Parts: core.AllCount(), Groups: core.AllCount(), Paths: core.AllCount(),
 			In: core.GroupBy{Key: core.GroupSource | core.GroupTarget, In: plan}}
 	case 2:
-		plan = core.Project{Parts: core.AllCount(), Groups: core.AllCount(), Paths: core.NCount(1),
-			In: core.OrderBy{Key: core.OrderPath,
-				In: core.GroupBy{Key: core.GroupSource | core.GroupTarget, In: plan}}}
+		plan = anyShortest(plan)
+	}
+	return plan
+}
+
+// randomEndpointReachPlan generates the endpoint selections
+// randomReachPlan never does: the bench's {id:N} seed first.id = N,
+// answered from the property postings, alone or beside a label, and
+// last-only conditions, which restrict targets but not sources. Ids run
+// past the graph's so some select nothing.
+func randomEndpointReachPlan(rng *rand.Rand) core.PathExpr {
+	rec := randomReachRecursion(rng)
+	id := func(t cond.Target) cond.Cond {
+		return cond.PropCmp{Target: t, Prop: "id", Op: cond.EQ, Value: graph.IntValue(int64(1 + rng.Intn(14)))}
+	}
+	last := cond.Label(cond.Last(), []string{ldbc.LabelPerson, ldbc.LabelMessage}[rng.Intn(2)])
+	var c cond.Cond
+	switch rng.Intn(5) {
+	case 0:
+		c = id(cond.First())
+	case 1:
+		c = cond.And{L: cond.Label(cond.First(), ldbc.LabelPerson), R: id(cond.First())}
+	case 2:
+		c = last
+	case 3:
+		c = id(cond.Last())
+	default:
+		c = cond.And{L: id(cond.First()), R: last}
+	}
+	var plan core.PathExpr = core.Select{Cond: c, In: rec}
+	if rng.Intn(2) == 0 {
+		plan = anyShortest(plan)
 	}
 	return plan
 }
@@ -316,6 +336,9 @@ func TestRandomizedReachDifferential(t *testing.T) {
 		trials = 60
 	}
 	rng := rand.New(rand.NewSource(20260808))
+	// The endpoint plans draw from their own stream, so the first
+	// generator's plans stay what they were before it existed.
+	endRng := rand.New(rand.NewSource(20261016))
 	lim := core.Limits{MaxLen: 3}
 
 	g := testutil.RandomGraph(rng)
@@ -361,13 +384,26 @@ func TestRandomizedReachDifferential(t *testing.T) {
 			t.Fatalf("%s: no kernel-eligible plan in %d trials", name, n)
 		}
 		t.Logf("%s: %d/%d plans kernel-eligible", name, eligible, n)
+		for trial := 0; trial < n/2; trial++ {
+			plan := randomEndpointReachPlan(endRng)
+			physical, _ := engines[0].Plan(plan)
+			if _, ok := opt.AnalyzeReach(physical, opt.ReachPairs); !ok {
+				t.Fatalf("%s: endpoint plan %s is not kernel-eligible", name, plan)
+			}
+			for _, e := range engines {
+				checkReachAgainstRun(t, e, plan, true)
+			}
+		}
+		t.Logf("%s: %d endpoint plans on the product BFS equal enumeration", name, n/2)
 	}
 
 	per := trials / 3
 	phase("sealed", per)
 
-	// Overlay phase: new persons, new knows edges, a brand-new label and
-	// deletes of freshly-added edges — all key-known operations.
+	// Overlay phase: new persons, new knows edges, a brand-new label,
+	// deletes of freshly-added edges and of person p1 (id 1) with its
+	// edges — all key-known operations. p1 stays in the ID space as a
+	// tombstone that no seed or target may name.
 	ops := []graph.Op{
 		{Kind: graph.OpAddNode, Key: "xp0", Label: ldbc.LabelPerson},
 		{Kind: graph.OpAddNode, Key: "xp1", Label: ldbc.LabelPerson},
@@ -380,6 +416,7 @@ func TestRandomizedReachDifferential(t *testing.T) {
 	}
 	if _, err := s.Apply(graph.Batch{Ops: []graph.Op{
 		{Kind: graph.OpDelEdge, Key: "xe2"},
+		{Kind: graph.OpDelNode, Key: "p1"},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -389,4 +426,35 @@ func TestRandomizedReachDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	phase("compacted", per)
+}
+
+var reachSink *ReachResult
+
+// BenchmarkReach: the /reach of (?x:Person {id:N})-[:Knows+]->(?y) with
+// the plan cached and the postings warm. The product BFS costs what the
+// seed reaches, not |V|: its visited bitset is pooled and its pair slices
+// are sized once per seed, so scripts/check_allocs.sh requires equal
+// allocs/op at both sizes although the answers differ (the pairs metric).
+func BenchmarkReach(b *testing.B) {
+	for _, persons := range []int{10000, 100000} {
+		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
+			g := ldbc.MustGenerate(ldbc.Config{Persons: persons, Messages: 2 * persons, KnowsPerPerson: 3, LikesPerPerson: 2, CycleFraction: 0.3, Seed: 1})
+			plan, err := compileQuery("MATCH WALK p = (?x:Person {id:4242})-[:Knows+]->(?y)")
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := New(g, Options{Limits: core.Limits{MaxLen: 3}})
+			res, err := e.Reach(plan, opt.ReachPairs)
+			if err != nil || !res.Kernel {
+				b.Fatalf("Reach: kernel=%v, err %v", res != nil && res.Kernel, err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				reachSink, _ = e.Reach(plan, opt.ReachPairs)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(res.Count), "pairs")
+		})
+	}
 }

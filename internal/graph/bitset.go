@@ -1,28 +1,18 @@
 package graph
 
-// Bitset successor index: the boolean-adjacency view of the CSR that the
-// reachability kernel (internal/reach) consumes. For every edge-label
-// symbol s the index holds an n×n boolean matrix in row-major bitset
-// form — row v is the set of successors reachable from v over one live
-// s-labelled edge — plus one "any" matrix, the union over all symbols.
-// This is the matrix form of the RPQ product construction: one BFS step
-// over symbol s is a word-parallel OR of the rows selected by the
-// frontier, never a per-edge pointer chase.
+// Bitset successor index: the boolean-adjacency view of the CSR. For
+// every edge-label symbol s the index holds an n×n boolean matrix in
+// row-major bitset form — row v is the set of successors reachable from v
+// over one live s-labelled edge — plus one "any" matrix, the union over
+// all symbols. No evaluator reads it: reachability runs the product BFS
+// over the CSR (automaton.Reach). The benchmark's set-up still builds it
+// and reports its build time and size (bench/run.go).
 //
 // The index is derived state, built lazily from the live adjacency on
 // first use and cached per *Graph* value. That makes staleness
 // impossible by construction: Store.Apply and compaction always publish
 // a *fresh* Graph value (a new delta view, or a resealed CSR), so a
-// cached index can never outlive the adjacency it was built from. A
-// delta view whose base already built its index patches only the rows
-// the overlay touched instead of rebuilding all of them.
-
-// MaxBitsetBytes caps the memory the bitset index may occupy for one
-// graph: (symbols+1) · nodes · ceil(nodes/64) · 8 bytes. Graphs past the
-// cap report the index as infeasible and evaluation falls back to the
-// enumerating kernel. It is a package-level tuning knob read at each
-// graph's first Bitsets call; tests shrink it to force the fallback.
-var MaxBitsetBytes int64 = 1 << 28
+// cached index can never outlive the adjacency it was built from.
 
 // BitsetIndex is the per-symbol successor bitset index of one Graph.
 // Immutable once built; safe for concurrent readers.
@@ -36,128 +26,47 @@ type BitsetIndex struct {
 	anyOut []uint64
 }
 
-// NumNodes returns the node ID space the index covers.
-func (ix *BitsetIndex) NumNodes() int { return ix.n }
-
-// Words returns the number of uint64 words per successor row.
-func (ix *BitsetIndex) Words() int { return ix.words }
-
 // Bytes returns the total size of the index's bitset storage.
 func (ix *BitsetIndex) Bytes() int64 {
 	return int64(len(ix.out)+1) * int64(ix.n) * int64(ix.words) * 8
 }
 
-// OutRow returns node v's successor row over symbol sym: bit d is set
-// iff a live sym-labelled edge v→d exists. The slice aliases shared
-// storage; do not modify.
-//
-//pathalgebra:hotpath
-func (ix *BitsetIndex) OutRow(sym SymbolID, v NodeID) []uint64 {
-	off := int(v) * ix.words
-	return ix.out[sym][off : off+ix.words]
-}
-
-// AnyRow returns node v's successor row over any symbol.
-//
-//pathalgebra:hotpath
-func (ix *BitsetIndex) AnyRow(v NodeID) []uint64 {
-	off := int(v) * ix.words
-	return ix.anyOut[off : off+ix.words]
-}
-
-// bitsetCell is the cached outcome of one graph's index build. idx is
-// nil when the graph exceeded MaxBitsetBytes — the negative outcome is
-// cached too, so oversized graphs pay the feasibility check only once.
-type bitsetCell struct {
-	idx *BitsetIndex
-}
-
 // Bitsets returns the graph's bitset successor index, building and
-// caching it on first call. ok is false when the index would exceed
-// MaxBitsetBytes; callers must then use the enumerating evaluator.
-// Safe for concurrent use; a racing double build is resolved by
-// publishing exactly one winner.
-func (g *Graph) Bitsets() (*BitsetIndex, bool) {
-	if c := g.bitsets.Load(); c != nil {
-		return c.idx, c.idx != nil
+// caching it on first call; ok is always true. Safe for concurrent use; a
+// racing double build is resolved by publishing exactly one winner.
+func (g *Graph) Bitsets() (ix *BitsetIndex, ok bool) {
+	if g.bitsets.Load() == nil {
+		g.bitsets.CompareAndSwap(nil, g.buildBitsets())
 	}
-	c := &bitsetCell{idx: g.buildBitsets()}
-	if !g.bitsets.CompareAndSwap(nil, c) {
-		c = g.bitsets.Load()
-	}
-	return c.idx, c.idx != nil
+	return g.bitsets.Load(), true
 }
 
-// buildBitsets constructs the index, preferring the overlay patch path
-// when this graph is a delta view over a base that already built its
-// own index with the same row stride. Returns nil when infeasible.
+// buildBitsets constructs the index in one pass over the live adjacency.
+// Overlay run accessors materialize exactly the live edges of patched
+// nodes and fall through to the base CSR elsewhere, so no per-edge alive
+// checks are needed, and tombstoned nodes contribute empty rows.
 func (g *Graph) buildBitsets() *BitsetIndex {
 	n := g.NumNodes()
-	syms := g.NumSymbols()
 	words := (n + 63) / 64
-	if int64(syms+1)*int64(n)*int64(words)*8 > MaxBitsetBytes {
-		return nil
-	}
 	ix := &BitsetIndex{
 		n:      n,
 		words:  words,
-		out:    make([][]uint64, syms),
+		out:    make([][]uint64, g.NumSymbols()),
 		anyOut: make([]uint64, n*words),
 	}
 	for s := range ix.out {
 		ix.out[s] = make([]uint64, n*words)
 	}
-	if g.ov != nil {
-		if c := g.ov.base.bitsets.Load(); c != nil && c.idx != nil && c.idx.words == words {
-			g.patchBitsets(ix, c.idx)
-			return ix
-		}
-	}
-	// Full build: one pass over the live adjacency. Overlay run
-	// accessors materialize exactly the live edges of patched nodes and
-	// fall through to the base CSR elsewhere, so no per-edge alive
-	// checks are needed, and tombstoned nodes contribute empty rows.
 	for v := 0; v < n; v++ {
-		g.setBitsetRow(ix, NodeID(v))
+		off := v * words
+		for _, run := range g.OutRuns(NodeID(v)) {
+			slab := ix.out[run.Sym]
+			for _, e := range run.Edges {
+				_, dst := g.Endpoints(e)
+				slab[off+int(dst>>6)] |= 1 << (dst & 63)
+				ix.anyOut[off+int(dst>>6)] |= 1 << (dst & 63)
+			}
+		}
 	}
 	return ix
-}
-
-// patchBitsets copies the base index's rows and rebuilds only the rows
-// of nodes whose out-adjacency the overlay patched. ov.outPatch covers
-// every appended, tombstoned or edge-set-changed node, so untouched
-// rows are bit-identical to the base and copying them is sound. Rows of
-// appended nodes past the base ID space start zeroed and are set here.
-func (g *Graph) patchBitsets(ix *BitsetIndex, base *BitsetIndex) {
-	for s := range ix.out {
-		copy(ix.out[s], base.out[s])
-	}
-	copy(ix.anyOut, base.anyOut)
-	for v := range g.ov.outPatch {
-		off := int(v) * ix.words
-		for s := range ix.out {
-			clearRow(ix.out[s][off : off+ix.words])
-		}
-		clearRow(ix.anyOut[off : off+ix.words])
-		g.setBitsetRow(ix, v)
-	}
-}
-
-// setBitsetRow sets node v's successor bits from its live symbol runs.
-func (g *Graph) setBitsetRow(ix *BitsetIndex, v NodeID) {
-	for _, run := range g.OutRuns(v) {
-		slab := ix.out[run.Sym]
-		off := int(v) * ix.words
-		for _, e := range run.Edges {
-			_, dst := g.Endpoints(e)
-			slab[off+int(dst>>6)] |= 1 << (dst & 63)
-			ix.anyOut[off+int(dst>>6)] |= 1 << (dst & 63)
-		}
-	}
-}
-
-func clearRow(row []uint64) {
-	for i := range row {
-		row[i] = 0
-	}
 }

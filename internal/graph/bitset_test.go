@@ -26,15 +26,20 @@ func bitsetFixture(t *testing.T) *Graph {
 	return g
 }
 
+// row returns node v's row of the flat n×words matrix m.
+func (ix *BitsetIndex) row(m []uint64, v NodeID) []uint64 {
+	return m[int(v)*ix.words : (int(v)+1)*ix.words]
+}
+
 // checkBitsetsAgainstAdjacency verifies every row of the index against a
 // brute-force scan of the view's live symbol runs.
 func checkBitsetsAgainstAdjacency(t *testing.T, g *Graph, ix *BitsetIndex) {
 	t.Helper()
 	n := g.NumNodes()
-	if ix.NumNodes() != n {
-		t.Fatalf("index covers %d nodes, graph has %d", ix.NumNodes(), n)
+	if ix.n != n {
+		t.Fatalf("index covers %d nodes, graph has %d", ix.n, n)
 	}
-	words := ix.Words()
+	words := ix.words
 	for v := 0; v < n; v++ {
 		wantAny := make([]uint64, words)
 		for sym := 0; sym < g.NumSymbols(); sym++ {
@@ -49,14 +54,14 @@ func checkBitsetsAgainstAdjacency(t *testing.T, g *Graph, ix *BitsetIndex) {
 					wantAny[dst>>6] |= 1 << (dst & 63)
 				}
 			}
-			got := ix.OutRow(SymbolID(sym), NodeID(v))
+			got := ix.row(ix.out[sym], NodeID(v))
 			for w := 0; w < words; w++ {
 				if got[w] != want[w] {
 					t.Fatalf("node %d sym %d word %d: got %064b want %064b", v, sym, w, got[w], want[w])
 				}
 			}
 		}
-		gotAny := ix.AnyRow(NodeID(v))
+		gotAny := ix.row(ix.anyOut, NodeID(v))
 		for w := 0; w < words; w++ {
 			if gotAny[w] != wantAny[w] {
 				t.Fatalf("node %d any-row word %d: got %064b want %064b", v, w, gotAny[w], wantAny[w])
@@ -67,92 +72,51 @@ func checkBitsetsAgainstAdjacency(t *testing.T, g *Graph, ix *BitsetIndex) {
 
 func TestBitsetsSealedBuild(t *testing.T) {
 	g := bitsetFixture(t)
-	ix, ok := g.Bitsets()
-	if !ok {
-		t.Fatal("Bitsets reported infeasible for a 4-node graph")
-	}
+	ix, _ := g.Bitsets()
 	checkBitsetsAgainstAdjacency(t, g, ix)
 	// The cache must return the same index on a second call.
-	ix2, ok := g.Bitsets()
-	if !ok || ix2 != ix {
+	if ix2, _ := g.Bitsets(); ix2 != ix {
 		t.Fatalf("second Bitsets call returned a different index (%p vs %p)", ix2, ix)
 	}
 }
 
-// TestBitsetsOverlayPatch exercises the patch path (base index built
-// before the delta) and checks it is bit-identical to a from-scratch
-// build over the same delta view.
+// TestBitsetsOverlayPatch builds the index of a delta view whose base
+// built its own index first: the view's index is its own, built from the
+// overlay's patched adjacency, with tombstoned nodes' rows empty and no
+// row pointing at them.
 func TestBitsetsOverlayPatch(t *testing.T) {
-	mkStore := func() *Store {
-		return NewStore(bitsetFixture(t), StoreOptions{CompactThreshold: -1})
-	}
-	batch := Batch{Ops: []Op{
+	s := NewStore(bitsetFixture(t), StoreOptions{CompactThreshold: -1})
+	defer s.Close()
+	ixBase, _ := s.Graph().Bitsets()
+	if _, err := s.Apply(Batch{Ops: []Op{
 		{Kind: OpAddNode, Key: "n4", Label: "N"},
 		{Kind: OpAddEdge, Key: "e6", Src: "n3", Dst: "n4", Label: "a"},
 		{Kind: OpAddEdge, Key: "e7", Src: "n4", Dst: "n0", Label: "b"},
 		{Kind: OpDelEdge, Key: "e1"},
 		{Kind: OpDelNode, Key: "n1"}, // cascades e0 and e2
-	}}
-
-	// Patched: the base builds its index before the delta applies.
-	sPatched := mkStore()
-	defer sPatched.Close()
-	if _, ok := sPatched.Graph().Bitsets(); !ok {
-		t.Fatal("base Bitsets infeasible")
-	}
-	if _, err := sPatched.Apply(batch); err != nil {
+	}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	gPatched := sPatched.Graph()
-	if gPatched.ov == nil {
+	g := s.Graph()
+	if g.ov == nil {
 		t.Fatal("expected a delta view after Apply")
 	}
-	ixPatched, ok := gPatched.Bitsets()
-	if !ok {
-		t.Fatal("patched Bitsets infeasible")
+	ix, _ := g.Bitsets()
+	if ix == ixBase {
+		t.Fatal("delta view inherited its base's index")
 	}
-	checkBitsetsAgainstAdjacency(t, gPatched, ixPatched)
+	checkBitsetsAgainstAdjacency(t, g, ix)
 
-	// Fresh: same delta, but the base never built an index, so the view
-	// takes the full-build path. Both must agree word for word.
-	sFresh := mkStore()
-	defer sFresh.Close()
-	if _, err := sFresh.Apply(batch); err != nil {
-		t.Fatalf("Apply: %v", err)
-	}
-	gFresh := sFresh.Graph()
-	ixFresh, ok := gFresh.Bitsets()
-	if !ok {
-		t.Fatal("fresh Bitsets infeasible")
-	}
-	checkBitsetsAgainstAdjacency(t, gFresh, ixFresh)
-	if ixFresh.NumNodes() != ixPatched.NumNodes() || ixFresh.Words() != ixPatched.Words() {
-		t.Fatalf("shape mismatch: fresh %dx%d vs patched %dx%d",
-			ixFresh.NumNodes(), ixFresh.Words(), ixPatched.NumNodes(), ixPatched.Words())
-	}
-	for v := 0; v < ixFresh.NumNodes(); v++ {
-		for sym := 0; sym < gFresh.NumSymbols(); sym++ {
-			fr, pr := ixFresh.OutRow(SymbolID(sym), NodeID(v)), ixPatched.OutRow(SymbolID(sym), NodeID(v))
-			for w := range fr {
-				if fr[w] != pr[w] {
-					t.Fatalf("patch/full divergence: node %d sym %d word %d: %064b vs %064b", v, sym, w, pr[w], fr[w])
-				}
-			}
-		}
-	}
-
-	// Tombstoned node: its row must be all-zero and no row may point at it.
 	deadID := NodeID(1) // n1
-	for sym := 0; sym < gPatched.NumSymbols(); sym++ {
-		row := ixPatched.OutRow(SymbolID(sym), deadID)
-		for w, word := range row {
+	for sym := 0; sym < g.NumSymbols(); sym++ {
+		for w, word := range ix.row(ix.out[sym], deadID) {
 			if word != 0 {
 				t.Fatalf("dead node %d has out bits (sym %d word %d)", deadID, sym, w)
 			}
 		}
 	}
-	for v := 0; v < ixPatched.NumNodes(); v++ {
-		if ixPatched.AnyRow(NodeID(v))[deadID>>6]&(1<<(deadID&63)) != 0 {
+	for v := 0; v < ix.n; v++ {
+		if ix.row(ix.anyOut, NodeID(v))[deadID>>6]&(1<<(deadID&63)) != 0 {
 			t.Fatalf("node %d still reaches tombstoned node %d", v, deadID)
 		}
 	}
@@ -167,10 +131,7 @@ func TestBitsetsCompactionFreshIndex(t *testing.T) {
 	if _, err := s.Apply(Batch{Ops: []Op{{Kind: OpDelEdge, Key: "e4"}}}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	ixDelta, ok := s.Graph().Bitsets()
-	if !ok {
-		t.Fatal("delta Bitsets infeasible")
-	}
+	ixDelta, _ := s.Graph().Bitsets()
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
@@ -178,28 +139,9 @@ func TestBitsetsCompactionFreshIndex(t *testing.T) {
 	if gSealed.ov != nil {
 		t.Fatal("expected a sealed graph after Compact")
 	}
-	ixSealed, ok := gSealed.Bitsets()
-	if !ok {
-		t.Fatal("sealed Bitsets infeasible")
-	}
+	ixSealed, _ := gSealed.Bitsets()
 	if ixSealed == ixDelta {
 		t.Fatal("compacted graph inherited the delta view's index")
 	}
 	checkBitsetsAgainstAdjacency(t, gSealed, ixSealed)
-}
-
-func TestBitsetsMemoryCap(t *testing.T) {
-	old := MaxBitsetBytes
-	MaxBitsetBytes = 8 // far below any real index
-	defer func() { MaxBitsetBytes = old }()
-	g := bitsetFixture(t)
-	if ix, ok := g.Bitsets(); ok || ix != nil {
-		t.Fatalf("Bitsets under a %d-byte cap: got (%v, %v), want (nil, false)", MaxBitsetBytes, ix, ok)
-	}
-	// The negative outcome is cached: raising the cap afterwards must not
-	// resurrect the index for this graph value (per-value cache).
-	MaxBitsetBytes = old
-	if _, ok := g.Bitsets(); ok {
-		t.Fatal("infeasible outcome was not cached per graph value")
-	}
 }

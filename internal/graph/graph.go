@@ -96,8 +96,8 @@ type Graph struct {
 	// bitsets lazily caches this graph value's bitset successor index
 	// (bitset.go). Every Apply/compaction publishes a fresh *Graph, so
 	// the cache's lifetime equals the adjacency's — it can never serve
-	// stale rows (see the bitset.go package comment).
-	bitsets atomic.Pointer[bitsetCell]
+	// stale rows.
+	bitsets atomic.Pointer[BitsetIndex]
 
 	// props lazily caches this graph value's node-property equality
 	// postings, one index per key (propindex.go); sealed graphs only —

@@ -41,7 +41,7 @@ var BudgetCharge = &Analyzer{
 }
 
 // budgetScopeRe selects the packages whose loops the analyzer audits.
-var budgetScopeRe = regexp.MustCompile(`(^|/)(automaton|core|engine|reach)$`)
+var budgetScopeRe = regexp.MustCompile(`(^|/)(automaton|core|engine)$`)
 
 // Adjacency primitives of graph.Graph — iterating them is the signature
 // of an extension loop.

@@ -9,10 +9,10 @@ import (
 
 // ReachMode names the path-free answer a caller wants from a plan: a
 // property of the result's endpoint pairs rather than of its path bodies.
-// The bitset reachability kernel (internal/reach) computes endpoint pairs
-// and minimal accepted-walk lengths without materializing any path, so a
-// plan may route to it exactly when the requested answer is invariant
-// under erasing path bodies — AnalyzeReach decides that.
+// The product BFS (automaton.Reach) computes endpoint pairs and minimal
+// accepted-walk lengths without materializing any path, so a plan may
+// route to it exactly when the requested answer is invariant under
+// erasing path bodies — AnalyzeReach decides that.
 type ReachMode uint8
 
 const (
@@ -52,10 +52,11 @@ func (m ReachMode) String() string {
 	}
 }
 
-// ReachPlan is the kernel-shaped residue of an eligible plan: the kernel
-// evaluates (Pattern)+ from the nodes satisfying SeedConds towards the
-// nodes satisfying TargetConds and reports endpoint pairs (with minimal
-// lengths). Nil cond slices mean unrestricted.
+// ReachPlan is the kernel-shaped residue of an eligible plan: the kernel,
+// the product BFS of automaton.Reach, evaluates (Pattern)+ from the nodes
+// satisfying SeedConds towards the nodes satisfying TargetConds and
+// reports endpoint pairs (with minimal lengths). Nil cond slices mean
+// unrestricted.
 type ReachPlan struct {
 	// Pattern is the recursion base as a regular path expression; the
 	// kernel's automaton is built over (Pattern)+.
@@ -74,7 +75,7 @@ type ReachPlan struct {
 }
 
 // AnalyzeReach decides whether a physical plan may be answered by the
-// reachability kernel for the given mode, and extracts the kernel plan if
+// product BFS for the given mode, and extracts the kernel plan if
 // so (Derivation.Reach). The analysis is deliberately conservative — it
 // recognizes exactly the shapes whose mode-answer is provably invariant
 // under erasing path bodies, and rejects everything else (the engine then

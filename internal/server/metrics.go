@@ -134,8 +134,8 @@ func (s *Server) registerCollectors() {
 		{"pathalgebra_engine_seed_scans_total", "Seed sets computed by scanning every node (no equality conjunct had postings).", func(st engine.Stats) int64 { return st.SeedScans }},
 		{"pathalgebra_engine_backward_recursions_total", "Recursions evaluated backward.", func(st engine.Stats) int64 { return st.BackwardRecursions }},
 		{"pathalgebra_engine_quota_recursions_total", "Recursions searched under a pushed-down selector quota.", func(st engine.Stats) int64 { return st.QuotaRecursions }},
-		{"pathalgebra_engine_reach_kernel_runs_total", "Path-free answers via the bitset kernel.", func(st engine.Stats) int64 { return st.ReachKernelRuns }},
-		{"pathalgebra_engine_reach_fallbacks_total", "Path-free answers via enumeration fallback.", func(st engine.Stats) int64 { return st.ReachFallbacks }},
+		{"pathalgebra_engine_reach_kernel_runs_total", "Path-free answers via the product BFS.", func(st engine.Stats) int64 { return st.ReachKernelRuns }},
+		{"pathalgebra_engine_reach_fallbacks_total", "Path-free answers via enumeration of an ineligible plan.", func(st engine.Stats) int64 { return st.ReachFallbacks }},
 		{"pathalgebra_engine_plan_cache_hits_total", "Plan cache hits.", func(st engine.Stats) int64 { return st.PlanCacheHits }},
 		{"pathalgebra_engine_plan_cache_misses_total", "Plan cache misses.", func(st engine.Stats) int64 { return st.PlanCacheMisses }},
 		{"pathalgebra_engine_budget_exhaustions_total", "Evaluations aborted by budget exhaustion.", func(st engine.Stats) int64 { return st.BudgetExhaustions }},

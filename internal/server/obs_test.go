@@ -374,4 +374,30 @@ func TestReachTrace(t *testing.T) {
 	if third.Trace != nil {
 		t.Error("untraced reach response carries a trace")
 	}
+
+	// An eligible plan runs the product BFS: one "bfs" span under "eval",
+	// whose pairs are the response's count.
+	walk := decodeBody[reachResponse](t, postJSON(t, ts.URL+"/reach?trace=1",
+		reachRequest{Query: `MATCH WALK p = (?x:Person)-[:Knows+]->(?y)`, Mode: "pairs"}))
+	if !walk.Kernel || walk.Count == 0 {
+		t.Fatalf("eligible reach: kernel=%v count=%d, want the product BFS and some pairs", walk.Kernel, walk.Count)
+	}
+	var bfs *obs.SpanJSON
+	for _, c := range walk.Trace[0].Children {
+		if c.Name != "eval" {
+			continue
+		}
+		for _, cc := range c.Children {
+			if cc.Name == "bfs" {
+				bfs = cc
+			}
+		}
+	}
+	if bfs == nil {
+		t.Fatalf("eligible reach trace has no eval > bfs span (have %v)", spanNames(walk.Trace))
+	}
+	if bfs.Attrs["pairs"] != int64(walk.Count) || bfs.Attrs["sources"] == 0 || bfs.Attrs["states"] < bfs.Attrs["sources"] {
+		t.Errorf("bfs span attrs = %v, want pairs = %d, sources > 0 and states >= sources", bfs.Attrs, walk.Count)
+	}
+	checkSpanBounds(t, walk.Trace[0])
 }

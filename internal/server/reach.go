@@ -13,9 +13,9 @@ import (
 
 // POST /reach answers a path-free question about a query's result set —
 // endpoint pairs, pair/path counts, existence, shortest lengths —
-// without streaming any path. Eligible plans run on the bitset
-// reachability kernel (zero path materialization); everything else
-// enumerates and erases. The response reports which route ran.
+// without streaming any path. Eligible plans run on the product BFS
+// (automaton.Reach: no index, no path materialized); everything else
+// enumerates and erases. "kernel" reports which route ran.
 //
 //	POST /reach {"query": "...", "mode": "pairs"} →
 //	  {"mode":"pairs","kernel":true,"exists":true,"count":2,
@@ -73,8 +73,8 @@ func parseReachMode(s string) (opt.ReachMode, error) {
 }
 
 // reachKey is the reach-cache key. The "reach:<mode>:" prefix keeps the
-// keyspace disjoint from resultKey's even in principle — kernel answers
-// and enumerated path sets must never alias (the caches are separate
+// keyspace disjoint from resultKey's even in principle — path-free
+// answers and enumerated path sets must never alias (the caches are separate
 // structures on top of this).
 func reachKey(mode opt.ReachMode, plan core.PathExpr, lim core.Limits) string {
 	return fmt.Sprintf("reach:%s:%s", mode, resultKey(plan, lim))
