@@ -429,15 +429,15 @@ func BenchmarkDirection(b *testing.B) {
 	b.Run("forward", func(b *testing.B) {
 		// The compiled plan evaluated as-is: forward expansion over every
 		// source, filter afterwards.
-		run(b, plan, engine.Options{Limits: lim, Parallelism: 1})
+		run(b, plan, engine.Options{Limits: lim})
 	})
 	b.Run("backward-planned", func(b *testing.B) {
-		eng := engine.New(g, engine.Options{Limits: lim, Parallelism: 1})
+		eng := engine.New(g, engine.Options{Limits: lim})
 		planned, _ := eng.Plan(plan)
 		if !gotBackward(planned) {
 			b.Fatalf("planner did not choose backward: %s", planned)
 		}
-		run(b, planned, engine.Options{Limits: lim, Parallelism: 1})
+		run(b, planned, engine.Options{Limits: lim})
 	})
 }
 
@@ -547,10 +547,6 @@ func BenchmarkStreamDelivery(b *testing.B) {
 //     scripts/check_allocs.sh;
 //   - with-delta: the same content with the delta still in the COW
 //     overlay (ov != nil) — documents the overlay read penalty.
-//
-// Each case evaluates on a single-worker engine: sharded searches
-// allocate per worker, and work stealing makes that vary by a dozen
-// allocations from run to run, which the exact parity gate cannot absorb.
 func BenchmarkSnapshotOverlayRead(b *testing.B) {
 	base := benchGraph()
 	batch := ldbc.MustUpdateStream(ldbc.UpdateConfig{
@@ -592,7 +588,7 @@ func BenchmarkSnapshotOverlayRead(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				eng := engine.New(tc.g, engine.Options{Limits: lim, Parallelism: 1})
+				eng := engine.New(tc.g, engine.Options{Limits: lim})
 				if _, err := eng.EvalPaths(plan); err != nil {
 					b.Fatal(err)
 				}

@@ -72,8 +72,6 @@ flags (per command):
   -maxlen   bound recursive path length (0 = unbounded)
   -maxpaths bound result size (0 = default safety net)
   -maxwork  bound materialized node slots (0 = default safety net)
-  -parallel evaluation worker goroutines (0 = GOMAXPROCS; results are
-            identical for every worker count)
   -timeout  abort evaluation after this duration, e.g. 500ms or 10s
             (run only; 0 = no deadline). Ctrl-C likewise aborts the
             running query and prints partial stats.
@@ -97,7 +95,6 @@ type queryFlags struct {
 	maxLen    *int
 	maxPaths  *int
 	maxWork   *int
-	parallel  *int
 	timeout   *time.Duration
 	noOpt     *bool
 	noPlanner *bool
@@ -119,7 +116,6 @@ func newQueryFlags(name string) *queryFlags {
 		maxLen:    fs.Int("maxlen", 0, "bound recursive path length"),
 		maxPaths:  fs.Int("maxpaths", 0, "bound result size"),
 		maxWork:   fs.Int("maxwork", 0, "bound materialized node slots"),
-		parallel:  fs.Int("parallel", 0, "evaluation worker goroutines (0 = GOMAXPROCS)"),
 		timeout:   fs.Duration("timeout", 0, "abort evaluation after this duration (0 = none)"),
 		noOpt:     fs.Bool("no-opt", false, "skip the optimizer"),
 		noPlanner: fs.Bool("no-planner", false, "use the heuristic optimizer without graph statistics"),
@@ -269,12 +265,11 @@ func cmdRun(args []string) error {
 	}
 	eng := pathalgebra.NewEngine(g, pathalgebra.EngineOptions{
 		Limits:         pathalgebra.Limits{MaxLen: *qf.maxLen, MaxPaths: *qf.maxPaths, MaxWork: *qf.maxWork},
-		Parallelism:    *qf.parallel,
 		DisablePlanner: *qf.noPlanner,
 	})
 	// Ctrl-C (and -timeout) cancel the evaluation context instead of
-	// killing the process: all evaluation workers stop at their next
-	// budget charge and partial stats are reported below. A second
+	// killing the process: the evaluation stops at its next budget charge
+	// and partial stats are reported below. A second
 	// Ctrl-C after `stop` restores the default kill behavior.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -322,10 +317,9 @@ func cmdRun(args []string) error {
 	}
 	if *qf.stats {
 		s := eng.Stats()
-		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d seedScans=%d backward=%d quota=%d planCacheHits=%d fpCollisions=%d parallel=%d symbols=%d\n",
+		fmt.Printf("stats: paths=%d joinProbes=%d indexedScans=%d recursions=%d seeded=%d seedScans=%d backward=%d quota=%d planCacheHits=%d fpCollisions=%d symbols=%d\n",
 			s.PathsProduced, s.JoinProbes, s.IndexedScans, s.Recursions, s.SeededRecursions, s.SeedScans,
-			s.BackwardRecursions, s.QuotaRecursions, s.PlanCacheHits, s.FingerprintCollisions,
-			eng.Parallelism(), g.NumSymbols())
+			s.BackwardRecursions, s.QuotaRecursions, s.PlanCacheHits, s.FingerprintCollisions, g.NumSymbols())
 	}
 	return nil
 }

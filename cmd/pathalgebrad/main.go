@@ -73,7 +73,6 @@ func run(args []string, ready chan<- net.Addr) error {
 		figure1    = fs.Bool("figure1", false, "serve the paper's Figure 1 graph")
 		snbPersons = fs.Int("snb-persons", 0, "serve a synthetic SNB graph with this many persons")
 
-		parallel = fs.Int("parallel", 0, "evaluation worker goroutines per query (0 = GOMAXPROCS)")
 		maxLen   = fs.Int("maxlen", 0, "default per-query recursive path length bound")
 		maxPaths = fs.Int("maxpaths", 0, "default per-query result-size bound (0 = engine safety net)")
 		maxWork  = fs.Int("maxwork", 0, "default per-query materialization bound (0 = engine safety net)")
@@ -130,8 +129,7 @@ func run(args []string, ready chan<- net.Addr) error {
 		Graph: g,
 		Store: store,
 		Engine: pathalgebra.EngineOptions{
-			Limits:      pathalgebra.Limits{MaxLen: *maxLen, MaxPaths: *maxPaths, MaxWork: *maxWork},
-			Parallelism: *parallel,
+			Limits: pathalgebra.Limits{MaxLen: *maxLen, MaxPaths: *maxPaths, MaxWork: *maxWork},
 		},
 		MaxInFlight:  *inflight,
 		MaxCursors:   *maxCursors,

@@ -36,8 +36,7 @@ func randExpr(rng *rand.Rand, depth int) rpq.Expr {
 
 // TestBackwardEqualsForward cross-checks the backward product search
 // (reversed automaton over in-adjacency, results materialized reversed)
-// against the forward search on random graphs, patterns and semantics,
-// at several worker counts.
+// against the forward search on random graphs, patterns and semantics.
 func TestBackwardEqualsForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lim := core.Limits{MaxLen: 4}
@@ -59,17 +58,12 @@ func TestBackwardEqualsForward(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s forward: %v", name, err)
 			}
-			for _, workers := range []int{1, 4} {
-				got, err := EvalWithOptions(g, bwd, sem, lim, EvalOptions{
-					Workers: workers, Dir: core.Backward,
-				})
-				if err != nil {
-					t.Fatalf("%s backward/%d: %v", name, workers, err)
-				}
-				if !got.Equal(want) {
-					t.Errorf("%s backward/%d: %d paths, forward %d",
-						name, workers, got.Len(), want.Len())
-				}
+			got, err := EvalWithOptions(g, bwd, sem, lim, EvalOptions{Dir: core.Backward})
+			if err != nil {
+				t.Fatalf("%s backward: %v", name, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s backward: %d paths, forward %d", name, got.Len(), want.Len())
 			}
 		}
 	}
@@ -109,7 +103,7 @@ func TestSeededSubset(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s full: %v", name, err)
 			}
-			got, err := EvalWithOptions(g, fwd, sem, lim, EvalOptions{Workers: 2, Seeds: seeds})
+			got, err := EvalWithOptions(g, fwd, sem, lim, EvalOptions{Seeds: seeds})
 			if err != nil {
 				t.Fatalf("%s seeded: %v", name, err)
 			}
@@ -118,9 +112,7 @@ func TestSeededSubset(t *testing.T) {
 				t.Errorf("%s: seeded forward differs from filtered full result (got %d, want %d)",
 					name, got.Len(), want.Len())
 			}
-			gotB, err := EvalWithOptions(g, bwd, sem, lim, EvalOptions{
-				Workers: 2, Dir: core.Backward, Seeds: seeds,
-			})
+			gotB, err := EvalWithOptions(g, bwd, sem, lim, EvalOptions{Dir: core.Backward, Seeds: seeds})
 			if err != nil {
 				t.Fatalf("%s seeded backward: %v", name, err)
 			}

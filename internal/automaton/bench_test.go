@@ -78,7 +78,7 @@ func BenchmarkSelectorPushdown(b *testing.B) {
 		CycleFraction: 0.3, Seed: 1,
 	})
 	nfa := automaton.Build(rpq.MustParse(":Knows+"))
-	opts := automaton.EvalOptions{Workers: 1, Quota: core.Quota{K: 2}}
+	opts := automaton.EvalOptions{Quota: core.Quota{K: 2}}
 	b.ReportAllocs()
 	paths := 0
 	for i := 0; i < b.N; i++ {

@@ -11,6 +11,7 @@ import (
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/rpq"
+	"pathalgebra/internal/testutil"
 )
 
 // cancelGraph is dense and cyclic enough that an unbounded-ish Walk
@@ -24,44 +25,38 @@ func cancelGraph(t testing.TB) *graph.Graph {
 	})
 }
 
-// TestEvalCancellation: cancelling the context mid-evaluation aborts all
-// worker goroutines promptly — EvalWithOptions returns within 100ms of
-// the cancellation — and the error is errors.Is context.Canceled, not
-// the budget sentinel.
+// TestEvalCancellation: cancelling the context mid-evaluation aborts the
+// search promptly — EvalWithOptions returns within 100ms of the
+// cancellation — and the error is errors.Is context.Canceled, not the
+// budget sentinel.
 func TestEvalCancellation(t *testing.T) {
 	g := cancelGraph(t)
 	nfa := automaton.Build(rpq.MustParse("(:Knows|:Likes)+"))
 	// A generous budget so only the cancellation can stop the walk.
 	lim := core.Limits{MaxLen: 40, MaxPaths: 1 << 30, MaxWork: 1 << 40}
-	for _, workers := range []int{1, 8} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		start := time.Now()
-		go func() {
-			_, err := automaton.EvalWithOptions(g, nfa, core.Walk, lim, automaton.EvalOptions{
-				Ctx:     ctx,
-				Workers: workers,
-			})
-			done <- err
-		}()
-		time.Sleep(30 * time.Millisecond) // let the search get going
-		cancelled := time.Now()
-		cancel()
-		select {
-		case err := <-done:
-			if since := time.Since(cancelled); since > 100*time.Millisecond {
-				t.Errorf("workers=%d: returned %v after cancellation, want < 100ms", workers, since)
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-			}
-			if errors.Is(err, core.ErrBudgetExceeded) {
-				t.Errorf("workers=%d: cancellation reported as budget exhaustion", workers)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("workers=%d: evaluation did not return within 5s of cancellation (started %v ago)",
-				workers, time.Since(start))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	start := time.Now()
+	go func() {
+		_, err := automaton.EvalWithOptions(g, nfa, core.Walk, lim, automaton.EvalOptions{Ctx: ctx})
+		done <- err
+	}()
+	time.Sleep(30 * time.Millisecond) // let the search get going
+	cancelled := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if since := time.Since(cancelled); since > 100*time.Millisecond {
+			t.Errorf("returned %v after cancellation, want < 100ms", since)
 		}
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if errors.Is(err, core.ErrBudgetExceeded) {
+			t.Error("cancellation reported as budget exhaustion")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("evaluation did not return within 5s of cancellation (started %v ago)", time.Since(start))
 	}
 }
 
@@ -73,7 +68,7 @@ func TestEvalDeadline(t *testing.T) {
 	lim := core.Limits{MaxLen: 40, MaxPaths: 1 << 30, MaxWork: 1 << 40}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := automaton.EvalWithOptions(g, nfa, core.Walk, lim, automaton.EvalOptions{Ctx: ctx, Workers: 4})
+	_, err := automaton.EvalWithOptions(g, nfa, core.Walk, lim, automaton.EvalOptions{Ctx: ctx})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -88,7 +83,7 @@ func TestEvalShortestCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := automaton.EvalWithOptions(g, nfa, core.Shortest, lim, automaton.EvalOptions{Ctx: ctx, Workers: 4})
+		_, err := automaton.EvalWithOptions(g, nfa, core.Shortest, lim, automaton.EvalOptions{Ctx: ctx})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -123,11 +118,11 @@ func TestEvalUncancelledUnchanged(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	got, err := automaton.EvalWithOptions(g, nfa, core.Trail, lim, automaton.EvalOptions{Ctx: ctx, Workers: 4})
+	got, err := automaton.EvalWithOptions(g, nfa, core.Trail, lim, automaton.EvalOptions{Ctx: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !samePathSequence(want, got) {
+	if !testutil.SameSequence(want, got) {
 		t.Error("context-threaded evaluation differs from the context-free result")
 	}
 }

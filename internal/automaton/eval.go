@@ -3,9 +3,6 @@ package automaton
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/fault"
@@ -16,7 +13,7 @@ import (
 )
 
 // The product search is copy-free: search states hold path.Ref handles
-// into a per-worker prefix-sharing arena (see internal/path/arena.go), so
+// into a prefix-sharing arena (see internal/path/arena.go), so
 // extending a path is an O(1) arena append, admissibility checks are
 // allocation-free parent-chain walks, and a path's node/edge slices are
 // materialized exactly once — when it is admitted into the result set.
@@ -27,8 +24,7 @@ import (
 // Eval evaluates the regular path query described by the automaton over
 // every pair of endpoints in g, returning the matching paths under the
 // given semantics. It is the classical product-graph search: search states
-// are (path-so-far, NFA state) pairs. Eval runs single-threaded; it is
-// exactly EvalParallel with one worker.
+// are (path-so-far, NFA state) pairs.
 //
 // Semantics note: the automaton applies Trail/Acyclic/Simple to the whole
 // matched path, which coincides with the algebraic ϕSem(base) for patterns
@@ -37,40 +33,19 @@ import (
 // algebra is by design more permissive (§2.3 applies restrictors per
 // query part). Cross-checking tests use patterns of the former shape.
 func Eval(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limits) (*pathset.Set, error) {
-	return EvalParallel(g, nfa, sem, lim, 1)
-}
-
-// EvalParallel is Eval sharded across worker goroutines by source node:
-// every source runs its own product search with a private arena, frontier,
-// scratch and visited set, and the per-source result shards are merged
-// deterministically afterwards. Because every path belongs to exactly one
-// source (its first node), the shard searches partition the sequential
-// search exactly, and the merge reproduces the sequential discovery order
-// — BFS depth major, then ascending source node — so the result is
-// byte-identical to Eval for every worker count.
-//
-// Budgets are global, not per shard: all workers charge one shared atomic
-// core.Budget, so MaxPaths and MaxWork hold across the whole evaluation.
-// On a budget error the error is reported deterministically, but the
-// partial result may differ between runs (workers bail out as soon as any
-// shard trips the budget).
-//
-// workers <= 0 selects runtime.GOMAXPROCS(0); the count is capped by the
-// number of source nodes.
-func EvalParallel(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limits, workers int) (*pathset.Set, error) {
-	return EvalWithOptions(g, nfa, sem, lim, EvalOptions{Workers: workers})
+	return EvalWithOptions(g, nfa, sem, lim, EvalOptions{})
 }
 
 // EvalOptions parameterizes EvalWithOptions beyond the classic all-pairs
 // forward search.
 type EvalOptions struct {
-	// Ctx, when cancellable, aborts the evaluation promptly: all workers
-	// stop at their next budget charge (or frontier item) and the
+	// Ctx, when cancellable, aborts the evaluation promptly: the search
+	// stops at its next budget charge (or frontier item) and the
 	// evaluation returns the context's cause, errors.Is-able as
 	// context.Canceled / context.DeadlineExceeded. nil means no
 	// cancellation (context.Background()).
 	Ctx context.Context
-	// Workers is the worker goroutine count; <= 0 selects GOMAXPROCS.
+	// Deprecated: ignored. The search runs on the caller's goroutine.
 	Workers int
 	// Dir selects the search direction. Backward seeds per-seed searches
 	// at path TARGETS and walks the graph's in-adjacency; the nfa passed
@@ -105,15 +80,26 @@ func seedAt(seeds []graph.NodeID, i int) graph.NodeID {
 	return seeds[i]
 }
 
-// EvalWithOptions is the general product search: per-seed sharded like
-// EvalParallel, optionally restricted to a seed set and optionally running
-// backward over reversed edges (see EvalOptions).
-func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limits, o EvalOptions) (*pathset.Set, error) {
+// EvalWithOptions is the general product search, optionally restricted to
+// a seed set and optionally running backward over reversed edges (see
+// EvalOptions). It runs one search per seed on the caller's goroutine and
+// merges the per-seed results in the order of one global breadth-first
+// search (mergeShards).
+//
+// Panic isolation: a panic inside the search is returned as a typed error
+// (errors.Is core.ErrInternal) instead of unwinding the caller's goroutine.
+// The search's scratch is private to the call, so nothing shared is left
+// poisoned.
+func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limits, o EvalOptions) (out *pathset.Set, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = nil, fmt.Errorf("automaton: %w", core.Recovered(r))
+		}
+	}()
 	count := g.NumNodes()
 	if o.Seeds != nil {
 		count = len(o.Seeds)
 	}
-	workers := normalizeWorkers(o.Workers, count)
 	bud := core.NewBudget(lim)
 	if o.Ctx != nil {
 		stop := bud.Watch(o.Ctx)
@@ -128,7 +114,6 @@ func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limi
 		sp.End()
 	}()
 	sp.SetInt("sources", int64(count))
-	sp.SetInt("workers", int64(workers))
 	c := nfa.Compile(g)
 	back := o.Dir == core.Backward
 	if back {
@@ -149,93 +134,7 @@ func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limi
 			sp.SetInt("quota_by_length", 1)
 		}
 	}
-	return evalSearch(g, c, sem, lim, bud, workers, o.Seeds, count, back, o.Quota, sp)
-}
-
-func normalizeWorkers(workers, sources int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > sources {
-		workers = sources
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// runSharded distributes sources 0..n-1 over the given number of workers.
-// Each worker gets one scratch value from newScratch and pulls sources off
-// a shared atomic cursor (work stealing, so uneven per-source costs
-// balance). run returning false stops the whole pool early — remaining
-// sources are skipped, which only happens after a budget error.
-//
-// Panic isolation: a panic inside run stops the pool the same way and is
-// returned as a typed error (errors.Is core.ErrInternal) instead of
-// unwinding a worker goroutine and killing the process. The panicking
-// shard's scratch is simply abandoned — scratch arenas are pool-private,
-// so nothing shared is left poisoned and the other workers drain cleanly
-// before runSharded returns.
-// When tracing is on, each worker runs under its own "shard" child of
-// sp (nil sp: zero cost); newScratch receives that span so per-worker
-// scratch can annotate it as sources flow through.
-func runSharded[S any](sp *obs.Span, n, workers int, newScratch func(wsp *obs.Span) S, run func(sc S, src int) bool) error {
-	var cursor atomic.Int64
-	var failed atomic.Bool
-	var panicErr atomic.Pointer[error]
-	// record files the first recovered panic as the pool's error and stops
-	// the remaining workers; concurrent later panics lose the race and are
-	// dropped (one cause is enough to fail the evaluation).
-	record := func(r any) {
-		if r == nil {
-			return
-		}
-		err := core.Recovered(r)
-		panicErr.CompareAndSwap(nil, &err)
-		failed.Store(true)
-	}
-	work := func() {
-		wsp := sp.Start("shard")
-		defer wsp.End()
-		sc := newScratch(wsp)
-		for !failed.Load() {
-			src := int(cursor.Add(1)) - 1
-			if src >= n {
-				return
-			}
-			// Injected worker faults surface as panics so the chaos tests
-			// exercise the same recovery path as a real evaluator bug.
-			if err := fault.Hit("automaton.worker"); err != nil {
-				panic(err)
-			}
-			if !run(sc, src) {
-				failed.Store(true)
-				return
-			}
-		}
-	}
-	if workers <= 1 {
-		func() {
-			defer func() { record(recover()) }()
-			work()
-		}()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { record(recover()) }()
-				work()
-			}()
-		}
-		wg.Wait()
-	}
-	if p := panicErr.Load(); p != nil {
-		return *p
-	}
-	return nil
+	return evalSearch(g, c, sem, lim, bud, o.Seeds, count, back, o.Quota, sp)
 }
 
 // symbolScan is one (matching edges, target states) pair produced by
@@ -317,25 +216,25 @@ type searchItem struct {
 	state StateID
 }
 
-// evalScratch is one worker's reusable working storage: the path arena,
+// evalScratch is the search's reusable working storage: the path arena,
 // frontier slices and the per-state visited RefSets survive across the
-// sources the worker processes (the arena resets between sources, which
-// keeps refs 32-bit and makes per-source cleanup a slice truncation).
-// Paths record their start node, so (path, state) pairs from different
-// source nodes can never collide and per-source visited sets partition
-// the global mark set exactly.
+// sources (the arena resets between sources, which keeps refs 32-bit and
+// makes per-source cleanup a slice truncation). Paths record their start
+// node, so (path, state) pairs from different source nodes can never
+// collide and per-source visited sets partition the global mark set
+// exactly.
 type evalScratch struct {
 	arena          *path.Arena
 	frontier, next []searchItem
 	runs           []symbolScan
 	visited        []*path.RefSet // per NFA state
 	quota          quotaState     // used only under an EvalOptions.Quota
-	span           *obs.Span      // this worker's shard span; nil when untraced
+	span           *obs.Span      // the search span; nil when untraced
 }
 
-func newEvalScratch(states int, wsp *obs.Span) *evalScratch {
+func newEvalScratch(states int, sp *obs.Span) *evalScratch {
 	a := path.NewArena(0)
-	sc := &evalScratch{arena: a, visited: make([]*path.RefSet, states), span: wsp}
+	sc := &evalScratch{arena: a, visited: make([]*path.RefSet, states), span: sp}
 	for s := range sc.visited {
 		sc.visited[s] = path.NewRefSet(a)
 	}
@@ -372,8 +271,8 @@ func (c *quotaCount) count(q core.Quota, level int) bool {
 	return int(c.n) == q.K
 }
 
-// quotaState is one worker's bookkeeping for a search under a selector
-// quota, reset per source. A source's BFS discovers the paths of each
+// quotaState is the bookkeeping of a search under a selector quota,
+// reset per source. A source's BFS discovers the paths of each
 // (source, target) pair in ascending length, so a caller that keeps the
 // first K paths — or the K smallest lengths — of every pair keeps a
 // per-pair prefix of the discovery order, and the search may skip
@@ -465,7 +364,7 @@ func (qs *quotaState) emitted(q core.Quota, dst graph.NodeID, tc quotaCount, len
 
 // shard is one source node's slice of the result: the admitted paths in
 // per-source discovery order, plus the cumulative result count at the end
-// of each BFS depth so the merge can interleave shards in the sequential
+// of each BFS depth so the merge can interleave shards in the global
 // (depth, source) order.
 type shard struct {
 	set    *pathset.Set
@@ -473,43 +372,35 @@ type shard struct {
 	err    error
 }
 
-func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, workers int, seeds []graph.NodeID, count int, back bool, quota core.Quota, sp *obs.Span) (*pathset.Set, error) {
+// evalSearch runs the per-source searches in source order, stopping at
+// the first error, and merges their shards.
+func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, seeds []graph.NodeID, count int, back bool, quota core.Quota, sp *obs.Span) (*pathset.Set, error) {
+	sc := newEvalScratch(c.nfa.NumStates(), sp)
 	shards := make([]*shard, count)
-	perr := runSharded(sp, count, workers,
-		func(wsp *obs.Span) *evalScratch { return newEvalScratch(c.nfa.NumStates(), wsp) },
-		func(sc *evalScratch, i int) bool {
-			sh := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back, quota)
-			shards[i] = sh
-			sc.span.AddInt("sources", 1)
-			sc.span.AddInt("paths", int64(sh.set.Len()))
-			sc.span.MaxInt("arena_bytes", int64(sc.arena.Bytes()))
-			if quota.K > 0 {
-				sp.AddInt("suppressed", sc.quota.suppressed)
-				sp.AddInt("pruned", sc.quota.pruned)
-				sp.MaxInt("stop_depth", int64(max(len(sh.levels)-1, 0)))
-			}
-			return sh.err == nil
-		})
-	if perr != nil {
-		return nil, fmt.Errorf("automaton: %w", perr)
+	for i := range shards {
+		// Injected faults surface as panics so the chaos tests exercise the
+		// same recovery path as a real evaluator bug.
+		if err := fault.Hit("automaton.source"); err != nil {
+			panic(err)
+		}
+		sh := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back, quota)
+		if sh.err != nil {
+			return nil, fmt.Errorf("automaton: %w", sh.err)
+		}
+		shards[i] = sh
+		sp.AddInt("paths", int64(sh.set.Len()))
+		if quota.K > 0 {
+			sp.AddInt("suppressed", sc.quota.suppressed)
+			sp.AddInt("pruned", sc.quota.pruned)
+			sp.MaxInt("stop_depth", int64(max(len(sh.levels)-1, 0)))
+		}
 	}
-	out, err := mergeShardsTraced(sp, shards)
-	if err != nil {
-		return out, fmt.Errorf("automaton: %w", err)
-	}
-	return out, nil
-}
-
-// mergeShardsTraced wraps the deterministic shard merge in its own
-// span so trace trees show merge cost beside the shard searches.
-func mergeShardsTraced(sp *obs.Span, shards []*shard) (*pathset.Set, error) {
+	sp.SetInt("arena_bytes", int64(sc.arena.Bytes()))
 	msp := sp.Start("merge")
 	defer msp.End()
-	out, err := mergeShards(shards)
-	if out != nil {
-		msp.SetInt("paths", int64(out.Len()))
-	}
-	return out, err
+	out := mergeShards(shards)
+	msp.SetInt("paths", int64(out.Len()))
+	return out, nil
 }
 
 // evalSource runs the product search seeded at one source node. Budget
@@ -661,20 +552,16 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 	return sh
 }
 
-// mergeShards concatenates the shard results in the sequential discovery
-// order: for each BFS depth in ascending order, each source's admissions
-// at that depth, sources ascending. This is exactly the insertion order of
-// the single-threaded global search (its frontier stays source-major
-// sorted at every depth), so downstream order-sensitive operators — group
-// construction, rank tie-breaking, ANY-style selector picks — see
-// identical inputs whatever the worker count. Shards skipped after a
-// budget failure are nil; the first error in source order is returned.
-func mergeShards(shards []*shard) (*pathset.Set, error) {
+// mergeShards concatenates the shard results in the order of one global
+// breadth-first search: for each BFS depth in ascending order, each
+// source's admissions at that depth, sources ascending. That search's
+// frontier stays source-major sorted at every depth, so this is exactly
+// its insertion order, which downstream order-sensitive operators — group
+// construction, rank tie-breaking, ANY-style selector picks — observe.
+func mergeShards(shards []*shard) *pathset.Set {
 	maxDepth := 0
 	for _, sh := range shards {
-		if sh != nil && len(sh.levels) > maxDepth {
-			maxDepth = len(sh.levels)
-		}
+		maxDepth = max(maxDepth, len(sh.levels))
 	}
 	// Shards are disjoint (paths partition by first node) and internally
 	// deduped, so the merge concatenates per-depth slices and indexes each
@@ -682,7 +569,7 @@ func mergeShards(shards []*shard) (*pathset.Set, error) {
 	var groups [][]path.Path
 	for d := 0; d < maxDepth; d++ {
 		for _, sh := range shards {
-			if sh == nil || d >= len(sh.levels) {
+			if d >= len(sh.levels) {
 				continue
 			}
 			lo := 0
@@ -694,13 +581,7 @@ func mergeShards(shards []*shard) (*pathset.Set, error) {
 			}
 		}
 	}
-	out := pathset.FromOrderedDisjoint(groups)
-	for _, sh := range shards {
-		if sh != nil && sh.err != nil {
-			return out, sh.err
-		}
-	}
-	return out, nil
+	return pathset.FromOrderedDisjoint(groups)
 }
 
 // classifyExtend decides, for the admissible frontier path r about to be

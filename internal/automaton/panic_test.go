@@ -2,21 +2,19 @@ package automaton_test
 
 import (
 	"errors"
-	"runtime"
 	"testing"
-	"time"
 
 	"pathalgebra/internal/automaton"
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/fault"
 	"pathalgebra/internal/ldbc"
 	"pathalgebra/internal/rpq"
+	"pathalgebra/internal/testutil"
 )
 
-// TestEvalPanicIsolation: a panic inside one evaluation worker surfaces
-// as a typed core.ErrInternal from EvalParallel — it does not kill the
-// process, and it does not leak the worker pool's goroutines. A
-// subsequent (un-faulted) evaluation over the same inputs is
+// TestEvalPanicIsolation: a panic inside the search surfaces as a typed
+// core.ErrInternal from the evaluation — it does not unwind the caller's
+// goroutine. A subsequent (un-faulted) evaluation over the same inputs is
 // byte-identical to a never-faulted run: nothing shared was poisoned.
 func TestEvalPanicIsolation(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
@@ -30,50 +28,30 @@ func TestEvalPanicIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{1, 2, 8} {
-		before := runtime.NumGoroutine()
-		restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{
-			{Site: "automaton.worker", Mode: fault.ModePanic, Nth: 2},
-		}})
-		_, err := automaton.EvalParallel(g, nfa, core.Trail, lim, workers)
-		restore()
-		if !errors.Is(err, core.ErrInternal) {
-			t.Fatalf("workers=%d: got %v, want core.ErrInternal", workers, err)
-		}
-		// PanicError.Unwrap exposes error panic values: the injected fault
-		// stays errors.Is-able through the recovery.
-		if !errors.Is(err, fault.ErrInjected) {
-			t.Fatalf("workers=%d: %v does not unwrap to the injected fault", workers, err)
-		}
-		var pe *core.PanicError
-		if !errors.As(err, &pe) || len(pe.Stack) == 0 {
-			t.Fatalf("workers=%d: %v carries no stack", workers, err)
-		}
-
-		// The pool drained: no worker goroutine survives the failure.
-		waitGoroutines(t, before)
-
-		// The engine is not wedged: the same evaluation, un-faulted, still
-		// produces the exact sequential result.
-		got, err := automaton.EvalParallel(g, nfa, core.Trail, lim, workers)
-		if err != nil {
-			t.Fatalf("workers=%d after panic: %v", workers, err)
-		}
-		if !samePathSequence(want, got) {
-			t.Errorf("workers=%d: post-panic evaluation diverges from sequential", workers)
-		}
+	restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{
+		{Site: "automaton.source", Mode: fault.ModePanic, Nth: 2},
+	}})
+	_, err = automaton.Eval(g, nfa, core.Trail, lim)
+	restore()
+	if !errors.Is(err, core.ErrInternal) {
+		t.Fatalf("got %v, want core.ErrInternal", err)
 	}
-}
-
-// waitGoroutines waits for the goroutine count to fall back to the
-// baseline (scheduler exits are asynchronous after Wait returns).
-func waitGoroutines(t *testing.T, baseline int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// PanicError.Unwrap exposes error panic values: the injected fault
+	// stays errors.Is-able through the recovery.
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("%v does not unwrap to the injected fault", err)
 	}
-	if n := runtime.NumGoroutine(); n > baseline {
-		t.Errorf("goroutines leaked: %d live, baseline %d", n, baseline)
+	var pe *core.PanicError
+	if !errors.As(err, &pe) || len(pe.Stack) == 0 {
+		t.Fatalf("%v carries no stack", err)
+	}
+
+	// The same evaluation, un-faulted, still produces the exact result.
+	got, err := automaton.Eval(g, nfa, core.Trail, lim)
+	if err != nil {
+		t.Fatalf("after panic: %v", err)
+	}
+	if !testutil.SameSequence(want, got) {
+		t.Error("post-panic evaluation diverges from the never-faulted one")
 	}
 }

@@ -34,8 +34,7 @@ func perPairPrefix(full *pathset.Set, q core.Quota) *pathset.Set {
 	})
 }
 
-// TestQuotaIsPerPairPrefix: under every semantics, direction, worker count
-// and quota, the quota'd search returns exactly the per-pair prefix of the
+// TestQuotaIsPerPairPrefix: under every semantics, direction and quota, the quota'd search returns exactly the per-pair prefix of the
 // unrestricted search's result, in the same order. The patterns include
 // what the engine never sends — empty-word-accepting automata, optional
 // parts, ambiguous alternations whose runs merge and split — because the
@@ -68,23 +67,21 @@ func TestQuotaIsPerPairPrefix(t *testing.T) {
 		nfas := map[core.Direction]*NFA{core.Forward: Build(pattern), core.Backward: Build(rpq.Reverse(pattern))}
 		for _, sem := range []core.Semantics{core.Walk, core.Trail, core.Acyclic, core.Simple} {
 			for dir, nfa := range nfas {
-				full, err := EvalWithOptions(g, nfa, sem, lim, EvalOptions{Workers: 1, Dir: dir})
+				full, err := EvalWithOptions(g, nfa, sem, lim, EvalOptions{Dir: dir})
 				if err != nil {
 					t.Fatalf("trial%d/%s/%s/%s full: %v", trial, pattern, sem, dir, err)
 				}
 				for _, q := range quotas {
 					want := perPairPrefix(full, q)
-					for _, workers := range []int{1, 4} {
-						name := fmt.Sprintf("trial%d/%s/%s/%s/%v/workers=%d", trial, pattern, sem, dir, q, workers)
-						got, err := EvalWithOptions(g, nfa, sem, lim, EvalOptions{Workers: workers, Dir: dir, Quota: q})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !testutil.SameSequence(got, want) {
-							t.Fatalf("%s: %d paths, per-pair prefix of the full result has %d", name, got.Len(), want.Len())
-						}
-						checked++
+					name := fmt.Sprintf("trial%d/%s/%s/%s/%v", trial, pattern, sem, dir, q)
+					got, err := EvalWithOptions(g, nfa, sem, lim, EvalOptions{Dir: dir, Quota: q})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					if !testutil.SameSequence(got, want) {
+						t.Fatalf("%s: %d paths, per-pair prefix of the full result has %d", name, got.Len(), want.Len())
+					}
+					checked++
 				}
 			}
 		}
@@ -110,7 +107,7 @@ func minimalPerPair(full *pathset.Set) *pathset.Set {
 // TestShortestIsLengthQuotaWalk: Shortest semantics returns, in order,
 // the Walk search's result at the same MaxLen filtered to each pair's
 // minimal length — forward and backward, over every source and over a
-// seed list, at one and eight workers.
+// seed list.
 func TestShortestIsLengthQuotaWalk(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"figure1": ldbc.Figure1(),
@@ -131,23 +128,21 @@ func TestShortestIsLengthQuotaWalk(t *testing.T) {
 			nfas := map[core.Direction]*NFA{core.Forward: Build(re), core.Backward: Build(rpq.Reverse(re))}
 			for dir, nfa := range nfas {
 				for _, sd := range [][]graph.NodeID{nil, seeds} {
-					walk, err := EvalWithOptions(g, nfa, core.Walk, lim, EvalOptions{Workers: 1, Dir: dir, Seeds: sd})
+					walk, err := EvalWithOptions(g, nfa, core.Walk, lim, EvalOptions{Dir: dir, Seeds: sd})
 					if err != nil {
 						t.Fatalf("%s/%s/%s walk: %v", gname, pat, dir, err)
 					}
 					want := minimalPerPair(walk)
-					for _, workers := range []int{1, 8} {
-						name := fmt.Sprintf("%s/%s/%s/seeded=%v/workers=%d", gname, pat, dir, sd != nil, workers)
-						got, err := EvalWithOptions(g, nfa, core.Shortest, lim, EvalOptions{Workers: workers, Dir: dir, Seeds: sd})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if !testutil.SameSequence(got, want) {
-							t.Fatalf("%s: Shortest gives %d paths, the minimal-length filter of Walk %d (or a different order)",
-								name, got.Len(), want.Len())
-						}
-						checked++
+					name := fmt.Sprintf("%s/%s/%s/seeded=%v", gname, pat, dir, sd != nil)
+					got, err := EvalWithOptions(g, nfa, core.Shortest, lim, EvalOptions{Dir: dir, Seeds: sd})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
+					if !testutil.SameSequence(got, want) {
+						t.Fatalf("%s: Shortest gives %d paths, the minimal-length filter of Walk %d (or a different order)",
+							name, got.Len(), want.Len())
+					}
+					checked++
 				}
 			}
 		}

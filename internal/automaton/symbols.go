@@ -21,8 +21,7 @@ import (
 // node's adjacency runs directly instead of enumerating the alphabet.
 //
 // Compilation is O(states × symbols) slice-header writes and is done once
-// per evaluation; the result is immutable and safe for concurrent readers
-// (the parallel evaluator shares one CompiledNFA across all workers).
+// per evaluation; the result is immutable and safe for concurrent readers.
 type CompiledNFA struct {
 	nfa     *NFA
 	numSyms int

@@ -9,9 +9,8 @@ import (
 // Budget is the shared, race-safe evaluation budget derived from Limits.
 // It replaces the ad-hoc per-evaluator path/work counters so that the
 // engine, the reference operators and the automaton search all account
-// identically, and so that concurrent evaluation shards charge one global
-// budget: MaxPaths and MaxWork hold across all workers of one evaluation,
-// not per shard.
+// identically; it is race-safe because a Watch-attached context cancels
+// it from another goroutine.
 //
 // Accounting scheme (unchanged from the historical counters):
 //
@@ -23,13 +22,12 @@ import (
 //     one-length quota) and the product states its quota early-stop sweep
 //     discovers, so MaxWork bounds every semantics.
 //
-// Both charges are atomic adds, so exceeding the budget is detected
-// promptly but totals near the boundary may overshoot by at most one
-// charge per worker; the budget is a safety net, not an exact quota.
+// Both charges are atomic adds, and the first charge past a limit fails,
+// so an evaluation stops exactly at the limit.
 //
 // The budget is also the cancellation point of an evaluation: Cancel (or a
-// Watch-attached context) makes every subsequent charge fail, so all
-// workers of a sharded evaluation abort at their next charge. Cancellation
+// Watch-attached context) makes every subsequent charge fail, so the
+// evaluation aborts at its next charge. Cancellation
 // costs the charge hot path nothing: Cancel stores math.MinInt64 into the
 // (atomic) limit fields, so the limit comparison every charge already
 // performs doubles as the cancel check — the instruction count of

@@ -7,12 +7,12 @@ import (
 )
 
 // ErrInternal is the sentinel for failures that are the engine's fault
-// rather than the query's: a panic recovered inside an evaluation
-// worker, a handler, or a background loop. Callers branch with
+// rather than the query's: a panic recovered inside an evaluation, a
+// handler, or a background loop. Callers branch with
 // errors.Is(err, core.ErrInternal); the query service maps it to HTTP
 // 500 with kind "internal". The contract it backs: one poisoned query
 // returns a typed error — it never kills the process, never wedges the
-// worker pool, and never leaks the epoch pin or budget state its
+// engine, and never leaks the epoch pin or budget state its
 // evaluation held (those release as the error unwinds the non-panicking
 // frames normally).
 var ErrInternal = errors.New("core: internal error")

@@ -43,7 +43,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		wantPairs[i] = reachFromSet(res, opt.ReachCountPairs).Count
 	}
 
-	shared := New(g, Options{Limits: lim, Parallelism: 2})
+	shared := New(g, Options{Limits: lim})
 	// Warm the plan cache so the post-hammer miss count is deterministic
 	// (concurrent first-misses of one query may each plan it — benign,
 	// the cache converges — but it would make the assertion flaky).
@@ -84,7 +84,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 						if chunk == nil {
 							break
 						}
-						total += chunk.Len()
+						total += len(chunk)
 					}
 					if total != want[qi] {
 						errs <- fmt.Errorf("worker %d RunStream: %d paths, want %d", w, total, want[qi])

@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"pathalgebra/internal/automaton"
@@ -39,12 +38,8 @@ type Options struct {
 	// applies core.DefaultMaxPaths as a safety net. WithLimits returns a
 	// view of the engine that evaluates under other limits.
 	Limits core.Limits
-	// Parallelism is the number of worker goroutines of the automaton
-	// product search, which shards by source node; every other operator
-	// runs on the evaluating goroutine. Results are byte-identical for
-	// every value — shards merge in the sequential order and budgets are
-	// shared globally. <= 0 selects runtime.GOMAXPROCS(0); 1 forces
-	// single-threaded evaluation.
+	// Deprecated: ignored. Every operator, the product search included,
+	// runs on the evaluating goroutine.
 	Parallelism int
 	// DisablePlanner makes Plan/Run fall back to the statistics-free
 	// heuristic optimizer (opt.Optimize): no cost-based join
@@ -57,21 +52,10 @@ type Options struct {
 // planCacheSize is the capacity of an engine's plan cache, in plans.
 const planCacheSize = 64
 
-// parallelism resolves the configured worker count.
-func (o Options) parallelism() int {
-	if o.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Parallelism
-}
-
 // Stats accumulates execution counters across one engine's evaluations.
-// The engine updates the underlying counters with atomic adds — today all
-// writes happen on the evaluating goroutine (parallel operators report
-// through their return values, and the hash-join probe count is batched on
-// the caller), so the atomics are a guardrail for future operators that
-// do account from workers. Stats values returned by Engine.Stats are
-// plain snapshots.
+// The engine updates the underlying counters with atomic adds, because
+// concurrent calls share one engine's counters. Stats values returned by
+// Engine.Stats are plain snapshots.
 type Stats struct {
 	// PathsProduced counts paths emitted by all operators.
 	PathsProduced int64
@@ -138,10 +122,8 @@ func fingerprintCollisions() int64 {
 // Run/RunStream/Explain/Stats from many goroutines at once, each call
 // under its own limits (WithLimits; the query service layer does exactly
 // that). ResetStats is the one exception: it snapshots non-atomically and
-// should only run while no evaluation is in flight. The product search's
-// own parallelism (Options.Parallelism) is independently race-safe:
-// evaluation budgets are shared atomically across workers and worker
-// results merge before stats are counted.
+// should only run while no evaluation is in flight. Each call evaluates on
+// its caller's goroutine.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -277,8 +259,8 @@ func (e *Engine) Run(x core.PathExpr) (*pathset.Set, error) {
 }
 
 // RunCtx is Run with cooperative cancellation: cancelling ctx aborts the
-// evaluation promptly — all evaluation workers stop at their next budget
-// charge — and RunCtx returns ctx's cause, errors.Is-able as
+// evaluation promptly — the search stops at its next budget charge — and
+// RunCtx returns ctx's cause, errors.Is-able as
 // context.Canceled or context.DeadlineExceeded. Budget exhaustion remains
 // errors.Is-able as core.ErrBudgetExceeded, so callers (e.g. an HTTP
 // layer) can map the two failure modes to distinct statuses.
@@ -337,9 +319,6 @@ func (e *Engine) Graph() *graph.Graph {
 	}
 	return e.g
 }
-
-// Parallelism returns the resolved worker count of the product search.
-func (e *Engine) Parallelism() int { return e.opts.parallelism() }
 
 // Stats returns a snapshot of the counters accumulated so far.
 func (e *Engine) Stats() Stats {
@@ -554,11 +533,10 @@ func (e *Engine) search(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 		addStat(&e.stats.SeededRecursions, 1)
 	}
 	out, err := automaton.EvalWithOptions(e.g, s.NFA, s.Rec.Sem, e.opts.Limits, automaton.EvalOptions{
-		Ctx:     ctx,
-		Workers: e.opts.parallelism(),
-		Dir:     s.Rec.Dir,
-		Seeds:   e.seedNodes(ctx, s.Seed),
-		Quota:   n.Quota,
+		Ctx:   ctx,
+		Dir:   s.Rec.Dir,
+		Seeds: e.seedNodes(ctx, s.Seed),
+		Quota: n.Quota,
 	})
 	if err != nil {
 		op := "ϕ"

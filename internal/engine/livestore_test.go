@@ -11,6 +11,7 @@ import (
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/path"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/rpq"
 )
@@ -20,8 +21,13 @@ import (
 // currency of the live-store differential: NodeIDs/EdgeIDs shift across
 // rebuilds, keys never do.
 func renderSet(g *graph.Graph, set *pathset.Set) string {
+	return renderPaths(g, set.Paths())
+}
+
+// renderPaths is renderSet over a path slice, such as a stream chunk.
+func renderPaths(g *graph.Graph, paths []path.Path) string {
 	var sb strings.Builder
-	for _, p := range set.Paths() {
+	for _, p := range paths {
 		nodes := p.Nodes()
 		edges := p.Edges()
 		sb.WriteString(g.Node(nodes[0]).Key)
@@ -214,20 +220,18 @@ func TestLiveStoreDifferential(t *testing.T) {
 							t.Fatalf("%s scratch: %v", stage, err)
 						}
 						wantKeys := renderSet(scratch, want)
-						for _, par := range []int{1, 8} {
-							liveP := NewWithStore(store, Options{Limits: lim, Parallelism: par})
-							got, err := liveP.Run(plan)
-							if err != nil {
-								t.Fatalf("%s live par=%d: %v", stage, par, err)
-							}
-							if gotKeys := renderSet(liveP.Graph(), got); gotKeys != wantKeys {
-								t.Fatalf("%s pattern %d %s par=%d: live answer differs from from-scratch build\n live:\n%s\n scratch:\n%s",
-									stage, pi, sem, par, gotKeys, wantKeys)
-							}
+						cold := NewWithStore(store, Options{Limits: lim})
+						got, err := cold.Run(plan)
+						if err != nil {
+							t.Fatalf("%s live: %v", stage, err)
+						}
+						if gotKeys := renderSet(cold.Graph(), got); gotKeys != wantKeys {
+							t.Fatalf("%s pattern %d %s: live answer differs from from-scratch build\n live:\n%s\n scratch:\n%s",
+								stage, pi, sem, gotKeys, wantKeys)
 						}
 						// The long-lived engine (plan cache warm across
 						// epochs) must agree too.
-						got, err := live.Run(plan)
+						got, err = live.Run(plan)
 						if err != nil {
 							t.Fatalf("%s warm live: %v", stage, err)
 						}
@@ -261,7 +265,7 @@ func TestLiveStoreDifferential(t *testing.T) {
 	}
 	// 20 trials × (5–8 batch steps + 1 compaction point) ≥ 200 checked
 	// interleavings in aggregate; each check covers 2 patterns × 5
-	// semantics × parallelism {1, 8} × {cold, warm} engines.
+	// semantics × {cold, warm} engines.
 }
 
 // TestLiveStoreCursorPinning: a stream opened before later batches and a
@@ -307,7 +311,7 @@ func TestLiveStoreCursorPinning(t *testing.T) {
 		if chunk == nil {
 			break
 		}
-		got.WriteString(renderSet(s.Graph(), chunk))
+		got.WriteString(renderPaths(s.Graph(), chunk))
 	}
 	if got.String() != wantKeys {
 		t.Fatalf("cursor paged different bytes after compaction:\n%s\nvs\n%s", got.String(), wantKeys)
@@ -333,7 +337,7 @@ func TestLiveStoreHammer(t *testing.T) {
 	})
 	store := graph.NewStore(base, graph.StoreOptions{CompactThreshold: 64})
 	defer store.Close()
-	live := NewWithStore(store, Options{Limits: core.Limits{MaxLen: 3}, Parallelism: 2})
+	live := NewWithStore(store, Options{Limits: core.Limits{MaxLen: 3}})
 	plan := rpq.Compile(rpq.Plus{In: rpq.Label{Name: ldbc.LabelKnows}}, core.Trail)
 
 	stream := ldbc.MustUpdateStream(ldbc.UpdateConfig{
@@ -390,7 +394,7 @@ func TestLiveStoreHammer(t *testing.T) {
 						if chunk == nil {
 							break
 						}
-						_ = renderSet(s.Graph(), chunk) // stream's own pinned view: always consistent
+						_ = renderPaths(s.Graph(), chunk) // stream's own pinned view: always consistent
 					}
 					s.Close()
 				case 2:

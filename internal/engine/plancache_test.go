@@ -197,7 +197,7 @@ func TestWithLimits(t *testing.T) {
 // a hit when warm.
 func TestExplainCacheHitUnderLoad(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{Persons: 12, Messages: 6, KnowsPerPerson: 2, LikesPerPerson: 2, CycleFraction: 0.4, Seed: 9})
-	e := New(g, Options{Limits: core.Limits{MaxLen: 3}, Parallelism: 1})
+	e := New(g, Options{Limits: core.Limits{MaxLen: 3}})
 	others := []core.PathExpr{
 		gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`),
 		gql.MustCompile(`MATCH ANY 2 WALK p = (?x:Person)-[:Knows+]->(?y)`),

@@ -23,7 +23,7 @@ import (
 // same plan evaluated without the pushdown (testutil.Unpushed: the path
 // input evaluated on its own, then γ, τ, π by the reference operators).
 // That is the byte-identity claim, and it is checked for every selector ×
-// restrictor × pattern × endpoint form × direction × worker count over
+// restrictor × pattern × endpoint form × direction over
 // sealed, overlay and compacted views of random graphs.
 //
 // Against the definitional evaluator (core.EvalExpr, which closes a
@@ -176,34 +176,25 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 							}
 							results := make(map[string]*pathset.Set, len(plans))
 							for form, plan := range plans {
-								var baseline *pathset.Set
-								for _, par := range []int{1, 8} {
-									eng := New(g, Options{Limits: lim, Parallelism: par})
-									got, err := eng.EvalPaths(plan)
-									if err != nil {
-										t.Fatalf("%s %s par=%d: %v", name, form, par, err)
-									}
-									if eng.Stats().QuotaRecursions > 0 {
-										pushed++
-									} else if _, ok := opt.AnalyzeQuota(plan.(core.Project)); ok {
-										t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
-									}
-									want, err := testutil.Unpushed(New(g, Options{Limits: lim, Parallelism: par}).EvalPaths, plan.(core.Project))
-									if err != nil {
-										t.Fatalf("%s %s par=%d unpushed: %v", name, form, par, err)
-									}
-									if !testutil.SameSequence(got, want) {
-										t.Fatalf("%s %s par=%d: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
-											name, form, par, renderSet(g, got), renderSet(g, want))
-									}
-									if baseline == nil {
-										baseline = got
-									} else if !testutil.SameSequence(got, baseline) {
-										t.Fatalf("%s %s: par=%d differs from par=1", name, form, par)
-									}
-									checked++
+								eng := New(g, Options{Limits: lim})
+								got, err := eng.EvalPaths(plan)
+								if err != nil {
+									t.Fatalf("%s %s: %v", name, form, err)
 								}
-								got := baseline
+								if eng.Stats().QuotaRecursions > 0 {
+									pushed++
+								} else if _, ok := opt.AnalyzeQuota(plan.(core.Project)); ok {
+									t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
+								}
+								want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan.(core.Project))
+								if err != nil {
+									t.Fatalf("%s %s unpushed: %v", name, form, err)
+								}
+								if !testutil.SameSequence(got, want) {
+									t.Fatalf("%s %s: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
+										name, form, renderSet(g, got), renderSet(g, want))
+								}
+								checked++
 								results[form] = got
 								if sel.setDetermined {
 									if !got.Equal(ref) {
@@ -344,6 +335,8 @@ func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
 
 // TestQuotaTrace: the search span says which quota it ran under and what
 // the quota saved; Explain names a pushed quota on the recursion's line.
+// The search runs on the query's goroutine, so an all-pairs search has
+// one span over every node and no per-worker shard spans.
 // ϕShortest (what ALL SHORTEST WALK plans to) runs under its own
 // one-length quota, which the span shows and Explain does not: nothing
 // was pushed.
@@ -376,6 +369,12 @@ func TestQuotaTrace(t *testing.T) {
 		search := findSpan(tr.Tree(), "search")
 		if search == nil {
 			t.Fatalf("%s: no search span in\n%s", tc.query, tr.Format())
+		}
+		if findSpan(tr.Tree(), "shard") != nil {
+			t.Errorf("%s: trace has a shard span:\n%s", tc.query, tr.Format())
+		}
+		if got, want := search.Attrs["sources"], int64(g.NumNodes()); got != want {
+			t.Errorf("%s: search span sources = %d, want the node count %d", tc.query, got, want)
 		}
 		for k, want := range tc.attrs {
 			if got, ok := search.Attrs[k]; !ok || got != want {

@@ -18,10 +18,9 @@ import (
 //
 //   - the optimized engine with the cost-based planner ON,
 //   - the same engine with the planner disabled (heuristic rules only),
-//   - the reference evaluator in internal/core (core.EvalExpr),
+//   - the reference evaluator in internal/core (core.EvalExpr).
 //
-// at parallelism 1 and 8. All evaluation routes must return identical
-// path sets. Plans whose projections truncate are compared engine-vs-
+// All evaluation routes must return identical path sets. Plans whose projections truncate are compared engine-vs-
 // engine only: there the result depends on rank tie-breaking order, the
 // engine pins that order (identically for planner on/off — that is the
 // planner's core guarantee), but the reference closure discovers paths in
@@ -77,38 +76,26 @@ func TestRandomizedDifferential(t *testing.T) {
 			want = ref
 		}
 
-		var baseline *pathset.Set
-		for _, par := range []int{1, 8} {
-			on := New(g, Options{Limits: lim, Parallelism: par})
-			a, err := on.Run(plan)
-			if err != nil {
-				t.Fatalf("%s: planner-on par=%d: %v", name, par, err)
-			}
-			off := New(g, Options{Limits: lim, Parallelism: par, DisablePlanner: true})
-			b, err := off.Run(plan)
-			if err != nil {
-				t.Fatalf("%s: planner-off par=%d: %v", name, par, err)
-			}
-			if !a.Equal(b) {
-				t.Fatalf("%s: par=%d planner-on (%d paths) != planner-off (%d paths)",
-					name, par, a.Len(), b.Len())
-			}
-			if want != nil && !a.Equal(want) {
-				t.Fatalf("%s: par=%d engine (%d paths) != reference (%d paths)",
-					name, par, a.Len(), want.Len())
-			}
-			if baseline == nil {
-				baseline = a
-			} else if !a.Equal(baseline) {
-				t.Fatalf("%s: par=%d differs from par=1", name, par)
-			}
+		a, err := New(g, Options{Limits: lim}).Run(plan)
+		if err != nil {
+			t.Fatalf("%s: planner-on: %v", name, err)
+		}
+		b, err := New(g, Options{Limits: lim, DisablePlanner: true}).Run(plan)
+		if err != nil {
+			t.Fatalf("%s: planner-off: %v", name, err)
+		}
+		if !a.Equal(b) {
+			t.Fatalf("%s: planner-on (%d paths) != planner-off (%d paths)", name, a.Len(), b.Len())
+		}
+		if want != nil && !a.Equal(want) {
+			t.Fatalf("%s: engine (%d paths) != reference (%d paths)", name, a.Len(), want.Len())
 		}
 		// The representative-free oracle: selector pipelines over a
 		// truncation-free input, checked against the reference closure.
 		checked := false
 		checkSelector := func(p core.Project, closure *pathset.Set) {
 			for _, off := range []bool{false, true} {
-				got, err := New(g, Options{Limits: lim, Parallelism: 1, DisablePlanner: off}).Run(p)
+				got, err := New(g, Options{Limits: lim, DisablePlanner: off}).Run(p)
 				if err == nil {
 					err = checkSelectorReference(g, p, got, closure)
 				}

@@ -164,7 +164,7 @@ func TestSeedIndexDifferential(t *testing.T) {
 
 			// seedNodes itself, on every target a length-zero path has
 			// (node(2) has none: false).
-			e := New(g, Options{Parallelism: 1})
+			e := New(g, Options{})
 			for i := 0; i < 150; i++ {
 				conds := make([]cond.Cond, 1+rng.Intn(3))
 				for j := range conds {
@@ -204,50 +204,42 @@ func TestSeedIndexDifferential(t *testing.T) {
 				rec := core.Recurse{Sem: sem, Dir: dir, In: patterns[rng.Intn(len(patterns))]}
 				plan := core.Select{Cond: cond.Conj(conds...), In: rec}
 				forced := core.Select{Cond: cond.Conj(notNot(conds)...), In: rec}
-				var first string
-				for _, par := range []int{1, 8} {
-					e := New(g, Options{Limits: lim, Parallelism: par})
-					got, err := e.EvalPaths(plan)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, plan, err)
-					}
-					if e.Stats().SeedScans == 0 && e.Stats().SeededRecursions > 0 {
-						plansIndexed++
-					}
-					want, err := e.EvalPaths(forced)
-					if err != nil {
-						t.Fatalf("%s: %s: %v", name, forced, err)
-					}
-					if renderSet(g, got) != renderSet(g, want) {
-						t.Fatalf("%s par=%d: %s seeded from the postings:\n%s scanned:\n%s",
-							name, par, plan, renderSet(g, got), renderSet(g, want))
-					}
-					if first == "" {
-						first = renderSet(g, got)
-					} else if renderSet(g, got) != first {
-						t.Fatalf("%s: %s: par=%d differs from par=1", name, plan, par)
-					}
-					plans++
-					if sem != core.Walk {
-						continue
-					}
-					gotR, err := e.Reach(plan, opt.ReachPairs)
-					if err != nil {
-						t.Fatalf("%s: reach %s: %v", name, plan, err)
-					}
-					wantR, err := e.Reach(forced, opt.ReachPairs)
-					if err != nil {
-						t.Fatalf("%s: reach %s: %v", name, forced, err)
-					}
-					if !gotR.Kernel || !wantR.Kernel {
-						t.Fatalf("%s: %s did not run on the reach kernel", name, plan)
-					}
-					if fmt.Sprint(gotR.Pairs) != fmt.Sprint(wantR.Pairs) {
-						t.Fatalf("%s par=%d: reach %s seeded from the postings %v, scanned %v",
-							name, par, plan, gotR.Pairs, wantR.Pairs)
-					}
-					kernel++
+				e := New(g, Options{Limits: lim})
+				got, err := e.EvalPaths(plan)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, plan, err)
 				}
+				if e.Stats().SeedScans == 0 && e.Stats().SeededRecursions > 0 {
+					plansIndexed++
+				}
+				want, err := e.EvalPaths(forced)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, forced, err)
+				}
+				if renderSet(g, got) != renderSet(g, want) {
+					t.Fatalf("%s: %s seeded from the postings:\n%s scanned:\n%s",
+						name, plan, renderSet(g, got), renderSet(g, want))
+				}
+				plans++
+				if sem != core.Walk {
+					continue
+				}
+				gotR, err := e.Reach(plan, opt.ReachPairs)
+				if err != nil {
+					t.Fatalf("%s: reach %s: %v", name, plan, err)
+				}
+				wantR, err := e.Reach(forced, opt.ReachPairs)
+				if err != nil {
+					t.Fatalf("%s: reach %s: %v", name, forced, err)
+				}
+				if !gotR.Kernel || !wantR.Kernel {
+					t.Fatalf("%s: %s did not run on the reach kernel", name, plan)
+				}
+				if fmt.Sprint(gotR.Pairs) != fmt.Sprint(wantR.Pairs) {
+					t.Fatalf("%s: reach %s seeded from the postings %v, scanned %v",
+						name, plan, gotR.Pairs, wantR.Pairs)
+				}
+				kernel++
 			}
 		}
 	}
@@ -354,7 +346,7 @@ func BenchmarkSeedNodes(b *testing.B) {
 			if len(conds) == 0 {
 				b.Fatal("template is not seeded")
 			}
-			e := New(g, Options{Parallelism: 1})
+			e := New(g, Options{})
 			ctx := context.Background()
 			if seeds := e.seedNodes(ctx, conds); len(seeds) != 1 {
 				b.Fatalf("%d seeds, want 1", len(seeds))

@@ -32,7 +32,7 @@ func (o StreamOptions) chunkSize() int {
 // Stream is a chunked, cancellable result cursor produced by RunStream.
 // Chunks are emitted in the engine's deterministic result order, so the
 // concatenation of all chunks is exactly the set Engine.Run would have
-// returned — at every parallelism and chunk size. A Stream is not safe
+// returned — at every chunk size. A Stream is not safe
 // for concurrent use; callers paging one stream from several goroutines
 // (e.g. the query service's cursor endpoints) must serialize Next calls.
 type Stream struct {
@@ -59,8 +59,8 @@ type Stream struct {
 // background goroutine, returning immediately with a cursor over the
 // eventual result. Next blocks until evaluation completes and then pages
 // the result in chunks of at most the configured size. Cancelling ctx
-// (or calling Stream.Cancel) aborts the evaluation promptly: all
-// evaluation workers stop at their next budget charge, and Next returns
+// (or calling Stream.Cancel) aborts the evaluation promptly: the search
+// stops at its next budget charge, and Next returns
 // the cancellation cause (errors.Is context.Canceled /
 // context.DeadlineExceeded; budget exhaustion stays
 // core.ErrBudgetExceeded).
@@ -128,12 +128,13 @@ func StreamOf(g *graph.Graph, set *pathset.Set, chunkSize int) *Stream {
 	return s
 }
 
-// Next returns the next chunk of results as a pathset of at most the
-// configured chunk size, blocking until the evaluation has completed.
-// It returns (nil, nil) when the stream is exhausted, and the
-// evaluation's error — typed: core.ErrBudgetExceeded, context.Canceled,
-// context.DeadlineExceeded — once, on the first call after failure.
-func (s *Stream) Next() (*pathset.Set, error) {
+// Next returns the next chunk of at most the configured chunk size,
+// blocking until the evaluation has completed. The chunk is a view of the
+// result's paths, not a copy: callers must not modify it. Next returns
+// (nil, nil) when the stream is exhausted, and the evaluation's error —
+// typed: core.ErrBudgetExceeded, context.Canceled,
+// context.DeadlineExceeded — on every call after a failure.
+func (s *Stream) Next() ([]path.Path, error) {
 	<-s.done
 	if s.err != nil {
 		return nil, s.err
@@ -142,16 +143,12 @@ func (s *Stream) Next() (*pathset.Set, error) {
 		return nil, nil
 	}
 	hi := min(s.pos+s.chunk, s.set.Len())
-	// A chunk view is duplicate-free by construction (a slice of a
-	// deduplicated set), so the disjoint constructor applies: one index
-	// insert per path, no membership probes, and the chunk paths alias
-	// the result set's storage — no copying.
-	chunk := pathset.FromOrderedDisjoint([][]path.Path{s.set.Paths()[s.pos:hi]})
+	chunk := s.set.Paths()[s.pos:hi:hi]
 	s.pos = hi
 	return chunk, nil
 }
 
-// Cancel aborts the evaluation (all workers stop at their next budget
+// Cancel aborts the evaluation (the search stops at its next budget
 // charge) and releases the stream's context resources. Idempotent;
 // harmless after completion — already-delivered chunks stay valid, and
 // the undelivered remainder of a completed result stays readable. Cancel
@@ -168,7 +165,7 @@ func (s *Stream) Close() {
 		return
 	}
 	// Wait for the evaluation goroutine before unpinning: the epoch must
-	// stay pinned while workers still read its graph.
+	// stay pinned while the evaluation still reads its graph.
 	<-s.done
 	if s.release != nil {
 		s.release()
@@ -188,7 +185,7 @@ func (s *Stream) Epoch() uint64 { return s.epoch }
 func (s *Stream) Footprint() graph.Footprint { return s.footprint }
 
 // Done returns a channel closed when the evaluation has finished
-// (successfully or not) and its worker goroutines have exited.
+// (successfully or not) and its evaluation goroutine has exited.
 func (s *Stream) Done() <-chan struct{} { return s.done }
 
 // Result blocks until evaluation completes and returns the full result

@@ -11,7 +11,6 @@ import (
 	"pathalgebra/internal/gql"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
-	"pathalgebra/internal/pathset"
 )
 
 // streamGraph is large enough that every semantics produces multiple
@@ -24,10 +23,9 @@ func streamGraph(t testing.TB) *graph.Graph {
 	})
 }
 
-// TestRunStreamMatchesRun: for all five semantics, at parallelism 1 and
-// 8 and several chunk sizes, the concatenation of RunStream's chunks is
-// byte-identical (same paths, same order) to Engine.Run's result, and
-// merging the chunk sets with pathset.Merge reproduces the same set.
+// TestRunStreamMatchesRun: for all five semantics and several chunk
+// sizes, the concatenation of RunStream's chunks is byte-identical (same
+// paths, same order) to Engine.Run's result.
 func TestRunStreamMatchesRun(t *testing.T) {
 	g := streamGraph(t)
 	queries := map[string]string{
@@ -40,47 +38,40 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	lim := core.Limits{MaxLen: 5}
 	for sem, q := range queries {
 		plan := gql.MustCompile(q)
-		for _, workers := range []int{1, 8} {
-			eng := New(g, Options{Limits: lim, Parallelism: workers})
-			want, err := eng.Run(plan)
-			if err != nil {
-				t.Fatalf("%s/p%d: Run: %v", sem, workers, err)
+		eng := New(g, Options{Limits: lim})
+		want, err := eng.Run(plan)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", sem, err)
+		}
+		for _, chunkSize := range []int{1, 7, 64, 100000} {
+			name := fmt.Sprintf("%s/chunk%d", sem, chunkSize)
+			s := eng.RunStream(context.Background(), plan, StreamOptions{ChunkSize: chunkSize})
+			got := 0
+			for {
+				chunk, err := s.Next()
+				if err != nil {
+					t.Fatalf("%s: Next: %v", name, err)
+				}
+				if chunk == nil {
+					break
+				}
+				if len(chunk) == 0 || len(chunk) > chunkSize {
+					t.Fatalf("%s: chunk of %d paths, want 1..%d", name, len(chunk), chunkSize)
+				}
+				// Byte-identical concatenation: chunk i continues exactly
+				// where chunk i-1 stopped, in Run's insertion order.
+				for j, p := range chunk {
+					if !p.Equal(want.At(got + j)) {
+						t.Fatalf("%s: path %d differs from Run's", name, got+j)
+					}
+				}
+				got += len(chunk)
 			}
-			for _, chunkSize := range []int{1, 7, 64, 100000} {
-				name := fmt.Sprintf("%s/p%d/chunk%d", sem, workers, chunkSize)
-				s := eng.RunStream(context.Background(), plan, StreamOptions{ChunkSize: chunkSize})
-				var chunks []*pathset.Set
-				got := 0
-				for {
-					chunk, err := s.Next()
-					if err != nil {
-						t.Fatalf("%s: Next: %v", name, err)
-					}
-					if chunk == nil {
-						break
-					}
-					if chunk.Len() == 0 || chunk.Len() > chunkSize {
-						t.Fatalf("%s: chunk of %d paths, want 1..%d", name, chunk.Len(), chunkSize)
-					}
-					// Byte-identical concatenation: chunk i continues exactly
-					// where chunk i-1 stopped, in Run's insertion order.
-					for j, p := range chunk.Paths() {
-						if !p.Equal(want.At(got + j)) {
-							t.Fatalf("%s: path %d differs from Run's", name, got+j)
-						}
-					}
-					got += chunk.Len()
-					chunks = append(chunks, chunk)
-				}
-				if got != want.Len() {
-					t.Fatalf("%s: streamed %d paths, Run produced %d", name, got, want.Len())
-				}
-				if merged := pathset.Merge(chunks...); !merged.Equal(want) {
-					t.Fatalf("%s: merged chunks differ from Run's set", name)
-				}
-				if s.Len() != want.Len() || s.Pos() != want.Len() {
-					t.Fatalf("%s: Len/Pos = %d/%d, want %d", name, s.Len(), s.Pos(), want.Len())
-				}
+			if got != want.Len() {
+				t.Fatalf("%s: streamed %d paths, Run produced %d", name, got, want.Len())
+			}
+			if s.Len() != want.Len() || s.Pos() != want.Len() {
+				t.Fatalf("%s: Len/Pos = %d/%d, want %d", name, s.Len(), s.Pos(), want.Len())
 			}
 		}
 	}
@@ -106,8 +97,7 @@ func TestRunStreamCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("Next err = %v, want context.Canceled", err)
 	}
-	// The error is delivered once; afterwards callers see it again (a
-	// failed stream stays failed).
+	// A failed stream stays failed: every later call returns the error.
 	if _, err2 := s.Next(); !errors.Is(err2, context.Canceled) {
 		t.Errorf("second Next err = %v, want context.Canceled", err2)
 	}
@@ -161,7 +151,7 @@ func TestStreamOf(t *testing.T) {
 		if chunk == nil {
 			break
 		}
-		got += chunk.Len()
+		got += len(chunk)
 	}
 	if got != want.Len() {
 		t.Errorf("StreamOf delivered %d paths, want %d", got, want.Len())

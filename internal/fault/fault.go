@@ -15,7 +15,7 @@
 // perturb each other's draws.
 //
 // The registry is global (the seams it instruments — WAL, compactor,
-// worker pools, HTTP writes — span packages), so tests arming it must
+// the product search, HTTP writes — span packages), so tests arming it must
 // not run in parallel with each other; Arm returns a restore func for
 // t.Cleanup.
 package fault
@@ -58,7 +58,7 @@ const (
 	// ModeLatency makes Hit sleep for Rule.Delay, then succeed.
 	ModeLatency
 	// ModePanic makes Hit panic with an *Error value — exercising the
-	// recover seams (worker pools, HTTP handlers, the compactor).
+	// recover seams (the product search, HTTP handlers, the compactor).
 	ModePanic
 )
 

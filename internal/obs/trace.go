@@ -16,9 +16,9 @@ import (
 // the allocation-parity gate in scripts/check_allocs.sh pins.
 //
 // Span start order is recorded under the trace mutex, so sibling
-// order in the rendered tree is the order Start calls landed; with
-// parallel shard workers that order is scheduling-dependent, but the
-// parent/child structure and every annotation are not.
+// order in the rendered tree is the order Start calls landed; spans
+// started from several goroutines land in scheduling order, but the
+// parent/child structure and every annotation do not depend on it.
 type Trace struct {
 	start time.Time
 	mu    sync.Mutex
@@ -38,7 +38,7 @@ type Attr struct {
 }
 
 // Span is one timed phase inside a trace. All methods are nil-safe.
-// Attrs are guarded by the owning trace's mutex so parallel workers
+// Attrs are guarded by the owning trace's mutex so several goroutines
 // can annotate concurrently.
 type Span struct {
 	tr     *Trace

@@ -9,7 +9,7 @@
 // leaves the engine: on admission into a result set, for reports, or for
 // projection.
 //
-// Arenas are single-goroutine values: each evaluation worker owns one and
+// Arenas are single-goroutine values: each product search owns one and
 // resets it between sources, which keeps refs small (int32) and makes
 // deallocation a slice truncation.
 package path

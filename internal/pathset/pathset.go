@@ -199,9 +199,8 @@ func (s *Set) AddAll(t *Set) {
 }
 
 // Reset empties the set while keeping its allocated storage (the paths
-// slice and the fingerprint index map), so hot loops — e.g. the per-source
-// visited sets of the sharded product search — reuse one set per worker
-// instead of reallocating per source.
+// slice and the fingerprint index map), so hot loops reuse one set
+// instead of reallocating per iteration.
 func (s *Set) Reset() {
 	s.paths = s.paths[:0]
 	clear(s.index)
@@ -213,9 +212,11 @@ func (s *Set) Reset() {
 
 // Merge builds one set containing the paths of every shard in argument
 // order, pre-sized to the summed shard lengths and deduplicating across
-// shards. It is the general-purpose companion of FromOrderedDisjoint:
-// use Merge when shards may overlap; the sharded evaluators, whose
-// shards provably partition the result, use FromOrderedDisjoint instead.
+// shards.
+//
+// Deprecated: no evaluator merges sets any more; only the benchmark's
+// pathset.merge_ns_per_path layer metric calls Merge, and it goes with
+// that metric.
 func Merge(shards ...*Set) *Set {
 	n := 0
 	for _, sh := range shards {
@@ -234,11 +235,11 @@ func Merge(shards ...*Set) *Set {
 
 // FromOrderedDisjoint builds a set by concatenating pre-deduplicated path
 // groups in argument order. The caller guarantees the groups are mutually
-// disjoint and internally duplicate-free — true of shard outputs of a
-// source-partitioned search, where every path belongs to the shard of its
-// first node. Each path is indexed exactly once (no membership probe), so
-// this is the cheap merge for the sharded evaluators; the resulting set
-// is indistinguishable from repeated Add calls in the same order.
+// disjoint and internally duplicate-free — true of the per-source shards
+// of the product search, where every path belongs to the shard of its
+// first node. Each path is indexed exactly once (no membership probe);
+// the resulting set is indistinguishable from repeated Add calls in the
+// same order.
 func FromOrderedDisjoint(groups [][]path.Path) *Set {
 	n := 0
 	for _, g := range groups {

@@ -24,7 +24,7 @@ import (
 // materialized query results keyed by the canonical rendering of the
 // PLANNED physical plan plus the evaluation limits (the two inputs that
 // determine a result byte for byte — the engine's evaluation is
-// deterministic at every parallelism); cached sets are immutable and
+// deterministic); cached sets are immutable and
 // shared, so a hit pages the same *pathset.Set through a fresh cursor at
 // no evaluation or copying cost. The reach cache holds rendered POST
 // /reach answers. They are separate instances on purpose: reach answers

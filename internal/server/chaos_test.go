@@ -194,7 +194,7 @@ func decodeErrKind(t *testing.T, resp *http.Response) string {
 }
 
 // chaosSchedule is the per-trial fault mix: WAL failures dominate, plus
-// occasional severed response writes, worker panics, and compaction
+// occasional severed response writes, search panics, and compaction
 // failures (absorbed by the compactor's retry, never client-visible).
 func chaosSchedule(seed int64) fault.Schedule {
 	return fault.Schedule{Seed: seed, Rules: []fault.Rule{
@@ -202,7 +202,7 @@ func chaosSchedule(seed int64) fault.Schedule {
 		{Site: "wal.append", Prob: 0.08},
 		{Site: "wal.torn", Prob: 0.05},
 		{Site: "server.write", Prob: 0.03},
-		{Site: "automaton.worker", Mode: fault.ModePanic, Prob: 0.01},
+		{Site: "automaton.source", Mode: fault.ModePanic, Prob: 0.01},
 		{Site: "compact.swap", Prob: 0.3},
 	}}
 }

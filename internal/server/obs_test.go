@@ -139,6 +139,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// findSpan returns the first span named name in the forest, depth first.
+func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
+	for _, s := range spans {
+		if s.Name == name {
+			return s
+		}
+		if f := findSpan(s.Children, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 // spanNames collects the names of a span forest, depth-first.
 func spanNames(spans []*obs.SpanJSON) []string {
 	var out []string
@@ -187,9 +200,24 @@ func TestQueryTrace(t *testing.T) {
 	for _, n := range names {
 		seen[n] = true
 	}
-	for _, want := range []string{"query", "parse", "plan", "cache_probe", "eval", "search", "deliver"} {
+	for _, want := range []string{"query", "parse", "plan", "cache_probe", "eval", "search", "merge", "deliver"} {
 		if !seen[want] {
 			t.Errorf("trace missing span %q (have %v)", want, names)
+		}
+	}
+	// The search runs on the query's goroutine: no per-worker shard span,
+	// and one search span over every node of the all-pairs query.
+	if seen["shard"] {
+		t.Errorf("trace has a shard span (have %v)", names)
+	}
+	if search := findSpan(trailer.Trace, "search"); search != nil {
+		if n := int64(ldbc.Figure1().NumNodes()); search.Attrs["sources"] != n {
+			t.Errorf("search span sources = %d, want the node count %d", search.Attrs["sources"], n)
+		}
+		for _, k := range []string{"paths", "arena_bytes", "max_frontier"} {
+			if search.Attrs[k] <= 0 {
+				t.Errorf("search span %s = %d, want > 0", k, search.Attrs[k])
+			}
 		}
 	}
 	checkSpanBounds(t, root)
@@ -247,35 +275,29 @@ func TestQueryOperatorSpans(t *testing.T) {
 }
 
 // TestTraceDifferential checks tracing is observation-only: the traced
-// run's path lines are identical to the untraced run's, at sequential
-// and parallel evaluation alike.
+// run's path lines are identical to the untraced run's.
 func TestTraceDifferential(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 60, Messages: 60, KnowsPerPerson: 3, LikesPerPerson: 2,
 		CycleFraction: 0.3, Seed: 11,
 	})
-	for _, par := range []int{1, 8} {
-		t.Run(fmt.Sprintf("parallelism%d", par), func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Graph: g, Engine: engine.Options{
-				Limits:      core.Limits{MaxLen: 5, MaxPaths: 1 << 20, MaxWork: 1 << 30},
-				Parallelism: par,
-			}})
-			run := func(trace bool) []pathJSON {
-				qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
-					queryRequest{Query: obsQuery, Trace: trace, NoCache: true, ChunkSize: 50000}))
-				paths, _ := drainTraced(t, ts.URL, qr.ID)
-				return paths
-			}
-			plain, traced := run(false), run(true)
-			if len(plain) != len(traced) {
-				t.Fatalf("traced run: %d paths, untraced %d", len(traced), len(plain))
-			}
-			for i := range plain {
-				if fmt.Sprint(plain[i]) != fmt.Sprint(traced[i]) {
-					t.Fatalf("path %d diverges:\n untraced %v\n traced   %v", i, plain[i], traced[i])
-				}
-			}
-		})
+	_, ts := newTestServer(t, Config{Graph: g, Engine: engine.Options{
+		Limits: core.Limits{MaxLen: 5, MaxPaths: 1 << 20, MaxWork: 1 << 30},
+	}})
+	run := func(trace bool) []pathJSON {
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
+			queryRequest{Query: obsQuery, Trace: trace, NoCache: true, ChunkSize: 50000}))
+		paths, _ := drainTraced(t, ts.URL, qr.ID)
+		return paths
+	}
+	plain, traced := run(false), run(true)
+	if len(plain) != len(traced) {
+		t.Fatalf("traced run: %d paths, untraced %d", len(traced), len(plain))
+	}
+	for i := range plain {
+		if fmt.Sprint(plain[i]) != fmt.Sprint(traced[i]) {
+			t.Fatalf("path %d diverges:\n untraced %v\n traced   %v", i, plain[i], traced[i])
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicTypedError: a panic inside an evaluation worker reaches
+// TestWorkerPanicTypedError: a panic inside the product search reaches
 // the client as a typed 500 on the cursor page, the cursor is cleaned
 // up, and the same query re-run succeeds — one poisoned evaluation does
 // not wedge the engine.
@@ -69,7 +69,7 @@ func TestWorkerPanicTypedError(t *testing.T) {
 	}
 
 	restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{
-		{Site: "automaton.worker", Mode: fault.ModePanic, Nth: 1},
+		{Site: "automaton.source", Mode: fault.ModePanic, Nth: 1},
 	}})
 	id := post()
 	resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, id))

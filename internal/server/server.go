@@ -455,7 +455,7 @@ func compile(query string) (core.PathExpr, error) {
 
 // resultKey is the result-LRU key: the canonical rendering of the
 // physical plan the engine chose, plus the limits that bound its
-// evaluation. Everything else (parallelism, planner on/off) does not
+// evaluation. Everything else (the planner on/off) does not
 // change results, by the repo's determinism invariants.
 func resultKey(plan core.PathExpr, lim core.Limits) string {
 	return fmt.Sprintf("%s|maxlen=%d|maxpaths=%d|maxwork=%d", plan, lim.MaxLen, lim.MaxPaths, lim.MaxWork)
@@ -547,7 +547,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cur.cancel = qcancel
 	evalStart := time.Now()
 	// The root span rides the query context into RunStream: the engine's
-	// plan/eval spans and the automaton's search/shard spans parent onto
+	// plan/eval spans and the automaton's search/merge spans parent onto
 	// it. WithSpan on a nil span returns qctx unchanged.
 	cur.stream = eng.RunStream(obs.WithSpan(qctx, root), logical, engine.StreamOptions{ChunkSize: cur.chunk})
 	s.metrics.started.Inc()
@@ -654,10 +654,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	total := cur.stream.Len()
-	returned := 0
-	if chunk != nil {
-		returned = chunk.Len()
-	}
+	returned := len(chunk)
 	cur.delivered += int64(returned)
 	done := cur.stream.Pos() >= total
 	if done {
@@ -674,7 +671,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	s.metrics.pages.Inc()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := writePage(w, cur, chunk, returned); err != nil {
+	if err := writePage(w, cur, chunk); err != nil {
 		return // severed mid-page; no trailer, client retries or DELETEs
 	}
 	trailer := pageTrailer{

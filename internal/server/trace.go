@@ -7,7 +7,7 @@ import (
 	"pathalgebra/internal/engine"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
-	"pathalgebra/internal/pathset"
+	"pathalgebra/internal/path"
 )
 
 // Per-query tracing: ?trace=1 (or "trace": true in the body) builds an
@@ -54,15 +54,12 @@ func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V],
 // epoch, and compaction may have remapped IDs in the current one. A
 // write error severs the page — the caller must NOT write the trailer
 // (a severed page without a trailer is how clients detect the cut).
-func writePage(w io.Writer, cur *cursor, chunk *pathset.Set, returned int) error {
+func writePage(w io.Writer, cur *cursor, chunk []path.Path) error {
 	sp := cur.root.Start("deliver")
 	defer sp.End()
-	sp.SetInt("paths", int64(returned))
-	if chunk == nil {
-		return nil
-	}
+	sp.SetInt("paths", int64(len(chunk)))
 	g := cur.stream.Graph()
-	for _, p := range chunk.Paths() {
+	for _, p := range chunk {
 		if err := writeNDJSON(w, encodePath(g, p)); err != nil {
 			return err
 		}

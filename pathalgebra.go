@@ -300,11 +300,6 @@ type RunOptions struct {
 	// DisablePlanner falls back to the statistics-free heuristic
 	// optimizer instead of the cost-based planner.
 	DisablePlanner bool
-	// Parallelism is the number of evaluation worker goroutines; <= 0
-	// selects GOMAXPROCS. Results are byte-identical for every value —
-	// parallel shards merge in the sequential order and the MaxPaths/
-	// MaxWork budgets are shared globally across workers.
-	Parallelism int
 }
 
 // Run parses, compiles, plans and executes a query in one call. Planning
@@ -321,7 +316,6 @@ func Run(g *Graph, query string, opts RunOptions) (*PathSet, error) {
 	}
 	eng := engine.New(g, engine.Options{
 		Limits:         opts.Limits,
-		Parallelism:    opts.Parallelism,
 		DisablePlanner: opts.DisablePlanner,
 	})
 	if opts.NoOptimize {

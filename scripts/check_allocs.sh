@@ -52,9 +52,9 @@ echo "check_allocs: plan-cache hit path allocates $hit allocs/op vs $cold cold (
 
 # Streaming gate: chunked delivery (RunStream paged to exhaustion) must
 # stay within a small constant number of extra allocations over the
-# equivalent batch Run — chunks are zero-copy views into the evaluated
-# set, so the only legitimate overhead is the per-chunk set headers and
-# the stream bookkeeping. A breach means chunking started copying paths.
+# equivalent batch Run — chunks are zero-copy slices of the evaluated
+# set, so the only legitimate overhead is the stream bookkeeping. A
+# breach means chunking started copying paths.
 STREAM_THRESHOLD=${STREAM_ALLOCS_THRESHOLD:-300}
 
 out=$(go test -run xxx -bench 'BenchmarkStreamDelivery' -benchtime 20x -benchmem . 2>&1)
@@ -76,10 +76,10 @@ echo "check_allocs: streaming delivery allocates $extra allocs/op over batch ($s
 # Live-store gate: a store whose delta is empty (post-compaction, ov ==
 # nil) must evaluate with EXACTLY the allocation profile of a from-scratch
 # sealed CSR — the overlay is a nil-check on the read path, nothing more.
-# Any drift means epoch plumbing started taxing sealed reads. Both cases
-# run single-worker engines, so the count is deterministic apart from the
-# runtime's own background allocations after a collection — a handful per
-# GC, which 20 iterations' integer allocs/op absorbs.
+# Any drift means epoch plumbing started taxing sealed reads. The search
+# runs on the query's goroutine, so the count is deterministic apart from
+# the runtime's own background allocations after a collection — a handful
+# per GC, which 20 iterations' integer allocs/op absorbs.
 out=$(go test -run xxx -bench 'BenchmarkSnapshotOverlayRead/(sealed|empty-delta)' -benchtime 20x -benchmem . 2>&1)
 printf '%s\n' "$out"
 
@@ -96,8 +96,8 @@ fi
 echo "check_allocs: empty-delta read path at sealed parity ($empty allocs/op)"
 
 # Fault-registry gate: a disarmed fault point (the production state of
-# every fault.Hit seam — WAL appends, fsyncs, compaction swaps, worker
-# loops, HTTP writes) must cost exactly one atomic load plus a nil
+# every fault.Hit seam — WAL appends, fsyncs, compaction swaps, search
+# sources, HTTP writes) must cost exactly one atomic load plus a nil
 # check: ZERO allocations, no tolerance. Any drift means the injection
 # registry started taxing paths it exists to instrument.
 out=$(go test -run xxx -bench 'BenchmarkDisarmedHit' -benchtime 100000x -benchmem ./internal/fault 2>&1)
