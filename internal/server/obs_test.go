@@ -275,30 +275,33 @@ func TestQueryOperatorSpans(t *testing.T) {
 }
 
 // TestTraceDifferential checks tracing is observation-only: the traced
-// run's path lines are identical to the untraced run's.
+// run's path lines are identical to the untraced run's. The search runs
+// on the query's one goroutine, so the single subtest is that run.
 func TestTraceDifferential(t *testing.T) {
-	g := ldbc.MustGenerate(ldbc.Config{
-		Persons: 60, Messages: 60, KnowsPerPerson: 3, LikesPerPerson: 2,
-		CycleFraction: 0.3, Seed: 11,
-	})
-	_, ts := newTestServer(t, Config{Graph: g, Engine: engine.Options{
-		Limits: core.Limits{MaxLen: 5, MaxPaths: 1 << 20, MaxWork: 1 << 30},
-	}})
-	run := func(trace bool) []pathJSON {
-		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
-			queryRequest{Query: obsQuery, Trace: trace, NoCache: true, ChunkSize: 50000}))
-		paths, _ := drainTraced(t, ts.URL, qr.ID)
-		return paths
-	}
-	plain, traced := run(false), run(true)
-	if len(plain) != len(traced) {
-		t.Fatalf("traced run: %d paths, untraced %d", len(traced), len(plain))
-	}
-	for i := range plain {
-		if fmt.Sprint(plain[i]) != fmt.Sprint(traced[i]) {
-			t.Fatalf("path %d diverges:\n untraced %v\n traced   %v", i, plain[i], traced[i])
+	t.Run("parallelism1", func(t *testing.T) {
+		g := ldbc.MustGenerate(ldbc.Config{
+			Persons: 60, Messages: 60, KnowsPerPerson: 3, LikesPerPerson: 2,
+			CycleFraction: 0.3, Seed: 11,
+		})
+		_, ts := newTestServer(t, Config{Graph: g, Engine: engine.Options{
+			Limits: core.Limits{MaxLen: 5, MaxPaths: 1 << 20, MaxWork: 1 << 30},
+		}})
+		run := func(trace bool) []pathJSON {
+			qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
+				queryRequest{Query: obsQuery, Trace: trace, NoCache: true, ChunkSize: 50000}))
+			paths, _ := drainTraced(t, ts.URL, qr.ID)
+			return paths
 		}
-	}
+		plain, traced := run(false), run(true)
+		if len(plain) != len(traced) {
+			t.Fatalf("traced run: %d paths, untraced %d", len(traced), len(plain))
+		}
+		for i := range plain {
+			if fmt.Sprint(plain[i]) != fmt.Sprint(traced[i]) {
+				t.Fatalf("path %d diverges:\n untraced %v\n traced   %v", i, plain[i], traced[i])
+			}
+		}
+	})
 }
 
 // syncWriter serializes writes from the completion watcher goroutine
