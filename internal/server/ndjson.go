@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"strconv"
+	"sync"
 
 	"pathalgebra/internal/fault"
 	"pathalgebra/internal/graph"
@@ -15,15 +17,28 @@ import (
 // exactly one trailer line. Path lines carry a "nodes" field; the trailer
 // carries "done", so a line-oriented client can tell them apart without
 // lookahead, and a page is self-delimiting even over chunked transfer.
+//
+// A path line is the path rendered with the graph's external keys — the
+// alternating (n1, e1, ..., ek, nk+1) sequence split into its node and
+// edge tracks:
+//
+//	{"nodes":["n1","n2"],"edges":["e1"],"len":1}
+//
+// Path lines are appended straight from the path's IDs into a pooled
+// page buffer, byte-identical to encoding/json's rendering of
+// struct{Nodes, Edges []string; Len int}.
 
-// pathJSON is one result path rendered with the graph's external keys —
-// the alternating (n1, e1, ..., ek, nk+1) sequence split into its node
-// and edge tracks.
-type pathJSON struct {
-	Nodes []string `json:"nodes"`
-	Edges []string `json:"edges"`
-	Len   int      `json:"len"`
-}
+// pageFlushBytes is the page buffer's high-water mark: the buffer goes
+// to the writer whenever it passes this, and once at the end of the
+// page, so a page of any size holds at most one flush plus one line.
+const pageFlushBytes = 32 << 10
+
+// pageBufs pools page buffers across requests, each with room for the
+// line that crosses the flush mark.
+var pageBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, pageFlushBytes+pageFlushBytes/4)
+	return &b
+}}
 
 // pageTrailer terminates every cursor page. Done reports whether the
 // cursor is exhausted (and therefore removed server-side); Returned is
@@ -38,21 +53,94 @@ type pageTrailer struct {
 	Trace     []*obs.SpanJSON `json:"trace,omitempty"`
 }
 
-func encodePath(g *graph.Graph, p path.Path) pathJSON {
-	nodes := make([]string, len(p.Nodes()))
-	for i, n := range p.Nodes() {
-		nodes[i] = g.Node(n).Key
+// writePathLines writes one NDJSON line per path, rendered with g's keys,
+// and returns the bytes written. Each line is one hit of the
+// "server.write" fault site, which stands in for a client connection
+// dying mid-page: when it fires, the lines already buffered are written
+// and the error returned, so a severed page is a prefix of whole lines.
+func writePathLines(w io.Writer, g *graph.Graph, paths []path.Path) (int64, error) {
+	bp := pageBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	var written int64
+	var err error
+	for _, p := range paths {
+		if err = fault.Hit("server.write"); err != nil {
+			break
+		}
+		buf = appendPathLine(buf, g, p)
+		if len(buf) >= pageFlushBytes {
+			n, werr := w.Write(buf)
+			written += int64(n)
+			buf = buf[:0]
+			if werr != nil {
+				err = werr
+				break
+			}
+		}
 	}
-	edges := make([]string, len(p.Edges()))
-	for i, e := range p.Edges() {
-		edges[i] = g.Edge(e).Key
+	if len(buf) > 0 {
+		n, werr := w.Write(buf)
+		written += int64(n)
+		if err == nil {
+			err = werr
+		}
 	}
-	return pathJSON{Nodes: nodes, Edges: edges, Len: p.Len()}
+	if cap(buf) <= 2*pageFlushBytes { // a page with one huge line does not pin its buffer
+		*bp = buf[:0]
+		pageBufs.Put(bp)
+	}
+	return written, err
 }
 
-// writeNDJSON encodes one value as a single NDJSON line. The fault site
-// stands in for a client connection dying mid-page: the page loop must
-// abort cleanly (cursor intact, no partial-line corruption on retry).
+// appendPathLine appends p's NDJSON line, newline included.
+//
+//pathalgebra:hotpath
+func appendPathLine(buf []byte, g *graph.Graph, p path.Path) []byte {
+	buf = append(buf, `{"nodes":[`...)
+	for i, n := range p.Nodes() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendKey(buf, g.Node(n).Key)
+	}
+	buf = append(buf, `],"edges":[`...)
+	for i, e := range p.Edges() {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendKey(buf, g.Edge(e).Key)
+	}
+	buf = append(buf, `],"len":`...)
+	buf = strconv.AppendInt(buf, int64(p.Len()), 10)
+	return append(buf, "}\n"...)
+}
+
+// appendKey appends key as a JSON string. A key of printable ASCII that
+// encoding/json leaves alone is copied between quotes; anything else is
+// rendered by encoding/json itself.
+//
+//pathalgebra:hotpath
+func appendKey(buf []byte, key string) []byte {
+	for i := 0; i < len(key); i++ {
+		switch c := key[i]; {
+		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return appendMarshalledKey(buf, key)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, key...)
+	return append(buf, '"')
+}
+
+// appendMarshalledKey appends json.Marshal(key): HTML escapes, control
+// characters, invalid UTF-8 as \ufffd and the \u2028/\u2029 escapes.
+func appendMarshalledKey(buf []byte, key string) []byte {
+	b, _ := json.Marshal(key) // a string always marshals
+	return append(buf, b...)
+}
+
+// writeNDJSON encodes one value as a single NDJSON line — the page
+// trailer. It is one more hit of the "server.write" fault site.
 func writeNDJSON(w io.Writer, v any) error {
 	if err := fault.Hit("server.write"); err != nil {
 		return err

@@ -1,0 +1,290 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"testing"
+
+	"pathalgebra/internal/core"
+	"pathalgebra/internal/engine"
+	"pathalgebra/internal/fault"
+	"pathalgebra/internal/gql"
+	"pathalgebra/internal/graph"
+	"pathalgebra/internal/ldbc"
+	"pathalgebra/internal/path"
+	"pathalgebra/internal/pathset"
+)
+
+// pathJSON is a path line decoded, and the reference the append writer's
+// bytes are checked against: encoding/json's rendering of it.
+type pathJSON struct {
+	Nodes []string `json:"nodes"`
+	Edges []string `json:"edges"`
+	Len   int      `json:"len"`
+}
+
+func encodePath(g *graph.Graph, p path.Path) pathJSON {
+	nodes := make([]string, len(p.Nodes()))
+	for i, n := range p.Nodes() {
+		nodes[i] = g.Node(n).Key
+	}
+	edges := make([]string, len(p.Edges()))
+	for i, e := range p.Edges() {
+		edges[i] = g.Edge(e).Key
+	}
+	return pathJSON{Nodes: nodes, Edges: edges, Len: p.Len()}
+}
+
+// writePathLinesReference is the per-line writer the append writer
+// replaced: one fault hit, one pathJSON and one encoding/json Encode per
+// path, each line its own Write.
+func writePathLinesReference(w io.Writer, g *graph.Graph, paths []path.Path) error {
+	for _, p := range paths {
+		if err := writeNDJSON(w, encodePath(g, p)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pageQuery over pageGraph yields more than one 1024-path page.
+const pageQuery = `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`
+
+var pageLimits = core.Limits{MaxLen: 4}
+
+func pageGraph() *graph.Graph { return ldbc.MustGenerate(ldbc.DefaultConfig()) }
+
+// pageFixture evaluates pageQuery over pageGraph and returns the graph,
+// the result and its first 1024 paths.
+func pageFixture(tb testing.TB) (*graph.Graph, *pathset.Set, []path.Path) {
+	tb.Helper()
+	g := pageGraph()
+	set, err := engine.New(g, engine.Options{Limits: pageLimits}).Run(gql.MustCompile(pageQuery))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if set.Len() < 1024 {
+		tb.Fatalf("fixture result has %d paths, want >= 1024", set.Len())
+	}
+	return g, set, set.Paths()[:1024]
+}
+
+// FuzzAppendPath: for every path of a WALK over a graph whose keys come
+// from the input, the append writer's line is byte-identical to
+// json.Marshal of the path's pathJSON plus a newline, and a page is the
+// reference writer's page.
+func FuzzAppendPath(f *testing.F) {
+	for _, keys := range [][4]string{
+		{"n1", "n2", "e1", "e2"},
+		{"<a>", "b&c", `"q"`, `back\slash`},
+		{"\x00\x01", "\x1f", "\x7f", "tab\tnl\n"},
+		{"\xff\xfe", "bad\xc3", "a\u2028b", "\u2029"},
+		{"é", "日本", "", "Ω"},
+		{"</script>", "&amp;", "\u00a0", "\ufffd"},
+	} {
+		f.Add(keys[0], keys[1], keys[2], keys[3])
+	}
+	f.Fuzz(func(t *testing.T, n1, n2, e1, e2 string) {
+		b := graph.NewBuilder()
+		b.AddNode(n1, "Person", nil)
+		b.AddNode(n2, "Person", nil)
+		b.AddEdge(e1, n1, n2, "a", nil)
+		b.AddEdge(e2, n2, n1, "a", nil)
+		g, err := b.Build()
+		if err != nil {
+			return // keys collide; nothing to render
+		}
+		// The star makes every node a zero-length path too.
+		set, err := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: 3}}).Run(gql.MustCompile(`MATCH WALK p = (?x)-[:a*]->(?y)`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeroLen := 0
+		for _, p := range set.Paths() {
+			want, err := json.Marshal(encodePath(g, p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			got := appendPathLine(nil, g, p)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("path %s:\n got  %q\n want %q", p, got, want)
+			}
+			if p.Len() == 0 {
+				zeroLen++
+				if !bytes.Contains(got, []byte(`"edges":[]`)) {
+					t.Fatalf("zero-length path renders %q, want \"edges\":[]", got)
+				}
+			}
+		}
+		if zeroLen != 2 {
+			t.Fatalf("%d zero-length paths, want one per node", zeroLen)
+		}
+		var got, want bytes.Buffer
+		n, err := writePathLines(&got, g, set.Paths())
+		if err != nil || n != int64(got.Len()) {
+			t.Fatalf("writePathLines = %d, %v; wrote %d bytes", n, err, got.Len())
+		}
+		if err := writePathLinesReference(&want, g, set.Paths()); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("page diverges from the per-line writer:\n got  %q\n want %q", got.Bytes(), want.Bytes())
+		}
+	})
+}
+
+// TestWritePathLinesFlushes: a page well past the flush mark (the whole
+// fixture result) arrives in writes of at most one flush plus one line,
+// and byte-identical to the per-line writer.
+func TestWritePathLinesFlushes(t *testing.T) {
+	g, set, _ := pageFixture(t)
+	page := set.Paths()
+	var got bytes.Buffer
+	rec := &writeRecorder{w: &got}
+	n, err := writePathLines(rec, g, page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := writePathLinesReference(&want, g, page); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) || n != int64(want.Len()) {
+		t.Fatalf("page of %d bytes (reported %d) diverges from the per-line writer's %d", got.Len(), n, want.Len())
+	}
+	if want.Len() < 2*pageFlushBytes {
+		t.Fatalf("fixture page of %d bytes does not pass the flush mark twice", want.Len())
+	}
+	for _, size := range rec.sizes {
+		if size > pageFlushBytes+512 {
+			t.Errorf("one write of %d bytes, want <= flush mark + one line", size)
+		}
+	}
+}
+
+// writeRecorder records the size of every Write.
+type writeRecorder struct {
+	w     io.Writer
+	sizes []int
+}
+
+func (r *writeRecorder) Write(p []byte) (int, error) {
+	r.sizes = append(r.sizes, len(p))
+	return r.w.Write(p)
+}
+
+// TestSeveredPage: with server.write armed at its Nth hit on a 1024-path
+// page, the body is exactly the first N-1 lines of the unfaulted page —
+// whole lines, no trailer — and what the per-line writer writes under the
+// same schedule.
+func TestSeveredPage(t *testing.T) {
+	g, _, page := pageFixture(t)
+	_, ts := newTestServer(t, Config{Graph: g, ChunkSize: 1024, Engine: engine.Options{Limits: pageLimits}})
+
+	firstPage := func(nth int) []byte {
+		t.Helper()
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: pageQuery}))
+		if nth > 0 {
+			defer fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: nth}}})()
+		}
+		resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	clean := firstPage(0)
+	lines := strings.SplitAfter(string(clean), "\n")
+	if len(lines) != 1024+2 || lines[1025] != "" || !strings.HasPrefix(lines[1024], `{"done":false,"returned":1024,`) {
+		t.Fatalf("unfaulted page has %d lines, want 1024 path lines and a trailer", len(lines)-1)
+	}
+	for _, nth := range []int{1, 2, 500, 1024} {
+		got := firstPage(nth)
+		if want := strings.Join(lines[:nth-1], ""); string(got) != want {
+			t.Errorf("nth=%d: body of %d bytes, want the first %d lines (%d bytes)", nth, len(got), nth-1, len(want))
+		}
+		var ref bytes.Buffer
+		restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: nth}}})
+		err := writePathLinesReference(&ref, g, page)
+		restore()
+		if err == nil {
+			t.Fatalf("nth=%d: the reference writer was not severed", nth)
+		}
+		if !bytes.Equal(got, ref.Bytes()) {
+			t.Errorf("nth=%d: body diverges from the per-line writer's", nth)
+		}
+	}
+}
+
+// TestSeveredPageNotCounted: a page a write fault cuts adds nothing to
+// paths_delivered or pages_served; a clean page adds exactly its lines.
+func TestSeveredPageNotCounted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	stats := func() statsResponse {
+		t.Helper()
+		return decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats"))
+	}
+	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, ChunkSize: 5}))
+	next := fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID)
+	before := stats()
+
+	restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: 3}}})
+	resp, err := http.Get(next)
+	if err != nil {
+		restore()
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(body), "\n"); n != 2 || strings.Contains(string(body), `"done"`) {
+		t.Fatalf("severed page = %q, want 2 path lines and no trailer", body)
+	}
+	severed := stats()
+	if severed.Server.Paths != before.Server.Paths || severed.Server.Pages != before.Server.Pages {
+		t.Errorf("severed page moved paths_delivered %d -> %d, pages_served %d -> %d",
+			before.Server.Paths, severed.Server.Paths, before.Server.Pages, severed.Server.Pages)
+	}
+
+	resp, err = http.Get(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, trailer := readPage(t, resp)
+	if trailer.Returned != 5 || len(paths) != 5 {
+		t.Fatalf("clean page returned %d (%d lines), want 5", trailer.Returned, len(paths))
+	}
+	after := stats()
+	if after.Server.Paths != severed.Server.Paths+int64(trailer.Returned) || after.Server.Pages != severed.Server.Pages+1 {
+		t.Errorf("clean page moved paths_delivered %d -> %d, pages_served %d -> %d; want +%d, +1",
+			severed.Server.Paths, after.Server.Paths, severed.Server.Pages, after.Server.Pages, trailer.Returned)
+	}
+}
+
+// BenchmarkWritePage writes one 1024-path page of a generated LDBC graph
+// to io.Discard. Untraced and disarmed it allocates nothing: the page
+// buffer is pooled and keys are copied, not marshalled.
+func BenchmarkWritePage(b *testing.B) {
+	g, set, page := pageFixture(b)
+	cur := &cursor{stream: engine.StreamOf(g, set, len(page))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := writePage(io.Discard, cur, page); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -20,11 +21,20 @@ import (
 
 const obsQuery = `MATCH TRAIL p = (?x)-[:Knows+]->(?y)`
 
-// drainCursor pages a cursor to exhaustion, returning every path line
+// drainTraced pages a cursor to exhaustion, returning every path line
 // and the final trailer.
 func drainTraced(t *testing.T, base, id string) ([]pathJSON, pageTrailer) {
 	t.Helper()
+	all, trailer, _ := drainPathBytes(t, base, id)
+	return all, trailer
+}
+
+// drainPathBytes is drainTraced that also counts the bytes of the path
+// lines received, newlines included.
+func drainPathBytes(t *testing.T, base, id string) ([]pathJSON, pageTrailer, int64) {
+	t.Helper()
 	var all []pathJSON
+	var pathBytes int64
 	for page := 0; ; page++ {
 		if page > 100 {
 			t.Fatal("cursor never exhausted")
@@ -33,10 +43,18 @@ func drainTraced(t *testing.T, base, id string) ([]pathJSON, pageTrailer) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Path lines precede the trailer, the page's last line.
+		pathBytes += int64(bytes.LastIndexByte(bytes.TrimSuffix(body, []byte("\n")), '\n') + 1)
+		resp.Body = io.NopCloser(bytes.NewReader(body))
 		paths, trailer := readPage(t, resp)
 		all = append(all, paths...)
 		if trailer.Done {
-			return all, trailer
+			return all, trailer, pathBytes
 		}
 	}
 }
@@ -184,12 +202,23 @@ func TestQueryTrace(t *testing.T) {
 	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
 
 	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, Trace: true, ChunkSize: 3}))
-	paths, trailer := drainTraced(t, ts.URL, qr.ID)
+	paths, trailer, pathBytes := drainPathBytes(t, ts.URL, qr.ID)
 	if len(paths) == 0 {
 		t.Fatal("no result paths")
 	}
 	if len(trailer.Trace) == 0 {
 		t.Fatal("final trailer has no trace")
+	}
+	// One deliver span per page; their bytes are what the client received.
+	var delivered, deliverSpans int64
+	for _, sp := range trailer.Trace[0].Children {
+		if sp.Name == "deliver" {
+			delivered += sp.Attrs["bytes"]
+			deliverSpans++
+		}
+	}
+	if wantPages := int64(len(paths)+2) / 3; deliverSpans != wantPages || delivered != pathBytes {
+		t.Errorf("%d deliver spans carry %d bytes; the client received %d pages, %d path-line bytes", deliverSpans, delivered, wantPages, pathBytes)
 	}
 	root := trailer.Trace[0]
 	if root.Name != "query" {

@@ -667,13 +667,15 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 		cur.cancel()
 		defer cur.stream.Close()
 	}
-	s.metrics.paths.Add(int64(returned))
-	s.metrics.pages.Inc()
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := writePage(w, cur, chunk); err != nil {
-		return // severed mid-page; no trailer, client retries or DELETEs
+		// Severed mid-page: no trailer, and nothing counted as delivered.
+		// The stream has already advanced, so a retry gets the next page;
+		// the client resumes from there or DELETEs.
+		return
 	}
+	s.metrics.paths.Add(int64(returned))
+	s.metrics.pages.Inc()
 	trailer := pageTrailer{
 		Done:      done,
 		Returned:  returned,

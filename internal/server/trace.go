@@ -49,20 +49,17 @@ func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V],
 }
 
 // writePage writes one page's path lines under a "deliver" span of the
-// cursor's trace (no-op spans when the query is untraced). Paths render
-// with the stream's pinned graph view: the IDs were minted at that
-// epoch, and compaction may have remapped IDs in the current one. A
-// write error severs the page — the caller must NOT write the trailer
-// (a severed page without a trailer is how clients detect the cut).
+// cursor's trace (no-op spans when the query is untraced), whose bytes
+// attribute is the path-line bytes written. Paths render with the
+// stream's pinned graph view: the IDs were minted at that epoch, and
+// compaction may have remapped IDs in the current one. A write error
+// severs the page — the caller must NOT write the trailer (a severed
+// page without a trailer is how clients detect the cut).
 func writePage(w io.Writer, cur *cursor, chunk []path.Path) error {
 	sp := cur.root.Start("deliver")
 	defer sp.End()
 	sp.SetInt("paths", int64(len(chunk)))
-	g := cur.stream.Graph()
-	for _, p := range chunk {
-		if err := writeNDJSON(w, encodePath(g, p)); err != nil {
-			return err
-		}
-	}
-	return nil
+	n, err := writePathLines(w, cur.stream.Graph(), chunk)
+	sp.SetInt("bytes", n)
+	return err
 }

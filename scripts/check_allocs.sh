@@ -138,6 +138,25 @@ if [ "$nilinst" -ne 0 ]; then
 fi
 echo "check_allocs: disabled observability at zero-alloc parity (trace $niltrace, instruments $nilinst allocs/op)"
 
+# Page-encoding gate: a cursor page's path lines are appended straight
+# from the paths' IDs into a pooled buffer, keys copied between quotes
+# (encoding/json only for keys that need escaping). One 1024-path page to
+# io.Discard must allocate ZERO times per page, no tolerance; any drift
+# means per-path strings or reflection crept back into delivery.
+out=$(go test -run xxx -bench 'BenchmarkWritePage' -benchtime 100x -benchmem ./internal/server 2>&1)
+printf '%s\n' "$out"
+
+page=$(printf '%s\n' "$out" | awk '/^BenchmarkWritePage/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+if [ -z "$page" ]; then
+    echo "check_allocs: could not find BenchmarkWritePage allocs/op in benchmark output" >&2
+    exit 1
+fi
+if [ "$page" -ne 0 ]; then
+    echo "check_allocs: writing a 1024-path page allocates $page allocs/op — page encoding must be allocation-free" >&2
+    exit 1
+fi
+echo "check_allocs: page encoding at zero allocs ($page allocs/op per 1024-path page)"
+
 # Selector-pushdown gate: ANY 2 TRAIL over every endpoint pair enumerates
 # ~20x the trails it returns; with the per-pair quota applied inside the
 # product search, what it allocates must follow the paths RETURNED
