@@ -1,7 +1,6 @@
 // Command pathalgebravet is pathalgebra's invariant checker: a
 // multichecker over the internal/lint analyzer suite (budgetcharge,
-// detorder, epochpin, errsentinel, hotpathalloc, recoverguard,
-// spanend).
+// detorder, errsentinel, hotpathalloc, recoverguard, spanend).
 //
 // It runs two ways:
 //

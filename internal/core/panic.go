@@ -12,9 +12,8 @@ import (
 // errors.Is(err, core.ErrInternal); the query service maps it to HTTP
 // 500 with kind "internal". The contract it backs: one poisoned query
 // returns a typed error — it never kills the process, never wedges the
-// engine, and never leaks the epoch pin or budget state its
-// evaluation held (those release as the error unwinds the non-panicking
-// frames normally).
+// engine, and never leaks the budget state its evaluation held (that
+// releases as the error unwinds the non-panicking frames normally).
 var ErrInternal = errors.New("core: internal error")
 
 // PanicError is a recovered panic promoted to a typed error: the panic

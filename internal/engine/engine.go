@@ -128,17 +128,17 @@ type Engine struct {
 	g    *graph.Graph
 	opts Options
 	// store, when non-nil, makes this a live engine: every public entry
-	// point pins the store's current epoch and evaluates a bound copy of
+	// point takes the store's current epoch and evaluates a bound copy of
 	// the engine against that epoch's immutable graph and statistics. A
 	// static engine (store == nil) evaluates g directly.
 	store *graph.Store
-	// epoch is the pinned epoch of a bound copy (and the cache key its
+	// epoch is the epoch of a bound copy (and the cache key its
 	// Plan calls use); always 0 on a static engine.
 	epoch uint64
 	// stats is shared by pointer so bound copies and limits views account
 	// into the same counters.
 	stats *counters
-	// cm is the cost model over the pinned epoch's statistics and the
+	// cm is the cost model over the bound epoch's statistics and the
 	// engine's limits; it drives Plan (unless DisablePlanner) and the
 	// -explain estimates.
 	cm *opt.CostModel
@@ -182,36 +182,31 @@ func (e *Engine) WithLimits(lim core.Limits) *Engine {
 }
 
 // NewWithStore returns a live engine over a store: every Run, RunStream,
-// Explain and Plan pins the store's current epoch for its own duration
-// (RunStream until Stream.Close), so each call sees one consistent graph
-// no matter how many batches apply concurrently, and plans are cached and
-// costed per epoch.
+// Explain and Plan evaluates against the store's current epoch, taken once
+// when the call starts, so each call sees one consistent graph no matter
+// how many batches apply concurrently, and plans are cached and costed
+// per epoch.
 func NewWithStore(s *graph.Store, opts Options) *Engine {
 	e := New(s.Graph(), opts)
 	e.store = s
 	return e
 }
 
-// releaseNoop is the free release returned by pin on static engines.
-func releaseNoop() {}
-
-// pin returns the engine to evaluate against and a release function. A
-// static engine returns itself; a live engine snapshots the store and
-// returns a bound shallow copy — same options, shared stats and plan
-// cache, but graph, epoch and cost model fixed to the pinned snapshot.
-// The bound copy's store field is nil, so nested public calls made on it
-// do not re-pin.
-func (e *Engine) pin() (*Engine, func()) {
+// bind returns the engine to evaluate against. A static engine returns
+// itself; a live engine returns a bound shallow copy — same options,
+// shared stats and plan cache, but graph, epoch and cost model fixed to
+// the store's current epoch. Published graphs are immutable, so the copy
+// needs no release. Its store field is nil, so nested public calls made
+// on it do not re-bind.
+func (e *Engine) bind() *Engine {
 	if e.store == nil {
-		return e, releaseNoop
+		return e
 	}
-	sn := e.store.Snapshot()
 	b := *e
 	b.store = nil
-	b.g = sn.Graph()
-	b.epoch = sn.Epoch()
+	b.g, b.epoch = e.store.Current()
 	b.cm = &opt.CostModel{Stats: b.g.Stats(), Limits: e.opts.Limits}
-	return &b, sn.Release
+	return &b
 }
 
 // Plan turns a logical plan into the physical plan the engine will
@@ -221,9 +216,7 @@ func (e *Engine) pin() (*Engine, func()) {
 // and memoize both under the normalized fingerprint of the input plan's
 // canonical rendering.
 func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
-	b, release := e.pin()
-	defer release()
-	ent, _ := b.plan(x)
+	ent, _ := e.bind().plan(x)
 	return ent.plan, ent.applied
 }
 
@@ -231,7 +224,7 @@ func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 var derive = opt.Derive
 
 // plan is Plan on an already-bound engine, returning the whole cache
-// entry and whether the cache held it: the cache key includes the pinned
+// entry and whether the cache held it: the cache key includes the bound
 // epoch and the limits, so plans costed against one epoch's statistics or
 // one MaxLen are never replayed against another's.
 func (e *Engine) plan(x core.PathExpr) (*planEntry, bool) {
@@ -265,9 +258,7 @@ func (e *Engine) Run(x core.PathExpr) (*pathset.Set, error) {
 // errors.Is-able as core.ErrBudgetExceeded, so callers (e.g. an HTTP
 // layer) can map the two failure modes to distinct statuses.
 func (e *Engine) RunCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
-	b, release := e.pin()
-	defer release()
-	_, out, err := b.run(ctx, x)
+	_, out, err := e.bind().run(ctx, x)
 	return out, err
 }
 
@@ -368,12 +359,10 @@ func ctxErr(ctx context.Context) error {
 // operator boundary checks ctx, and the recursive operators (the
 // unbounded-work part of any plan) additionally abort mid-flight via
 // their budget's cancel check. On a live engine the whole evaluation runs
-// against one pinned epoch. x is evaluated as given, not planned; it is
+// against one epoch. x is evaluated as given, not planned; it is
 // derived once at its root, so selector quotas are pushed as in Run.
 func (e *Engine) EvalPathsCtx(ctx context.Context, x core.PathExpr) (*pathset.Set, error) {
-	b, release := e.pin()
-	defer release()
-	out, err := b.eval(ctx, derive(x).Root)
+	out, err := e.bind().eval(ctx, derive(x).Root)
 	e.noteEvalErr(err)
 	return out, err
 }

@@ -45,10 +45,9 @@ type Explain struct {
 // The estimates come from the cost model. When ctx already carries a
 // span, the run's spans also land in the caller's trace, under an
 // "explain" span. On a live engine the whole explanation runs against
-// one pinned epoch.
+// one epoch.
 func (e *Engine) Explain(ctx context.Context, x core.PathExpr) (*Explain, error) {
-	b, release := e.pin()
-	defer release()
+	b := e.bind()
 	sp := obs.SpanFrom(ctx).Start("explain")
 	if sp == nil {
 		sp = obs.NewTrace().Start("explain")

@@ -33,7 +33,7 @@ type ReachResult struct {
 	Lengths []int32
 	// Kernel is true when the product BFS produced the answer.
 	Kernel bool
-	// Graph and Epoch report the pinned evaluation view (like
+	// Graph and Epoch report the evaluation view (like
 	// Stream.Graph/Epoch): Pairs' node IDs were minted at this view and
 	// must be rendered against it — compaction may remap IDs in later
 	// epochs.
@@ -55,10 +55,9 @@ func (e *Engine) Reach(x core.PathExpr, mode opt.ReachMode) (*ReachResult, error
 
 // ReachCtx is Reach with cooperative cancellation (see RunCtx). On a live
 // engine the plan, the eligibility analysis and the evaluation all run
-// against one pinned epoch.
+// against one epoch.
 func (e *Engine) ReachCtx(ctx context.Context, x core.PathExpr, mode opt.ReachMode) (*ReachResult, error) {
-	b, release := e.pin()
-	defer release()
+	b := e.bind()
 	d := b.planTraced(ctx, x).derived
 	sp := obs.SpanFrom(ctx).Start("eval")
 	defer sp.End()

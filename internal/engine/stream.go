@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"sync/atomic"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
@@ -44,13 +43,11 @@ type Stream struct {
 	pos    int           // next unread position into set
 
 	// g/epoch identify the graph view the evaluation ran (or a cached
-	// result was computed) against; on a live engine the stream holds a
-	// pin on that epoch until Close, so compaction can never remap the
-	// IDs inside the stream's paths while a cursor is open.
-	g       *graph.Graph
-	epoch   uint64
-	release func()
-	closed  atomic.Bool
+	// result was computed) against. A published graph is immutable and
+	// compaction publishes a new one, so the IDs inside the stream's
+	// paths resolve against g for as long as the stream is referenced.
+	g     *graph.Graph
+	epoch uint64
 	// footprint is the label footprint of the plan the evaluation ran.
 	footprint graph.Footprint
 }
@@ -71,15 +68,14 @@ type Stream struct {
 // pages for transport, a stable pagination order, and the ability to
 // abandon the evaluation (or the unread tail) at any point.
 func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions) *Stream {
-	b, release := e.pin()
+	b := e.bind()
 	ctx, cancel := context.WithCancel(ctx)
 	s := &Stream{
-		chunk:   o.chunkSize(),
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		g:       b.g,
-		epoch:   b.epoch,
-		release: release,
+		chunk:  o.chunkSize(),
+		cancel: cancel,
+		done:   make(chan struct{}),
+		g:      b.g,
+		epoch:  b.epoch,
 	}
 	ent := b.planTraced(ctx, x)
 	s.footprint = ent.derived.Footprint
@@ -94,7 +90,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 		defer sp.End()
 		// Last line of defense above the evaluators' own recovery: a panic
 		// in engine-level operators becomes this stream's typed error (the
-		// deferred close/cancel/unpin chain then runs normally) instead of
+		// deferred close/cancel chain then runs normally) instead of
 		// killing the process.
 		defer func() {
 			if r := recover(); r != nil {
@@ -117,12 +113,11 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 // computed against (the view its path IDs must be rendered with).
 func StreamOf(g *graph.Graph, set *pathset.Set, chunkSize int) *Stream {
 	s := &Stream{
-		chunk:   StreamOptions{ChunkSize: chunkSize}.chunkSize(),
-		cancel:  func() {},
-		done:    make(chan struct{}),
-		set:     set,
-		g:       g,
-		release: releaseNoop,
+		chunk:  StreamOptions{ChunkSize: chunkSize}.chunkSize(),
+		cancel: func() {},
+		done:   make(chan struct{}),
+		set:    set,
+		g:      g,
 	}
 	close(s.done)
 	return s
@@ -151,30 +146,21 @@ func (s *Stream) Next() ([]path.Path, error) {
 // Cancel aborts the evaluation (the search stops at its next budget
 // charge) and releases the stream's context resources. Idempotent;
 // harmless after completion — already-delivered chunks stay valid, and
-// the undelivered remainder of a completed result stays readable. Cancel
-// does NOT unpin the stream's epoch; call Close when done with the
-// stream's data.
+// the undelivered remainder of a completed result stays readable. Unlike
+// Close it does not wait for the evaluation goroutine to exit.
 func (s *Stream) Cancel() { s.cancel() }
 
-// Close cancels the stream and releases its epoch pin. Idempotent. After
-// Close the already-read chunks stay valid (the graph view is reachable
-// while referenced), but the store may compact the epoch away.
+// Close cancels the stream and waits for its evaluation goroutine to
+// exit. Idempotent. After Close the already-read chunks stay valid: the
+// graph view is immutable and reachable while referenced.
 func (s *Stream) Close() {
 	s.cancel()
-	if s.closed.Swap(true) {
-		return
-	}
-	// Wait for the evaluation goroutine before unpinning: the epoch must
-	// stay pinned while the evaluation still reads its graph.
 	<-s.done
-	if s.release != nil {
-		s.release()
-	}
 }
 
-// Graph returns the graph view the stream's paths resolve against — the
-// pinned epoch's view on a live engine. Render result paths with this
-// graph, never with the engine's current one.
+// Graph returns the graph view the stream's paths resolve against — on a
+// live engine, the view of the epoch the stream evaluated. Render result
+// paths with this graph, never with the engine's current one.
 func (s *Stream) Graph() *graph.Graph { return s.g }
 
 // Epoch returns the epoch the stream evaluated against.

@@ -173,7 +173,7 @@ func (g *Graph) EdgeAlive(id EdgeID) bool {
 
 // Node returns the node with the given ID. It panics if id is out of
 // range, which indicates a path from a different graph. Tombstoned IDs
-// remain addressable (paths pinned to this view never contain them).
+// remain addressable (paths evaluated on this view never contain them).
 func (g *Graph) Node(id NodeID) *Node {
 	if g.ov != nil {
 		return g.ov.node(id)

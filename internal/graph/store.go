@@ -12,10 +12,12 @@ import (
 
 // Store is the mutable home of a live graph: a sequence of immutable
 // epochs, each a *Graph (sealed CSR or delta view), swapped atomically as
-// batches apply. Readers pin an epoch with Snapshot and evaluate against
+// batches apply. Readers take an epoch with Current and evaluate against
 // it unchanged — the automaton/core/arena read path never learns the
 // graph is live — while a single writer applies batches and a compactor
-// folds accumulated deltas back into a fresh sealed CSR.
+// folds accumulated deltas back into a fresh sealed CSR. A published
+// graph is never written again, so an epoch is a plain value: a reader
+// holding it needs no pin, and the GC frees it once nothing refers to it.
 //
 // Epoch numbering is logical: epoch N is the state after N applied
 // batches. Compaction is a physical swap — it replaces the delta view
@@ -25,12 +27,6 @@ type Store struct {
 	mu   sync.Mutex // serializes writers: Apply, Compact
 	cur  atomic.Pointer[epochState]
 	opts StoreOptions
-
-	// Advisory epoch registry for observability: every published state,
-	// pruned when unpinned and superseded. Metrics only — snapshot
-	// safety comes from the GC, not from this map.
-	regMu sync.Mutex
-	reg   map[*epochState]struct{}
 
 	compactions atomic.Uint64
 
@@ -72,13 +68,11 @@ type StoreOptions struct {
 // StoreOptions.CompactThreshold is zero.
 const DefaultCompactThreshold = 4096
 
-// epochState is one published epoch: immutable after publish except for
-// its pin count.
+// epochState is one published epoch, immutable after publish.
 type epochState struct {
 	epoch uint64
 	g     *Graph
 	clock *labelClock
-	pins  atomic.Int64
 }
 
 // NewStore wraps a sealed graph as epoch 0 of a live store. The graph
@@ -95,13 +89,10 @@ func newStoreAt(g *Graph, epoch uint64, opts StoreOptions) *Store {
 	}
 	s := &Store{
 		opts:   opts,
-		reg:    make(map[*epochState]struct{}),
 		stopCh: make(chan struct{}),
 		doneCh: make(chan struct{}),
 	}
-	st := &epochState{epoch: epoch, g: g, clock: newLabelClock()}
-	s.cur.Store(st)
-	s.reg[st] = struct{}{}
+	s.cur.Store(&epochState{epoch: epoch, g: g, clock: newLabelClock()})
 	if opts.CompactThreshold > 0 && !opts.SyncCompact {
 		s.compactCh = make(chan struct{}, 1)
 		go s.compactor()
@@ -112,7 +103,7 @@ func newStoreAt(g *Graph, epoch uint64, opts StoreOptions) *Store {
 }
 
 // Close stops the background compactor and closes the WAL (if any).
-// Snapshots stay usable.
+// Graphs already handed out stay usable.
 func (s *Store) Close() {
 	s.stopOnce.Do(func() { close(s.stopCh) })
 	<-s.doneCh
@@ -247,64 +238,19 @@ func (s *Store) checkpointLocked() error {
 	return nil
 }
 
-// Snapshot pins the current epoch and returns a handle to it. The caller
-// must Release it; in the meantime the epoch's graph is immutable no
-// matter how many batches apply or compactions run.
-func (s *Store) Snapshot() *Snapshot {
-	st := s.cur.Load()
-	st.pins.Add(1)
-	return &Snapshot{store: s, st: st}
-}
-
-// Snapshot is a pinned, immutable epoch handle.
-type Snapshot struct {
-	store    *Store
-	st       *epochState
-	released atomic.Bool
-}
-
-// Graph returns the epoch's graph view.
-func (sn *Snapshot) Graph() *Graph { return sn.st.g }
-
-// Epoch returns the epoch number.
-func (sn *Snapshot) Epoch() uint64 { return sn.st.epoch }
-
-// Release unpins the epoch. Idempotent.
-func (sn *Snapshot) Release() {
-	if sn.released.Swap(true) {
-		return
-	}
-	if sn.st.pins.Add(-1) == 0 && sn.store.cur.Load() != sn.st {
-		sn.store.prune(sn.st)
-	}
-}
-
-func (s *Store) prune(st *epochState) {
-	s.regMu.Lock()
-	if st.pins.Load() == 0 && s.cur.Load() != st {
-		delete(s.reg, st)
-	}
-	s.regMu.Unlock()
-}
-
-func (s *Store) publishLocked(st *epochState) {
-	prev := s.cur.Load()
-	s.regMu.Lock()
-	s.reg[st] = struct{}{}
-	s.cur.Store(st)
-	if prev != nil && prev.pins.Load() == 0 {
-		delete(s.reg, prev)
-	}
-	s.regMu.Unlock()
-}
-
 // Epoch returns the current epoch number.
 func (s *Store) Epoch() uint64 { return s.cur.Load().epoch }
 
-// Graph returns the current epoch's graph without pinning it — for
-// one-shot reads where a torn epoch does not matter. Use Snapshot for
-// evaluation.
+// Graph returns the current epoch's graph — for one-shot reads where
+// the epoch number does not matter. Use Current for evaluation.
 func (s *Store) Graph() *Graph { return s.cur.Load().g }
+
+// Current returns the current epoch's graph and number, read from one
+// published state so the pair is never torn by a concurrent Apply.
+func (s *Store) Current() (*Graph, uint64) {
+	st := s.cur.Load()
+	return st.g, st.epoch
+}
 
 // DeltaSize returns the current epoch's delta record count (appended
 // objects plus tombstones); 0 when sealed.
@@ -328,18 +274,6 @@ func (s *Store) DeltaCounts() (addedNodes, addedEdges, deadNodes, deadEdges int)
 // Compactions returns the number of compactions performed (inline reseals
 // for unseen labels included).
 func (s *Store) Compactions() uint64 { return s.compactions.Load() }
-
-// LiveEpochs returns the number of distinct epoch states still reachable
-// (current or pinned) and the total pin count — advisory metrics.
-func (s *Store) LiveEpochs() (states int, pins int64) {
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for st := range s.reg {
-		states++
-		pins += st.pins.Load()
-	}
-	return states, pins
-}
 
 // ValidAt reports whether a result computed at the given epoch with the
 // given label footprint is still current: no later batch touched any
@@ -368,7 +302,7 @@ func (s *Store) compactLocked() error {
 	if err := fault.Hit("compact.swap"); err != nil {
 		return fmt.Errorf("graph: compaction: %w", err)
 	}
-	s.publishLocked(&epochState{epoch: cur.epoch, g: g, clock: cur.clock})
+	s.cur.Store(&epochState{epoch: cur.epoch, g: g, clock: cur.clock})
 	s.compactions.Add(1)
 	return nil
 }
@@ -417,7 +351,7 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 		ov.finalize(prevG, eff)
 		g = &Graph{ov: ov}
 	}
-	s.publishLocked(&epochState{epoch: epoch, g: g, clock: clock})
+	s.cur.Store(&epochState{epoch: epoch, g: g, clock: clock})
 
 	if g.ov != nil && s.opts.CompactThreshold > 0 && g.ov.deltaSize() >= s.opts.CompactThreshold {
 		if s.opts.SyncCompact {

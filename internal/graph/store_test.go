@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -298,19 +299,18 @@ func TestStoreAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotPinning: a pinned snapshot's view survives later
+// TestStoreSnapshotPinning: the graph Current returns survives later
 // batches and compactions untouched.
 func TestStoreSnapshotPinning(t *testing.T) {
 	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
 	defer s.Close()
 
 	mustApply(t, s, Op{Kind: OpAddNode, Key: "d", Label: "Person"})
-	sn := s.Snapshot()
-	defer sn.Release()
-	if sn.Epoch() != 1 {
-		t.Fatalf("snapshot epoch = %d, want 1", sn.Epoch())
+	g, epoch := s.Current()
+	if epoch != 1 {
+		t.Fatalf("Current epoch = %d, want 1", epoch)
 	}
-	wantAdj := renderAdjacency(sn.Graph())
+	wantAdj := renderAdjacency(g)
 
 	mustApply(t, s, Op{Kind: OpDelNode, Key: "a"})
 	mustApply(t, s, Op{Kind: OpAddEdge, Key: "cd", Src: "c", Dst: "d", Label: "Knows"})
@@ -318,19 +318,59 @@ func TestStoreSnapshotPinning(t *testing.T) {
 		t.Fatalf("Compact: %v", err)
 	}
 
-	if got := renderAdjacency(sn.Graph()); got != wantAdj {
-		t.Fatalf("pinned view changed under writes:\n got %s\nwant %s", got, wantAdj)
+	if got := renderAdjacency(g); got != wantAdj {
+		t.Fatalf("epoch-1 view changed under writes:\n got %s\nwant %s", got, wantAdj)
 	}
-	if sn.Graph().LiveNodes() != 4 {
-		t.Fatalf("pinned LiveNodes = %d, want 4", sn.Graph().LiveNodes())
+	if g.LiveNodes() != 4 {
+		t.Fatalf("epoch-1 LiveNodes = %d, want 4", g.LiveNodes())
 	}
-	if states, pins := s.LiveEpochs(); states < 2 || pins != 1 {
-		t.Fatalf("LiveEpochs = %d states / %d pins, want ≥2 states and 1 pin", states, pins)
+	if cur, _ := s.Current(); cur == g {
+		t.Fatal("Current still returns the epoch-1 graph after writes")
 	}
-	sn.Release()
-	sn.Release() // idempotent
-	if _, pins := s.LiveEpochs(); pins != 0 {
-		t.Fatalf("pins after release = %d, want 0", pins)
+}
+
+// TestStoreCurrentConsistent: Current returns a graph and epoch number of
+// the same published state while one writer applies batches and the
+// background compactor swaps in sealed graphs. Every batch adds one node,
+// so a torn pair breaks LiveNodes == base + epoch.
+func TestStoreCurrentConsistent(t *testing.T) {
+	const batches, readers = 200, 4
+	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: 8})
+	defer s.Close()
+	base := s.Graph().LiveNodes()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				g, epoch := s.Current()
+				if got, want := g.LiveNodes(), base+int(epoch); got != want {
+					errs <- fmt.Errorf("Current: epoch %d with %d live nodes, want %d", epoch, got, want)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < batches; i++ {
+		if _, err := s.Apply(Batch{Ops: []Op{{Kind: OpAddNode, Key: fmt.Sprintf("n%d", i), Label: "Person"}}}); err != nil {
+			t.Errorf("Apply: %v", err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -270,10 +271,9 @@ func TestWALPoisoned(t *testing.T) {
 	s.mu.Unlock()
 }
 
-// TestBatchEncodingRoundTrip: the WAL's binary batch encoding is
-// lossless over all op kinds and value kinds.
-func TestBatchEncodingRoundTrip(t *testing.T) {
-	in := Batch{Ops: []Op{
+// roundTripBatch covers every op kind and value kind.
+func roundTripBatch() Batch {
+	return Batch{Ops: []Op{
 		{Kind: OpAddNode, Key: "n1", Label: "Person", Props: map[string]Value{
 			"s": StringValue("héllo\x00world"), "i": IntValue(-42), "f": FloatValue(-0.25), "b": BoolValue(false), "z": Null(),
 		}},
@@ -282,6 +282,12 @@ func TestBatchEncodingRoundTrip(t *testing.T) {
 		{Kind: OpDelNode, Key: "n1"},
 		{Kind: OpAddNode, Key: "", Label: ""}, // empty strings survive
 	}}
+}
+
+// TestBatchEncodingRoundTrip: the WAL's binary batch encoding is
+// lossless over all op kinds and value kinds.
+func TestBatchEncodingRoundTrip(t *testing.T) {
+	in := roundTripBatch()
 	out, err := decodeBatch(appendBatch(nil, in))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -309,4 +315,47 @@ func TestDecodeBatchRejectsGarbage(t *testing.T) {
 	if _, err := decodeBatch(append(append([]byte{}, good...), 0x01)); err == nil {
 		t.Error("trailing garbage decoded without error")
 	}
+}
+
+// FuzzDecodeBatch: the WAL record decoder never panics; what it accepts
+// re-encodes to a canonical form that decodes to the same bytes again;
+// and applying an accepted batch to a live store is all or nothing —
+// the epoch advances by exactly one, or the error leaves the epoch and
+// the adjacency as they were.
+func FuzzDecodeBatch(f *testing.F) {
+	good := appendBatch(nil, roundTripBatch())
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(append(append([]byte{}, good...), 0x01))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		b, err := decodeBatch(payload)
+		if err != nil {
+			return
+		}
+		enc := appendBatch(nil, b)
+		again, err := decodeBatch(enc)
+		if err != nil {
+			t.Fatalf("re-encoded batch fails to decode: %v", err)
+		}
+		if reenc := appendBatch(nil, again); !bytes.Equal(reenc, enc) {
+			t.Fatalf("re-encoding is not stable:\n first  %x\n second %x", enc, reenc)
+		}
+
+		s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
+		defer s.Close()
+		before := renderAdjacency(s.Graph())
+		epoch, err := s.Apply(b)
+		if err != nil {
+			if epoch != 0 || s.Epoch() != 0 {
+				t.Fatalf("failed Apply moved the epoch to %d (returned %d): %v", s.Epoch(), epoch, err)
+			}
+			if got := renderAdjacency(s.Graph()); got != before {
+				t.Fatalf("failed Apply changed the graph (%v):\n got %s\nwant %s", err, got, before)
+			}
+			return
+		}
+		if epoch != 1 || s.Epoch() != 1 {
+			t.Fatalf("Apply returned epoch %d, store at %d, want 1", epoch, s.Epoch())
+		}
+	})
 }

@@ -6,7 +6,6 @@ func All() []*Analyzer {
 	return []*Analyzer{
 		BudgetCharge,
 		DetOrder,
-		EpochPin,
 		ErrSentinel,
 		HotPathAlloc,
 		RecoverGuard,

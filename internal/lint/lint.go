@@ -1,8 +1,8 @@
 // Package lint is pathalgebra's static-analysis suite: a small,
 // dependency-free go/analysis-style framework plus the project-specific
 // analyzers that machine-check the engine's hand-maintained invariants
-// (budget accounting, epoch pinning, hot-path allocation discipline,
-// deterministic iteration order, typed error sentinels).
+// (budget accounting, hot-path allocation discipline, deterministic
+// iteration order, typed error sentinels, panic recovery, span ends).
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis —
 // Analyzer, Pass, Reportf, analysistest-style fixtures — but is built on

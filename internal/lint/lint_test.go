@@ -160,7 +160,6 @@ func runFixture(t *testing.T, a *Analyzer, pkgPath string) {
 
 func TestBudgetCharge(t *testing.T) { runFixture(t, BudgetCharge, "budgetcharge/automaton") }
 func TestDetOrder(t *testing.T)     { runFixture(t, DetOrder, "detorder/a") }
-func TestEpochPin(t *testing.T)     { runFixture(t, EpochPin, "epochpin/a") }
 func TestErrSentinel(t *testing.T)  { runFixture(t, ErrSentinel, "errsentinel/a") }
 func TestHotPathAlloc(t *testing.T) { runFixture(t, HotPathAlloc, "hotpathalloc/a") }
 func TestRecoverGuard(t *testing.T) { runFixture(t, RecoverGuard, "recoverguard/server") }

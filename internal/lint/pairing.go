@@ -6,7 +6,7 @@ import (
 )
 
 // pairing is one "acquired ⇒ released on all paths" discipline, the
-// analysis behind epochpin and spanend. For every value obtained from
+// analysis behind spanend. For every value obtained from
 // the acquire method on one of the receiver types, the enclosing
 // function must either release it with a deferred call of the release
 // method or transfer ownership: return the value or its release method
@@ -23,9 +23,6 @@ type pairing struct {
 	// Diagnostics. dropped is formatted with the receiver type name, the
 	// others with the handle's name (use %[1]s to repeat it).
 	dropped, plainRelease, unreleased string
-	// scoped, when set, runs on handles released by defer in fn — the
-	// hook for checks that only make sense inside the pin's scope.
-	scoped func(h *handle, fn *ast.FuncDecl)
 }
 
 // handle is one acquired value bound to a variable of a function.
@@ -94,12 +91,8 @@ func (p *pairing) check(pass *Pass, fn *ast.FuncDecl) {
 		h := &handle{pass: pass, id: id, obj: obj}
 		deferred, transferred, plain := p.scan(h, fn.Body)
 		switch {
-		case deferred:
-			if p.scoped != nil {
-				p.scoped(h, fn)
-			}
-		case transferred:
-			// Ownership moved; the holder releases.
+		case deferred, transferred:
+			// Released here, or ownership moved and the holder releases.
 		case plain:
 			pass.Reportf(id.Pos(), p.plainRelease, id.Name)
 		default:

@@ -31,7 +31,7 @@ func NewTrace() *Trace {
 }
 
 // Attr is one integer annotation on a span (frontier sizes, arena
-// entries, paths/work charged, epoch pinned...).
+// entries, paths/work charged, epoch evaluated...).
 type Attr struct {
 	Key string
 	Val int64

@@ -27,9 +27,9 @@ import (
 //     oracle that received exactly the acknowledged ingests, or fails
 //     with a typed error kind (a page may be cut mid-write only when the
 //     write fault is what cut it);
-//   - after every trial nothing leaks: no goroutines, no cursor-table
-//     entries, no pinned snapshots — and the durable directory reopens
-//     to exactly the acknowledged state.
+//   - after every trial nothing leaks: no goroutines and no cursor-table
+//     entries — and the durable directory reopens to exactly the
+//     acknowledged state.
 
 // chaosQueries is the fixed query pool; every entry must evaluate
 // deterministically (the repo-wide invariant) so oracle comparison is
@@ -235,12 +235,11 @@ func TestChaosDifferential(t *testing.T) {
 			}
 			restore()
 
-			// Leak checks while the faulted server is still up: every
-			// cursor was drained or deleted, every snapshot pin released.
+			// Leak check while the faulted server is still up: every
+			// cursor was drained or deleted.
 			if n := s.cursors.len(); n != 0 {
 				t.Errorf("cursor table holds %d entries after workload", n)
 			}
-			waitPinsReleased(t, store)
 			ackedEpoch := store.Epoch()
 			finalNodes, finalEdges := store.Graph().LiveNodes(), store.Graph().LiveEdges()
 			ts.Close()
@@ -317,25 +316,6 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	waitGoroutineBaseline(t, baselineGoroutines)
-}
-
-// waitPinsReleased waits for every snapshot pin to drop (stream Close
-// runs synchronously in handlers, but the capacity-rejection path closes
-// asynchronously).
-func waitPinsReleased(t *testing.T, store *graph.Store) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if _, pinned := store.LiveEpochs(); pinned == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			_, pinned := store.LiveEpochs()
-			t.Errorf("%d snapshot pins leaked after workload", pinned)
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func waitGoroutineBaseline(t *testing.T, baseline int) {

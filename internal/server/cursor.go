@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
 	"pathalgebra/internal/obs"
 )
@@ -16,14 +15,10 @@ import (
 // serialize on mu (a cursor is a sequential protocol; concurrent /next
 // calls on one id would otherwise race the stream).
 type cursor struct {
-	id      string
-	query   string      // original query text, echoed in /stats-level logs
-	limits  core.Limits // effective per-query limits
-	chunk   int
-	stream  *engine.Stream
-	cancel  context.CancelFunc // cancels the query context (deadline included)
-	cached  bool               // served from the result cache, no evaluation
-	created time.Time
+	id     string
+	chunk  int
+	stream *engine.Stream
+	cancel context.CancelFunc // cancels the query context (deadline included)
 	// discarded marks a cursor whose registration was rejected after its
 	// evaluation had already launched; the completion watcher then skips
 	// the completed/failed accounting (the request counted as rejected).
@@ -40,12 +35,15 @@ type cursor struct {
 
 	mu        sync.Mutex
 	delivered int64
-	lastRead  time.Time
+	// lastRead is the unix-nano time of the last page read (or of
+	// creation). It is atomic so the idle sweeper never waits on mu,
+	// which a /next holds for its whole page write to the client.
+	lastRead atomic.Int64
 }
 
 // touch records a page read for the idle-TTL sweeper.
 func (c *cursor) touch(now time.Time) {
-	c.lastRead = now
+	c.lastRead.Store(now.UnixNano())
 }
 
 // cursorTable is the mutex-guarded cursor registry. Cursors are removed
@@ -120,13 +118,7 @@ func (t *cursorTable) sweepIdle(now time.Time, ttl time.Duration) []*cursor {
 	var out []*cursor
 	//lint:ignore detorder every swept cursor is cancelled; cancellation order is unobservable
 	for id, c := range t.cursors {
-		c.mu.Lock()
-		last := c.lastRead
-		c.mu.Unlock()
-		if last.IsZero() {
-			last = c.created
-		}
-		if now.Sub(last) > ttl {
+		if now.Sub(time.Unix(0, c.lastRead.Load())) > ttl {
 			out = append(out, c)
 			delete(t.cursors, id)
 		}

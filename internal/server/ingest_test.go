@@ -276,7 +276,7 @@ func TestStatsStoreSection(t *testing.T) {
 }
 
 // TestCursorSurvivesIngestAndCompaction: a cursor opened pre-ingest
-// pages its pinned epoch's bytes even after the store mutates and
+// pages its own epoch's bytes even after the store mutates and
 // compacts under it.
 func TestCursorSurvivesIngestAndCompaction(t *testing.T) {
 	s, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})

@@ -170,10 +170,6 @@ func (s *Server) registerCollectors() {
 		func() int64 { return int64(s.store.DeltaSize()) })
 	reg.CounterFunc("pathalgebra_store_compactions_total", "Completed compactions.",
 		func() int64 { return int64(s.store.Compactions()) })
-	reg.GaugeFunc("pathalgebra_store_live_epochs", "Epochs kept alive by pins.",
-		func() int64 { le, _ := s.store.LiveEpochs(); return int64(le) })
-	reg.GaugeFunc("pathalgebra_store_pinned_snapshots", "Outstanding snapshot pins.",
-		func() int64 { _, p := s.store.LiveEpochs(); return p })
 	reg.CounterFunc("pathalgebra_store_compaction_errors_total", "Compaction attempts that failed (compactor degraded, not fatal).",
 		func() int64 { ce, _ := s.store.CompactionErrors(); return int64(ce) })
 	reg.CounterFunc("pathalgebra_store_checkpoints_total", "WAL checkpoints taken.",

@@ -164,9 +164,9 @@ func (c Config) cacheSize() int {
 // through httptest. All methods are safe for concurrent use.
 type Server struct {
 	cfg Config
-	// store is the live graph: every query pins an epoch for its own
-	// lifetime (cursors render against their pinned view), and /ingest
-	// applies batches to it.
+	// store is the live graph: every query evaluates against the epoch
+	// current when it starts (cursors render against that view), and
+	// /ingest applies batches to it.
 	store *graph.Store
 	// ownStore records whether the server created the store itself (and
 	// must close its compactor on Close).
@@ -492,18 +492,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	id := fmt.Sprintf("q%d", s.nextID.Add(1))
 	cur := &cursor{
 		id:        id,
-		query:     req.Query,
-		limits:    lim,
 		chunk:     s.chunkFor(req),
-		created:   time.Now(),
 		trace:     tr,
 		root:      root,
 		wantTrace: wantTrace,
 	}
+	cur.touch(time.Now())
 
 	if !req.NoCache {
 		if ent, ok := probeCache(root, s.store, s.cache, key); ok {
-			cur.cached = true
 			cur.cancel = func() {}
 			// The cached set's path IDs belong to the epoch it was computed
 			// at; render against that epoch's graph, not the current one.
@@ -554,7 +551,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// Completion watcher: release the admission slot, log slow queries,
 	// admit successful results into the result cache — tagged with the
-	// epoch and graph view the stream pinned, plus the label footprint of
+	// epoch and graph view the stream evaluated, plus the label footprint of
 	// the plan it evaluated, for invalidation.
 	go func() {
 		defer func() { s.recovered(recover()) }()
@@ -592,10 +589,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// as a started+failed query in /stats.
 		cur.discarded.Store(true)
 		qcancel()
-		go func() { // async: Close waits for the aborted evaluation
-			defer func() { s.recovered(recover()) }()
-			cur.stream.Close()
-		}()
 		s.metrics.started.Add(-1)
 		s.metrics.rejected.Inc()
 		writeError(w, http.StatusTooManyRequests, "over_capacity", "cursor table full (%d live cursors)", s.cursors.len())
@@ -630,9 +623,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	// Touch before the long-poll wait too: a client blocked here on a
 	// slow evaluation is attentive, not idle — without this the TTL
 	// sweeper could cancel a query out from under its waiting reader.
-	cur.mu.Lock()
 	cur.touch(time.Now())
-	cur.mu.Unlock()
 	select {
 	case <-cur.stream.Done():
 	case <-r.Context().Done():
@@ -660,12 +651,10 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	if done {
 		// Exhausted: the cursor is gone after this page (a re-POST of the
 		// same query hits the result cache), and its per-query context —
-		// a deadline timer parented on baseCtx — is released. The epoch
-		// pin is NOT released before this page renders below; Close runs
-		// after the response is written.
+		// a deadline timer parented on baseCtx — is released.
 		s.cursors.remove(id)
 		cur.cancel()
-		defer cur.stream.Close()
+		cur.stream.Close()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	if err := writePage(w, cur, chunk); err != nil {
@@ -738,8 +727,6 @@ type statsResponse struct {
 		DeadNodes   int    `json:"dead_nodes"`  // tombstoned nodes
 		DeadEdges   int    `json:"dead_edges"`  // tombstoned edges
 		Compactions uint64 `json:"compactions"`
-		LiveEpochs  int    `json:"live_epochs"`
-		Pinned      int64  `json:"pinned_snapshots"`
 		Ingests     int64  `json:"ingests"`
 		IngestedOps int64  `json:"ingested_ops"`
 
@@ -782,15 +769,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Server.Pages = s.metrics.pages.Value()
 	resp.ResultCache.Entries, resp.ResultCache.Hits, resp.ResultCache.Misses = s.cache.snapshot()
 	resp.ReachCache.Entries, resp.ReachCache.Hits, resp.ReachCache.Misses = s.reach.snapshot()
-	g := s.store.Graph()
+	g, epoch := s.store.Current()
 	resp.Graph.Nodes = g.LiveNodes()
 	resp.Graph.Edges = g.LiveEdges()
 	resp.Graph.Symbols = g.NumSymbols()
-	resp.Store.Epoch = s.store.Epoch()
+	resp.Store.Epoch = epoch
 	resp.Store.DeltaSize = s.store.DeltaSize()
 	resp.Store.DeltaNodes, resp.Store.DeltaEdges, resp.Store.DeadNodes, resp.Store.DeadEdges = s.store.DeltaCounts()
 	resp.Store.Compactions = s.store.Compactions()
-	resp.Store.LiveEpochs, resp.Store.Pinned = s.store.LiveEpochs()
 	resp.Store.Ingests = s.metrics.ingests.Value()
 	resp.Store.IngestedOps = s.metrics.ingestedOps.Value()
 	resp.Server.Panics = s.metrics.panics.Value()

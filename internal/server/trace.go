@@ -51,7 +51,7 @@ func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V],
 // writePage writes one page's path lines under a "deliver" span of the
 // cursor's trace (no-op spans when the query is untraced), whose bytes
 // attribute is the path-line bytes written. Paths render with the
-// stream's pinned graph view: the IDs were minted at that epoch, and
+// stream's own graph view: the IDs were minted at that epoch, and
 // compaction may have remapped IDs in the current one. A write error
 // severs the page — the caller must NOT write the trailer (a severed
 // page without a trailer is how clients detect the cut).

@@ -191,16 +191,15 @@ func NewTrace() *Trace { return obs.NewTrace() }
 func ContextWithSpan(ctx context.Context, sp *Span) context.Context { return obs.WithSpan(ctx, sp) }
 
 // Live-graph types: a Store is an updatable graph — an epoch sequence of
-// immutable snapshots. Apply ingests a Batch of mutations atomically and
-// publishes a new epoch; Snapshot pins an epoch for reading; a background
+// immutable graphs. Apply ingests a Batch of mutations atomically and
+// publishes a new epoch; Current reads the latest epoch as a plain value,
+// which stays valid for as long as the reader holds it; a background
 // compactor folds accumulated deltas into fresh sealed CSR epochs.
 type (
 	// Store is the epoch-based live graph store.
 	Store = graph.Store
 	// StoreOptions configures compaction behavior.
 	StoreOptions = graph.StoreOptions
-	// Snapshot is a pinned, immutable epoch handle.
-	Snapshot = graph.Snapshot
 	// Batch is an ordered, atomic group of graph mutations.
 	Batch = graph.Batch
 	// Op is one mutation: add/delete of a node or edge.
@@ -236,8 +235,9 @@ var (
 func NewStore(g *Graph, opts StoreOptions) *Store { return graph.NewStore(g, opts) }
 
 // NewEngineWithStore returns an engine over a live store: every Run/
-// Stream/Explain pins the store's current epoch for its own duration, so
-// concurrent ingest and compaction never disturb a running query.
+// Stream/Explain evaluates against the store's current epoch, taken once
+// when the call starts, so concurrent ingest and compaction never disturb
+// a running query.
 func NewEngineWithStore(s *Store, opts EngineOptions) *Engine {
 	return engine.NewWithStore(s, opts)
 }
