@@ -549,9 +549,13 @@ func BenchmarkStreamDelivery(b *testing.B) {
 //     overlay (ov != nil) — documents the overlay read penalty.
 func BenchmarkSnapshotOverlayRead(b *testing.B) {
 	base := benchGraph()
-	batch := ldbc.MustUpdateStream(ldbc.UpdateConfig{
+	stream, err := ldbc.UpdateStream(ldbc.UpdateConfig{
 		Batches: 1, OpsPerBatch: 32, ExistingPersons: 40, PersonFraction: 0.3, Seed: 11,
-	})[0]
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := stream[0]
 	plan := gql.MustCompile(`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`)
 	lim := Limits{MaxLen: 5}
 

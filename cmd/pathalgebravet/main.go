@@ -2,16 +2,10 @@
 // multichecker over the internal/lint analyzer suite (budgetcharge,
 // detorder, errsentinel, hotpathalloc, recoverguard, spanend).
 //
-// It runs two ways:
+//	pathalgebravet ./...              # load, check, report
 //
-//	pathalgebravet ./...              # standalone: load, check, report
-//	go vet -vettool=pathalgebravet    # vet mode: cmd/go drives it per
-//	                                  # package with cached results
-//
-// Vet mode is detected from the invocation (cmd/go passes -V=full,
-// -flags, or a single *.cfg argument); anything else is treated as a
-// list of package patterns for the standalone loader. `pathalgebravet
-// help` describes every analyzer.
+// Arguments are package patterns for the loader (default ./...).
+// `pathalgebravet help` describes every analyzer.
 //
 // Exit status: 0 clean, 1 failure to load or analyze, 2 findings.
 package main
@@ -29,16 +23,13 @@ func main() {
 
 func run(args []string) int {
 	analyzers := lint.All()
-	if code, handled := lint.VetMain(args, analyzers); handled {
-		return code
-	}
 	if len(args) == 1 && (args[0] == "help" || args[0] == "-h" || args[0] == "--help") {
 		fmt.Println("pathalgebravet checks pathalgebra's engine invariants.")
 		fmt.Println()
 		for _, a := range analyzers {
 			fmt.Printf("%s:\n    %s\n", a.Name, a.Doc)
 		}
-		fmt.Println("\nusage: pathalgebravet [packages]   (or: go vet -vettool=pathalgebravet [packages])")
+		fmt.Println("\nusage: pathalgebravet [packages]")
 		return 0
 	}
 	patterns := args

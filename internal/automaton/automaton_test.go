@@ -14,13 +14,28 @@ import (
 	"pathalgebra/internal/rpq"
 )
 
-// word feeds a label sequence through the NFA and reports acceptance.
+// alphabet is a graph whose edge-label symbol table holds every label
+// the language tests read.
+var alphabet = func() *graph.Graph {
+	b := graph.NewBuilder()
+	b.AddNode("a", "", nil)
+	for _, l := range []string{"A", "B", "C", "X"} {
+		b.AddEdge(l, "a", "a", l, nil)
+	}
+	return b.MustBuild()
+}()
+
+// word feeds a label sequence through the NFA, compiled over alphabet's
+// symbols, and reports acceptance.
 func word(n *automaton.NFA, labels ...string) bool {
+	c := n.Compile(alphabet)
 	states := map[automaton.StateID]bool{0: true}
 	for _, l := range labels {
 		next := map[automaton.StateID]bool{}
 		for s := range states {
-			n.Visit(s, l, func(q automaton.StateID) { next[q] = true })
+			for _, q := range c.Trans(s, alphabet.SymbolOf(l)) {
+				next[q] = true
+			}
 		}
 		states = next
 	}

@@ -43,20 +43,6 @@ func (n *NFA) Accepting(s StateID) bool { return n.accepting[s] }
 // whether length-zero paths match the expression.
 func (n *NFA) AcceptsEmpty() bool { return n.accepting[0] }
 
-// Visit calls fn for every state reachable from s by reading label,
-// without allocating. It is the automaton's sole transition API and the
-// definitional reference for CompiledNFA (see symbols.go), which the
-// evaluator uses instead: Visit compares label strings, the compiled form
-// dispatches on interned graph symbols.
-func (n *NFA) Visit(s StateID, label string, fn func(StateID)) {
-	for _, q := range n.next[s] {
-		p := n.positions[q-1]
-		if p.any || p.label == label {
-			fn(q)
-		}
-	}
-}
-
 // String renders the automaton for debugging.
 func (n *NFA) String() string {
 	var sb strings.Builder

@@ -76,7 +76,7 @@ func (l Limits) withinLen(p path.Path) bool {
 // Quota is what a selector pipeline above a pattern recursion keeps per
 // (source, target) endpoint pair: the first K paths in discovery order,
 // or — ByLength — every path of the K smallest distinct lengths. The
-// planner derives it from the π/τ/γ shape (opt.AnalyzeQuota) and the
+// planner derives it from the π/τ/γ shape (opt.Derive) and the
 // product search applies it while enumerating; like Direction it is an
 // execution hint that never changes a plan's result. The zero value
 // means no quota.
@@ -318,31 +318,4 @@ func evalShortest(base *pathset.Set, lim Limits, bud *Budget) (*pathset.Set, err
 		}
 	}
 	return result, nil
-}
-
-// KleenePlus is a convenience wrapper for ϕSem(S): the "one or more"
-// closure corresponding to a regular-expression +.
-func KleenePlus(sem Semantics, base *pathset.Set, lim Limits) (*pathset.Set, error) {
-	return EvalRecurse(sem, base, lim)
-}
-
-// KleeneStar computes ϕSem(S) ∪ Nodes(G): the "zero or more" closure
-// corresponding to a regular-expression *, which the paper expresses as a
-// union with the length-zero paths (Figure 4).
-func KleeneStar(g *graph.Graph, sem Semantics, base *pathset.Set, lim Limits) (*pathset.Set, error) {
-	plus, err := EvalRecurse(sem, base, lim)
-	if err != nil {
-		return plus, err
-	}
-	return EvalUnion(plus, EvalNodes(g)), nil
-}
-
-// CheckedRecurse evaluates ϕ and decorates budget errors with the operator
-// rendering, for friendlier engine errors.
-func CheckedRecurse(sem Semantics, base *pathset.Set, lim Limits) (*pathset.Set, error) {
-	out, err := EvalRecurse(sem, base, lim)
-	if err != nil {
-		return out, fmt.Errorf("evaluating ϕ%s: %w", sem, err)
-	}
-	return out, nil
 }

@@ -211,19 +211,6 @@ func (ss *SolutionSpace) NumGroups() int {
 	return n
 }
 
-// AllPaths flattens the space back into a set of paths (losing structure).
-func (ss *SolutionSpace) AllPaths() *pathset.Set {
-	out := pathset.New(ss.NumPaths())
-	for _, p := range ss.Partitions {
-		for _, g := range p.Groups {
-			for _, rp := range g.Paths {
-				out.Add(rp.Path)
-			}
-		}
-	}
-	return out
-}
-
 type partitionKey struct {
 	src, dst graph.NodeID
 	hasS     bool

@@ -121,9 +121,7 @@ func fingerprintCollisions() int64 {
 // atomic, and the plan cache is mutex-guarded — one engine can serve
 // Run/RunStream/Explain/Stats from many goroutines at once, each call
 // under its own limits (WithLimits; the query service layer does exactly
-// that). ResetStats is the one exception: it snapshots non-atomically and
-// should only run while no evaluation is in flight. Each call evaluates on
-// its caller's goroutine.
+// that). Each call evaluates on its caller's goroutine.
 type Engine struct {
 	g    *graph.Graph
 	opts Options
@@ -150,8 +148,8 @@ type Engine struct {
 // counters is an engine's accumulating state.
 type counters struct {
 	Stats
-	// collisionBase is the fingerprintCollisions reading at construction
-	// (or last ResetStats); Stats reports the delta since then.
+	// collisionBase is the fingerprintCollisions reading at construction;
+	// Stats reports the delta since then.
 	collisionBase int64
 }
 
@@ -334,11 +332,6 @@ func (e *Engine) Stats() Stats {
 
 // addStat atomically bumps one counter.
 func addStat(counter *int64, n int64) { atomic.AddInt64(counter, n) }
-
-// ResetStats zeroes the counters.
-func (e *Engine) ResetStats() {
-	*e.stats = counters{collisionBase: fingerprintCollisions()}
-}
 
 // EvalPaths evaluates a path-sorted expression to a set of paths.
 func (e *Engine) EvalPaths(x core.PathExpr) (*pathset.Set, error) {

@@ -166,6 +166,8 @@ func TestNilAndUnknownExpr(t *testing.T) {
 	}
 }
 
+// TestStatsReset: counters accumulate per engine, and a fresh engine
+// starts from zero.
 func TestStatsReset(t *testing.T) {
 	g := ldbc.Figure1()
 	e := New(g, Options{})
@@ -175,17 +177,18 @@ func TestStatsReset(t *testing.T) {
 	if e.Stats().PathsProduced == 0 {
 		t.Error("stats not accumulated")
 	}
-	e.ResetStats()
-	if e.Stats() != (Stats{}) {
-		t.Error("ResetStats did not zero counters")
+	if New(g, Options{}).Stats() != (Stats{}) {
+		t.Error("a fresh engine's counters are not zero")
 	}
 }
 
 func TestEvalSpaceDirect(t *testing.T) {
 	g := ldbc.Figure1()
 	e := New(g, Options{})
-	ss, err := e.evalSpace(context.Background(), opt.DeriveSpace(core.OrderBy{Key: core.OrderPath,
-		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}}).Root)
+	all := core.AllCount()
+	root := opt.Derive(core.Project{Parts: all, Groups: all, Paths: all, In: core.OrderBy{Key: core.OrderPath,
+		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}}}).Root
+	ss, err := e.evalSpace(context.Background(), root.In[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +272,8 @@ func TestOptionsDefaults(t *testing.T) {
 
 // TestFingerprintCollisionStat checks the observability hook for the
 // fingerprint fallback: a normal evaluation should see no collisions, and
-// the counter must rebase on ResetStats rather than accumulate forever.
+// a fresh engine must rebase the counter rather than inherit the
+// process-wide total.
 func TestFingerprintCollisionStat(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{
 		Persons: 20, KnowsPerPerson: 3, CycleFraction: 0.3, Seed: 4,
@@ -290,8 +294,7 @@ func TestFingerprintCollisionStat(t *testing.T) {
 	if got := e.Stats().FingerprintCollisions; got != 1 {
 		t.Errorf("FingerprintCollisions = %d after one injected collision, want 1", got)
 	}
-	e.ResetStats()
-	if got := e.Stats().FingerprintCollisions; got != 0 {
-		t.Errorf("FingerprintCollisions = %d after ResetStats, want 0", got)
+	if got := New(g, Options{}).Stats().FingerprintCollisions; got != 0 {
+		t.Errorf("FingerprintCollisions = %d on a fresh engine, want 0", got)
 	}
 }

@@ -337,9 +337,12 @@ func TestLiveStoreHammer(t *testing.T) {
 	live := NewWithStore(store, Options{Limits: core.Limits{MaxLen: 3}})
 	plan := rpq.Compile(rpq.Plus{In: rpq.Label{Name: ldbc.LabelKnows}}, core.Trail)
 
-	stream := ldbc.MustUpdateStream(ldbc.UpdateConfig{
+	stream, err := ldbc.UpdateStream(ldbc.UpdateConfig{
 		Batches: 40, OpsPerBatch: 8, ExistingPersons: 30, PersonFraction: 0.3, Seed: 11,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

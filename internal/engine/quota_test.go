@@ -183,7 +183,7 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 								}
 								if eng.Stats().QuotaRecursions > 0 {
 									pushed++
-								} else if _, ok := opt.AnalyzeQuota(plan.(core.Project)); ok {
+								} else if recursionQuota(plan.(core.Project)).K > 0 {
 									t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
 								}
 								want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan.(core.Project))
@@ -285,8 +285,8 @@ func TestQuotaNotPushed(t *testing.T) {
 	}
 	lim := core.Limits{MaxLen: 4}
 	for name, plan := range plans {
-		if q, ok := opt.AnalyzeQuota(plan); ok {
-			t.Errorf("%s: AnalyzeQuota = %v, want no quota", name, q)
+		if q := recursionQuota(plan); q.K > 0 {
+			t.Errorf("%s: Derive pushed quota %v, want none", name, q)
 		}
 		eng := New(g, Options{Limits: lim})
 		got, err := eng.EvalPaths(plan)
@@ -318,6 +318,27 @@ func TestQuotaNotPushed(t *testing.T) {
 			t.Errorf("%s: quota not pushed", name)
 		}
 	}
+}
+
+// recursionQuota is the quota opt.Derive pushes from p's π onto the
+// first recursion below it; zero when none.
+func recursionQuota(p core.Project) core.Quota {
+	var find func(n *opt.Node) *opt.Node
+	find = func(n *opt.Node) *opt.Node {
+		if _, ok := n.Path.(core.Recurse); ok {
+			return n
+		}
+		for _, in := range n.In {
+			if r := find(in); r != nil {
+				return r
+			}
+		}
+		return nil
+	}
+	if r := find(opt.Derive(p).Root); r != nil {
+		return r.Quota
+	}
+	return core.Quota{}
 }
 
 // findSpan returns the first span named name in the forest, depth first.

@@ -7,7 +7,6 @@ import (
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/graph"
-	"pathalgebra/internal/opt"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/testutil"
 )
@@ -30,8 +29,8 @@ import (
 // representatives: every kept path is in the reference closure, and per
 // pair the counts — and, under τA/τG, the lengths — equal the reference
 // answer's. That covers every sub-pipeline of a truncating plan whose
-// π/τ/γ part opt.AnalyzeQuota recognizes (ANY k, SHORTEST k, SHORTEST k
-// GROUP) over a truncation-free input, and each truncation-free plan
+// π/τ/γ part opt.Derive pushes a quota from (ANY k, SHORTEST k, SHORTEST
+// k GROUP) over a truncation-free input, and each truncation-free plan
 // wrapped in ANY SHORTEST, ANY 2, SHORTEST 2 and SHORTEST 2 GROUP.
 const (
 	randomizedTrials = 500
@@ -155,12 +154,12 @@ func selectorsOver(x core.PathExpr) []core.Project {
 	}
 }
 
-// selectorPipeline reports whether p's π/τ/γ pipeline is one
-// opt.AnalyzeQuota recognizes — ANY k, SHORTEST k or SHORTEST k GROUP —
-// over a truncation-free path input. AnalyzeQuota is asked about p with
-// that input replaced by a pattern recursion: the random inputs are
-// seldom ones it pushes a quota into, but the oracle needs only that
-// every evaluator reads the same set from them.
+// selectorPipeline reports whether p's π/τ/γ pipeline is one opt.Derive
+// pushes a quota from — ANY k, SHORTEST k or SHORTEST k GROUP — over a
+// truncation-free path input. Derive is asked about p with that input
+// replaced by a pattern recursion: the random inputs are seldom ones it
+// pushes a quota into, but the oracle needs only that every evaluator
+// reads the same set from them.
 func selectorPipeline(p core.Project) bool {
 	gb, ok := core.BottomGroupBy(p.In)
 	if !ok || !testutil.IsTruncationFree(gb.In) {
@@ -168,8 +167,7 @@ func selectorPipeline(p core.Project) bool {
 	}
 	probe := p
 	probe.In = withGroupInput(p.In, core.Recurse{Sem: core.Walk, In: core.Edges{}})
-	_, ok = opt.AnalyzeQuota(probe)
-	return ok
+	return recursionQuota(probe).K > 0
 }
 
 // withGroupInput returns x with the input of its bottom γ replaced by in.

@@ -45,7 +45,7 @@ type ReachResult struct {
 }
 
 // Reach plans x like Run and answers the path-free question mode about
-// its result set. Eligible plans (opt.AnalyzeReach, read off the plan's
+// its result set. Eligible plans (opt.Derivation.Reach, read off the plan's
 // cached derivation) route to the product BFS — no path is ever
 // materialized; everything else falls back to full enumeration with the
 // answer derived by erasing bodies.

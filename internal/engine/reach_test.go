@@ -359,7 +359,7 @@ func TestRandomizedReachDifferential(t *testing.T) {
 				plan = randomReachPlan(rng)
 			}
 			physical, _ := e.Plan(plan)
-			_, ok := opt.AnalyzeReach(physical, opt.ReachPairs)
+			_, ok := opt.Derive(physical).Reach(opt.ReachPairs)
 			if ok {
 				eligible++
 			}
@@ -372,7 +372,7 @@ func TestRandomizedReachDifferential(t *testing.T) {
 		for trial := 0; trial < n/2; trial++ {
 			plan := randomEndpointReachPlan(endRng)
 			physical, _ := e.Plan(plan)
-			if _, ok := opt.AnalyzeReach(physical, opt.ReachPairs); !ok {
+			if _, ok := opt.Derive(physical).Reach(opt.ReachPairs); !ok {
 				t.Fatalf("%s: endpoint plan %s is not kernel-eligible", name, plan)
 			}
 			checkReachAgainstRun(t, e, plan, true)

@@ -133,10 +133,6 @@ func Arm(s Schedule) (restore func()) {
 // Disarm removes any armed schedule; every site becomes a no-op again.
 func Disarm() { armed.Store(nil) }
 
-// Enabled reports whether a schedule is armed — for code that must
-// choose a slower shadow path only under test (none currently does).
-func Enabled() bool { return armed.Load() != nil }
-
 // siteHash is FNV-32a over the site name, mixing the site into the
 // per-site generator seed.
 func siteHash(site string) uint32 {

@@ -151,6 +151,9 @@ func ReadBatchCSV(r io.Reader) (Batch, error) {
 		if err != nil {
 			return Batch{}, fmt.Errorf("graph: batch CSV: %w", err)
 		}
+		if err := checkUTF8(cr, rec); err != nil {
+			return Batch{}, fmt.Errorf("graph: batch CSV %w", err)
+		}
 		jop := ndjsonOp{Op: rec[0], Key: rec[1], Src: rec[2], Dst: rec[3], Label: rec[4]}
 		op, err := jop.toOp()
 		if err != nil {

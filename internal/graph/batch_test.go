@@ -89,6 +89,9 @@ del_edge,ab,,,
 	if _, err := ReadBatchCSV(strings.NewReader("op,key,src,dst,label\nupsert,x,,,\n")); err == nil || !strings.Contains(err.Error(), "unknown op") {
 		t.Fatalf("unknown op err = %v", err)
 	}
+	if _, err := ReadBatchCSV(strings.NewReader("op,key,src,dst,label\nadd_node,d,,,P\nadd_node,\xfe,,,P\n")); err == nil || !strings.Contains(err.Error(), "line 3, column 10: invalid UTF-8") {
+		t.Fatalf("invalid UTF-8 key err = %v", err)
+	}
 }
 
 // TestBatchRoundTripThroughStore: a parsed NDJSON batch applies cleanly.

@@ -4,8 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // ReadCSV loads a property graph from two CSV streams, the common
@@ -20,7 +22,8 @@ import (
 // type annotation: the whole column name, colon and all, becomes a
 // string-valued property (so "created:stamp" is the string property
 // named "created:stamp"). Empty cells leave the property unset (ν is
-// partial).
+// partial). Cells that the JSON snapshot cannot hold are rejected:
+// invalid UTF-8 anywhere, and NaN or ±Inf in a ":float" column.
 func ReadCSV(nodes, edges io.Reader) (*Graph, error) {
 	b := NewBuilder()
 	if err := readNodeCSV(b, nodes); err != nil {
@@ -98,6 +101,9 @@ func parseProps(cols []propColumn, cells []string) (map[string]Value, error) {
 			if err != nil {
 				return nil, fmt.Errorf("column %q: %w", col.name, err)
 			}
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return nil, fmt.Errorf("column %q: %s is not a finite number", col.name, cell)
+			}
 			v = FloatValue(f)
 		case KindBool:
 			bv, err := strconv.ParseBool(cell)
@@ -116,12 +122,28 @@ func parseProps(cols []propColumn, cells []string) (map[string]Value, error) {
 	return props, nil
 }
 
+// checkUTF8 rejects the record cr read last if a cell holds invalid
+// UTF-8: WriteJSON would rewrite it to U+FFFD, so a checkpoint would not
+// read back as the graph it saved.
+func checkUTF8(cr *csv.Reader, rec []string) error {
+	for i, cell := range rec {
+		if !utf8.ValidString(cell) {
+			line, col := cr.FieldPos(i)
+			return fmt.Errorf("line %d, column %d: invalid UTF-8", line, col)
+		}
+	}
+	return nil
+}
+
 func readNodeCSV(b *Builder, r io.Reader) error {
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	header, err := cr.Read()
 	if err != nil {
 		return fmt.Errorf("graph: reading node CSV header: %w", err)
+	}
+	if err := checkUTF8(cr, header); err != nil {
+		return fmt.Errorf("graph: node CSV %w", err)
 	}
 	cols, err := parseHeader(header, []string{"key", "label"}, "node")
 	if err != nil {
@@ -137,6 +159,9 @@ func readNodeCSV(b *Builder, r io.Reader) error {
 			return fmt.Errorf("graph: node CSV line %d: %w", line+1, err)
 		}
 		line++
+		if err := checkUTF8(cr, rec); err != nil {
+			return fmt.Errorf("graph: node CSV %w", err)
+		}
 		props, err := parseProps(cols, rec[2:])
 		if err != nil {
 			return fmt.Errorf("graph: node CSV line %d: %w", line, err)
@@ -152,6 +177,9 @@ func readEdgeCSV(b *Builder, r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("graph: reading edge CSV header: %w", err)
 	}
+	if err := checkUTF8(cr, header); err != nil {
+		return fmt.Errorf("graph: edge CSV %w", err)
+	}
 	cols, err := parseHeader(header, []string{"key", "src", "dst", "label"}, "edge")
 	if err != nil {
 		return err
@@ -166,6 +194,9 @@ func readEdgeCSV(b *Builder, r io.Reader) error {
 			return fmt.Errorf("graph: edge CSV line %d: %w", line+1, err)
 		}
 		line++
+		if err := checkUTF8(cr, rec); err != nil {
+			return fmt.Errorf("graph: edge CSV %w", err)
+		}
 		props, err := parseProps(cols, rec[4:])
 		if err != nil {
 			return fmt.Errorf("graph: edge CSV line %d: %w", line, err)

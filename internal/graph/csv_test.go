@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,12 @@ func TestReadCSVErrors(t *testing.T) {
 		{"unknown endpoint", okNodes, "key,src,dst,label\ne,a,zzz,X\n", "unknown target"},
 		{"short record", "key,label,p\na,L\n", okEdges, "wrong number of fields"},
 		{"empty node file", "", okEdges, "header"},
+		{"NaN float", "key,label,s:float\na,L,NaN\n", okEdges, `line 2: column "s": NaN is not a finite number`},
+		{"infinite float", "key,label,s:float\na,L,-Inf\n", okEdges, `column "s": -Inf is not a finite number`},
+		{"invalid UTF-8 node key", "key,label\na\xff,L\n", okEdges, "node CSV line 2, column 1: invalid UTF-8"},
+		{"invalid UTF-8 string value", "key,label,name\na,L,\xfe\n", okEdges, "node CSV line 2, column 5: invalid UTF-8"},
+		{"invalid UTF-8 property name", "key,label,n\xff\na,L,x\n", okEdges, "node CSV line 1, column 11: invalid UTF-8"},
+		{"invalid UTF-8 edge label", okNodes, "key,src,dst,label\ne,a,b,X\xff\n", "edge CSV line 2, column 7: invalid UTF-8"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -121,4 +128,57 @@ func TestReadCSVExplicitStringSuffix(t *testing.T) {
 	if got := g.NodeProp(n.ID, "name"); got.Str() != "x" {
 		t.Errorf("name = %v", got)
 	}
+}
+
+// FuzzReadCSV: ReadCSV never panics, and every graph it accepts
+// checkpoints: WriteJSON succeeds and ReadJSON of its output has the
+// same adjacency and the same properties. The seeds include a NaN cell
+// and invalid UTF-8 keys and labels, which the JSON snapshot cannot
+// hold.
+func FuzzReadCSV(f *testing.F) {
+	f.Add(nodesCSV, edgesCSV)
+	f.Add("key,label,score:float\na,L,NaN\n", "key,src,dst,label\n")
+	f.Add("key,label\na\xff,L\na\xfe,L\n", "key,src,dst,label\n")
+	f.Add("key,label\na,L\nb,L\n", "key,src,dst,label,w:int\ne,a,b,X\xff,1\n")
+	f.Fuzz(func(t *testing.T, nodes, edges string) {
+		g, err := ReadCSV(strings.NewReader(nodes), strings.NewReader(edges))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted graph: %v", err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("ReadJSON of WriteJSON's output: %v", err)
+		}
+		if got, want := renderAdjacency(back), renderAdjacency(g); got != want {
+			t.Fatalf("adjacency changed through JSON:\n got %s\nwant %s", got, want)
+		}
+		for _, n := range g.Nodes() {
+			m, _ := back.NodeByKey(n.Key)
+			if !sameProps(n.Props, m.Props) {
+				t.Fatalf("node %q props %v read back as %v", n.Key, n.Props, m.Props)
+			}
+		}
+		for _, e := range g.Edges() {
+			d, _ := back.EdgeByKey(e.Key)
+			if !sameProps(e.Props, d.Props) {
+				t.Fatalf("edge %q props %v read back as %v", e.Key, e.Props, d.Props)
+			}
+		}
+	})
+}
+
+func sameProps(a, b map[string]Value) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
 }

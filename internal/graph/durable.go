@@ -113,7 +113,7 @@ func writeSnapshot(path string, epoch uint64, g *Graph) error {
 	hdr := make([]byte, walHeaderLen)
 	copy(hdr, snapMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	if _, err := f.Write(hdr); err == nil {
+	if _, err = f.Write(hdr); err == nil {
 		if err = g.WriteJSON(f); err == nil {
 			err = f.Sync()
 		}

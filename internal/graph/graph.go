@@ -327,14 +327,6 @@ func (g *Graph) NumSymbols() int {
 	return len(g.symbols)
 }
 
-// SymbolName returns the label string interned as sym.
-func (g *Graph) SymbolName(sym SymbolID) string {
-	if g.ov != nil {
-		return g.ov.base.symbols[sym]
-	}
-	return g.symbols[sym]
-}
-
 // SymbolOf returns the symbol interned for label, or NoSymbol when no edge
 // carries it.
 func (g *Graph) SymbolOf(label string) SymbolID {
@@ -348,16 +340,6 @@ func (g *Graph) SymbolOf(label string) SymbolID {
 		return sym
 	}
 	return NoSymbol
-}
-
-// EdgeSymbol returns the interned label symbol of edge e.
-//
-//pathalgebra:hotpath
-func (g *Graph) EdgeSymbol(e EdgeID) SymbolID {
-	if g.ov != nil {
-		return g.ov.edgeSymbol(e)
-	}
-	return g.edgeSym[e]
 }
 
 // NodesWithLabel returns live node IDs labelled l, ascending.

@@ -98,9 +98,6 @@ func TestSymbolTable(t *testing.T) {
 		t.Fatalf("NumSymbols = %d, want 3 (\"\", Knows, Likes)", got)
 	}
 	for i, want := range []string{"", "Knows", "Likes"} {
-		if got := g.SymbolName(SymbolID(i)); got != want {
-			t.Errorf("SymbolName(%d) = %q, want %q", i, got, want)
-		}
 		if got := g.SymbolOf(want); got != SymbolID(i) {
 			t.Errorf("SymbolOf(%q) = %d, want %d", want, got, i)
 		}
@@ -113,10 +110,22 @@ func TestSymbolTable(t *testing.T) {
 		want string
 	}{{"e1", "Knows"}, {"e2", ""}, {"e3", "Likes"}, {"e4", "Knows"}} {
 		e, _ := g.EdgeByKey(tc.key)
-		if got := g.SymbolName(g.EdgeSymbol(e.ID)); got != tc.want {
-			t.Errorf("EdgeSymbol(%s) = %q, want %q", tc.key, got, tc.want)
+		if got, want := runSymbol(g, e), g.SymbolOf(tc.want); got != want {
+			t.Errorf("edge %s sits in the run of symbol %d, want %d (%q)", tc.key, got, want, tc.want)
 		}
 	}
+}
+
+// runSymbol returns the symbol of the out-run of e's source that holds e.
+func runSymbol(g *Graph, e *Edge) SymbolID {
+	for _, r := range g.OutRuns(e.Src) {
+		for _, id := range r.Edges {
+			if id == e.ID {
+				return r.Sym
+			}
+		}
+	}
+	return NoSymbol
 }
 
 // TestCSRAdjacency checks the CSR layout invariants: each node's range
@@ -151,9 +160,9 @@ func TestCSRAdjacency(t *testing.T) {
 	if len(runs) != 2 {
 		t.Fatalf("OutRuns(a) has %d runs, want 2", len(runs))
 	}
-	if g.SymbolName(runs[0].Sym) != "A" || g.SymbolName(runs[1].Sym) != "Z" {
-		t.Errorf("run symbols = %q,%q, want A,Z",
-			g.SymbolName(runs[0].Sym), g.SymbolName(runs[1].Sym))
+	if runs[0].Sym != g.SymbolOf("A") || runs[1].Sym != g.SymbolOf("Z") {
+		t.Errorf("run symbols = %d,%d, want A=%d,Z=%d",
+			runs[0].Sym, runs[1].Sym, g.SymbolOf("A"), g.SymbolOf("Z"))
 	}
 	if got, want := strings.Join(keys(g.OutWithSymbol(a.ID, g.SymbolOf("Z"))), ","), "e0,e2"; got != want {
 		t.Errorf("OutWithSymbol(a, Z) = %s, want %s", got, want)

@@ -78,13 +78,6 @@ func (ov *overlay) edge(id EdgeID) *Edge {
 	return &ov.extraEdges[int(id)-len(ov.base.edges)]
 }
 
-func (ov *overlay) edgeSymbol(id EdgeID) SymbolID {
-	if int(id) < len(ov.base.edges) {
-		return ov.base.edgeSym[id]
-	}
-	return ov.extraEdgeSym[int(id)-len(ov.base.edges)]
-}
-
 func (ov *overlay) nodeByKey(key string) (*Node, bool) {
 	if id, ok := ov.addedNodeKeys[key]; ok {
 		return ov.node(id), true

@@ -242,7 +242,7 @@ func renderAdjacency(g *Graph) string {
 	for _, n := range g.Nodes() {
 		fmt.Fprintf(&sb, "%s[%s]:", n.Key, n.Label)
 		for _, r := range g.OutRuns(n.ID) {
-			fmt.Fprintf(&sb, " %s(", g.SymbolName(r.Sym))
+			fmt.Fprintf(&sb, " %s(", g.Edge(r.Edges[0]).Label)
 			for _, e := range r.Edges {
 				fmt.Fprintf(&sb, "%s→%s,", g.Edge(e).Key, g.Node(g.Edge(e).Dst).Key)
 			}

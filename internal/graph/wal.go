@@ -93,18 +93,11 @@ type WAL struct {
 	scratch   []byte
 }
 
-// BaseEpoch returns the epoch the log's first record applies on top of.
-func (w *WAL) BaseEpoch() uint64 { return w.baseEpoch }
-
 // Records returns the record count appended or replayed since open.
 func (w *WAL) Records() int { return w.records }
 
 // Size returns the logical log size in bytes.
 func (w *WAL) Size() int64 { return w.off }
-
-// Poisoned reports whether the WAL has been poisoned by an unrepairable
-// append failure.
-func (w *WAL) Poisoned() bool { return w.poisoned }
 
 // createWAL creates (or atomically replaces) the log at path with an
 // empty record section under the given base epoch: temp file, fsync,
@@ -119,7 +112,7 @@ func createWAL(path string, baseEpoch uint64) (*WAL, error) {
 	hdr := make([]byte, walHeaderLen)
 	copy(hdr, walMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], baseEpoch)
-	if _, err := f.Write(hdr); err == nil {
+	if _, err = f.Write(hdr); err == nil {
 		err = f.Sync()
 	}
 	if err != nil {
@@ -193,7 +186,7 @@ func openWAL(path string) (w *WAL, batches []Batch, torn bool, err error) {
 		off += walRecHdrLen + int64(n)
 	}
 	if tornAt >= 0 {
-		if err := f.Truncate(tornAt); err == nil {
+		if err = f.Truncate(tornAt); err == nil {
 			err = f.Sync()
 		}
 		if err != nil {

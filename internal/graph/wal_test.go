@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,6 +189,49 @@ func TestWALCheckpointRoundTrip(t *testing.T) {
 	}
 	if r.Epoch() != wantEpoch {
 		t.Errorf("recovered epoch = %d, want %d", r.Epoch(), wantEpoch)
+	}
+}
+
+// TestWALCheckpointWriteError: a checkpoint whose snapshot cannot be
+// encoded (a NaN property, which JSON cannot hold) must fail without
+// touching the previous snapshot or the log, so the batches the log
+// acknowledged still recover.
+func TestWALCheckpointWriteError(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, dir, seedGraph(t))
+	mustApply(t, s, Op{Kind: OpAddNode, Key: "d", Label: "Person"})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	snapPath := filepath.Join(dir, SnapshotFile)
+	prevSnap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustApply(t, s, Op{Kind: OpAddNode, Key: "nan", Label: "Person", Props: Props("score", math.NaN())})
+	if err := s.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint of an unencodable graph returned nil")
+	}
+	if got, err := os.ReadFile(snapPath); err != nil || !bytes.Equal(got, prevSnap) {
+		t.Fatalf("failed checkpoint replaced the snapshot (%d bytes, was %d; err %v)", len(got), len(prevSnap), err)
+	}
+	if n, _, ok := s.WALStats(); !ok || n != 1 {
+		t.Fatalf("WAL records after the failed checkpoint = %d (ok=%v), want 1", n, ok)
+	}
+	want := renderAdjacency(s.Graph())
+	s.Close()
+
+	r := openDurable(t, dir, nil)
+	defer r.Close()
+	if got := renderAdjacency(r.Graph()); got != want {
+		t.Errorf("recovery after a failed checkpoint diverged:\n got %s\nwant %s", got, want)
+	}
+	n, ok := r.Graph().NodeByKey("nan")
+	if !ok {
+		t.Fatal("the batch logged before the failed checkpoint was lost")
+	}
+	if v := r.Graph().NodeProp(n.ID, "score"); !math.IsNaN(v.Float()) {
+		t.Errorf("recovered score = %v, want NaN", v)
 	}
 }
 

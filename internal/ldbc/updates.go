@@ -30,18 +30,6 @@ type UpdateConfig struct {
 	Seed int64
 }
 
-// DefaultUpdateConfig returns a small interleaved insert stream matching
-// DefaultConfig's base graph.
-func DefaultUpdateConfig() UpdateConfig {
-	return UpdateConfig{
-		Batches:         8,
-		OpsPerBatch:     16,
-		ExistingPersons: DefaultConfig().Persons,
-		PersonFraction:  0.4,
-		Seed:            1,
-	}
-}
-
 // UpdateStream generates a deterministic sequence of insert batches:
 // person inserts (keys "up1", "up2", ...) interleaved with knows-edge
 // inserts (keys "uk1", "uk2", ...) whose endpoints are drawn from the
@@ -114,14 +102,4 @@ func UpdateStream(cfg UpdateConfig) ([]graph.Batch, error) {
 		batches[bi] = graph.Batch{Ops: ops}
 	}
 	return batches, nil
-}
-
-// MustUpdateStream is UpdateStream panicking on error, for tests and
-// benchmarks.
-func MustUpdateStream(cfg UpdateConfig) []graph.Batch {
-	bs, err := UpdateStream(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return bs
 }

@@ -7,17 +7,39 @@ import (
 	"pathalgebra/internal/graph"
 )
 
+// testUpdateConfig is a small interleaved insert stream matching
+// DefaultConfig's base graph.
+func testUpdateConfig() UpdateConfig {
+	return UpdateConfig{
+		Batches:         8,
+		OpsPerBatch:     16,
+		ExistingPersons: DefaultConfig().Persons,
+		PersonFraction:  0.4,
+		Seed:            1,
+	}
+}
+
+// updateStream is UpdateStream failing the test on error.
+func updateStream(t *testing.T, cfg UpdateConfig) []graph.Batch {
+	t.Helper()
+	bs, err := UpdateStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs
+}
+
 // TestUpdateStreamDeterministic: equal configs generate identical
 // streams; different seeds diverge.
 func TestUpdateStreamDeterministic(t *testing.T) {
-	cfg := DefaultUpdateConfig()
-	a := MustUpdateStream(cfg)
-	b := MustUpdateStream(cfg)
+	cfg := testUpdateConfig()
+	a := updateStream(t, cfg)
+	b := updateStream(t, cfg)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same config generated different streams")
 	}
 	cfg.Seed = 99
-	c := MustUpdateStream(cfg)
+	c := updateStream(t, cfg)
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds generated identical streams")
 	}
@@ -28,8 +50,8 @@ func TestUpdateStreamDeterministic(t *testing.T) {
 // kinds with cross-referencing endpoints.
 func TestUpdateStreamApplies(t *testing.T) {
 	base := MustGenerate(DefaultConfig())
-	cfg := DefaultUpdateConfig()
-	stream := MustUpdateStream(cfg)
+	cfg := testUpdateConfig()
+	stream := updateStream(t, cfg)
 	if len(stream) != cfg.Batches {
 		t.Fatalf("len(stream) = %d, want %d", len(stream), cfg.Batches)
 	}
@@ -77,7 +99,7 @@ func TestUpdateStreamApplies(t *testing.T) {
 	// PersonFraction 0 must still terminate (forced person inserts when
 	// the pair space saturates).
 	tiny := UpdateConfig{Batches: 2, OpsPerBatch: 8, ExistingPersons: 2, PersonFraction: 0, Seed: 3}
-	if got := MustUpdateStream(tiny); len(got) != 2 {
+	if got := updateStream(t, tiny); len(got) != 2 {
 		t.Fatalf("tiny stream len = %d", len(got))
 	}
 }

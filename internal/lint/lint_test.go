@@ -101,8 +101,8 @@ func runFixture(t *testing.T, a *Analyzer, pkgPath string) {
 	if len(files) == 0 {
 		t.Fatalf("no fixture files in %s", dir)
 	}
-	imp := NewExportImporter(fset, stdlibResolve(t))
-	tpkg, info, err := Typecheck(fset, pkgPath, "", files, imp)
+	imp := newExportImporter(fset, stdlibResolve(t))
+	tpkg, info, err := typecheck(fset, pkgPath, "", files, imp)
 	if err != nil {
 		t.Fatalf("type-checking fixture: %v", err)
 	}

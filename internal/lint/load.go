@@ -71,7 +71,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := NewExportImporter(fset, func(path string) (string, bool) {
+	imp := newExportImporter(fset, func(path string) (string, bool) {
 		f, ok := exports[path]
 		return f, ok
 	})
@@ -92,7 +92,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if root.Module != nil && root.Module.GoVersion != "" {
 			goVersion = "go" + root.Module.GoVersion
 		}
-		pkg, info, err := Typecheck(fset, root.ImportPath, goVersion, files, imp)
+		pkg, info, err := typecheck(fset, root.ImportPath, goVersion, files, imp)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %w", root.ImportPath, err)
 		}
@@ -107,10 +107,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// NewExportImporter returns a types importer that resolves import paths
+// newExportImporter returns a types importer that resolves import paths
 // through resolve (import path → compiled export-data file) and reads
 // the export data with the standard library's gc importer.
-func NewExportImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.ImporterFrom {
+func newExportImporter(fset *token.FileSet, resolve func(path string) (string, bool)) types.ImporterFrom {
 	lookup := func(path string) (io.ReadCloser, error) {
 		f, ok := resolve(path)
 		if !ok || f == "" {
@@ -121,10 +121,10 @@ func NewExportImporter(fset *token.FileSet, resolve func(path string) (string, b
 	return importer.ForCompiler(fset, "gc", lookup).(types.ImporterFrom)
 }
 
-// Typecheck type-checks one package's parsed files. Type errors do not
+// typecheck type-checks one package's parsed files. Type errors do not
 // abort the check (files may be analyzed best-effort); the first error
 // is returned only when the package's type information is unusable.
-func Typecheck(fset *token.FileSet, path, goVersion string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+func typecheck(fset *token.FileSet, path, goVersion string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := NewInfo()
 	var firstErr error
 	conf := types.Config{

@@ -40,7 +40,7 @@ type Node struct {
 	Quota core.Quota
 
 	// perPair: the subtree keeps or drops each endpoint pair's paths as a
-	// prefix of the search's discovery order (see AnalyzeQuota).
+	// prefix of the search's discovery order (see pipelineQuota).
 	perPair bool
 }
 
@@ -113,12 +113,8 @@ type Derivation struct {
 // records the label footprint and the reach-kernel plan. The engine
 // evaluates the annotated tree, and its plan cache keeps it beside the
 // plan, so a cached plan is never re-derived.
-func Derive(x core.PathExpr) *Derivation { return derive(annotate(x)) }
-
-// DeriveSpace is Derive for a space-sorted root.
-func DeriveSpace(x core.SpaceExpr) *Derivation { return derive(annotateSpace(x)) }
-
-func derive(root *Node) *Derivation {
+func Derive(x core.PathExpr) *Derivation {
+	root := annotate(x)
 	root.push(core.Quota{})
 	d := &Derivation{Root: root, reach: reachOf(root)}
 	root.footprint(&d.Footprint)
@@ -126,7 +122,7 @@ func derive(root *Node) *Derivation {
 	return d
 }
 
-// Reach returns the kernel plan of a plan AnalyzeReach admits for mode.
+// Reach returns the kernel plan of a plan reachOf admits for mode.
 func (d *Derivation) Reach(mode ReachMode) (ReachPlan, bool) {
 	if d.reach == nil || mode > ReachShortestLengths || mode == ReachCountPaths {
 		return ReachPlan{}, false

@@ -148,9 +148,6 @@ func TestDerive(t *testing.T) {
 			if quota != tc.quota {
 				t.Errorf("%s: quota %v, want %v", name, quota, tc.quota)
 			}
-			if q, ok := opt.AnalyzeQuota(projectOf(plan)); q != tc.quota || ok != (tc.quota.K > 0) {
-				t.Errorf("%s: AnalyzeQuota = %v, %v; want %v", name, q, ok, tc.quota)
-			}
 			want := tc.fwd
 			if dir == core.Backward {
 				want = tc.bwd
@@ -214,10 +211,4 @@ func seededString(n *opt.Node) string {
 		filter = n.Search.Filter.String()
 	}
 	return seed + " | " + filter
-}
-
-// projectOf returns the plan as a projection, the zero π otherwise.
-func projectOf(x core.PathExpr) core.Project {
-	p, _ := x.(core.Project)
-	return p
 }

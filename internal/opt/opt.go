@@ -45,9 +45,9 @@
 //     estimate shares the one recognizer;
 //   - the endpoint split of σ over a pattern recursion (Node.Ends) — the
 //     seeded search for the recursion's direction (σ's Node.Search) and
-//     the reach-kernel plan (Derivation.Reach, AnalyzeReach);
+//     the reach-kernel plan (Derivation.Reach);
 //   - the selector quota a π/τ/γ pipeline pushes through σ and ∪
-//     (Node.Quota, AnalyzeQuota) — the product search's per-pair cut.
+//     (Node.Quota) — the product search's per-pair cut.
 //
 // The engine's plan cache keeps the derivation beside the plan, so a
 // cached plan is never re-derived.

@@ -2,10 +2,12 @@ package opt
 
 import "pathalgebra/internal/core"
 
-// AnalyzeQuota decides whether a projection pipeline lets the product
-// search below it stop producing paths per endpoint pair, and how many it
-// must still produce. It recognizes the Table 7 selector shapes whose
-// per-pair answer is a prefix of the search's discovery order:
+// pipelineQuota decides whether the projection pipeline p, whose π node
+// is n, lets the product search below it stop producing paths per
+// endpoint pair, and how many it must still produce: the quota Derive
+// pushes below n's γ, zero when none. It recognizes the Table 7 selector
+// shapes whose per-pair answer is a prefix of the search's discovery
+// order:
 //
 //   - π(*,*,k)(γST(X))       ANY k: the first k paths of each pair;
 //   - π(*,*,k)(τA(γST(X)))   SHORTEST k: the k shortest, ties in
@@ -28,13 +30,6 @@ import "pathalgebra/internal/core"
 // that subsequence to the paths — in the order — they would have kept
 // anyway; and under Walk a product state's k-th visitor dominates every
 // later one (same suffixes, earlier discovery).
-func AnalyzeQuota(p core.Project) (core.Quota, bool) {
-	q := pipelineQuota(p, annotate(p))
-	return q, q.K > 0
-}
-
-// pipelineQuota is the rule AnalyzeQuota documents, read off the π node n
-// of p: the quota Derive pushes below n's γ, zero when none.
 func pipelineQuota(p core.Project, n *Node) core.Quota {
 	if !unbounded(p.Parts) {
 		return core.Quota{}

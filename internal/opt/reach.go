@@ -12,7 +12,7 @@ import (
 // The product BFS (automaton.Reach) computes endpoint pairs and minimal
 // accepted-walk lengths without materializing any path, so a plan may
 // route to it exactly when the requested answer is invariant under
-// erasing path bodies — AnalyzeReach decides that.
+// erasing path bodies — Derivation.Reach decides that.
 type ReachMode uint8
 
 const (
@@ -27,7 +27,7 @@ const (
 	// ReachCountPaths asks for the number of paths. Path counts are NOT
 	// invariant under body erasure (two parallel edges are two paths with
 	// one endpoint pair), so this mode is never kernel-eligible;
-	// AnalyzeReach always rejects it and callers must enumerate.
+	// Derivation.Reach always rejects it and callers must enumerate.
 	ReachCountPaths
 	// ReachShortestLengths asks, per endpoint pair, for the minimal path
 	// length in the result.
@@ -74,11 +74,12 @@ type ReachPlan struct {
 	TargetConds []cond.Cond
 }
 
-// AnalyzeReach decides whether a physical plan may be answered by the
-// product BFS for the given mode, and extracts the kernel plan if
-// so (Derivation.Reach). The analysis is deliberately conservative — it
-// recognizes exactly the shapes whose mode-answer is provably invariant
-// under erasing path bodies, and rejects everything else (the engine then
+// reachOf is the root rule of the derivation: it decides whether the
+// plan rooted at n may be answered by the product BFS, and extracts the
+// kernel plan if so, nil otherwise; Derivation.Reach then admits it per
+// mode. The analysis is deliberately conservative — it recognizes
+// exactly the shapes whose mode-answer is provably invariant under
+// erasing path bodies, and rejects everything else (the engine then
 // enumerates):
 //
 //   - ϕSem(pattern) with Sem ∈ {Walk, Shortest}: the recursion is the RPQ
@@ -105,12 +106,6 @@ type ReachPlan struct {
 //
 // ReachCountPaths is rejected for every shape: even the recursion alone
 // distinguishes parallel multigraph edges the kernel cannot see.
-func AnalyzeReach(plan core.PathExpr, mode ReachMode) (ReachPlan, bool) {
-	return Derive(plan).Reach(mode)
-}
-
-// reachOf is the root rule of the derivation that AnalyzeReach documents:
-// the kernel plan of n, nil when no mode may route to the kernel.
 func reachOf(n *Node) *ReachPlan {
 	if p, ok := n.Path.(core.Project); ok {
 		if !kernelProjection(p) {

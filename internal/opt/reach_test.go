@@ -117,9 +117,9 @@ func TestAnalyzeReachShapes(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			rp, ok := opt.AnalyzeReach(tt.plan, tt.mode)
+			rp, ok := opt.Derive(tt.plan).Reach(tt.mode)
 			if ok != tt.want {
-				t.Fatalf("AnalyzeReach(%s, %s) eligible = %v, want %v",
+				t.Fatalf("Derive(%s).Reach(%s) eligible = %v, want %v",
 					tt.plan, tt.mode, ok, tt.want)
 			}
 			if ok && rp.Pattern == nil {
@@ -139,7 +139,7 @@ func TestAnalyzeReachExtractsConds(t *testing.T) {
 		},
 		In: core.Recurse{Sem: core.Walk, In: knowsBase()},
 	}
-	rp, ok := opt.AnalyzeReach(plan, opt.ReachPairs)
+	rp, ok := opt.Derive(plan).Reach(opt.ReachPairs)
 	if !ok {
 		t.Fatal("endpoint-only select must be eligible")
 	}

@@ -253,16 +253,6 @@ func (p Path) IsTrail() bool {
 	return true
 }
 
-// LabelString implements λ(p): the concatenation of the labels of the edges
-// along p, separated by nothing (per §2.2). Unlabelled edges contribute "".
-func (p Path) LabelString(g *graph.Graph) string {
-	var sb strings.Builder
-	for _, e := range p.edges {
-		sb.WriteString(g.EdgeLabel(e))
-	}
-	return sb.String()
-}
-
 // String renders the path with raw numeric IDs; prefer Format for output.
 func (p Path) String() string {
 	var sb strings.Builder

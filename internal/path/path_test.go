@@ -174,14 +174,6 @@ func TestZeroLengthClassification(t *testing.T) {
 	}
 }
 
-func TestLabelString(t *testing.T) {
-	g := fig1(t)
-	p := MustFromKeys(g, "n1", "e8", "n6", "e11", "n3")
-	if got := p.LabelString(g); got != "LikesHas_creator" {
-		t.Errorf("LabelString = %q, want LikesHas_creator", got)
-	}
-}
-
 func TestFormat(t *testing.T) {
 	g := fig1(t)
 	p := MustFromKeys(g, "n1", "e1", "n2", "e4", "n4")

@@ -262,28 +262,6 @@ func Union(s, t *Set) *Set {
 	return out
 }
 
-// Intersect returns the paths present in both sets, in s's order.
-func Intersect(s, t *Set) *Set {
-	out := New(min(s.Len(), t.Len()))
-	for _, p := range s.paths {
-		if t.Contains(p) {
-			out.Add(p)
-		}
-	}
-	return out
-}
-
-// Minus returns the paths of s not present in t, in s's order.
-func Minus(s, t *Set) *Set {
-	out := New(s.Len())
-	for _, p := range s.paths {
-		if !t.Contains(p) {
-			out.Add(p)
-		}
-	}
-	return out
-}
-
 // Filter returns the paths satisfying keep, preserving order.
 func (s *Set) Filter(keep func(path.Path) bool) *Set {
 	out := New(s.Len())
@@ -333,15 +311,6 @@ func (s *Set) Equal(t *Set) bool {
 		}
 	}
 	return true
-}
-
-// Sort re-orders the set in place into the canonical (length, node
-// sequence, edge sequence) order. The positional index is rebuilt to match.
-func (s *Set) Sort() {
-	sort.SliceStable(s.paths, func(i, j int) bool {
-		return path.Compare(s.paths[i], s.paths[j]) < 0
-	})
-	s.reindex()
 }
 
 // Sorted returns a canonical-order copy, leaving s untouched. The copy is

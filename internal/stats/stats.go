@@ -55,34 +55,6 @@ func (h *Hist) Count() int {
 	return n
 }
 
-// Quantile returns an upper bound on the q-quantile degree (q in [0,1]):
-// the exclusive upper edge of the histogram bucket containing the
-// quantile. Returns 0 for an empty histogram.
-func (h *Hist) Quantile(q float64) int {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	seen := 0
-	for b, c := range h {
-		seen += int(c)
-		if seen > rank {
-			return 1 << (b + 1)
-		}
-	}
-	return 1 << HistBuckets
-}
-
 // Symbol aggregates the statistics of one edge-label symbol: total edge
 // count, the number of distinct source and target nodes, maximum degrees,
 // and the out/in degree histograms over the nodes that carry the symbol.

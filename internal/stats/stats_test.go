@@ -23,25 +23,6 @@ func TestHistBuckets(t *testing.T) {
 	}
 }
 
-func TestHistQuantile(t *testing.T) {
-	var h Hist
-	if h.Quantile(0.5) != 0 {
-		t.Errorf("empty histogram quantile should be 0")
-	}
-	for i := 0; i < 90; i++ {
-		h.Observe(1)
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(16)
-	}
-	if got := h.Quantile(0.5); got != 2 {
-		t.Errorf("median upper bound = %d, want 2", got)
-	}
-	if got := h.Quantile(0.99); got != 32 {
-		t.Errorf("p99 upper bound = %d, want 32", got)
-	}
-}
-
 func TestBuilder(t *testing.T) {
 	b := NewBuilder(2)
 	b.SetSymbol(0, "Knows")
