@@ -3,6 +3,7 @@ package automaton
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/fault"
@@ -201,9 +202,17 @@ func stepNode(g *graph.Graph, eid graph.EdgeID, back bool) graph.NodeID {
 // addResult admits the arena path at r into the result set with the
 // materialization matching the search direction — backward chains hold
 // paths last-node-first, so they materialize reversed, with canonical
-// forward fingerprints.
-func addResult(s *pathset.Set, a *path.Arena, r path.Ref, back bool) bool {
-	if back {
+// forward fingerprints. A deterministic automaton's search generates each
+// path once, so there it appends without probing.
+func addResult(s *pathset.Set, a *path.Arena, r path.Ref, back, distinct bool) bool {
+	switch {
+	case distinct && back:
+		s.AppendArenaReversed(a, r)
+		return true
+	case distinct:
+		s.AppendArena(a, r)
+		return true
+	case back:
 		return s.AddArenaReversed(a, r)
 	}
 	return s.AddArena(a, r)
@@ -222,21 +231,25 @@ type searchItem struct {
 // makes per-source cleanup a slice truncation). Paths record their start
 // node, so (path, state) pairs from different source nodes can never
 // collide and per-source visited sets partition the global mark set
-// exactly.
+// exactly. A deterministic automaton generates each (path, state) pair
+// once, so it gets no visited sets at all.
 type evalScratch struct {
 	arena          *path.Arena
 	frontier, next []searchItem
 	runs           []symbolScan
-	visited        []*path.RefSet // per NFA state
+	visited        []*path.RefSet // per NFA state; nil when c is deterministic
 	quota          quotaState     // used only under an EvalOptions.Quota
 	span           *obs.Span      // the search span; nil when untraced
 }
 
-func newEvalScratch(states int, sp *obs.Span) *evalScratch {
+func newEvalScratch(c *CompiledNFA, sp *obs.Span) *evalScratch {
 	a := path.NewArena(0)
-	sc := &evalScratch{arena: a, visited: make([]*path.RefSet, states), span: sp}
-	for s := range sc.visited {
-		sc.visited[s] = path.NewRefSet(a)
+	sc := &evalScratch{arena: a, span: sp}
+	if !c.deterministic {
+		sc.visited = make([]*path.RefSet, c.nfa.NumStates())
+		for s := range sc.visited {
+			sc.visited[s] = path.NewRefSet(a)
+		}
 	}
 	return sc
 }
@@ -295,10 +308,15 @@ func (c *quotaCount) count(q core.Quota, level int) bool {
 //     full the source is finished (open, done). The BFS costs about what
 //     a search that cuts nothing costs, so it runs only once the cut has
 //     dropped as many paths as the search kept (see evalSource). The BFS
-//     is the one Reach runs (productBFS).
+//     is the one Reach runs (productBFS);
+//   - goal pruning, once armed: a frontier path that no walk short enough
+//     leads from to an open target can add nothing, so it is not
+//     expanded. The goal table says which (see goalTable); it is swept
+//     again whenever an awaited target has filled since the last sweep.
 //
-// All of it costs what the source touches: the BFS's visited bitset,
-// sized by the graph, is pooled and cleared word by word (productBFS).
+// All of it costs what the source touches: the BFS's visited bitset and
+// the goal table, both sized by the graph, are pooled and cleared through
+// the entries a sweep set.
 type quotaState struct {
 	targets map[graph.NodeID]quotaCount
 	states  []map[graph.NodeID]quotaCount // per NFA state, like evalScratch.visited
@@ -306,9 +324,15 @@ type quotaState struct {
 	// whose quota is not full yet; done latches when the last one fills.
 	armed, done bool
 	open        int
+	awaited     []graph.NodeID // the awaited targets, in arming order
+	// filled says an awaited target filled since the goal table was last
+	// swept; swept says the table holds a sweep of this source.
+	filled, swept bool
+	goal          *goalTable // from goalPool on the first sweep of a search
 	// suppressed and pruned count the result paths not materialized and
-	// the product-state visitors not expanded.
-	suppressed, pruned int64
+	// the product-state visitors not expanded; goalPruned the frontier
+	// paths the goal table dropped, goalSweeps the sweeps.
+	suppressed, pruned, goalPruned, goalSweeps int64
 }
 
 // begin resets the bookkeeping for a new source of a search over an
@@ -326,6 +350,8 @@ func (qs *quotaState) begin(states int) {
 		clear(m)
 	}
 	qs.armed, qs.done, qs.open, qs.suppressed, qs.pruned = false, false, 0, 0, 0
+	qs.filled, qs.swept, qs.goalPruned, qs.goalSweeps = false, false, 0, 0
+	qs.awaited = qs.awaited[:0]
 }
 
 // arm turns the early stop on, between two BFS levels: it marks every
@@ -344,11 +370,13 @@ func (qs *quotaState) arm(g *graph.Graph, c *CompiledNFA, sem core.Semantics, q 
 		tc := qs.targets[a.node]
 		tc.awaited = true
 		qs.targets[a.node] = tc
+		qs.awaited = append(qs.awaited, a.node)
 		if int(tc.n) < q.K {
 			qs.open++
 		}
 	}
-	qs.armed, qs.done = true, qs.open == 0
+	// Arming follows a suppressed path, so some awaited target is full.
+	qs.armed, qs.done, qs.filled = true, qs.open == 0, true
 	return nil
 }
 
@@ -358,8 +386,121 @@ func (qs *quotaState) emitted(q core.Quota, dst graph.NodeID, tc quotaCount, len
 	if tc.count(q, length) && tc.awaited {
 		qs.open--
 		qs.done = qs.open == 0
+		qs.filled = true
 	}
 	qs.targets[dst] = tc
+}
+
+// sweep recomputes the goal table for the open targets, for a frontier
+// whose paths have the given length.
+func (qs *quotaState) sweep(g *graph.Graph, c *CompiledNFA, q core.Quota, maxLen, length int, bud *core.Budget, back bool) error {
+	if qs.goal == nil {
+		qs.goal = goalPool.Get().(*goalTable)
+	}
+	depth := 0 // unbounded
+	if maxLen > 0 {
+		depth = maxLen - length
+	}
+	qs.filled, qs.swept = false, true
+	qs.goalSweeps++
+	return qs.goal.sweep(g, c, qs, q, depth, bud, back)
+}
+
+// reaches reports whether the goal table lets the frontier path of the
+// given length at (v, s) be expanded: some walk of at most maxLen−length
+// edges (any length when maxLen <= 0) leads from it to an open target.
+//
+//pathalgebra:hotpath
+func (qs *quotaState) reaches(v graph.NodeID, s StateID, length, maxLen int) bool {
+	d := int(qs.goal.dist[int(v)*qs.goal.states+int(s)])
+	return d > 0 && (maxLen <= 0 || length+d <= maxLen)
+}
+
+// goalPool recycles goal tables across searches, so that the table sized
+// by the graph is allocated once, not once per search.
+var goalPool = sync.Pool{New: func() any { return new(goalTable) }}
+
+// goalTable holds, for a source under an armed quota, the distance
+// dist(v, s) ≥ 1 of every product state from the open targets: the
+// fewest edges of a nonempty walk from node v in NFA state s to an open
+// awaited target in an accepting state, 0 when none exists within the
+// sweep's depth. A frontier path of length L at (v, s) can receive a new
+// answer only by such a walk, and only if L + dist(v, s) ≤ MaxLen: the
+// walk distance bounds the trail, acyclic and simple distance from
+// below. Quotas only fill, so a table swept before some target filled
+// only prunes less than a fresh one would; the explicit length test keeps
+// a table swept at a shallower level sound where no target fills.
+//
+// One backward BFS over the reversed product (the reversed automaton,
+// against the search's direction) fills it. Like productBFS, the table
+// is sized by the graph once and cleared through the entries a sweep
+// set, so a sweep costs what it reaches.
+type goalTable struct {
+	dist           []int32 // indexed by node × states + state
+	touched        []int32 // the entries of dist the last sweep set
+	states         int
+	frontier, next []productState
+	runs           []symbolScan
+}
+
+// sweep fills the table from the accepting states at every awaited target
+// of qs that is not full, to at most depth edges (<= 0: unbounded). Every
+// product state it starts from or discovers charges the work budget its
+// depth, as productBFS's do.
+func (gt *goalTable) sweep(g *graph.Graph, c *CompiledNFA, qs *quotaState, q core.Quota, depth int, bud *core.Budget, back bool) error {
+	for _, i := range gt.touched {
+		gt.dist[i] = 0
+	}
+	gt.touched = gt.touched[:0]
+	nfa := c.nfa
+	gt.states = nfa.NumStates()
+	if n := g.NumNodes() * gt.states; len(gt.dist) < n {
+		gt.dist = make([]int32, n)
+	}
+	frontier, next := gt.frontier[:0], gt.next[:0]
+	defer func() { gt.frontier, gt.next = frontier, next }()
+	for _, t := range qs.awaited {
+		if int(qs.targets[t].n) >= q.K {
+			continue
+		}
+		for s := 0; s < gt.states; s++ {
+			if !nfa.Accepting(StateID(s)) {
+				continue
+			}
+			if !bud.ChargeWork(0) {
+				return chargeErr(bud)
+			}
+			frontier = append(frontier, productState{node: t, state: StateID(s)})
+		}
+	}
+	for d := 1; len(frontier) > 0 && (depth <= 0 || d <= depth); d++ {
+		next = next[:0]
+		for _, ps := range frontier {
+			if bud.Cancelled() {
+				return chargeErr(bud)
+			}
+			gt.runs = scanRuns(gt.runs, g, c.rev, ps.node, ps.state, !back)
+			for _, rs := range gt.runs {
+				for _, eid := range rs.edges {
+					v := stepNode(g, eid, !back)
+					for _, s := range rs.targets {
+						i := int(v)*gt.states + int(s)
+						if gt.dist[i] != 0 {
+							continue
+						}
+						if !bud.ChargeWork(d) {
+							return chargeErr(bud)
+						}
+						gt.dist[i] = int32(d)
+						gt.touched = append(gt.touched, int32(i))
+						next = append(next, productState{node: v, state: s})
+					}
+				}
+			}
+		}
+		frontier, next = next, frontier
+	}
+	return nil
 }
 
 // shard is one source node's slice of the result: the admitted paths in
@@ -375,7 +516,12 @@ type shard struct {
 // evalSearch runs the per-source searches in source order, stopping at
 // the first error, and merges their shards.
 func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, seeds []graph.NodeID, count int, back bool, quota core.Quota, sp *obs.Span) (*pathset.Set, error) {
-	sc := newEvalScratch(c.nfa.NumStates(), sp)
+	sc := newEvalScratch(c, sp)
+	defer func() {
+		if sc.quota.goal != nil {
+			goalPool.Put(sc.quota.goal)
+		}
+	}()
 	shards := make([]*shard, count)
 	for i := range shards {
 		// Injected faults surface as panics so the chaos tests exercise the
@@ -392,6 +538,8 @@ func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		if quota.K > 0 {
 			sp.AddInt("suppressed", sc.quota.suppressed)
 			sp.AddInt("pruned", sc.quota.pruned)
+			sp.AddInt("goal_pruned", sc.quota.goalPruned)
+			sp.AddInt("goal_sweeps", sc.quota.goalSweeps)
 			sp.MaxInt("stop_depth", int64(max(len(sh.levels)-1, 0)))
 		}
 	}
@@ -409,11 +557,12 @@ func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 // seed path when the automaton accepts the empty word), and every visited
 // mark that extends the frontier charges ChargeWork. Under a quota (K > 0)
 // the search additionally skips what quotaState proves the caller drops;
-// skipped paths and states charge nothing.
+// skipped paths and states charge nothing, goal sweeps charge what they
+// discover.
 func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, src graph.NodeID, bud *core.Budget, sc *evalScratch, back bool, quota core.Quota) *shard {
 	nfa := c.nfa
-	// The zero Set defers its index allocation until the first Add, so
-	// sources admitting no paths cost no map allocation.
+	// The zero Set builds its index on the first Add, and under a
+	// deterministic automaton never: paths are appended unprobed.
 	sh := &shard{set: new(pathset.Set)}
 	// Tombstoned sources admit nothing — not even the zero-length path an
 	// empty-word-accepting NFA would otherwise seed.
@@ -426,7 +575,9 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		v.Reset()
 	}
 	seed := a.Leaf(src)
-	sc.visited[0].Add(seed)
+	if sc.visited != nil {
+		sc.visited[0].Add(seed)
+	}
 	frontier := append(sc.frontier[:0], searchItem{ref: seed, state: 0})
 	next := sc.next[:0]
 	finish := func(err error) *shard {
@@ -442,7 +593,7 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		qs.begin(nfa.NumStates())
 	}
 	if nfa.AcceptsEmpty() {
-		sh.set.AddArena(a, seed)
+		addResult(sh.set, a, seed, false, c.deterministic)
 		if !bud.ChargePath(0) {
 			return finish(chargeErr(bud))
 		}
@@ -454,7 +605,7 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 	// A length quota fills at the first path of a level and the rest of
 	// that level still belongs to it, so it stops between levels; a path
 	// quota stops at the filling path.
-	for len(frontier) > 0 && !qs.done {
+	for length := 0; len(frontier) > 0 && !qs.done; length++ {
 		sc.span.MaxInt("max_frontier", int64(len(frontier)))
 		next = next[:0]
 		for _, it := range frontier {
@@ -464,7 +615,11 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 			if bud.Cancelled() {
 				return finish(chargeErr(bud))
 			}
-			if lim.MaxLen > 0 && a.PathLen(it.ref) >= lim.MaxLen {
+			if lim.MaxLen > 0 && length >= lim.MaxLen {
+				continue
+			}
+			if qs.swept && !qs.reaches(a.Last(it.ref), it.state, length, lim.MaxLen) {
+				qs.goalPruned++
 				continue
 			}
 			sc.runs = scanRuns(sc.runs, g, c, a.Last(it.ref), it.state, back)
@@ -495,7 +650,7 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 							switch {
 							case limited && !tc.admits(quota, npLen):
 								qs.suppressed++
-							case addResult(sh.set, a, np, back):
+							case addResult(sh.set, a, np, back, c.deterministic):
 								if !bud.ChargePath(npLen) {
 									return finish(chargeErr(bud))
 								}
@@ -518,17 +673,18 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 								continue
 							}
 						}
-						if sc.visited[q].Add(np) {
-							if !bud.ChargeWork(npLen) {
-								return finish(chargeErr(bud))
-							}
-							if prune {
-								visits.count(quota, npLen)
-								qs.states[q][dst] = visits
-							}
-							next = append(next, searchItem{ref: np, state: q})
-							kept = true
+						if sc.visited != nil && !sc.visited[q].Add(np) {
+							continue
 						}
+						if !bud.ChargeWork(npLen) {
+							return finish(chargeErr(bud))
+						}
+						if prune {
+							visits.count(quota, npLen)
+							qs.states[q][dst] = visits
+						}
+						next = append(next, searchItem{ref: np, state: q})
+						kept = true
 					}
 					if !kept {
 						a.TruncateTo(mark)
@@ -547,6 +703,14 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 				break
 			}
 		}
+		// The next frontier's paths have length+1 edges; a sweep for them
+		// is only worth it where one may still be expanded.
+		if qs.armed && qs.filled && !qs.done && len(frontier) > 0 && (lim.MaxLen <= 0 || length+1 < lim.MaxLen) {
+			if err := qs.sweep(g, c, quota, lim.MaxLen, length+1, bud, back); err != nil {
+				sh.err = err
+				break
+			}
+		}
 	}
 	sc.frontier, sc.next = frontier, next
 	return sh
@@ -559,14 +723,15 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 // its insertion order, which downstream order-sensitive operators — group
 // construction, rank tie-breaking, ANY-style selector picks — observe.
 func mergeShards(shards []*shard) *pathset.Set {
-	maxDepth := 0
+	maxDepth, n := 0, 0
 	for _, sh := range shards {
 		maxDepth = max(maxDepth, len(sh.levels))
+		n += sh.set.Len()
 	}
 	// Shards are disjoint (paths partition by first node) and internally
-	// deduped, so the merge concatenates per-depth slices and indexes each
-	// path once instead of re-running duplicate elimination.
-	var groups [][]path.Path
+	// deduped, so the merge concatenates per-depth slices and hashes
+	// nothing: the set indexes itself if something probes it.
+	ps := make([]path.Path, 0, n)
 	for d := 0; d < maxDepth; d++ {
 		for _, sh := range shards {
 			if d >= len(sh.levels) {
@@ -576,12 +741,10 @@ func mergeShards(shards []*shard) *pathset.Set {
 			if d > 0 {
 				lo = sh.levels[d-1]
 			}
-			if g := sh.set.Paths()[lo:sh.levels[d]]; len(g) > 0 {
-				groups = append(groups, g)
-			}
+			ps = append(ps, sh.set.Paths()[lo:sh.levels[d]]...)
 		}
 	}
-	return pathset.FromOrderedDisjoint(groups)
+	return pathset.FromDistinct(ps)
 }
 
 // classifyExtend decides, for the admissible frontier path r about to be

@@ -1,6 +1,7 @@
 package automaton
 
 import (
+	"slices"
 	"sort"
 
 	"pathalgebra/internal/graph"
@@ -35,6 +36,15 @@ type CompiledNFA struct {
 	// allSyms[s] reports that s reads every symbol (it has an any-label
 	// transition), so symbol-set iteration must not be used for it.
 	allSyms []bool
+	// rev is the reversed relation in the same layout: rev.Trans(q, sym)
+	// lists the states that reach q by reading sym, ascending. It drives
+	// the goal table's sweep, which walks the product against the
+	// search's direction (goalTable). rev.rev is nil.
+	rev *CompiledNFA
+	// deterministic: no (state, symbol) pair has two targets, so the
+	// label word of a path runs to one state and the search generates
+	// each (path, state) pair once.
+	deterministic bool
 }
 
 // Compile builds the symbol-indexed transition table of n over g's symbol
@@ -82,7 +92,52 @@ func (n *NFA) Compile(g *graph.Graph) *CompiledNFA {
 			}
 		}
 	}
+	c.deterministic = !slices.ContainsFunc(c.trans, func(ts []StateID) bool { return len(ts) > 1 })
+	c.rev = c.reversed()
 	return c
+}
+
+// reversed builds the table of the reversed transition relation. Every
+// state of it lists its symbols, none is flagged AllSymbols: scanRuns
+// then picks its driver by count alone, which enumerates the same scans.
+func (c *CompiledNFA) reversed() *CompiledNFA {
+	states, numSyms := len(c.allSyms), c.numSyms
+	r := &CompiledNFA{
+		nfa:       c.nfa,
+		numSyms:   numSyms,
+		trans:     make([][]StateID, len(c.trans)),
+		stateSyms: make([][]graph.SymbolID, states),
+		allSyms:   make([]bool, states),
+	}
+	// Count each cell's sources, then carve the cells out of one backing
+	// array; filling in ascending source order keeps them sorted.
+	counts := make([]int, len(c.trans))
+	total := 0
+	for i, ts := range c.trans {
+		for _, q := range ts {
+			counts[int(q)*numSyms+i%numSyms]++
+		}
+		total += len(ts)
+	}
+	backing := make([]StateID, total)
+	for i, k := range counts {
+		r.trans[i], backing = backing[:0:k], backing[k:]
+	}
+	for i, ts := range c.trans {
+		from, sym := StateID(i/numSyms), i%numSyms
+		for _, q := range ts {
+			j := int(q)*numSyms + sym
+			r.trans[j] = append(r.trans[j], from)
+		}
+	}
+	for q := 0; q < states; q++ {
+		for sym := 0; sym < numSyms; sym++ {
+			if len(r.trans[q*numSyms+sym]) > 0 {
+				r.stateSyms[q] = append(r.stateSyms[q], graph.SymbolID(sym))
+			}
+		}
+	}
+	return r
 }
 
 // appendState appends q unless present.

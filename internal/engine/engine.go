@@ -5,15 +5,16 @@
 // Edges/Nodes atoms use the graph's label indexes, selections over
 // pattern recursions seed a directed product search, selector pipelines
 // (π over τ over γ) push the number of paths they keep per endpoint pair
-// into that search, and every evaluation runs under an explicit recursion
-// budget. The engine recognizes none of these shapes itself: it evaluates
-// the annotated tree opt.Derive produces and dispatches on the properties
-// it carries. Engine.Run plans through the cost-based planner
-// (internal/opt) and an LRU plan cache that keeps each plan's derivation;
-// every evaluated operator opens a trace span, and Engine.Explain reports
-// the chosen plan with estimated cardinalities beside the actual ones
-// those spans record in one traced run. The randomized differential harness
-// cross-checks every route against the reference implementations.
+// into that search and run as one node over position arrays, and every
+// evaluation runs under an explicit recursion budget. The engine
+// recognizes none of these shapes itself: it evaluates the annotated tree
+// opt.Derive produces and dispatches on the properties it carries.
+// Engine.Run plans through the cost-based planner (internal/opt) and an
+// LRU plan cache that keeps each plan's derivation; every evaluated
+// operator opens a trace span, and Engine.Explain reports the chosen plan
+// with estimated cardinalities beside the actual ones those spans record
+// in one traced run. The randomized differential harness cross-checks
+// every route against the reference implementations.
 package engine
 
 import (
@@ -447,11 +448,19 @@ func (e *Engine) evalOp(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 		}
 		out = core.EvalRestrict(x.Sem, in)
 	case core.Project:
-		ss, err := e.evalSpace(ctx, n.In[0])
+		sel, src, err := pipelineOf(x, n)
 		if err != nil {
 			return nil, err
 		}
-		out = core.EvalProject(x.Parts, x.Groups, x.Paths, ss)
+		in, err := e.eval(ctx, src)
+		if err != nil {
+			return nil, err
+		}
+		var parts, groups int
+		out, parts, groups = sel.project(in)
+		sp := obs.SpanFrom(ctx)
+		sp.SetInt("partitions", int64(parts))
+		sp.SetInt("groups", int64(groups))
 	case nil:
 		return nil, fmt.Errorf("engine: nil path expression")
 	default:
@@ -459,42 +468,6 @@ func (e *Engine) evalOp(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 	}
 	addStat(&e.stats.PathsProduced, int64(out.Len()))
 	return out, nil
-}
-
-// evalSpace is the space-sorted half of eval; its span's paths counts
-// the paths across all groups.
-func (e *Engine) evalSpace(ctx context.Context, n *opt.Node) (*core.SolutionSpace, error) {
-	sp := opSpan(ctx, n)
-	defer sp.End()
-	out, err := e.evalSpaceOp(obs.WithSpan(ctx, sp), n)
-	if out != nil {
-		sp.SetInt("paths", int64(out.NumPaths()))
-	}
-	return out, err
-}
-
-func (e *Engine) evalSpaceOp(ctx context.Context, n *opt.Node) (*core.SolutionSpace, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	switch x := n.Space.(type) {
-	case core.GroupBy:
-		in, err := e.eval(ctx, n.In[0])
-		if err != nil {
-			return nil, err
-		}
-		return core.EvalGroupBy(x.Key, in), nil
-	case core.OrderBy:
-		in, err := e.evalSpace(ctx, n.In[0])
-		if err != nil {
-			return nil, err
-		}
-		return core.EvalOrderBy(x.Key, in), nil
-	case nil:
-		return nil, fmt.Errorf("engine: nil space expression")
-	default:
-		return nil, fmt.Errorf("engine: unsupported space expression %T", x)
-	}
 }
 
 // search answers n by the product search the derivation attached to it —

@@ -161,7 +161,8 @@ func TestNilAndUnknownExpr(t *testing.T) {
 	if _, err := e.EvalPaths(nil); err == nil {
 		t.Error("nil path expr must error")
 	}
-	if _, err := e.evalSpace(context.Background(), &opt.Node{}); err == nil {
+	all := core.AllCount()
+	if _, err := e.EvalPaths(core.Project{Parts: all, Groups: all, Paths: all}); err == nil {
 		t.Error("nil space expr must error")
 	}
 }
@@ -182,18 +183,24 @@ func TestStatsReset(t *testing.T) {
 	}
 }
 
+// TestEvalSpaceDirect reads the solution space the selector node builds
+// off its π: τ and γ are evaluated inside it, not on their own.
 func TestEvalSpaceDirect(t *testing.T) {
 	g := ldbc.Figure1()
 	e := New(g, Options{})
 	all := core.AllCount()
-	root := opt.Derive(core.Project{Parts: all, Groups: all, Paths: all, In: core.OrderBy{Key: core.OrderPath,
-		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}}}).Root
-	ss, err := e.evalSpace(context.Background(), root.In[0])
+	x := core.Project{Parts: all, Groups: all, Paths: all, In: core.OrderBy{Key: core.OrderPath,
+		In: core.GroupBy{Key: core.GroupST, In: knowsSel()}}}
+	sel, src, err := pipelineOf(x, opt.Derive(x).Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ss.Partitions) != 4 {
-		t.Errorf("partitions = %d, want 4 (one per Knows edge pair)", len(ss.Partitions))
+	in, err := e.eval(context.Background(), src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, parts, groups := sel.project(in); parts != 4 || groups != 4 {
+		t.Errorf("partitions, groups = %d, %d, want 4, 4 (one per Knows edge pair)", parts, groups)
 	}
 }
 

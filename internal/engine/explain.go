@@ -79,15 +79,23 @@ func (e *Engine) Explain(ctx context.Context, x core.PathExpr) (*Explain, error)
 // explainLines appends n's line and its operands' lines one level deeper,
 // and returns the spans after n's. n's operator span is the first of
 // spans named by its label, since operands evaluate in order, and its
-// operands match among that span's children; a node without a span
-// leaves its whole subtree without one.
+// operands match among that span's children. A γ or τ has no span of its
+// own — π evaluates its chain in one node — so it hands spans on to its
+// operand; any other node without a span leaves its whole subtree
+// without one.
 func (e *Engine) explainLines(ex *Explain, n *opt.Node, spans []*obs.SpanJSON, depth int) []*obs.SpanJSON {
 	line := ExplainLine{Depth: depth, Op: opLabel(n), Actual: -1}
-	if n.Space == nil {
-		line.Est = e.cm.Card(n.Path)
-	} else if g, ok := core.BottomGroupBy(n.Space); ok {
-		line.Est = e.cm.Card(g.In)
+	if n.Space != nil {
+		if g, ok := core.BottomGroupBy(n.Space); ok {
+			line.Est = e.cm.Card(g.In)
+		}
+		ex.Lines = append(ex.Lines, line)
+		for _, in := range n.In {
+			spans = e.explainLines(ex, in, spans, depth+1)
+		}
+		return spans
 	}
+	line.Est = e.cm.Card(n.Path)
 	var kids []*obs.SpanJSON
 	for i, sp := range spans {
 		if sp.Name == line.Op {

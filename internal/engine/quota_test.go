@@ -35,13 +35,16 @@ import (
 // per-pair counts must match, every kept path must be in the closure, and
 // under τA the kept lengths must match.
 
+// quotaSelector is one GQL selector of the differential.
+type quotaSelector struct {
+	text string
+	// setDetermined: the surviving paths do not depend on discovery
+	// order. byLength: the order-dependent survivors are the shortest.
+	setDetermined, byLength bool
+}
+
 var (
-	quotaSelectors = []struct {
-		text string
-		// setDetermined: the surviving paths do not depend on discovery
-		// order. byLength: the order-dependent survivors are the shortest.
-		setDetermined, byLength bool
-	}{
+	quotaSelectors = []quotaSelector{
 		{"ALL", true, false},
 		{"ANY SHORTEST", false, true},
 		{"ALL SHORTEST", true, false},
@@ -128,100 +131,118 @@ func quotaViews(t *testing.T, rng *rand.Rand, seed int64) map[string]*graph.Grap
 	return views
 }
 
-func TestQuotaPushdownDifferential(t *testing.T) {
-	trials := 2
+// quotaTrials is the number of random graphs the differential draws.
+func quotaTrials() int {
 	if testing.Short() {
-		trials = 1
+		return 1
 	}
-	lim := core.Limits{MaxLen: 4}
-	checked, pushed, rewritten := 0, 0, 0
+	return 2
+}
+
+// forEachQuotaQuery calls visit for every selector × restrictor × pattern
+// × endpoint form of the differential, compiled, on each view of each
+// trial's random graph.
+func forEachQuotaQuery(t *testing.T, trials int, visit func(name string, g *graph.Graph, sel quotaSelector, logical core.PathExpr)) {
 	for trial := 0; trial < trials; trial++ {
 		rng := rand.New(rand.NewSource(int64(7100 + trial)))
 		for view, g := range quotaViews(t, rng, int64(trial+1)) {
-			id := 1 + rng.Intn(5)
-			for _, sel := range quotaSelectors {
-				for _, res := range quotaRestrictors {
-					for _, pat := range quotaPatterns {
-						for ei, ep := range quotaEndpoints {
-							args := []any{pat}
-							if ei == 1 {
-								args = []any{id, pat}
-							} else if ei == 2 {
-								args = []any{pat, id}
-							}
-							query := "MATCH " + sel.text + " " + res + " p = " + fmt.Sprintf(ep, args...)
-							logical, err := compileQuery(query)
-							if err != nil {
-								t.Fatalf("%s: %v", query, err)
-							}
-							name := fmt.Sprintf("trial%d/%s/%s", trial, view, query)
+			quotaQueries(t, 1+rng.Intn(5), quotaRestrictors, func(query string, sel quotaSelector, logical core.PathExpr) {
+				visit(fmt.Sprintf("trial%d/%s/%s", trial, view, query), g, sel, logical)
+			})
+		}
+	}
+}
 
-							// The definitional answers, once per query.
-							ref, err := core.EvalExpr(g, logical, lim)
-							if err != nil {
-								t.Fatalf("%s: reference: %v", name, err)
-							}
-							gb, _ := core.BottomGroupBy(logical.(core.Project).In)
-							closure, err := core.EvalExpr(g, gb.In, lim)
-							if err != nil {
-								t.Fatalf("%s: reference closure: %v", name, err)
-							}
-
-							// As compiled (ANY/ALL SHORTEST WALK keep their
-							// ϕWalk), as planned, and both run backward.
-							planned, _ := New(g, Options{Limits: lim}).Plan(logical)
-							plans := map[string]core.PathExpr{
-								"compiled": logical, "planned": planned,
-								"compiled←": flipBackward(logical), "planned←": flipBackward(planned),
-							}
-							results := make(map[string]*pathset.Set, len(plans))
-							for form, plan := range plans {
-								eng := New(g, Options{Limits: lim})
-								got, err := eng.EvalPaths(plan)
-								if err != nil {
-									t.Fatalf("%s %s: %v", name, form, err)
-								}
-								if eng.Stats().QuotaRecursions > 0 {
-									pushed++
-								} else if recursionQuota(plan.(core.Project)).K > 0 {
-									t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
-								}
-								want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan.(core.Project))
-								if err != nil {
-									t.Fatalf("%s %s unpushed: %v", name, form, err)
-								}
-								if !testutil.SameSequence(got, want) {
-									t.Fatalf("%s %s: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
-										name, form, renderSet(g, got), renderSet(g, want))
-								}
-								checked++
-								results[form] = got
-								if sel.setDetermined {
-									if !got.Equal(ref) {
-										t.Fatalf("%s %s: engine (%d paths) != reference (%d paths)", name, form, got.Len(), ref.Len())
-									}
-								} else if err := checkKeptPaths(g, got, ref, closure, sel.byLength); err != nil {
-									t.Fatalf("%s %s: %v", name, form, err)
-								}
-							}
-							// ϕShortest is the Walk search under a one-length
-							// quota, so the §7.3 rewrite changes no answer — not
-							// even the path ANY SHORTEST WALK picks.
-							if strings.Contains(planned.String(), "ϕShortest") {
-								for _, dir := range []string{"", "←"} {
-									if !testutil.SameSequence(results["planned"+dir], results["compiled"+dir]) {
-										t.Fatalf("%s: planned%s (ϕShortest) differs from compiled%s (ϕWalk)\n planned:\n%s compiled:\n%s",
-											name, dir, dir, renderSet(g, results["planned"+dir]), renderSet(g, results["compiled"+dir]))
-									}
-								}
-								rewritten++
-							}
-						}
+// quotaQueries calls visit for every selector × restrictor of restrictors
+// × pattern × endpoint form, compiled, with id as the seeded person.
+func quotaQueries(t *testing.T, id int, restrictors []string, visit func(query string, sel quotaSelector, logical core.PathExpr)) {
+	for _, sel := range quotaSelectors {
+		for _, res := range restrictors {
+			for _, pat := range quotaPatterns {
+				for ei, ep := range quotaEndpoints {
+					args := []any{pat}
+					if ei == 1 {
+						args = []any{id, pat}
+					} else if ei == 2 {
+						args = []any{pat, id}
 					}
+					query := "MATCH " + sel.text + " " + res + " p = " + fmt.Sprintf(ep, args...)
+					logical, err := compileQuery(query)
+					if err != nil {
+						t.Fatalf("%s: %v", query, err)
+					}
+					visit(query, sel, logical)
 				}
 			}
 		}
 	}
+}
+
+func TestQuotaPushdownDifferential(t *testing.T) {
+	lim := core.Limits{MaxLen: 4}
+	checked, pushed, rewritten := 0, 0, 0
+	forEachQuotaQuery(t, quotaTrials(), func(name string, g *graph.Graph, sel quotaSelector, logical core.PathExpr) {
+		// The definitional answers, once per query.
+		ref, err := core.EvalExpr(g, logical, lim)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		gb, _ := core.BottomGroupBy(logical.(core.Project).In)
+		closure, err := core.EvalExpr(g, gb.In, lim)
+		if err != nil {
+			t.Fatalf("%s: reference closure: %v", name, err)
+		}
+
+		// As compiled (ANY/ALL SHORTEST WALK keep their ϕWalk), as
+		// planned, and both run backward.
+		planned, _ := New(g, Options{Limits: lim}).Plan(logical)
+		plans := map[string]core.PathExpr{
+			"compiled": logical, "planned": planned,
+			"compiled←": flipBackward(logical), "planned←": flipBackward(planned),
+		}
+		results := make(map[string]*pathset.Set, len(plans))
+		for form, plan := range plans {
+			eng := New(g, Options{Limits: lim})
+			got, err := eng.EvalPaths(plan)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, form, err)
+			}
+			if eng.Stats().QuotaRecursions > 0 {
+				pushed++
+			} else if recursionQuota(plan.(core.Project)).K > 0 {
+				t.Errorf("%s %s: quota shape recognized but not pushed", name, form)
+			}
+			want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan.(core.Project))
+			if err != nil {
+				t.Fatalf("%s %s unpushed: %v", name, form, err)
+			}
+			if !testutil.SameSequence(got, want) {
+				t.Fatalf("%s %s: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
+					name, form, renderSet(g, got), renderSet(g, want))
+			}
+			checked++
+			results[form] = got
+			if sel.setDetermined {
+				if !got.Equal(ref) {
+					t.Fatalf("%s %s: engine (%d paths) != reference (%d paths)", name, form, got.Len(), ref.Len())
+				}
+			} else if err := checkKeptPaths(g, got, ref, closure, sel.byLength); err != nil {
+				t.Fatalf("%s %s: %v", name, form, err)
+			}
+		}
+		// ϕShortest is the Walk search under a one-length quota, so the
+		// §7.3 rewrite changes no answer — not even the path ANY
+		// SHORTEST WALK picks.
+		if strings.Contains(planned.String(), "ϕShortest") {
+			for _, dir := range []string{"", "←"} {
+				if !testutil.SameSequence(results["planned"+dir], results["compiled"+dir]) {
+					t.Fatalf("%s: planned%s (ϕShortest) differs from compiled%s (ϕWalk)\n planned:\n%s compiled:\n%s",
+						name, dir, dir, renderSet(g, results["planned"+dir]), renderSet(g, results["compiled"+dir]))
+				}
+			}
+			rewritten++
+		}
+	})
 	if pushed == 0 {
 		t.Error("no evaluation took the quota pushdown")
 	}
@@ -230,6 +251,80 @@ func TestQuotaPushdownDifferential(t *testing.T) {
 	}
 	t.Logf("%d evaluations compared in order against the unpushed pipeline, %d under a quota; %d ϕShortest plans equal their ϕWalk form",
 		checked, pushed, rewritten)
+}
+
+// TestQuotaPushdownUnbounded is the differential with no MaxLen, where
+// only the restrictors bound the search: Trail, Acyclic and Simple, under
+// every selector — path quotas (ANY k, SHORTEST k) and length quotas (ALL
+// SHORTEST, SHORTEST k GROUP) — over small random graphs, forward and
+// backward. The quota'd search arms its early stop and then drops every
+// frontier path that no walk leads from to an open target, so this is
+// where the goal table's unbounded sweep is checked: the result must
+// equal the unpushed pipeline in order and the definitional answer as in
+// TestQuotaPushdownDifferential, and some searches must have swept.
+func TestQuotaPushdownUnbounded(t *testing.T) {
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	var lim core.Limits
+	checked, sweeps := 0, int64(0)
+	for trial := 0; trial < trials; trial++ {
+		rng := rand.New(rand.NewSource(int64(7300 + trial)))
+		g := ldbc.MustGenerate(ldbc.Config{
+			Persons:        5 + rng.Intn(3),
+			Messages:       2 + rng.Intn(3),
+			KnowsPerPerson: 2,
+			LikesPerPerson: 1,
+			CycleFraction:  0.3 + 0.1*float64(rng.Intn(5)),
+			Seed:           int64(trial + 1),
+		})
+		quotaQueries(t, 1+rng.Intn(4), []string{"TRAIL", "ACYCLIC", "SIMPLE"}, func(query string, sel quotaSelector, logical core.PathExpr) {
+			name := fmt.Sprintf("trial%d/%s", trial, query)
+			ref, err := core.EvalExpr(g, logical, lim)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			gb, _ := core.BottomGroupBy(logical.(core.Project).In)
+			closure, err := core.EvalExpr(g, gb.In, lim)
+			if err != nil {
+				t.Fatalf("%s: reference closure: %v", name, err)
+			}
+			planned, _ := New(g, Options{Limits: lim}).Plan(logical)
+			for form, plan := range map[string]core.PathExpr{"planned": planned, "planned←": flipBackward(planned)} {
+				tr := obs.NewTrace()
+				root := tr.Start("query")
+				got, err := New(g, Options{Limits: lim}).EvalPathsCtx(obs.WithSpan(context.Background(), root), plan)
+				root.End()
+				if err != nil {
+					t.Fatalf("%s %s: %v", name, form, err)
+				}
+				if sp := findSpan(tr.Tree(), "search"); sp != nil {
+					sweeps += sp.Attrs["goal_sweeps"]
+				}
+				want, err := testutil.Unpushed(New(g, Options{Limits: lim}).EvalPaths, plan.(core.Project))
+				if err != nil {
+					t.Fatalf("%s %s unpushed: %v", name, form, err)
+				}
+				if !testutil.SameSequence(got, want) {
+					t.Fatalf("%s %s: pushed evaluation differs from unpushed\n pushed:\n%s unpushed:\n%s",
+						name, form, renderSet(g, got), renderSet(g, want))
+				}
+				if sel.setDetermined {
+					if !got.Equal(ref) {
+						t.Fatalf("%s %s: engine (%d paths) != reference (%d paths)", name, form, got.Len(), ref.Len())
+					}
+				} else if err := checkKeptPaths(g, got, ref, closure, sel.byLength); err != nil {
+					t.Fatalf("%s %s: %v", name, form, err)
+				}
+				checked++
+			}
+		})
+	}
+	if sweeps == 0 {
+		t.Error("no search swept its goal table")
+	}
+	t.Logf("%d unbounded evaluations equal the unpushed pipeline and the reference; %d goal sweeps", checked, sweeps)
 }
 
 // checkKeptPaths is the representative-free oracle for a selector that
@@ -355,7 +450,9 @@ func findSpan(spans []*obs.SpanJSON, name string) *obs.SpanJSON {
 }
 
 // TestQuotaTrace: the search span says which quota it ran under and what
-// the quota saved; Explain names a pushed quota on the recursion's line.
+// the quota saved — under Trail, the goal table's sweeps and the frontier
+// paths it dropped too; a Walk search never sweeps, its frontier drains by
+// itself. Explain names a pushed quota on the recursion's line.
 // The search runs on the query's goroutine, so an all-pairs search has
 // one span over every node and no per-worker shard spans.
 // ϕShortest (what ALL SHORTEST WALK plans to) runs under its own
@@ -370,9 +467,10 @@ func TestQuotaTrace(t *testing.T) {
 		explain  string           // the quota Explain prints; "" for none
 	}{
 		{`MATCH ANY 2 TRAIL p = (?x)-[:Knows+]->(?y)`,
-			map[string]int64{"quota_k": 2}, []string{"suppressed", "stop_depth"}, "[quota k=2 per pair]"},
+			map[string]int64{"quota_k": 2}, []string{"suppressed", "stop_depth", "goal_sweeps", "goal_pruned"}, "[quota k=2 per pair]"},
 		{`MATCH SHORTEST 2 GROUP WALK p = (?x)-[:Knows+]->(?y)`,
-			map[string]int64{"quota_k": 2, "quota_by_length": 1}, []string{"suppressed", "pruned", "stop_depth"}, "[quota k=2 lengths per pair]"},
+			map[string]int64{"quota_k": 2, "quota_by_length": 1, "goal_sweeps": 0, "goal_pruned": 0},
+			[]string{"suppressed", "pruned", "stop_depth"}, "[quota k=2 lengths per pair]"},
 		{`MATCH ALL SHORTEST WALK p = (?x)-[:Knows+]->(?y)`,
 			map[string]int64{"quota_k": 1, "quota_by_length": 1}, []string{"pruned"}, ""},
 	} {
@@ -430,7 +528,7 @@ func TestQuotaTrace(t *testing.T) {
 	}
 	root.End()
 	for k := range findSpan(tr.Tree(), "search").Attrs {
-		if strings.HasPrefix(k, "quota") || k == "suppressed" || k == "pruned" || k == "stop_depth" {
+		if strings.HasPrefix(k, "quota") || strings.HasPrefix(k, "goal") || k == "suppressed" || k == "pruned" || k == "stop_depth" {
 			t.Errorf("unquota'd search span carries %s", k)
 		}
 	}

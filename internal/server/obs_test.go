@@ -272,9 +272,10 @@ func TestQueryTrace(t *testing.T) {
 }
 
 // TestQueryOperatorSpans: a traced query's trailer holds one span per
-// operator the run evaluated — here π, τ, γ and the seeded σ, but not
-// the ϕ and atoms its search answers — nested as in the plan, and the
-// root operator's paths is the result size.
+// operator the run evaluated — here π, which evaluates its τ and γ in one
+// node, and the seeded σ, but not the ϕ and atoms its search answers —
+// nested as in the plan, and the root operator's paths is the result
+// size. π's span counts the solution space's partitions and groups.
 func TestQueryOperatorSpans(t *testing.T) {
 	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
 	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query",
@@ -289,8 +290,14 @@ func TestQueryOperatorSpans(t *testing.T) {
 	if eval == nil || len(eval.Children) != 1 {
 		t.Fatalf("want one root operator span under eval, trace: %v", spanNames(trailer.Trace))
 	}
-	if root := eval.Children[0]; !strings.HasPrefix(root.Name, "π") || root.Attrs["paths"] != int64(trailer.Total) {
+	root := eval.Children[0]
+	if !strings.HasPrefix(root.Name, "π") || root.Attrs["paths"] != int64(trailer.Total) {
 		t.Errorf("root operator %s paths=%d, want π with paths=%d", root.Name, root.Attrs["paths"], trailer.Total)
+	}
+	// γST makes one partition of one group per endpoint pair, and ANY
+	// SHORTEST keeps one path of each.
+	if p, g := root.Attrs["partitions"], root.Attrs["groups"]; p != int64(trailer.Total) || g != int64(trailer.Total) {
+		t.Errorf("π partitions=%d groups=%d, want %d each", p, g, trailer.Total)
 	}
 	var ops []string
 	for _, name := range spanNames(eval.Children) {
@@ -298,8 +305,8 @@ func TestQueryOperatorSpans(t *testing.T) {
 			ops = append(ops, string(r))
 		}
 	}
-	if got := strings.Join(ops, ""); got != "πτγσ" {
-		t.Errorf("operator spans %q, want πτγσ (depth first): %v", got, spanNames(eval.Children))
+	if got := strings.Join(ops, ""); got != "πσ" {
+		t.Errorf("operator spans %q, want πσ (depth first): %v", got, spanNames(eval.Children))
 	}
 }
 

@@ -234,3 +234,80 @@ func spaceTruncationFree(e core.SpaceExpr) bool {
 		return true
 	}
 }
+
+// RandomSelectorPlan generates a truncating plan whose result the
+// reference evaluator can still be compared with: a selector pipeline over
+// a truncation-free input, placed under ⋈, ∪ or σ, or under another such
+// pipeline. Each pipeline truncates only where no tie can decide what
+// survives: γ groups by Length, so the groups of a partition have distinct
+// lengths, and τ ranks them by MinL(G), so a group bound keeps the same
+// groups whatever order an evaluator discovers paths in. Under γL alone
+// there is one partition, which any partition bound keeps. The plans
+// cover the shape randomPipeline seldom yields: a
+// quota-pushing pipeline inside a larger truncating plan.
+func RandomSelectorPlan(rng *rand.Rand) core.PathExpr {
+	p := selectorPipeline(rng, truncationFreeInput(rng))
+	switch rng.Intn(4) {
+	case 0:
+		other := truncationFreeInput(rng)
+		if rng.Intn(2) == 0 {
+			return core.Join{L: p, R: other}
+		}
+		return core.Join{L: other, R: p}
+	case 1:
+		other := truncationFreeInput(rng)
+		if rng.Intn(2) == 0 {
+			return core.Union{L: p, R: other}
+		}
+		return core.Union{L: other, R: p}
+	case 2:
+		return core.Select{Cond: RandomCond(rng, 2), In: p}
+	default:
+		return selectorPipeline(rng, p)
+	}
+}
+
+// truncationFreeInput is a pattern recursion, which a pipeline above it
+// can push a quota into, or half the time any truncation-free plan.
+func truncationFreeInput(rng *rand.Rand) core.PathExpr {
+	if rng.Intn(2) == 0 {
+		return core.Recurse{Sem: RandomSemantics(rng), In: randomPatternBase(rng, 2)}
+	}
+	for {
+		if x := RandomPlan(rng, 2); IsTruncationFree(x) {
+			return x
+		}
+	}
+}
+
+// selectorPipeline wraps in in π(*, k, *) over τG over γ with Length in
+// its key. Half the time that is SHORTEST k GROUP, π(*,k,*)(τG(γSTL)),
+// the shape opt.Derive pushes a quota from; otherwise the γ key varies,
+// τ ranks by random other keys too, sometimes as a chain of two τ, the
+// group bound may be descending, and under γL alone the partition bound
+// is random.
+func selectorPipeline(rng *rand.Rand, in core.PathExpr) core.Project {
+	if rng.Intn(2) == 0 {
+		return core.Project{
+			Parts: core.AllCount(), Groups: core.NCount(1 + rng.Intn(3)), Paths: core.AllCount(),
+			In: core.OrderBy{Key: core.OrderGroup, In: core.GroupBy{Key: core.GroupSTL, In: in}},
+		}
+	}
+	keys := []core.GroupKey{core.GroupLength, core.GroupSource | core.GroupLength, core.GroupTarget | core.GroupLength, core.GroupSTL}
+	key := keys[rng.Intn(len(keys))]
+	var space core.SpaceExpr = core.GroupBy{Key: key, In: in}
+	order := core.OrderGroup | core.OrderKey(rng.Intn(8))&(core.OrderPartition|core.OrderPath)
+	if first := core.OrderKey(rng.Intn(8)) & order; first != 0 && first != order && rng.Intn(2) == 0 {
+		space = core.OrderBy{Key: first, In: space}
+	}
+	space = core.OrderBy{Key: order, In: space}
+	groups := core.NCount(1 + rng.Intn(3))
+	if rng.Intn(3) == 0 {
+		groups = groups.Descending()
+	}
+	parts := core.AllCount()
+	if key == core.GroupLength {
+		parts = randomCount(rng)
+	}
+	return core.Project{Parts: parts, Groups: groups, Paths: core.AllCount(), In: space}
+}

@@ -224,3 +224,25 @@ if [ "$large" -ne "$small" ]; then
     exit 1
 fi
 echo "check_allocs: seeded reach allocates $small allocs/op on 10k and 100k persons"
+
+# Selector-node gate: π evaluates its τ/γ chain as one pass over int32
+# position arrays and appends its survivors unhashed, so what it allocates
+# is a fixed handful of arrays, not per path, partition or group. Over the
+# 11,404 paths of SHORTEST 2 GROUP ACYCLIC on the selectors workload's
+# graph the three reference operators allocate 57,889 times; the node
+# must stay at most 256 on that input and on ANY SHORTEST WALK's.
+out=$(go test -run xxx -bench 'BenchmarkSelectorPipeline' -benchtime 20x -benchmem ./internal/engine 2>&1)
+printf '%s\n' "$out"
+
+for case in SHORTEST_2_GROUP_ACYCLIC ANY_SHORTEST_WALK; do
+    allocs=$(printf '%s\n' "$out" | awk -v c="BenchmarkSelectorPipeline/$case-" 'index($0, c) == 1 { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+    if [ -z "$allocs" ]; then
+        echo "check_allocs: could not find BenchmarkSelectorPipeline/$case allocs/op in benchmark output" >&2
+        exit 1
+    fi
+    if [ "$allocs" -gt 256 ]; then
+        echo "check_allocs: the selector node allocates $allocs allocs/op on $case > threshold 256" >&2
+        exit 1
+    fi
+    echo "check_allocs: the selector node allocates $allocs allocs/op on $case (threshold 256)"
+done
