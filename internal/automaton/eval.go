@@ -3,7 +3,6 @@ package automaton
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/fault"
@@ -57,9 +56,10 @@ type EvalOptions struct {
 	Dir core.Direction
 	// Seeds restricts the search to paths whose seed endpoint (first node
 	// forward, last node backward) is in the list; nil means every node.
-	// Seeds must be ascending and duplicate-free — the per-seed shards
-	// merge in list order, so an ascending list reproduces exactly the
-	// relative order of the corresponding unseeded evaluation.
+	// Seeds must be ascending and duplicate-free — the result interleaves
+	// the seeds' paths in list order (byLength), so an ascending list
+	// reproduces exactly the relative order of the corresponding unseeded
+	// evaluation.
 	Seeds []graph.NodeID
 	// Quota, when K > 0, declares that the caller keeps per (seed, reached
 	// node) pair only the first K paths in discovery order — or, ByLength,
@@ -84,8 +84,8 @@ func seedAt(seeds []graph.NodeID, i int) graph.NodeID {
 // EvalWithOptions is the general product search, optionally restricted to
 // a seed set and optionally running backward over reversed edges (see
 // EvalOptions). It runs one search per seed on the caller's goroutine and
-// merges the per-seed results in the order of one global breadth-first
-// search (mergeShards).
+// returns the results in the order of one global breadth-first search
+// (byLength).
 //
 // Panic isolation: a panic inside the search is returned as a typed error
 // (errors.Is core.ErrInternal) instead of unwinding the caller's goroutine.
@@ -199,25 +199,6 @@ func stepNode(g *graph.Graph, eid graph.EdgeID, back bool) graph.NodeID {
 	return dst
 }
 
-// addResult admits the arena path at r into the result set with the
-// materialization matching the search direction — backward chains hold
-// paths last-node-first, so they materialize reversed, with canonical
-// forward fingerprints. A deterministic automaton's search generates each
-// path once, so there it appends without probing.
-func addResult(s *pathset.Set, a *path.Arena, r path.Ref, back, distinct bool) bool {
-	switch {
-	case distinct && back:
-		s.AppendArenaReversed(a, r)
-		return true
-	case distinct:
-		s.AppendArena(a, r)
-		return true
-	case back:
-		return s.AddArenaReversed(a, r)
-	}
-	return s.AddArena(a, r)
-}
-
 // searchItem is one product-search state: an arena path handle plus the
 // NFA state reached by reading its label word.
 type searchItem struct {
@@ -225,21 +206,28 @@ type searchItem struct {
 	state StateID
 }
 
-// evalScratch is the search's reusable working storage: the path arena,
-// frontier slices and the per-state visited RefSets survive across the
-// sources (the arena resets between sources, which keeps refs 32-bit and
-// makes per-source cleanup a slice truncation). Paths record their start
-// node, so (path, state) pairs from different source nodes can never
-// collide and per-source visited sets partition the global mark set
-// exactly. A deterministic automaton generates each (path, state) pair
-// once, so it gets no visited sets at all.
+// evalScratch is one search's working storage: the path arena, frontier
+// slices and the RefSets survive across the sources (the arena resets
+// between sources, which keeps refs 32-bit and makes per-source cleanup a
+// slice truncation). Paths record their start node, so (path, state)
+// pairs from different source nodes can never collide and per-source
+// visited sets partition the global mark set exactly. A deterministic
+// automaton generates each (path, state) pair once, and so each path
+// once, so it gets no RefSets at all.
 type evalScratch struct {
 	arena          *path.Arena
 	frontier, next []searchItem
 	runs           []symbolScan
 	visited        []*path.RefSet // per NFA state; nil when c is deterministic
-	quota          quotaState     // used only under an EvalOptions.Quota
-	span           *obs.Span      // the search span; nil when untraced
+	answered       *path.RefSet   // the source's result paths; nil when c is deterministic
+	// out holds every source's result paths, in source order and each
+	// source's ascending by length, in chunks that are never copied to
+	// grow; n counts them, and slab backs their node and edge arrays.
+	out   [][]path.Path
+	n     int
+	slab  path.Slab
+	quota quotaState // used only under an EvalOptions.Quota
+	span  *obs.Span  // the search span; nil when untraced
 }
 
 func newEvalScratch(c *CompiledNFA, sp *obs.Span) *evalScratch {
@@ -250,8 +238,37 @@ func newEvalScratch(c *CompiledNFA, sp *obs.Span) *evalScratch {
 		for s := range sc.visited {
 			sc.visited[s] = path.NewRefSet(a)
 		}
+		sc.answered = path.NewRefSet(a)
 	}
 	return sc
+}
+
+// admit appends the arena path at r to the result unless this source
+// already answered it — a nondeterministic automaton may generate one
+// path in several states — and reports whether it did. A backward chain
+// holds its path last-node-first, so it materializes reversed, with the
+// canonical forward fingerprint.
+func (sc *evalScratch) admit(r path.Ref, back bool) bool {
+	if sc.answered != nil && !sc.answered.Add(r) {
+		return false
+	}
+	a := sc.arena
+	var p path.Path
+	if back {
+		p = a.ReversedPathSlab(r, &sc.slab, a.ReversedFingerprint(r))
+	} else {
+		p = a.PathSlab(r, &sc.slab)
+	}
+	if k := len(sc.out); k == 0 || len(sc.out[k-1]) == cap(sc.out[k-1]) {
+		// Chunks of 64, 128, 256 and then 512 paths stay small objects:
+		// growing one slice instead copies every path about once more,
+		// under write barriers while the collector marks.
+		sc.out = append(sc.out, make([]path.Path, 0, 64<<min(k, 3)))
+	}
+	last := &sc.out[len(sc.out)-1]
+	*last = append(*last, p)
+	sc.n++
+	return true
 }
 
 // quotaCount is one quota counter: the arrivals counted so far — paths,
@@ -311,12 +328,13 @@ func (c *quotaCount) count(q core.Quota, level int) bool {
 //     is the one Reach runs (productBFS);
 //   - goal pruning, once armed: a frontier path that no walk short enough
 //     leads from to an open target can add nothing, so it is not
-//     expanded. The goal table says which (see goalTable); it is swept
-//     again whenever an awaited target has filled since the last sweep.
+//     expanded. The same BFS, run backward from the open targets, says
+//     which (see sweep); it runs again whenever an awaited target has
+//     filled since the last sweep.
 //
-// All of it costs what the source touches: the BFS's visited bitset and
-// the goal table, both sized by the graph, are pooled and cleared through
-// the entries a sweep set.
+// All of it costs what the source touches: the BFS's distance table,
+// sized by the graph, is pooled and cleared through the entries a sweep
+// set.
 type quotaState struct {
 	targets map[graph.NodeID]quotaCount
 	states  []map[graph.NodeID]quotaCount // per NFA state, like evalScratch.visited
@@ -325,13 +343,14 @@ type quotaState struct {
 	armed, done bool
 	open        int
 	awaited     []graph.NodeID // the awaited targets, in arming order
-	// filled says an awaited target filled since the goal table was last
-	// swept; swept says the table holds a sweep of this source.
+	// filled says an awaited target filled since the last goal sweep;
+	// swept says bfs holds a goal sweep of this source.
 	filled, swept bool
-	goal          *goalTable // from goalPool on the first sweep of a search
+	bfs           *productBFS    // from bfsPool on the first arming of a search
+	starts        []productState // a goal sweep's starts
 	// suppressed and pruned count the result paths not materialized and
 	// the product-state visitors not expanded; goalPruned the frontier
-	// paths the goal table dropped, goalSweeps the sweeps.
+	// paths the goal sweep dropped, goalSweeps the sweeps.
 	suppressed, pruned, goalPruned, goalSweeps int64
 }
 
@@ -356,18 +375,18 @@ func (qs *quotaState) begin(states int) {
 
 // arm turns the early stop on, between two BFS levels: it marks every
 // target src can reach at all as awaited and counts those not full yet.
-// It runs once per source, so each accepted node is new to it.
 func (qs *quotaState) arm(g *graph.Graph, c *CompiledNFA, sem core.Semantics, q core.Quota, maxLen int, src graph.NodeID, bud *core.Budget, back bool) error {
-	bfs := bfsPool.Get().(*productBFS)
-	defer bfsPool.Put(bfs)
-	if err := bfs.run(g, c, src, maxLen, bud, back); err != nil {
+	if qs.bfs == nil {
+		qs.bfs = bfsPool.Get().(*productBFS)
+	}
+	if err := qs.bfs.run(g, c, []productState{{node: src}}, maxLen, bud, back); err != nil {
 		return err
 	}
-	for _, a := range bfs.accepted {
-		if sem == core.Acyclic && a.node == src {
+	for _, a := range qs.bfs.accepted(c.nfa, src) {
+		tc := qs.targets[a.node]
+		if tc.awaited || sem == core.Acyclic && a.node == src {
 			continue
 		}
-		tc := qs.targets[a.node]
 		tc.awaited = true
 		qs.targets[a.node] = tc
 		qs.awaited = append(qs.awaited, a.node)
@@ -391,167 +410,137 @@ func (qs *quotaState) emitted(q core.Quota, dst graph.NodeID, tc quotaCount, len
 	qs.targets[dst] = tc
 }
 
-// sweep recomputes the goal table for the open targets, for a frontier
-// whose paths have the given length.
+// sweep runs the goal sweep for a frontier whose paths have the given
+// length: the product BFS over the reversed automaton, against the
+// search's direction, from the accepting states at every awaited target
+// that is not full, to at most maxLen−length edges (any number when
+// maxLen <= 0). It leaves in bfs.dist, for every product state (v, s),
+// the fewest edges of a nonempty walk from v in state s to an open
+// target in an accepting state, 0 when none exists within that depth.
+// A frontier path of length L at (v, s) can receive a new answer only by
+// such a walk, and only if L + dist(v, s) ≤ MaxLen: the walk distance
+// bounds the trail, acyclic and simple distance from below. Quotas only
+// fill, so a sweep from before some target filled only prunes less than
+// a fresh one would; the length test in reaches keeps a sweep from a
+// shallower level sound where no target fills.
 func (qs *quotaState) sweep(g *graph.Graph, c *CompiledNFA, q core.Quota, maxLen, length int, bud *core.Budget, back bool) error {
-	if qs.goal == nil {
-		qs.goal = goalPool.Get().(*goalTable)
-	}
 	depth := 0 // unbounded
 	if maxLen > 0 {
 		depth = maxLen - length
 	}
 	qs.filled, qs.swept = false, true
 	qs.goalSweeps++
-	return qs.goal.sweep(g, c, qs, q, depth, bud, back)
-}
-
-// reaches reports whether the goal table lets the frontier path of the
-// given length at (v, s) be expanded: some walk of at most maxLen−length
-// edges (any length when maxLen <= 0) leads from it to an open target.
-//
-//pathalgebra:hotpath
-func (qs *quotaState) reaches(v graph.NodeID, s StateID, length, maxLen int) bool {
-	d := int(qs.goal.dist[int(v)*qs.goal.states+int(s)])
-	return d > 0 && (maxLen <= 0 || length+d <= maxLen)
-}
-
-// goalPool recycles goal tables across searches, so that the table sized
-// by the graph is allocated once, not once per search.
-var goalPool = sync.Pool{New: func() any { return new(goalTable) }}
-
-// goalTable holds, for a source under an armed quota, the distance
-// dist(v, s) ≥ 1 of every product state from the open targets: the
-// fewest edges of a nonempty walk from node v in NFA state s to an open
-// awaited target in an accepting state, 0 when none exists within the
-// sweep's depth. A frontier path of length L at (v, s) can receive a new
-// answer only by such a walk, and only if L + dist(v, s) ≤ MaxLen: the
-// walk distance bounds the trail, acyclic and simple distance from
-// below. Quotas only fill, so a table swept before some target filled
-// only prunes less than a fresh one would; the explicit length test keeps
-// a table swept at a shallower level sound where no target fills.
-//
-// One backward BFS over the reversed product (the reversed automaton,
-// against the search's direction) fills it. Like productBFS, the table
-// is sized by the graph once and cleared through the entries a sweep
-// set, so a sweep costs what it reaches.
-type goalTable struct {
-	dist           []int32 // indexed by node × states + state
-	touched        []int32 // the entries of dist the last sweep set
-	states         int
-	frontier, next []productState
-	runs           []symbolScan
-}
-
-// sweep fills the table from the accepting states at every awaited target
-// of qs that is not full, to at most depth edges (<= 0: unbounded). Every
-// product state it starts from or discovers charges the work budget its
-// depth, as productBFS's do.
-func (gt *goalTable) sweep(g *graph.Graph, c *CompiledNFA, qs *quotaState, q core.Quota, depth int, bud *core.Budget, back bool) error {
-	for _, i := range gt.touched {
-		gt.dist[i] = 0
-	}
-	gt.touched = gt.touched[:0]
-	nfa := c.nfa
-	gt.states = nfa.NumStates()
-	if n := g.NumNodes() * gt.states; len(gt.dist) < n {
-		gt.dist = make([]int32, n)
-	}
-	frontier, next := gt.frontier[:0], gt.next[:0]
-	defer func() { gt.frontier, gt.next = frontier, next }()
+	qs.starts = qs.starts[:0]
 	for _, t := range qs.awaited {
 		if int(qs.targets[t].n) >= q.K {
 			continue
 		}
-		for s := 0; s < gt.states; s++ {
-			if !nfa.Accepting(StateID(s)) {
-				continue
-			}
-			if !bud.ChargeWork(0) {
-				return chargeErr(bud)
-			}
-			frontier = append(frontier, productState{node: t, state: StateID(s)})
-		}
-	}
-	for d := 1; len(frontier) > 0 && (depth <= 0 || d <= depth); d++ {
-		next = next[:0]
-		for _, ps := range frontier {
-			if bud.Cancelled() {
-				return chargeErr(bud)
-			}
-			gt.runs = scanRuns(gt.runs, g, c.rev, ps.node, ps.state, !back)
-			for _, rs := range gt.runs {
-				for _, eid := range rs.edges {
-					v := stepNode(g, eid, !back)
-					for _, s := range rs.targets {
-						i := int(v)*gt.states + int(s)
-						if gt.dist[i] != 0 {
-							continue
-						}
-						if !bud.ChargeWork(d) {
-							return chargeErr(bud)
-						}
-						gt.dist[i] = int32(d)
-						gt.touched = append(gt.touched, int32(i))
-						next = append(next, productState{node: v, state: s})
-					}
-				}
+		for s := StateID(0); int(s) < c.nfa.NumStates(); s++ {
+			if c.nfa.Accepting(s) {
+				//lint:ignore budgetcharge run charges every start it is given
+				qs.starts = append(qs.starts, productState{node: t, state: s})
 			}
 		}
-		frontier, next = next, frontier
 	}
-	return nil
+	return qs.bfs.run(g, c.rev, qs.starts, depth, bud, !back)
 }
 
-// shard is one source node's slice of the result: the admitted paths in
-// per-source discovery order, plus the cumulative result count at the end
-// of each BFS depth so the merge can interleave shards in the global
-// (depth, source) order.
-type shard struct {
-	set    *pathset.Set
-	levels []int
-	err    error
+// reaches reports whether the last goal sweep lets the frontier path of
+// the given length at (v, s) be expanded: some walk of at most
+// maxLen−length edges (any length when maxLen <= 0) leads from it to an
+// open target.
+//
+//pathalgebra:hotpath
+func (qs *quotaState) reaches(v graph.NodeID, s StateID, length, maxLen int) bool {
+	d := int(qs.bfs.dist[int(v)*qs.bfs.states+int(s)])
+	return d > 0 && (maxLen <= 0 || length+d <= maxLen)
 }
 
 // evalSearch runs the per-source searches in source order, stopping at
-// the first error, and merges their shards.
+// the first error, and orders their results by length.
 func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, bud *core.Budget, seeds []graph.NodeID, count int, back bool, quota core.Quota, sp *obs.Span) (*pathset.Set, error) {
 	sc := newEvalScratch(c, sp)
 	defer func() {
-		if sc.quota.goal != nil {
-			goalPool.Put(sc.quota.goal)
+		if sc.quota.bfs != nil {
+			bfsPool.Put(sc.quota.bfs)
 		}
 	}()
-	shards := make([]*shard, count)
-	for i := range shards {
+	for i := 0; i < count; i++ {
 		// Injected faults surface as panics so the chaos tests exercise the
 		// same recovery path as a real evaluator bug.
 		if err := fault.Hit("automaton.source"); err != nil {
 			panic(err)
 		}
-		sh := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back, quota)
-		if sh.err != nil {
-			return nil, fmt.Errorf("automaton: %w", sh.err)
+		n := sc.n
+		depth, err := evalSource(g, c, sem, lim, seedAt(seeds, i), bud, sc, back, quota)
+		if err != nil {
+			return nil, fmt.Errorf("automaton: %w", err)
 		}
-		shards[i] = sh
-		sp.AddInt("paths", int64(sh.set.Len()))
+		sp.AddInt("paths", int64(sc.n-n))
 		if quota.K > 0 {
 			sp.AddInt("suppressed", sc.quota.suppressed)
 			sp.AddInt("pruned", sc.quota.pruned)
 			sp.AddInt("goal_pruned", sc.quota.goalPruned)
 			sp.AddInt("goal_sweeps", sc.quota.goalSweeps)
-			sp.MaxInt("stop_depth", int64(max(len(sh.levels)-1, 0)))
+			sp.MaxInt("stop_depth", int64(depth))
 		}
 	}
 	sp.SetInt("arena_bytes", int64(sc.arena.Bytes()))
 	msp := sp.Start("merge")
 	defer msp.End()
-	out := mergeShards(shards)
+	out := pathset.FromDistinct(byLength(sc.out, sc.n))
 	msp.SetInt("paths", int64(out.Len()))
 	return out, nil
 }
 
-// evalSource runs the product search seeded at one source node. Budget
+// byLength returns the n paths of chunks stably sorted by length. The
+// search appends its sources' results in source order, each ascending by
+// length, and a BFS level is a path length, so this is the insertion
+// order of one breadth-first search over every source: for each length
+// ascending, each source's paths of that length, sources ascending.
+// Downstream order-sensitive operators — group construction, rank
+// tie-breaking, ANY-style selector picks — observe it. It is a counting
+// sort that copies each run of equal lengths as one block; a single chunk
+// already in order is returned as it is.
+func byLength(chunks [][]path.Path, n int) []path.Path {
+	var slot []int // per length: the paths counted, then the next free slot
+	sorted, prev := true, 0
+	for _, c := range chunks {
+		for _, p := range c {
+			k := p.Len()
+			for len(slot) <= k {
+				slot = append(slot, 0)
+			}
+			slot[k]++
+			sorted, prev = sorted && prev <= k, k
+		}
+	}
+	if sorted && len(chunks) == 1 {
+		return chunks[0]
+	}
+	next := 0
+	for k, m := range slot {
+		slot[k], next = next, next+m
+	}
+	out := make([]path.Path, n)
+	for _, c := range chunks {
+		for i := 0; i < len(c); {
+			k, j := c[i].Len(), i+1
+			for j < len(c) && c[j].Len() == k {
+				j++
+			}
+			slot[k] += copy(out[slot[k]:], c[i:j])
+			i = j
+		}
+	}
+	return out
+}
+
+// evalSource runs the product search seeded at one source node, appending
+// its results to sc.out in discovery order, which is ascending by length.
+// It returns the depth the search stopped at: one past its last BFS
+// level, or the level of the path whose quota finished the source (0
+// with an error). Budget
 // accounting matches the sequential search exactly: every admitted result
 // path charges ChargePath (1 path + Len+1 work — including the length-zero
 // seed path when the automaton accepts the empty word), and every visited
@@ -559,20 +548,20 @@ func evalSearch(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 // the search additionally skips what quotaState proves the caller drops;
 // skipped paths and states charge nothing, goal sweeps charge what they
 // discover.
-func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, src graph.NodeID, bud *core.Budget, sc *evalScratch, back bool, quota core.Quota) *shard {
+func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Limits, src graph.NodeID, bud *core.Budget, sc *evalScratch, back bool, quota core.Quota) (int, error) {
 	nfa := c.nfa
-	// The zero Set builds its index on the first Add, and under a
-	// deterministic automaton never: paths are appended unprobed.
-	sh := &shard{set: new(pathset.Set)}
 	// Tombstoned sources admit nothing — not even the zero-length path an
 	// empty-word-accepting NFA would otherwise seed.
 	if !g.NodeAlive(src) {
-		return sh
+		return 0, nil
 	}
 	a := sc.arena
 	a.Reset()
 	for _, v := range sc.visited {
 		v.Reset()
+	}
+	if sc.answered != nil {
+		sc.answered.Reset()
 	}
 	seed := a.Leaf(src)
 	if sc.visited != nil {
@@ -580,12 +569,11 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 	}
 	frontier := append(sc.frontier[:0], searchItem{ref: seed, state: 0})
 	next := sc.next[:0]
-	finish := func(err error) *shard {
-		sh.err = err
-		sh.levels = append(sh.levels, sh.set.Len())
+	finish := func(depth int, err error) (int, error) {
 		sc.frontier, sc.next = frontier, next
-		return sh
+		return depth, err
 	}
+	first := sc.n // this source's first result
 	qs := &sc.quota
 	limited := quota.K > 0
 	prune := limited && sem == core.Walk
@@ -593,19 +581,19 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 		qs.begin(nfa.NumStates())
 	}
 	if nfa.AcceptsEmpty() {
-		addResult(sh.set, a, seed, false, c.deterministic)
+		sc.admit(seed, false)
 		if !bud.ChargePath(0) {
-			return finish(chargeErr(bud))
+			return finish(0, chargeErr(bud))
 		}
 		if limited {
 			qs.emitted(quota, src, quotaCount{}, 0)
 		}
 	}
-	sh.levels = append(sh.levels, sh.set.Len())
 	// A length quota fills at the first path of a level and the rest of
 	// that level still belongs to it, so it stops between levels; a path
 	// quota stops at the filling path.
-	for length := 0; len(frontier) > 0 && !qs.done; length++ {
+	length := 0
+	for ; len(frontier) > 0 && !qs.done; length++ {
 		sc.span.MaxInt("max_frontier", int64(len(frontier)))
 		next = next[:0]
 		for _, it := range frontier {
@@ -613,7 +601,7 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 			// charge nothing, so charge failures alone would not bound the
 			// abort latency on reject-heavy searches.
 			if bud.Cancelled() {
-				return finish(chargeErr(bud))
+				return finish(0, chargeErr(bud))
 			}
 			if lim.MaxLen > 0 && length >= lim.MaxLen {
 				continue
@@ -650,14 +638,17 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 							switch {
 							case limited && !tc.admits(quota, npLen):
 								qs.suppressed++
-							case addResult(sh.set, a, np, back, c.deterministic):
+							case sc.admit(np, back):
+								if sc.answered != nil {
+									kept = true // the answer set holds np's ref
+								}
 								if !bud.ChargePath(npLen) {
-									return finish(chargeErr(bud))
+									return finish(0, chargeErr(bud))
 								}
 								if limited {
 									qs.emitted(quota, dst, tc, npLen)
 									if qs.done && !quota.ByLength {
-										return finish(nil)
+										return finish(npLen, nil)
 									}
 								}
 							}
@@ -677,7 +668,7 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 							continue
 						}
 						if !bud.ChargeWork(npLen) {
-							return finish(chargeErr(bud))
+							return finish(0, chargeErr(bud))
 						}
 						if prune {
 							visits.count(quota, npLen)
@@ -693,58 +684,23 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 			}
 		}
 		frontier, next = next, frontier
-		sh.levels = append(sh.levels, sh.set.Len())
 		// Arming costs one product BFS: worth it once the cut drops at
 		// least as much as the search keeps, which is when stopping early
 		// has something to save. Walk needs none — its frontier drains.
-		if limited && !prune && !qs.armed && qs.suppressed > 0 && qs.suppressed >= int64(sh.set.Len()) {
+		if limited && !prune && !qs.armed && qs.suppressed > 0 && qs.suppressed >= int64(sc.n-first) {
 			if err := qs.arm(g, c, sem, quota, lim.MaxLen, src, bud, back); err != nil {
-				sh.err = err
-				break
+				return finish(0, err)
 			}
 		}
 		// The next frontier's paths have length+1 edges; a sweep for them
 		// is only worth it where one may still be expanded.
 		if qs.armed && qs.filled && !qs.done && len(frontier) > 0 && (lim.MaxLen <= 0 || length+1 < lim.MaxLen) {
 			if err := qs.sweep(g, c, quota, lim.MaxLen, length+1, bud, back); err != nil {
-				sh.err = err
-				break
+				return finish(0, err)
 			}
 		}
 	}
-	sc.frontier, sc.next = frontier, next
-	return sh
-}
-
-// mergeShards concatenates the shard results in the order of one global
-// breadth-first search: for each BFS depth in ascending order, each
-// source's admissions at that depth, sources ascending. That search's
-// frontier stays source-major sorted at every depth, so this is exactly
-// its insertion order, which downstream order-sensitive operators — group
-// construction, rank tie-breaking, ANY-style selector picks — observe.
-func mergeShards(shards []*shard) *pathset.Set {
-	maxDepth, n := 0, 0
-	for _, sh := range shards {
-		maxDepth = max(maxDepth, len(sh.levels))
-		n += sh.set.Len()
-	}
-	// Shards are disjoint (paths partition by first node) and internally
-	// deduped, so the merge concatenates per-depth slices and hashes
-	// nothing: the set indexes itself if something probes it.
-	ps := make([]path.Path, 0, n)
-	for d := 0; d < maxDepth; d++ {
-		for _, sh := range shards {
-			if d >= len(sh.levels) {
-				continue
-			}
-			lo := 0
-			if d > 0 {
-				lo = sh.levels[d-1]
-			}
-			ps = append(ps, sh.set.Paths()[lo:sh.levels[d]]...)
-		}
-	}
-	return pathset.FromDistinct(ps)
+	return finish(length, nil)
 }
 
 // classifyExtend decides, for the admissible frontier path r about to be

@@ -108,8 +108,11 @@ func TestGoalPrunedWork(t *testing.T) {
 
 // TestCompiledNFAShape: Compile's reversed table lists, for each state
 // and symbol, exactly the states that reach it by that symbol, ascending;
-// and an automaton is deterministic exactly when no (state, symbol) has
-// two targets — true of the benchmark's :Knows+ and union patterns.
+// an automaton is deterministic exactly when no (state, symbol) has two
+// targets — true of the benchmark's :Knows+ and union patterns; and the
+// start state is the target of no transition, of an expression's
+// automaton or its reversal's, so a product BFS from (src, 0) never
+// discovers its start again.
 func TestCompiledNFAShape(t *testing.T) {
 	g := ldbc.MustGenerate(ldbc.Config{Persons: 6, Messages: 4, KnowsPerPerson: 2, LikesPerPerson: 1, Seed: 1})
 	rng := rand.New(rand.NewSource(17))
@@ -149,6 +152,11 @@ func TestCompiledNFAShape(t *testing.T) {
 						t.Errorf("%s: reversed table has %d reading %d to %d, the table does not", re, s, sym, q)
 					}
 				}
+			}
+		}
+		for _, e := range []rpq.Expr{re, rpq.Reverse(re)} {
+			if syms := Build(e).Compile(g).rev.StateSymbols(0); len(syms) > 0 {
+				t.Errorf("%s: symbols %v lead into the start state", e, syms)
 			}
 		}
 		if c.deterministic != deterministic {

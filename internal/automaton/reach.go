@@ -68,14 +68,16 @@ func Reach(g *graph.Graph, nfa *NFA, lim core.Limits, o ReachOptions) ([]Pair, [
 		if !g.NodeAlive(src) {
 			continue
 		}
-		if err := bfs.run(g, c, src, lim.MaxLen, bud, false); err != nil {
+		if err := bfs.run(g, c, []productState{{node: src}}, lim.MaxLen, bud, false); err != nil {
 			return nil, nil, err
 		}
 		sources++
-		states += bfs.states
-		slices.SortFunc(bfs.accepted, func(a, b acceptance) int { return cmp.Compare(a.node, b.node) })
-		pairs, lengths = slices.Grow(pairs, len(bfs.accepted)), slices.Grow(lengths, len(bfs.accepted))
-		for _, a := range bfs.accepted {
+		states += 1 + len(bfs.touched) // the start and what it reached
+		accepted := bfs.accepted(c.nfa, src)
+		slices.SortFunc(accepted, func(a, b acceptance) int { return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.depth, b.depth)) })
+		accepted = slices.CompactFunc(accepted, func(a, b acceptance) bool { return a.node == b.node })
+		pairs, lengths = slices.Grow(pairs, len(accepted)), slices.Grow(lengths, len(accepted))
+		for _, a := range accepted {
 			if o.Targets != nil {
 				if _, ok := slices.BinarySearch(o.Targets, a.node); !ok {
 					continue
@@ -94,8 +96,8 @@ func Reach(g *graph.Graph, nfa *NFA, lim core.Limits, o ReachOptions) ([]Pair, [
 	return pairs, lengths, nil
 }
 
-// bfsPool recycles sweeps across calls, so that the bitset sized by the
-// graph is allocated once, not once per call.
+// bfsPool recycles sweeps across calls, so that the distance table sized
+// by the graph is allocated once, not once per call.
 var bfsPool = sync.Pool{New: func() any { return new(productBFS) }}
 
 type productState struct {
@@ -104,72 +106,53 @@ type productState struct {
 }
 
 // acceptance is a node a sweep reached in an accepting state, at the
-// depth it first did: the node's minimal accepted walk length.
+// depth it did.
 type acceptance struct {
 	node  graph.NodeID
 	depth int32
 }
 
-// productBFS is the reusable storage of one breadth-first sweep over the
-// product (node, NFA state) space, which Reach and the quota's early stop
-// both run. The visited set is one bitset with a column per NFA state and
-// a last column marking a node accepted; it is sized by the graph once
-// and cleared through the words a sweep set, so a sweep costs what it
-// reaches.
+// productBFS is the reusable storage of a breadth-first sweep over the
+// product (node, NFA state) space. Reach and the quota's early stop run
+// it from (src, 0); the quota's goal sweep runs it over the reversed
+// automaton from the open targets (quotaState.sweep). Its distance table
+// is sized by the graph once and cleared through the entries a sweep
+// set, so a sweep costs what it reaches.
 type productBFS struct {
-	seen           []uint64
-	touched        []int // the words of seen a sweep made non-zero
-	cols           int   // NFA states + 1
+	// dist[v*states+s] is the depth at which the last sweep discovered
+	// (v, s), 0 when it did not. Starts are not marked: a start has a
+	// distance only if a nonempty walk leads back to it, which for
+	// (src, 0) none does — no transition enters state 0.
+	dist           []int32
+	touched        []int32 // the entries of dist the last sweep set, in discovery order
+	states         int
 	frontier, next []productState
 	runs           []symbolScan
-	// accepted lists the nodes the last sweep accepted, in discovery
-	// order; states counts the product states it discovered.
-	accepted []acceptance
-	states   int
+	acc            []acceptance // accepted's result
 }
 
-// mark sets bit (v, col) and reports whether it was clear.
-//
-//pathalgebra:hotpath
-func (p *productBFS) mark(v graph.NodeID, col int) bool {
-	i := int(v)*p.cols + col
-	w, bit := i>>6, uint64(1)<<(i&63)
-	if p.seen[w]&bit != 0 {
-		return false
+// run sweeps every product state reachable from starts by a nonempty walk
+// of at most maxLen edges (<= 0: unbounded), over c's transitions and
+// against the edges when back is set. Every start and every discovered
+// state charges the work budget its depth, so Limits.MaxWork bounds the
+// sweep.
+func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, starts []productState, maxLen int, bud *core.Budget, back bool) error {
+	for _, i := range p.touched {
+		p.dist[i] = 0
 	}
-	if p.seen[w] == 0 {
-		p.touched = append(p.touched, w)
+	p.touched = p.touched[:0]
+	p.states = c.nfa.NumStates()
+	if n := g.NumNodes() * p.states; len(p.dist) < n {
+		p.dist = make([]int32, n)
 	}
-	p.seen[w] |= bit
-	return true
-}
-
-// run sweeps every product state reachable from (src, 0) by a walk of at
-// most maxLen edges (<= 0: unbounded), filling accepted. Every discovered
-// state charges the work budget its node slots, so Limits.MaxWork bounds
-// the sweep.
-func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLen int, bud *core.Budget, back bool) error {
-	for _, w := range p.touched {
-		p.seen[w] = 0
-	}
-	p.touched, p.accepted = p.touched[:0], p.accepted[:0]
-	p.cols = c.nfa.NumStates() + 1
-	if words := (g.NumNodes()*p.cols + 63) / 64; len(p.seen) < words {
-		p.seen = make([]uint64, words)
-	}
-	accept := p.cols - 1
-	p.mark(src, 0)
-	p.states = 1
-	if !bud.ChargeWork(0) {
-		return chargeErr(bud)
-	}
-	if c.nfa.AcceptsEmpty() {
-		p.mark(src, accept)
-		p.accepted = append(p.accepted, acceptance{node: src})
-	}
-	frontier := append(p.frontier[:0], productState{node: src})
-	next := p.next[:0]
+	frontier, next := p.frontier[:0], p.next[:0]
 	defer func() { p.frontier, p.next = frontier, next }()
+	for _, ps := range starts {
+		if !bud.ChargeWork(0) {
+			return chargeErr(bud)
+		}
+		frontier = append(frontier, ps)
+	}
 	for depth := 1; len(frontier) > 0 && (maxLen <= 0 || depth <= maxLen); depth++ {
 		next = next[:0]
 		for _, ps := range frontier {
@@ -184,16 +167,15 @@ func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLe
 				for _, eid := range rs.edges {
 					dst := stepNode(g, eid, back)
 					for _, q := range rs.targets {
-						if !p.mark(dst, int(q)) {
+						i := int(dst)*p.states + int(q)
+						if p.dist[i] != 0 {
 							continue
 						}
-						p.states++
 						if !bud.ChargeWork(depth) {
 							return chargeErr(bud)
 						}
-						if c.nfa.Accepting(q) && p.mark(dst, accept) {
-							p.accepted = append(p.accepted, acceptance{node: dst, depth: int32(depth)})
-						}
+						p.dist[i] = int32(depth)
+						p.touched = append(p.touched, int32(i))
 						next = append(next, productState{node: dst, state: q})
 					}
 				}
@@ -202,4 +184,22 @@ func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, src graph.NodeID, maxLe
 		frontier, next = next, frontier
 	}
 	return nil
+}
+
+// accepted lists, after a sweep from (src, 0), the nodes it reached in an
+// accepting state of nfa with the depth it did, in discovery order: src
+// first at depth 0 when nfa accepts the empty word, and a node reached in
+// several accepting states once per state, first at its least depth. The
+// slice is reused by the next call.
+func (p *productBFS) accepted(nfa *NFA, src graph.NodeID) []acceptance {
+	p.acc = p.acc[:0]
+	if nfa.AcceptsEmpty() {
+		p.acc = append(p.acc, acceptance{node: src})
+	}
+	for _, i := range p.touched {
+		if nfa.Accepting(StateID(int(i) % p.states)) {
+			p.acc = append(p.acc, acceptance{node: graph.NodeID(int(i) / p.states), depth: p.dist[i]})
+		}
+	}
+	return p.acc
 }

@@ -38,8 +38,8 @@ type CompiledNFA struct {
 	allSyms []bool
 	// rev is the reversed relation in the same layout: rev.Trans(q, sym)
 	// lists the states that reach q by reading sym, ascending. It drives
-	// the goal table's sweep, which walks the product against the
-	// search's direction (goalTable). rev.rev is nil.
+	// the quota's goal sweep, which walks the product against the
+	// search's direction (quotaState.sweep). rev.rev is nil.
 	rev *CompiledNFA
 	// deterministic: no (state, symbol) pair has two targets, so the
 	// label word of a path runs to one state and the search generates

@@ -20,8 +20,8 @@ import (
 //     auxiliary materializations MaxWork exists to bound;
 //   - frontier pushes (append of a value carrying a path.Ref or an NFA
 //     StateID) must be covered by a ChargeWork or ChargePath call;
-//   - result admissions (Set.Add / Set.AddArena / Set.AddArenaReversed)
-//     must be covered by a charge in the innermost loop, or anywhere in
+//   - result admissions (Set.Add / Set.AddArena, and the product
+//     search's evalScratch.admit) must be covered by a charge in the innermost loop, or anywhere in
 //     the function for loop-free admissions (e.g. the empty-word seed
 //     path — the exact site of the PR 2 bypass).
 //
@@ -107,7 +107,7 @@ func checkBudgetFunc(pass *Pass, fn *ast.FuncDecl) {
 				switch {
 				case method == "Add" && recv == "RefSet":
 					sites = append(sites, chargeSite{n, "mark", "visited-set mark"})
-				case recv == "Set" && (method == "Add" || method == "AddArena" || method == "AddArenaReversed"):
+				case recv == "Set" && (method == "Add" || method == "AddArena"), recv == "evalScratch" && method == "admit":
 					sites = append(sites, chargeSite{n, "admit", "result admission (" + method + ")"})
 				}
 			} else if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && len(n.Args) >= 2 {

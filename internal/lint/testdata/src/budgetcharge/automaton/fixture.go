@@ -29,6 +29,10 @@ type Set struct{}
 func (s *Set) Add(p int) bool      { return true }
 func (s *Set) AddArena(r Ref) bool { return true }
 
+type evalScratch struct{}
+
+func (sc *evalScratch) admit(r Ref, back bool) bool { return true }
+
 type searchItem struct {
 	ref   Ref
 	state StateID
@@ -77,6 +81,13 @@ func chargedPush(bud *Budget, frontier []Ref) []searchItem {
 // in the function (the empty-word seed-path bug shape).
 func seedAdmit(bud *Budget, set *Set) {
 	set.Add(0) // want `result admission \(Add\) is not budget-charged`
+}
+
+// True positive: the product search's own admission counts as one.
+func unchargedSearchAdmit(bud *Budget, sc *evalScratch, frontier []Ref) {
+	for _, r := range frontier {
+		sc.admit(r, false) // want `result admission \(admit\) is not budget-charged`
+	}
 }
 
 // Clean: the loop-free admission is charged at function scope.

@@ -258,9 +258,9 @@ func (n *Node) push(q core.Quota) {
 // only at the nodes that satisfy c's conjuncts on the search's starting
 // side — first-node conjuncts forward, last-node ones backward. Such a
 // conjunct's value is a function of that one node, so seeding equals
-// "search everything, then filter", in the same order, since per-seed
-// shards merge in ascending seed order. The other conjuncts filter the
-// result. Nil when a forward search has nothing to seed with: ϕ's search
+// "search everything, then filter", in the same order, since the search
+// orders its result by length, then by seed, seeds ascending. The other
+// conjuncts filter the result. Nil when a forward search has nothing to seed with: ϕ's search
 // plus σ's filter does the same work.
 func seededSearch(e *Ends, s *Search) *Search {
 	seed, filter := e.First, append(append([]cond.Cond{}, e.Last...), e.Rest...)

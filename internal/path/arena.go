@@ -316,23 +316,6 @@ func (a *Arena) ReversedFingerprint(r Ref) uint64 {
 	return fp
 }
 
-// ReversedEqualPath reports whether the REVERSE of the path at r equals
-// the materialized path p. The chain walk from r visits the reversed
-// sequence front to back, so the comparison is a forward scan of p.
-func (a *Arena) ReversedEqualPath(r Ref, p Path) bool {
-	ent := &a.entries[r]
-	if int(ent.len) != p.Len() {
-		return false
-	}
-	for i := 0; ent.len > 0; i++ {
-		if ent.last != p.nodes[i] || ent.edge != p.edges[i] {
-			return false
-		}
-		ent = &a.entries[ent.parent]
-	}
-	return ent.last == p.nodes[p.Len()]
-}
-
 // ReversedPathSlab materializes the REVERSE of the path at r with storage
 // carved from the slab and the canonical forward fingerprint fp (from
 // ReversedFingerprint, which callers will already have computed for the

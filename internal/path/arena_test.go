@@ -244,3 +244,42 @@ func TestSlabMaterialization(t *testing.T) {
 		}
 	}
 }
+
+// TestReversedPathSlab: a chain built last-node-first, as the backward
+// product search builds it, materializes reversed to the forward path,
+// with the forward path's fingerprint, and ReversedFingerprint predicts
+// it without materializing.
+func TestReversedPathSlab(t *testing.T) {
+	g := ldbc.MustGenerate(ldbc.Config{Persons: 10, Messages: 6, KnowsPerPerson: 3, LikesPerPerson: 1,
+		CycleFraction: 0.6, Seed: 5})
+	rng := rand.New(rand.NewSource(9))
+	a := NewArena(0)
+	var slab Slab
+	for walk := 0; walk < 200; walk++ {
+		r := a.Leaf(graph.NodeID(rng.Intn(g.NumNodes())))
+		for step := 0; step < rng.Intn(7); step++ {
+			in := g.In(a.Last(r))
+			if len(in) == 0 {
+				break
+			}
+			e := in[rng.Intn(len(in))]
+			src, _ := g.Endpoints(e)
+			r = a.Extend(r, e, src)
+		}
+		// The forward path reads the chain from its head: each entry's
+		// edge leads on to its parent's node, and the leaf is the end.
+		nodes, edges := []graph.NodeID{a.Last(r)}, []graph.EdgeID(nil)
+		for x := r; a.PathLen(x) > 0; x = a.entries[x].parent {
+			edges = append(edges, a.entries[x].edge)
+			nodes = append(nodes, a.Last(a.entries[x].parent))
+		}
+		want, err := New(g, nodes, edges)
+		if err != nil {
+			t.Fatalf("walk %d: %v", walk, err)
+		}
+		got := a.ReversedPathSlab(r, &slab, a.ReversedFingerprint(r))
+		if !got.Equal(want) || got.Fingerprint() != want.Fingerprint() || a.ReversedFingerprint(r) != want.Fingerprint() {
+			t.Fatalf("walk %d: reversed %s (fp %x), want %s (fp %x)", walk, got, got.Fingerprint(), want, want.Fingerprint())
+		}
+	}
+}

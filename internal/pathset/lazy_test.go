@@ -9,7 +9,7 @@ import (
 )
 
 // TestDistinctConstructors: sets built without hashing — by Filter,
-// Clone, Sorted and the shard merge — are indistinguishable from sets
+// Clone, Sorted and FromOrderedDisjoint — are indistinguishable from sets
 // built by repeated Add of the same paths in the same order: in Contains,
 // Equal, order and Collisions. Probing counts no collision, and a later
 // colliding Add counts one on either, with or without forced fingerprint
@@ -73,52 +73,6 @@ func TestDistinctConstructors(t *testing.T) {
 			ref.Add(add)
 			if refDelta := Collisions() - before; gotDelta != refDelta {
 				t.Errorf("%s: Add counted %d collisions, on the Add-built set %d", name, gotDelta, refDelta)
-			}
-		}
-	}
-}
-
-// TestAppendArena: paths appended from an arena without probing — forward
-// chains, and backward chains materialized reversed — give the set an
-// Add of the same paths in the same order would, and an index built by a
-// probe between appends stays current.
-func TestAppendArena(t *testing.T) {
-	ps, _ := samplePaths(t)
-	a := path.NewArena(0)
-	chain := func(p path.Path, back bool) path.Ref {
-		nodes, edges := p.Nodes(), p.Edges()
-		if back {
-			r := a.Leaf(nodes[len(nodes)-1])
-			for i := len(edges) - 1; i >= 0; i-- {
-				r = a.Extend(r, edges[i], nodes[i])
-			}
-			return r
-		}
-		r := a.Leaf(nodes[0])
-		for i, e := range edges {
-			r = a.Extend(r, e, nodes[i+1])
-		}
-		return r
-	}
-	for _, back := range []bool{false, true} {
-		s := new(Set)
-		for i, p := range ps {
-			if i == 2 && !s.Contains(ps[0]) {
-				t.Fatalf("back=%v: Contains misses an appended path", back)
-			}
-			if back {
-				s.AppendArenaReversed(a, chain(p, true))
-			} else {
-				s.AppendArena(a, chain(p, false))
-			}
-		}
-		ref := FromPaths(ps...)
-		if !slices.EqualFunc(s.Paths(), ref.Paths(), path.Path.Equal) || !s.Equal(ref) {
-			t.Errorf("back=%v: appended %v, Add gives %v", back, s.Paths(), ref.Paths())
-		}
-		for _, p := range ps {
-			if !s.Contains(p) || s.Add(p) {
-				t.Errorf("back=%v: %s not found by Contains, or added again", back, p)
 			}
 		}
 	}

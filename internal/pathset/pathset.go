@@ -12,8 +12,9 @@
 //
 // The index is built by the first Add, Contains or Equal that needs it,
 // not when a set is built: sets whose paths are known to be distinct
-// (FromDistinct, FromOrderedDisjoint, Filter, Clone, Sorted, and
-// AppendArena's) only append, and most of them are only ever iterated.
+// (FromDistinct — which the product search's result is built by —
+// FromOrderedDisjoint, Filter, Clone and Sorted) only append, and most of
+// them are only ever iterated.
 //
 // Iteration order is insertion order, so evaluation is deterministic;
 // Sorted copies into the canonical (length, sequence) order used for
@@ -143,58 +144,6 @@ func (s *Set) AddArena(a *path.Arena, r path.Ref) bool {
 	return true
 }
 
-// AddArenaReversed inserts the REVERSE of the arena-resident path at r
-// unless an equal path is present, reporting whether it was newly
-// inserted. It is AddArena for the backward product search, whose arena
-// chains hold paths last-node-first: membership probes and the admitted
-// path both use the canonical forward fingerprint, so sets filled this
-// way are indistinguishable from forward-filled ones.
-func (s *Set) AddArenaReversed(a *path.Arena, r path.Ref) bool {
-	ix := s.index()
-	fp := a.ReversedFingerprint(r)
-	pos := int32(len(s.paths))
-	if i, taken := ix.first[fp]; taken {
-		if a.ReversedEqualPath(r, s.paths[i]) {
-			return false
-		}
-		for _, j := range ix.overflow[fp] {
-			if a.ReversedEqualPath(r, s.paths[j]) {
-				return false
-			}
-		}
-		ix.collide(fp, pos)
-	} else {
-		ix.first[fp] = pos
-	}
-	s.paths = append(s.paths, a.ReversedPathSlab(r, &s.slab, fp))
-	return true
-}
-
-// AppendArena appends the arena path at r, which the caller guarantees
-// is not in the set, without probing: the product search's shards under
-// a deterministic automaton, which generates each path once. A set filled
-// only this way hashes nothing until it is first probed, like one built
-// by FromDistinct.
-func (s *Set) AppendArena(a *path.Arena, r path.Ref) {
-	s.appendDistinct(a.PathSlab(r, &s.slab))
-}
-
-// AppendArenaReversed is AppendArena for a backward search's chain,
-// materialized reversed as AddArenaReversed does.
-func (s *Set) AppendArenaReversed(a *path.Arena, r path.Ref) {
-	s.appendDistinct(a.ReversedPathSlab(r, &s.slab, a.ReversedFingerprint(r)))
-}
-
-// appendDistinct appends p, which is not in the set; a set already
-// indexed keeps its index current through Add.
-func (s *Set) appendDistinct(p path.Path) {
-	if s.idx.Load() != nil {
-		s.Add(p)
-		return
-	}
-	s.paths = append(s.paths, p)
-}
-
 // collide records the path at pos as another bearer of fp, a fingerprint
 // already in the index: one activation of the exact-Equal fallback.
 func (ix *index) collide(fp uint64, pos int32) {
@@ -309,15 +258,14 @@ func Merge(shards ...*Set) *Set {
 
 // FromOrderedDisjoint builds a set by concatenating pre-deduplicated path
 // groups in argument order. The caller guarantees the groups are mutually
-// disjoint and internally duplicate-free — true of the per-source shards
-// of the product search, where every path belongs to the shard of its
-// first node. Nothing is hashed until the set is probed (FromDistinct);
-// the resulting set is indistinguishable from repeated Add calls in the
-// same order.
+// disjoint and internally duplicate-free. Nothing is hashed until the set
+// is probed (FromDistinct); the resulting set is indistinguishable from
+// repeated Add calls in the same order.
 //
-// Deprecated: the search's shard merge concatenates into one slice and
-// calls FromDistinct; only the benchmark's merge layer metric builds its
-// shards here, and it goes with that metric.
+// Deprecated: the product search collects every source's paths in one
+// slice, orders it by length and calls FromDistinct; only the benchmark's
+// merge layer metric builds its groups here, and it goes with that
+// metric.
 func FromOrderedDisjoint(groups [][]path.Path) *Set {
 	n := 0
 	for _, g := range groups {

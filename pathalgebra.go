@@ -171,7 +171,7 @@ var ErrBudgetExceeded = core.ErrBudgetExceeded
 func NewEngine(g *Graph, opts EngineOptions) *Engine { return engine.New(g, opts) }
 
 // Trace collects a per-query span tree: parse, plan, cache probe,
-// per-shard evaluation and merge phases, annotated with frontier sizes,
+// evaluation, search and merge phases, annotated with frontier sizes,
 // arena bytes and budget charges. Traces are observation-only — a traced
 // evaluation returns byte-identical results.
 type Trace = obs.Trace

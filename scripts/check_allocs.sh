@@ -5,13 +5,14 @@
 # allocs/op on BenchmarkRestrictors/Walk exceeds the committed threshold.
 # The threshold is allocation *count*, which is stable across hosts and
 # CPU speeds (unlike ns/op), so this is safe to enforce in CI: the
-# copy-free path core (prefix-sharing arena + slab materialization) keeps
-# Walk at ~1.6k allocs/op; the pre-arena representation sat at ~11.6k.
-# A breach means per-candidate copying or per-classify map building crept
-# back into the product search.
+# copy-free path core (prefix-sharing arena + slab materialization) and
+# one result buffer for every source keep Walk at ~150 allocs/op; a
+# result set per source sat at ~1.1k, the pre-arena representation at
+# ~11.6k. A breach means per-source or per-candidate allocation, or
+# per-classify map building, crept back into the product search.
 set -eu
 
-THRESHOLD=${ALLOCS_THRESHOLD:-4000}
+THRESHOLD=${ALLOCS_THRESHOLD:-400}
 PLANCACHE_THRESHOLD=${PLANCACHE_ALLOCS_THRESHOLD:-64}
 
 out=$(go test -run xxx -bench 'BenchmarkRestrictors$/Walk' -benchtime 1x -benchmem . 2>&1)
@@ -206,10 +207,10 @@ fi
 echo "check_allocs: seeding allocates $small allocs/op on 10k and 100k persons"
 
 # Reach gate: a seeded /reach runs one product BFS from the seed, whose
-# sweep reuses a pooled visited bitset, so what it costs follows the
+# sweep reuses a pooled distance table, so what it costs follows the
 # nodes the seed reaches, not |V|. Engine.Reach of
 # (?x:Person {id:N})-[:Knows+]->(?y) must allocate EXACTLY as much on
-# 100k persons as on 10k; a per-call bitset or node scan would not.
+# 100k persons as on 10k; a per-call table or node scan would not.
 out=$(go test -run xxx -bench 'BenchmarkReach$' -benchtime 100x -benchmem ./internal/engine 2>&1)
 printf '%s\n' "$out"
 
