@@ -280,3 +280,39 @@ func TestMustParsePanics(t *testing.T) {
 	}()
 	MustParse("???")
 }
+
+// TestParsePrefixAndLiteral pins the offsets a host grammar resumes at:
+// the first token after a condition, and the byte after a literal.
+func TestParsePrefixAndLiteral(t *testing.T) {
+	src := `first.a = -.5 AND len() < 3  GROUP BY TARGET`
+	c, end, err := ParsePrefix(src)
+	if err != nil {
+		t.Fatalf("ParsePrefix: %v", err)
+	}
+	if want := strings.Index(src, "GROUP"); end != want {
+		t.Errorf("ParsePrefix end = %d, want %d", end, want)
+	}
+	if want := `(first.a = -0.5 AND len() < 3)`; c.String() != want {
+		t.Errorf("ParsePrefix = %s, want %s", c, want)
+	}
+	for _, tc := range []struct {
+		src  string
+		want graph.Value
+		end  int
+	}{
+		{`-.5})`, graph.FloatValue(-0.5), 3},
+		{` "a}" , b: 1`, graph.StringValue("a}"), 5},
+		{`TRUE}`, graph.BoolValue(true), 4},
+		{`42`, graph.IntValue(42), 2},
+	} {
+		v, end, err := ParseLiteral(tc.src)
+		if err != nil || v != tc.want || end != tc.end {
+			t.Errorf("ParseLiteral(%q) = %v, %d, %v; want %v, %d", tc.src, v, end, err, tc.want, tc.end)
+		}
+	}
+	for _, src := range []string{`}`, ``, `name`, `(1)`} {
+		if _, _, err := ParseLiteral(src); err == nil || !strings.Contains(err.Error(), "literal") {
+			t.Errorf("ParseLiteral(%q) error = %v, want one mentioning literal", src, err)
+		}
+	}
+}

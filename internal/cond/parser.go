@@ -19,18 +19,42 @@ import (
 // Keywords (AND, OR, NOT, first, last, node, edge, label, len, true,
 // false) are case-insensitive. String literals use double quotes.
 func Parse(input string) (Cond, error) {
-	p := &condParser{lex: newCondLexer(input)}
-	if err := p.lex.next(); err != nil {
-		return nil, err
-	}
-	c, err := p.parseOr()
+	c, end, err := ParsePrefix(input)
 	if err != nil {
 		return nil, err
 	}
-	if p.lex.tok.kind != tokEOF {
-		return nil, fmt.Errorf("cond: unexpected %q after condition", p.lex.tok.text)
+	if end != len(input) {
+		return nil, fmt.Errorf("cond: unexpected %q after condition", input[end:])
 	}
 	return c, nil
+}
+
+// ParsePrefix parses the condition at the start of src and returns it
+// with the offset of the first token after it, where a host grammar
+// (GQL's WHERE clause) resumes. That token must still lex as a condition
+// token; it ends the condition by not continuing it.
+func ParsePrefix(src string) (Cond, int, error) {
+	p := &condParser{lex: newCondLexer(src)}
+	if err := p.advance(); err != nil {
+		return nil, 0, err
+	}
+	c, err := p.parseOr()
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, p.lex.start, nil
+}
+
+// ParseLiteral parses the literal at the start of src — a string, an
+// integer, a float or a boolean, as on the right of a property
+// comparison — and returns it with the offset just past it.
+func ParseLiteral(src string) (graph.Value, int, error) {
+	l := newCondLexer(src)
+	if err := l.next(); err != nil {
+		return graph.Value{}, 0, err
+	}
+	v, err := literal(l.tok)
+	return v, l.pos, err
 }
 
 // MustParse is Parse panicking on error, for fixtures and examples.
@@ -53,6 +77,7 @@ const (
 	tokRParen
 	tokDot
 	tokOp
+	tokInvalid // a character no token starts with; advance reports it
 )
 
 type token struct {
@@ -61,9 +86,10 @@ type token struct {
 }
 
 type condLexer struct {
-	src string
-	pos int
-	tok token
+	src   string
+	pos   int
+	start int // offset of tok
+	tok   token
 }
 
 func newCondLexer(src string) *condLexer { return &condLexer{src: src} }
@@ -76,6 +102,7 @@ func (l *condLexer) next() error {
 		}
 		l.pos += size
 	}
+	l.start = l.pos
 	if l.pos >= len(l.src) {
 		l.tok = token{kind: tokEOF}
 		return nil
@@ -126,7 +153,9 @@ func (l *condLexer) next() error {
 		// letters survive intact instead of being truncated mid-rune.
 		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
 		if !isIdentStart(r) {
-			return fmt.Errorf("cond: unexpected character %q at offset %d", r, l.pos)
+			l.pos += size
+			l.tok = token{kind: tokInvalid, text: string(r)}
+			return nil
 		}
 		start := l.pos
 		for l.pos < len(l.src) {
@@ -193,7 +222,15 @@ type condParser struct {
 	lex *condLexer
 }
 
-func (p *condParser) advance() error { return p.lex.next() }
+func (p *condParser) advance() error {
+	if err := p.lex.next(); err != nil {
+		return err
+	}
+	if p.lex.tok.kind == tokInvalid {
+		return fmt.Errorf("cond: unexpected character %q at offset %d", p.lex.tok.text, p.lex.start)
+	}
+	return nil
+}
 
 func (p *condParser) isKeyword(kw string) bool {
 	return p.lex.tok.kind == tokIdent && strings.EqualFold(p.lex.tok.text, kw)
@@ -357,11 +394,11 @@ func (p *condParser) parsePropCmp() (Cond, error) {
 	if err != nil {
 		return nil, err
 	}
-	v, err := p.parseLiteral()
+	v, err := literal(p.lex.tok)
 	if err != nil {
 		return nil, err
 	}
-	return PropCmp{Target: t, Prop: prop, Op: op, Value: v}, nil
+	return PropCmp{Target: t, Prop: prop, Op: op, Value: v}, p.advance()
 }
 
 func (p *condParser) parseTarget() (Target, error) {
@@ -429,18 +466,12 @@ func (p *condParser) parseOp() (Op, error) {
 	}
 }
 
-func (p *condParser) parseLiteral() (graph.Value, error) {
-	tok := p.lex.tok
+// literal returns the value a literal token denotes.
+func literal(tok token) (graph.Value, error) {
 	switch tok.kind {
 	case tokString:
-		if err := p.advance(); err != nil {
-			return graph.Value{}, err
-		}
 		return graph.StringValue(tok.text), nil
 	case tokNumber:
-		if err := p.advance(); err != nil {
-			return graph.Value{}, err
-		}
 		if strings.Contains(tok.text, ".") {
 			f, err := strconv.ParseFloat(tok.text, 64)
 			if err != nil {
@@ -455,9 +486,6 @@ func (p *condParser) parseLiteral() (graph.Value, error) {
 		return graph.IntValue(i), nil
 	case tokIdent:
 		if strings.EqualFold(tok.text, "true") || strings.EqualFold(tok.text, "false") {
-			if err := p.advance(); err != nil {
-				return graph.Value{}, err
-			}
 			return graph.BoolValue(strings.EqualFold(tok.text, "true")), nil
 		}
 		return graph.Value{}, fmt.Errorf("cond: expected literal, got identifier %q", tok.text)

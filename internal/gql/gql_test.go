@@ -148,6 +148,9 @@ func TestParseErrors(t *testing.T) {
 		{`MATCH WALK p = (?x)-[:K]->(?y) GROUP BY BOGUS`, "SOURCE"},
 		{`MATCH WALK p = (?x)-[:K]->(?y) ORDER BY BOGUS`, "PARTITION"},
 		{`MATCH WALK p = (?x)-[:K]->(?y) WHERE`, "expected condition"},
+		{`MATCH WALK p = (?x)-[:K]->(?y) WHERE first.x =`, "in WHERE clause"},
+		{`MATCH WALK p = (?x)-[:K]->(?y) WHERE node(0).x = 1`, "in WHERE clause"},
+		{`MATCH WALK p = (?x)-[:K]->(?y) WHERE len() = 1.5`, "in WHERE clause"},
 		{`MATCH WALK p = (? )-[:K]->(?y)`, "variable name"},
 		{`MATCH WALK p = (x {name})-[:K]->(?y)`, "':'"},
 		{`MATCH WALK p = (x {name:})-[:K]->(?y)`, "literal"},

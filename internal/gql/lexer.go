@@ -2,7 +2,10 @@
 // a lexer and parser for the extended GQL path query syntax (§7.1), the
 // translation of parsed queries into path algebra logical plans — including
 // the classic GQL selector syntax via the Table 7 compilation scheme — and
-// a textual plan printer matching the parser output shown in §7.2.
+// a textual plan printer matching the parser output shown in §7.2. The
+// parser owns the query's clauses only: the bracketed path pattern is
+// parsed by internal/rpq, and the WHERE clause and property filter values
+// by internal/cond, so a condition reads the same in a query as alone.
 package gql
 
 import (

@@ -436,32 +436,14 @@ func (p *parser) parseNodeSpec() (NodeSpec, error) {
 	return n, p.advance()
 }
 
+// parseLiteral reads a property filter's value with cond's literal rule,
+// the one a WHERE comparison uses.
 func (p *parser) parseLiteral() (graph.Value, error) {
-	tok := p.tok
-	switch tok.kind {
-	case tokString:
-		return graph.StringValue(tok.text), p.advance()
-	case tokNumber:
-		if strings.Contains(tok.text, ".") {
-			f, err := strconv.ParseFloat(tok.text, 64)
-			if err != nil {
-				return graph.Value{}, fmt.Errorf("gql: bad number %q: %w", tok.text, err)
-			}
-			return graph.FloatValue(f), p.advance()
-		}
-		i, err := strconv.ParseInt(tok.text, 10, 64)
-		if err != nil {
-			return graph.Value{}, fmt.Errorf("gql: bad number %q: %w", tok.text, err)
-		}
-		return graph.IntValue(i), p.advance()
-	case tokIdent:
-		if strings.EqualFold(tok.text, "true") || strings.EqualFold(tok.text, "false") {
-			return graph.BoolValue(strings.EqualFold(tok.text, "true")), p.advance()
-		}
-		return graph.Value{}, fmt.Errorf("gql: expected literal, got identifier %q", tok.text)
-	default:
-		return graph.Value{}, fmt.Errorf("gql: expected literal, got %s", tok)
+	v, end, err := cond.ParseLiteral(p.lex.src[p.tok.pos:])
+	if err != nil {
+		return graph.Value{}, fmt.Errorf("gql: %w", err)
 	}
+	return v, p.resume(end)
 }
 
 func (p *parser) parseGroupKey() (core.GroupKey, error) {
@@ -512,223 +494,22 @@ func (p *parser) parseOrderKey() (core.OrderKey, error) {
 	}
 }
 
-// parseCondition parses a §3.1 selection condition from the query token
-// stream (the WHERE clause). It mirrors the standalone parser in
-// internal/cond but operates on gql tokens so conditions integrate with
-// the surrounding query grammar.
+// parseCondition hands the WHERE clause to internal/cond, the §3.1
+// condition grammar, as parsePathPattern hands the bracketed pattern to
+// internal/rpq.
 func (p *parser) parseCondition() (cond.Cond, error) {
-	return p.parseCondOr()
-}
-
-func (p *parser) parseCondOr() (cond.Cond, error) {
-	left, err := p.parseCondAnd()
+	c, end, err := cond.ParsePrefix(p.lex.src[p.tok.pos:])
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gql: in WHERE clause: %w", err)
 	}
-	for p.isKeyword("OR") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseCondAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = cond.Or{L: left, R: right}
-	}
-	return left, nil
+	return c, p.resume(end)
 }
 
-func (p *parser) parseCondAnd() (cond.Cond, error) {
-	left, err := p.parseCondUnary()
-	if err != nil {
-		return nil, err
-	}
-	for p.isKeyword("AND") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		right, err := p.parseCondUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = cond.And{L: left, R: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseCondUnary() (cond.Cond, error) {
-	if p.isKeyword("NOT") {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseCondUnary()
-		if err != nil {
-			return nil, err
-		}
-		return cond.Not{C: inner}, nil
-	}
-	if p.tok.kind == tokLParen {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		inner, err := p.parseCondOr()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokRParen {
-			return nil, fmt.Errorf("gql: expected ')' in condition, got %s", p.tok)
-		}
-		return inner, p.advance()
-	}
-	return p.parseCondSimple()
-}
-
-func (p *parser) parseCondSimple() (cond.Cond, error) {
-	if p.tok.kind != tokIdent {
-		return nil, fmt.Errorf("gql: expected condition, got %s", p.tok)
-	}
-	switch {
-	case strings.EqualFold(p.tok.text, "label"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expectKind(tokLParen, "("); err != nil {
-			return nil, err
-		}
-		t, err := p.parseCondTarget()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKind(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		op, err := p.parseCmpOp()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokString {
-			return nil, fmt.Errorf("gql: label comparison needs a string, got %s", p.tok)
-		}
-		v := p.tok.text
-		return cond.LabelCmp{Target: t, Op: op, Value: v}, p.advance()
-	case strings.EqualFold(p.tok.text, "len"):
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		if err := p.expectKind(tokLParen, "("); err != nil {
-			return nil, err
-		}
-		if err := p.expectKind(tokRParen, ")"); err != nil {
-			return nil, err
-		}
-		op, err := p.parseCmpOp()
-		if err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokNumber {
-			return nil, fmt.Errorf("gql: len comparison needs an integer, got %s", p.tok)
-		}
-		k, err := strconv.Atoi(p.tok.text)
-		if err != nil {
-			return nil, fmt.Errorf("gql: bad length %q", p.tok.text)
-		}
-		return cond.LenCmp{Op: op, K: k}, p.advance()
-	default:
-		t, err := p.parseCondTarget()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKind(tokDot, "."); err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokIdent {
-			return nil, fmt.Errorf("gql: expected property name, got %s", p.tok)
-		}
-		prop := p.tok.text
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		op, err := p.parseCmpOp()
-		if err != nil {
-			return nil, err
-		}
-		v, err := p.parseLiteral()
-		if err != nil {
-			return nil, err
-		}
-		return cond.PropCmp{Target: t, Prop: prop, Op: op, Value: v}, nil
-	}
-}
-
-func (p *parser) parseCondTarget() (cond.Target, error) {
-	if p.tok.kind != tokIdent {
-		return cond.Target{}, fmt.Errorf("gql: expected first/last/node(i)/edge(i), got %s", p.tok)
-	}
-	name := p.tok.text
-	if err := p.advance(); err != nil {
-		return cond.Target{}, err
-	}
-	switch {
-	case strings.EqualFold(name, "first"):
-		return cond.First(), nil
-	case strings.EqualFold(name, "last"):
-		return cond.Last(), nil
-	case strings.EqualFold(name, "node"), strings.EqualFold(name, "edge"):
-		if err := p.expectKind(tokLParen, "("); err != nil {
-			return cond.Target{}, err
-		}
-		if p.tok.kind != tokNumber {
-			return cond.Target{}, fmt.Errorf("gql: %s() needs a position, got %s", name, p.tok)
-		}
-		i, err := strconv.Atoi(p.tok.text)
-		if err != nil || i < 1 {
-			return cond.Target{}, fmt.Errorf("gql: bad position %q", p.tok.text)
-		}
-		if err := p.advance(); err != nil {
-			return cond.Target{}, err
-		}
-		if err := p.expectKind(tokRParen, ")"); err != nil {
-			return cond.Target{}, err
-		}
-		if strings.EqualFold(name, "node") {
-			return cond.NodeAt(i), nil
-		}
-		return cond.EdgeAt(i), nil
-	default:
-		return cond.Target{}, fmt.Errorf("gql: unknown condition target %q", name)
-	}
-}
-
-func (p *parser) parseCmpOp() (cond.Op, error) {
-	switch p.tok.kind {
-	case tokEquals:
-		return cond.EQ, p.advance()
-	case tokCmp:
-		text := p.tok.text
-		if err := p.advance(); err != nil {
-			return 0, err
-		}
-		switch text {
-		case "!=":
-			return cond.NE, nil
-		case "<":
-			return cond.LT, nil
-		case "<=":
-			return cond.LE, nil
-		case ">":
-			return cond.GT, nil
-		case ">=":
-			return cond.GE, nil
-		}
-		return 0, fmt.Errorf("gql: unknown operator %q", text)
-	default:
-		return 0, fmt.Errorf("gql: expected comparison operator, got %s", p.tok)
-	}
-}
-
-func (p *parser) expectKind(k tokenKind, what string) error {
-	if p.tok.kind != k {
-		return fmt.Errorf("gql: expected %q, got %s", what, p.tok)
-	}
+// resume lexes on from end bytes past the current token, where
+// internal/cond stopped reading. A pushed-back token would be read first
+// instead; none is pending, as pushback only serves the header and
+// path-variable lookahead, which the next advance or an error ends.
+func (p *parser) resume(end int) error {
+	p.lex.pos = p.tok.pos + end
 	return p.advance()
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -139,4 +140,56 @@ func TestBatchApplySentinels(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadBatchNDJSON: the NDJSON batch reader never panics, and a batch
+// it accepts survives the WAL encoding and applies all or nothing.
+func FuzzReadBatchNDJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"op":"add_node","key":"d","label":"Person","props":{"name":{"kind":"string","str":"D"},"age":{"kind":"int","int":7}}}
+{"op":"add_edge","key":"cd","src":"c","dst":"d","label":"Knows"}
+{"op":"del_edge","key":"ab"}
+{"op":"del_node","key":"b"}`,
+		`{"op":"add_node","key":"x","props":{"f":{"kind":"float","float":-0.5},"b":{"kind":"bool","bool":true},"z":{"kind":"null"}}}`,
+		`{"op":"add_edge","key":"e","src":"a","dst":"nope","label":"New"}`,
+		`{"op":"add_node","key":"a"}`,
+		`{"op":"del_node","key":"a"}` + "\n\n" + `{"op":"add_node","key":"a","label":"ÿ"}`,
+		`{"op":"move","key":"a"}`,
+		`{"op":"add_node"`,
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ReadBatchNDJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkReencodes(t, b)
+		checkAllOrNothing(t, b)
+	})
+}
+
+// FuzzReadBatchCSV: the CSV batch reader never panics, and a batch it
+// accepts survives the WAL encoding and applies all or nothing.
+func FuzzReadBatchCSV(f *testing.F) {
+	for _, seed := range []string{
+		"op,key,src,dst,label\nadd_node,d,,,Person\nadd_edge,cd,c,d,Knows\ndel_edge,ab,,,\ndel_node,b,,,\n",
+		"op,key,src,dst,label\nadd_edge,e,a,nope,New\n",
+		"op,key,src,dst,label\nadd_node,a,,,\n",
+		"op,key,src,dst,label\n\"add_node\",\"q\"\"x\",,,\"L,1\"\n",
+		"op,key,src,dst,label\nadd_node,\xff,,,\n",
+		"op,key\nadd_node,a\n",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ReadBatchCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		checkReencodes(t, b)
+		checkAllOrNothing(t, b)
+	})
 }

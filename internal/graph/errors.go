@@ -16,4 +16,8 @@ var (
 	// ErrUnknownKey reports a delete of a key that names no live object
 	// of the requested kind.
 	ErrUnknownKey = errors.New("unknown key")
+	// ErrInvalidValue reports a key, label, property name or string
+	// value that is not valid UTF-8: the JSON snapshot would read it back
+	// with U+FFFD in place of the bad bytes.
+	ErrInvalidValue = errors.New("invalid value")
 )

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"pathalgebra/internal/fault"
 )
@@ -309,11 +310,12 @@ func (s *Store) compactLocked() error {
 
 // Apply applies one batch atomically and publishes the next epoch. On
 // error nothing is published and the error wraps one of the typed
-// sentinels (ErrDuplicateKey, ErrUnknownNode, ErrUnknownKey). A batch
-// whose edge labels are all known to the sealed base extends the overlay
-// in O(delta); a batch introducing an unseen edge label reseals inline
-// (the lexicographic symbol order the CSR depends on cannot absorb a new
-// symbol without perturbing discovery order).
+// sentinels (ErrDuplicateKey, ErrUnknownNode, ErrUnknownKey,
+// ErrInvalidValue). A batch whose edge labels are all known to the
+// sealed base extends the overlay in O(delta); a batch introducing an
+// unseen edge label reseals inline (the lexicographic symbol order the
+// CSR depends on cannot absorb a new symbol without perturbing discovery
+// order).
 func (s *Store) Apply(b Batch) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,6 +429,9 @@ func newEffects() *effects {
 func (ov *overlay) applyOps(b Batch) (*effects, error) {
 	eff := newEffects()
 	for i, op := range b.Ops {
+		if err := checkUTF8Op(op); err != nil {
+			return nil, fmt.Errorf("graph: batch op %d: %w", i, err)
+		}
 		var err error
 		switch op.Kind {
 		case OpAddNode:
@@ -445,6 +450,24 @@ func (ov *overlay) applyOps(b Batch) (*effects, error) {
 		}
 	}
 	return eff, nil
+}
+
+// checkUTF8Op rejects an op whose strings are not valid UTF-8, the rule
+// checkUTF8 states for CSV cells: the JSON snapshot would read them back
+// with U+FFFD in place of the bad bytes, so a checkpointed store would
+// not reopen as the graph it saved.
+func checkUTF8Op(op Op) error {
+	for _, s := range [...]string{op.Key, op.Src, op.Dst, op.Label} {
+		if !utf8.ValidString(s) {
+			return fmt.Errorf("%s %q: invalid UTF-8: %w", op.Kind, op.Key, ErrInvalidValue)
+		}
+	}
+	for _, name := range sortedPropNames(op.Props) {
+		if v := op.Props[name]; !utf8.ValidString(name) || v.Kind == KindString && !utf8.ValidString(v.Str()) {
+			return fmt.Errorf("%s %q: property %q: invalid UTF-8: %w", op.Kind, op.Key, name, ErrInvalidValue)
+		}
+	}
+	return nil
 }
 
 func (ov *overlay) keyInUse(key string) bool {

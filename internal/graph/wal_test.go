@@ -235,6 +235,56 @@ func TestWALCheckpointWriteError(t *testing.T) {
 	}
 }
 
+// TestWALRejectsUnsnapshottable: Apply refuses a batch holding a string
+// that is not valid UTF-8 before the log sees it — the JSON snapshot
+// would read the string back with U+FFFD in it — so a checkpointed store
+// reopens as the graph it saved.
+func TestWALRejectsUnsnapshottable(t *testing.T) {
+	dir := t.TempDir()
+	s := openDurable(t, dir, seedGraph(t))
+	for _, op := range []Op{
+		{Kind: OpAddNode, Key: "bad\xff", Label: "Person"},
+		{Kind: OpAddNode, Key: "d", Label: "Per\xffson"},
+		{Kind: OpAddNode, Key: "d", Label: "Person", Props: Props("n\xffame", "D")},
+		{Kind: OpAddNode, Key: "d", Label: "Person", Props: Props("name", "D\xff")},
+		{Kind: OpAddEdge, Key: "ab2", Src: "a\xff", Dst: "b", Label: "Knows"},
+		{Kind: OpAddEdge, Key: "ab2", Src: "a", Dst: "b\xff", Label: "Knows"},
+		{Kind: OpDelNode, Key: "a\xff"},
+	} {
+		// A valid op leads: the refusal must take the whole batch.
+		_, err := s.Apply(Batch{Ops: []Op{{Kind: OpAddNode, Key: "ok", Label: "Person"}, op}})
+		if !errors.Is(err, ErrInvalidValue) {
+			t.Fatalf("Apply(%+v) = %v, want ErrInvalidValue", op, err)
+		}
+	}
+	if s.Epoch() != 0 {
+		t.Fatalf("refused batches moved the epoch to %d", s.Epoch())
+	}
+	if n, _, ok := s.WALStats(); !ok || n != 0 {
+		t.Fatalf("WAL records after refused batches = %d (ok=%v), want 0", n, ok)
+	}
+	mustApply(t, s, Op{Kind: OpAddNode, Key: "good\u00ff", Label: "Person", Props: Props("name", "\u00ff")})
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	want := renderAdjacency(s.Graph())
+	s.Close()
+
+	r := openDurable(t, dir, nil)
+	defer r.Close()
+	if got := renderAdjacency(r.Graph()); got != want {
+		t.Errorf("reopened store diverged:\n got %s\nwant %s", got, want)
+	}
+	for _, key := range []string{"bad\xff", "ok"} {
+		if _, ok := r.Graph().NodeByKey(key); ok {
+			t.Errorf("node %q of a refused batch was stored", key)
+		}
+	}
+	if _, ok := r.Graph().NodeByKey("good\u00ff"); !ok {
+		t.Error("node \"good\u00ff\" lost in the checkpoint")
+	}
+}
+
 // TestWALReplayCollidingSeed: replaying a log against a seed graph
 // whose keys collide with logged batches is a typed validation error —
 // never a panic, never silent divergence.
@@ -376,30 +426,44 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := appendBatch(nil, b)
-		again, err := decodeBatch(enc)
-		if err != nil {
-			t.Fatalf("re-encoded batch fails to decode: %v", err)
-		}
-		if reenc := appendBatch(nil, again); !bytes.Equal(reenc, enc) {
-			t.Fatalf("re-encoding is not stable:\n first  %x\n second %x", enc, reenc)
-		}
-
-		s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
-		defer s.Close()
-		before := renderAdjacency(s.Graph())
-		epoch, err := s.Apply(b)
-		if err != nil {
-			if epoch != 0 || s.Epoch() != 0 {
-				t.Fatalf("failed Apply moved the epoch to %d (returned %d): %v", s.Epoch(), epoch, err)
-			}
-			if got := renderAdjacency(s.Graph()); got != before {
-				t.Fatalf("failed Apply changed the graph (%v):\n got %s\nwant %s", err, got, before)
-			}
-			return
-		}
-		if epoch != 1 || s.Epoch() != 1 {
-			t.Fatalf("Apply returned epoch %d, store at %d, want 1", epoch, s.Epoch())
-		}
+		checkReencodes(t, b)
+		checkAllOrNothing(t, b)
 	})
+}
+
+// checkReencodes asserts that b's WAL encoding decodes to a batch that
+// encodes to the same bytes again.
+func checkReencodes(t *testing.T, b Batch) {
+	t.Helper()
+	enc := appendBatch(nil, b)
+	again, err := decodeBatch(enc)
+	if err != nil {
+		t.Fatalf("re-encoded batch fails to decode: %v", err)
+	}
+	if reenc := appendBatch(nil, again); !bytes.Equal(reenc, enc) {
+		t.Fatalf("re-encoding is not stable:\n first  %x\n second %x", enc, reenc)
+	}
+}
+
+// checkAllOrNothing applies b to a fresh store and asserts that the
+// epoch advances by exactly one, or that the error leaves the epoch and
+// the adjacency as they were.
+func checkAllOrNothing(t *testing.T, b Batch) {
+	t.Helper()
+	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
+	defer s.Close()
+	before := renderAdjacency(s.Graph())
+	epoch, err := s.Apply(b)
+	if err != nil {
+		if epoch != 0 || s.Epoch() != 0 {
+			t.Fatalf("failed Apply moved the epoch to %d (returned %d): %v", s.Epoch(), epoch, err)
+		}
+		if got := renderAdjacency(s.Graph()); got != before {
+			t.Fatalf("failed Apply changed the graph (%v):\n got %s\nwant %s", err, got, before)
+		}
+		return
+	}
+	if epoch != 1 || s.Epoch() != 1 {
+		t.Fatalf("Apply returned epoch %d, store at %d, want 1", epoch, s.Epoch())
+	}
 }

@@ -32,9 +32,9 @@ type ingestResponse struct {
 // "props":...} / add_edge with src+dst / del_node / del_edge) by
 // default, or CSV with header op,key,src,dst,label when Content-Type is
 // text/csv. The batch is atomic: a malformed body is a 400 and a
-// validation failure (duplicate key, unknown node, unknown key — the
-// typed graph.Err* sentinels) is a 422, and in both cases nothing is
-// applied.
+// validation failure (duplicate key, unknown node, unknown key, invalid
+// UTF-8 — the typed graph.Err* sentinels) is a 422, and in both cases
+// nothing is applied.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, ingestMaxBody)
 	ct := r.Header.Get("Content-Type")
@@ -55,7 +55,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	epoch, err := s.store.Apply(batch)
 	if err != nil {
-		if errors.Is(err, graph.ErrDuplicateKey) || errors.Is(err, graph.ErrUnknownNode) || errors.Is(err, graph.ErrUnknownKey) {
+		if errors.Is(err, graph.ErrDuplicateKey) || errors.Is(err, graph.ErrUnknownNode) ||
+			errors.Is(err, graph.ErrUnknownKey) || errors.Is(err, graph.ErrInvalidValue) {
 			writeError(w, http.StatusUnprocessableEntity, "validation", "%v", err)
 			return
 		}
