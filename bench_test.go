@@ -487,6 +487,42 @@ func BenchmarkPlanCache(b *testing.B) {
 			b.Fatalf("expected cache hits, stats %+v", s)
 		}
 	})
+	b.Run("live", func(b *testing.B) {
+		// A live engine plans after every batch, the batch outside the
+		// timer: the plan costed against the sealed base serves every
+		// epoch until compaction. A fresh store every 256 batches keeps
+		// the untimed Apply from growing with b.N; its first plan is the
+		// one untimed miss.
+		var store *Store
+		var eng *Engine
+		var hits, misses int64
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			if i%256 == 0 {
+				if store != nil {
+					s := eng.Stats()
+					hits, misses = hits+s.PlanCacheHits, misses+s.PlanCacheMisses-1
+					store.Close()
+				}
+				store = NewStore(g, StoreOptions{CompactThreshold: -1})
+				eng = NewEngineWithStore(store, EngineOptions{Limits: Limits{MaxLen: 4}})
+				eng.Plan(plan)
+			}
+			if _, err := store.Apply(Batch{Ops: []Op{{Kind: OpAddNode, Key: fmt.Sprintf("live%d", i), Label: "Person"}}}); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			eng.Plan(plan)
+		}
+		b.StopTimer()
+		s := eng.Stats()
+		hits, misses = hits+s.PlanCacheHits, misses+s.PlanCacheMisses-1
+		store.Close()
+		if hits != int64(b.N) || misses != 0 {
+			b.Fatalf("%d plans after a batch: %d cache hits, %d timed misses; want every plan a hit", b.N, hits, misses)
+		}
+	})
 }
 
 // BenchmarkStatsBuild measures the one-pass statistics collection that

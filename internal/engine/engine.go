@@ -131,18 +131,19 @@ type Engine struct {
 	// the engine against that epoch's immutable graph and statistics. A
 	// static engine (store == nil) evaluates g directly.
 	store *graph.Store
-	// epoch is the epoch of a bound copy (and the cache key its
-	// Plan calls use); always 0 on a static engine.
+	// epoch is the epoch of a bound copy, reported on its spans; always
+	// 0 on a static engine.
 	epoch uint64
 	// stats is shared by pointer so bound copies and limits views account
 	// into the same counters.
 	stats *counters
-	// cm is the cost model over the bound epoch's statistics and the
-	// engine's limits; it drives Plan (unless DisablePlanner) and the
-	// -explain estimates.
+	// cm is the cost model over the bound epoch's statistics (its sealed
+	// base's) and the engine's limits; it drives Plan (unless
+	// DisablePlanner) and the -explain estimates.
 	cm *opt.CostModel
 	// plans is the LRU plan cache consulted by Plan, keyed by
-	// (epoch, limits, plan); shared across bound copies and limits views.
+	// (statistics, limits, plan); shared across bound copies and limits
+	// views.
 	plans *planCache
 }
 
@@ -183,8 +184,9 @@ func (e *Engine) WithLimits(lim core.Limits) *Engine {
 // NewWithStore returns a live engine over a store: every Run, RunStream,
 // Explain and Plan evaluates against the store's current epoch, taken once
 // when the call starts, so each call sees one consistent graph no matter
-// how many batches apply concurrently, and plans are cached and costed
-// per epoch.
+// how many batches apply concurrently. Plans are costed against the
+// statistics of the epoch's sealed base, so a cached plan serves every
+// batch until compaction publishes a new base.
 func NewWithStore(s *graph.Store, opts Options) *Engine {
 	e := New(s.Graph(), opts)
 	e.store = s
@@ -223,13 +225,13 @@ func (e *Engine) Plan(x core.PathExpr) (core.PathExpr, []string) {
 var derive = opt.Derive
 
 // plan is Plan on an already-bound engine, returning the whole cache
-// entry and whether the cache held it: the cache key includes the bound
-// epoch and the limits, so plans costed against one epoch's statistics or
-// one MaxLen are never replayed against another's.
+// entry and whether the cache held it: an entry matches only the
+// statistics and limits it was planned under, so a plan costed against
+// one base's statistics or one MaxLen is never replayed against another's.
 func (e *Engine) plan(x core.PathExpr) (*planEntry, bool) {
 	key := x.String()
 	fp := planFingerprint(key)
-	if ent, ok := e.plans.get(e.epoch, e.opts.Limits, fp, key); ok {
+	if ent, ok := e.plans.get(e.cm.Stats, e.opts.Limits, fp, key); ok {
 		addStat(&e.stats.PlanCacheHits, 1)
 		return ent, true
 	}
@@ -240,7 +242,7 @@ func (e *Engine) plan(x core.PathExpr) (*planEntry, bool) {
 	} else {
 		res = opt.Plan(x, e.cm)
 	}
-	ent := &planEntry{epoch: e.epoch, limits: e.opts.Limits, key: key, plan: res.Plan, applied: res.Applied, derived: derive(res.Plan)}
+	ent := &planEntry{stats: e.cm.Stats, limits: e.opts.Limits, key: key, plan: res.Plan, applied: res.Applied, derived: derive(res.Plan)}
 	e.plans.put(fp, ent)
 	return ent, false
 }

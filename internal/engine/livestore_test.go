@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -321,6 +322,67 @@ func TestLiveStoreCursorPinning(t *testing.T) {
 	}
 	s.Close()
 	s.Close() // idempotent
+}
+
+// TestLiveStorePlanCacheAcrossBatches: a live engine costs a plan against
+// the statistics of its epoch's sealed base, so batches that do not
+// compact reuse the cached plan and leave -explain's estimates as they
+// were, and a compaction, which publishes a new base, costs it once more.
+func TestLiveStorePlanCacheAcrossBatches(t *testing.T) {
+	store := graph.NewStore(ldbc.Figure1(), graph.StoreOptions{CompactThreshold: -1})
+	defer store.Close()
+	live := NewWithStore(store, Options{Limits: core.Limits{MaxLen: 4}})
+	plan := rpq.Compile(rpq.Plus{In: rpq.Label{Name: ldbc.LabelKnows}}, core.Trail)
+	estColumn := func() string {
+		ex, err := live.Explain(context.Background(), plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var col []string
+		for _, m := range regexp.MustCompile(`est=(\S+)`).FindAllStringSubmatch(ex.Format(), -1) {
+			col = append(col, m[1])
+		}
+		return strings.Join(col, " ")
+	}
+	run := func() {
+		if _, err := live.Run(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := func() int64 { return live.Stats().PlanCacheMisses }
+
+	before := estColumn()
+	if misses() != 1 {
+		t.Fatalf("first plan: %d misses, want 1", misses())
+	}
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("x%d", i)
+		if _, err := store.Apply(graph.Batch{Ops: []graph.Op{
+			{Kind: graph.OpAddNode, Key: key, Label: ldbc.LabelPerson},
+			{Kind: graph.OpAddEdge, Key: "k" + key, Src: "n1", Dst: key, Label: ldbc.LabelKnows},
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		run()
+	}
+	if misses() != 1 {
+		t.Fatalf("after 4 batches: %d plan-cache misses, want still 1", misses())
+	}
+	if after := estColumn(); after != before {
+		t.Fatalf("est column moved across batches: %q, was %q", after, before)
+	}
+
+	if err := store.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	if misses() != 2 {
+		t.Fatalf("first run after Compact: %d misses, want 2", misses())
+	}
+	run()
+	if misses() != 2 {
+		t.Fatalf("second run after Compact: %d misses, want 2", misses())
+	}
 }
 
 // TestLiveStoreHammer: one ingester (with background compaction) against

@@ -4,6 +4,7 @@ import (
 	"hash/fnv"
 
 	"pathalgebra/internal/core"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/lru"
 	"pathalgebra/internal/opt"
 )
@@ -24,18 +25,21 @@ import (
 // Plan/Run calls on one engine serialize only the cache probe and the
 // (rare) planning of a cold query, never evaluation.
 //
-// The key additionally carries the epoch the plan was costed against and
-// the limits it was planned under (folded into the fingerprint, verified
-// on the entry): the same query text planned at epoch 4 and epoch 7, or
-// under MaxLen 2 and MaxLen 5, occupies two slots, so a plan is never
-// replayed against statistics or limits it was not costed for, and old
-// epochs' entries age out of the LRU naturally as new epochs fill it.
+// The key additionally carries the limits the plan was planned under
+// (folded into the fingerprint, verified on the entry): the same query
+// text under MaxLen 2 and MaxLen 5 occupies two slots. An entry also
+// records the statistics it was costed against, and a lookup against
+// other statistics misses and replaces it. A delta view shares its
+// sealed base's statistics (graph.Stats), so a plan is reused across
+// ingest batches and costed again only when a reseal or compaction
+// publishes a new base. An entry keeps its statistics, and through them
+// its base's label index, alive until it is replaced or evicted.
 type planCache struct {
 	entries *lru.Cache[uint64, *planEntry]
 }
 
 type planEntry struct {
-	epoch   uint64
+	stats   *graph.Stats
 	limits  core.Limits
 	key     string
 	plan    core.PathExpr
@@ -54,10 +58,10 @@ func planFingerprint(key string) uint64 {
 	return h.Sum64()
 }
 
-// slotFp folds an epoch and limits into a plan fingerprint: FNV-64a over
-// their bytes, continued from the fingerprint.
-func slotFp(fp, epoch uint64, lim core.Limits) uint64 {
-	for _, v := range [...]uint64{epoch, uint64(lim.MaxLen), uint64(lim.MaxPaths), uint64(lim.MaxWork)} {
+// slotFp folds limits into a plan fingerprint: FNV-64a over their bytes,
+// continued from the fingerprint.
+func slotFp(fp uint64, lim core.Limits) uint64 {
+	for _, v := range [...]uint64{uint64(lim.MaxLen), uint64(lim.MaxPaths), uint64(lim.MaxWork)} {
 		for i := 0; i < 8; i++ {
 			fp ^= uint64(byte(v >> (8 * i)))
 			fp *= 1099511628211 // the 64-bit FNV prime
@@ -66,16 +70,16 @@ func slotFp(fp, epoch uint64, lim core.Limits) uint64 {
 	return fp
 }
 
-func (c *planCache) get(epoch uint64, lim core.Limits, fp uint64, key string) (*planEntry, bool) {
-	ent, ok := c.entries.Get(slotFp(fp, epoch, lim))
-	if !ok || ent.key != key || ent.epoch != epoch || ent.limits != lim {
+func (c *planCache) get(st *graph.Stats, lim core.Limits, fp uint64, key string) (*planEntry, bool) {
+	ent, ok := c.entries.Get(slotFp(fp, lim))
+	if !ok || ent.key != key || ent.stats != st || ent.limits != lim {
 		return nil, false
 	}
 	return ent, true
 }
 
 func (c *planCache) put(fp uint64, ent *planEntry) {
-	c.entries.Put(slotFp(fp, ent.epoch, ent.limits), ent)
+	c.entries.Put(slotFp(fp, ent.limits), ent)
 }
 
 // Len returns the number of cached plans.

@@ -110,7 +110,7 @@ func TestPlanCacheHitReusesDerivation(t *testing.T) {
 			t.Fatal(err)
 		}
 		key, lim := plan.String(), e.opts.Limits
-		ent, ok := e.plans.get(0, lim, planFingerprint(key), key)
+		ent, ok := e.plans.get(e.cm.Stats, lim, planFingerprint(key), key)
 		if !ok || derivations != 1 {
 			t.Fatalf("%s: cached %v after %d derivations, want cached after 1", q, ok, derivations)
 		}
@@ -136,7 +136,7 @@ func TestPlanCacheHitReusesDerivation(t *testing.T) {
 		if st := e.Stats(); st.PlanCacheHits != 4 || derivations != 1 {
 			t.Errorf("%s: %d plan-cache hits and %d derivations, want 4 and 1", q, st.PlanCacheHits, derivations)
 		}
-		if again, _ := e.plans.get(0, lim, planFingerprint(key), key); again.derived != ent.derived ||
+		if again, _ := e.plans.get(e.cm.Stats, lim, planFingerprint(key), key); again.derived != ent.derived ||
 			!reflect.DeepEqual(nfasOf(again.derived.Root), automata) {
 			t.Errorf("%s: the cached derivation or its automata were replaced", q)
 		}

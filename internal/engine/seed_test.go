@@ -47,6 +47,17 @@ func seedProps(rng *rand.Rand) map[string]graph.Value {
 	return props
 }
 
+// ingestProps is seedProps for an op applied through Store.Apply, which
+// refuses NaN: the holder drops a NaN drawn for w, so NaN holders come
+// from the sealed graph only.
+func ingestProps(rng *rand.Rand) map[string]graph.Value {
+	props := seedProps(rng)
+	if v := props["w"]; v.Kind == graph.KindFloat && math.IsNaN(v.Float()) {
+		delete(props, "w")
+	}
+	return props
+}
+
 type seedView struct {
 	name string
 	g    *graph.Graph
@@ -73,7 +84,7 @@ func seedViews(t *testing.T, rng *rand.Rand) []seedView {
 	var ops []graph.Op
 	for i := 0; i < 5; i++ {
 		ops = append(ops, graph.Op{Kind: graph.OpAddNode, Key: fmt.Sprintf("x%d", i),
-			Label: labels[rng.Intn(len(labels))], Props: seedProps(rng)})
+			Label: labels[rng.Intn(len(labels))], Props: ingestProps(rng)})
 		ops = append(ops,
 			graph.Op{Kind: graph.OpAddEdge, Key: fmt.Sprintf("xo%d", i), Src: fmt.Sprintf("x%d", i),
 				Dst: fmt.Sprintf("n%d", rng.Intn(n)), Label: edgeLabels[rng.Intn(len(edgeLabels))]},
@@ -88,7 +99,7 @@ func seedViews(t *testing.T, rng *rand.Rand) []seedView {
 	apply(ops...)
 	apply(graph.Op{Kind: graph.OpDelNode, Key: "n1"}, graph.Op{Kind: graph.OpDelNode, Key: "n2"},
 		graph.Op{Kind: graph.OpDelNode, Key: "x0"})
-	apply(graph.Op{Kind: graph.OpAddNode, Key: "n1", Label: ldbc.LabelPerson, Props: seedProps(rng)},
+	apply(graph.Op{Kind: graph.OpAddNode, Key: "n1", Label: ldbc.LabelPerson, Props: ingestProps(rng)},
 		graph.Op{Kind: graph.OpAddEdge, Key: "xr", Src: "n1", Dst: "n3", Label: ldbc.LabelKnows})
 	views := []seedView{{"sealed", sealed}, {"overlay", s.Graph()}}
 	if err := s.Compact(); err != nil {

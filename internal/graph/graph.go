@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"sync/atomic"
-
-	"pathalgebra/internal/stats"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense: 0..NumNodes-1.
@@ -89,9 +87,9 @@ type Graph struct {
 	nodesByLabel map[string][]NodeID
 	edgesByLabel map[string][]EdgeID
 
-	// stats is the one-pass statistics bundle computed at Build from the
-	// CSR runs; the cost-based planner reads it through Stats().
-	stats *stats.Stats
+	// stats is what the cost-based planner reads (stats.go); nil on a
+	// delta view, which answers with its base's.
+	stats *Stats
 
 	// bitsets lazily caches this graph value's bitset successor index
 	// (bitset.go). Every Apply/compaction publishes a fresh *Graph, so
@@ -518,59 +516,6 @@ func (b *Builder) Build() (*Graph, error) {
 	g.inOff, g.inData, g.inRunOff, g.inRuns = g.buildCSR(symOrder, func(e *Edge) NodeID { return e.Dst })
 	g.buildStats()
 	return g, nil
-}
-
-// buildStats fills the statistics bundle from the label indexes and the
-// symbol runs — one O(V + runs) pass, no per-edge work, since the CSR
-// build already grouped every node's adjacency by symbol.
-func (g *Graph) buildStats() {
-	sb := stats.NewBuilder(len(g.symbols))
-	for i, l := range g.symbols {
-		sb.SetSymbol(i, l)
-	}
-	unlabelledNodes := len(g.nodes)
-	for l, ids := range g.nodesByLabel {
-		sb.NodeLabelCount(l, len(ids))
-		unlabelledNodes -= len(ids)
-	}
-	if unlabelledNodes > 0 {
-		sb.NodeLabelCount("", unlabelledNodes)
-	}
-	unlabelledEdges := len(g.edges)
-	for l, ids := range g.edgesByLabel {
-		sb.EdgeLabelCount(l, len(ids))
-		unlabelledEdges -= len(ids)
-	}
-	if unlabelledEdges > 0 {
-		sb.EdgeLabelCount("", unlabelledEdges)
-	}
-	for v := 0; v < len(g.nodes); v++ {
-		total := 0
-		for _, run := range g.OutRuns(NodeID(v)) {
-			sb.ObserveOut(int(run.Sym), len(run.Edges))
-			total += len(run.Edges)
-		}
-		if total > 0 {
-			sb.ObserveAnyOut(total)
-		}
-		total = 0
-		for _, run := range g.InRuns(NodeID(v)) {
-			sb.ObserveIn(int(run.Sym), len(run.Edges))
-			total += len(run.Edges)
-		}
-		if total > 0 {
-			sb.ObserveAnyIn(total)
-		}
-	}
-	g.stats = sb.Finish(len(g.nodes), len(g.edges))
-}
-
-// Stats returns the graph's statistics bundle, computed once at Build.
-func (g *Graph) Stats() *stats.Stats {
-	if g.ov != nil {
-		return g.ov.stats
-	}
-	return g.stats
 }
 
 // buildSymbols interns the distinct edge labels (including "" for

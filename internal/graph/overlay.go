@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"sort"
-
-	"pathalgebra/internal/stats"
-)
+import "sort"
 
 // overlay is the immutable delta layer a Store lays over a sealed CSR
 // epoch: appended nodes and edges (dense IDs continuing after the base),
@@ -51,9 +47,6 @@ type overlay struct {
 
 	liveNodes int
 	liveEdges int
-
-	// stats is this epoch's incrementally maintained statistics clone.
-	stats *stats.Stats
 }
 
 // nodeAdj is one patched node's live adjacency in CSR order: data holds
@@ -214,7 +207,6 @@ func (ov *overlay) clone() *overlay {
 		edgesByLabel:  make(map[string][]EdgeID, len(ov.edgesByLabel)),
 		liveNodes:     ov.liveNodes,
 		liveEdges:     ov.liveEdges,
-		stats:         ov.stats.Clone(),
 	}
 	for k, v := range ov.deadNodes {
 		cp.deadNodes[k] = v
@@ -267,7 +259,6 @@ func emptyOverlay(base *Graph) *overlay {
 		edgesByLabel:  base.edgesByLabel,
 		liveNodes:     len(base.nodes),
 		liveEdges:     len(base.edges),
-		stats:         base.stats,
 	}
 }
 

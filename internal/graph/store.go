@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -321,8 +322,7 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	defer s.mu.Unlock()
 
 	cur := s.cur.Load()
-	prevG := cur.g
-	ov := overlayFor(prevG).clone()
+	ov := overlayFor(cur.g).clone()
 
 	eff, err := ov.applyOps(b)
 	if err != nil {
@@ -343,14 +343,14 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	var g *Graph
 	if eff.newLabel {
 		// Reseal: the overlay's live lists are valid even though its
-		// patches and stats were skipped — rebuild from them.
+		// patches were skipped — rebuild from them.
 		g, err = (&Graph{ov: ov}).Rebuild()
 		if err != nil {
 			return cur.epoch, err
 		}
 		s.compactions.Add(1)
 	} else {
-		ov.finalize(prevG, eff)
+		ov.finalize(eff)
 		g = &Graph{ov: ov}
 	}
 	s.cur.Store(&epochState{epoch: epoch, g: g, clock: clock})
@@ -399,14 +399,14 @@ func (g *Graph) Rebuild() (*Graph, error) {
 	return b.Build()
 }
 
-// effects accumulates what one batch touched, for patch finalization,
-// stats maintenance and the label clock.
+// effects accumulates what one batch touched, for patch finalization
+// and the label clock.
 type effects struct {
 	touchedOut map[NodeID]struct{}
 	touchedIn  map[NodeID]struct{}
 
-	nodeLabelDelta map[string]int
-	edgeLabelDelta map[string]int
+	nodeLabels map[string]struct{}
+	edgeLabels map[string]struct{}
 
 	anyNode, anyEdge bool
 	newLabel         bool
@@ -414,22 +414,22 @@ type effects struct {
 
 func newEffects() *effects {
 	return &effects{
-		touchedOut:     map[NodeID]struct{}{},
-		touchedIn:      map[NodeID]struct{}{},
-		nodeLabelDelta: map[string]int{},
-		edgeLabelDelta: map[string]int{},
+		touchedOut: map[NodeID]struct{}{},
+		touchedIn:  map[NodeID]struct{}{},
+		nodeLabels: map[string]struct{}{},
+		edgeLabels: map[string]struct{}{},
 	}
 }
 
 // applyOps applies the batch's operations, in order, to the (private,
 // pre-publish) overlay clone: object and key bookkeeping only — adjacency
-// patches, label indexes and statistics are deferred to finalize so a
+// patches and label indexes are deferred to finalize so a
 // failed op leaves nothing to unwind. Mid-batch reads therefore go
 // through the key maps and liveIncident, never through the stale patches.
 func (ov *overlay) applyOps(b Batch) (*effects, error) {
 	eff := newEffects()
 	for i, op := range b.Ops {
-		if err := checkUTF8Op(op); err != nil {
+		if err := checkSnapshottable(op); err != nil {
 			return nil, fmt.Errorf("graph: batch op %d: %w", i, err)
 		}
 		var err error
@@ -452,19 +452,24 @@ func (ov *overlay) applyOps(b Batch) (*effects, error) {
 	return eff, nil
 }
 
-// checkUTF8Op rejects an op whose strings are not valid UTF-8, the rule
-// checkUTF8 states for CSV cells: the JSON snapshot would read them back
-// with U+FFFD in place of the bad bytes, so a checkpointed store would
-// not reopen as the graph it saved.
-func checkUTF8Op(op Op) error {
+// checkSnapshottable rejects an op the JSON snapshot cannot hold: a
+// string that is not valid UTF-8 (the rule checkUTF8 states for CSV
+// cells; it would read back with U+FFFD in place of the bad bytes) or a
+// NaN or infinite float, which JSON cannot encode at all, so that one
+// such value would fail every later Checkpoint.
+func checkSnapshottable(op Op) error {
 	for _, s := range [...]string{op.Key, op.Src, op.Dst, op.Label} {
 		if !utf8.ValidString(s) {
 			return fmt.Errorf("%s %q: invalid UTF-8: %w", op.Kind, op.Key, ErrInvalidValue)
 		}
 	}
 	for _, name := range sortedPropNames(op.Props) {
-		if v := op.Props[name]; !utf8.ValidString(name) || v.Kind == KindString && !utf8.ValidString(v.Str()) {
+		v := op.Props[name]
+		if !utf8.ValidString(name) || v.Kind == KindString && !utf8.ValidString(v.Str()) {
 			return fmt.Errorf("%s %q: property %q: invalid UTF-8: %w", op.Kind, op.Key, name, ErrInvalidValue)
+		}
+		if v.Kind == KindFloat && (math.IsNaN(v.Float()) || math.IsInf(v.Float(), 0)) {
+			return fmt.Errorf("%s %q: property %q: %v is not a finite number: %w", op.Kind, op.Key, name, v.Float(), ErrInvalidValue)
 		}
 	}
 	return nil
@@ -488,7 +493,7 @@ func (ov *overlay) applyAddNode(op Op, eff *effects) error {
 	})
 	ov.addedNodeKeys[op.Key] = id
 	ov.liveNodes++
-	eff.nodeLabelDelta[op.Label]++
+	eff.nodeLabels[op.Label] = struct{}{}
 	eff.anyNode = true
 	return nil
 }
@@ -518,7 +523,7 @@ func (ov *overlay) applyAddEdge(op Op, eff *effects) error {
 	ov.extraEdgeSym = append(ov.extraEdgeSym, sym)
 	ov.addedEdgeKeys[op.Key] = id
 	ov.liveEdges++
-	eff.edgeLabelDelta[op.Label]++
+	eff.edgeLabels[op.Label] = struct{}{}
 	eff.touchedOut[src.ID] = struct{}{}
 	eff.touchedIn[dst.ID] = struct{}{}
 	eff.anyEdge = true
@@ -542,7 +547,7 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 		ov.deadNodeKeys[op.Key] = struct{}{}
 	}
 	ov.liveNodes--
-	eff.nodeLabelDelta[n.Label]--
+	eff.nodeLabels[n.Label] = struct{}{}
 	eff.anyNode = true
 	eff.touchedOut[n.ID] = struct{}{}
 	eff.touchedIn[n.ID] = struct{}{}
@@ -568,7 +573,7 @@ func (ov *overlay) killEdge(id EdgeID, eff *effects) {
 		ov.deadEdgeKeys[e.Key] = struct{}{}
 	}
 	ov.liveEdges--
-	eff.edgeLabelDelta[e.Label]--
+	eff.edgeLabels[e.Label] = struct{}{}
 	eff.touchedOut[e.Src] = struct{}{}
 	eff.touchedIn[e.Dst] = struct{}{}
 	eff.anyEdge = true
@@ -608,73 +613,20 @@ func (ov *overlay) liveIncident(n NodeID) []EdgeID {
 	return out
 }
 
-// finalize rematerializes the adjacency patches, label indexes and
-// statistics the batch invalidated. prevG is the previously published
-// view — the source of the old degrees the incremental stats cancel.
-func (ov *overlay) finalize(prevG *Graph, eff *effects) {
-	prevNodes := prevG.NumNodes()
+// finalize rematerializes the adjacency patches and label indexes the
+// batch invalidated.
+func (ov *overlay) finalize(eff *effects) {
 	for n := range eff.touchedOut {
-		var oldRuns []SymbolRun
-		if int(n) < prevNodes {
-			oldRuns = prevG.OutRuns(n)
-		}
-		adj := ov.rebuildAdj(n, true)
-		ov.outPatch[n] = adj
-		diffRuns(oldRuns, adj.runs, ov.stats.UpdateOutDegree)
-		ov.stats.UpdateAnyOut(totalDeg(oldRuns), len(adj.data))
+		ov.outPatch[n] = ov.rebuildAdj(n, true)
 	}
 	for n := range eff.touchedIn {
-		var oldRuns []SymbolRun
-		if int(n) < prevNodes {
-			oldRuns = prevG.InRuns(n)
-		}
-		adj := ov.rebuildAdj(n, false)
-		ov.inPatch[n] = adj
-		diffRuns(oldRuns, adj.runs, ov.stats.UpdateInDegree)
-		ov.stats.UpdateAnyIn(totalDeg(oldRuns), len(adj.data))
+		ov.inPatch[n] = ov.rebuildAdj(n, false)
 	}
-	for l, d := range eff.nodeLabelDelta {
-		if d != 0 {
-			ov.stats.AdjustNodeLabel(l, d)
-		}
+	for l := range eff.nodeLabels {
 		ov.patchNodeLabel(l)
 	}
-	for l, d := range eff.edgeLabelDelta {
-		if d != 0 {
-			ov.stats.AdjustEdgeLabel(l, d)
-		}
+	for l := range eff.edgeLabels {
 		ov.patchEdgeLabel(l)
-	}
-	ov.stats.SetCounts(ov.liveNodes, ov.liveEdges)
-}
-
-func totalDeg(runs []SymbolRun) int {
-	n := 0
-	for _, r := range runs {
-		n += len(r.Edges)
-	}
-	return n
-}
-
-// diffRuns walks two symbol-ascending run lists and reports each symbol
-// whose degree changed.
-func diffRuns(old, upd []SymbolRun, update func(sym, oldDeg, newDeg int)) {
-	i, j := 0, 0
-	for i < len(old) || j < len(upd) {
-		switch {
-		case j >= len(upd) || (i < len(old) && old[i].Sym < upd[j].Sym):
-			update(int(old[i].Sym), len(old[i].Edges), 0)
-			i++
-		case i >= len(old) || upd[j].Sym < old[i].Sym:
-			update(int(upd[j].Sym), 0, len(upd[j].Edges))
-			j++
-		default:
-			if len(old[i].Edges) != len(upd[j].Edges) {
-				update(int(old[i].Sym), len(old[i].Edges), len(upd[j].Edges))
-			}
-			i++
-			j++
-		}
 	}
 }
 
@@ -701,8 +653,8 @@ func (c *labelClock) advance(eff *effects, epoch uint64) *labelClock {
 	nc := &labelClock{
 		anyNode:    c.anyNode,
 		anyEdge:    c.anyEdge,
-		nodeLabels: make(map[string]uint64, len(c.nodeLabels)+len(eff.nodeLabelDelta)),
-		edgeLabels: make(map[string]uint64, len(c.edgeLabels)+len(eff.edgeLabelDelta)),
+		nodeLabels: make(map[string]uint64, len(c.nodeLabels)+len(eff.nodeLabels)),
+		edgeLabels: make(map[string]uint64, len(c.edgeLabels)+len(eff.edgeLabels)),
 	}
 	for l, e := range c.nodeLabels {
 		nc.nodeLabels[l] = e
@@ -716,10 +668,10 @@ func (c *labelClock) advance(eff *effects, epoch uint64) *labelClock {
 	if eff.anyEdge {
 		nc.anyEdge = epoch
 	}
-	for l := range eff.nodeLabelDelta {
+	for l := range eff.nodeLabels {
 		nc.nodeLabels[l] = epoch
 	}
-	for l := range eff.edgeLabelDelta {
+	for l := range eff.edgeLabels {
 		nc.edgeLabels[l] = epoch
 	}
 	return nc

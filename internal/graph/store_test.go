@@ -374,65 +374,6 @@ func TestStoreCurrentConsistent(t *testing.T) {
 	}
 }
 
-// TestStoreIncrementalStats: the live epoch's statistics equal a full
-// rebuild's, except the documented monotone upper bounds (Max*) after
-// deletions.
-func TestStoreIncrementalStats(t *testing.T) {
-	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
-	defer s.Close()
-
-	// Insert-only prefix: everything must match exactly.
-	mustApply(t, s,
-		Op{Kind: OpAddNode, Key: "d", Label: "Person"},
-		Op{Kind: OpAddNode, Key: "m1", Label: "Message"},
-		Op{Kind: OpAddEdge, Key: "cd", Src: "c", Dst: "d", Label: "Knows"},
-		Op{Kind: OpAddEdge, Key: "dm", Src: "d", Dst: "m1", Label: "Likes"},
-		Op{Kind: OpAddEdge, Key: "am", Src: "a", Dst: "m1", Label: "Likes"},
-	)
-	assertStatsMatch(t, s.Graph(), true)
-
-	// Deletions: exact except Max*, which may only over-estimate.
-	mustApply(t, s, Op{Kind: OpDelNode, Key: "a"}, Op{Kind: OpDelEdge, Key: "cd"})
-	assertStatsMatch(t, s.Graph(), false)
-}
-
-func assertStatsMatch(t *testing.T, live *Graph, exactMax bool) {
-	t.Helper()
-	rebuilt, err := live.Rebuild()
-	if err != nil {
-		t.Fatalf("Rebuild: %v", err)
-	}
-	got, want := live.Stats(), rebuilt.Stats()
-	if got.Nodes != want.Nodes || got.Edges != want.Edges {
-		t.Fatalf("counts: got %d/%d, want %d/%d", got.Nodes, got.Edges, want.Nodes, want.Edges)
-	}
-	if !reflect.DeepEqual(got.NodeLabels, want.NodeLabels) {
-		t.Fatalf("NodeLabels: got %v, want %v", got.NodeLabels, want.NodeLabels)
-	}
-	if !reflect.DeepEqual(got.EdgeLabels, want.EdgeLabels) {
-		t.Fatalf("EdgeLabels: got %v, want %v", got.EdgeLabels, want.EdgeLabels)
-	}
-	for sym := range want.Symbols {
-		g, w := got.Symbols[sym], want.Symbols[sym]
-		if g.Label != w.Label || g.Edges != w.Edges || g.DistinctSrc != w.DistinctSrc || g.DistinctDst != w.DistinctDst {
-			t.Fatalf("symbol %s: got %+v, want %+v", w.Label, g, w)
-		}
-		if g.OutHist != w.OutHist || g.InHist != w.InHist {
-			t.Fatalf("symbol %s histograms: got %v/%v, want %v/%v", w.Label, g.OutHist, g.InHist, w.OutHist, w.InHist)
-		}
-		if exactMax && (g.MaxOut != w.MaxOut || g.MaxIn != w.MaxIn) {
-			t.Fatalf("symbol %s max: got %d/%d, want %d/%d", w.Label, g.MaxOut, g.MaxIn, w.MaxOut, w.MaxIn)
-		}
-		if g.MaxOut < w.MaxOut || g.MaxIn < w.MaxIn {
-			t.Fatalf("symbol %s max under-estimates: got %d/%d, want ≥ %d/%d", w.Label, g.MaxOut, g.MaxIn, w.MaxOut, w.MaxIn)
-		}
-	}
-	ga, wa := got.Any, want.Any
-	if ga.Edges != wa.Edges || ga.DistinctSrc != wa.DistinctSrc || ga.DistinctDst != wa.DistinctDst || ga.OutHist != wa.OutHist || ga.InHist != wa.InHist {
-		t.Fatalf("Any: got %+v, want %+v", ga, wa)
-	}
-}
-
 // TestStoreValidAt: the label clock invalidates exactly the footprints a
 // batch's touched labels cover.
 func TestStoreValidAt(t *testing.T) {

@@ -5,18 +5,18 @@ import (
 
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
-	"pathalgebra/internal/stats"
+	"pathalgebra/internal/graph"
 )
 
 // CostModel estimates operator cardinalities from the graph statistics
-// computed at build time (internal/stats). Estimates are classical
+// computed at build time (graph.Stats). Estimates are classical
 // System-R-style: label selectivities come straight from the per-label
 // counts, joins use the distinct-endpoint-count estimate, and recursions
 // raise the per-symbol fan-out to a bounded depth. The numbers only ever
 // steer plan choice — a wrong estimate can cost speed, never results.
 type CostModel struct {
-	// Stats is the statistics bundle of the target graph (graph.Stats()).
-	Stats *stats.Stats
+	// Stats is the statistics of the target graph (Graph.Stats).
+	Stats *graph.Stats
 	// Limits are the evaluation limits the plan will run under; MaxLen
 	// bounds the recursion-depth horizon of ϕ estimates.
 	Limits core.Limits
@@ -35,11 +35,10 @@ const (
 )
 
 // capCard saturates an estimate into [0, maxCard]. NaN maps to maxCard:
-// a poisoned estimate (0·Inf and friends, reachable when inflated
-// post-delete Max* upper bounds push intermediate products past the
-// float range) must compare as "expensive", never leak into min/max
-// plan comparisons where every NaN comparison is false and the planner's
-// choice turns on operand order.
+// a poisoned estimate (0·Inf and friends, reachable when a deep horizon
+// pushes intermediate products past the float range) must compare as
+// "expensive", never leak into min/max plan comparisons where every NaN
+// comparison is false and the planner's choice turns on operand order.
 func capCard(c float64) float64 {
 	if math.IsNaN(c) || c > maxCard {
 		return maxCard

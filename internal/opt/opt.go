@@ -16,8 +16,8 @@
 //     disappear (the §6 τPG-over-γ∅ example).
 //
 // The cost-based layer (Plan) consults the graph statistics collected at
-// build time (internal/stats, exposed as graph.Stats()) through a
-// CostModel that estimates the cardinality of every algebra operator —
+// build time (graph.Stats) through a CostModel that estimates the
+// cardinality of every algebra operator —
 // σ selectivity from label counts, ⋈ via the distinct-endpoint-count
 // estimate, ϕ via per-symbol fan-out raised to a bounded depth horizon.
 // After the heuristic rules, two statistics-driven passes use the

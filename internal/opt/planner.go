@@ -3,7 +3,7 @@ package opt
 import (
 	"pathalgebra/internal/cond"
 	"pathalgebra/internal/core"
-	"pathalgebra/internal/stats"
+	"pathalgebra/internal/graph"
 )
 
 // The cost-based planner. Plan runs the heuristic rule set of Optimize and
@@ -161,7 +161,7 @@ func (w *costWalker) recurse(rec core.Recurse, c cond.Cond, sensitive bool) core
 // endpointCost aggregates seed count and first-step fan-out for one side
 // of a pattern: the distinct sources (targets) of the labels the pattern
 // can start (end) with, and the average matching degree of those nodes.
-func endpointCost(st *stats.Stats, labels LabelSet, backward bool) (seeds, fanout float64) {
+func endpointCost(st *graph.Stats, labels LabelSet, backward bool) (seeds, fanout float64) {
 	var distinct, edges float64
 	if labels.Any {
 		sym := &st.Any

@@ -35,7 +35,6 @@ import (
 	"pathalgebra/internal/path"
 	"pathalgebra/internal/pathset"
 	"pathalgebra/internal/rpq"
-	"pathalgebra/internal/stats"
 )
 
 // Re-exported data model types.
@@ -251,10 +250,6 @@ func ReadBatchCSV(r io.Reader) (Batch, error) { return graph.ReadBatchCSV(r) }
 // PlanFootprint computes the label footprint of a plan — which node and
 // edge labels its result can depend on.
 func PlanFootprint(plan PathExpr) Footprint { return engine.PlanFootprint(plan) }
-
-// GraphStats returns the statistics bundle computed for g at build time —
-// the input of the cost-based planner.
-func GraphStats(g *Graph) *stats.Stats { return g.Stats() }
 
 // ComposeQueries implements the paper's §2.3 composition of path queries
 //
