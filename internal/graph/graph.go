@@ -6,7 +6,9 @@
 // edge identifiers, a total endpoint function ρ : E → N×N, a partial label
 // function λ and a partial property function ν. Here nodes and edges are
 // stored in dense slices indexed by NodeID / EdgeID, which keeps path
-// values compact and all per-object lookups O(1).
+// values compact and all per-object lookups O(1). Build also renders
+// every external key once as a JSON string into one pointer-free slab
+// (keyjson.go), which writers of path output copy from.
 package graph
 
 import (
@@ -66,6 +68,13 @@ type Graph struct {
 
 	nodeByKey map[string]NodeID
 	edgeByKey map[string]EdgeID
+
+	// Every key rendered once as a JSON string (keyjson.go): node n's
+	// rendering is keySlab[nodeKeyOff[n]:nodeKeyOff[n+1]], edge e's
+	// keySlab[edgeKeyOff[e]:edgeKeyOff[e+1]]. Pointer-free, so the GC
+	// does not scan it; nil on a delta view, which reads its base's.
+	keySlab                []byte
+	nodeKeyOff, edgeKeyOff []uint32
 
 	// Edge-label symbol table, built once at Build: symbols holds the
 	// distinct edge labels in lexicographic order, symbolOf inverts it,
@@ -484,8 +493,9 @@ func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Va
 // Err returns the first accumulated construction error, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Build finalizes the graph, interning edge labels into the symbol table
-// and computing the CSR adjacency and label indexes.
+// Build finalizes the graph, interning edge labels into the symbol table,
+// computing the CSR adjacency and label indexes and rendering every key
+// into the key slab.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -515,6 +525,9 @@ func (b *Builder) Build() (*Graph, error) {
 	g.outOff, g.outData, g.outRunOff, g.outRuns = g.buildCSR(symOrder, func(e *Edge) NodeID { return e.Src })
 	g.inOff, g.inData, g.inRunOff, g.inRuns = g.buildCSR(symOrder, func(e *Edge) NodeID { return e.Dst })
 	g.buildStats()
+	if err := g.renderKeys(); err != nil {
+		return nil, err
+	}
 	return g, nil
 }
 

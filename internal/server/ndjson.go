@@ -26,7 +26,11 @@ import (
 //
 // Path lines are appended straight from the path's IDs into a pooled
 // page buffer, byte-identical to encoding/json's rendering of
-// struct{Nodes, Edges []string; Len int}.
+// struct{Nodes, Edges []string; Len int}. The keys are not rendered
+// here: graph.Build renders each one once into the graph's key slab, and
+// a line copies those renderings (graph.AppendNodeKeyJSON and
+// AppendEdgeKeyJSON); only the keys a delta view appended are rendered
+// per line.
 
 // pageFlushBytes is the page buffer's high-water mark: the buffer goes
 // to the writer whenever it passes this, and once at the end of the
@@ -101,42 +105,18 @@ func appendPathLine(buf []byte, g *graph.Graph, p path.Path) []byte {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendKey(buf, g.Node(n).Key)
+		buf = g.AppendNodeKeyJSON(buf, n)
 	}
 	buf = append(buf, `],"edges":[`...)
 	for i, e := range p.Edges() {
 		if i > 0 {
 			buf = append(buf, ',')
 		}
-		buf = appendKey(buf, g.Edge(e).Key)
+		buf = g.AppendEdgeKeyJSON(buf, e)
 	}
 	buf = append(buf, `],"len":`...)
 	buf = strconv.AppendInt(buf, int64(p.Len()), 10)
 	return append(buf, "}\n"...)
-}
-
-// appendKey appends key as a JSON string. A key of printable ASCII that
-// encoding/json leaves alone is copied between quotes; anything else is
-// rendered by encoding/json itself.
-//
-//pathalgebra:hotpath
-func appendKey(buf []byte, key string) []byte {
-	for i := 0; i < len(key); i++ {
-		switch c := key[i]; {
-		case c < 0x20, c > 0x7e, c == '"', c == '\\', c == '<', c == '>', c == '&':
-			return appendMarshalledKey(buf, key)
-		}
-	}
-	buf = append(buf, '"')
-	buf = append(buf, key...)
-	return append(buf, '"')
-}
-
-// appendMarshalledKey appends json.Marshal(key): HTML escapes, control
-// characters, invalid UTF-8 as \ufffd and the \u2028/\u2029 escapes.
-func appendMarshalledKey(buf []byte, key string) []byte {
-	b, _ := json.Marshal(key) // a string always marshals
-	return append(buf, b...)
 }
 
 // writeNDJSON encodes one value as a single NDJSON line — the page

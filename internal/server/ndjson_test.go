@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -76,19 +77,27 @@ func pageFixture(tb testing.TB) (*graph.Graph, *pathset.Set, []path.Path) {
 // FuzzAppendPath: for every path of a WALK over a graph whose keys come
 // from the input, the append writer's line is byte-identical to
 // json.Marshal of the path's pathJSON plus a newline, and a page is the
-// reference writer's page.
+// reference writer's page. The graph is checked three times: sealed (keys
+// from the Build-time slab), as a Store's delta view after a batch
+// appends a node and two edges with input keys (appended keys rendered
+// per call, base keys from the base's slab, on paths that mix both), and
+// after that delta is compacted into a fresh slab.
 func FuzzAppendPath(f *testing.F) {
-	for _, keys := range [][4]string{
-		{"n1", "n2", "e1", "e2"},
-		{"<a>", "b&c", `"q"`, `back\slash`},
-		{"\x00\x01", "\x1f", "\x7f", "tab\tnl\n"},
-		{"\xff\xfe", "bad\xc3", "a\u2028b", "\u2029"},
-		{"é", "日本", "", "Ω"},
-		{"</script>", "&amp;", "\u00a0", "\ufffd"},
+	for _, keys := range [][7]string{
+		{"n1", "n2", "e1", "e2", "n3", "e3", "e4"},
+		{"<a>", "b&c", `"q"`, `back\slash`, "<n3>", "e&3", `"e4\`},
+		{"\x00\x01", "\x1f", "\x7f", "tab\tnl\n", "\x00", "\x1b[0m", "cr\r\x7f"},
+		{"a\u2028b", "\u2029", "x", "y", "\u2028", "x\u2029y", "\u2028\u2029"},
+		{"é", "日本", "", "Ω", "ü", "ñ", "😀"},
+		{"</script>", "&amp;", "\u00a0", "\ufffd", "</n3>", "\ufffd&", "\\u0041"},
+		// Apply refuses both batches: the first names a non-UTF-8 base
+		// node, which only the sealed check renders (as \ufffd).
+		{"\xff\xfe", "bad\xc3", "a\u2028b", "\u2029", "\u2028", "x\u2029y", "\u2028\u2029"},
+		{"p", "q", "r", "s", "bad\xc3", "e3", "e4"},
 	} {
-		f.Add(keys[0], keys[1], keys[2], keys[3])
+		f.Add(keys[0], keys[1], keys[2], keys[3], keys[4], keys[5], keys[6])
 	}
-	f.Fuzz(func(t *testing.T, n1, n2, e1, e2 string) {
+	f.Fuzz(func(t *testing.T, n1, n2, e1, e2, n3, e3, e4 string) {
 		b := graph.NewBuilder()
 		b.AddNode(n1, "Person", nil)
 		b.AddNode(n2, "Person", nil)
@@ -98,44 +107,89 @@ func FuzzAppendPath(f *testing.F) {
 		if err != nil {
 			return // keys collide; nothing to render
 		}
-		// The star makes every node a zero-length path too.
-		set, err := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: 3}}).Run(gql.MustCompile(`MATCH WALK p = (?x)-[:a*]->(?y)`))
+		checkPathLines(t, g)
+
+		st := graph.NewStore(g, graph.StoreOptions{})
+		defer st.Close()
+		_, err = st.Apply(graph.Batch{Ops: []graph.Op{
+			{Kind: graph.OpAddNode, Key: n3, Label: "Person"},
+			{Kind: graph.OpAddEdge, Key: e3, Src: n2, Dst: n3, Label: "a"},
+			{Kind: graph.OpAddEdge, Key: e4, Src: n3, Dst: n1, Label: "a"},
+		}})
+		if errors.Is(err, graph.ErrDuplicateKey) || errors.Is(err, graph.ErrInvalidValue) {
+			return // a colliding or non-UTF-8 key, rightly refused
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		zeroLen := 0
-		for _, p := range set.Paths() {
-			want, err := json.Marshal(encodePath(g, p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, '\n')
-			got := appendPathLine(nil, g, p)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("path %s:\n got  %q\n want %q", p, got, want)
-			}
-			if p.Len() == 0 {
-				zeroLen++
-				if !bytes.Contains(got, []byte(`"edges":[]`)) {
-					t.Fatalf("zero-length path renders %q, want \"edges\":[]", got)
-				}
-			}
+		if st.DeltaSize() != 3 {
+			t.Fatalf("delta size %d after appending three objects, want a delta view", st.DeltaSize())
 		}
-		if zeroLen != 2 {
-			t.Fatalf("%d zero-length paths, want one per node", zeroLen)
+		if mixed := checkPathLines(t, st.Graph()); mixed == 0 {
+			t.Fatal("no path on the delta view mixes base and appended objects")
 		}
-		var got, want bytes.Buffer
-		n, err := writePathLines(&got, g, set.Paths())
-		if err != nil || n != int64(got.Len()) {
-			t.Fatalf("writePathLines = %d, %v; wrote %d bytes", n, err, got.Len())
-		}
-		if err := writePathLinesReference(&want, g, set.Paths()); err != nil {
+		if err := st.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("page diverges from the per-line writer:\n got  %q\n want %q", got.Bytes(), want.Bytes())
+		if st.DeltaSize() != 0 {
+			t.Fatalf("delta size %d after compaction", st.DeltaSize())
 		}
+		checkPathLines(t, st.Graph())
 	})
+}
+
+// checkPathLines evaluates a WALK over g's "a" edges up to length 3 and
+// checks every path's line, and the page of all of them, against
+// encoding/json. It returns how many paths visit both a node of the first
+// two IDs (the fuzz graph's sealed nodes) and one past them.
+func checkPathLines(t *testing.T, g *graph.Graph) (mixed int) {
+	t.Helper()
+	// The star makes every node a zero-length path too.
+	set, err := engine.New(g, engine.Options{Limits: core.Limits{MaxLen: 3}}).Run(gql.MustCompile(`MATCH WALK p = (?x)-[:a*]->(?y)`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeroLen := 0
+	for _, p := range set.Paths() {
+		want, err := json.Marshal(encodePath(g, p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, '\n')
+		got := appendPathLine(nil, g, p)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("path %s:\n got  %q\n want %q", p, got, want)
+		}
+		if p.Len() == 0 {
+			zeroLen++
+			if !bytes.Contains(got, []byte(`"edges":[]`)) {
+				t.Fatalf("zero-length path renders %q, want \"edges\":[]", got)
+			}
+		}
+		base, appended := false, false
+		for _, n := range p.Nodes() {
+			base = base || n < 2
+			appended = appended || n >= 2
+		}
+		if base && appended {
+			mixed++
+		}
+	}
+	if zeroLen != g.LiveNodes() {
+		t.Fatalf("%d zero-length paths, want one per node", zeroLen)
+	}
+	var got, want bytes.Buffer
+	n, err := writePathLines(&got, g, set.Paths())
+	if err != nil || n != int64(got.Len()) {
+		t.Fatalf("writePathLines = %d, %v; wrote %d bytes", n, err, got.Len())
+	}
+	if err := writePathLinesReference(&want, g, set.Paths()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("page diverges from the per-line writer:\n got  %q\n want %q", got.Bytes(), want.Bytes())
+	}
+	return mixed
 }
 
 // TestWritePathLinesFlushes: a page well past the flush mark (the whole
@@ -275,16 +329,87 @@ func TestSeveredPageNotCounted(t *testing.T) {
 }
 
 // BenchmarkWritePage writes one 1024-path page of a generated LDBC graph
-// to io.Discard. Untraced and disarmed it allocates nothing: the page
-// buffer is pooled and keys are copied, not marshalled.
+// to io.Discard: "sealed" over the built graph, "delta" over a Store's
+// delta view whose every path visits a node or edge a batch appended. The
+// sealed page copies every key from the key slab graph.Build rendered;
+// the delta page also renders its appended keys per line. Untraced and
+// disarmed neither allocates: the page buffer is pooled and keys are
+// copied, not marshalled.
 func BenchmarkWritePage(b *testing.B) {
 	g, set, page := pageFixture(b)
-	cur := &cursor{stream: engine.StreamOf(g, set, len(page))}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := writePage(io.Discard, cur, page); err != nil {
-			b.Fatal(err)
+	dg, dset, dpage := deltaPageFixture(b)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+		set  *pathset.Set
+		page []path.Path
+	}{{"sealed", g, set, page}, {"delta", dg, dset, dpage}} {
+		b.Run(c.name, func(b *testing.B) {
+			cur := &cursor{stream: engine.StreamOf(c.g, c.set, len(c.page))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := writePage(io.Discard, cur, c.page); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// deltaPageFixture appends 32 persons to pageGraph through a Store, each
+// knowing three base persons and known by three, evaluates pageQuery over
+// the delta view and returns it, the result and the first 1024 paths that
+// visit an appended node or edge.
+func deltaPageFixture(tb testing.TB) (*graph.Graph, *pathset.Set, []path.Path) {
+	tb.Helper()
+	base := pageGraph()
+	st := graph.NewStore(base, graph.StoreOptions{})
+	tb.Cleanup(st.Close)
+	var ops []graph.Op
+	for i := 1; i <= 32; i++ {
+		key := fmt.Sprintf("q%d", i)
+		ops = append(ops, graph.Op{Kind: graph.OpAddNode, Key: key, Label: ldbc.LabelPerson})
+		for j := 0; j < 3; j++ {
+			p := fmt.Sprintf("p%d", 1+(7*i+31*j)%100)
+			ops = append(ops,
+				graph.Op{Kind: graph.OpAddEdge, Key: fmt.Sprintf("kq%d_out%d", i, j), Src: key, Dst: p, Label: ldbc.LabelKnows},
+				graph.Op{Kind: graph.OpAddEdge, Key: fmt.Sprintf("kq%d_in%d", i, j), Src: p, Dst: key, Label: ldbc.LabelKnows})
 		}
 	}
+	if _, err := st.Apply(graph.Batch{Ops: ops}); err != nil {
+		tb.Fatal(err)
+	}
+	g := st.Graph()
+	if st.DeltaSize() == 0 {
+		tb.Fatal("the batch resealed the graph; want a delta view")
+	}
+	set, err := engine.New(g, engine.Options{Limits: pageLimits}).Run(gql.MustCompile(pageQuery))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	appended := func(p path.Path) bool {
+		for _, n := range p.Nodes() {
+			if int(n) >= base.NumNodes() {
+				return true
+			}
+		}
+		for _, e := range p.Edges() {
+			if int(e) >= base.NumEdges() {
+				return true
+			}
+		}
+		return false
+	}
+	var page []path.Path
+	for _, p := range set.Paths() {
+		if appended(p) {
+			page = append(page, p)
+			if len(page) == 1024 {
+				return g, set, page
+			}
+		}
+	}
+	tb.Fatalf("delta fixture has %d paths through appended objects, want >= 1024", len(page))
+	return nil, nil, nil
 }

@@ -602,3 +602,124 @@ func renderSet(g *graph.Graph, set *pathset.Set) string {
 	}
 	return sb.String()
 }
+
+// FuzzQueryRequest: whatever bytes a client POSTs to /query, the server
+// neither panics nor answers 500. The status is 201, 400 (a body or query
+// that does not parse), 422 or 429, and a 201's cursor drains to pages of
+// NDJSON lines that each parse, each page ending in exactly one trailer,
+// the last one done. A page may instead be the 422 or 504 of an
+// evaluation its budget or deadline stopped.
+//
+// The server runs over Figure 1 with a small MaxLen and budget. A body
+// may raise its own limits; one that raises them past those is skipped,
+// because what it costs is what the limits exist to bound.
+func FuzzQueryRequest(f *testing.F) {
+	limits := core.Limits{MaxLen: 3, MaxPaths: 1000, MaxWork: 100_000}
+	for _, body := range []string{
+		`{"query":"MATCH TRAIL p = (?x)-[:Knows+]->(?y)"}`,
+		`{"query":"MATCH WALK p = (?x:Person {name:\"Homer\"})-[:Knows*]->(?y)","chunk_size":2,"no_cache":true}`,
+		`{"query":"MATCH ANY SHORTEST ACYCLIC p = (?x)-[(:Knows/:Likes)+]->(?y)","trace":true}`,
+		`{"query":"MATCH SHORTEST 2 GROUP WALK p = (?x)-[:Knows+]->(?y)","max_len":2,"timeout_ms":1000}`,
+		`{"query":"MATCH WALK p = (?x)-[:Knows+]->(?y)","max_paths":1}`,
+		`{"query":"MATCH WALK p = (?x)-[:Knows+]->(?y) WHERE first.name = \"Moe\""}`,
+		`{"query":"MATCH NONSENSE ("}`,
+		`{"query":""}`,
+		`{"quarry":"typo"}`,
+		`{"query":"MATCH TRAIL p = (?x)-[:Knows+]->(?y)","chunk_size":-1,"max_work":-5}`,
+		`[1,2]`,
+		`{"query":`,
+		"",
+	} {
+		f.Add([]byte(body))
+	}
+	s, err := New(Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: limits}, QueryTimeout: 2 * time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	f.Cleanup(func() { ts.Close(); s.Close() })
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var req queryRequest
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&req) == nil && (req.MaxLen > limits.MaxLen || req.MaxPaths > limits.MaxPaths || req.MaxWork > limits.MaxWork) {
+			return
+		}
+		resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch resp.StatusCode {
+		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusTooManyRequests:
+			var er errorResponse
+			if err := json.Unmarshal(reply, &er); err != nil || er.Kind == "" {
+				t.Fatalf("status %d with body %q, want an error document", resp.StatusCode, reply)
+			}
+			return
+		case http.StatusCreated:
+		default:
+			t.Fatalf("POST %q: status %d: %s", body, resp.StatusCode, reply)
+		}
+		var qr queryResponse
+		if err := json.Unmarshal(reply, &qr); err != nil || qr.ID == "" {
+			t.Fatalf("201 with body %q: %v", reply, err)
+		}
+		// Every page holds at least one path or ends the cursor, so a
+		// drain takes at most MaxPaths+1 pages.
+		for range limits.MaxPaths + 1 {
+			resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID))
+			if err != nil {
+				t.Fatal(err)
+			}
+			page, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch resp.StatusCode {
+			case http.StatusOK:
+			case http.StatusUnprocessableEntity, http.StatusGatewayTimeout:
+				return // the evaluation's budget or deadline stopped it
+			default:
+				t.Fatalf("page of %q: status %d: %s", body, resp.StatusCode, page)
+			}
+			if done := checkPage(t, page); done {
+				return
+			}
+		}
+		t.Fatalf("cursor of %q not done after %d pages", body, limits.MaxPaths+1)
+	})
+}
+
+// checkPage checks that page is NDJSON path lines followed by exactly one
+// trailer that counts them, and reports whether the trailer ends the
+// cursor.
+func checkPage(t *testing.T, page []byte) (done bool) {
+	t.Helper()
+	lines := bytes.SplitAfter(page, []byte("\n"))
+	if len(lines) < 2 || len(lines[len(lines)-1]) != 0 {
+		t.Fatalf("page %q does not end in a newline-terminated trailer", page)
+	}
+	lines = lines[:len(lines)-1]
+	for _, line := range lines[:len(lines)-1] {
+		var p pathJSON
+		if err := json.Unmarshal(line, &p); err != nil || p.Nodes == nil || len(p.Edges) != p.Len || len(p.Nodes) != p.Len+1 {
+			t.Fatalf("path line %q does not parse as a path (%v)", line, err)
+		}
+	}
+	var trailer pageTrailer
+	last := lines[len(lines)-1]
+	if err := json.Unmarshal(last, &trailer); err != nil || bytes.Contains(last, []byte(`"nodes"`)) || !bytes.Contains(last, []byte(`"done"`)) {
+		t.Fatalf("last line %q is not a trailer (%v)", last, err)
+	}
+	if trailer.Returned != len(lines)-1 {
+		t.Fatalf("trailer counts %d paths, page has %d", trailer.Returned, len(lines)-1)
+	}
+	return trailer.Done
+}

@@ -147,23 +147,27 @@ fi
 echo "check_allocs: disabled observability at zero-alloc parity (trace $niltrace, instruments $nilinst allocs/op)"
 
 # Page-encoding gate: a cursor page's path lines are appended straight
-# from the paths' IDs into a pooled buffer, keys copied between quotes
-# (encoding/json only for keys that need escaping). One 1024-path page to
-# io.Discard must allocate ZERO times per page, no tolerance; any drift
-# means per-path strings or reflection crept back into delivery.
+# from the paths' IDs into a pooled buffer, each key copied from the
+# rendering graph.Build made of it. One 1024-path page to io.Discard must
+# allocate ZERO times per page, no tolerance, both over a sealed graph
+# (sealed) and over a delta view whose paths visit appended objects, whose
+# keys are rendered per line (delta); any drift means per-path strings or
+# reflection crept back into delivery.
 out=$(go test -run xxx -bench 'BenchmarkWritePage' -benchtime 100x -benchmem ./internal/server 2>&1)
 printf '%s\n' "$out"
 
-page=$(printf '%s\n' "$out" | awk '/^BenchmarkWritePage/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
-if [ -z "$page" ]; then
-    echo "check_allocs: could not find BenchmarkWritePage allocs/op in benchmark output" >&2
-    exit 1
-fi
-if [ "$page" -ne 0 ]; then
-    echo "check_allocs: writing a 1024-path page allocates $page allocs/op — page encoding must be allocation-free" >&2
-    exit 1
-fi
-echo "check_allocs: page encoding at zero allocs ($page allocs/op per 1024-path page)"
+for case in sealed delta; do
+    page=$(printf '%s\n' "$out" | awk -v c="BenchmarkWritePage/$case-" 'index($0, c) == 1 { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+    if [ -z "$page" ]; then
+        echo "check_allocs: could not find BenchmarkWritePage/$case allocs/op in benchmark output" >&2
+        exit 1
+    fi
+    if [ "$page" -ne 0 ]; then
+        echo "check_allocs: writing a 1024-path page ($case) allocates $page allocs/op — page encoding must be allocation-free" >&2
+        exit 1
+    fi
+    echo "check_allocs: page encoding ($case) at zero allocs ($page allocs/op per 1024-path page)"
+done
 
 # Selector-pushdown gate: ANY 2 TRAIL over every endpoint pair enumerates
 # ~20x the trails it returns; with the per-pair quota applied inside the
