@@ -138,65 +138,48 @@ func EvalWithOptions(g *graph.Graph, nfa *NFA, sem core.Semantics, lim core.Limi
 	return evalSearch(g, c, sem, lim, bud, o.Seeds, count, back, o.Quota, sp)
 }
 
-// symbolScan is one (matching edges, target states) pair produced by
-// scanRuns for the search inner loop.
+// symbolScan is one run of the adjacency scanRuns returns that the state
+// can read — positions lo..hi-1 of it — paired with its target states.
+// It carries offsets, not slices: the edges and their far ends are read
+// from the one Adjacency the whole scan shares.
 type symbolScan struct {
-	edges   []graph.EdgeID
+	lo, hi  int32
 	targets []StateID
 }
 
-// scanRuns fills dst (reused scratch) with the label-homogeneous adjacency
-// runs of n readable from state s, paired with their target states, in
-// ascending symbol order; back selects the in-adjacency instead of the
-// out-adjacency. It picks the cheaper driver per call: iterate the node's
-// runs when the state reads every symbol (any-label) or more symbols than
-// the node has runs, else iterate the state's symbol set with a
-// binary-search lookup per symbol. Both drivers enumerate the same
-// intersection in the same order, so the choice never affects results.
+// scanRuns returns n's adjacency — the in-adjacency when back is set — and
+// fills dst (reused scratch) with its label-homogeneous runs readable from
+// state s, paired with their target states, in ascending symbol order. It
+// picks the cheaper driver per call: iterate the node's runs when the
+// state reads every symbol (any-label) or more symbols than the node has
+// runs, else iterate the state's symbol set with a binary-search lookup
+// per symbol. Both drivers enumerate the same intersection in the same
+// order, so the choice never affects results.
 //
 //pathalgebra:hotpath
-func scanRuns(dst []symbolScan, g *graph.Graph, c *CompiledNFA, n graph.NodeID, s StateID, back bool) []symbolScan {
+func scanRuns(dst []symbolScan, g *graph.Graph, c *CompiledNFA, n graph.NodeID, s StateID, back bool) ([]symbolScan, graph.Adjacency) {
 	dst = dst[:0]
-	var runs []graph.SymbolRun
+	var adj graph.Adjacency
 	if back {
-		runs = g.InRuns(n)
+		adj = g.InRuns(n)
 	} else {
-		runs = g.OutRuns(n)
+		adj = g.OutRuns(n)
 	}
 	syms := c.StateSymbols(s)
-	if c.AllSymbols(s) || len(syms) >= len(runs) {
-		for _, run := range runs {
+	if c.AllSymbols(s) || len(syms) >= len(adj.Runs) {
+		for _, run := range adj.Runs {
 			if targets := c.Trans(s, run.Sym); len(targets) > 0 {
-				dst = append(dst, symbolScan{edges: run.Edges, targets: targets})
+				dst = append(dst, symbolScan{lo: run.Lo, hi: run.Hi, targets: targets})
 			}
 		}
-		return dst
+		return dst, adj
 	}
-	//lint:ignore budgetcharge pure adjacency helper: callers charge per extension drawn from the returned scans
 	for _, sym := range syms {
-		var edges []graph.EdgeID
-		if back {
-			edges = g.InWithSymbol(n, sym)
-		} else {
-			edges = g.OutWithSymbol(n, sym)
-		}
-		if len(edges) > 0 {
-			dst = append(dst, symbolScan{edges: edges, targets: c.Trans(s, sym)})
+		if run, ok := adj.Find(sym); ok {
+			dst = append(dst, symbolScan{lo: run.Lo, hi: run.Hi, targets: c.Trans(s, sym)})
 		}
 	}
-	return dst
-}
-
-// stepNode returns the node a product-search step lands on after reading
-// edge eid: the edge's head forward, its tail backward.
-//
-//pathalgebra:hotpath
-func stepNode(g *graph.Graph, eid graph.EdgeID, back bool) graph.NodeID {
-	src, dst := g.Endpoints(eid)
-	if back {
-		return src
-	}
-	return dst
+	return dst, adj
 }
 
 // searchItem is one product-search state: an arena path handle plus the
@@ -610,11 +593,13 @@ func evalSource(g *graph.Graph, c *CompiledNFA, sem core.Semantics, lim core.Lim
 				qs.goalPruned++
 				continue
 			}
-			sc.runs = scanRuns(sc.runs, g, c, a.Last(it.ref), it.state, back)
+			var adj graph.Adjacency
+			sc.runs, adj = scanRuns(sc.runs, g, c, a.Last(it.ref), it.state, back)
 			for _, rs := range sc.runs {
 				targets := rs.targets
-				for _, eid := range rs.edges {
-					dst := stepNode(g, eid, back)
+				edges, nbrs := adj.Edges[rs.lo:rs.hi], adj.Nbrs[rs.lo:rs.hi]
+				for i, eid := range edges {
+					dst := nbrs[i]
 					extend, admitOK := classifyExtend(sem, a, it.ref, eid, dst)
 					if !extend && !admitOK {
 						continue

@@ -162,10 +162,10 @@ func (p *productBFS) run(g *graph.Graph, c *CompiledNFA, starts []productState, 
 			if bud.Cancelled() {
 				return chargeErr(bud)
 			}
-			p.runs = scanRuns(p.runs, g, c, ps.node, ps.state, back)
+			var adj graph.Adjacency
+			p.runs, adj = scanRuns(p.runs, g, c, ps.node, ps.state, back)
 			for _, rs := range p.runs {
-				for _, eid := range rs.edges {
-					dst := stepNode(g, eid, back)
+				for _, dst := range adj.Nbrs[rs.lo:rs.hi] {
 					for _, q := range rs.targets {
 						i := int(dst)*p.states + int(q)
 						if p.dist[i] != 0 {

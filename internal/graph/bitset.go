@@ -59,10 +59,10 @@ func (g *Graph) buildBitsets() *BitsetIndex {
 	}
 	for v := 0; v < n; v++ {
 		off := v * words
-		for _, run := range g.OutRuns(NodeID(v)) {
+		adj := g.OutRuns(NodeID(v))
+		for _, run := range adj.Runs {
 			slab := ix.out[run.Sym]
-			for _, e := range run.Edges {
-				_, dst := g.Endpoints(e)
+			for _, dst := range adj.Nbrs[run.Lo:run.Hi] {
 				slab[off+int(dst>>6)] |= 1 << (dst & 63)
 				ix.anyOut[off+int(dst>>6)] |= 1 << (dst & 63)
 			}

@@ -44,11 +44,12 @@ func checkBitsetsAgainstAdjacency(t *testing.T, g *Graph, ix *BitsetIndex) {
 		wantAny := make([]uint64, words)
 		for sym := 0; sym < g.NumSymbols(); sym++ {
 			want := make([]uint64, words)
-			for _, run := range g.OutRuns(NodeID(v)) {
+			adj := g.OutRuns(NodeID(v))
+			for _, run := range adj.Runs {
 				if run.Sym != SymbolID(sym) {
 					continue
 				}
-				for _, e := range run.Edges {
+				for _, e := range adj.Edges[run.Lo:run.Hi] {
 					_, dst := g.Endpoints(e)
 					want[dst>>6] |= 1 << (dst & 63)
 					wantAny[dst>>6] |= 1 << (dst & 63)

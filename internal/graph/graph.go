@@ -4,10 +4,19 @@
 //
 // A property graph is a tuple G = (N, E, ρ, λ, ν): finite sets of node and
 // edge identifiers, a total endpoint function ρ : E → N×N, a partial label
-// function λ and a partial property function ν. Here nodes and edges are
-// stored in dense slices indexed by NodeID / EdgeID, which keeps path
-// values compact and all per-object lookups O(1). Build also renders
-// every external key once as a JSON string into one pointer-free slab
+// function λ and a partial property function ν. Nodes and edges are dense
+// IDs, 0..NumNodes-1 and 0..NumEdges-1, and a sealed graph stores each
+// function as columns indexed by ID that hold no pointers (columns.go): ρ
+// as two arrays of node IDs, λ as one small interned label ID per object,
+// ν as one dense column of fixed-size cells per property key, and the
+// external keys as substrings of one string per kind, found through a
+// table keyed by the keys' hashes. The adjacency is CSR in both
+// directions, each slot holding the edge and the node at its other end, so
+// a search step reads its neighbour where it reads its edge. The garbage
+// collector therefore marks a sealed graph in time independent of its
+// size, and Node, Edge, Nodes and Edges build row values from the columns
+// only for the callers that ask for them. Build also renders every
+// external key once as a JSON string into one pointer-free slab
 // (keyjson.go), which writers of path output copy from.
 package graph
 
@@ -33,16 +42,49 @@ type SymbolID int32
 // NoSymbol is returned by SymbolOf for labels that no edge carries.
 const NoSymbol SymbolID = -1
 
-// SymbolRun is one label-homogeneous run of a node's CSR adjacency range:
-// the edges with symbol Sym, ascending by edge ID. Edges aliases the CSR
-// data array; do not modify.
+// SymbolRun is one label-homogeneous run of a node's adjacency in one
+// direction: positions Lo..Hi-1 of the node's Adjacency hold the edges
+// with symbol Sym, ascending by edge ID. It holds no pointer, so the
+// graph's run array is not scanned by the garbage collector.
 type SymbolRun struct {
-	Sym   SymbolID
-	Edges []EdgeID
+	Sym    SymbolID
+	Lo, Hi int32
 }
 
-// Node is an entity of the graph. Label may be empty (λ is partial) and
-// Props may be nil (ν is partial).
+// Adjacency is one node's adjacency in one direction, in CSR order:
+// ascending by (label symbol, edge ID). Edges[i] is an edge and Nbrs[i]
+// the node at its other end — the head of an outgoing edge, the tail of
+// an incoming one. Runs partitions the positions into label-homogeneous
+// runs, symbols ascending. The slices alias shared storage; do not modify.
+type Adjacency struct {
+	Edges []EdgeID
+	Nbrs  []NodeID
+	Runs  []SymbolRun
+}
+
+// Find returns the run of symbol sym; ok is false when the node has no
+// such edge. It binary-searches Runs, whose symbols ascend.
+//
+//pathalgebra:hotpath
+func (a Adjacency) Find(sym SymbolID) (run SymbolRun, ok bool) {
+	lo, hi := 0, len(a.Runs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if a.Runs[mid].Sym < sym {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(a.Runs) && a.Runs[lo].Sym == sym {
+		return a.Runs[lo], true
+	}
+	return SymbolRun{}, false
+}
+
+// Node is an entity of the graph as a row: what the Builder and batches
+// take, and what Graph.Node builds from the columns. Label may be empty
+// (λ is partial) and Props may be nil (ν is partial).
 type Node struct {
 	ID    NodeID
 	Key   string // external, human-readable identifier (e.g. "n1")
@@ -50,7 +92,7 @@ type Node struct {
 	Props map[string]Value
 }
 
-// Edge is a directed relationship between two nodes.
+// Edge is a directed relationship between two nodes, as a row (see Node).
 type Edge struct {
 	ID    EdgeID
 	Key   string // external, human-readable identifier (e.g. "e1")
@@ -63,11 +105,17 @@ type Edge struct {
 // Graph is an immutable property graph. Construct one with a Builder;
 // after Build the graph is safe for concurrent readers.
 type Graph struct {
-	nodes []Node
-	edges []Edge
+	// ρ: edge e runs from edgeSrc[e] to edgeDst[e].
+	edgeSrc, edgeDst []NodeID
 
-	nodeByKey map[string]NodeID
-	edgeByKey map[string]EdgeID
+	// λ for nodes: node n's label is nodeLabels[nodeLabel[n]]. Edge
+	// labels are the symbols below.
+	nodeLabels []string
+	nodeLabel  []uint32
+
+	// External keys and ν, as columns (columns.go).
+	nodeKeys, edgeKeys   keyColumn
+	nodeProps, edgeProps propColumns
 
 	// Every key rendered once as a JSON string (keyjson.go): node n's
 	// rendering is keySlab[nodeKeyOff[n]:nodeKeyOff[n+1]], edge e's
@@ -87,11 +135,13 @@ type Graph struct {
 	// contiguous range of the data array, partitioned into label-
 	// homogeneous runs — (symbol, edge ID) ascending — so the evaluator
 	// can iterate exactly the edges matching an automaton transition
-	// symbol with zero string hashing or comparison.
+	// symbol with zero string hashing or comparison. The nbr arrays run
+	// parallel to the data arrays: the edge's head out, its tail in.
 	outOff, inOff       []int32     // node n's range: data[off[n]:off[n+1]]
 	outData, inData     []EdgeID    // CSR data arrays
+	outNbr, inNbr       []NodeID    // the other end of each data slot's edge
 	outRunOff, inRunOff []int32     // node n's runs: runs[runOff[n]:runOff[n+1]]
-	outRuns, inRuns     []SymbolRun // flat per-(node, symbol) run descriptors
+	outRuns, inRuns     []SymbolRun // per-(node, symbol) runs, offsets into the node's range
 
 	nodesByLabel map[string][]NodeID
 	edgesByLabel map[string][]EdgeID
@@ -125,17 +175,17 @@ type Graph struct {
 // to skip them, or LiveNodes for the live count.
 func (g *Graph) NumNodes() int {
 	if g.ov != nil {
-		return len(g.ov.base.nodes) + len(g.ov.extraNodes)
+		return g.ov.base.NumNodes() + len(g.ov.extraNodes)
 	}
-	return len(g.nodes)
+	return len(g.nodeLabel)
 }
 
 // NumEdges returns the size of the edge ID space (see NumNodes).
 func (g *Graph) NumEdges() int {
 	if g.ov != nil {
-		return len(g.ov.base.edges) + len(g.ov.extraEdges)
+		return g.ov.base.NumEdges() + len(g.ov.extraEdges)
 	}
-	return len(g.edges)
+	return len(g.edgeSrc)
 }
 
 // LiveNodes returns the number of live (non-tombstoned) nodes.
@@ -143,7 +193,7 @@ func (g *Graph) LiveNodes() int {
 	if g.ov != nil {
 		return g.ov.liveNodes
 	}
-	return len(g.nodes)
+	return g.NumNodes()
 }
 
 // LiveEdges returns the number of live edges.
@@ -151,7 +201,7 @@ func (g *Graph) LiveEdges() int {
 	if g.ov != nil {
 		return g.ov.liveEdges
 	}
-	return len(g.edges)
+	return g.NumEdges()
 }
 
 // NodeAlive reports whether id is a live node of this view — always true
@@ -178,63 +228,119 @@ func (g *Graph) EdgeAlive(id EdgeID) bool {
 	return true
 }
 
-// Node returns the node with the given ID. It panics if id is out of
-// range, which indicates a path from a different graph. Tombstoned IDs
-// remain addressable (paths evaluated on this view never contain them).
-func (g *Graph) Node(id NodeID) *Node {
+// Node returns the node with the given ID as a row built from the
+// columns; do not modify its Props. It panics if id is out of range,
+// which indicates a path from a different graph. Tombstoned IDs remain
+// addressable (paths evaluated on this view never contain them).
+func (g *Graph) Node(id NodeID) Node {
 	if g.ov != nil {
-		return g.ov.node(id)
+		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
+			return g.ov.extraNodes[i]
+		}
+		g = g.ov.base
 	}
-	return &g.nodes[id]
+	return Node{ID: id, Key: g.NodeKey(id), Label: g.NodeLabel(id), Props: g.nodeProps.row(uint32(id))}
 }
 
-// Edge returns the edge with the given ID.
-func (g *Graph) Edge(id EdgeID) *Edge {
+// Edge returns the edge with the given ID as a row (see Node).
+func (g *Graph) Edge(id EdgeID) Edge {
 	if g.ov != nil {
-		return g.ov.edge(id)
+		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
+			return g.ov.extraEdges[i]
+		}
+		g = g.ov.base
 	}
-	return &g.edges[id]
+	return Edge{ID: id, Key: g.EdgeKey(id), Src: g.edgeSrc[id], Dst: g.edgeDst[id],
+		Label: g.EdgeLabel(id), Props: g.edgeProps.row(uint32(id))}
 }
 
 // NodeByKey looks up a live node by its external key.
-func (g *Graph) NodeByKey(key string) (*Node, bool) {
-	if g.ov != nil {
-		return g.ov.nodeByKey(key)
-	}
-	id, ok := g.nodeByKey[key]
+func (g *Graph) NodeByKey(key string) (Node, bool) {
+	id, ok := g.NodeIDByKey(key)
 	if !ok {
-		return nil, false
+		return Node{}, false
 	}
-	return &g.nodes[id], true
+	return g.Node(id), true
 }
 
 // EdgeByKey looks up a live edge by its external key.
-func (g *Graph) EdgeByKey(key string) (*Edge, bool) {
+func (g *Graph) EdgeByKey(key string) (Edge, bool) {
+	id, ok := g.EdgeIDByKey(key)
+	if !ok {
+		return Edge{}, false
+	}
+	return g.Edge(id), true
+}
+
+// NodeIDByKey returns the ID of the live node with the given key.
+//
+//pathalgebra:hotpath
+func (g *Graph) NodeIDByKey(key string) (NodeID, bool) {
+	if g.ov != nil {
+		return g.ov.nodeByKey(key)
+	}
+	id, ok := g.nodeKeys.find(key)
+	return NodeID(id), ok
+}
+
+// EdgeIDByKey returns the ID of the live edge with the given key.
+//
+//pathalgebra:hotpath
+func (g *Graph) EdgeIDByKey(key string) (EdgeID, bool) {
 	if g.ov != nil {
 		return g.ov.edgeByKey(key)
 	}
-	id, ok := g.edgeByKey[key]
-	if !ok {
-		return nil, false
-	}
-	return &g.edges[id], true
+	id, ok := g.edgeKeys.find(key)
+	return EdgeID(id), ok
 }
 
-// Nodes returns all live nodes in ID order. On a sealed graph the slice
-// is shared (do not modify); a delta view materializes a fresh slice.
-func (g *Graph) Nodes() []Node {
+// NodeKey returns node id's external key, without allocating.
+//
+//pathalgebra:hotpath
+func (g *Graph) NodeKey(id NodeID) string {
 	if g.ov != nil {
-		return g.ov.liveNodeList()
+		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
+			return g.ov.extraNodes[i].Key
+		}
+		g = g.ov.base
 	}
-	return g.nodes
+	return g.nodeKeys.key(uint32(id))
+}
+
+// EdgeKey returns edge id's external key, without allocating.
+//
+//pathalgebra:hotpath
+func (g *Graph) EdgeKey(id EdgeID) string {
+	if g.ov != nil {
+		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
+			return g.ov.extraEdges[i].Key
+		}
+		g = g.ov.base
+	}
+	return g.edgeKeys.key(uint32(id))
+}
+
+// Nodes returns all live nodes in ID order, as fresh rows built from the
+// columns — a cold path for reporting and tests.
+func (g *Graph) Nodes() []Node {
+	out := make([]Node, 0, g.LiveNodes())
+	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+		if g.NodeAlive(id) {
+			out = append(out, g.Node(id))
+		}
+	}
+	return out
 }
 
 // Edges returns all live edges in ID order (see Nodes).
 func (g *Graph) Edges() []Edge {
-	if g.ov != nil {
-		return g.ov.liveEdgeList()
+	out := make([]Edge, 0, g.LiveEdges())
+	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
+		if g.EdgeAlive(id) {
+			out = append(out, g.Edge(id))
+		}
 	}
-	return g.edges
+	return out
 }
 
 // Out returns the IDs of live edges leaving n in the CSR order: ascending
@@ -243,10 +349,7 @@ func (g *Graph) Edges() []Edge {
 //
 //pathalgebra:hotpath
 func (g *Graph) Out(n NodeID) []EdgeID {
-	if g.ov != nil {
-		return g.ov.out(n)
-	}
-	return g.outData[g.outOff[n]:g.outOff[n+1]]
+	return g.OutRuns(n).Edges
 }
 
 // In returns the IDs of live edges entering n in (label symbol, edge ID)
@@ -254,70 +357,76 @@ func (g *Graph) Out(n NodeID) []EdgeID {
 //
 //pathalgebra:hotpath
 func (g *Graph) In(n NodeID) []EdgeID {
-	if g.ov != nil {
-		return g.ov.in(n)
-	}
-	return g.inData[g.inOff[n]:g.inOff[n+1]]
+	return g.InRuns(n).Edges
 }
 
-// OutRuns returns n's outgoing adjacency partitioned into label-homogeneous
-// runs, symbols ascending. The slice is shared; do not modify.
+// OutRuns returns n's outgoing adjacency: its edges, their heads and its
+// label-homogeneous runs, symbols ascending.
 //
 //pathalgebra:hotpath
-func (g *Graph) OutRuns(n NodeID) []SymbolRun {
+func (g *Graph) OutRuns(n NodeID) Adjacency {
 	if g.ov != nil {
 		return g.ov.outRuns(n)
 	}
-	return g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]]
+	return g.outAdj(n)
 }
 
-// InRuns returns n's incoming adjacency partitioned into label-homogeneous
-// runs, symbols ascending.
+// InRuns returns n's incoming adjacency: its edges, their tails and its
+// label-homogeneous runs, symbols ascending.
 //
 //pathalgebra:hotpath
-func (g *Graph) InRuns(n NodeID) []SymbolRun {
+func (g *Graph) InRuns(n NodeID) Adjacency {
 	if g.ov != nil {
 		return g.ov.inRuns(n)
 	}
-	return g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]]
+	return g.inAdj(n)
+}
+
+// outAdj is OutRuns on a sealed graph.
+//
+//pathalgebra:hotpath
+func (g *Graph) outAdj(n NodeID) Adjacency {
+	lo, hi := g.outOff[n], g.outOff[n+1]
+	return Adjacency{
+		Edges: g.outData[lo:hi:hi],
+		Nbrs:  g.outNbr[lo:hi:hi],
+		Runs:  g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]],
+	}
+}
+
+// inAdj is InRuns on a sealed graph.
+//
+//pathalgebra:hotpath
+func (g *Graph) inAdj(n NodeID) Adjacency {
+	lo, hi := g.inOff[n], g.inOff[n+1]
+	return Adjacency{
+		Edges: g.inData[lo:hi:hi],
+		Nbrs:  g.inNbr[lo:hi:hi],
+		Runs:  g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]],
+	}
 }
 
 // OutWithSymbol returns the edges leaving n whose label has the given
-// symbol, ascending by edge ID — the product search's inner-loop lookup.
-// It binary-searches n's runs (symbols are ascending), so the cost is
-// O(log runs(n)) and no non-matching edge is ever touched.
+// symbol, ascending by edge ID. It binary-searches n's runs (symbols are
+// ascending), so the cost is O(log runs(n)) and no non-matching edge is
+// ever touched.
 //
 //pathalgebra:hotpath
 func (g *Graph) OutWithSymbol(n NodeID, sym SymbolID) []EdgeID {
-	if g.ov != nil {
-		return findRun(g.ov.outRuns(n), sym)
+	adj := g.OutRuns(n)
+	if r, ok := adj.Find(sym); ok {
+		return adj.Edges[r.Lo:r.Hi]
 	}
-	return findRun(g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]], sym)
+	return nil
 }
 
 // InWithSymbol is OutWithSymbol for incoming edges.
 //
 //pathalgebra:hotpath
 func (g *Graph) InWithSymbol(n NodeID, sym SymbolID) []EdgeID {
-	if g.ov != nil {
-		return findRun(g.ov.inRuns(n), sym)
-	}
-	return findRun(g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]], sym)
-}
-
-//pathalgebra:hotpath
-func findRun(runs []SymbolRun, sym SymbolID) []EdgeID {
-	lo, hi := 0, len(runs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if runs[mid].Sym < sym {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(runs) && runs[lo].Sym == sym {
-		return runs[lo].Edges
+	adj := g.InRuns(n)
+	if r, ok := adj.Find(sym); ok {
+		return adj.Edges[r.Lo:r.Hi]
 	}
 	return nil
 }
@@ -338,10 +447,7 @@ func (g *Graph) NumSymbols() int {
 // carries it.
 func (g *Graph) SymbolOf(label string) SymbolID {
 	if g.ov != nil {
-		if sym, ok := g.ov.base.symbolOf[label]; ok {
-			return sym
-		}
-		return NoSymbol
+		g = g.ov.base
 	}
 	if sym, ok := g.symbolOf[label]; ok {
 		return sym
@@ -366,47 +472,71 @@ func (g *Graph) EdgesWithLabel(l string) []EdgeID {
 }
 
 // NodeLabel implements λ for nodes; returns "" when unlabelled.
+//
+//pathalgebra:hotpath
 func (g *Graph) NodeLabel(id NodeID) string {
 	if g.ov != nil {
-		return g.ov.node(id).Label
+		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
+			return g.ov.extraNodes[i].Label
+		}
+		g = g.ov.base
 	}
-	return g.nodes[id].Label
+	return g.nodeLabels[g.nodeLabel[id]]
 }
 
 // EdgeLabel implements λ for edges; returns "" when unlabelled.
+//
+//pathalgebra:hotpath
 func (g *Graph) EdgeLabel(id EdgeID) string {
 	if g.ov != nil {
-		return g.ov.edge(id).Label
+		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
+			return g.ov.extraEdges[i].Label
+		}
+		g = g.ov.base
 	}
-	return g.edges[id].Label
+	return g.symbols[g.edgeSym[id]]
 }
 
 // NodeProp implements ν for nodes; returns Null when undefined.
+//
+//pathalgebra:hotpath
 func (g *Graph) NodeProp(id NodeID, prop string) Value {
 	if g.ov != nil {
-		return g.ov.node(id).Props[prop]
+		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
+			return g.ov.extraNodes[i].Props[prop]
+		}
+		g = g.ov.base
 	}
-	return g.nodes[id].Props[prop]
+	return g.nodeProps.get(uint32(id), prop)
 }
 
 // EdgeProp implements ν for edges; returns Null when undefined.
+//
+//pathalgebra:hotpath
 func (g *Graph) EdgeProp(id EdgeID, prop string) Value {
 	if g.ov != nil {
-		return g.ov.edge(id).Props[prop]
+		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
+			return g.ov.extraEdges[i].Props[prop]
+		}
+		g = g.ov.base
 	}
-	return g.edges[id].Props[prop]
+	return g.edgeProps.get(uint32(id), prop)
 }
 
-// Endpoints implements ρ.
+// Endpoints implements ρ: it reads two node-ID columns, or an appended
+// edge's row on a delta view. A search reads an edge's far end from its
+// Adjacency instead.
 //
 //pathalgebra:hotpath
 func (g *Graph) Endpoints(id EdgeID) (src, dst NodeID) {
 	if g.ov != nil {
-		e := g.ov.edge(id)
-		return e.Src, e.Dst
+		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
+			e := &g.ov.extraEdges[i]
+			return e.Src, e.Dst
+		}
+		g = g.ov.base
 	}
-	e := &g.edges[id]
-	return e.Src, e.Dst
+	return g.edgeSrc[id], g.edgeDst[id]
 }
 
 // Labels returns the sorted set of all labels used by live nodes and edges.
@@ -430,24 +560,23 @@ func (g *Graph) Labels() []string {
 	return out
 }
 
-// Builder accumulates nodes and edges and produces an immutable Graph.
-// The zero Builder is ready to use.
+// Builder accumulates nodes and edges and produces an immutable Graph. It
+// writes every object straight into the columns the Graph keeps and
+// retains none of the property maps it is given. The zero Builder is
+// ready to use.
 type Builder struct {
-	nodes []Node
-	edges []Edge
-
-	nodeByKey map[string]NodeID
-	edgeByKey map[string]EdgeID
+	nodeKeys, edgeKeys     keyBuilder
+	nodeLabels, edgeLabels labelTable
+	nodeLabel, edgeLabel   []uint32 // label IDs into the tables above
+	edgeSrc, edgeDst       []NodeID
+	nodeProps, edgeProps   propBuilder
 
 	err error
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{
-		nodeByKey: make(map[string]NodeID),
-		edgeByKey: make(map[string]EdgeID),
-	}
+	return &Builder{}
 }
 
 // AddNode appends a node with the given external key, label and properties.
@@ -455,22 +584,23 @@ func NewBuilder() *Builder {
 // paper). Errors are deferred to Build.
 func (b *Builder) AddNode(key, label string, props map[string]Value) NodeID {
 	if b.err == nil {
-		if _, dup := b.nodeByKey[key]; dup {
+		if _, dup := b.nodeKeys.find(key); dup {
 			b.err = fmt.Errorf("graph: duplicate node key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.edgeByKey[key]; dup {
+		} else if _, dup := b.edgeKeys.find(key); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
-	id := NodeID(len(b.nodes))
-	b.nodes = append(b.nodes, Node{ID: id, Key: key, Label: label, Props: cloneProps(props)})
-	b.nodeByKey[key] = id
+	id := NodeID(len(b.nodeLabel))
+	b.nodeLabel = append(b.nodeLabel, b.nodeLabels.intern(label))
+	b.note(b.nodeKeys.add(key))
+	b.note(b.nodeProps.set(uint32(id), props))
 	return id
 }
 
 // AddEdge appends a directed edge src→dst identified by key.
 func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Value) EdgeID {
-	src, okSrc := b.nodeByKey[srcKey]
-	dst, okDst := b.nodeByKey[dstKey]
+	src, okSrc := b.nodeKeys.find(srcKey)
+	dst, okDst := b.nodeKeys.find(dstKey)
 	if b.err == nil {
 		switch {
 		case !okSrc:
@@ -478,16 +608,26 @@ func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Va
 		case !okDst:
 			b.err = fmt.Errorf("graph: edge %q references unknown target node %q: %w", key, dstKey, ErrUnknownNode)
 		}
-		if _, dup := b.edgeByKey[key]; dup {
+		if _, dup := b.edgeKeys.find(key); dup {
 			b.err = fmt.Errorf("graph: duplicate edge key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.nodeByKey[key]; dup {
+		} else if _, dup := b.nodeKeys.find(key); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
-	id := EdgeID(len(b.edges))
-	b.edges = append(b.edges, Edge{ID: id, Key: key, Src: src, Dst: dst, Label: label, Props: cloneProps(props)})
-	b.edgeByKey[key] = id
+	id := EdgeID(len(b.edgeSrc))
+	b.edgeSrc = append(b.edgeSrc, NodeID(src))
+	b.edgeDst = append(b.edgeDst, NodeID(dst))
+	b.edgeLabel = append(b.edgeLabel, b.edgeLabels.intern(label))
+	b.note(b.edgeKeys.add(key))
+	b.note(b.edgeProps.set(uint32(id), props))
 	return id
+}
+
+// note records err as the Builder's error unless it already has one.
+func (b *Builder) note(err error) {
+	if b.err == nil {
+		b.err = err
+	}
 }
 
 // Err returns the first accumulated construction error, if any.
@@ -501,29 +641,21 @@ func (b *Builder) Build() (*Graph, error) {
 		return nil, b.err
 	}
 	g := &Graph{
-		nodes:        b.nodes,
-		edges:        b.edges,
-		nodeByKey:    b.nodeByKey,
-		edgeByKey:    b.edgeByKey,
-		nodesByLabel: make(map[string][]NodeID),
-		edgesByLabel: make(map[string][]EdgeID),
+		edgeSrc:    b.edgeSrc,
+		edgeDst:    b.edgeDst,
+		nodeLabels: b.nodeLabels.names,
+		nodeLabel:  b.nodeLabel,
+		nodeKeys:   b.nodeKeys.seal(),
+		edgeKeys:   b.edgeKeys.seal(),
+		nodeProps:  b.nodeProps.seal(len(b.nodeLabel)),
+		edgeProps:  b.edgeProps.seal(len(b.edgeSrc)),
 	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.Label != "" {
-			g.edgesByLabel[e.Label] = append(g.edgesByLabel[e.Label], e.ID)
-		}
-	}
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.Label != "" {
-			g.nodesByLabel[n.Label] = append(g.nodesByLabel[n.Label], n.ID)
-		}
-	}
-	g.buildSymbols()
+	g.buildSymbols(b.edgeLabels.names, b.edgeLabel)
+	g.nodesByLabel = labelIndex[NodeID](g.nodeLabels, g.nodeLabel)
+	g.edgesByLabel = labelIndex[EdgeID](g.symbols, g.edgeSym)
 	symOrder := g.edgesBySymbol()
-	g.outOff, g.outData, g.outRunOff, g.outRuns = g.buildCSR(symOrder, func(e *Edge) NodeID { return e.Src })
-	g.inOff, g.inData, g.inRunOff, g.inRuns = g.buildCSR(symOrder, func(e *Edge) NodeID { return e.Dst })
+	g.outOff, g.outData, g.outNbr, g.outRunOff, g.outRuns = g.buildCSR(symOrder, g.edgeSrc, g.edgeDst)
+	g.inOff, g.inData, g.inNbr, g.inRunOff, g.inRuns = g.buildCSR(symOrder, g.edgeDst, g.edgeSrc)
 	g.buildStats()
 	if err := g.renderKeys(); err != nil {
 		return nil, err
@@ -531,25 +663,50 @@ func (b *Builder) Build() (*Graph, error) {
 	return g, nil
 }
 
+// labelIndex returns, per non-empty label, the IDs of the objects that
+// carry it, ascending; label[i] indexes names.
+func labelIndex[ID NodeID | EdgeID, L uint32 | SymbolID](names []string, label []L) map[string][]ID {
+	counts := make([]int, len(names))
+	for _, l := range label {
+		counts[l]++
+	}
+	lists := make([][]ID, len(names))
+	out := make(map[string][]ID)
+	for l, name := range names {
+		if name != "" && counts[l] > 0 {
+			lists[l] = make([]ID, 0, counts[l])
+		}
+	}
+	for i, l := range label {
+		if lists[l] != nil {
+			lists[l] = append(lists[l], ID(i))
+		}
+	}
+	for l, ids := range lists {
+		if ids != nil {
+			out[names[l]] = ids
+		}
+	}
+	return out
+}
+
 // buildSymbols interns the distinct edge labels (including "" for
-// unlabelled edges, since λ is partial) in lexicographic order.
-func (g *Graph) buildSymbols() {
-	seen := make(map[string]bool)
-	for i := range g.edges {
-		seen[g.edges[i].Label] = true
-	}
-	g.symbols = make([]string, 0, len(seen))
-	for l := range seen {
-		g.symbols = append(g.symbols, l)
-	}
+// unlabelled edges, since λ is partial) in lexicographic order; labels and
+// label are the Builder's first-seen interning of them.
+func (g *Graph) buildSymbols(labels []string, label []uint32) {
+	g.symbols = append([]string(nil), labels...)
 	sort.Strings(g.symbols)
 	g.symbolOf = make(map[string]SymbolID, len(g.symbols))
 	for i, l := range g.symbols {
 		g.symbolOf[l] = SymbolID(i)
 	}
-	g.edgeSym = make([]SymbolID, len(g.edges))
-	for i := range g.edges {
-		g.edgeSym[i] = g.symbolOf[g.edges[i].Label]
+	remap := make([]SymbolID, len(labels))
+	for i, l := range labels {
+		remap[i] = g.symbolOf[l]
+	}
+	g.edgeSym = make([]SymbolID, len(label))
+	for i, l := range label {
+		g.edgeSym[i] = remap[l]
 	}
 }
 
@@ -563,54 +720,63 @@ func (g *Graph) edgesBySymbol() []EdgeID {
 	for i := 0; i < len(g.symbols); i++ {
 		counts[i+1] += counts[i]
 	}
-	out := make([]EdgeID, len(g.edges))
-	for i := range g.edges { // ascending ID keeps the ID-minor order stable
-		s := g.edgeSym[i]
+	out := make([]EdgeID, len(g.edgeSym))
+	for i, s := range g.edgeSym { // ascending ID keeps the ID-minor order stable
 		out[counts[s]] = EdgeID(i)
 		counts[s]++
 	}
 	return out
 }
 
-// buildCSR flattens one adjacency direction into offset+data arrays with
-// each node's range partitioned into label-homogeneous runs: edges sort by
-// (endpoint node, label symbol, edge ID). Traversing the edges in
+// buildCSR flattens one adjacency direction into offset, data and
+// neighbour arrays, each node's range keyed by end[e] and partitioned into
+// label-homogeneous runs: edges sort by (endpoint node, label symbol, edge
+// ID), and nbr holds other[e] beside each edge. Traversing the edges in
 // symbol-major order (symOrder) while appending at per-node cursors yields
 // each node's range already in (symbol, ID) order, so the whole build is
 // O(V+E+S) time and O(V) extra memory regardless of label cardinality.
-func (g *Graph) buildCSR(symOrder []EdgeID, endpoint func(*Edge) NodeID) (off []int32, data []EdgeID, runOff []int32, runs []SymbolRun) {
-	n := len(g.nodes)
+func (g *Graph) buildCSR(symOrder []EdgeID, end, other []NodeID) (off []int32, data []EdgeID, nbr []NodeID, runOff []int32, runs []SymbolRun) {
+	n := len(g.nodeLabel)
 	off = make([]int32, n+1)
-	for i := range g.edges {
-		off[endpoint(&g.edges[i])+1]++
+	for _, v := range end {
+		off[v+1]++
 	}
 	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	data = make([]EdgeID, len(g.edges))
+	data = make([]EdgeID, len(end))
+	nbr = make([]NodeID, len(end))
 	cursor := make([]int32, n)
 	for _, e := range symOrder {
-		v := endpoint(&g.edges[e])
+		v := end[e]
 		data[off[v]+cursor[v]] = e
+		nbr[off[v]+cursor[v]] = other[e]
 		cursor[v]++
 	}
-	// Scan each node's range into runs.
+	// Count each node's runs, then scan its range into them.
 	runOff = make([]int32, n+1)
 	for v := 0; v < n; v++ {
-		runOff[v] = int32(len(runs))
-		lo := off[v]
+		runOff[v+1] = runOff[v]
+		for i := off[v]; i < off[v+1]; i++ {
+			if i == off[v] || g.edgeSym[data[i]] != g.edgeSym[data[i-1]] {
+				runOff[v+1]++
+			}
+		}
+	}
+	runs = make([]SymbolRun, 0, runOff[n])
+	for v := 0; v < n; v++ {
+		base, lo := off[v], off[v]
 		for lo < off[v+1] {
 			sym := g.edgeSym[data[lo]]
 			hi := lo + 1
 			for hi < off[v+1] && g.edgeSym[data[hi]] == sym {
 				hi++
 			}
-			runs = append(runs, SymbolRun{Sym: sym, Edges: data[lo:hi:hi]})
+			runs = append(runs, SymbolRun{Sym: sym, Lo: lo - base, Hi: hi - base})
 			lo = hi
 		}
 	}
-	runOff[n] = int32(len(runs))
-	return off, data, runOff, runs
+	return off, data, nbr, runOff, runs
 }
 
 // MustBuild is Build for tests and fixtures; it panics on error.
@@ -620,17 +786,6 @@ func (b *Builder) MustBuild() *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func cloneProps(props map[string]Value) map[string]Value {
-	if len(props) == 0 {
-		return nil
-	}
-	out := make(map[string]Value, len(props))
-	for k, v := range props {
-		out[k] = v
-	}
-	return out
 }
 
 // Props is a convenience constructor for property maps in fixtures:

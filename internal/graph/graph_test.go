@@ -117,9 +117,10 @@ func TestSymbolTable(t *testing.T) {
 }
 
 // runSymbol returns the symbol of the out-run of e's source that holds e.
-func runSymbol(g *Graph, e *Edge) SymbolID {
-	for _, r := range g.OutRuns(e.Src) {
-		for _, id := range r.Edges {
+func runSymbol(g *Graph, e Edge) SymbolID {
+	adj := g.OutRuns(e.Src)
+	for _, r := range adj.Runs {
+		for _, id := range adj.Edges[r.Lo:r.Hi] {
 			if id == e.ID {
 				return r.Sym
 			}
@@ -156,7 +157,7 @@ func TestCSRAdjacency(t *testing.T) {
 	if got, want := strings.Join(keys(g.Out(a.ID)), ","), "e1,e3,e0,e2"; got != want {
 		t.Errorf("Out(a) = %s, want %s (symbol-major, ID-minor)", got, want)
 	}
-	runs := g.OutRuns(a.ID)
+	runs := g.OutRuns(a.ID).Runs
 	if len(runs) != 2 {
 		t.Fatalf("OutRuns(a) has %d runs, want 2", len(runs))
 	}
@@ -181,7 +182,7 @@ func TestCSRAdjacency(t *testing.T) {
 	if got := len(g.Out(c.ID)); got != 0 {
 		t.Errorf("Out(c) has %d edges, want 0", got)
 	}
-	if got := len(g.OutRuns(c.ID)); got != 0 {
+	if got := len(g.OutRuns(c.ID).Runs); got != 0 {
 		t.Errorf("OutRuns(c) has %d runs, want 0", got)
 	}
 }
@@ -302,6 +303,48 @@ func TestJSONRoundTrip(t *testing.T) {
 	e, _ := g2.EdgeByKey("e1")
 	if got := g2.EdgeProp(e.ID, "since"); got.Int() != 2010 {
 		t.Errorf("since after round trip = %v, want 2010", got)
+	}
+}
+
+// TestDeltaViewJSON: a delta view writes its live objects — what its
+// compaction writes, and what reads back to the same graph.
+func TestDeltaViewJSON(t *testing.T) {
+	s := NewStore(buildSample(t), StoreOptions{CompactThreshold: -1})
+	defer s.Close()
+	if _, err := s.Apply(Batch{Ops: []Op{
+		{Kind: OpAddNode, Key: "n4", Label: "Person", Props: Props("name", "Lisa", "age", 8)},
+		{Kind: OpAddEdge, Key: "e4", Src: "n4", Dst: "n1", Label: "Knows", Props: Props("since", 2020)},
+		{Kind: OpDelEdge, Key: "e2"},
+		{Kind: OpDelNode, Key: "n2"},
+	}}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	write := func(g *Graph) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		return buf.String()
+	}
+	delta := s.Graph()
+	got := write(delta)
+	if err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if want := write(s.Graph()); got != want {
+		t.Fatalf("delta view writes\n%s\nits compaction writes\n%s", got, want)
+	}
+	back, err := ReadJSON(strings.NewReader(got))
+	if err != nil {
+		t.Fatalf("ReadJSON: %v", err)
+	}
+	if again := write(back); again != got {
+		t.Fatalf("read back, the delta view's JSON writes\n%s\nwant\n%s", again, got)
+	}
+	if back.LiveNodes() != delta.LiveNodes() || back.LiveEdges() != delta.LiveEdges() {
+		t.Fatalf("read back %d nodes, %d edges; the delta view has %d, %d",
+			back.LiveNodes(), back.LiveEdges(), delta.LiveNodes(), delta.LiveEdges())
 	}
 }
 

@@ -82,37 +82,34 @@ func fromJSONValue(v jsonValue) (Value, error) {
 	}
 }
 
-// WriteJSON serializes the graph as a single JSON document.
+// WriteJSON serializes the graph's live nodes and edges, in ID order, as a
+// single JSON document. A delta view writes what its compaction would.
 func (g *Graph) WriteJSON(w io.Writer) error {
 	doc := jsonGraph{
-		Nodes: make([]jsonNode, 0, len(g.nodes)),
-		Edges: make([]jsonEdge, 0, len(g.edges)),
+		Nodes: make([]jsonNode, 0, g.LiveNodes()),
+		Edges: make([]jsonEdge, 0, g.LiveEdges()),
 	}
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		jn := jsonNode{Key: n.Key, Label: n.Label}
-		if len(n.Props) > 0 {
-			jn.Props = make(map[string]jsonValue, len(n.Props))
-			for k, v := range n.Props {
-				jn.Props[k] = toJSONValue(v)
-			}
-		}
-		doc.Nodes = append(doc.Nodes, jn)
+	for _, n := range g.Nodes() {
+		doc.Nodes = append(doc.Nodes, jsonNode{Key: n.Key, Label: n.Label, Props: toJSONProps(n.Props)})
 	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		je := jsonEdge{Key: e.Key, Src: g.nodes[e.Src].Key, Dst: g.nodes[e.Dst].Key, Label: e.Label}
-		if len(e.Props) > 0 {
-			je.Props = make(map[string]jsonValue, len(e.Props))
-			for k, v := range e.Props {
-				je.Props[k] = toJSONValue(v)
-			}
-		}
-		doc.Edges = append(doc.Edges, je)
+	for _, e := range g.Edges() {
+		doc.Edges = append(doc.Edges, jsonEdge{Key: e.Key, Src: g.NodeKey(e.Src), Dst: g.NodeKey(e.Dst),
+			Label: e.Label, Props: toJSONProps(e.Props)})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+func toJSONProps(props map[string]Value) map[string]jsonValue {
+	if len(props) == 0 {
+		return nil
+	}
+	out := make(map[string]jsonValue, len(props))
+	for k, v := range props {
+		out[k] = toJSONValue(v)
+	}
+	return out
 }
 
 // ReadJSON parses a graph previously written by WriteJSON (or authored by

@@ -18,25 +18,19 @@ import (
 // The slab costs the keys' bytes plus two quotes and four offset bytes
 // per object, and Build one more scan of every key.
 
-// renderKeys fills g's key slab and offsets from g.nodes and g.edges.
+// renderKeys fills g's key slab and offsets from its raw key columns.
 func (g *Graph) renderKeys() error {
-	size := 2 * (len(g.nodes) + len(g.edges))
-	for i := range g.nodes {
-		size += len(g.nodes[i].Key)
-	}
-	for i := range g.edges {
-		size += len(g.edges[i].Key)
-	}
-	slab := make([]byte, 0, size)
-	g.nodeKeyOff = make([]uint32, len(g.nodes)+1)
-	for i := range g.nodes {
-		slab = appendKeyJSON(slab, g.nodes[i].Key)
+	nodes, edges := g.NumNodes(), g.NumEdges()
+	slab := make([]byte, 0, 2*(nodes+edges)+len(g.nodeKeys.text)+len(g.edgeKeys.text))
+	g.nodeKeyOff = make([]uint32, nodes+1)
+	for i := 0; i < nodes; i++ {
+		slab = appendKeyJSON(slab, g.nodeKeys.key(uint32(i)))
 		g.nodeKeyOff[i+1] = uint32(len(slab))
 	}
-	g.edgeKeyOff = make([]uint32, len(g.edges)+1)
+	g.edgeKeyOff = make([]uint32, edges+1)
 	g.edgeKeyOff[0] = uint32(len(slab))
-	for i := range g.edges {
-		slab = appendKeyJSON(slab, g.edges[i].Key)
+	for i := 0; i < edges; i++ {
+		slab = appendKeyJSON(slab, g.edgeKeys.key(uint32(i)))
 		g.edgeKeyOff[i+1] = uint32(len(slab))
 	}
 	if uint64(len(slab)) > math.MaxUint32 {
@@ -53,8 +47,8 @@ func (g *Graph) renderKeys() error {
 func (g *Graph) AppendNodeKeyJSON(buf []byte, id NodeID) []byte {
 	s := g
 	if g.ov != nil {
-		if int(id) >= len(g.ov.base.nodes) {
-			return appendKeyJSON(buf, g.ov.node(id).Key)
+		if int(id) >= g.ov.base.NumNodes() {
+			return appendKeyJSON(buf, g.NodeKey(id))
 		}
 		s = g.ov.base
 	}
@@ -67,8 +61,8 @@ func (g *Graph) AppendNodeKeyJSON(buf []byte, id NodeID) []byte {
 func (g *Graph) AppendEdgeKeyJSON(buf []byte, id EdgeID) []byte {
 	s := g
 	if g.ov != nil {
-		if int(id) >= len(g.ov.base.edges) {
-			return appendKeyJSON(buf, g.ov.edge(id).Key)
+		if int(id) >= g.ov.base.NumEdges() {
+			return appendKeyJSON(buf, g.EdgeKey(id))
 		}
 		s = g.ov.base
 	}

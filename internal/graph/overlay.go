@@ -17,8 +17,8 @@ import "sort"
 type overlay struct {
 	base *Graph // sealed epoch, base.ov == nil
 
-	// Appended objects; ID i >= len(base.nodes) lives at
-	// extraNodes[i-len(base.nodes)], mirrored for edges and edge symbols.
+	// Appended objects, as rows; ID i >= base.NumNodes() lives at
+	// extraNodes[i-base.NumNodes()], mirrored for edges and edge symbols.
 	extraNodes   []Node
 	extraEdges   []Edge
 	extraEdgeSym []SymbolID
@@ -29,8 +29,8 @@ type overlay struct {
 
 	// Fully materialized live adjacency of every node whose edge set the
 	// delta changed (and of every appended or tombstoned node).
-	outPatch map[NodeID]nodeAdj
-	inPatch  map[NodeID]nodeAdj
+	outPatch map[NodeID]Adjacency
+	inPatch  map[NodeID]Adjacency
 
 	// Key-space patches: added* map keys introduced by deltas (possibly
 	// reusing a tombstoned base key), dead* mark base keys tombstoned and
@@ -49,96 +49,51 @@ type overlay struct {
 	liveEdges int
 }
 
-// nodeAdj is one patched node's live adjacency in CSR order: data holds
-// the edge IDs ascending by (symbol, edge ID), runs partitions data into
-// label-homogeneous runs with symbols ascending.
-type nodeAdj struct {
-	data []EdgeID
-	runs []SymbolRun
-}
+// view returns the overlay as a delta view, for reads mid-batch.
+func (ov *overlay) view() *Graph { return &Graph{ov: ov} }
 
-func (ov *overlay) node(id NodeID) *Node {
-	if int(id) < len(ov.base.nodes) {
-		return &ov.base.nodes[id]
-	}
-	return &ov.extraNodes[int(id)-len(ov.base.nodes)]
-}
-
-func (ov *overlay) edge(id EdgeID) *Edge {
-	if int(id) < len(ov.base.edges) {
-		return &ov.base.edges[id]
-	}
-	return &ov.extraEdges[int(id)-len(ov.base.edges)]
-}
-
-func (ov *overlay) nodeByKey(key string) (*Node, bool) {
+func (ov *overlay) nodeByKey(key string) (NodeID, bool) {
 	if id, ok := ov.addedNodeKeys[key]; ok {
-		return ov.node(id), true
+		return id, true
 	}
 	if _, dead := ov.deadNodeKeys[key]; dead {
-		return nil, false
+		return 0, false
 	}
-	if id, ok := ov.base.nodeByKey[key]; ok {
-		return &ov.base.nodes[id], true
-	}
-	return nil, false
+	id, ok := ov.base.nodeKeys.find(key)
+	return NodeID(id), ok
 }
 
-func (ov *overlay) edgeByKey(key string) (*Edge, bool) {
+func (ov *overlay) edgeByKey(key string) (EdgeID, bool) {
 	if id, ok := ov.addedEdgeKeys[key]; ok {
-		return ov.edge(id), true
+		return id, true
 	}
 	if _, dead := ov.deadEdgeKeys[key]; dead {
-		return nil, false
+		return 0, false
 	}
-	if id, ok := ov.base.edgeByKey[key]; ok {
-		return &ov.base.edges[id], true
-	}
-	return nil, false
+	id, ok := ov.base.edgeKeys.find(key)
+	return EdgeID(id), ok
 }
 
-func (ov *overlay) out(n NodeID) []EdgeID {
+//pathalgebra:hotpath
+func (ov *overlay) outRuns(n NodeID) Adjacency {
 	if adj, ok := ov.outPatch[n]; ok {
-		return adj.data
+		return adj
 	}
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		return g.outData[g.outOff[n]:g.outOff[n+1]]
+	if int(n) < ov.base.NumNodes() {
+		return ov.base.outAdj(n)
 	}
-	return nil
+	return Adjacency{}
 }
 
-func (ov *overlay) in(n NodeID) []EdgeID {
+//pathalgebra:hotpath
+func (ov *overlay) inRuns(n NodeID) Adjacency {
 	if adj, ok := ov.inPatch[n]; ok {
-		return adj.data
+		return adj
 	}
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		return g.inData[g.inOff[n]:g.inOff[n+1]]
+	if int(n) < ov.base.NumNodes() {
+		return ov.base.inAdj(n)
 	}
-	return nil
-}
-
-func (ov *overlay) outRuns(n NodeID) []SymbolRun {
-	if adj, ok := ov.outPatch[n]; ok {
-		return adj.runs
-	}
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		return g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]]
-	}
-	return nil
-}
-
-func (ov *overlay) inRuns(n NodeID) []SymbolRun {
-	if adj, ok := ov.inPatch[n]; ok {
-		return adj.runs
-	}
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		return g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]]
-	}
-	return nil
+	return Adjacency{}
 }
 
 func (ov *overlay) nodesWithLabel(l string) []NodeID { return ov.nodesByLabel[l] }
@@ -146,38 +101,6 @@ func (ov *overlay) edgesWithLabel(l string) []EdgeID { return ov.edgesByLabel[l]
 
 func (ov *overlay) labelSets() (map[string][]NodeID, map[string][]EdgeID) {
 	return ov.nodesByLabel, ov.edgesByLabel
-}
-
-// liveNodeList materializes the live nodes in ID order — a cold path used
-// only by reporting and export, never by the evaluator.
-func (ov *overlay) liveNodeList() []Node {
-	out := make([]Node, 0, ov.liveNodes)
-	for i := range ov.base.nodes {
-		if _, dead := ov.deadNodes[NodeID(i)]; !dead {
-			out = append(out, ov.base.nodes[i])
-		}
-	}
-	for i := range ov.extraNodes {
-		if _, dead := ov.deadNodes[ov.extraNodes[i].ID]; !dead {
-			out = append(out, ov.extraNodes[i])
-		}
-	}
-	return out
-}
-
-func (ov *overlay) liveEdgeList() []Edge {
-	out := make([]Edge, 0, ov.liveEdges)
-	for i := range ov.base.edges {
-		if _, dead := ov.deadEdges[EdgeID(i)]; !dead {
-			out = append(out, ov.base.edges[i])
-		}
-	}
-	for i := range ov.extraEdges {
-		if _, dead := ov.deadEdges[ov.extraEdges[i].ID]; !dead {
-			out = append(out, ov.extraEdges[i])
-		}
-	}
-	return out
 }
 
 // deltaSize reports how many delta records the overlay carries — the
@@ -197,8 +120,8 @@ func (ov *overlay) clone() *overlay {
 		extraEdgeSym:  ov.extraEdgeSym[:len(ov.extraEdgeSym):len(ov.extraEdgeSym)],
 		deadNodes:     make(map[NodeID]struct{}, len(ov.deadNodes)),
 		deadEdges:     make(map[EdgeID]struct{}, len(ov.deadEdges)),
-		outPatch:      make(map[NodeID]nodeAdj, len(ov.outPatch)),
-		inPatch:       make(map[NodeID]nodeAdj, len(ov.inPatch)),
+		outPatch:      make(map[NodeID]Adjacency, len(ov.outPatch)),
+		inPatch:       make(map[NodeID]Adjacency, len(ov.inPatch)),
 		addedNodeKeys: make(map[string]NodeID, len(ov.addedNodeKeys)),
 		addedEdgeKeys: make(map[string]EdgeID, len(ov.addedEdgeKeys)),
 		deadNodeKeys:  make(map[string]struct{}, len(ov.deadNodeKeys)),
@@ -249,16 +172,16 @@ func emptyOverlay(base *Graph) *overlay {
 		base:          base,
 		deadNodes:     map[NodeID]struct{}{},
 		deadEdges:     map[EdgeID]struct{}{},
-		outPatch:      map[NodeID]nodeAdj{},
-		inPatch:       map[NodeID]nodeAdj{},
+		outPatch:      map[NodeID]Adjacency{},
+		inPatch:       map[NodeID]Adjacency{},
 		addedNodeKeys: map[string]NodeID{},
 		addedEdgeKeys: map[string]EdgeID{},
 		deadNodeKeys:  map[string]struct{}{},
 		deadEdgeKeys:  map[string]struct{}{},
 		nodesByLabel:  base.nodesByLabel,
 		edgesByLabel:  base.edgesByLabel,
-		liveNodes:     len(base.nodes),
-		liveEdges:     len(base.edges),
+		liveNodes:     base.NumNodes(),
+		liveEdges:     base.NumEdges(),
 	}
 }
 
@@ -266,25 +189,25 @@ func emptyOverlay(base *Graph) *overlay {
 // after its edge set changed: the surviving base run edges minus
 // tombstones, merged with the live extra edges incident to n, in
 // (symbol, edge ID) order.
-func (ov *overlay) rebuildAdj(n NodeID, out bool) nodeAdj {
+func (ov *overlay) rebuildAdj(n NodeID, out bool) Adjacency {
 	type rec struct {
 		sym SymbolID
 		id  EdgeID
+		nbr NodeID
 	}
 	var recs []rec
 	// Surviving base edges.
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		var runs []SymbolRun
+	if int(n) < ov.base.NumNodes() {
+		var adj Adjacency
 		if out {
-			runs = g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]]
+			adj = ov.base.outAdj(n)
 		} else {
-			runs = g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]]
+			adj = ov.base.inAdj(n)
 		}
-		for _, r := range runs {
-			for _, e := range r.Edges {
-				if _, dead := ov.deadEdges[e]; !dead {
-					recs = append(recs, rec{r.Sym, e})
+		for _, r := range adj.Runs {
+			for i := r.Lo; i < r.Hi; i++ {
+				if _, dead := ov.deadEdges[adj.Edges[i]]; !dead {
+					recs = append(recs, rec{r.Sym, adj.Edges[i], adj.Nbrs[i]})
 				}
 			}
 		}
@@ -295,14 +218,12 @@ func (ov *overlay) rebuildAdj(n NodeID, out bool) nodeAdj {
 		if _, dead := ov.deadEdges[e.ID]; dead {
 			continue
 		}
-		var end NodeID
+		end, nbr := e.Dst, e.Src
 		if out {
-			end = e.Src
-		} else {
-			end = e.Dst
+			end, nbr = e.Src, e.Dst
 		}
 		if end == n {
-			recs = append(recs, rec{ov.extraEdgeSym[i], e.ID})
+			recs = append(recs, rec{ov.extraEdgeSym[i], e.ID, nbr})
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
@@ -311,16 +232,16 @@ func (ov *overlay) rebuildAdj(n NodeID, out bool) nodeAdj {
 		}
 		return recs[i].id < recs[j].id
 	})
-	adj := nodeAdj{data: make([]EdgeID, len(recs))}
+	adj := Adjacency{Edges: make([]EdgeID, len(recs)), Nbrs: make([]NodeID, len(recs))}
 	for i, r := range recs {
-		adj.data[i] = r.id
+		adj.Edges[i], adj.Nbrs[i] = r.id, r.nbr
 	}
 	for i := 0; i < len(recs); {
 		j := i
 		for j < len(recs) && recs[j].sym == recs[i].sym {
 			j++
 		}
-		adj.runs = append(adj.runs, SymbolRun{Sym: recs[i].sym, Edges: adj.data[i:j]})
+		adj.Runs = append(adj.Runs, SymbolRun{Sym: recs[i].sym, Lo: int32(i), Hi: int32(j)})
 		i = j
 	}
 	return adj

@@ -121,13 +121,16 @@ func (g *Graph) buildPropIndex(key string) *propIndex {
 	var nums []holder[float64]
 	var strs []holder[string]
 	var bools []holder[uint8]
-	for i := range g.nodes {
-		v, ok := g.nodes[i].Props[key]
-		if !ok {
+	col := g.nodeProps.cols[key]
+	if col == nil {
+		return ix
+	}
+	for i, kind := range col.kinds {
+		if kind == KindNull {
 			continue
 		}
 		id := NodeID(i)
-		switch v.Kind {
+		switch v := col.value(g.nodeProps.text, uint32(i)); v.Kind {
 		case KindString:
 			strs = append(strs, holder[string]{v.str, id})
 		case KindBool:

@@ -32,9 +32,9 @@ type SymbolStats struct {
 // (node, symbol) pair, so counting runs counts distinct endpoints.
 func (g *Graph) buildStats() {
 	st := &Stats{
-		Nodes:        len(g.nodes),
-		Edges:        len(g.edges),
-		Any:          SymbolStats{Edges: len(g.edges)},
+		Nodes:        g.NumNodes(),
+		Edges:        g.NumEdges(),
+		Any:          SymbolStats{Edges: g.NumEdges()},
 		symbols:      make([]SymbolStats, len(g.symbols)),
 		symbolOf:     g.symbolOf,
 		nodesByLabel: g.nodesByLabel,
@@ -42,13 +42,13 @@ func (g *Graph) buildStats() {
 	}
 	for _, run := range g.outRuns {
 		s := &st.symbols[run.Sym]
-		s.Edges += len(run.Edges)
+		s.Edges += int(run.Hi - run.Lo)
 		s.DistinctSrc++
 	}
 	for _, run := range g.inRuns {
 		st.symbols[run.Sym].DistinctDst++
 	}
-	for v := range g.nodes {
+	for v := 0; v < g.NumNodes(); v++ {
 		if g.outOff[v+1] > g.outOff[v] {
 			st.Any.DistinctSrc++
 		}

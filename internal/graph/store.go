@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime/debug"
 	"sync"
@@ -390,11 +391,17 @@ func (g *Graph) Rebuild() (*Graph, error) {
 		return g, nil
 	}
 	b := NewBuilder()
-	for _, n := range g.Nodes() {
-		b.AddNode(n.Key, n.Label, n.Props)
+	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+		if g.NodeAlive(id) {
+			n := g.Node(id)
+			b.AddNode(n.Key, n.Label, n.Props)
+		}
 	}
-	for _, e := range g.Edges() {
-		b.AddEdge(e.Key, g.Node(e.Src).Key, g.Node(e.Dst).Key, e.Label, e.Props)
+	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
+		if g.EdgeAlive(id) {
+			e := g.Edge(id)
+			b.AddEdge(e.Key, g.NodeKey(e.Src), g.NodeKey(e.Dst), e.Label, e.Props)
+		}
 	}
 	return b.Build()
 }
@@ -487,9 +494,9 @@ func (ov *overlay) applyAddNode(op Op, eff *effects) error {
 	if ov.keyInUse(op.Key) {
 		return fmt.Errorf("add_node %q: %w", op.Key, ErrDuplicateKey)
 	}
-	id := NodeID(len(ov.base.nodes) + len(ov.extraNodes))
+	id := NodeID(ov.base.NumNodes() + len(ov.extraNodes))
 	ov.extraNodes = append(ov.extraNodes, Node{
-		ID: id, Key: op.Key, Label: op.Label, Props: cloneProps(op.Props),
+		ID: id, Key: op.Key, Label: op.Label, Props: maps.Clone(op.Props),
 	})
 	ov.addedNodeKeys[op.Key] = id
 	ov.liveNodes++
@@ -516,16 +523,16 @@ func (ov *overlay) applyAddEdge(op Op, eff *effects) error {
 	} else {
 		eff.newLabel = true // forces an inline reseal; sym stays NoSymbol
 	}
-	id := EdgeID(len(ov.base.edges) + len(ov.extraEdges))
+	id := EdgeID(ov.base.NumEdges() + len(ov.extraEdges))
 	ov.extraEdges = append(ov.extraEdges, Edge{
-		ID: id, Key: op.Key, Src: src.ID, Dst: dst.ID, Label: op.Label, Props: cloneProps(op.Props),
+		ID: id, Key: op.Key, Src: src, Dst: dst, Label: op.Label, Props: maps.Clone(op.Props),
 	})
 	ov.extraEdgeSym = append(ov.extraEdgeSym, sym)
 	ov.addedEdgeKeys[op.Key] = id
 	ov.liveEdges++
 	eff.edgeLabels[op.Label] = struct{}{}
-	eff.touchedOut[src.ID] = struct{}{}
-	eff.touchedIn[dst.ID] = struct{}{}
+	eff.touchedOut[src] = struct{}{}
+	eff.touchedIn[dst] = struct{}{}
 	eff.anyEdge = true
 	return nil
 }
@@ -536,21 +543,21 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 		return fmt.Errorf("del_node %q: %w", op.Key, ErrUnknownKey)
 	}
 	// Cascade: every live incident edge dies with its endpoint.
-	for _, e := range ov.liveIncident(n.ID) {
+	for _, e := range ov.liveIncident(n) {
 		ov.killEdge(e, eff)
 	}
-	ov.deadNodes[n.ID] = struct{}{}
+	ov.deadNodes[n] = struct{}{}
 	if _, added := ov.addedNodeKeys[op.Key]; added {
 		delete(ov.addedNodeKeys, op.Key)
 	}
-	if _, inBase := ov.base.nodeByKey[op.Key]; inBase {
+	if _, inBase := ov.base.nodeKeys.find(op.Key); inBase {
 		ov.deadNodeKeys[op.Key] = struct{}{}
 	}
 	ov.liveNodes--
-	eff.nodeLabels[n.Label] = struct{}{}
+	eff.nodeLabels[ov.view().NodeLabel(n)] = struct{}{}
 	eff.anyNode = true
-	eff.touchedOut[n.ID] = struct{}{}
-	eff.touchedIn[n.ID] = struct{}{}
+	eff.touchedOut[n] = struct{}{}
+	eff.touchedIn[n] = struct{}{}
 	return nil
 }
 
@@ -559,17 +566,17 @@ func (ov *overlay) applyDelEdge(op Op, eff *effects) error {
 	if !ok {
 		return fmt.Errorf("del_edge %q: %w", op.Key, ErrUnknownKey)
 	}
-	ov.killEdge(e.ID, eff)
+	ov.killEdge(e, eff)
 	return nil
 }
 
 func (ov *overlay) killEdge(id EdgeID, eff *effects) {
-	e := ov.edge(id)
+	e := ov.view().Edge(id)
 	ov.deadEdges[id] = struct{}{}
 	if _, added := ov.addedEdgeKeys[e.Key]; added {
 		delete(ov.addedEdgeKeys, e.Key)
 	}
-	if _, inBase := ov.base.edgeByKey[e.Key]; inBase {
+	if _, inBase := ov.base.edgeKeys.find(e.Key); inBase {
 		ov.deadEdgeKeys[e.Key] = struct{}{}
 	}
 	ov.liveEdges--
@@ -595,12 +602,11 @@ func (ov *overlay) liveIncident(n NodeID) []EdgeID {
 		seen[e] = struct{}{}
 		out = append(out, e)
 	}
-	if int(n) < len(ov.base.nodes) {
-		g := ov.base
-		for _, e := range g.outData[g.outOff[n]:g.outOff[n+1]] {
+	if int(n) < ov.base.NumNodes() {
+		for _, e := range ov.base.Out(n) {
 			add(e)
 		}
-		for _, e := range g.inData[g.inOff[n]:g.inOff[n+1]] {
+		for _, e := range ov.base.In(n) {
 			add(e)
 		}
 	}

@@ -241,10 +241,11 @@ func renderAdjacency(g *Graph) string {
 	var sb strings.Builder
 	for _, n := range g.Nodes() {
 		fmt.Fprintf(&sb, "%s[%s]:", n.Key, n.Label)
-		for _, r := range g.OutRuns(n.ID) {
-			fmt.Fprintf(&sb, " %s(", g.Edge(r.Edges[0]).Label)
-			for _, e := range r.Edges {
-				fmt.Fprintf(&sb, "%s→%s,", g.Edge(e).Key, g.Node(g.Edge(e).Dst).Key)
+		adj := g.OutRuns(n.ID)
+		for _, r := range adj.Runs {
+			fmt.Fprintf(&sb, " %s(", g.EdgeLabel(adj.Edges[r.Lo]))
+			for i := r.Lo; i < r.Hi; i++ {
+				fmt.Fprintf(&sb, "%s→%s,", g.EdgeKey(adj.Edges[i]), g.NodeKey(adj.Nbrs[i]))
 			}
 			sb.WriteString(")")
 		}

@@ -50,7 +50,7 @@ func New(g *graph.Graph, nodes []graph.NodeID, edges []graph.EdgeID) (Path, erro
 	for i, e := range edges {
 		src, dst := g.Endpoints(e)
 		if src != nodes[i] || dst != nodes[i+1] {
-			return Path{}, fmt.Errorf("path: edge %d (%s) does not connect positions %d-%d", i, g.Edge(e).Key, i, i+1)
+			return Path{}, fmt.Errorf("path: edge %d (%s) does not connect positions %d-%d", i, g.EdgeKey(e), i, i+1)
 		}
 	}
 	fp := fpStart(uint64(nodes[0]))
@@ -70,17 +70,17 @@ func FromKeys(g *graph.Graph, keys ...string) (Path, error) {
 	edges := make([]graph.EdgeID, 0, len(keys)/2)
 	for i, k := range keys {
 		if i%2 == 0 {
-			n, ok := g.NodeByKey(k)
+			n, ok := g.NodeIDByKey(k)
 			if !ok {
 				return Path{}, fmt.Errorf("path: unknown node key %q", k)
 			}
-			nodes = append(nodes, n.ID)
+			nodes = append(nodes, n)
 		} else {
-			e, ok := g.EdgeByKey(k)
+			e, ok := g.EdgeIDByKey(k)
 			if !ok {
 				return Path{}, fmt.Errorf("path: unknown edge key %q", k)
 			}
-			edges = append(edges, e.ID)
+			edges = append(edges, e)
 		}
 	}
 	return New(g, nodes, edges)
@@ -275,10 +275,10 @@ func (p Path) Format(g *graph.Graph) string {
 	for i, n := range p.nodes {
 		if i > 0 {
 			sb.WriteString(", ")
-			sb.WriteString(g.Edge(p.edges[i-1]).Key)
+			sb.WriteString(g.EdgeKey(p.edges[i-1]))
 			sb.WriteString(", ")
 		}
-		sb.WriteString(g.Node(n).Key)
+		sb.WriteString(g.NodeKey(n))
 	}
 	sb.WriteByte(')')
 	return sb.String()

@@ -75,7 +75,7 @@ func Figure1(w io.Writer, g *graph.Graph) error {
 		fmt.Fprintf(w, "  %-3s :%-8s %s\n", n.Key, n.Label, formatProps(n.Props))
 	}
 	for _, e := range g.Edges() {
-		fmt.Fprintf(w, "  %-3s %s -[%s]-> %s\n", e.Key, g.Node(e.Src).Key, e.Label, g.Node(e.Dst).Key)
+		fmt.Fprintf(w, "  %-3s %s -[%s]-> %s\n", e.Key, g.NodeKey(e.Src), e.Label, g.NodeKey(e.Dst))
 	}
 	return nil
 }

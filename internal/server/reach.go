@@ -173,8 +173,8 @@ func renderReach(res *engine.ReachResult) reachResponse {
 		resp.Pairs = make([]reachPairJSON, len(res.Pairs))
 		for i, p := range res.Pairs {
 			resp.Pairs[i] = reachPairJSON{
-				Src: res.Graph.Node(p.Src).Key,
-				Dst: res.Graph.Node(p.Dst).Key,
+				Src: res.Graph.NodeKey(p.Src),
+				Dst: res.Graph.NodeKey(p.Dst),
 			}
 			if res.Lengths != nil {
 				l := res.Lengths[i]
