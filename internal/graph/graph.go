@@ -234,8 +234,8 @@ func (g *Graph) EdgeAlive(id EdgeID) bool {
 // addressable (paths evaluated on this view never contain them).
 func (g *Graph) Node(id NodeID) Node {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
-			return g.ov.extraNodes[i]
+		if n := g.ov.extraNode(id); n != nil {
+			return *n
 		}
 		g = g.ov.base
 	}
@@ -245,8 +245,8 @@ func (g *Graph) Node(id NodeID) Node {
 // Edge returns the edge with the given ID as a row (see Node).
 func (g *Graph) Edge(id EdgeID) Edge {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
-			return g.ov.extraEdges[i]
+		if e := g.ov.extraEdge(id); e != nil {
+			return *e
 		}
 		g = g.ov.base
 	}
@@ -299,10 +299,7 @@ func (g *Graph) EdgeIDByKey(key string) (EdgeID, bool) {
 //pathalgebra:hotpath
 func (g *Graph) NodeKey(id NodeID) string {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
-			return g.ov.extraNodes[i].Key
-		}
-		g = g.ov.base
+		return g.ov.nodeKey(id)
 	}
 	return g.nodeKeys.key(uint32(id))
 }
@@ -312,10 +309,7 @@ func (g *Graph) NodeKey(id NodeID) string {
 //pathalgebra:hotpath
 func (g *Graph) EdgeKey(id EdgeID) string {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
-			return g.ov.extraEdges[i].Key
-		}
-		g = g.ov.base
+		return g.ov.edgeKey(id)
 	}
 	return g.edgeKeys.key(uint32(id))
 }
@@ -388,8 +382,8 @@ func (g *Graph) InRuns(n NodeID) Adjacency {
 func (g *Graph) outAdj(n NodeID) Adjacency {
 	lo, hi := g.outOff[n], g.outOff[n+1]
 	return Adjacency{
-		Edges: g.outData[lo:hi:hi],
-		Nbrs:  g.outNbr[lo:hi:hi],
+		Edges: g.outData[lo:hi],
+		Nbrs:  g.outNbr[lo:hi],
 		Runs:  g.outRuns[g.outRunOff[n]:g.outRunOff[n+1]],
 	}
 }
@@ -400,8 +394,8 @@ func (g *Graph) outAdj(n NodeID) Adjacency {
 func (g *Graph) inAdj(n NodeID) Adjacency {
 	lo, hi := g.inOff[n], g.inOff[n+1]
 	return Adjacency{
-		Edges: g.inData[lo:hi:hi],
-		Nbrs:  g.inNbr[lo:hi:hi],
+		Edges: g.inData[lo:hi],
+		Nbrs:  g.inNbr[lo:hi],
 		Runs:  g.inRuns[g.inRunOff[n]:g.inRunOff[n+1]],
 	}
 }
@@ -415,7 +409,7 @@ func (g *Graph) inAdj(n NodeID) Adjacency {
 func (g *Graph) OutWithSymbol(n NodeID, sym SymbolID) []EdgeID {
 	adj := g.OutRuns(n)
 	if r, ok := adj.Find(sym); ok {
-		return adj.Edges[r.Lo:r.Hi]
+		return adj.Edges[r.Lo:r.Hi:r.Hi]
 	}
 	return nil
 }
@@ -426,7 +420,7 @@ func (g *Graph) OutWithSymbol(n NodeID, sym SymbolID) []EdgeID {
 func (g *Graph) InWithSymbol(n NodeID, sym SymbolID) []EdgeID {
 	adj := g.InRuns(n)
 	if r, ok := adj.Find(sym); ok {
-		return adj.Edges[r.Lo:r.Hi]
+		return adj.Edges[r.Lo:r.Hi:r.Hi]
 	}
 	return nil
 }
@@ -476,10 +470,7 @@ func (g *Graph) EdgesWithLabel(l string) []EdgeID {
 //pathalgebra:hotpath
 func (g *Graph) NodeLabel(id NodeID) string {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
-			return g.ov.extraNodes[i].Label
-		}
-		g = g.ov.base
+		return g.ov.nodeLabel(id)
 	}
 	return g.nodeLabels[g.nodeLabel[id]]
 }
@@ -489,10 +480,7 @@ func (g *Graph) NodeLabel(id NodeID) string {
 //pathalgebra:hotpath
 func (g *Graph) EdgeLabel(id EdgeID) string {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
-			return g.ov.extraEdges[i].Label
-		}
-		g = g.ov.base
+		return g.ov.edgeLabel(id)
 	}
 	return g.symbols[g.edgeSym[id]]
 }
@@ -502,10 +490,7 @@ func (g *Graph) EdgeLabel(id EdgeID) string {
 //pathalgebra:hotpath
 func (g *Graph) NodeProp(id NodeID, prop string) Value {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumNodes(); i >= 0 {
-			return g.ov.extraNodes[i].Props[prop]
-		}
-		g = g.ov.base
+		return g.ov.nodeProp(id, prop)
 	}
 	return g.nodeProps.get(uint32(id), prop)
 }
@@ -515,10 +500,7 @@ func (g *Graph) NodeProp(id NodeID, prop string) Value {
 //pathalgebra:hotpath
 func (g *Graph) EdgeProp(id EdgeID, prop string) Value {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
-			return g.ov.extraEdges[i].Props[prop]
-		}
-		g = g.ov.base
+		return g.ov.edgeProp(id, prop)
 	}
 	return g.edgeProps.get(uint32(id), prop)
 }
@@ -530,11 +512,7 @@ func (g *Graph) EdgeProp(id EdgeID, prop string) Value {
 //pathalgebra:hotpath
 func (g *Graph) Endpoints(id EdgeID) (src, dst NodeID) {
 	if g.ov != nil {
-		if i := int(id) - g.ov.base.NumEdges(); i >= 0 {
-			e := &g.ov.extraEdges[i]
-			return e.Src, e.Dst
-		}
-		g = g.ov.base
+		return g.ov.endpoints(id)
 	}
 	return g.edgeSrc[id], g.edgeDst[id]
 }

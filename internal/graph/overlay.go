@@ -52,6 +52,74 @@ type overlay struct {
 // view returns the overlay as a delta view, for reads mid-batch.
 func (ov *overlay) view() *Graph { return &Graph{ov: ov} }
 
+// extraNode returns node id's row when a batch appended it, nil for a
+// base ID; extraEdge is the same for edges.
+func (ov *overlay) extraNode(id NodeID) *Node {
+	if i := int(id) - ov.base.NumNodes(); i >= 0 {
+		return &ov.extraNodes[i]
+	}
+	return nil
+}
+
+func (ov *overlay) extraEdge(id EdgeID) *Edge {
+	if i := int(id) - ov.base.NumEdges(); i >= 0 {
+		return &ov.extraEdges[i]
+	}
+	return nil
+}
+
+// The delta view's halves of the Graph accessors: an appended object's
+// row, else the base's columns.
+
+func (ov *overlay) nodeKey(id NodeID) string {
+	if n := ov.extraNode(id); n != nil {
+		return n.Key
+	}
+	return ov.base.NodeKey(id)
+}
+
+func (ov *overlay) edgeKey(id EdgeID) string {
+	if e := ov.extraEdge(id); e != nil {
+		return e.Key
+	}
+	return ov.base.EdgeKey(id)
+}
+
+func (ov *overlay) nodeLabel(id NodeID) string {
+	if n := ov.extraNode(id); n != nil {
+		return n.Label
+	}
+	return ov.base.NodeLabel(id)
+}
+
+func (ov *overlay) edgeLabel(id EdgeID) string {
+	if e := ov.extraEdge(id); e != nil {
+		return e.Label
+	}
+	return ov.base.EdgeLabel(id)
+}
+
+func (ov *overlay) nodeProp(id NodeID, prop string) Value {
+	if n := ov.extraNode(id); n != nil {
+		return n.Props[prop]
+	}
+	return ov.base.NodeProp(id, prop)
+}
+
+func (ov *overlay) edgeProp(id EdgeID, prop string) Value {
+	if e := ov.extraEdge(id); e != nil {
+		return e.Props[prop]
+	}
+	return ov.base.EdgeProp(id, prop)
+}
+
+func (ov *overlay) endpoints(id EdgeID) (src, dst NodeID) {
+	if e := ov.extraEdge(id); e != nil {
+		return e.Src, e.Dst
+	}
+	return ov.base.Endpoints(id)
+}
+
 func (ov *overlay) nodeByKey(key string) (NodeID, bool) {
 	if id, ok := ov.addedNodeKeys[key]; ok {
 		return id, true
