@@ -271,6 +271,9 @@ func FuzzGraphColumns(f *testing.F) {
 	f.Add([]byte("\x03\x02n1\x01\x02\x01\x03Moe\x02n2\x02\x00\x01\x02\x03\x00\x00\x00\x00\x00\x00\xf8\x7f"))
 	f.Add([]byte("\x05\x00\x01\xff\x00\x02é\x03\x01\x02\x02\x00\x01\x04\x01\x01e\x02\x01\x02\x00\x03\x01\x02"))
 	f.Add([]byte("\x07\x01a\x01\x01b\x01\x01c\x01\x01d\x04\x00\x01\x02\x03\x01x\x01y\x03\x02\x05\x06\x07\x08"))
+	// A batch that adds edges between base nodes, so the delta view
+	// rebuilds their adjacency in both directions.
+	f.Add([]byte("7100000000102$000000C00000C01000120020000017007011117010"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		m := &rowModel{nodes: map[string]Node{}, edges: map[string]rowEdge{}}

@@ -175,7 +175,7 @@ type Graph struct {
 // to skip them, or LiveNodes for the live count.
 func (g *Graph) NumNodes() int {
 	if g.ov != nil {
-		return g.ov.base.NumNodes() + len(g.ov.extraNodes)
+		return len(g.ov.base.nodeLabel) + len(g.ov.extraNodes)
 	}
 	return len(g.nodeLabel)
 }
@@ -183,7 +183,7 @@ func (g *Graph) NumNodes() int {
 // NumEdges returns the size of the edge ID space (see NumNodes).
 func (g *Graph) NumEdges() int {
 	if g.ov != nil {
-		return g.ov.base.NumEdges() + len(g.ov.extraEdges)
+		return len(g.ov.base.edgeSrc) + len(g.ov.extraEdges)
 	}
 	return len(g.edgeSrc)
 }

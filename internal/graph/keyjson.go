@@ -47,8 +47,8 @@ func (g *Graph) renderKeys() error {
 func (g *Graph) AppendNodeKeyJSON(buf []byte, id NodeID) []byte {
 	s := g
 	if g.ov != nil {
-		if int(id) >= g.ov.base.NumNodes() {
-			return appendKeyJSON(buf, g.NodeKey(id))
+		if o := g.ov.extraNode(id); o != nil {
+			return appendKeyJSON(buf, o.Key)
 		}
 		s = g.ov.base
 	}
@@ -61,8 +61,8 @@ func (g *Graph) AppendNodeKeyJSON(buf []byte, id NodeID) []byte {
 func (g *Graph) AppendEdgeKeyJSON(buf []byte, id EdgeID) []byte {
 	s := g
 	if g.ov != nil {
-		if int(id) >= g.ov.base.NumEdges() {
-			return appendKeyJSON(buf, g.EdgeKey(id))
+		if o := g.ov.extraEdge(id); o != nil {
+			return appendKeyJSON(buf, o.Key)
 		}
 		s = g.ov.base
 	}
