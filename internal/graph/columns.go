@@ -72,14 +72,19 @@ type keyBuilder struct {
 	col keyColumn
 }
 
-// add appends key as the next ID's key. The caller checks for
-// duplicates first; a duplicate key still gets its ID, and a Builder
-// holding one fails at Build.
-func (kb *keyBuilder) add(key string) error {
+// init makes the zero keyBuilder ready to use.
+func (kb *keyBuilder) init() {
 	if kb.col.off == nil {
 		kb.col.off = []uint32{0}
 		kb.col.index = newKeyTable()
 	}
+}
+
+// add appends key as the next ID's key. The caller checks for
+// duplicates first; a duplicate key still gets its ID, and a Builder
+// holding one fails at Build.
+func (kb *keyBuilder) add(key string) error {
+	kb.init()
 	if uint64(kb.buf.Len())+uint64(len(key)) > math.MaxUint32 {
 		return fmt.Errorf("graph: keys take more than the 4 GiB their offsets address")
 	}
@@ -102,18 +107,13 @@ func (kb *keyBuilder) add(key string) error {
 
 // find is keyColumn.find over the keys added so far.
 func (kb *keyBuilder) find(key string) (uint32, bool) {
-	if kb.col.off == nil {
-		return 0, false
-	}
+	kb.init()
 	return kb.col.find(key)
 }
 
 // seal returns the finished column, its text copied to its exact size.
 func (kb *keyBuilder) seal() keyColumn {
-	if kb.col.off == nil {
-		kb.col.off = []uint32{0}
-		kb.col.index = newKeyTable()
-	}
+	kb.init()
 	col := kb.col
 	col.text = strings.Clone(kb.buf.String())
 	return col

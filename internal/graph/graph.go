@@ -136,7 +136,8 @@ type Graph struct {
 	// homogeneous runs — (symbol, edge ID) ascending — so the evaluator
 	// can iterate exactly the edges matching an automaton transition
 	// symbol with zero string hashing or comparison. The nbr arrays run
-	// parallel to the data arrays: the edge's head out, its tail in.
+	// parallel to the data arrays: the edge's head out, its tail in. A
+	// delta view holds its base's arrays here too (overlay.graph).
 	outOff, inOff       []int32     // node n's range: data[off[n]:off[n+1]]
 	outData, inData     []EdgeID    // CSR data arrays
 	outNbr, inNbr       []NodeID    // the other end of each data slot's edge
@@ -355,28 +356,36 @@ func (g *Graph) In(n NodeID) []EdgeID {
 }
 
 // OutRuns returns n's outgoing adjacency: its edges, their heads and its
-// label-homogeneous runs, symbols ascending.
+// label-homogeneous runs, symbols ascending. A delta view answers from
+// its patch for n, else from its base's CSR, whose arrays it shares
+// (overlay.graph); a node a batch appended has a patch or no edges. The
+// search calls it once per expanded node, so it stays within the
+// inliner's budget.
 //
 //pathalgebra:hotpath
 func (g *Graph) OutRuns(n NodeID) Adjacency {
 	if g.ov != nil {
-		return g.ov.outRuns(n)
+		if adj, ok := g.ov.outPatch[n]; ok || int(n) >= len(g.outRunOff)-1 {
+			return adj
+		}
 	}
 	return g.outAdj(n)
 }
 
 // InRuns returns n's incoming adjacency: its edges, their tails and its
-// label-homogeneous runs, symbols ascending.
+// label-homogeneous runs, symbols ascending (see OutRuns).
 //
 //pathalgebra:hotpath
 func (g *Graph) InRuns(n NodeID) Adjacency {
 	if g.ov != nil {
-		return g.ov.inRuns(n)
+		if adj, ok := g.ov.inPatch[n]; ok || int(n) >= len(g.inRunOff)-1 {
+			return adj
+		}
 	}
 	return g.inAdj(n)
 }
 
-// outAdj is OutRuns on a sealed graph.
+// outAdj is OutRuns from the CSR arrays.
 //
 //pathalgebra:hotpath
 func (g *Graph) outAdj(n NodeID) Adjacency {
@@ -388,7 +397,7 @@ func (g *Graph) outAdj(n NodeID) Adjacency {
 	}
 }
 
-// inAdj is InRuns on a sealed graph.
+// inAdj is InRuns from the CSR arrays.
 //
 //pathalgebra:hotpath
 func (g *Graph) inAdj(n NodeID) Adjacency {

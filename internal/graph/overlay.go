@@ -49,8 +49,15 @@ type overlay struct {
 	liveEdges int
 }
 
-// view returns the overlay as a delta view, for reads mid-batch.
-func (ov *overlay) view() *Graph { return &Graph{ov: ov} }
+// graph returns the delta view of ov. It shares the base's CSR arrays,
+// which OutRuns and InRuns read for every node the delta did not patch.
+func (ov *overlay) graph() *Graph {
+	b := ov.base
+	return &Graph{ov: ov,
+		outOff: b.outOff, outData: b.outData, outNbr: b.outNbr, outRunOff: b.outRunOff, outRuns: b.outRuns,
+		inOff: b.inOff, inData: b.inData, inNbr: b.inNbr, inRunOff: b.inRunOff, inRuns: b.inRuns,
+	}
+}
 
 // extraNode returns node id's row when a batch appended it, nil for a
 // base ID; extraEdge is the same for edges.
@@ -140,28 +147,6 @@ func (ov *overlay) edgeByKey(key string) (EdgeID, bool) {
 	}
 	id, ok := ov.base.edgeKeys.find(key)
 	return EdgeID(id), ok
-}
-
-//pathalgebra:hotpath
-func (ov *overlay) outRuns(n NodeID) Adjacency {
-	if adj, ok := ov.outPatch[n]; ok {
-		return adj
-	}
-	if int(n) < ov.base.NumNodes() {
-		return ov.base.outAdj(n)
-	}
-	return Adjacency{}
-}
-
-//pathalgebra:hotpath
-func (ov *overlay) inRuns(n NodeID) Adjacency {
-	if adj, ok := ov.inPatch[n]; ok {
-		return adj
-	}
-	if int(n) < ov.base.NumNodes() {
-		return ov.base.inAdj(n)
-	}
-	return Adjacency{}
 }
 
 func (ov *overlay) nodesWithLabel(l string) []NodeID { return ov.nodesByLabel[l] }

@@ -345,14 +345,14 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	if eff.newLabel {
 		// Reseal: the overlay's live lists are valid even though its
 		// patches were skipped — rebuild from them.
-		g, err = (&Graph{ov: ov}).Rebuild()
+		g, err = ov.graph().Rebuild()
 		if err != nil {
 			return cur.epoch, err
 		}
 		s.compactions.Add(1)
 	} else {
 		ov.finalize(eff)
-		g = &Graph{ov: ov}
+		g = ov.graph()
 	}
 	s.cur.Store(&epochState{epoch: epoch, g: g, clock: clock})
 
@@ -554,7 +554,7 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 		ov.deadNodeKeys[op.Key] = struct{}{}
 	}
 	ov.liveNodes--
-	eff.nodeLabels[ov.view().NodeLabel(n)] = struct{}{}
+	eff.nodeLabels[ov.nodeLabel(n)] = struct{}{}
 	eff.anyNode = true
 	eff.touchedOut[n] = struct{}{}
 	eff.touchedIn[n] = struct{}{}
@@ -571,18 +571,19 @@ func (ov *overlay) applyDelEdge(op Op, eff *effects) error {
 }
 
 func (ov *overlay) killEdge(id EdgeID, eff *effects) {
-	e := ov.view().Edge(id)
+	key := ov.edgeKey(id)
+	src, dst := ov.endpoints(id)
 	ov.deadEdges[id] = struct{}{}
-	if _, added := ov.addedEdgeKeys[e.Key]; added {
-		delete(ov.addedEdgeKeys, e.Key)
+	if _, added := ov.addedEdgeKeys[key]; added {
+		delete(ov.addedEdgeKeys, key)
 	}
-	if _, inBase := ov.base.edgeKeys.find(e.Key); inBase {
-		ov.deadEdgeKeys[e.Key] = struct{}{}
+	if _, inBase := ov.base.edgeKeys.find(key); inBase {
+		ov.deadEdgeKeys[key] = struct{}{}
 	}
 	ov.liveEdges--
-	eff.edgeLabels[e.Label] = struct{}{}
-	eff.touchedOut[e.Src] = struct{}{}
-	eff.touchedIn[e.Dst] = struct{}{}
+	eff.edgeLabels[ov.edgeLabel(id)] = struct{}{}
+	eff.touchedOut[src] = struct{}{}
+	eff.touchedIn[dst] = struct{}{}
 	eff.anyEdge = true
 }
 
