@@ -12,8 +12,8 @@ import (
 // garbage collector does not scan: every large array below holds only
 // integers, and every string is one long string per kind of object that
 // values are substrings of. A Builder writes the columns as objects
-// arrive; Build trims them and hands them to the Graph, so no object
-// ever exists as a row of pointers.
+// arrive; Build trims them and hands them to the Graph, so a sealed
+// graph holds no row of pointers.
 
 // keyTable finds an object's ID by its key without a string-keyed map:
 // ids maps a 64-bit hash of the key to the ID holding it, and the caller
