@@ -15,31 +15,26 @@ import (
 // arrive; Build trims them and hands them to the Graph, so a sealed
 // graph holds no row of pointers.
 
-// keyTable finds an object's ID by its key without a string-keyed map:
-// ids maps a 64-bit hash of the key to the ID holding it, and the caller
-// confirms the match against the raw key. A key whose hash is already
-// taken goes to overflow instead, so overflow is reached only by hash
-// collisions, and a lookup of a present key costs one hash, one probe of
-// a pointer-free map and one string compare.
+// keyTable finds an object's ID by its key through one pointer-free,
+// open-addressed array: slots holds ID+1, 0 marking an empty slot, and its
+// length is a power of two. A lookup probes linearly from the key's hash
+// and confirms each ID it meets against the raw key, so a hash collision
+// is only a longer probe. The table doubles once it passes half full,
+// which keeps probes short.
 type keyTable struct {
-	ids      map[uint64]uint32
-	overflow map[string]uint32
-	hash     func(string) uint64
+	slots []uint32
+	hash  func(string) uint64
 }
 
-func newKeyTable() keyTable {
-	seed := maphash.MakeSeed()
-	return keyTable{
-		ids:  make(map[uint64]uint32),
-		hash: func(s string) uint64 { return maphash.String(seed, s) },
-	}
-}
-
-// keyColumn holds one kind's raw keys in ID order — key i is
-// text[off[i]:off[i+1]] — and the table that finds an ID by its key.
+// keyColumn holds one kind's keys in ID order, each stored once between
+// its quotes — key i is text[off[i]+1:off[i+1]-1] — and the table that
+// finds an ID by its key. Bit i of clean is set when encoding/json writes
+// key i unchanged, so that text[off[i]:off[i+1]] is already its JSON
+// string.
 type keyColumn struct {
 	text  string
 	off   []uint32
+	clean []uint64
 	index keyTable
 }
 
@@ -47,22 +42,46 @@ type keyColumn struct {
 //
 //pathalgebra:hotpath
 func (c *keyColumn) key(id uint32) string {
-	return c.text[c.off[id]:c.off[id+1]]
+	return c.text[c.off[id]+1 : c.off[id+1]-1]
 }
 
 // find returns the ID whose key is key.
 //
 //pathalgebra:hotpath
 func (c *keyColumn) find(key string) (uint32, bool) {
+	slots := c.index.slots
+	if len(slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(slots) - 1)
+	for i := c.index.hash(key) & mask; ; i = (i + 1) & mask {
+		s := slots[i]
+		if s == 0 {
+			return 0, false
+		}
+		if c.key(s-1) == key {
+			return s - 1, true
+		}
+	}
+}
+
+// insert enters id, whose key the column already holds, into the table.
+// When id would fill more than half of it, the table doubles first and
+// takes the IDs below id again, which cannot double it a second time.
+func (c *keyColumn) insert(id uint32) {
 	t := &c.index
-	if id, ok := t.ids[t.hash(key)]; ok && c.key(id) == key {
-		return id, true
+	if 2*(uint64(id)+1) > uint64(len(t.slots)) {
+		t.slots = make([]uint32, max(16, 2*len(t.slots)))
+		for old := uint32(0); old < id; old++ {
+			c.insert(old)
+		}
 	}
-	if len(t.overflow) > 0 {
-		id, ok := t.overflow[key]
-		return id, ok
+	mask := uint64(len(t.slots) - 1)
+	i := t.hash(c.key(id)) & mask
+	for t.slots[i] != 0 {
+		i = (i + 1) & mask
 	}
-	return 0, false
+	t.slots[i] = id + 1
 }
 
 // keyBuilder appends one kind's keys for a Builder. col.text always
@@ -75,8 +94,9 @@ type keyBuilder struct {
 // init makes the zero keyBuilder ready to use.
 func (kb *keyBuilder) init() {
 	if kb.col.off == nil {
+		seed := maphash.MakeSeed()
 		kb.col.off = []uint32{0}
-		kb.col.index = newKeyTable()
+		kb.col.index.hash = func(s string) uint64 { return maphash.String(seed, s) }
 	}
 }
 
@@ -85,30 +105,23 @@ func (kb *keyBuilder) init() {
 // holding one fails at Build.
 func (kb *keyBuilder) add(key string) error {
 	kb.init()
-	if uint64(kb.buf.Len())+uint64(len(key)) > math.MaxUint32 {
-		return fmt.Errorf("graph: keys take more than the 4 GiB their offsets address")
+	if uint64(kb.buf.Len())+uint64(len(key))+2 > math.MaxUint32 {
+		return fmt.Errorf("graph: keys and their quotes take more than the 4 GiB their offsets address")
 	}
 	id := uint32(len(kb.col.off) - 1)
+	kb.buf.WriteByte('"')
 	kb.buf.WriteString(key)
+	kb.buf.WriteByte('"')
 	kb.col.text = kb.buf.String()
 	kb.col.off = append(kb.col.off, uint32(kb.buf.Len()))
-	t := &kb.col.index
-	h := t.hash(key)
-	if _, taken := t.ids[h]; !taken {
-		t.ids[h] = id
-		return nil
+	if id%64 == 0 {
+		kb.col.clean = append(kb.col.clean, 0)
 	}
-	if t.overflow == nil {
-		t.overflow = make(map[string]uint32)
+	if jsonUnchanged(key) {
+		kb.col.clean[id/64] |= 1 << (id % 64)
 	}
-	t.overflow[key] = id
+	kb.col.insert(id)
 	return nil
-}
-
-// find is keyColumn.find over the keys added so far.
-func (kb *keyBuilder) find(key string) (uint32, bool) {
-	kb.init()
-	return kb.col.find(key)
 }
 
 // seal returns the finished column, its text copied to its exact size.

@@ -2,41 +2,56 @@ package graph
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode/utf8"
 )
 
-// TestKeyTableCollisions builds a key column whose hash is constant, so
-// that every key after the first collides and is found through the
-// overflow map.
+// TestKeyTableCollisions builds key columns whose hashes collide: one
+// hash is constant, so every key shares one probe chain, and the other
+// differs between keys only above any table's mask, so every key starts
+// probing at the same slot. Each key must be found at its ID through the
+// chain, absent keys must not be, and both must hold across the table's
+// doublings.
 func TestKeyTableCollisions(t *testing.T) {
-	var kb keyBuilder
-	kb.col.off = []uint32{0}
-	kb.col.index = keyTable{ids: map[uint64]uint32{}, hash: func(string) uint64 { return 7 }}
-	keys := []string{"n1", "", "n2", "\xff", "é", "n1\x00"}
-	for _, k := range keys {
-		if err := kb.add(k); err != nil {
-			t.Fatalf("add(%q): %v", k, err)
-		}
+	seed := maphash.MakeSeed()
+	hashes := map[string]func(string) uint64{
+		"constant":   func(string) uint64 { return 7 },
+		"above-mask": func(s string) uint64 { return maphash.String(seed, s)<<32 | 7 },
 	}
-	col := kb.seal()
-	if got := len(col.index.overflow); got != len(keys)-1 {
-		t.Fatalf("overflow holds %d keys, want %d", got, len(keys)-1)
+	keys := []string{"n1", "", "n2", "\xff", "é", "n1\x00", `"`, `\"`}
+	for i := 0; i < 100; i++ {
+		keys = append(keys, "k"+strconv.Itoa(i))
 	}
-	for i, k := range keys {
-		if id, ok := col.find(k); !ok || id != uint32(i) {
-			t.Errorf("find(%q) = %d, %v; want %d, true", k, id, ok, i)
+	for name, hash := range hashes {
+		var kb keyBuilder
+		kb.col.off = []uint32{0}
+		kb.col.index.hash = hash
+		for _, k := range keys {
+			if err := kb.add(k); err != nil {
+				t.Fatalf("%s: add(%q): %v", name, k, err)
+			}
 		}
-		if got := col.key(uint32(i)); got != k {
-			t.Errorf("key(%d) = %q, want %q", i, got, k)
+		col := kb.seal()
+		if got, want := len(col.index.slots), 16<<3; got < want {
+			t.Fatalf("%s: table has %d slots after %d keys, want at least %d (three doublings)", name, got, len(keys), want)
 		}
-	}
-	for _, k := range []string{"n3", "n", "\xfe"} {
-		if id, ok := col.find(k); ok {
-			t.Errorf("find(%q) = %d, true; want not found", k, id)
+		for i, k := range keys {
+			if id, ok := col.find(k); !ok || id != uint32(i) {
+				t.Errorf("%s: find(%q) = %d, %v; want %d, true", name, k, id, ok, i)
+			}
+			if got := col.key(uint32(i)); got != k {
+				t.Errorf("%s: key(%d) = %q, want %q", name, i, got, k)
+			}
+		}
+		for _, k := range []string{"n3", "n", "\xfe", "k100", `"n1"`, `n1"`, `""`} {
+			if id, ok := col.find(k); ok {
+				t.Errorf("%s: find(%q) = %d, true; want not found", name, k, id)
+			}
 		}
 	}
 }

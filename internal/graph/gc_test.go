@@ -21,6 +21,9 @@ func heapNow() (live, scan uint64) {
 // TestSealedGraphNotScanned checks that a sealed graph is pointer-free
 // where it is large: of the live heap a 20k-person graph adds, at most 5%
 // is memory the collector scans, so marking does not grow with the graph.
+// It also bounds that heap at 90 bytes per node and edge: each key is
+// stored once, and the table that finds it holds 4-byte IDs (a second,
+// rendered copy of the keys and a Go map from hashes to IDs took 110).
 // Lazily built indexes (postings, bitsets) are not built here.
 func TestSealedGraphNotScanned(t *testing.T) {
 	cfg := ldbc.DefaultConfig()
@@ -39,10 +42,17 @@ func TestSealedGraphNotScanned(t *testing.T) {
 	if share > 0.05 {
 		t.Errorf("the collector scans %.1f%% of the sealed graph's %d live bytes, want <= 5%%", 100*share, grew)
 	}
+	objects := g.NumNodes() + g.NumEdges()
+	perObject := float64(grew) / float64(objects)
+	t.Logf("graph: %d nodes and edges, %.1f live bytes each", objects, perObject)
+	if perObject > 90 {
+		t.Errorf("the sealed graph takes %.1f live bytes per node and edge (%d bytes for %d), want <= 90", perObject, grew, objects)
+	}
 }
 
 var (
 	sinkNode  graph.NodeID
+	sinkEdge  graph.EdgeID
 	sinkOK    bool
 	sinkKey   string
 	sinkValue graph.Value
@@ -50,7 +60,8 @@ var (
 )
 
 // BenchmarkGraphAccessors prices the sealed graph's hot accessors, each
-// over every object of a 2k-person graph in turn. Every one reads columns
+// over every object of a 2k-person graph in turn; NodeIDByKeyMiss looks up
+// keys no node has. Every one reads columns
 // only, so scripts/check_allocs.sh holds them all at 0 allocs/op.
 func BenchmarkGraphAccessors(b *testing.B) {
 	cfg := ldbc.DefaultConfig()
@@ -58,8 +69,14 @@ func BenchmarkGraphAccessors(b *testing.B) {
 	g := ldbc.MustGenerate(cfg)
 	nodes, edges := g.NumNodes(), g.NumEdges()
 	keys := make([]string, nodes)
+	misses := make([]string, nodes)
 	for i := range keys {
 		keys[i] = g.NodeKey(graph.NodeID(i))
+		misses[i] = keys[i] + "-absent"
+	}
+	edgeKeys := make([]string, edges)
+	for i := range edgeKeys {
+		edgeKeys[i] = g.EdgeKey(graph.EdgeID(i))
 	}
 	bench := func(name string, f func(i int)) {
 		b.Run(name, func(b *testing.B) {
@@ -70,6 +87,8 @@ func BenchmarkGraphAccessors(b *testing.B) {
 		})
 	}
 	bench("NodeIDByKey", func(i int) { sinkNode, sinkOK = g.NodeIDByKey(keys[i%nodes]) })
+	bench("NodeIDByKeyMiss", func(i int) { sinkNode, sinkOK = g.NodeIDByKey(misses[i%nodes]) })
+	bench("EdgeIDByKey", func(i int) { sinkEdge, sinkOK = g.EdgeIDByKey(edgeKeys[i%edges]) })
 	bench("NodeKey", func(i int) { sinkKey = g.NodeKey(graph.NodeID(i % nodes)) })
 	bench("NodeProp/string", func(i int) { sinkValue = g.NodeProp(graph.NodeID(i%nodes), "name") })
 	bench("NodeProp/int", func(i int) { sinkValue = g.NodeProp(graph.NodeID(i%nodes), "id") })

@@ -9,15 +9,15 @@
 // function as columns indexed by ID that hold no pointers (columns.go): ρ
 // as two arrays of node IDs, λ as one small interned label ID per object,
 // ν as one dense column of fixed-size cells per property key, and the
-// external keys as substrings of one string per kind, found through a
-// table keyed by the keys' hashes. The adjacency is CSR in both
+// external keys as substrings of one string per kind, found through an
+// open-addressed table of IDs. The adjacency is CSR in both
 // directions, each slot holding the edge and the node at its other end, so
 // a search step reads its neighbour where it reads its edge. The garbage
 // collector therefore marks a sealed graph in time independent of its
 // size, and Node, Edge, Nodes and Edges build row values from the columns
-// only for the callers that ask for them. Build also renders every
-// external key once as a JSON string into one pointer-free slab
-// (keyjson.go), which writers of path output copy from.
+// only for the callers that ask for them. Each key is stored once, between
+// its quotes, so writers of path output copy a key that needs no escaping
+// as its JSON string (keyjson.go).
 package graph
 
 import (
@@ -116,13 +116,6 @@ type Graph struct {
 	// External keys and ν, as columns (columns.go).
 	nodeKeys, edgeKeys   keyColumn
 	nodeProps, edgeProps propColumns
-
-	// Every key rendered once as a JSON string (keyjson.go): node n's
-	// rendering is keySlab[nodeKeyOff[n]:nodeKeyOff[n+1]], edge e's
-	// keySlab[edgeKeyOff[e]:edgeKeyOff[e+1]]. Pointer-free, so the GC
-	// does not scan it; nil on a delta view, which reads its base's.
-	keySlab                []byte
-	nodeKeyOff, edgeKeyOff []uint32
 
 	// Edge-label symbol table, built once at Build: symbols holds the
 	// distinct edge labels in lexicographic order, symbolOf inverts it,
@@ -571,9 +564,9 @@ func NewBuilder() *Builder {
 // paper). Errors are deferred to Build.
 func (b *Builder) AddNode(key, label string, props map[string]Value) NodeID {
 	if b.err == nil {
-		if _, dup := b.nodeKeys.find(key); dup {
+		if _, dup := b.nodeKeys.col.find(key); dup {
 			b.err = fmt.Errorf("graph: duplicate node key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.edgeKeys.find(key); dup {
+		} else if _, dup := b.edgeKeys.col.find(key); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
@@ -586,8 +579,8 @@ func (b *Builder) AddNode(key, label string, props map[string]Value) NodeID {
 
 // AddEdge appends a directed edge src→dst identified by key.
 func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Value) EdgeID {
-	src, okSrc := b.nodeKeys.find(srcKey)
-	dst, okDst := b.nodeKeys.find(dstKey)
+	src, okSrc := b.nodeKeys.col.find(srcKey)
+	dst, okDst := b.nodeKeys.col.find(dstKey)
 	if b.err == nil {
 		switch {
 		case !okSrc:
@@ -595,9 +588,9 @@ func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Va
 		case !okDst:
 			b.err = fmt.Errorf("graph: edge %q references unknown target node %q: %w", key, dstKey, ErrUnknownNode)
 		}
-		if _, dup := b.edgeKeys.find(key); dup {
+		if _, dup := b.edgeKeys.col.find(key); dup {
 			b.err = fmt.Errorf("graph: duplicate edge key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.nodeKeys.find(key); dup {
+		} else if _, dup := b.nodeKeys.col.find(key); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
@@ -620,9 +613,8 @@ func (b *Builder) note(err error) {
 // Err returns the first accumulated construction error, if any.
 func (b *Builder) Err() error { return b.err }
 
-// Build finalizes the graph, interning edge labels into the symbol table,
-// computing the CSR adjacency and label indexes and rendering every key
-// into the key slab.
+// Build finalizes the graph, interning edge labels into the symbol table
+// and computing the CSR adjacency and label indexes.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -644,9 +636,6 @@ func (b *Builder) Build() (*Graph, error) {
 	g.outOff, g.outData, g.outNbr, g.outRunOff, g.outRuns = g.buildCSR(symOrder, g.edgeSrc, g.edgeDst)
 	g.inOff, g.inData, g.inNbr, g.inRunOff, g.inRuns = g.buildCSR(symOrder, g.edgeDst, g.edgeSrc)
 	g.buildStats()
-	if err := g.renderKeys(); err != nil {
-		return nil, err
-	}
 	return g, nil
 }
 

@@ -362,6 +362,49 @@ func TestReadJSONErrors(t *testing.T) {
 	}
 }
 
+// FuzzReadJSON: for any bytes, ReadJSON returns an error or a graph whose
+// JSON reads back to itself — WriteJSON → ReadJSON → WriteJSON is a
+// fixpoint — and whose key tables find every key at its ID.
+func FuzzReadJSON(f *testing.F) {
+	f.Add([]byte(`{"nodes":[],"edges":[]}`))
+	f.Add([]byte(`{"nodes":[{"key":"n1","label":"Person","props":{"age":{"kind":"int","int":40},"name":{"kind":"string","str":"Moe"}}},` +
+		`{"key":"n2","props":{"score":{"kind":"float","float":4.5}}}],"edges":[{"key":"e1","src":"n1","dst":"n2","label":"Knows"}]}`))
+	f.Add([]byte(`{"nodes":[{"key":"a<b>"},{"key":"\"\\"},{"key":"\u0000\u2028"},{"key":"a` + "\xff" + `"},{"key":""}],` +
+		`"edges":[{"key":"e&","src":"a<b>","dst":"","label":"L","props":{"w":{"kind":"float","float":-0}}}]}`))
+	f.Add([]byte(`{"nodes":[{"key":"a"},{"key":"a"}],"edges":[]}`))
+	f.Add([]byte(`{"nodes":[{"key":"a","props":{"p":{"kind":"null"},"q":{"kind":"bool","bool":true}}}],"edges":[{"key":"a","src":"a","dst":"a"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := g.WriteJSON(&first); err != nil {
+			t.Fatalf("WriteJSON of an accepted graph: %v", err)
+		}
+		back, err := ReadJSON(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadJSON of WriteJSON's output: %v\n%s", err, first.Bytes())
+		}
+		if err := back.WriteJSON(&second); err != nil {
+			t.Fatalf("WriteJSON of the graph read back: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("read back, the graph writes\n%s\nwant\n%s", second.Bytes(), first.Bytes())
+		}
+		for i := 0; i < g.NumNodes(); i++ {
+			if id, ok := g.NodeIDByKey(g.NodeKey(NodeID(i))); !ok || id != NodeID(i) {
+				t.Fatalf("NodeIDByKey(%q) = %d, %v; want %d, true", g.NodeKey(NodeID(i)), id, ok, i)
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			if id, ok := g.EdgeIDByKey(g.EdgeKey(EdgeID(i))); !ok || id != EdgeID(i) {
+				t.Fatalf("EdgeIDByKey(%q) = %d, %v; want %d, true", g.EdgeKey(EdgeID(i)), id, ok, i)
+			}
+		}
+	})
+}
+
 func TestPropsHelper(t *testing.T) {
 	m := Props("s", "str", "i", 7, "i64", int64(8), "f", 1.5, "b", true, "v", IntValue(9))
 	if m["s"].Str() != "str" || m["i"].Int() != 7 || m["i64"].Int() != 8 ||

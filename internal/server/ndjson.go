@@ -27,10 +27,10 @@ import (
 // Path lines are appended straight from the path's IDs into a pooled
 // page buffer, byte-identical to encoding/json's rendering of
 // struct{Nodes, Edges []string; Len int}. The keys are not rendered
-// here: graph.Build renders each one once into the graph's key slab, and
-// a line copies those renderings (graph.AppendNodeKeyJSON and
-// AppendEdgeKeyJSON); only the keys a delta view appended are rendered
-// per line.
+// here: the graph stores each key once, between its quotes, and a line
+// copies those bytes for every key encoding/json writes unchanged
+// (graph.AppendNodeKeyJSON and AppendEdgeKeyJSON); only keys that need
+// escaping, and the keys a delta view appended, are rendered per line.
 
 // pageFlushBytes is the page buffer's high-water mark: the buffer goes
 // to the writer whenever it passes this, and once at the end of the

@@ -260,14 +260,15 @@ for case in SHORTEST_2_GROUP_ACYCLIC ANY_SHORTEST_WALK; do
 done
 
 # Graph-accessor gate: a sealed graph keeps ρ, λ, ν and its keys in
-# pointer-free columns, so its hot accessors — key lookup, key, property
-# (string and int), endpoints and a node's run view — read integers and
-# substrings and allocate ZERO times, no tolerance. A breach means an
+# pointer-free columns, so its hot accessors — key lookup (of a node key,
+# of a key no node has and of an edge key), key, property (string and
+# int), endpoints and a node's run view — read integers and substrings
+# and allocate ZERO times, no tolerance. A breach means an
 # accessor started building rows or strings again.
 out=$(go test -run xxx -bench 'BenchmarkGraphAccessors' -benchtime 100000x -benchmem ./internal/graph 2>&1)
 printf '%s\n' "$out"
 
-for case in NodeIDByKey NodeKey NodeProp/string NodeProp/int Endpoints OutRuns; do
+for case in NodeIDByKey NodeIDByKeyMiss EdgeIDByKey NodeKey NodeProp/string NodeProp/int Endpoints OutRuns; do
     allocs=$(printf '%s\n' "$out" | awk -v c="BenchmarkGraphAccessors/$case-" 'index($0, c) == 1 { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
     if [ -z "$allocs" ]; then
         echo "check_allocs: could not find BenchmarkGraphAccessors/$case allocs/op in benchmark output" >&2
