@@ -71,7 +71,7 @@ func (c *keyColumn) find(key string) (uint32, bool) {
 func (c *keyColumn) insert(id uint32) {
 	t := &c.index
 	if 2*(uint64(id)+1) > uint64(len(t.slots)) {
-		t.slots = make([]uint32, max(16, 2*len(t.slots)))
+		t.slots = make([]uint32, tableSlots(uint64(id)+1))
 		for old := uint32(0); old < id; old++ {
 			c.insert(old)
 		}
@@ -84,6 +84,48 @@ func (c *keyColumn) insert(id uint32) {
 	t.slots[i] = id + 1
 }
 
+// tableSlots is the size of a key table holding n keys: the least power
+// of two, 16 or more, that they fill at most half of.
+func tableSlots(n uint64) int {
+	size := 16
+	for uint64(size) < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// buildIndex builds the column's key table over all of its keys at once,
+// at the size insert would reach, with one probe per key that both places
+// it and finds an earlier ID holding the same key. It reports the first
+// such key's two IDs, first < dup, and then leaves the table empty.
+func (c *keyColumn) buildIndex() (first, dup uint32, ok bool) {
+	n := uint32(len(c.off) - 1)
+	c.index.hash = newKeyHash()
+	if n == 0 {
+		return 0, 0, true
+	}
+	slots := make([]uint32, tableSlots(uint64(n)))
+	mask := uint64(len(slots) - 1)
+	for id := uint32(0); id < n; id++ {
+		key := c.key(id)
+		i := c.index.hash(key) & mask
+		for ; slots[i] != 0; i = (i + 1) & mask {
+			if c.key(slots[i]-1) == key {
+				return slots[i] - 1, id, false
+			}
+		}
+		slots[i] = id + 1
+	}
+	c.index.slots = slots
+	return 0, 0, true
+}
+
+// newKeyHash returns a key table's hash under a fresh random seed.
+func newKeyHash() func(string) uint64 {
+	seed := maphash.MakeSeed()
+	return func(s string) uint64 { return maphash.String(seed, s) }
+}
+
 // keyBuilder appends one kind's keys for a Builder. col.text always
 // views buf's bytes, so find works during the build.
 type keyBuilder struct {
@@ -94,9 +136,8 @@ type keyBuilder struct {
 // init makes the zero keyBuilder ready to use.
 func (kb *keyBuilder) init() {
 	if kb.col.off == nil {
-		seed := maphash.MakeSeed()
 		kb.col.off = []uint32{0}
-		kb.col.index.hash = func(s string) uint64 { return maphash.String(seed, s) }
+		kb.col.index.hash = newKeyHash()
 	}
 }
 

@@ -278,47 +278,63 @@ func checkRuns(t *testing.T, stage string, g *Graph, adj Adjacency, want []strin
 	}
 }
 
-// FuzzGraphColumns builds a graph from fuzz bytes — arbitrary keys, labels
-// and properties of every kind — and checks the columns against a row
-// model on the sealed graph, on a Store delta view after one batch, and
-// after Compact.
-func FuzzGraphColumns(f *testing.F) {
-	f.Add([]byte("\x03\x02n1\x01\x02\x01\x03Moe\x02n2\x02\x00\x01\x02\x03\x00\x00\x00\x00\x00\x00\xf8\x7f"))
-	f.Add([]byte("\x05\x00\x01\xff\x00\x02é\x03\x01\x02\x02\x00\x01\x04\x01\x01e\x02\x01\x02\x00\x03\x01\x02"))
-	f.Add([]byte("\x07\x01a\x01\x01b\x01\x01c\x01\x01d\x04\x00\x01\x02\x03\x01x\x01y\x03\x02\x05\x06\x07\x08"))
+// columnSeeds seed FuzzGraphColumns, and through fuzzGraph the graphs
+// whose snapshots seed FuzzReadSnapshot.
+var columnSeeds = [][]byte{
+	[]byte("\x03\x02n1\x01\x02\x01\x03Moe\x02n2\x02\x00\x01\x02\x03\x00\x00\x00\x00\x00\x00\xf8\x7f"),
+	[]byte("\x05\x00\x01\xff\x00\x02é\x03\x01\x02\x02\x00\x01\x04\x01\x01e\x02\x01\x02\x00\x03\x01\x02"),
+	[]byte("\x07\x01a\x01\x01b\x01\x01c\x01\x01d\x04\x00\x01\x02\x03\x01x\x01y\x03\x02\x05\x06\x07\x08"),
 	// A batch that adds edges between base nodes, so the delta view
 	// rebuilds their adjacency in both directions.
-	f.Add([]byte("7100000000102$000000C00000C01000120020000017007011117010"))
+	[]byte("7100000000102$000000C00000C01000120020000017007011117010"),
+}
+
+// fuzzGraph builds a sealed graph from the fuzz stream and returns it with
+// its row model, its node keys in ID order and the edge labels it uses.
+func fuzzGraph(t testing.TB, in *fuzzBytes) (*Graph, *rowModel, []string, map[string]bool) {
+	t.Helper()
+	m := &rowModel{nodes: map[string]Node{}, edges: map[string]rowEdge{}}
+	b := NewBuilder()
+	var nodeKeys []string
+	for i, n := 0, int(in.byte()%12); i < n; i++ {
+		k, label, props := in.string(), fuzzLabels[in.byte()%4], in.props(false)
+		if m.hasKey(k) {
+			continue
+		}
+		b.AddNode(k, label, props)
+		m.nodes[k] = Node{Key: k, Label: label, Props: props}
+		nodeKeys = append(nodeKeys, k)
+	}
+	edgeLabels := map[string]bool{}
+	for i, n := 0, int(in.byte()%16); i < n && len(nodeKeys) > 0; i++ {
+		k := in.string()
+		src, dst := nodeKeys[int(in.byte())%len(nodeKeys)], nodeKeys[int(in.byte())%len(nodeKeys)]
+		label, props := fuzzLabels[in.byte()%4], in.props(false)
+		if m.hasKey(k) {
+			continue
+		}
+		b.AddEdge(k, src, dst, label, props)
+		m.edges[k] = rowEdge{src: src, dst: dst, label: label, props: props}
+		edgeLabels[label] = true
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	return g, m, nodeKeys, edgeLabels
+}
+
+// FuzzGraphColumns builds a graph from fuzz bytes — arbitrary keys, labels
+// and properties of every kind — and checks the columns against a row
+// model on the sealed graph, on a Store delta view after one batch, after
+// Compact, and read back from the compacted graph's snapshot.
+func FuzzGraphColumns(f *testing.F) {
+	for _, seed := range columnSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
-		m := &rowModel{nodes: map[string]Node{}, edges: map[string]rowEdge{}}
-		b := NewBuilder()
-		var nodeKeys []string
-		for i, n := 0, int(in.byte()%12); i < n; i++ {
-			k, label, props := in.string(), fuzzLabels[in.byte()%4], in.props(false)
-			if m.hasKey(k) {
-				continue
-			}
-			b.AddNode(k, label, props)
-			m.nodes[k] = Node{Key: k, Label: label, Props: props}
-			nodeKeys = append(nodeKeys, k)
-		}
-		edgeLabels := map[string]bool{}
-		for i, n := 0, int(in.byte()%16); i < n && len(nodeKeys) > 0; i++ {
-			k := in.string()
-			src, dst := nodeKeys[int(in.byte())%len(nodeKeys)], nodeKeys[int(in.byte())%len(nodeKeys)]
-			label, props := fuzzLabels[in.byte()%4], in.props(false)
-			if m.hasKey(k) {
-				continue
-			}
-			b.AddEdge(k, src, dst, label, props)
-			m.edges[k] = rowEdge{src: src, dst: dst, label: label, props: props}
-			edgeLabels[label] = true
-		}
-		g, err := b.Build()
-		if err != nil {
-			t.Fatalf("Build: %v", err)
-		}
+		g, m, nodeKeys, edgeLabels := fuzzGraph(t, &in)
 		checkColumns(t, "sealed", g, m)
 
 		// One batch of valid UTF-8 and finite values, with labels the
@@ -381,6 +397,15 @@ func FuzzGraphColumns(f *testing.F) {
 			t.Fatalf("Compact: %v", err)
 		}
 		checkColumns(t, "compacted", s.Graph(), m)
+		data, err := encodeSnapshot(s.Epoch(), s.Graph())
+		if err != nil {
+			t.Fatalf("encodeSnapshot: %v", err)
+		}
+		back, _, err := decodeSnapshot(data)
+		if err != nil {
+			t.Fatalf("decodeSnapshot of encodeSnapshot's output: %v", err)
+		}
+		checkColumns(t, "snapshot", back, m)
 	})
 }
 

@@ -22,8 +22,9 @@ import (
 // type annotation: the whole column name, colon and all, becomes a
 // string-valued property (so "created:stamp" is the string property
 // named "created:stamp"). Empty cells leave the property unset (ν is
-// partial). Cells that the JSON snapshot cannot hold are rejected:
-// invalid UTF-8 anywhere, and NaN or ±Inf in a ":float" column.
+// partial). Cells that WriteJSON cannot write back are rejected, as
+// Store.Apply rejects them: invalid UTF-8 anywhere, and NaN or ±Inf in a
+// ":float" column.
 func ReadCSV(nodes, edges io.Reader) (*Graph, error) {
 	b := NewBuilder()
 	if err := readNodeCSV(b, nodes); err != nil {
@@ -123,7 +124,7 @@ func parseProps(cols []propColumn, cells []string) (map[string]Value, error) {
 }
 
 // checkUTF8 rejects the record cr read last if a cell holds invalid
-// UTF-8: WriteJSON would rewrite it to U+FFFD, so a checkpoint would not
+// UTF-8: WriteJSON would rewrite it to U+FFFD, so an export would not
 // read back as the graph it saved.
 func checkUTF8(cr *csv.Reader, rec []string) error {
 	for i, cell := range rec {

@@ -131,10 +131,9 @@ func TestReadCSVExplicitStringSuffix(t *testing.T) {
 }
 
 // FuzzReadCSV: ReadCSV never panics, and every graph it accepts
-// checkpoints: WriteJSON succeeds and ReadJSON of its output has the
-// same adjacency and the same properties. The seeds include a NaN cell
-// and invalid UTF-8 keys and labels, which the JSON snapshot cannot
-// hold.
+// exports: WriteJSON succeeds and ReadJSON of its output has the same
+// adjacency and the same properties. The seeds include a NaN cell and
+// invalid UTF-8 keys and labels, which WriteJSON cannot write back.
 func FuzzReadCSV(f *testing.F) {
 	f.Add(nodesCSV, edgesCSV)
 	f.Add("key,label,score:float\na,L,NaN\n", "key,src,dst,label\n")

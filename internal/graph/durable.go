@@ -1,10 +1,8 @@
 package graph
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 
@@ -97,12 +95,17 @@ func OpenDurable(dir string, seed *Graph, opts StoreOptions) (*Store, error) {
 	return s, nil
 }
 
-// writeSnapshot atomically writes the snapshot file: temp file, fsync,
-// rename, directory fsync. Fault sites: checkpoint.write (fail before
-// the temp file is complete), checkpoint.rename (fail between the
-// durable temp file and its rename into place).
+// writeSnapshot atomically writes the snapshot of the sealed graph g:
+// temp file, fsync, rename, directory fsync. Fault sites:
+// checkpoint.write (fail before the temp file is complete),
+// checkpoint.rename (fail between the durable temp file and its rename
+// into place).
 func writeSnapshot(path string, epoch uint64, g *Graph) error {
 	if err := fault.Hit("checkpoint.write"); err != nil {
+		return fmt.Errorf("graph: checkpoint: %w", err)
+	}
+	data, err := encodeSnapshot(epoch, g)
+	if err != nil {
 		return fmt.Errorf("graph: checkpoint: %w", err)
 	}
 	tmp := path + ".tmp"
@@ -110,13 +113,8 @@ func writeSnapshot(path string, epoch uint64, g *Graph) error {
 	if err != nil {
 		return fmt.Errorf("graph: checkpoint: %w", err)
 	}
-	hdr := make([]byte, walHeaderLen)
-	copy(hdr, snapMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	if _, err = f.Write(hdr); err == nil {
-		if err = g.WriteJSON(f); err == nil {
-			err = f.Sync()
-		}
+	if _, err = f.Write(data); err == nil {
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -135,19 +133,15 @@ func writeSnapshot(path string, epoch uint64, g *Graph) error {
 	return nil
 }
 
-// readSnapshot loads a snapshot file written by writeSnapshot.
+// readSnapshot loads a snapshot file written by writeSnapshot, or by a
+// version that wrote it as JSON. A damaged file is an error wrapping
+// ErrSnapshotCorrupt; a missing one wraps os.ErrNotExist.
 func readSnapshot(path string) (*Graph, uint64, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer f.Close()
-	hdr := make([]byte, walHeaderLen)
-	if _, err := io.ReadFull(f, hdr); err != nil || string(hdr[:8]) != snapMagic {
-		return nil, 0, fmt.Errorf("graph: snapshot %s: bad header", path)
-	}
-	epoch := binary.LittleEndian.Uint64(hdr[8:])
-	g, err := ReadJSON(f)
+	g, epoch, err := decodeSnapshot(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("graph: snapshot %s: %w", path, err)
 	}

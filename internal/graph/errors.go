@@ -17,7 +17,8 @@ var (
 	// of the requested kind.
 	ErrUnknownKey = errors.New("unknown key")
 	// ErrInvalidValue reports a key, label, property name or string
-	// value that is not valid UTF-8: the JSON snapshot would read it back
-	// with U+FFFD in place of the bad bytes.
+	// value that is not valid UTF-8, or a NaN or infinite float: WriteJSON
+	// would write the string with U+FFFD in place of the bad bytes, and
+	// cannot write the float.
 	ErrInvalidValue = errors.New("invalid value")
 )

@@ -630,13 +630,26 @@ func (b *Builder) Build() (*Graph, error) {
 		edgeProps:  b.edgeProps.seal(len(b.edgeSrc)),
 	}
 	g.buildSymbols(b.edgeLabels.names, b.edgeLabel)
+	g.finish()
+	return g, nil
+}
+
+// finish derives what a sealed graph holds beyond its source columns (ρ,
+// λ with the edge symbols, ν and the keys): the symbol lookup, the label
+// indexes, both CSR directions with their runs, and the statistics. Build
+// and decodeColumns both end with it, so a graph recovered from a
+// snapshot is derived exactly as a built one.
+func (g *Graph) finish() {
+	g.symbolOf = make(map[string]SymbolID, len(g.symbols))
+	for i, l := range g.symbols {
+		g.symbolOf[l] = SymbolID(i)
+	}
 	g.nodesByLabel = labelIndex[NodeID](g.nodeLabels, g.nodeLabel)
 	g.edgesByLabel = labelIndex[EdgeID](g.symbols, g.edgeSym)
 	symOrder := g.edgesBySymbol()
 	g.outOff, g.outData, g.outNbr, g.outRunOff, g.outRuns = g.buildCSR(symOrder, g.edgeSrc, g.edgeDst)
 	g.inOff, g.inData, g.inNbr, g.inRunOff, g.inRuns = g.buildCSR(symOrder, g.edgeDst, g.edgeSrc)
 	g.buildStats()
-	return g, nil
 }
 
 // labelIndex returns, per non-empty label, the IDs of the objects that
@@ -672,13 +685,9 @@ func labelIndex[ID NodeID | EdgeID, L uint32 | SymbolID](names []string, label [
 func (g *Graph) buildSymbols(labels []string, label []uint32) {
 	g.symbols = append([]string(nil), labels...)
 	sort.Strings(g.symbols)
-	g.symbolOf = make(map[string]SymbolID, len(g.symbols))
-	for i, l := range g.symbols {
-		g.symbolOf[l] = SymbolID(i)
-	}
 	remap := make([]SymbolID, len(labels))
 	for i, l := range labels {
-		remap[i] = g.symbolOf[l]
+		remap[i] = SymbolID(sort.SearchStrings(g.symbols, l))
 	}
 	g.edgeSym = make([]SymbolID, len(label))
 	for i, l := range label {

@@ -230,6 +230,7 @@ func (s *Store) checkpointLocked() error {
 	if s.wal == nil {
 		return nil
 	}
+	t0 := time.Now()
 	cur := s.cur.Load()
 	if err := writeSnapshot(s.snapshotPath, cur.epoch, cur.g); err != nil {
 		return err
@@ -237,6 +238,7 @@ func (s *Store) checkpointLocked() error {
 	if err := s.wal.Reset(cur.epoch); err != nil {
 		return err
 	}
+	checkpointSeconds.ObserveSince(t0)
 	s.checkpoints.Add(1)
 	return nil
 }
@@ -298,6 +300,7 @@ func (s *Store) compactLocked() error {
 	if cur.g.ov == nil {
 		return nil
 	}
+	t0 := time.Now()
 	g, err := cur.g.Rebuild()
 	if err != nil {
 		return err
@@ -306,6 +309,7 @@ func (s *Store) compactLocked() error {
 		return fmt.Errorf("graph: compaction: %w", err)
 	}
 	s.cur.Store(&epochState{epoch: cur.epoch, g: g, clock: cur.clock})
+	compactionSeconds.ObserveSince(t0)
 	s.compactions.Add(1)
 	return nil
 }
@@ -345,10 +349,12 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	if eff.newLabel {
 		// Reseal: the overlay's live lists are valid even though its
 		// patches were skipped — rebuild from them.
+		t0 := time.Now()
 		g, err = ov.graph().Rebuild()
 		if err != nil {
 			return cur.epoch, err
 		}
+		compactionSeconds.ObserveSince(t0)
 		s.compactions.Add(1)
 	} else {
 		ov.finalize(eff)
@@ -459,11 +465,13 @@ func (ov *overlay) applyOps(b Batch) (*effects, error) {
 	return eff, nil
 }
 
-// checkSnapshottable rejects an op the JSON snapshot cannot hold: a
-// string that is not valid UTF-8 (the rule checkUTF8 states for CSV
-// cells; it would read back with U+FFFD in place of the bad bytes) or a
-// NaN or infinite float, which JSON cannot encode at all, so that one
-// such value would fail every later Checkpoint.
+// checkSnapshottable rejects an op that WriteJSON — `export` and the
+// `-graph` files — cannot hold: a string that is not valid UTF-8 (the
+// rule checkUTF8 states for CSV cells; it would read back with U+FFFD in
+// place of the bad bytes) or a NaN or infinite float, which JSON cannot
+// encode at all. The binary checkpoint holds both exactly, so a graph
+// built with them (Builder accepts them) checkpoints and recovers; the
+// store refuses them from batches so that what it serves also exports.
 func checkSnapshottable(op Op) error {
 	for _, s := range [...]string{op.Key, op.Src, op.Dst, op.Label} {
 		if !utf8.ValidString(s) {

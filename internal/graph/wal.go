@@ -15,13 +15,16 @@ import (
 	"pathalgebra/internal/obs"
 )
 
-// Package-level WAL latency histograms. They are always-on (an append
-// is fsync-bound, so two time.Now calls are noise) and standalone so
-// the server can fold them into its registry without the graph layer
+// Package-level latency histograms of the WAL and the store's folds and
+// checkpoints. They are always-on (each timed operation is fsync- or
+// rebuild-bound, so two time.Now calls are noise) and standalone so the
+// server can fold them into its registry without the graph layer
 // knowing about scrape endpoints.
 var (
-	walAppendSeconds = &obs.Histogram{}
-	walFsyncSeconds  = &obs.Histogram{}
+	walAppendSeconds  = &obs.Histogram{}
+	walFsyncSeconds   = &obs.Histogram{}
+	checkpointSeconds = &obs.Histogram{}
+	compactionSeconds = &obs.Histogram{}
 )
 
 // WALAppendSeconds is the process-wide histogram of full WAL append
@@ -31,6 +34,14 @@ func WALAppendSeconds() *obs.Histogram { return walAppendSeconds }
 // WALFsyncSeconds is the process-wide histogram of the fsync portion
 // of WAL appends.
 func WALFsyncSeconds() *obs.Histogram { return walFsyncSeconds }
+
+// CheckpointSeconds is the process-wide histogram of completed
+// checkpoints: snapshot written and WAL reset.
+func CheckpointSeconds() *obs.Histogram { return checkpointSeconds }
+
+// CompactionSeconds is the process-wide histogram of completed folds of
+// a delta view into a sealed graph, inline reseals included.
+func CompactionSeconds() *obs.Histogram { return compactionSeconds }
 
 // Write-ahead logging for Store.Apply. The durability contract:
 //
@@ -42,9 +53,9 @@ func WALFsyncSeconds() *obs.Histogram { return walFsyncSeconds }
 //     final record — a crash mid-append — is truncated away; a corrupt
 //     record with intact records after it is ErrWALCorrupt (data loss,
 //     refuse to serve).
-//   - Checkpoint folds the compacted CSR into a snapshot file (written
-//     to a temp file, fsync'd, renamed) and resets the WAL under a new
-//     base epoch. A crash between the two renames leaves a stale WAL
+//   - Checkpoint writes the compacted graph's source columns to a
+//     snapshot file (written to a temp file, fsync'd, renamed) and resets
+//     the WAL under a new base epoch. A crash between the two renames leaves a stale WAL
 //     whose leading records pre-date the snapshot; replay skips them by
 //     epoch arithmetic, so checkpointed batches are never applied twice.
 //   - A WAL append failure is repaired by truncating the log back to its
@@ -57,8 +68,29 @@ func WALFsyncSeconds() *obs.Histogram { return walFsyncSeconds }
 //	wal.log:        8-byte magic "PAWLOG\x01\x00", 8-byte base epoch,
 //	                then records: u32 payload length, u32 CRC-32 (IEEE)
 //	                of the payload, payload (one encoded Batch).
-//	snapshot.graph: 8-byte magic "PASNAP\x01\x00", 8-byte epoch, then
-//	                the graph as WriteJSON bytes.
+//	snapshot.graph: 8-byte magic "PASNAP\x02\x00", 8-byte epoch, then
+//	                sections, each a u64 payload length, a u32 CRC-32C
+//	                (Castagnoli) of the payload, and the payload. No byte
+//	                follows the last. In order:
+//	                  counts: u64 nodes n, u64 edges m;
+//	                  node label names, then n u32 label IDs;
+//	                  edge symbols, strictly ascending, then m u32
+//	                  symbol IDs; m u32 sources; m u32 targets;
+//	                  per kind, nodes then edges: the keys' text, each
+//	                  key between its quotes, then its count+1 u32
+//	                  offsets (0, ..., len(text));
+//	                  per kind: the string values' text; the property
+//	                  names, strictly ascending; per name, its count
+//	                  kind bytes (ValueKind), then count u64 payloads
+//	                  (int, float bits, bool 0/1, string lo<<32|hi into
+//	                  the text, 0 when absent).
+//	                A list of names is a u32 count, then per name a u32
+//	                length and its bytes. Nothing derived is stored: the
+//	                reader validates the columns and rebuilds the CSR,
+//	                label indexes, statistics and key tables as Build
+//	                does (snapshot.go). Magic "PASNAP\x01\x00" marks
+//	                the earlier format, WriteJSON bytes after the
+//	                header; it still loads through ReadJSON.
 
 var (
 	// ErrWALCorrupt reports a checksum or framing failure in the middle
@@ -74,7 +106,6 @@ var (
 
 const (
 	walMagic      = "PAWLOG\x01\x00"
-	snapMagic     = "PASNAP\x01\x00"
 	walHeaderLen  = 16 // magic + base epoch
 	walRecHdrLen  = 8  // payload length + CRC
 	walMaxPayload = 1 << 30

@@ -192,11 +192,11 @@ func TestWALCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALCheckpointWriteError: a checkpoint whose snapshot cannot be
-// encoded (a NaN property, which JSON cannot hold) must fail without
-// writing a snapshot or touching the log, so the batches the log
-// acknowledged still recover. Store.Apply refuses NaN, so the NaN comes
-// with the seed graph, which Builder accepts.
+// TestWALCheckpointWriteError: a checkpoint whose snapshot write fails
+// (the checkpoint.write fault site) must fail without writing a
+// snapshot or touching the log, so the batches the log acknowledged
+// still recover. The seed graph holds a NaN, which Store.Apply refuses
+// but Builder accepts, and the recovered graph must still hold it.
 func TestWALCheckpointWriteError(t *testing.T) {
 	b := NewBuilder()
 	b.AddNode("a", "Person", Props("name", "A"))
@@ -205,8 +205,11 @@ func TestWALCheckpointWriteError(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, seed)
 	mustApply(t, s, Op{Kind: OpAddNode, Key: "d", Label: "Person"})
-	if err := s.Checkpoint(); err == nil {
-		t.Fatal("Checkpoint of an unencodable graph returned nil")
+	restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "checkpoint.write", Nth: 1}}})
+	err := s.Checkpoint()
+	restore()
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Checkpoint with checkpoint.write fault: got %v, want injected", err)
 	}
 	snapPath := filepath.Join(dir, SnapshotFile)
 	for _, p := range []string{snapPath, snapPath + ".tmp"} {
@@ -236,9 +239,9 @@ func TestWALCheckpointWriteError(t *testing.T) {
 
 // TestWALRejectsUnsnapshottable: Apply refuses a batch holding a string
 // that is not valid UTF-8 or a NaN or infinite float before the log sees
-// it — the JSON snapshot would read the string back with U+FFFD in it,
-// and cannot encode the float at all — so a checkpointed store reopens
-// as the graph it saved.
+// it — WriteJSON would write the string back with U+FFFD in it, and
+// cannot encode the float at all — and a checkpointed store reopens as
+// the graph it saved.
 func TestWALRejectsUnsnapshottable(t *testing.T) {
 	dir := t.TempDir()
 	s := openDurable(t, dir, seedGraph(t))

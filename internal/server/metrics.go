@@ -180,6 +180,8 @@ func (s *Server) registerCollectors() {
 		func() int64 { _, b, _ := s.store.WALStats(); return b })
 	reg.RegisterHistogram("pathalgebra_wal_append_seconds", "WAL append latency, lock acquired to record durable.", graph.WALAppendSeconds())
 	reg.RegisterHistogram("pathalgebra_wal_fsync_seconds", "WAL fsync latency.", graph.WALFsyncSeconds())
+	reg.RegisterHistogram("pathalgebra_checkpoint_seconds", "Checkpoint latency, snapshot write through WAL reset.", graph.CheckpointSeconds())
+	reg.RegisterHistogram("pathalgebra_compaction_seconds", "Compaction latency, delta fold into a sealed graph (inline reseals included).", graph.CompactionSeconds())
 
 	reg.GaugeFunc("pathalgebra_goroutines", "Goroutines in the process.",
 		func() int64 { return int64(runtime.NumGoroutine()) })

@@ -132,6 +132,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		// WAL layer (histograms expose _count even when empty)
 		`pathalgebra_wal_append_seconds_count`,
 		`pathalgebra_wal_fsync_seconds_count`,
+		`pathalgebra_checkpoint_seconds_count`,
+		`pathalgebra_compaction_seconds_count`,
 		// runtime
 		`pathalgebra_goroutines`,
 		`pathalgebra_heap_alloc_bytes`,
