@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/maphash"
 	"math"
 	"sort"
@@ -287,6 +288,11 @@ var columnSeeds = [][]byte{
 	// A batch that adds edges between base nodes, so the delta view
 	// rebuilds their adjacency in both directions.
 	[]byte("7100000000102$000000C00000C01000120020000017007011117010"),
+	// Three batches: the first appends node c with an edge to a, the
+	// second adds an edge a→c and deletes c, cascading into edges that an
+	// earlier batch and the same batch appended, and the third appends c
+	// again under its old key.
+	[]byte("\x02\x01a\x01\x00\x01b\x01\x00\x01\x01e\x00\x01\x01\x00\x02\x01c\x00\x02\x00\x01f\x01\x01\x00\x02\x00\x02\x01g\x01\x01\x00\x00\x02\x01x\x02\x02\x01\x01c\x00\x01\x00"),
 }
 
 // fuzzGraph builds a sealed graph from the fuzz stream and returns it with
@@ -326,8 +332,11 @@ func fuzzGraph(t testing.TB, in *fuzzBytes) (*Graph, *rowModel, []string, map[st
 
 // FuzzGraphColumns builds a graph from fuzz bytes — arbitrary keys, labels
 // and properties of every kind — and checks the columns against a row
-// model on the sealed graph, on a Store delta view after one batch, after
-// Compact, and read back from the compacted graph's snapshot.
+// model on the sealed graph, on a Store delta view after each of up to
+// three batches (so later batches patch the patches of earlier ones),
+// after Compact, and read back from the compacted graph's snapshot.
+// Before compacting, the fold's snapshot bytes must equal those of the
+// row replay (replayRebuild).
 func FuzzGraphColumns(f *testing.F) {
 	for _, seed := range columnSeeds {
 		f.Add(seed)
@@ -337,62 +346,16 @@ func FuzzGraphColumns(f *testing.F) {
 		g, m, nodeKeys, edgeLabels := fuzzGraph(t, &in)
 		checkColumns(t, "sealed", g, m)
 
-		// One batch of valid UTF-8 and finite values, with labels the
-		// sealed graph knows, so that it stays a delta view.
-		var ops []Op
-		for i, n := 0, int(in.byte()%6); i < n; i++ {
-			switch k := strings.ToValidUTF8(in.string(), "?"); in.byte() % 4 {
-			case 0:
-				label, props := fuzzLabels[in.byte()%4], in.props(true)
-				if !m.hasKey(k) {
-					ops = append(ops, Op{Kind: OpAddNode, Key: k, Label: label, Props: props})
-					m.nodes[k] = Node{Key: k, Label: label, Props: props}
-					nodeKeys = append(nodeKeys, k)
-				}
-			case 1:
-				label, props := fuzzLabels[in.byte()%4], in.props(true)
-				live := liveKeys(m, nodeKeys)
-				if len(live) == 0 || !edgeLabels[label] || m.hasKey(k) {
-					continue
-				}
-				src, dst := live[int(in.byte())%len(live)], live[int(in.byte())%len(live)]
-				if !utf8.ValidString(src) || !utf8.ValidString(dst) {
-					continue
-				}
-				ops = append(ops, Op{Kind: OpAddEdge, Key: k, Src: src, Dst: dst, Label: label, Props: props})
-				m.edges[k] = rowEdge{src: src, dst: dst, label: label, props: props}
-			case 2:
-				if live := liveKeys(m, nodeKeys); len(live) > 0 {
-					if del := live[int(in.byte())%len(live)]; utf8.ValidString(del) {
-						ops = append(ops, Op{Kind: OpDelNode, Key: del})
-						delete(m.nodes, del)
-						for ek, e := range m.edges {
-							if e.src == del || e.dst == del {
-								delete(m.edges, ek)
-							}
-						}
-					}
-				}
-			default:
-				var live []string
-				for ek := range m.edges {
-					live = append(live, ek)
-				}
-				sort.Strings(live)
-				if len(live) > 0 {
-					if del := live[int(in.byte())%len(live)]; utf8.ValidString(del) {
-						ops = append(ops, Op{Kind: OpDelEdge, Key: del})
-						delete(m.edges, del)
-					}
-				}
-			}
-		}
 		s := NewStore(g, StoreOptions{CompactThreshold: -1})
 		defer s.Close()
-		if _, err := s.Apply(Batch{Ops: ops}); err != nil {
-			t.Fatalf("Apply(%+v): %v", ops, err)
+		for round := 1; round <= 3 && (round == 1 || len(in) > 0); round++ {
+			ops := fuzzBatch(&in, m, &nodeKeys, edgeLabels)
+			if _, err := s.Apply(Batch{Ops: ops}); err != nil {
+				t.Fatalf("batch %d: Apply(%+v): %v", round, ops, err)
+			}
+			checkColumns(t, fmt.Sprintf("delta %d", round), s.Graph(), m)
 		}
-		checkColumns(t, "delta", s.Graph(), m)
+		checkFold(t, "fold", s.Graph())
 		if err := s.Compact(); err != nil {
 			t.Fatalf("Compact: %v", err)
 		}
@@ -407,6 +370,61 @@ func FuzzGraphColumns(f *testing.F) {
 		}
 		checkColumns(t, "snapshot", back, m)
 	})
+}
+
+// fuzzBatch reads one batch of valid UTF-8 and finite values, with edge
+// labels the sealed graph knows, so that the store stays a delta view,
+// and applies it to the model.
+func fuzzBatch(in *fuzzBytes, m *rowModel, nodeKeys *[]string, edgeLabels map[string]bool) []Op {
+	var ops []Op
+	for i, n := 0, int(in.byte()%6); i < n; i++ {
+		switch k := strings.ToValidUTF8(in.string(), "?"); in.byte() % 4 {
+		case 0:
+			label, props := fuzzLabels[in.byte()%4], in.props(true)
+			if !m.hasKey(k) {
+				ops = append(ops, Op{Kind: OpAddNode, Key: k, Label: label, Props: props})
+				m.nodes[k] = Node{Key: k, Label: label, Props: props}
+				*nodeKeys = append(*nodeKeys, k)
+			}
+		case 1:
+			label, props := fuzzLabels[in.byte()%4], in.props(true)
+			live := liveKeys(m, *nodeKeys)
+			if len(live) == 0 || !edgeLabels[label] || m.hasKey(k) {
+				continue
+			}
+			src, dst := live[int(in.byte())%len(live)], live[int(in.byte())%len(live)]
+			if !utf8.ValidString(src) || !utf8.ValidString(dst) {
+				continue
+			}
+			ops = append(ops, Op{Kind: OpAddEdge, Key: k, Src: src, Dst: dst, Label: label, Props: props})
+			m.edges[k] = rowEdge{src: src, dst: dst, label: label, props: props}
+		case 2:
+			if live := liveKeys(m, *nodeKeys); len(live) > 0 {
+				if del := live[int(in.byte())%len(live)]; utf8.ValidString(del) {
+					ops = append(ops, Op{Kind: OpDelNode, Key: del})
+					delete(m.nodes, del)
+					for ek, e := range m.edges {
+						if e.src == del || e.dst == del {
+							delete(m.edges, ek)
+						}
+					}
+				}
+			}
+		default:
+			var live []string
+			for ek := range m.edges {
+				live = append(live, ek)
+			}
+			sort.Strings(live)
+			if len(live) > 0 {
+				if del := live[int(in.byte())%len(live)]; utf8.ValidString(del) {
+					ops = append(ops, Op{Kind: OpDelEdge, Key: del})
+					delete(m.edges, del)
+				}
+			}
+		}
+	}
+	return ops
 }
 
 // liveKeys returns the model's live node keys in insertion order.

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // overlay is the immutable delta layer a Store lays over a sealed CSR
 // epoch: appended nodes and edges (dense IDs continuing after the base),
@@ -13,7 +16,11 @@ import "sort"
 //
 // An overlay is frozen once its epoch is published: Store.Apply builds
 // the next epoch by cloning (copy-on-write; untouched slices are shared)
-// and mutating the clone before anyone can observe it.
+// and mutating the clone before anyone can observe it. The clone's
+// patches and label lists are derived from the previous epoch's, which
+// are already live and in order, and from the batch's own appended and
+// killed objects, so an Apply costs the batch, the touched nodes'
+// degrees and the touched labels' lists — never a pass over the base.
 type overlay struct {
 	base *Graph // sealed epoch, base.ov == nil
 
@@ -238,80 +245,115 @@ func emptyOverlay(base *Graph) *overlay {
 	}
 }
 
-// rebuildAdj rematerializes node n's live adjacency for one direction
-// after its edge set changed: the surviving base run edges minus
-// tombstones, merged with the live extra edges incident to n, in
-// (symbol, edge ID) order.
-func (ov *overlay) rebuildAdj(n NodeID, out bool) Adjacency {
-	type rec struct {
-		sym SymbolID
-		id  EdgeID
-		nbr NodeID
+// adjRec is one adjacency slot a batch adds or drops: the edge, its
+// symbol and the node at its other end.
+type adjRec struct {
+	sym SymbolID
+	id  EdgeID
+	nbr NodeID
+}
+
+// prevAdj returns node n's adjacency in one direction as the previous
+// epoch published it: its patch, else its base CSR range, else (a node a
+// batch appended) nothing. The clone still holds the previous patches
+// until finalize replaces them.
+func (ov *overlay) prevAdj(n NodeID, out bool) Adjacency {
+	patch := ov.inPatch
+	if out {
+		patch = ov.outPatch
 	}
-	var recs []rec
-	// Surviving base edges.
-	if int(n) < ov.base.NumNodes() {
-		var adj Adjacency
-		if out {
-			adj = ov.base.outAdj(n)
-		} else {
-			adj = ov.base.inAdj(n)
-		}
-		for _, r := range adj.Runs {
-			for i := r.Lo; i < r.Hi; i++ {
-				if _, dead := ov.deadEdges[adj.Edges[i]]; !dead {
-					recs = append(recs, rec{r.Sym, adj.Edges[i], adj.Nbrs[i]})
-				}
-			}
+	if adj, ok := patch[n]; ok || int(n) >= ov.base.NumNodes() {
+		return adj
+	}
+	if out {
+		return ov.base.outAdj(n)
+	}
+	return ov.base.inAdj(n)
+}
+
+// edgeSym returns edge id's symbol: the base's column, or the symbol an
+// appended edge was given (NoSymbol for a label the base lacks).
+func (ov *overlay) edgeSym(id EdgeID) SymbolID {
+	if i := int(id) - ov.base.NumEdges(); i >= 0 {
+		return ov.extraEdgeSym[i]
+	}
+	return ov.base.edgeSym[id]
+}
+
+// patchAdj returns a node's live adjacency in one direction from prev,
+// its adjacency at the previous epoch: without the slots in drop, which
+// prev holds, and with the slots in add merged in, in (symbol, edge ID)
+// order. Both lists are in that order, and every added edge is newer than
+// every edge of prev, so it follows prev's edges of its symbol. The cost
+// is the node's degree plus the batch's slots, with no map probe.
+func patchAdj(prev Adjacency, drop, add []adjRec) Adjacency {
+	size := len(prev.Edges) - len(drop) + len(add)
+	adj := Adjacency{Edges: make([]EdgeID, 0, size), Nbrs: make([]NodeID, 0, size)}
+	a := 0
+	// appendAdds appends the added slots of symbol sym.
+	appendAdds := func(sym SymbolID) {
+		for ; a < len(add) && add[a].sym == sym; a++ {
+			adj.Edges = append(adj.Edges, add[a].id)
+			adj.Nbrs = append(adj.Nbrs, add[a].nbr)
 		}
 	}
-	// Live extra edges incident to n.
-	for i := range ov.extraEdges {
-		e := &ov.extraEdges[i]
-		if _, dead := ov.deadEdges[e.ID]; dead {
-			continue
-		}
-		end, nbr := e.Dst, e.Src
-		if out {
-			end, nbr = e.Src, e.Dst
-		}
-		if end == n {
-			recs = append(recs, rec{ov.extraEdgeSym[i], e.ID, nbr})
+	// addsBelow gives each added symbol below sym a run of its own.
+	addsBelow := func(sym SymbolID) {
+		for a < len(add) && add[a].sym < sym {
+			lo, s := len(adj.Edges), add[a].sym
+			appendAdds(s)
+			adj.Runs = append(adj.Runs, SymbolRun{Sym: s, Lo: int32(lo), Hi: int32(len(adj.Edges))})
 		}
 	}
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].sym != recs[j].sym {
-			return recs[i].sym < recs[j].sym
+	d := 0
+	for _, r := range prev.Runs {
+		addsBelow(r.Sym)
+		lo, i := len(adj.Edges), int(r.Lo)
+		for ; d < len(drop) && drop[d].sym == r.Sym; d++ {
+			run := prev.Edges[i:r.Hi]
+			j := i + sort.Search(len(run), func(k int) bool { return run[k] >= drop[d].id })
+			adj.Edges = append(adj.Edges, prev.Edges[i:j]...)
+			adj.Nbrs = append(adj.Nbrs, prev.Nbrs[i:j]...)
+			i = j + 1
 		}
-		return recs[i].id < recs[j].id
-	})
-	adj := Adjacency{Edges: make([]EdgeID, len(recs)), Nbrs: make([]NodeID, len(recs))}
-	for i, r := range recs {
-		adj.Edges[i], adj.Nbrs[i] = r.id, r.nbr
-	}
-	for i := 0; i < len(recs); {
-		j := i
-		for j < len(recs) && recs[j].sym == recs[i].sym {
-			j++
+		adj.Edges = append(adj.Edges, prev.Edges[i:r.Hi]...)
+		adj.Nbrs = append(adj.Nbrs, prev.Nbrs[i:r.Hi]...)
+		appendAdds(r.Sym)
+		if len(adj.Edges) > lo {
+			adj.Runs = append(adj.Runs, SymbolRun{Sym: r.Sym, Lo: int32(lo), Hi: int32(len(adj.Edges))})
 		}
-		adj.Runs = append(adj.Runs, SymbolRun{Sym: recs[i].sym, Lo: int32(i), Hi: int32(j)})
-		i = j
 	}
+	addsBelow(math.MaxInt32)
 	return adj
 }
 
-// patchLabelIndex recomputes the live ID list of one node label from
-// scratch — O(live nodes of that label). Called once per touched label
-// per batch.
-func (ov *overlay) patchNodeLabel(l string) {
-	var ids []NodeID
-	for _, id := range ov.base.nodesByLabel[l] {
-		if _, dead := ov.deadNodes[id]; !dead {
-			ids = append(ids, id)
+// dropSorted returns prev, ascending, without the IDs of killed, which is
+// ascending too and may hold IDs prev lacks, and with room for extra more
+// IDs. Each killed ID is one binary search; the IDs between them are
+// copied in blocks.
+func dropSorted[ID NodeID | EdgeID](prev, killed []ID, extra int) []ID {
+	out := make([]ID, 0, len(prev)+extra)
+	i := 0
+	for _, k := range killed {
+		j := i + sort.Search(len(prev)-i, func(x int) bool { return prev[i+x] >= k })
+		if j < len(prev) && prev[j] == k {
+			out = append(out, prev[i:j]...)
+			i = j + 1
 		}
 	}
-	for i := range ov.extraNodes {
-		n := &ov.extraNodes[i]
+	return append(out, prev[i:]...)
+}
+
+// patchNodeLabel sets the live ID list of node label l from the previous
+// epoch's, which is live and ascending: the batch's killed IDs dropped,
+// then the live nodes of label l the batch appended, whose IDs follow
+// every earlier one. It costs one copy of the list, no map probe per ID.
+// Called once per touched label per batch.
+func (ov *overlay) patchNodeLabel(l string, eff *effects) {
+	added := ov.extraNodes[eff.startNodes:]
+	ids := dropSorted(ov.nodesByLabel[l], eff.killedNodes, len(added))
+	for i := range added {
+		n := &added[i]
 		if n.Label != l {
 			continue
 		}
@@ -326,15 +368,12 @@ func (ov *overlay) patchNodeLabel(l string) {
 	}
 }
 
-func (ov *overlay) patchEdgeLabel(l string) {
-	var ids []EdgeID
-	for _, id := range ov.base.edgesByLabel[l] {
-		if _, dead := ov.deadEdges[id]; !dead {
-			ids = append(ids, id)
-		}
-	}
-	for i := range ov.extraEdges {
-		e := &ov.extraEdges[i]
+// patchEdgeLabel is patchNodeLabel for edge label l.
+func (ov *overlay) patchEdgeLabel(l string, eff *effects) {
+	added := ov.extraEdges[eff.startEdges:]
+	ids := dropSorted(ov.edgesByLabel[l], eff.killedEdges, len(added))
+	for i := range added {
+		e := &added[i]
 		if e.Label != l {
 			continue
 		}

@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -318,10 +320,13 @@ func (s *Store) compactLocked() error {
 // error nothing is published and the error wraps one of the typed
 // sentinels (ErrDuplicateKey, ErrUnknownNode, ErrUnknownKey,
 // ErrInvalidValue). A batch whose edge labels are all known to the
-// sealed base extends the overlay in O(delta); a batch introducing an
-// unseen edge label reseals inline (the lexicographic symbol order the
-// CSR depends on cannot absorb a new symbol without perturbing discovery
-// order).
+// sealed base extends the overlay at a cost of the batch plus what it
+// touched — the previous epoch's patches of the nodes it touched and
+// lists of the labels it touched, each copied once with its changes
+// (finalize) — and a copy of the overlay's maps (clone); a batch
+// introducing an unseen edge label reseals inline with Rebuild's fold
+// (the lexicographic symbol order the CSR depends on cannot absorb a new
+// symbol without perturbing discovery order).
 func (s *Store) Apply(b Batch) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,8 +352,8 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 
 	var g *Graph
 	if eff.newLabel {
-		// Reseal: the overlay's live lists are valid even though its
-		// patches were skipped — rebuild from them.
+		// Reseal: the fold reads the appended rows and the tombstones,
+		// never the patches or label lists finalize would have set.
 		t0 := time.Now()
 		g, err = ov.graph().Rebuild()
 		if err != nil {
@@ -387,31 +392,6 @@ func overlayFor(g *Graph) *overlay {
 	return emptyOverlay(g)
 }
 
-// Rebuild folds a delta view into a fresh sealed Graph by replaying the
-// live nodes and edges, in ID order, through a Builder — the same code
-// path as a from-scratch build, so the result is bit-for-bit what Build
-// would produce over the live object sequence. Returns the receiver when
-// already sealed.
-func (g *Graph) Rebuild() (*Graph, error) {
-	if g.ov == nil {
-		return g, nil
-	}
-	b := NewBuilder()
-	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
-		if g.NodeAlive(id) {
-			n := g.Node(id)
-			b.AddNode(n.Key, n.Label, n.Props)
-		}
-	}
-	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
-		if g.EdgeAlive(id) {
-			e := g.Edge(id)
-			b.AddEdge(e.Key, g.NodeKey(e.Src), g.NodeKey(e.Dst), e.Label, e.Props)
-		}
-	}
-	return b.Build()
-}
-
 // effects accumulates what one batch touched, for patch finalization
 // and the label clock.
 type effects struct {
@@ -421,16 +401,26 @@ type effects struct {
 	nodeLabels map[string]struct{}
 	edgeLabels map[string]struct{}
 
+	// The batch's own delta: the appended-object counts the clone started
+	// from — extraNodes[startNodes:] and extraEdges[startEdges:] are what
+	// the batch appended — and the IDs it killed, in the order it killed
+	// them (finalize sorts them).
+	startNodes, startEdges int
+	killedNodes            []NodeID
+	killedEdges            []EdgeID
+
 	anyNode, anyEdge bool
 	newLabel         bool
 }
 
-func newEffects() *effects {
+func newEffects(ov *overlay) *effects {
 	return &effects{
 		touchedOut: map[NodeID]struct{}{},
 		touchedIn:  map[NodeID]struct{}{},
 		nodeLabels: map[string]struct{}{},
 		edgeLabels: map[string]struct{}{},
+		startNodes: len(ov.extraNodes),
+		startEdges: len(ov.extraEdges),
 	}
 }
 
@@ -440,7 +430,7 @@ func newEffects() *effects {
 // failed op leaves nothing to unwind. Mid-batch reads therefore go
 // through the key maps and liveIncident, never through the stale patches.
 func (ov *overlay) applyOps(b Batch) (*effects, error) {
-	eff := newEffects()
+	eff := newEffects(ov)
 	for i, op := range b.Ops {
 		if err := checkSnapshottable(op); err != nil {
 			return nil, fmt.Errorf("graph: batch op %d: %w", i, err)
@@ -551,10 +541,11 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 		return fmt.Errorf("del_node %q: %w", op.Key, ErrUnknownKey)
 	}
 	// Cascade: every live incident edge dies with its endpoint.
-	for _, e := range ov.liveIncident(n) {
+	for _, e := range ov.liveIncident(n, eff) {
 		ov.killEdge(e, eff)
 	}
 	ov.deadNodes[n] = struct{}{}
+	eff.killedNodes = append(eff.killedNodes, n)
 	if _, added := ov.addedNodeKeys[op.Key]; added {
 		delete(ov.addedNodeKeys, op.Key)
 	}
@@ -582,6 +573,7 @@ func (ov *overlay) killEdge(id EdgeID, eff *effects) {
 	key := ov.edgeKey(id)
 	src, dst := ov.endpoints(id)
 	ov.deadEdges[id] = struct{}{}
+	eff.killedEdges = append(eff.killedEdges, id)
 	if _, added := ov.addedEdgeKeys[key]; added {
 		delete(ov.addedEdgeKeys, key)
 	}
@@ -595,53 +587,83 @@ func (ov *overlay) killEdge(id EdgeID, eff *effects) {
 	eff.anyEdge = true
 }
 
-// liveIncident returns the live edges incident to n (out and in, deduped
-// for self-loops), reading the base CSR and the extra-edge list directly
-// so it stays correct mid-batch while patches are stale.
-func (ov *overlay) liveIncident(n NodeID) []EdgeID {
+// liveIncident returns the live edges incident to n (out and in, a
+// self-loop once). It reads n's adjacency at the previous epoch (patch or
+// base range) and the edges this batch appended, so it stays correct
+// mid-batch while the patches are stale.
+func (ov *overlay) liveIncident(n NodeID, eff *effects) []EdgeID {
 	var out []EdgeID
-	seen := map[EdgeID]struct{}{}
-	add := func(e EdgeID) {
-		if _, dead := ov.deadEdges[e]; dead {
-			return
-		}
-		if _, dup := seen[e]; dup {
-			return
-		}
-		seen[e] = struct{}{}
-		out = append(out, e)
-	}
-	if int(n) < ov.base.NumNodes() {
-		for _, e := range ov.base.Out(n) {
-			add(e)
-		}
-		for _, e := range ov.base.In(n) {
-			add(e)
+	for _, e := range ov.prevAdj(n, true).Edges {
+		if _, dead := ov.deadEdges[e]; !dead {
+			out = append(out, e)
 		}
 	}
-	for i := range ov.extraEdges {
+	in := ov.prevAdj(n, false)
+	for i, e := range in.Edges {
+		if _, dead := ov.deadEdges[e]; !dead && in.Nbrs[i] != n { // a self-loop is in out already
+			out = append(out, e)
+		}
+	}
+	for i := eff.startEdges; i < len(ov.extraEdges); i++ {
 		e := &ov.extraEdges[i]
-		if e.Src == n || e.Dst == n {
-			add(e.ID)
+		if _, dead := ov.deadEdges[e.ID]; !dead && (e.Src == n || e.Dst == n) {
+			out = append(out, e.ID)
 		}
 	}
 	return out
 }
 
 // finalize rematerializes the adjacency patches and label indexes the
-// batch invalidated.
+// batch invalidated, each from the previous epoch's: a touched node's
+// patch loses the edges the batch killed and gains the live edges it
+// appended, and a touched label's list the same.
 func (ov *overlay) finalize(eff *effects) {
+	slices.Sort(eff.killedNodes)
+	slices.Sort(eff.killedEdges)
+	outDrop, inDrop := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
+	prevEdges := EdgeID(ov.base.NumEdges() + eff.startEdges)
+	for _, e := range eff.killedEdges {
+		if e < prevEdges { // in the previous epoch's adjacency
+			src, dst := ov.endpoints(e)
+			sym := ov.edgeSym(e)
+			outDrop[src] = append(outDrop[src], adjRec{sym, e, dst})
+			inDrop[dst] = append(inDrop[dst], adjRec{sym, e, src})
+		}
+	}
+	outAdd, inAdd := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
+	for i := eff.startEdges; i < len(ov.extraEdges); i++ {
+		e := &ov.extraEdges[i]
+		if _, dead := ov.deadEdges[e.ID]; !dead {
+			sym := ov.extraEdgeSym[i]
+			outAdd[e.Src] = append(outAdd[e.Src], adjRec{sym, e.ID, e.Dst})
+			inAdd[e.Dst] = append(inAdd[e.Dst], adjRec{sym, e.ID, e.Src})
+		}
+	}
+	for _, m := range []map[NodeID][]adjRec{outDrop, inDrop, outAdd, inAdd} {
+		for _, recs := range m {
+			slices.SortFunc(recs, func(a, b adjRec) int {
+				if a.sym != b.sym {
+					return cmp.Compare(a.sym, b.sym)
+				}
+				return cmp.Compare(a.id, b.id)
+			})
+		}
+	}
 	for n := range eff.touchedOut {
-		ov.outPatch[n] = ov.rebuildAdj(n, true)
+		ov.outPatch[n] = patchAdj(ov.prevAdj(n, true), outDrop[n], outAdd[n])
 	}
 	for n := range eff.touchedIn {
-		ov.inPatch[n] = ov.rebuildAdj(n, false)
+		ov.inPatch[n] = patchAdj(ov.prevAdj(n, false), inDrop[n], inAdd[n])
 	}
 	for l := range eff.nodeLabels {
-		ov.patchNodeLabel(l)
+		if l != "" { // unlabelled objects have no index entry (labelIndex)
+			ov.patchNodeLabel(l, eff)
+		}
 	}
 	for l := range eff.edgeLabels {
-		ov.patchEdgeLabel(l)
+		if l != "" {
+			ov.patchEdgeLabel(l, eff)
+		}
 	}
 }
 
