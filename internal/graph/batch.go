@@ -1,9 +1,10 @@
 package graph
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -76,32 +77,34 @@ var opKinds = map[string]OpKind{
 }
 
 // ReadBatchNDJSON parses a batch from NDJSON: one op object per line,
-// blank lines ignored.
+// blank lines ignored. A line holding anything after its object fails.
 func ReadBatchNDJSON(r io.Reader) (Batch, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return Batch{}, fmt.Errorf("graph: reading batch: %w", err)
+	}
 	var b Batch
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := strings.TrimSpace(sc.Text())
-		if raw == "" {
+	for line := 1; len(data) > 0; line++ {
+		var raw []byte
+		raw, data, _ = bytes.Cut(data, []byte{'\n'})
+		if raw = bytes.TrimSpace(raw); len(raw) == 0 {
 			continue
 		}
 		var jop ndjsonOp
-		dec := json.NewDecoder(strings.NewReader(raw))
+		dec := json.NewDecoder(bytes.NewReader(raw))
 		dec.DisallowUnknownFields()
-		if err := dec.Decode(&jop); err != nil {
-			return Batch{}, fmt.Errorf("graph: batch line %d: %w", line, err)
+		err := dec.Decode(&jop)
+		if _, next := dec.Token(); err == nil && next != io.EOF {
+			err = errors.New("data after the op object")
 		}
-		op, err := jop.toOp()
+		var op Op
+		if err == nil {
+			op, err = jop.toOp()
+		}
 		if err != nil {
 			return Batch{}, fmt.Errorf("graph: batch line %d: %w", line, err)
 		}
 		b.Ops = append(b.Ops, op)
-	}
-	if err := sc.Err(); err != nil {
-		return Batch{}, fmt.Errorf("graph: reading batch: %w", err)
 	}
 	return b, nil
 }

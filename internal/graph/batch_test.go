@@ -51,6 +51,8 @@ func TestReadBatchNDJSONErrors(t *testing.T) {
 		{"missing key", `{"op":"add_node","label":"P"}`, "missing key"},
 		{"edge missing endpoints", `{"op":"add_edge","key":"e","label":"L"}`, "missing src or dst"},
 		{"second line", "{\"op\":\"del_node\",\"key\":\"a\"}\n{bad}", "line 2"},
+		{"two objects", "\n" + `{"op":"add_node","key":"a"} {"op":"add_node","key":"b"}`, "line 2: data after the op object"},
+		{"trailing garbage", `{"op":"add_node","key":"c"} garbage`, "line 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -157,6 +159,8 @@ func FuzzReadBatchNDJSON(f *testing.F) {
 		`{"op":"move","key":"a"}`,
 		`{"op":"add_node"`,
 		"",
+		`{"op":"add_node","key":"a"} {"op":"add_node","key":"b"}`,
+		`{"op":"add_node","key":"c"} garbage`,
 	} {
 		f.Add([]byte(seed))
 	}

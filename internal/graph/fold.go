@@ -31,19 +31,19 @@ func (g *Graph) Rebuild() (*Graph, error) {
 		return g, nil
 	}
 	base := ov.base
-	nodeSpans := liveSpans(base.NumNodes(), sortedIDs(ov.deadNodes))
-	edgeSpans := liveSpans(base.NumEdges(), sortedIDs(ov.deadEdges))
+	nodeSpans := liveSpans(base.NumNodes(), ov.deadNodes.ids())
+	edgeSpans := liveSpans(base.NumEdges(), ov.deadEdges.ids())
 	// The live appended rows, in ID order.
 	var nodes, edges []int // indexes into ov.extraNodes, ov.extraEdges
 	var nodeKeys, edgeKeys []string
 	var nodeRows, edgeRows []map[string]Value
 	for i, row := range ov.extraNodes {
-		if _, dead := ov.deadNodes[row.ID]; !dead {
+		if !ov.nodeDead(row.ID) {
 			nodes, nodeKeys, nodeRows = append(nodes, i), append(nodeKeys, row.Key), append(nodeRows, row.Props)
 		}
 	}
 	for i, row := range ov.extraEdges {
-		if _, dead := ov.deadEdges[row.ID]; !dead {
+		if !ov.edgeDead(row.ID) {
 			edges, edgeKeys, edgeRows = append(edges, i), append(edgeKeys, row.Key), append(edgeRows, row.Props)
 		}
 	}
@@ -142,25 +142,16 @@ func (g *Graph) Rebuild() (*Graph, error) {
 		return nil, err
 	}
 	f.finish()
+	ov.carryPostings(f, newID, nodes)
 	return f, nil
 }
 
 // span is a range [lo, hi) of IDs.
 type span struct{ lo, hi int }
 
-// sortedIDs returns the IDs of set, ascending.
-func sortedIDs[ID NodeID | EdgeID](set map[ID]struct{}) []ID {
-	ids := make([]ID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	return ids
-}
-
 // liveSpans returns the maximal spans of [0, n) that hold no ID of dead,
 // which is ascending and may hold IDs past n.
-func liveSpans[ID NodeID | EdgeID](n int, dead []ID) []span {
+func liveSpans(n int, dead []uint32) []span {
 	var out []span
 	lo := 0
 	for _, d := range dead {

@@ -291,7 +291,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 			if epoch%9 == 4 {
 				// The reseal folds the batch's overlay before finalize
 				// patches it; fold a private copy the same way.
-				ov := overlayFor(s.Graph()).clone()
+				ov := overlayFor(s.Graph()).successor()
 				if eff, err := ov.applyOps(b); err != nil || !eff.newLabel {
 					t.Fatalf("%s: applyOps: %v, new label %v", stage, err, eff != nil && eff.newLabel)
 				}

@@ -205,8 +205,7 @@ func (g *Graph) LiveEdges() int {
 //pathalgebra:hotpath
 func (g *Graph) NodeAlive(id NodeID) bool {
 	if g.ov != nil {
-		_, dead := g.ov.deadNodes[id]
-		return !dead
+		return !g.ov.nodeDead(id)
 	}
 	return true
 }
@@ -216,8 +215,7 @@ func (g *Graph) NodeAlive(id NodeID) bool {
 //pathalgebra:hotpath
 func (g *Graph) EdgeAlive(id EdgeID) bool {
 	if g.ov != nil {
-		_, dead := g.ov.deadEdges[id]
-		return !dead
+		return !g.ov.edgeDead(id)
 	}
 	return true
 }
@@ -351,15 +349,15 @@ func (g *Graph) In(n NodeID) []EdgeID {
 // OutRuns returns n's outgoing adjacency: its edges, their heads and its
 // label-homogeneous runs, symbols ascending. A delta view answers from
 // its patch for n, else from its base's CSR, whose arrays it shares
-// (overlay.graph); a node a batch appended has a patch or no edges. The
-// search calls it once per expanded node, so it stays within the
-// inliner's budget.
+// (overlay.graph); every node a batch appended has a patch. The search
+// calls it once per expanded node, so it stays within the inliner's
+// budget, which leaves room for two index steps into the patch table.
 //
 //pathalgebra:hotpath
 func (g *Graph) OutRuns(n NodeID) Adjacency {
 	if g.ov != nil {
-		if adj, ok := g.ov.outPatch[n]; ok || int(n) >= len(g.outRunOff)-1 {
-			return adj
+		if p := g.ov.outPatch.leaves[n/cowFan].vals[n%cowFan]; p != nil {
+			return *p
 		}
 	}
 	return g.outAdj(n)
@@ -371,8 +369,8 @@ func (g *Graph) OutRuns(n NodeID) Adjacency {
 //pathalgebra:hotpath
 func (g *Graph) InRuns(n NodeID) Adjacency {
 	if g.ov != nil {
-		if adj, ok := g.ov.inPatch[n]; ok || int(n) >= len(g.inRunOff)-1 {
-			return adj
+		if p := g.ov.inPatch.leaves[n/cowFan].vals[n%cowFan]; p != nil {
+			return *p
 		}
 	}
 	return g.inAdj(n)

@@ -1,28 +1,34 @@
 package graph
 
 import (
+	"maps"
 	"math"
 	"sort"
 )
 
 // overlay is the immutable delta layer a Store lays over a sealed CSR
 // epoch: appended nodes and edges (dense IDs continuing after the base),
-// tombstone sets, and per-node adjacency patches that fully materialize
-// the live (symbol, edge ID)-ordered adjacency of every node the delta
+// tombstones, and per-node adjacency patches that fully materialize the
+// live (symbol, edge ID)-ordered adjacency of every node the delta
 // touches. Untouched nodes keep reading the base CSR, so overlay reads
-// cost one map probe more than sealed reads and patched reads stay in the
-// exact order the sealed CSR would produce after a rebuild — the property
-// the byte-identical differential gate rests on.
+// cost one table walk more than sealed reads and patched reads stay in
+// the exact order the sealed CSR would produce after a rebuild — the
+// property the byte-identical differential gate rests on.
 //
-// An overlay is frozen once its epoch is published: Store.Apply builds
-// the next epoch by cloning (copy-on-write; untouched slices are shared)
-// and mutating the clone before anyone can observe it. The clone's
-// patches and label lists are derived from the previous epoch's, which
-// are already live and in order, and from the batch's own appended and
-// killed objects, so an Apply costs the batch, the touched nodes'
-// degrees and the touched labels' lists — never a pass over the base.
+// An overlay is frozen once its epoch is published. Store.Apply builds
+// the next epoch on a shallow copy (successor): the appended rows and
+// the patch chunks grow past the lengths older epochs read, and the
+// per-ID state — tombstones, which patch a node reads, the appended
+// keys' index — sits in copy-on-write tables (cow.go) whose leaves a
+// batch copies only where it writes. The new patches and label lists
+// are derived from the previous epoch's, which are already live and in
+// order, and from the batch's own appended and killed objects, so an
+// Apply costs the batch, the touched nodes' degrees and the touched
+// labels' lists — never the delta before it, and never a pass over the
+// base.
 type overlay struct {
 	base *Graph // sealed epoch, base.ov == nil
+	gen  uint64 // the Apply building this overlay owns the table leaves it made
 
 	// Appended objects, as rows; ID i >= base.NumNodes() lives at
 	// extraNodes[i-base.NumNodes()], mirrored for edges and edge symbols.
@@ -30,22 +36,20 @@ type overlay struct {
 	extraEdges   []Edge
 	extraEdgeSym []SymbolID
 
-	// Tombstones, covering base and extra IDs alike.
-	deadNodes map[NodeID]struct{}
-	deadEdges map[EdgeID]struct{}
+	// Tombstones, covering base and extra IDs alike. A base key is dead
+	// when its base ID is, unless an appended object took it again.
+	deadNodes, deadEdges bitTable
 
-	// Fully materialized live adjacency of every node whose edge set the
-	// delta changed (and of every appended or tombstoned node).
-	outPatch map[NodeID]Adjacency
-	inPatch  map[NodeID]Adjacency
+	// The appended objects' keys, killed ones included.
+	nodeKeys, edgeKeys keyIndex
 
-	// Key-space patches: added* map keys introduced by deltas (possibly
-	// reusing a tombstoned base key), dead* mark base keys tombstoned and
-	// not re-added.
-	addedNodeKeys map[string]NodeID
-	addedEdgeKeys map[string]EdgeID
-	deadNodeKeys  map[string]struct{}
-	deadEdgeKeys  map[string]struct{}
+	// The live adjacency of every node whose edge set the delta changed
+	// (and of every appended or tombstoned node), in each direction:
+	// outPatch and inPatch cover every node ID and point into chunks of
+	// 256 patches that never move. patches is the last chunk, which a
+	// batch appends past the length earlier epochs hold.
+	patches           []Adjacency
+	outPatch, inPatch cowTable[*Adjacency]
 
 	// Complete label indexes: shallow copies of the base maps with the
 	// touched labels' slices replaced by freshly merged live ID lists.
@@ -81,6 +85,9 @@ func (ov *overlay) extraEdge(id EdgeID) *Edge {
 	}
 	return nil
 }
+
+func (ov *overlay) nodeDead(id NodeID) bool { return ov.deadNodes.has(uint32(id)) }
+func (ov *overlay) edgeDead(id EdgeID) bool { return ov.deadEdges.has(uint32(id)) }
 
 // The delta view's halves of the Graph accessors: an appended object's
 // row, else the base's columns.
@@ -135,24 +142,12 @@ func (ov *overlay) endpoints(id EdgeID) (src, dst NodeID) {
 }
 
 func (ov *overlay) nodeByKey(key string) (NodeID, bool) {
-	if id, ok := ov.addedNodeKeys[key]; ok {
-		return id, true
-	}
-	if _, dead := ov.deadNodeKeys[key]; dead {
-		return 0, false
-	}
-	id, ok := ov.base.nodeKeys.find(key)
+	id, ok := ov.nodeKeys.find(key, &ov.base.nodeKeys, &ov.deadNodes, func(id uint32) string { return ov.nodeKey(NodeID(id)) })
 	return NodeID(id), ok
 }
 
 func (ov *overlay) edgeByKey(key string) (EdgeID, bool) {
-	if id, ok := ov.addedEdgeKeys[key]; ok {
-		return id, true
-	}
-	if _, dead := ov.deadEdgeKeys[key]; dead {
-		return 0, false
-	}
-	id, ok := ov.base.edgeKeys.find(key)
+	id, ok := ov.edgeKeys.find(key, &ov.base.edgeKeys, &ov.deadEdges, func(id uint32) string { return ov.edgeKey(EdgeID(id)) })
 	return EdgeID(id), ok
 }
 
@@ -163,86 +158,46 @@ func (ov *overlay) labelSets() (map[string][]NodeID, map[string][]EdgeID) {
 	return ov.nodesByLabel, ov.edgesByLabel
 }
 
+// deadCounts returns how many node and edge IDs are tombstoned.
+func (ov *overlay) deadCounts() (nodes, edges int) {
+	return ov.base.NumNodes() + len(ov.extraNodes) - ov.liveNodes,
+		ov.base.NumEdges() + len(ov.extraEdges) - ov.liveEdges
+}
+
 // deltaSize reports how many delta records the overlay carries — the
 // compaction trigger metric: appended objects plus tombstones.
 func (ov *overlay) deltaSize() int {
-	return len(ov.extraNodes) + len(ov.extraEdges) + len(ov.deadNodes) + len(ov.deadEdges)
+	nodes, edges := ov.deadCounts()
+	return len(ov.extraNodes) + len(ov.extraEdges) + nodes + edges
 }
 
-// clone returns a mutable deep copy sharing every untouched slice with
-// the receiver. Map copies are O(delta), bounded by the compaction
-// threshold; label maps are O(labels) of slice headers.
-func (ov *overlay) clone() *overlay {
-	cp := &overlay{
-		base:          ov.base,
-		extraNodes:    ov.extraNodes[:len(ov.extraNodes):len(ov.extraNodes)],
-		extraEdges:    ov.extraEdges[:len(ov.extraEdges):len(ov.extraEdges)],
-		extraEdgeSym:  ov.extraEdgeSym[:len(ov.extraEdgeSym):len(ov.extraEdgeSym)],
-		deadNodes:     make(map[NodeID]struct{}, len(ov.deadNodes)),
-		deadEdges:     make(map[EdgeID]struct{}, len(ov.deadEdges)),
-		outPatch:      make(map[NodeID]Adjacency, len(ov.outPatch)),
-		inPatch:       make(map[NodeID]Adjacency, len(ov.inPatch)),
-		addedNodeKeys: make(map[string]NodeID, len(ov.addedNodeKeys)),
-		addedEdgeKeys: make(map[string]EdgeID, len(ov.addedEdgeKeys)),
-		deadNodeKeys:  make(map[string]struct{}, len(ov.deadNodeKeys)),
-		deadEdgeKeys:  make(map[string]struct{}, len(ov.deadEdgeKeys)),
-		nodesByLabel:  make(map[string][]NodeID, len(ov.nodesByLabel)),
-		edgesByLabel:  make(map[string][]EdgeID, len(ov.edgesByLabel)),
-		liveNodes:     ov.liveNodes,
-		liveEdges:     ov.liveEdges,
-	}
-	for k, v := range ov.deadNodes {
-		cp.deadNodes[k] = v
-	}
-	for k, v := range ov.deadEdges {
-		cp.deadEdges[k] = v
-	}
-	for k, v := range ov.outPatch {
-		cp.outPatch[k] = v
-	}
-	for k, v := range ov.inPatch {
-		cp.inPatch[k] = v
-	}
-	for k, v := range ov.addedNodeKeys {
-		cp.addedNodeKeys[k] = v
-	}
-	for k, v := range ov.addedEdgeKeys {
-		cp.addedEdgeKeys[k] = v
-	}
-	for k, v := range ov.deadNodeKeys {
-		cp.deadNodeKeys[k] = v
-	}
-	for k, v := range ov.deadEdgeKeys {
-		cp.deadEdgeKeys[k] = v
-	}
-	for k, v := range ov.nodesByLabel {
-		cp.nodesByLabel[k] = v
-	}
-	for k, v := range ov.edgesByLabel {
-		cp.edgesByLabel[k] = v
-	}
-	return cp
+// successor returns the overlay the next batch writes: a shallow copy of
+// the receiver under the next generation, so that its first write to a
+// table leaf shared with the receiver copies the leaf. Slices appended to
+// write past the receiver's lengths, which its readers never read. Only
+// the label maps, O(labels) slice headers, are copied whole.
+func (ov *overlay) successor() *overlay {
+	cp := *ov
+	cp.gen++
+	cp.nodesByLabel = maps.Clone(ov.nodesByLabel)
+	cp.edgesByLabel = maps.Clone(ov.edgesByLabel)
+	return &cp
 }
 
 // emptyOverlay wraps a sealed graph in a zero-delta overlay — the
-// starting point Store.Apply clones from on the first batch after a
+// starting point Store.Apply builds on for the first batch after a
 // (re)seal.
 func emptyOverlay(base *Graph) *overlay {
-	return &overlay{
-		base:          base,
-		deadNodes:     map[NodeID]struct{}{},
-		deadEdges:     map[EdgeID]struct{}{},
-		outPatch:      map[NodeID]Adjacency{},
-		inPatch:       map[NodeID]Adjacency{},
-		addedNodeKeys: map[string]NodeID{},
-		addedEdgeKeys: map[string]EdgeID{},
-		deadNodeKeys:  map[string]struct{}{},
-		deadEdgeKeys:  map[string]struct{}{},
-		nodesByLabel:  base.nodesByLabel,
-		edgesByLabel:  base.edgesByLabel,
-		liveNodes:     base.NumNodes(),
-		liveEdges:     base.NumEdges(),
+	ov := &overlay{
+		base:         base,
+		nodesByLabel: base.nodesByLabel,
+		edgesByLabel: base.edgesByLabel,
+		liveNodes:    base.NumNodes(),
+		liveEdges:    base.NumEdges(),
 	}
+	ov.outPatch.cover(uint32(base.NumNodes()), 0)
+	ov.inPatch.cover(uint32(base.NumNodes()), 0)
+	return ov
 }
 
 // adjRec is one adjacency slot a batch adds or drops: the edge, its
@@ -253,22 +208,33 @@ type adjRec struct {
 	nbr NodeID
 }
 
-// prevAdj returns node n's adjacency in one direction as the previous
-// epoch published it: its patch, else its base CSR range, else (a node a
-// batch appended) nothing. The clone still holds the previous patches
-// until finalize replaces them.
-func (ov *overlay) prevAdj(n NodeID, out bool) Adjacency {
-	patch := ov.inPatch
+// adjacency returns node n's live adjacency in one direction: its
+// patch, else its base CSR range. While a batch is applied its overlay
+// still holds the previous epoch's patches, until finalize replaces them.
+func (ov *overlay) adjacency(n NodeID, out bool) Adjacency {
+	patch := &ov.inPatch
 	if out {
-		patch = ov.outPatch
+		patch = &ov.outPatch
 	}
-	if adj, ok := patch[n]; ok || int(n) >= ov.base.NumNodes() {
-		return adj
+	if p := patch.get(uint32(n)); p != nil {
+		return *p
 	}
 	if out {
 		return ov.base.outAdj(n)
 	}
 	return ov.base.inAdj(n)
+}
+
+// noEdges is the adjacency of a node appended without edges.
+var noEdges Adjacency
+
+// setPatch publishes adj as node n's adjacency in patch.
+func (ov *overlay) setPatch(patch *cowTable[*Adjacency], n NodeID, adj Adjacency) {
+	if len(ov.patches) == cap(ov.patches) {
+		ov.patches = make([]Adjacency, 0, 256)
+	}
+	ov.patches = append(ov.patches, adj)
+	*patch.ref(uint32(n), ov.gen) = &ov.patches[len(ov.patches)-1]
 }
 
 // edgeSym returns edge id's symbol: the base's column, or the symbol an
@@ -344,46 +310,18 @@ func dropSorted[ID NodeID | EdgeID](prev, killed []ID, extra int) []ID {
 	return append(out, prev[i:]...)
 }
 
-// patchNodeLabel sets the live ID list of node label l from the previous
+// patchLabel sets the live ID list of label l in m from the previous
 // epoch's, which is live and ascending: the batch's killed IDs dropped,
-// then the live nodes of label l the batch appended, whose IDs follow
-// every earlier one. It costs one copy of the list, no map probe per ID.
-// Called once per touched label per batch.
-func (ov *overlay) patchNodeLabel(l string, eff *effects) {
-	added := ov.extraNodes[eff.startNodes:]
-	ids := dropSorted(ov.nodesByLabel[l], eff.killedNodes, len(added))
-	for i := range added {
-		n := &added[i]
-		if n.Label != l {
-			continue
-		}
-		if _, dead := ov.deadNodes[n.ID]; !dead {
-			ids = append(ids, n.ID)
-		}
+// then added, the live objects of label l the batch appended, whose IDs
+// follow every earlier one. It costs one copy of the list, no map probe
+// per ID.
+func patchLabel[ID NodeID | EdgeID](m map[string][]ID, l string, killed, added []ID) {
+	if l == "" { // unlabelled objects have no index entry (labelIndex)
+		return
 	}
-	if len(ids) == 0 {
-		delete(ov.nodesByLabel, l)
+	if ids := append(dropSorted(m[l], killed, len(added)), added...); len(ids) > 0 {
+		m[l] = ids
 	} else {
-		ov.nodesByLabel[l] = ids
-	}
-}
-
-// patchEdgeLabel is patchNodeLabel for edge label l.
-func (ov *overlay) patchEdgeLabel(l string, eff *effects) {
-	added := ov.extraEdges[eff.startEdges:]
-	ids := dropSorted(ov.edgesByLabel[l], eff.killedEdges, len(added))
-	for i := range added {
-		e := &added[i]
-		if e.Label != l {
-			continue
-		}
-		if _, dead := ov.deadEdges[e.ID]; !dead {
-			ids = append(ids, e.ID)
-		}
-	}
-	if len(ids) == 0 {
-		delete(ov.edgesByLabel, l)
-	} else {
-		ov.edgesByLabel[l] = ids
+		delete(m, l)
 	}
 }

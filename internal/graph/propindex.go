@@ -13,8 +13,9 @@ import (
 // first use of a key and cached per sealed *Graph value. Properties never
 // change after a node is created (Store.Apply only adds and tombstones
 // objects), so a delta view reads its base's postings, drops tombstoned
-// holders and merges its own matching appended nodes, and a compaction's
-// fresh *Graph starts with an empty cache of its own.
+// holders and merges its own matching appended nodes, and a compaction
+// carries every key its base had built into the folded graph the same
+// way (carryPostings).
 
 // propIndex is one key's equality postings over a sealed graph. ids is a
 // single slab holding every holder of the key, grouped by canonical value
@@ -59,15 +60,58 @@ type holder[T cmp.Ordered] struct {
 	id NodeID
 }
 
-// group sorts one class's holders by (value, ID), appends their IDs to
-// the slab and records the group boundaries.
-func group[T cmp.Ordered](hs []holder[T], ids []NodeID) (postings[T], []NodeID) {
-	slices.SortFunc(hs, func(a, b holder[T]) int {
-		if c := cmp.Compare(a.v, b.v); c != 0 {
-			return c
+// holders is one key's holders, by value class.
+type holders struct {
+	nums  []holder[float64]
+	strs  []holder[string]
+	bools []holder[uint8]
+	nan   bool // some holder stores a numeric NaN
+}
+
+func (h *holders) add(v Value, id NodeID) {
+	switch v.Kind {
+	case KindString:
+		h.strs = append(h.strs, holder[string]{v.str, id})
+	case KindBool:
+		h.bools = append(h.bools, holder[uint8]{boolKey(v.b), id})
+	case KindInt, KindFloat:
+		if f := v.asFloat(); f == f {
+			h.nums = append(h.nums, holder[float64]{f, id})
+		} else {
+			h.nan = true
 		}
-		return cmp.Compare(a.id, b.id)
-	})
+	}
+}
+
+// byValueID orders holders by (value, ID).
+func byValueID[T cmp.Ordered](a, b holder[T]) int {
+	if c := cmp.Compare(a.v, b.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+func (h *holders) sort() {
+	slices.SortFunc(h.nums, byValueID)
+	slices.SortFunc(h.strs, byValueID)
+	slices.SortFunc(h.bools, byValueID)
+}
+
+// index groups the holders, each class in (value, ID) order, into a
+// propIndex.
+func (h *holders) index() *propIndex {
+	ix := &propIndex{nan: h.nan}
+	ids := make([]NodeID, 0, len(h.nums)+len(h.strs)+len(h.bools))
+	ix.nums, ids = group(h.nums, ids)
+	ix.strs, ids = group(h.strs, ids)
+	ix.bools, ids = group(h.bools, ids)
+	ix.ids = ids
+	return ix
+}
+
+// group appends one class's holders' IDs, in (value, ID) order, to the
+// slab and records the group boundaries.
+func group[T cmp.Ordered](hs []holder[T], ids []NodeID) (postings[T], []NodeID) {
 	var p postings[T]
 	for i, h := range hs {
 		if i == 0 || h.v != hs[i-1].v {
@@ -117,38 +161,78 @@ func (ix *propIndex) lookup(v Value) ([]NodeID, bool) {
 // buildPropIndex builds the postings of key in one pass over the nodes
 // and one sort per value class.
 func (g *Graph) buildPropIndex(key string) *propIndex {
-	ix := &propIndex{}
-	var nums []holder[float64]
-	var strs []holder[string]
-	var bools []holder[uint8]
 	col := g.nodeProps.cols[key]
 	if col == nil {
-		return ix
+		return &propIndex{}
 	}
+	var h holders
 	for i, kind := range col.kinds {
-		if kind == KindNull {
+		if kind != KindNull {
+			h.add(col.value(g.nodeProps.text, uint32(i)), NodeID(i))
+		}
+	}
+	h.sort()
+	return h.index()
+}
+
+// carryPostings gives f, the fold of ov, the postings of every key ov's
+// base had built: newID renumbers the live nodes, monotonically, so each
+// group stays ascending without its dead holders, and the holders among
+// ov's live appended rows (live indexes them) merge in. A key whose
+// column the fold dropped, or that a holder may store NaN under, is left
+// to be built on first use.
+func (ov *overlay) carryPostings(f *Graph, newID []NodeID, live []int) {
+	built := ov.base.props.Load()
+	if built == nil {
+		return
+	}
+	carried := make(map[string]*propIndex, len(*built))
+	for key, ix := range *built {
+		if ix.nan || f.nodeProps.cols[key] == nil {
 			continue
 		}
-		id := NodeID(i)
-		switch v := col.value(g.nodeProps.text, uint32(i)); v.Kind {
-		case KindString:
-			strs = append(strs, holder[string]{v.str, id})
-		case KindBool:
-			bools = append(bools, holder[uint8]{boolKey(v.b), id})
-		case KindInt, KindFloat:
-			if f := v.asFloat(); f == f {
-				nums = append(nums, holder[float64]{f, id})
-			} else {
-				ix.nan = true
+		var add holders
+		for _, i := range live {
+			if n := &ov.extraNodes[i]; n.Props[key].Kind != KindNull {
+				add.add(n.Props[key], newID[n.ID])
+			}
+		}
+		add.sort()
+		h := holders{nan: add.nan,
+			nums:  merge(renumber(ix.nums, ix.ids, ov, newID), add.nums),
+			strs:  merge(renumber(ix.strs, ix.ids, ov, newID), add.strs),
+			bools: merge(renumber(ix.bools, ix.ids, ov, newID), add.bools),
+		}
+		carried[key] = h.index()
+	}
+	f.props.Store(&carried)
+}
+
+// renumber returns the live holders of p's groups under their new IDs,
+// in (value, ID) order.
+func renumber[T cmp.Ordered](p postings[T], ids []NodeID, ov *overlay, newID []NodeID) []holder[T] {
+	var out []holder[T]
+	for g, v := range p.vals {
+		for _, id := range ids[p.off[g]:p.off[g+1]] {
+			if !ov.nodeDead(id) {
+				out = append(out, holder[T]{v, newID[id]})
 			}
 		}
 	}
-	ids := make([]NodeID, 0, len(nums)+len(strs)+len(bools))
-	ix.nums, ids = group(nums, ids)
-	ix.strs, ids = group(strs, ids)
-	ix.bools, ids = group(bools, ids)
-	ix.ids = ids
-	return ix
+	return out
+}
+
+// merge merges two lists of holders in (value, ID) order.
+func merge[T cmp.Ordered](a, b []holder[T]) []holder[T] {
+	out := make([]holder[T], 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if byValueID(a[0], b[0]) < 0 {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // propIndex returns key's postings, building and publishing them on
@@ -208,18 +292,18 @@ func (ov *overlay) nodesWithProp(key string, v Value) ([]NodeID, bool) {
 	if !ok {
 		return nil, false
 	}
-	if len(ov.deadNodes) > 0 {
+	if dead, _ := ov.deadCounts(); dead > 0 {
 		base := out
 		out = nil
 		for _, id := range base {
-			if _, dead := ov.deadNodes[id]; !dead {
+			if !ov.nodeDead(id) {
 				out = append(out, id)
 			}
 		}
 	}
 	for i := range ov.extraNodes {
 		n := &ov.extraNodes[i]
-		if _, dead := ov.deadNodes[n.ID]; !dead && n.Props[key].Equal(v) {
+		if !ov.nodeDead(n.ID) && n.Props[key].Equal(v) {
 			out = append(out, n.ID) // copies a base group (see find)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -247,5 +248,78 @@ func TestNodesWithPropConcurrentFirstUse(t *testing.T) {
 	}
 	if n := len(*g.props.Load()); n != 2 {
 		t.Errorf("%d keys cached, want 2", n)
+	}
+}
+
+// TestPostingsCarriedAcrossFold: a compaction carries the postings of
+// every key its base had built into the folded graph — renumbered, the
+// dead holders dropped and the live appended ones merged in — and each
+// carried index equals a fresh build on the folded graph. A key never
+// built, and one some holder stores NaN under, stay lazy.
+func TestPostingsCarriedAcrossFold(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(int64(trial)))
+		b := NewBuilder()
+		for i := 0; i < 40; i++ {
+			b.AddNode(fmt.Sprintf("n%d", i), "L", randProps(rng))
+		}
+		s := NewStore(b.MustBuild(), StoreOptions{CompactThreshold: -1})
+		live := []string{}
+		for i := 0; i < 40; i++ {
+			live = append(live, fmt.Sprintf("n%d", i))
+		}
+		next, carried := 0, 0
+		for fold := 0; fold < 6; fold++ {
+			// Build k and nan on the sealed graph (a delta view builds
+			// them on its base), never j.
+			for _, key := range []string{"k", "nan"} {
+				s.Graph().NodesWithProp(key, IntValue(1))
+			}
+			for batch := 0; batch < 3; batch++ {
+				var ops []Op
+				for i := 0; i < 4; i++ {
+					props := randProps(rng)
+					if isNaN(props["nan"]) {
+						delete(props, "nan")
+					}
+					key := fmt.Sprintf("x%d", next)
+					next++
+					live = append(live, key)
+					ops = append(ops, Op{Kind: OpAddNode, Key: key, Label: "L", Props: props})
+				}
+				for i := 0; i < 3; i++ {
+					j := rng.Intn(len(live))
+					ops = append(ops, Op{Kind: OpDelNode, Key: live[j]})
+					live = append(live[:j], live[j+1:]...)
+				}
+				mustApply(t, s, ops...)
+			}
+			base := s.Graph().ov.base
+			if err := s.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			g := s.Graph()
+			cache := g.props.Load()
+			for _, key := range propKeys {
+				built, _ := (*base.props.Load())[key]
+				ix, ok := (*cache)[key]
+				wantCarried := built != nil && !built.nan && g.nodeProps.cols[key] != nil
+				if ok != wantCarried {
+					t.Fatalf("trial %d fold %d: key %s carried = %v, want %v", trial, fold, key, ok, wantCarried)
+				}
+				if !ok {
+					continue
+				}
+				carried++
+				if fresh := g.buildPropIndex(key); !reflect.DeepEqual(ix, fresh) {
+					t.Fatalf("trial %d fold %d: key %s carried %+v, fresh build %+v", trial, fold, key, ix, fresh)
+				}
+			}
+			checkPostings(t, fmt.Sprintf("trial %d fold %d", trial, fold), g)
+		}
+		s.Close()
+		if carried == 0 {
+			t.Fatalf("trial %d: no key was carried", trial)
+		}
 	}
 }

@@ -272,8 +272,8 @@ func (s *Store) DeltaSize() int {
 // current epoch's overlay.
 func (s *Store) DeltaCounts() (addedNodes, addedEdges, deadNodes, deadEdges int) {
 	if g := s.cur.Load().g; g.ov != nil {
-		ov := g.ov
-		return len(ov.extraNodes), len(ov.extraEdges), len(ov.deadNodes), len(ov.deadEdges)
+		deadNodes, deadEdges = g.ov.deadCounts()
+		return len(g.ov.extraNodes), len(g.ov.extraEdges), deadNodes, deadEdges
 	}
 	return 0, 0, 0, 0
 }
@@ -323,7 +323,8 @@ func (s *Store) compactLocked() error {
 // sealed base extends the overlay at a cost of the batch plus what it
 // touched — the previous epoch's patches of the nodes it touched and
 // lists of the labels it touched, each copied once with its changes
-// (finalize) — and a copy of the overlay's maps (clone); a batch
+// (finalize), and the overlay's table leaves it writes (cow.go) — not
+// the delta before it; a batch
 // introducing an unseen edge label reseals inline with Rebuild's fold
 // (the lexicographic symbol order the CSR depends on cannot absorb a new
 // symbol without perturbing discovery order).
@@ -332,7 +333,7 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	defer s.mu.Unlock()
 
 	cur := s.cur.Load()
-	ov := overlayFor(cur.g).clone()
+	ov := overlayFor(cur.g).successor()
 
 	eff, err := ov.applyOps(b)
 	if err != nil {
@@ -401,8 +402,8 @@ type effects struct {
 	nodeLabels map[string]struct{}
 	edgeLabels map[string]struct{}
 
-	// The batch's own delta: the appended-object counts the clone started
-	// from — extraNodes[startNodes:] and extraEdges[startEdges:] are what
+	// The batch's own delta: the appended-object counts its overlay
+	// started from — extraNodes[startNodes:] and extraEdges[startEdges:] are what
 	// the batch appended — and the IDs it killed, in the order it killed
 	// them (finalize sorts them).
 	startNodes, startEdges int
@@ -425,10 +426,11 @@ func newEffects(ov *overlay) *effects {
 }
 
 // applyOps applies the batch's operations, in order, to the (private,
-// pre-publish) overlay clone: object and key bookkeeping only — adjacency
+// pre-publish) successor overlay: object and key bookkeeping only — adjacency
 // patches and label indexes are deferred to finalize so a
 // failed op leaves nothing to unwind. Mid-batch reads therefore go
-// through the key maps and liveIncident, never through the stale patches.
+// through the key tables and liveIncident, never through the stale
+// patches.
 func (ov *overlay) applyOps(b Batch) (*effects, error) {
 	eff := newEffects(ov)
 	for i, op := range b.Ops {
@@ -496,7 +498,11 @@ func (ov *overlay) applyAddNode(op Op, eff *effects) error {
 	ov.extraNodes = append(ov.extraNodes, Node{
 		ID: id, Key: op.Key, Label: op.Label, Props: maps.Clone(op.Props),
 	})
-	ov.addedNodeKeys[op.Key] = id
+	ov.nodeKeys.insert(uint32(ov.base.NumNodes()), ov.gen, func(j uint32) uint64 {
+		return ov.base.nodeKeys.index.hash(ov.extraNodes[j].Key)
+	})
+	*ov.outPatch.ref(uint32(id), ov.gen) = &noEdges
+	*ov.inPatch.ref(uint32(id), ov.gen) = &noEdges
 	ov.liveNodes++
 	eff.nodeLabels[op.Label] = struct{}{}
 	eff.anyNode = true
@@ -526,7 +532,9 @@ func (ov *overlay) applyAddEdge(op Op, eff *effects) error {
 		ID: id, Key: op.Key, Src: src, Dst: dst, Label: op.Label, Props: maps.Clone(op.Props),
 	})
 	ov.extraEdgeSym = append(ov.extraEdgeSym, sym)
-	ov.addedEdgeKeys[op.Key] = id
+	ov.edgeKeys.insert(uint32(ov.base.NumEdges()), ov.gen, func(j uint32) uint64 {
+		return ov.base.edgeKeys.index.hash(ov.extraEdges[j].Key)
+	})
 	ov.liveEdges++
 	eff.edgeLabels[op.Label] = struct{}{}
 	eff.touchedOut[src] = struct{}{}
@@ -544,14 +552,8 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 	for _, e := range ov.liveIncident(n, eff) {
 		ov.killEdge(e, eff)
 	}
-	ov.deadNodes[n] = struct{}{}
+	ov.deadNodes.add(uint32(n), ov.gen)
 	eff.killedNodes = append(eff.killedNodes, n)
-	if _, added := ov.addedNodeKeys[op.Key]; added {
-		delete(ov.addedNodeKeys, op.Key)
-	}
-	if _, inBase := ov.base.nodeKeys.find(op.Key); inBase {
-		ov.deadNodeKeys[op.Key] = struct{}{}
-	}
 	ov.liveNodes--
 	eff.nodeLabels[ov.nodeLabel(n)] = struct{}{}
 	eff.anyNode = true
@@ -570,16 +572,9 @@ func (ov *overlay) applyDelEdge(op Op, eff *effects) error {
 }
 
 func (ov *overlay) killEdge(id EdgeID, eff *effects) {
-	key := ov.edgeKey(id)
 	src, dst := ov.endpoints(id)
-	ov.deadEdges[id] = struct{}{}
+	ov.deadEdges.add(uint32(id), ov.gen)
 	eff.killedEdges = append(eff.killedEdges, id)
-	if _, added := ov.addedEdgeKeys[key]; added {
-		delete(ov.addedEdgeKeys, key)
-	}
-	if _, inBase := ov.base.edgeKeys.find(key); inBase {
-		ov.deadEdgeKeys[key] = struct{}{}
-	}
 	ov.liveEdges--
 	eff.edgeLabels[ov.edgeLabel(id)] = struct{}{}
 	eff.touchedOut[src] = struct{}{}
@@ -593,20 +588,20 @@ func (ov *overlay) killEdge(id EdgeID, eff *effects) {
 // mid-batch while the patches are stale.
 func (ov *overlay) liveIncident(n NodeID, eff *effects) []EdgeID {
 	var out []EdgeID
-	for _, e := range ov.prevAdj(n, true).Edges {
-		if _, dead := ov.deadEdges[e]; !dead {
+	for _, e := range ov.adjacency(n, true).Edges {
+		if !ov.edgeDead(e) {
 			out = append(out, e)
 		}
 	}
-	in := ov.prevAdj(n, false)
+	in := ov.adjacency(n, false)
 	for i, e := range in.Edges {
-		if _, dead := ov.deadEdges[e]; !dead && in.Nbrs[i] != n { // a self-loop is in out already
+		if !ov.edgeDead(e) && in.Nbrs[i] != n { // a self-loop is in out already
 			out = append(out, e)
 		}
 	}
 	for i := eff.startEdges; i < len(ov.extraEdges); i++ {
 		e := &ov.extraEdges[i]
-		if _, dead := ov.deadEdges[e.ID]; !dead && (e.Src == n || e.Dst == n) {
+		if !ov.edgeDead(e.ID) && (e.Src == n || e.Dst == n) {
 			out = append(out, e.ID)
 		}
 	}
@@ -633,7 +628,7 @@ func (ov *overlay) finalize(eff *effects) {
 	outAdd, inAdd := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
 	for i := eff.startEdges; i < len(ov.extraEdges); i++ {
 		e := &ov.extraEdges[i]
-		if _, dead := ov.deadEdges[e.ID]; !dead {
+		if !ov.edgeDead(e.ID) {
 			sym := ov.extraEdgeSym[i]
 			outAdd[e.Src] = append(outAdd[e.Src], adjRec{sym, e.ID, e.Dst})
 			inAdd[e.Dst] = append(inAdd[e.Dst], adjRec{sym, e.ID, e.Src})
@@ -650,20 +645,27 @@ func (ov *overlay) finalize(eff *effects) {
 		}
 	}
 	for n := range eff.touchedOut {
-		ov.outPatch[n] = patchAdj(ov.prevAdj(n, true), outDrop[n], outAdd[n])
+		ov.setPatch(&ov.outPatch, n, patchAdj(ov.adjacency(n, true), outDrop[n], outAdd[n]))
 	}
 	for n := range eff.touchedIn {
-		ov.inPatch[n] = patchAdj(ov.prevAdj(n, false), inDrop[n], inAdd[n])
+		ov.setPatch(&ov.inPatch, n, patchAdj(ov.adjacency(n, false), inDrop[n], inAdd[n]))
+	}
+	addedNodes, addedEdges := map[string][]NodeID{}, map[string][]EdgeID{}
+	for _, n := range ov.extraNodes[eff.startNodes:] {
+		if !ov.nodeDead(n.ID) {
+			addedNodes[n.Label] = append(addedNodes[n.Label], n.ID)
+		}
+	}
+	for _, e := range ov.extraEdges[eff.startEdges:] {
+		if !ov.edgeDead(e.ID) {
+			addedEdges[e.Label] = append(addedEdges[e.Label], e.ID)
+		}
 	}
 	for l := range eff.nodeLabels {
-		if l != "" { // unlabelled objects have no index entry (labelIndex)
-			ov.patchNodeLabel(l, eff)
-		}
+		patchLabel(ov.nodesByLabel, l, eff.killedNodes, addedNodes[l])
 	}
 	for l := range eff.edgeLabels {
-		if l != "" {
-			ov.patchEdgeLabel(l, eff)
-		}
+		patchLabel(ov.edgesByLabel, l, eff.killedEdges, addedEdges[l])
 	}
 }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -300,34 +301,91 @@ func TestStoreAutoCompaction(t *testing.T) {
 	}
 }
 
-// TestStoreSnapshotPinning: the graph Current returns survives later
-// batches and compactions untouched.
+// TestStoreSnapshotPinning: every graph Current returns survives later
+// batches and compactions untouched, although successive delta views
+// share their appended rows, patch chunks and table leaves. A seeded
+// sequence of 200 batches — adds, edge deletes, cascading node deletes,
+// keys deleted and added again, one new edge label that reseals, a
+// compaction every 25 batches — holds every 5th epoch's graph, renders it
+// whole when it is published and again after the last batch.
 func TestStoreSnapshotPinning(t *testing.T) {
-	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: -1})
+	q := &foldSeq{rng: rand.New(rand.NewSource(7)), ends: map[string][2]string{}}
+	s := NewStore(foldBase(q), StoreOptions{CompactThreshold: -1})
 	defer s.Close()
+	var keys []string // every key the sequence may use, base keys included
+	for k := 1; k <= 1000; k++ {
+		keys = append(keys, fmt.Sprintf("k%d", k))
+	}
+	type held struct {
+		g    *Graph
+		want string
+	}
+	var pinned []held
+	reseals := s.Compactions()
+	for i := 1; i <= 200; i++ {
+		b := q.batch(0) // epoch 0 never reseals (foldSeq.batch)
+		if i == 102 {
+			b.Ops = append(b.Ops, q.addEdge("reseal"))
+		}
+		mustApply(t, s, b.Ops...)
+		if i%5 == 0 {
+			g, epoch := s.Current()
+			if epoch != uint64(i) {
+				t.Fatalf("Current epoch = %d, want %d", epoch, i)
+			}
+			pinned = append(pinned, held{g, renderEpoch(g, keys)})
+		}
+		if i%25 == 0 {
+			if err := s.Compact(); err != nil {
+				t.Fatalf("Compact: %v", err)
+			}
+		}
+	}
+	if got := s.Compactions() - reseals; got != 9 { // 8 compactions and the reseal
+		t.Fatalf("%d compactions and reseals, want 9", got)
+	}
+	if q.next > len(keys) {
+		t.Fatalf("the sequence used %d keys, more than the %d rendered", q.next, len(keys))
+	}
+	if q.Reused == 0 || q.SameBatch == 0 {
+		t.Fatalf("the sequence reused no key or added and deleted nothing in one batch: %+v", q.foldCoverage)
+	}
+	for i, p := range pinned {
+		if got := renderEpoch(p.g, keys); got != p.want {
+			t.Fatalf("epoch %d changed under later writes:\n got %s\nwant %s", 5*(i+1), got, p.want)
+		}
+	}
+	if cur, _ := s.Current(); cur == pinned[len(pinned)-1].g {
+		t.Fatal("Current still returns the last pinned graph after a compaction")
+	}
+}
 
-	mustApply(t, s, Op{Kind: OpAddNode, Key: "d", Label: "Person"})
-	g, epoch := s.Current()
-	if epoch != 1 {
-		t.Fatalf("Current epoch = %d, want 1", epoch)
+// renderEpoch renders everything a reader can see of g: both adjacencies
+// and the liveness of every ID in its ID space, the ID of every key in
+// keys, the label lists, the live counts and the "id" postings.
+func renderEpoch(g *Graph, keys []string) string {
+	var sb strings.Builder
+	sb.WriteString(renderLive(g))
+	fmt.Fprintf(&sb, "live %d nodes, %d edges\n", g.LiveNodes(), g.LiveEdges())
+	for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+		fmt.Fprintf(&sb, "node %d %v out %v in %v\n", id, g.NodeAlive(id), g.OutRuns(id), g.InRuns(id))
 	}
-	wantAdj := renderAdjacency(g)
-
-	mustApply(t, s, Op{Kind: OpDelNode, Key: "a"})
-	mustApply(t, s, Op{Kind: OpAddEdge, Key: "cd", Src: "c", Dst: "d", Label: "Knows"})
-	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact: %v", err)
+	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
+		fmt.Fprintf(&sb, "edge %d %v\n", id, g.EdgeAlive(id))
 	}
-
-	if got := renderAdjacency(g); got != wantAdj {
-		t.Fatalf("epoch-1 view changed under writes:\n got %s\nwant %s", got, wantAdj)
+	for _, k := range keys {
+		n, nok := g.NodeIDByKey(k)
+		e, eok := g.EdgeIDByKey(k)
+		fmt.Fprintf(&sb, "key %s node %d %v edge %d %v\n", k, n, nok, e, eok)
 	}
-	if g.LiveNodes() != 4 {
-		t.Fatalf("epoch-1 LiveNodes = %d, want 4", g.LiveNodes())
+	for _, l := range g.Labels() {
+		fmt.Fprintf(&sb, "label %s %v %v\n", l, g.NodesWithLabel(l), g.EdgesWithLabel(l))
 	}
-	if cur, _ := s.Current(); cur == g {
-		t.Fatal("Current still returns the epoch-1 graph after writes")
+	for v := int64(0); v < 100; v++ {
+		ids, ok := g.NodesWithProp("id", IntValue(v))
+		fmt.Fprintf(&sb, "id=%d %v %v\n", v, ids, ok)
 	}
+	return sb.String()
 }
 
 // TestStoreCurrentConsistent: Current returns a graph and epoch number of

@@ -99,6 +99,7 @@ func TestIngestErrors(t *testing.T) {
 		{"malformed json", `{"op":`, http.StatusBadRequest, "bad_request"},
 		{"empty batch", "\n\n", http.StatusBadRequest, "bad_request"},
 		{"unknown op", `{"op":"upsert","key":"x"}`, http.StatusBadRequest, "bad_request"},
+		{"two ops on a line", `{"op":"add_node","key":"q1"} {"op":"add_node","key":"q2"}`, http.StatusBadRequest, "bad_request"},
 		{"duplicate key", `{"op":"add_node","key":"n1","label":"Person"}`, http.StatusUnprocessableEntity, "validation"},
 		{"unknown endpoint", `{"op":"add_edge","key":"zz","src":"n1","dst":"nope","label":"Knows"}`, http.StatusUnprocessableEntity, "validation"},
 		{"unknown delete", `{"op":"del_node","key":"nope"}`, http.StatusUnprocessableEntity, "validation"},

@@ -280,3 +280,24 @@ for case in NodeIDByKey NodeIDByKeyMiss EdgeIDByKey NodeKey NodeProp/string Node
     fi
     echo "check_allocs: graph accessor $case at zero allocs ($allocs allocs/op)"
 done
+
+# Apply gate: a live-store batch costs its own ops, not the delta built
+# up before it, because successive epochs share their overlay's tables
+# and copy only what a batch writes. BenchmarkApplySteady applies
+# live_ingest's stream shape to the 7,000-person graph with the delta held
+# near 256 and near 1,900 records; B/op at 1,900 must stay within 1.5x
+# B/op at 256 (copying the overlay's maps per batch took 2.6x).
+out=$(go test -run xxx -bench 'BenchmarkApplySteady' -benchtime 400x -benchmem ./internal/graph 2>&1)
+printf '%s\n' "$out"
+
+small=$(printf '%s\n' "$out" | awk '/^BenchmarkApplySteady\/delta=256-/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op") print $i }')
+large=$(printf '%s\n' "$out" | awk '/^BenchmarkApplySteady\/delta=1900-/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op") print $i }')
+if [ -z "$small" ] || [ -z "$large" ]; then
+    echo "check_allocs: could not find BenchmarkApplySteady B/op in benchmark output" >&2
+    exit 1
+fi
+if [ $((large * 2)) -gt $((small * 3)) ]; then
+    echo "check_allocs: Apply allocates $large B/op at a 1,900-record delta vs $small at 256 > 1.5x — a batch's cost grows with the delta" >&2
+    exit 1
+fi
+echo "check_allocs: Apply allocates $small B/op at a 256-record delta and $large at 1,900 (bound 1.5x)"
