@@ -31,9 +31,9 @@ func (o StreamOptions) chunkSize() int {
 // Stream is a chunked, cancellable result cursor produced by RunStream.
 // Chunks are emitted in the engine's deterministic result order, so the
 // concatenation of all chunks is exactly the set Engine.Run would have
-// returned — at every chunk size. A Stream is not safe
-// for concurrent use; callers paging one stream from several goroutines
-// (e.g. the query service's cursor endpoints) must serialize Next calls.
+// returned — at every chunk size. A Stream is not safe for concurrent
+// use: callers paging one stream from several goroutines must serialize
+// Next calls (the query service pages byte ranges of its encoding).
 type Stream struct {
 	chunk  int
 	cancel context.CancelFunc
@@ -42,10 +42,10 @@ type Stream struct {
 	err    error         // evaluation error; written before done closes
 	pos    int           // next unread position into set
 
-	// g/epoch identify the graph view the evaluation ran (or a cached
-	// result was computed) against. A published graph is immutable and
-	// compaction publishes a new one, so the IDs inside the stream's
-	// paths resolve against g for as long as the stream is referenced.
+	// g/epoch identify the graph view the evaluation ran against. A
+	// published graph is immutable and compaction publishes a new one, so
+	// the IDs inside the stream's paths resolve against g, which the
+	// stream pins, for as long as it is referenced.
 	g     *graph.Graph
 	epoch uint64
 	// footprint is the label footprint of the plan the evaluation ran.
@@ -86,7 +86,7 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 		defer close(s.done)
 		defer cancel()
 		// The eval span ends when the evaluation goroutine does —
-		// delivery spans (server-side) then run as its siblings.
+		// the server's encode and deliver spans then run as its siblings.
 		defer sp.End()
 		// Last line of defense above the evaluators' own recovery: a panic
 		// in engine-level operators becomes this stream's typed error (the
@@ -107,10 +107,9 @@ func (e *Engine) RunStream(ctx context.Context, x core.PathExpr, o StreamOptions
 }
 
 // StreamOf wraps an already-materialized result set in a Stream paging
-// it in chunks of at most chunkSize (<= 0 selects DefaultChunkSize). The
-// query service uses it to page result-cache hits through the same
-// cursor machinery as live evaluations; g is the graph view the set was
-// computed against (the view its path IDs must be rendered with).
+// it in chunks of at most chunkSize (<= 0 selects DefaultChunkSize); g is
+// the graph view the set was computed against (the view its path IDs
+// must be rendered with).
 func StreamOf(g *graph.Graph, set *pathset.Set, chunkSize int) *Stream {
 	s := &Stream{
 		chunk:  StreamOptions{ChunkSize: chunkSize}.chunkSize(),
@@ -160,7 +159,8 @@ func (s *Stream) Close() {
 
 // Graph returns the graph view the stream's paths resolve against — on a
 // live engine, the view of the epoch the stream evaluated. Render result
-// paths with this graph, never with the engine's current one.
+// paths with this graph, never with the engine's current one; the query
+// service encodes the whole result with it once, then drops the stream.
 func (s *Stream) Graph() *graph.Graph { return s.g }
 
 // Epoch returns the epoch the stream evaluated against.
@@ -176,8 +176,7 @@ func (s *Stream) Done() <-chan struct{} { return s.done }
 
 // Result blocks until evaluation completes and returns the full result
 // set and error — Run's return values. The query service uses it to
-// admit completed results into the result cache; pagination state is
-// unaffected.
+// encode completed results; pagination state is unaffected.
 func (s *Stream) Result() (*pathset.Set, error) {
 	<-s.done
 	return s.set, s.err

@@ -5,7 +5,6 @@ import (
 
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/lru"
-	"pathalgebra/internal/pathset"
 )
 
 // footprintCache is an LRU (lru.Cache) of answers that stay valid only
@@ -20,19 +19,21 @@ import (
 // miss. Capacity is counted in entries; explicit invalidation (the
 // /cache/invalidate endpoint) empties the cache wholesale.
 //
-// The server keeps two instances. The result cache holds fully
-// materialized query results keyed by the canonical rendering of the
-// PLANNED physical plan plus the evaluation limits (the two inputs that
-// determine a result byte for byte — the engine's evaluation is
-// deterministic); cached sets are immutable and
-// shared, so a hit pages the same *pathset.Set through a fresh cursor at
-// no evaluation or copying cost. The reach cache holds rendered POST
-// /reach answers. They are separate instances on purpose: reach answers
-// are path-free while query results are path sets, and the two
-// evaluation routes must never alias — a kernel answer under a key an
-// enumeration could hit would be a correctness bug, not a cache policy
-// choice. Reach keys also carry a "reach:<mode>:" prefix, so even a
-// merged store could not collide them.
+// The server keeps two instances. The result cache holds query results
+// keyed by the canonical rendering of the PLANNED physical plan plus the
+// evaluation limits (the two inputs that determine a result byte for
+// byte — the engine's evaluation is deterministic). Each is held as its
+// NDJSON encoding (encoded), made once when its evaluation completed and
+// rendered with that epoch's graph view: immutable bytes shared by every
+// cursor that hits it, which page byte ranges of them at no evaluation,
+// rendering or copying cost. An entry pins neither the path set nor the
+// graph, and the collector does not scan its bytes. The reach cache
+// holds rendered POST /reach answers. They are separate instances
+// on purpose: reach answers are path-free while query results are path
+// lines, and the two evaluation routes must never alias — a kernel answer
+// under a key an enumeration could hit would be a correctness bug, not a
+// cache policy choice. Reach keys also carry a "reach:<mode>:" prefix, so
+// even a merged store could not collide them.
 type footprintCache[V any] struct {
 	entries      *lru.Cache[string, stamped[V]]
 	hits, misses atomic.Int64
@@ -44,13 +45,6 @@ type stamped[V any] struct {
 	val   V
 	epoch uint64
 	fp    graph.Footprint
-}
-
-// cachedSet is one cached query result: the materialized set and the
-// graph view its path IDs resolve against.
-type cachedSet struct {
-	set *pathset.Set
-	g   *graph.Graph
 }
 
 func newFootprintCache[V any](capacity int) *footprintCache[V] {

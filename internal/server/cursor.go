@@ -6,19 +6,29 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pathalgebra/internal/engine"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
+	"pathalgebra/internal/path"
 )
 
-// cursor is one session-scoped query: the stream being paged, the cancel
+// cursor is one session-scoped query: its result once known, the cancel
 // handle aborting its evaluation, and pagination bookkeeping. Page reads
 // serialize on mu (a cursor is a sequential protocol; concurrent /next
-// calls on one id would otherwise race the stream).
+// calls on one id would otherwise race the page position).
 type cursor struct {
 	id     string
 	chunk  int
-	stream *engine.Stream
 	cancel context.CancelFunc // cancels the query context (deadline included)
+	// ready is closed once the result is known: total paths, encoded
+	// whole in enc — or, for a no_cache query, encoded a page at a time
+	// from paths, whose IDs resolve against g — or err, its evaluation's
+	// error. All are written before ready closes and read after.
+	ready chan struct{}
+	enc   *encoded
+	paths []path.Path
+	g     *graph.Graph
+	total int
+	err   error
 	// discarded marks a cursor whose registration was rejected after its
 	// evaluation had already launched; the completion watcher then skips
 	// the completed/failed accounting (the request counted as rejected).
@@ -33,8 +43,8 @@ type cursor struct {
 	root      *obs.Span
 	wantTrace bool
 
-	mu        sync.Mutex
-	delivered int64
+	mu  sync.Mutex
+	pos int // lines paged so far, severed pages included
 	// lastRead is the unix-nano time of the last page read (or of
 	// creation). It is atomic so the idle sweeper never waits on mu,
 	// which a /next holds for its whole page write to the client.

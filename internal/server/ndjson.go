@@ -2,7 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -24,25 +27,89 @@ import (
 //
 //	{"nodes":["n1","n2"],"edges":["e1"],"len":1}
 //
-// Path lines are appended straight from the path's IDs into a pooled
-// page buffer, byte-identical to encoding/json's rendering of
-// struct{Nodes, Edges []string; Len int}. The keys are not rendered
-// here: the graph stores each key once, between its quotes, and a line
-// copies those bytes for every key encoding/json writes unchanged
+// A result is encoded once, when its evaluation completes: every path's
+// line is appended straight from the path's IDs into one buffer, beside
+// the offset where each line ends, byte-identical to encoding/json's
+// rendering of struct{Nodes, Edges []string; Len int}. The keys are not
+// rendered here: the graph stores each key once, between its quotes, and
+// a line copies those bytes for every key encoding/json writes unchanged
 // (graph.AppendNodeKeyJSON and AppendEdgeKeyJSON); only keys that need
 // escaping, and the keys a delta view appended, are rendered per line.
+// Every page is one Write of a byte range of that encoding, which the
+// result cache keeps in place of the path set: a hit renders nothing. A
+// no_cache result, which no second reader shares, is encoded a page at a
+// time into a pooled buffer instead.
 
-// pageFlushBytes is the page buffer's high-water mark: the buffer goes
-// to the writer whenever it passes this, and once at the end of the
-// page, so a page of any size holds at most one flush plus one line.
-const pageFlushBytes = 32 << 10
+// encoded is one result's NDJSON path lines: buf holds them back to
+// back, and line i is buf[offs[i]:offs[i+1]].
+type encoded struct {
+	buf  []byte
+	offs []uint32
+}
 
-// pageBufs pools page buffers across requests, each with room for the
-// line that crosses the flush mark.
-var pageBufs = sync.Pool{New: func() any {
-	b := make([]byte, 0, pageFlushBytes+pageFlushBytes/4)
-	return &b
-}}
+// encodedPool recycles the page encodings of no_cache results.
+var encodedPool = sync.Pool{New: func() any { return new(encoded) }}
+
+// encodeResult appends the NDJSON line of every path, rendered with g's
+// keys, under an "encode" span of the query's trace whose attributes are
+// the paths and bytes encoded. g must be the graph view the paths' IDs
+// were minted in. A result the cache keeps (keep) is held for good, so a
+// first pass sizes it and it is encoded once into slices of exactly its
+// size: growing a large one and copying it cost more than that pass. A
+// page of a no_cache result is encoded into a buffer from encodedPool,
+// which the caller releases.
+func encodeResult(root *obs.Span, g *graph.Graph, paths []path.Path, keep bool) (*encoded, error) {
+	sp := root.Start("encode")
+	defer sp.End()
+	var e *encoded
+	if keep {
+		e = new(encoded)
+		size := 0
+		for _, p := range paths {
+			e.buf = appendPathLine(e.buf[:0], g, p)
+			size += len(e.buf)
+		}
+		e.buf = make([]byte, 0, size)
+	} else {
+		e = encodedPool.Get().(*encoded)
+	}
+	e.buf, e.offs = e.buf[:0], append(slices.Grow(e.offs[:0], len(paths)+1), 0)
+	for _, p := range paths {
+		e.buf = appendPathLine(e.buf, g, p)
+		e.offs = append(e.offs, uint32(len(e.buf)))
+	}
+	if uint64(len(e.buf)) > math.MaxUint32 { // the offsets wrapped
+		return nil, errors.New("server: result encodes to more than 4 GiB")
+	}
+	sp.SetInt("paths", int64(len(paths)))
+	sp.SetInt("bytes", int64(len(e.buf)))
+	return e, nil
+}
+
+func (e *encoded) release() { encodedPool.Put(e) }
+
+// lines is the number of path lines encoded.
+func (e *encoded) lines() int { return len(e.offs) - 1 }
+
+// writeLines writes lines [lo, hi) of e in one Write and returns the
+// bytes written. Each line is one hit of the "server.write" fault site,
+// which stands in for a client connection dying mid-page: when it fires,
+// the lines before it are written and the error returned, so a severed
+// page is a prefix of whole lines.
+func (e *encoded) writeLines(w io.Writer, lo, hi int) (int64, error) {
+	var err error
+	cut := lo
+	for ; cut < hi; cut++ {
+		if err = fault.Hit("server.write"); err != nil {
+			break
+		}
+	}
+	n, werr := w.Write(e.buf[e.offs[lo]:e.offs[cut]])
+	if err == nil {
+		err = werr
+	}
+	return int64(n), err
+}
 
 // pageTrailer terminates every cursor page. Done reports whether the
 // cursor is exhausted (and therefore removed server-side); Returned is
@@ -55,45 +122,6 @@ type pageTrailer struct {
 	Delivered int64           `json:"delivered"`
 	Total     int             `json:"total"`
 	Trace     []*obs.SpanJSON `json:"trace,omitempty"`
-}
-
-// writePathLines writes one NDJSON line per path, rendered with g's keys,
-// and returns the bytes written. Each line is one hit of the
-// "server.write" fault site, which stands in for a client connection
-// dying mid-page: when it fires, the lines already buffered are written
-// and the error returned, so a severed page is a prefix of whole lines.
-func writePathLines(w io.Writer, g *graph.Graph, paths []path.Path) (int64, error) {
-	bp := pageBufs.Get().(*[]byte)
-	buf := (*bp)[:0]
-	var written int64
-	var err error
-	for _, p := range paths {
-		if err = fault.Hit("server.write"); err != nil {
-			break
-		}
-		buf = appendPathLine(buf, g, p)
-		if len(buf) >= pageFlushBytes {
-			n, werr := w.Write(buf)
-			written += int64(n)
-			buf = buf[:0]
-			if werr != nil {
-				err = werr
-				break
-			}
-		}
-	}
-	if len(buf) > 0 {
-		n, werr := w.Write(buf)
-		written += int64(n)
-		if err == nil {
-			err = werr
-		}
-	}
-	if cap(buf) <= 2*pageFlushBytes { // a page with one huge line does not pin its buffer
-		*bp = buf[:0]
-		pageBufs.Put(bp)
-	}
-	return written, err
 }
 
 // appendPathLine appends p's NDJSON line, newline included.

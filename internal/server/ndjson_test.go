@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,46 +179,65 @@ func checkPathLines(t *testing.T, g *graph.Graph) (mixed int) {
 	if zeroLen != g.LiveNodes() {
 		t.Fatalf("%d zero-length paths, want one per node", zeroLen)
 	}
-	var got, want bytes.Buffer
-	n, err := writePathLines(&got, g, set.Paths())
-	if err != nil || n != int64(got.Len()) {
-		t.Fatalf("writePathLines = %d, %v; wrote %d bytes", n, err, got.Len())
-	}
+	var want bytes.Buffer
 	if err := writePathLinesReference(&want, g, set.Paths()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatalf("page diverges from the per-line writer:\n got  %q\n want %q", got.Bytes(), want.Bytes())
+	for _, keep := range []bool{false, true} {
+		enc, err := encodeResult(nil, g, set.Paths(), keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		n, err := enc.writeLines(&got, 0, enc.lines())
+		if err != nil || n != int64(got.Len()) {
+			t.Fatalf("keep=%v: writeLines = %d, %v; wrote %d bytes", keep, n, err, got.Len())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("keep=%v: page diverges from the per-line writer:\n got  %q\n want %q", keep, got.Bytes(), want.Bytes())
+		}
+		if keep && cap(enc.buf) > len(enc.buf)+len(enc.buf)/8+8<<10 { // allocation size classes round up
+			t.Fatalf("a kept encoding of %d bytes has capacity %d", len(enc.buf), cap(enc.buf))
+		}
 	}
 	return mixed
 }
 
-// TestWritePathLinesFlushes: a page well past the flush mark (the whole
-// fixture result) arrives in writes of at most one flush plus one line,
-// and byte-identical to the per-line writer.
-func TestWritePathLinesFlushes(t *testing.T) {
+// TestWriteLinesOneWrite: the whole fixture result, encoded once, pages
+// in ranges of 1024 lines, each page one Write, and the pages concatenate
+// to the per-line writer's bytes.
+func TestWriteLinesOneWrite(t *testing.T) {
 	g, set, _ := pageFixture(t)
-	page := set.Paths()
-	var got bytes.Buffer
-	rec := &writeRecorder{w: &got}
-	n, err := writePathLines(rec, g, page)
+	enc, err := encodeResult(nil, g, set.Paths(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer enc.release()
+	if enc.lines() != set.Len() {
+		t.Fatalf("encoded %d lines for %d paths", enc.lines(), set.Len())
+	}
+	var got bytes.Buffer
+	rec := &writeRecorder{w: &got}
+	pages := 0
+	for lo := 0; lo < enc.lines(); lo += 1024 {
+		hi := min(lo+1024, enc.lines())
+		n, err := enc.writeLines(rec, lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pages++; len(rec.sizes) != pages || int64(rec.sizes[pages-1]) != n {
+			t.Fatalf("page %d took %d writes in all, want one per page", pages, len(rec.sizes))
+		}
+	}
 	var want bytes.Buffer
-	if err := writePathLinesReference(&want, g, page); err != nil {
+	if err := writePathLinesReference(&want, g, set.Paths()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) || n != int64(want.Len()) {
-		t.Fatalf("page of %d bytes (reported %d) diverges from the per-line writer's %d", got.Len(), n, want.Len())
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("%d pages of %d bytes diverge from the per-line writer's %d", pages, got.Len(), want.Len())
 	}
-	if want.Len() < 2*pageFlushBytes {
-		t.Fatalf("fixture page of %d bytes does not pass the flush mark twice", want.Len())
-	}
-	for _, size := range rec.sizes {
-		if size > pageFlushBytes+512 {
-			t.Errorf("one write of %d bytes, want <= flush mark + one line", size)
-		}
+	if pages < 2 {
+		t.Fatalf("fixture result fills %d page, want several", pages)
 	}
 }
 
@@ -235,18 +255,34 @@ func (r *writeRecorder) Write(p []byte) (int, error) {
 // TestSeveredPage: with server.write armed at its Nth hit on a 1024-path
 // page, the body is exactly the first N-1 lines of the unfaulted page —
 // whole lines, no trailer — and what the per-line writer writes under the
-// same schedule.
+// same schedule, and the next read returns the page after it. It holds
+// on the cursor that evaluated, with the cache and with no_cache, and on
+// a cursor over the cached result that evaluation left behind.
 func TestSeveredPage(t *testing.T) {
 	g, _, page := pageFixture(t)
 	_, ts := newTestServer(t, Config{Graph: g, ChunkSize: 1024, Engine: engine.Options{Limits: pageLimits}})
 
-	firstPage := func(nth int) []byte {
+	// open posts pageQuery as a miss (after emptying the cache), as
+	// no_cache or as a hit, and returns the cursor's id.
+	open := func(kind string) string {
 		t.Helper()
-		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: pageQuery}))
+		if kind == "miss" {
+			postJSON(t, ts.URL+"/cache/invalidate", struct{}{}).Body.Close()
+		}
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: pageQuery, NoCache: kind == "no_cache"}))
+		if qr.Cached != (kind == "hit") {
+			t.Fatalf("%s cursor: cached = %v", kind, qr.Cached)
+		}
+		return qr.ID
+	}
+	// next reads the cursor's next page, with server.write armed at its
+	// nth hit when nth > 0.
+	next := func(id string, nth int) []byte {
+		t.Helper()
 		if nth > 0 {
 			defer fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: nth}}})()
 		}
-		resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID))
+		resp, err := http.Get(fmt.Sprintf("%s/query/%s/next", ts.URL, id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,16 +293,14 @@ func TestSeveredPage(t *testing.T) {
 		}
 		return body
 	}
-	clean := firstPage(0)
+	cleanID := open("miss")
+	clean := next(cleanID, 0)
+	secondPage := next(cleanID, 0)
 	lines := strings.SplitAfter(string(clean), "\n")
 	if len(lines) != 1024+2 || lines[1025] != "" || !strings.HasPrefix(lines[1024], `{"done":false,"returned":1024,`) {
 		t.Fatalf("unfaulted page has %d lines, want 1024 path lines and a trailer", len(lines)-1)
 	}
 	for _, nth := range []int{1, 2, 500, 1024} {
-		got := firstPage(nth)
-		if want := strings.Join(lines[:nth-1], ""); string(got) != want {
-			t.Errorf("nth=%d: body of %d bytes, want the first %d lines (%d bytes)", nth, len(got), nth-1, len(want))
-		}
 		var ref bytes.Buffer
 		restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: nth}}})
 		err := writePathLinesReference(&ref, g, page)
@@ -274,14 +308,26 @@ func TestSeveredPage(t *testing.T) {
 		if err == nil {
 			t.Fatalf("nth=%d: the reference writer was not severed", nth)
 		}
-		if !bytes.Equal(got, ref.Bytes()) {
-			t.Errorf("nth=%d: body diverges from the per-line writer's", nth)
+		for _, kind := range []string{"miss", "no_cache", "hit"} {
+			id := open(kind)
+			got := next(id, nth)
+			if want := strings.Join(lines[:nth-1], ""); string(got) != want {
+				t.Errorf("%s nth=%d: body of %d bytes, want the first %d lines (%d bytes)", kind, nth, len(got), nth-1, len(want))
+			}
+			if !bytes.Equal(got, ref.Bytes()) {
+				t.Errorf("%s nth=%d: body diverges from the per-line writer's", kind, nth)
+			}
+			if got := next(id, 0); !bytes.Equal(got, secondPage) {
+				t.Errorf("%s nth=%d: the read after the severed page is not the second page", kind, nth)
+			}
 		}
 	}
 }
 
 // TestSeveredPageNotCounted: a page a write fault cuts adds nothing to
-// paths_delivered or pages_served; a clean page adds exactly its lines.
+// paths_delivered or pages_served, and the next read returns the page
+// after it and adds exactly its lines — on the cursor that evaluated and
+// on a cursor over the cached result.
 func TestSeveredPageNotCounted(t *testing.T) {
 	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
 	stats := func() statsResponse {
@@ -289,79 +335,112 @@ func TestSeveredPageNotCounted(t *testing.T) {
 		return decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats"))
 	}
 	qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, ChunkSize: 5}))
-	next := fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID)
-	before := stats()
+	all, _ := drainTraced(t, ts.URL, qr.ID)
+	if len(all) < 10 {
+		t.Fatalf("result has %d paths, want two pages of 5", len(all))
+	}
+	for _, cached := range []bool{false, true} {
+		if !cached {
+			postJSON(t, ts.URL+"/cache/invalidate", struct{}{}).Body.Close()
+		}
+		qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, ChunkSize: 5}))
+		if qr.Cached != cached {
+			t.Fatalf("cursor cached = %v, want %v", qr.Cached, cached)
+		}
+		next := fmt.Sprintf("%s/query/%s/next", ts.URL, qr.ID)
+		before := stats()
 
-	restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: 3}}})
-	resp, err := http.Get(next)
-	if err != nil {
+		restore := fault.Arm(fault.Schedule{Rules: []fault.Rule{{Site: "server.write", Nth: 3}}})
+		resp, err := http.Get(next)
+		if err != nil {
+			restore()
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		restore()
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	restore()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := strings.Count(string(body), "\n"); n != 2 || strings.Contains(string(body), `"done"`) {
-		t.Fatalf("severed page = %q, want 2 path lines and no trailer", body)
-	}
-	severed := stats()
-	if severed.Server.Paths != before.Server.Paths || severed.Server.Pages != before.Server.Pages {
-		t.Errorf("severed page moved paths_delivered %d -> %d, pages_served %d -> %d",
-			before.Server.Paths, severed.Server.Paths, before.Server.Pages, severed.Server.Pages)
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := strings.Count(string(body), "\n"); n != 2 || strings.Contains(string(body), `"done"`) {
+			t.Fatalf("cached=%v: severed page = %q, want 2 path lines and no trailer", cached, body)
+		}
+		severed := stats()
+		if severed.Server.Paths != before.Server.Paths || severed.Server.Pages != before.Server.Pages {
+			t.Errorf("cached=%v: severed page moved paths_delivered %d -> %d, pages_served %d -> %d", cached,
+				before.Server.Paths, severed.Server.Paths, before.Server.Pages, severed.Server.Pages)
+		}
 
-	resp, err = http.Get(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, trailer := readPage(t, resp)
-	if trailer.Returned != 5 || len(paths) != 5 {
-		t.Fatalf("clean page returned %d (%d lines), want 5", trailer.Returned, len(paths))
-	}
-	after := stats()
-	if after.Server.Paths != severed.Server.Paths+int64(trailer.Returned) || after.Server.Pages != severed.Server.Pages+1 {
-		t.Errorf("clean page moved paths_delivered %d -> %d, pages_served %d -> %d; want +%d, +1",
-			severed.Server.Paths, after.Server.Paths, severed.Server.Pages, after.Server.Pages, trailer.Returned)
+		resp, err = http.Get(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, trailer := readPage(t, resp)
+		if trailer.Returned != 5 || !reflect.DeepEqual(paths, all[5:10]) {
+			t.Fatalf("cached=%v: clean page returned %d (%d lines), want the second page of 5", cached, trailer.Returned, len(paths))
+		}
+		after := stats()
+		if after.Server.Paths != severed.Server.Paths+int64(trailer.Returned) || after.Server.Pages != severed.Server.Pages+1 {
+			t.Errorf("cached=%v: clean page moved paths_delivered %d -> %d, pages_served %d -> %d; want +%d, +1", cached,
+				severed.Server.Paths, after.Server.Paths, severed.Server.Pages, after.Server.Pages, trailer.Returned)
+		}
 	}
 }
 
 // BenchmarkWritePage writes one 1024-path page of a generated LDBC graph
-// to io.Discard: "sealed" over the built graph, "delta" over a Store's
-// delta view whose every path visits a node or edge a batch appended. The
-// sealed page copies every key from the key slab graph.Build rendered;
-// the delta page also renders its appended keys per line. Untraced and
-// disarmed neither allocates: the page buffer is pooled and keys are
-// copied, not marshalled.
+// to io.Discard. "sealed" and "delta" encode the page first, over the
+// built graph and over a Store's delta view whose every path visits a
+// node or edge a batch appended: the sealed page copies every key from
+// the key column graph.Build rendered, the delta page also renders its
+// appended keys per line. "cached" writes the page from a result encoded
+// beforehand, as a cache hit does. Untraced and disarmed none allocates:
+// the encoding is pooled and keys are copied, not marshalled.
 func BenchmarkWritePage(b *testing.B) {
-	g, set, page := pageFixture(b)
-	dg, dset, dpage := deltaPageFixture(b)
+	g, _, page := pageFixture(b)
+	dg, dpage := deltaPageFixture(b)
 	for _, c := range []struct {
 		name string
 		g    *graph.Graph
-		set  *pathset.Set
 		page []path.Path
-	}{{"sealed", g, set, page}, {"delta", dg, dset, dpage}} {
+	}{{"sealed", g, page}, {"delta", dg, dpage}} {
 		b.Run(c.name, func(b *testing.B) {
-			cur := &cursor{stream: engine.StreamOf(c.g, c.set, len(c.page))}
+			cur := &cursor{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := writePage(io.Discard, cur, c.page); err != nil {
+				enc, err := encodeResult(nil, c.g, c.page, false)
+				if err != nil {
 					b.Fatal(err)
 				}
+				cur.enc = enc
+				if err := writePage(io.Discard, cur, 0, enc.lines()); err != nil {
+					b.Fatal(err)
+				}
+				enc.release()
 			}
 		})
 	}
+	b.Run("cached", func(b *testing.B) {
+		enc, err := encodeResult(nil, g, page, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cur := &cursor{enc: enc}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := writePage(io.Discard, cur, 0, cur.enc.lines()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // deltaPageFixture appends 32 persons to pageGraph through a Store, each
 // knowing three base persons and known by three, evaluates pageQuery over
-// the delta view and returns it, the result and the first 1024 paths that
-// visit an appended node or edge.
-func deltaPageFixture(tb testing.TB) (*graph.Graph, *pathset.Set, []path.Path) {
+// the delta view and returns it and the first 1024 paths of the result
+// that visit an appended node or edge.
+func deltaPageFixture(tb testing.TB) (*graph.Graph, []path.Path) {
 	tb.Helper()
 	base := pageGraph()
 	st := graph.NewStore(base, graph.StoreOptions{})
@@ -406,10 +485,10 @@ func deltaPageFixture(tb testing.TB) (*graph.Graph, *pathset.Set, []path.Path) {
 		if appended(p) {
 			page = append(page, p)
 			if len(page) == 1024 {
-				return g, set, page
+				return g, page
 			}
 		}
 	}
 	tb.Fatalf("delta fixture has %d paths through appended objects, want >= 1024", len(page))
-	return nil, nil, nil
+	return nil, nil
 }

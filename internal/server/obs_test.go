@@ -222,6 +222,16 @@ func TestQueryTrace(t *testing.T) {
 	if wantPages := int64(len(paths)+2) / 3; deliverSpans != wantPages || delivered != pathBytes {
 		t.Errorf("%d deliver spans carry %d bytes; the client received %d pages, %d path-line bytes", deliverSpans, delivered, wantPages, pathBytes)
 	}
+	// One encode span beside them, for the whole result.
+	var encodes []*obs.SpanJSON
+	for _, sp := range trailer.Trace[0].Children {
+		if sp.Name == "encode" {
+			encodes = append(encodes, sp)
+		}
+	}
+	if len(encodes) != 1 || encodes[0].Attrs["paths"] != int64(len(paths)) || encodes[0].Attrs["bytes"] != pathBytes {
+		t.Errorf("encode spans %+v, want one with paths=%d bytes=%d", encodes, len(paths), pathBytes)
+	}
 	root := trailer.Trace[0]
 	if root.Name != "query" {
 		t.Fatalf("root span %q, want query", root.Name)
@@ -231,7 +241,7 @@ func TestQueryTrace(t *testing.T) {
 	for _, n := range names {
 		seen[n] = true
 	}
-	for _, want := range []string{"query", "parse", "plan", "cache_probe", "eval", "search", "merge", "deliver"} {
+	for _, want := range []string{"query", "parse", "plan", "cache_probe", "eval", "search", "merge", "encode", "deliver"} {
 		if !seen[want] {
 			t.Errorf("trace missing span %q (have %v)", want, names)
 		}
@@ -270,6 +280,13 @@ func TestQueryTrace(t *testing.T) {
 	_, tr3 := drainTraced(t, ts.URL, qr3.ID)
 	if tr3.Trace != nil {
 		t.Error("untraced query trailer carries a trace")
+	}
+
+	// A traced hit encodes nothing: it pages the first query's encoding.
+	qr4 := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: obsQuery, Trace: true, ChunkSize: 3}))
+	_, tr4 := drainTraced(t, ts.URL, qr4.ID)
+	if !qr4.Cached || findSpan(tr4.Trace, "encode") != nil || findSpan(tr4.Trace, "deliver") == nil {
+		t.Errorf("traced query (cached %v) has spans %v, want deliver and no encode", qr4.Cached, spanNames(tr4.Trace))
 	}
 }
 

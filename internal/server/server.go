@@ -175,7 +175,7 @@ type Server struct {
 	// (engine.WithLimits): one plan cache, one set of counters.
 	engine *engine.Engine
 
-	cache    *footprintCache[cachedSet]
+	cache    *footprintCache[*encoded]
 	reach    *footprintCache[reachResponse]
 	cursors  *cursorTable
 	inflight atomic.Int64
@@ -216,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 		mux:        http.NewServeMux(),
 	}
 	if n := cfg.cacheSize(); n > 0 {
-		s.cache = newFootprintCache[cachedSet](n)
+		s.cache = newFootprintCache[*encoded](n)
 		s.reach = newFootprintCache[reachResponse](n)
 	}
 	s.metrics = newServerMetrics()
@@ -301,7 +301,7 @@ func (s *Server) Close() {
 		close(s.sweepStop)
 		for _, c := range s.cursors.drainAll() {
 			c.cancel()
-			c.stream.Close()
+			<-c.ready
 			s.metrics.cancelled.Inc()
 		}
 		if s.ownStore {
@@ -324,7 +324,7 @@ func (s *Server) sweepLoop(ttl time.Duration) {
 		case now := <-tick.C:
 			for _, c := range s.cursors.sweepIdle(now, ttl) {
 				c.cancel()
-				c.stream.Close()
+				<-c.ready
 				s.metrics.cancelled.Inc()
 				s.metrics.cursorsExpired.Inc()
 			}
@@ -461,8 +461,9 @@ func resultKey(plan core.PathExpr, lim core.Limits) string {
 	return fmt.Sprintf("%s|maxlen=%d|maxpaths=%d|maxwork=%d", plan, lim.MaxLen, lim.MaxPaths, lim.MaxWork)
 }
 
-// handleQuery admits a query: cache hit → cursor over the cached set;
-// miss → admission control, then a cancellable streaming evaluation.
+// handleQuery admits a query: cache hit → cursor over the cached
+// encoding; miss → admission control, then a cancellable evaluation whose
+// result is encoded once when it completes.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeRequest(r)
 	if err != nil {
@@ -500,19 +501,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cur.touch(time.Now())
 
 	if !req.NoCache {
-		if ent, ok := probeCache(root, s.store, s.cache, key); ok {
-			cur.cancel = func() {}
-			// The cached set's path IDs belong to the epoch it was computed
-			// at; render against that epoch's graph, not the current one.
-			cur.stream = engine.StreamOf(ent.g, ent.set, cur.chunk)
+		if enc, ok := probeCache(root, s.store, s.cache, key); ok {
+			// Rendered with the view of the epoch that evaluated it: no IDs.
+			cur.cancel, cur.ready, cur.enc, cur.total = func() {}, make(chan struct{}), enc, enc.lines()
+			close(cur.ready)
 			if !s.cursors.add(cur) {
 				s.metrics.rejected.Inc()
 				writeError(w, http.StatusTooManyRequests, "over_capacity", "cursor table full (%d live cursors)", s.cursors.len())
 				return
 			}
 			s.metrics.cursorsOpened.Inc()
-			total := ent.set.Len()
-			writeJSON(w, http.StatusCreated, queryResponse{ID: id, Cached: true, Total: &total})
+			writeJSON(w, http.StatusCreated, queryResponse{ID: id, Cached: true, Total: &cur.total})
 			return
 		}
 	}
@@ -542,21 +541,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qctx, qcancel = context.WithCancel(s.baseCtx)
 	}
 	cur.cancel = qcancel
+	cur.ready = make(chan struct{})
 	evalStart := time.Now()
 	// The root span rides the query context into RunStream: the engine's
 	// plan/eval spans and the automaton's search/merge spans parent onto
 	// it. WithSpan on a nil span returns qctx unchanged.
-	cur.stream = eng.RunStream(obs.WithSpan(qctx, root), logical, engine.StreamOptions{ChunkSize: cur.chunk})
+	stream := eng.RunStream(obs.WithSpan(qctx, root), logical, engine.StreamOptions{})
 	s.metrics.started.Inc()
 
-	// Completion watcher: release the admission slot, log slow queries,
-	// admit successful results into the result cache — tagged with the
-	// epoch and graph view the stream evaluated, plus the label footprint of
-	// the plan it evaluated, for invalidation.
+	// Completion watcher: log slow queries, encode a successful result
+	// with the graph view of the epoch it evaluated (then drop the stream
+	// and its set), admit the encoding into the result cache tagged with
+	// that epoch and the plan's label footprint, and release the slot. A
+	// no_cache result is kept as paths and encoded page by page instead.
 	go func() {
-		defer func() { s.recovered(recover()) }()
-		<-cur.stream.Done()
-		s.inflight.Add(-1)
+		defer close(cur.ready)
+		defer s.inflight.Add(-1)
+		defer func() {
+			if r := recover(); r != nil {
+				cur.err = core.Recovered(r)
+				s.notePanic(cur.err)
+			}
+		}()
+		<-stream.Done()
 		if cur.discarded.Load() {
 			return // registration rejected; counted as rejected, not failed
 		}
@@ -570,15 +577,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				s.metrics.slowQueries.Inc()
 			}
 		}
-		set, err := cur.stream.Result()
+		keep := !req.NoCache && s.cache != nil
+		set, err := stream.Result()
+		if err == nil && keep {
+			cur.enc, err = encodeResult(root, stream.Graph(), set.Paths(), true)
+		}
 		if err != nil {
+			cur.err = err
 			s.metrics.failed.Inc()
 			return
 		}
 		s.metrics.completed.Inc()
-		if !req.NoCache {
-			s.cache.put(key, cachedSet{set: set, g: cur.stream.Graph()},
-				cur.stream.Epoch(), cur.stream.Footprint())
+		cur.total = set.Len()
+		if keep {
+			s.cache.put(key, cur.enc, stream.Epoch(), stream.Footprint())
+		} else {
+			cur.paths, cur.g = set.Paths(), stream.Graph()
 		}
 	}()
 
@@ -625,7 +639,7 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	// sweeper could cancel a query out from under its waiting reader.
 	cur.touch(time.Now())
 	select {
-	case <-cur.stream.Done():
+	case <-cur.ready:
 	case <-r.Context().Done():
 		// Client went away while the evaluation was still running; the
 		// cursor stays valid.
@@ -634,32 +648,29 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	cur.mu.Lock()
 	defer cur.mu.Unlock()
 	cur.touch(time.Now())
-	chunk, err := cur.stream.Next()
-	if err != nil {
+	if cur.err != nil {
 		// Removal releases the per-query context (timer included); the
 		// evaluation is already finished, so cancel only cleans up.
 		s.cursors.remove(id)
 		cur.cancel()
-		cur.stream.Close()
-		writeEvalError(w, err)
+		writeEvalError(w, cur.err)
 		return
 	}
-	total := cur.stream.Len()
-	returned := len(chunk)
-	cur.delivered += int64(returned)
-	done := cur.stream.Pos() >= total
+	lo := cur.pos
+	cur.pos = min(lo+cur.chunk, cur.total)
+	returned := cur.pos - lo
+	done := cur.pos >= cur.total
 	if done {
 		// Exhausted: the cursor is gone after this page (a re-POST of the
 		// same query hits the result cache), and its per-query context —
 		// a deadline timer parented on baseCtx — is released.
 		s.cursors.remove(id)
 		cur.cancel()
-		cur.stream.Close()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	if err := writePage(w, cur, chunk); err != nil {
+	if err := writePage(w, cur, lo, cur.pos); err != nil {
 		// Severed mid-page: no trailer, and nothing counted as delivered.
-		// The stream has already advanced, so a retry gets the next page;
+		// The cursor has already advanced, so a retry gets the next page;
 		// the client resumes from there or DELETEs.
 		return
 	}
@@ -668,8 +679,8 @@ func (s *Server) handleNext(w http.ResponseWriter, r *http.Request) {
 	trailer := pageTrailer{
 		Done:      done,
 		Returned:  returned,
-		Delivered: cur.delivered,
-		Total:     total,
+		Delivered: int64(cur.pos),
+		Total:     cur.total,
 	}
 	if done {
 		// The query is over: close the root span so the tree's durations
@@ -691,7 +702,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cur.cancel()
-	cur.stream.Close()
+	<-cur.ready
 	s.metrics.cancelled.Inc()
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "cancelled": true})
 }

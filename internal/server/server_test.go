@@ -225,14 +225,14 @@ func TestCancellationPrompt(t *testing.T) {
 	}
 	cancelled := time.Now()
 	select {
-	case <-cur.stream.Done():
+	case <-cur.ready:
 		if since := time.Since(cancelled); since > 100*time.Millisecond {
 			t.Errorf("evaluation stopped %v after DELETE, want < 100ms", since)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("evaluation still running 5s after DELETE")
 	}
-	if _, err := cur.stream.Result(); err == nil {
+	if cur.err == nil {
 		t.Error("cancelled evaluation returned no error")
 	}
 }
@@ -426,14 +426,14 @@ func TestDrain(t *testing.T) {
 	closed := time.Now()
 	s.Close()
 	select {
-	case <-cur.stream.Done():
+	case <-cur.ready:
 		if since := time.Since(closed); since > 100*time.Millisecond {
 			t.Errorf("evaluation stopped %v after Close, want < 100ms", since)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("evaluation still running 5s after Close")
 	}
-	if _, err := cur.stream.Result(); err == nil {
+	if cur.err == nil {
 		t.Error("drained evaluation returned no error")
 	}
 }

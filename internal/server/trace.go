@@ -7,7 +7,6 @@ import (
 	"pathalgebra/internal/engine"
 	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
-	"pathalgebra/internal/path"
 )
 
 // Per-query tracing: ?trace=1 (or "trace": true in the body) builds an
@@ -48,18 +47,27 @@ func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V],
 	return val, ok
 }
 
-// writePage writes one page's path lines under a "deliver" span of the
-// cursor's trace (no-op spans when the query is untraced), whose bytes
-// attribute is the path-line bytes written. Paths render with the
-// stream's own graph view: the IDs were minted at that epoch, and
-// compaction may have remapped IDs in the current one. A write error
-// severs the page — the caller must NOT write the trailer (a severed
-// page without a trailer is how clients detect the cut).
-func writePage(w io.Writer, cur *cursor, chunk []path.Path) error {
+// writePage writes lines [lo, hi) of the cursor's result under a
+// "deliver" span of the cursor's trace (no-op spans when the query is
+// untraced), whose bytes attribute is the path-line bytes written. A
+// no_cache result's page is first encoded into a pooled buffer, under an
+// encode span of its own. A write error severs the page — the caller
+// must NOT write the trailer (a severed page without a trailer is how
+// clients detect the cut).
+func writePage(w io.Writer, cur *cursor, lo, hi int) error {
+	enc := cur.enc
+	if enc == nil {
+		var err error
+		if enc, err = encodeResult(cur.root, cur.g, cur.paths[lo:hi], false); err != nil {
+			return err
+		}
+		defer enc.release()
+		lo, hi = 0, hi-lo
+	}
 	sp := cur.root.Start("deliver")
 	defer sp.End()
-	sp.SetInt("paths", int64(len(chunk)))
-	n, err := writePathLines(w, cur.stream.Graph(), chunk)
+	sp.SetInt("paths", int64(hi-lo))
+	n, err := enc.writeLines(w, lo, hi)
 	sp.SetInt("bytes", n)
 	return err
 }

@@ -146,17 +146,20 @@ if [ "$nilinst" -ne 0 ]; then
 fi
 echo "check_allocs: disabled observability at zero-alloc parity (trace $niltrace, instruments $nilinst allocs/op)"
 
-# Page-encoding gate: a cursor page's path lines are appended straight
-# from the paths' IDs into a pooled buffer, each key copied from the
-# rendering graph.Build made of it. One 1024-path page to io.Discard must
-# allocate ZERO times per page, no tolerance, both over a sealed graph
-# (sealed) and over a delta view whose paths visit appended objects, whose
-# keys are rendered per line (delta); any drift means per-path strings or
-# reflection crept back into delivery.
+# Page-encoding gate: a result's path lines are appended straight from
+# the paths' IDs into one pooled buffer when its evaluation completes,
+# each key copied from the rendering graph.Build made of it, and every
+# page is one write of a byte range of that encoding. Encoding one
+# 1024-path page and writing it to io.Discard must allocate ZERO times,
+# no tolerance, both over a sealed graph (sealed) and over a delta view
+# whose paths visit appended objects, whose keys are rendered per line
+# (delta); so must writing that page from an encoding made beforehand, as
+# a cache hit does (cached). Any drift means per-path strings or
+# reflection crept back into delivery, or a page started copying.
 out=$(go test -run xxx -bench 'BenchmarkWritePage' -benchtime 100x -benchmem ./internal/server 2>&1)
 printf '%s\n' "$out"
 
-for case in sealed delta; do
+for case in sealed delta cached; do
     page=$(printf '%s\n' "$out" | awk -v c="BenchmarkWritePage/$case-" 'index($0, c) == 1 { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
     if [ -z "$page" ]; then
         echo "check_allocs: could not find BenchmarkWritePage/$case allocs/op in benchmark output" >&2
