@@ -516,9 +516,10 @@ func (e *Engine) search(ctx context.Context, n *opt.Node) (*pathset.Set, error) 
 // last and node(1) are the node itself, so an equality conjunct on one of
 // them names a posting list (NodesWithLabel, NodesWithProp). The smallest
 // such list is the candidate set and the conjuncts are evaluated on its
-// nodes only, bar a label conjunct that supplied the list, which is
-// exact. Only when no conjunct has a list are all nodes scanned. A lone
-// label conjunct returns the label index itself; do not modify it.
+// nodes only, bar a label conjunct that supplied the list, which is exact
+// and is read only once picked. Only when no conjunct has a list are all
+// nodes scanned. A lone label conjunct returns the label index itself; do
+// not modify it.
 func (e *Engine) seedNodes(ctx context.Context, conds []cond.Cond) []graph.NodeID {
 	if len(conds) == 0 {
 		return nil
@@ -526,10 +527,15 @@ func (e *Engine) seedNodes(ctx context.Context, conds []cond.Cond) []graph.NodeI
 	sp := obs.SpanFrom(ctx).Start("seed")
 	defer sp.End()
 	var cands []graph.NodeID
-	pick := -1
+	pick, size := -1, 0
 	for i, c := range conds {
-		if ids, ok := e.postings(c); ok && (pick < 0 || len(ids) < len(cands)) {
-			cands, pick = ids, i
+		if ids, n, ok := e.postings(c); ok && (pick < 0 || n < size) {
+			cands, pick, size = ids, i, n
+		}
+	}
+	if pick >= 0 {
+		if l, ok := conds[pick].(cond.LabelCmp); ok {
+			cands = e.g.NodesWithLabel(l.Value)
 		}
 	}
 	var seeds []graph.NodeID
@@ -568,25 +574,29 @@ func (e *Engine) seedNodes(ctx context.Context, conds []cond.Cond) []graph.NodeI
 	return seeds
 }
 
-// postings returns the posting list of an equality conjunct on the seed
+// postings sizes the posting list of an equality conjunct on the seed
 // node: label(first|last|node(1)) = L, or first|last|node(1).k = v when
-// the graph can index v. A label list is exact; a property list may hold
-// non-matches (see graph.NodesWithProp).
-func (e *Engine) postings(c cond.Cond) ([]graph.NodeID, bool) {
+// the graph can index v. A property list is read to size it and may hold
+// non-matches (see graph.NodesWithProp). A label list is exact and sized,
+// not read, by the statistics' count of L: exact on a sealed graph, the
+// base's on a delta view. A wrong size picks a longer list, never other
+// seeds, since the candidates are filtered by every conjunct.
+func (e *Engine) postings(c cond.Cond) (ids []graph.NodeID, size int, ok bool) {
 	switch c := c.(type) {
 	case cond.LabelCmp:
 		if c.Op == cond.EQ && onSeed(c.Target) {
 			if c.Value == "" {
-				return nil, true // an unlabelled node satisfies no label condition
+				return nil, 0, true // an unlabelled node satisfies no label condition
 			}
-			return e.g.NodesWithLabel(c.Value), true
+			return nil, e.g.Stats().NodeLabelCount(c.Value), true
 		}
 	case cond.PropCmp:
 		if c.Op == cond.EQ && onSeed(c.Target) {
-			return e.g.NodesWithProp(c.Prop, c.Value)
+			ids, ok := e.g.NodesWithProp(c.Prop, c.Value)
+			return ids, len(ids), ok
 		}
 	}
-	return nil, false
+	return nil, 0, false
 }
 
 func onSeed(t cond.Target) bool {

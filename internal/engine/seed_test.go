@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pathalgebra/internal/cond"
@@ -64,8 +66,9 @@ type seedView struct {
 }
 
 // seedViews returns a random graph sealed, under an overlay (appended
-// holders, deleted indexed nodes, a deleted key re-added with new values)
-// and compacted.
+// holders, deleted indexed nodes, a deleted key re-added with new values,
+// and two labels whose live lists the base's statistics misjudge) and
+// compacted.
 func seedViews(t *testing.T, rng *rand.Rand) []seedView {
 	labels := []string{ldbc.LabelPerson, ldbc.LabelPerson, ldbc.LabelMessage, ""}
 	edgeLabels := []string{ldbc.LabelKnows, ldbc.LabelLikes, ldbc.LabelHasCreator}
@@ -74,6 +77,7 @@ func seedViews(t *testing.T, rng *rand.Rand) []seedView {
 	for i := 0; i < n; i++ {
 		b.AddNode(fmt.Sprintf("n%d", i), labels[rng.Intn(len(labels))], seedProps(rng))
 	}
+	b.AddNode("m0", ldbc.LabelMessage, map[string]graph.Value{"id": graph.IntValue(1)})
 	for i := 0; i < 3*n; i++ {
 		b.AddEdge(fmt.Sprintf("e%d", i), fmt.Sprintf("n%d", rng.Intn(n)), fmt.Sprintf("n%d", rng.Intn(n)),
 			edgeLabels[rng.Intn(len(edgeLabels))], nil)
@@ -101,7 +105,32 @@ func seedViews(t *testing.T, rng *rand.Rand) []seedView {
 		graph.Op{Kind: graph.OpDelNode, Key: "x0"})
 	apply(graph.Op{Kind: graph.OpAddNode, Key: "n1", Label: ldbc.LabelPerson, Props: ingestProps(rng)},
 		graph.Op{Kind: graph.OpAddEdge, Key: "xr", Src: "n1", Dst: "n3", Label: ldbc.LabelKnows})
-	views := []seedView{{"sealed", sealed}, {"overlay", s.Graph()}}
+	// Nope, a label the base lacks, gains holders, so the statistics count
+	// none; Message loses every base holder, so they count the dead.
+	ops = []graph.Op{
+		{Kind: graph.OpAddNode, Key: "y0", Label: "Nope", Props: ingestProps(rng)},
+		{Kind: graph.OpAddNode, Key: "y1", Label: "Nope", Props: ingestProps(rng)},
+		{Kind: graph.OpAddEdge, Key: "yo", Src: "y0", Dst: "n1", Label: ldbc.LabelKnows},
+	}
+	live := s.Graph()
+	for _, id := range sealed.NodesWithLabel(ldbc.LabelMessage) {
+		if live.NodeAlive(id) {
+			ops = append(ops, graph.Op{Kind: graph.OpDelNode, Key: sealed.NodeKey(id)})
+		}
+	}
+	apply(ops...)
+	ov := s.Graph()
+	st := ov.Stats()
+	if st.NodeLabelCount("Nope") != 0 || len(ov.NodesWithLabel("Nope")) != 2 || st.NodeLabelCount(ldbc.LabelMessage) == 0 {
+		t.Fatalf("overlay: Nope counted %d, %d live; Message counted %d",
+			st.NodeLabelCount("Nope"), len(ov.NodesWithLabel("Nope")), st.NodeLabelCount(ldbc.LabelMessage))
+	}
+	for _, id := range ov.NodesWithLabel(ldbc.LabelMessage) {
+		if int(id) < sealed.NumNodes() {
+			t.Fatalf("overlay: base Message %d survived", id)
+		}
+	}
+	views := []seedView{{"sealed", sealed}, {"overlay", ov}}
 	if err := s.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
@@ -335,12 +364,22 @@ func TestSeedObservability(t *testing.T) {
 var seedSink []graph.NodeID
 
 // BenchmarkSeedNodes: the seed set of (?x:Person {id:N}) with the
-// postings warm. Its cost follows the candidates, not |V|, so
-// scripts/check_allocs.sh requires equal allocs/op at both sizes.
+// postings warm, on sealed graphs of 10k and 100k persons and on a delta
+// view (liveDelta) of 7,000 persons, whose Person list is not the base's.
+// Its cost follows the candidates, not |V|, so scripts/check_allocs.sh
+// requires equal allocs/op at both sealed sizes.
 func BenchmarkSeedNodes(b *testing.B) {
-	for _, persons := range []int{10000, 100000} {
-		b.Run(fmt.Sprintf("persons=%d", persons), func(b *testing.B) {
-			g := ldbc.MustGenerate(ldbc.Config{Persons: persons, Messages: 2 * persons, KnowsPerPerson: 3, LikesPerPerson: 2, CycleFraction: 0.3, Seed: 1})
+	cases := []struct {
+		name  string
+		graph func(testing.TB) *graph.Graph
+	}{
+		{"persons=10000", func(testing.TB) *graph.Graph { return seedBenchGraph(10000) }},
+		{"persons=100000", func(testing.TB) *graph.Graph { return seedBenchGraph(100000) }},
+		{"delta=3000", func(tb testing.TB) *graph.Graph { return liveDelta(tb, 7000, 3000) }},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.graph(b)
 			plan, err := compileQuery("MATCH ANY SHORTEST WALK p = (?x:Person {id:4242})-[:Knows+]->(?y)")
 			if err != nil {
 				b.Fatal(err)
@@ -371,4 +410,53 @@ func BenchmarkSeedNodes(b *testing.B) {
 			b.ReportMetric(float64(e.Stats().SeedScans)/float64(b.N), "scans/op")
 		})
 	}
+}
+
+func seedBenchGraph(persons int) *graph.Graph {
+	return ldbc.MustGenerate(ldbc.Config{Persons: persons, Messages: 2 * persons, KnowsPerPerson: 3, LikesPerPerson: 2, CycleFraction: 0.3, Seed: 1})
+}
+
+// liveDelta returns the delta view that live_ingest's stream shape grows
+// on a graph of the given persons until it holds target delta records:
+// 32-op batches from ldbc.UpdateStream, each deleted again 8 batches
+// later, with edges onto persons another batch inserts moved onto base
+// persons, so that no delete cascades into another batch.
+func liveDelta(tb testing.TB, persons, target int) *graph.Graph {
+	const lag = 8
+	adds, err := ldbc.UpdateStream(ldbc.UpdateConfig{Batches: 512, OpsPerBatch: 32, ExistingPersons: persons, PersonFraction: 0.4, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := graph.NewStore(seedBenchGraph(persons), graph.StoreOptions{CompactThreshold: -1})
+	tb.Cleanup(s.Close)
+	apply := func(b graph.Batch) {
+		if _, err := s.Apply(b); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var undos []graph.Batch
+	for i := 0; s.DeltaSize() < target; i++ {
+		own := map[string]bool{}
+		var edges, nodes []graph.Op
+		for j := range adds[i].Ops {
+			op := &adds[i].Ops[j]
+			if op.Kind == graph.OpAddNode {
+				own[op.Key] = true
+				nodes = append(nodes, graph.Op{Kind: graph.OpDelNode, Key: op.Key})
+				continue
+			}
+			for _, k := range []*string{&op.Src, &op.Dst} {
+				if n, err := strconv.Atoi(strings.TrimPrefix(*k, "up")); err == nil && !own[*k] {
+					*k = fmt.Sprintf("p%d", 1+n%persons)
+				}
+			}
+			edges = append(edges, graph.Op{Kind: graph.OpDelEdge, Key: op.Key})
+		}
+		apply(adds[i])
+		undos = append(undos, graph.Batch{Ops: append(edges, nodes...)})
+		if i >= lag {
+			apply(undos[i-lag])
+		}
+	}
+	return s.Graph()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -217,6 +218,7 @@ func checkColumns(t *testing.T, stage string, g *Graph, m *rowModel) {
 		checkRuns(t, stage+" out", g, g.OutRuns(id), out[k], true)
 		checkRuns(t, stage+" in", g, g.InRuns(id), in[k], false)
 	}
+	checkLabels(t, stage, g, m)
 	for _, k := range []string{"\x00missing", "missing\xff"} {
 		if !m.hasKey(k) {
 			if _, ok := g.NodeIDByKey(k); ok {
@@ -226,6 +228,43 @@ func checkColumns(t *testing.T, stage string, g *Graph, m *rowModel) {
 				t.Fatalf("%s: EdgeIDByKey(%q) found a key the model lacks", stage, k)
 			}
 		}
+	}
+}
+
+// checkLabels compares the label index with the model: each label's live
+// node and edge IDs, ascending, no entry for "", and Labels the labels
+// with a live holder.
+func checkLabels(t *testing.T, stage string, g *Graph, m *rowModel) {
+	t.Helper()
+	nodes, edges := map[string][]NodeID{}, map[string][]EdgeID{}
+	for k, n := range m.nodes {
+		id, _ := g.NodeIDByKey(k)
+		nodes[n.Label] = append(nodes[n.Label], id)
+	}
+	for k, e := range m.edges {
+		id, _ := g.EdgeIDByKey(k)
+		edges[e.label] = append(edges[e.label], id)
+	}
+	var labels []string
+	for _, l := range append(fuzzLabels, "missing") {
+		wantN, wantE := nodes[l], edges[l]
+		if l == "" {
+			wantN, wantE = nil, nil
+		} else if len(wantN)+len(wantE) > 0 {
+			labels = append(labels, l)
+		}
+		slices.Sort(wantN)
+		slices.Sort(wantE)
+		if got := g.NodesWithLabel(l); !slices.Equal(got, wantN) {
+			t.Fatalf("%s: NodesWithLabel(%q) = %v, want %v", stage, l, got, wantN)
+		}
+		if got := g.EdgesWithLabel(l); !slices.Equal(got, wantE) {
+			t.Fatalf("%s: EdgesWithLabel(%q) = %v, want %v", stage, l, got, wantE)
+		}
+	}
+	slices.Sort(labels)
+	if got := g.Labels(); !slices.Equal(got, labels) {
+		t.Fatalf("%s: Labels() = %q, want %q", stage, got, labels)
 	}
 }
 
@@ -331,8 +370,8 @@ func fuzzGraph(t testing.TB, in *fuzzBytes) (*Graph, *rowModel, []string, map[st
 }
 
 // FuzzGraphColumns builds a graph from fuzz bytes — arbitrary keys, labels
-// and properties of every kind — and checks the columns against a row
-// model on the sealed graph, on a Store delta view after each of up to
+// and properties of every kind — and checks the columns and the label
+// index against a row model on the sealed graph, on a Store delta view after each of up to
 // three batches (so later batches patch the patches of earlier ones),
 // after Compact, and read back from the compacted graph's snapshot.
 // Before compacting, the fold's snapshot bytes must equal those of the

@@ -22,6 +22,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -449,17 +450,20 @@ func (g *Graph) SymbolOf(label string) SymbolID {
 	return NoSymbol
 }
 
-// NodesWithLabel returns live node IDs labelled l, ascending.
+// NodesWithLabel returns live node IDs labelled l, ascending. l == "" has
+// no entry (labelIndex), on a delta view too, whose own label maps are
+// nil. The slice may alias the index; do not modify.
 func (g *Graph) NodesWithLabel(l string) []NodeID {
-	if g.ov != nil {
+	if g.ov != nil && l != "" {
 		return g.ov.nodesWithLabel(l)
 	}
 	return g.nodesByLabel[l]
 }
 
-// EdgesWithLabel returns live edge IDs labelled l, ascending.
+// EdgesWithLabel returns live edge IDs labelled l, ascending, as
+// NodesWithLabel does nodes.
 func (g *Graph) EdgesWithLabel(l string) []EdgeID {
-	if g.ov != nil {
+	if g.ov != nil && l != "" {
 		return g.ov.edgesWithLabel(l)
 	}
 	return g.edgesByLabel[l]
@@ -518,24 +522,24 @@ func (g *Graph) Endpoints(id EdgeID) (src, dst NodeID) {
 }
 
 // Labels returns the sorted set of all labels used by live nodes and edges.
+// A delta view reads the list of every label its base or an appended node
+// names (an appended edge's label is one of the base's symbols) and keeps
+// those with a live holder.
 func (g *Graph) Labels() []string {
-	nbl, ebl := g.nodesByLabel, g.edgesByLabel
+	b := g
 	if g.ov != nil {
-		nbl, ebl = g.ov.labelSets()
+		b = g.ov.base
 	}
-	seen := make(map[string]bool, len(nbl)+len(ebl))
-	for l := range nbl {
-		seen[l] = true
+	names := slices.Concat(b.nodeLabels, b.symbols)
+	if g.ov != nil {
+		for _, n := range g.ov.extraNodes {
+			names = append(names, n.Label)
+		}
 	}
-	for l := range ebl {
-		seen[l] = true
-	}
-	out := make([]string, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(names)
+	return slices.DeleteFunc(slices.Compact(names), func(l string) bool {
+		return len(g.NodesWithLabel(l)) == 0 && len(g.EdgesWithLabel(l)) == 0
+	})
 }
 
 // Builder accumulates nodes and edges and produces an immutable Graph. It

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"maps"
 	"math"
 	"sort"
 )
@@ -20,12 +19,15 @@ import (
 // the patch chunks grow past the lengths older epochs read, and the
 // per-ID state — tombstones, which patch a node reads, the appended
 // keys' index — sits in copy-on-write tables (cow.go) whose leaves a
-// batch copies only where it writes. The new patches and label lists
-// are derived from the previous epoch's, which are already live and in
-// order, and from the batch's own appended and killed objects, so an
-// Apply costs the batch, the touched nodes' degrees and the touched
-// labels' lists — never the delta before it, and never a pass over the
-// base.
+// batch copies only where it writes. The new patches are derived from
+// the previous epoch's, which are already live and in order, and from
+// the batch's own appended and killed objects, so an Apply costs the
+// batch and the touched nodes' degrees — never the delta before it, and
+// never a pass over the base.
+//
+// An overlay keeps no posting lists. A label's objects and a property
+// value's holders are read off the base's list, the tombstones and the
+// appended rows when asked for (livePostings), so a batch writes no list.
 type overlay struct {
 	base *Graph // sealed epoch, base.ov == nil
 	gen  uint64 // the Apply building this overlay owns the table leaves it made
@@ -50,11 +52,6 @@ type overlay struct {
 	// batch appends past the length earlier epochs hold.
 	patches           []Adjacency
 	outPatch, inPatch cowTable[*Adjacency]
-
-	// Complete label indexes: shallow copies of the base maps with the
-	// touched labels' slices replaced by freshly merged live ID lists.
-	nodesByLabel map[string][]NodeID
-	edgesByLabel map[string][]EdgeID
 
 	liveNodes int
 	liveEdges int
@@ -151,11 +148,46 @@ func (ov *overlay) edgeByKey(key string) (EdgeID, bool) {
 	return EdgeID(id), ok
 }
 
-func (ov *overlay) nodesWithLabel(l string) []NodeID { return ov.nodesByLabel[l] }
-func (ov *overlay) edgesWithLabel(l string) []EdgeID { return ov.edgesByLabel[l] }
+// nodesWithLabel and edgesWithLabel answer a delta view's label index by
+// the posting rule (livePostings), for l != "".
+func (ov *overlay) nodesWithLabel(l string) []NodeID {
+	dead, _ := ov.deadCounts()
+	return livePostings(ov.base.NodesWithLabel(l), &ov.deadNodes, dead, NodeID(ov.base.NumNodes()), len(ov.extraNodes),
+		func(i int) bool { return ov.extraNodes[i].Label == l })
+}
 
-func (ov *overlay) labelSets() (map[string][]NodeID, map[string][]EdgeID) {
-	return ov.nodesByLabel, ov.edgesByLabel
+func (ov *overlay) edgesWithLabel(l string) []EdgeID {
+	_, dead := ov.deadCounts()
+	return livePostings(ov.base.EdgesWithLabel(l), &ov.deadEdges, dead, EdgeID(ov.base.NumEdges()), len(ov.extraEdges),
+		func(i int) bool { return ov.extraEdges[i].Label == l })
+}
+
+// livePostings is a delta view's one rule for a posting list, a label's
+// objects or a property value's holders: base, the sealed base's list,
+// ascending, without its tombstoned IDs (read only when some ID is dead),
+// then every live appended object i, whose ID is first+i, of which has(i)
+// holds; a tombstone word whose 64 IDs are all dead is skipped whole.
+// Appended IDs follow every base ID, so the list stays ascending. With
+// nothing to drop or add it is base itself; do not modify it.
+func livePostings[ID NodeID | EdgeID](base []ID, dead *bitTable, deadCount int, first ID, appended int, has func(i int) bool) []ID {
+	out := base[:len(base):len(base)] // an append copies base
+	if deadCount > 0 {
+		out = nil
+		for _, id := range base {
+			if !dead.has(uint32(id)) {
+				out = append(out, id)
+			}
+		}
+	}
+	for i := 0; i < appended; i++ {
+		id := first + ID(i)
+		if w := dead.words.get(uint32(id) / 64); w == ^uint64(0) {
+			i += 63 - int(id%64)
+		} else if w&(1<<(id%64)) == 0 && has(i) {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // deadCounts returns how many node and edge IDs are tombstoned.
@@ -174,13 +206,10 @@ func (ov *overlay) deltaSize() int {
 // successor returns the overlay the next batch writes: a shallow copy of
 // the receiver under the next generation, so that its first write to a
 // table leaf shared with the receiver copies the leaf. Slices appended to
-// write past the receiver's lengths, which its readers never read. Only
-// the label maps, O(labels) slice headers, are copied whole.
+// write past the receiver's lengths, which its readers never read.
 func (ov *overlay) successor() *overlay {
 	cp := *ov
 	cp.gen++
-	cp.nodesByLabel = maps.Clone(ov.nodesByLabel)
-	cp.edgesByLabel = maps.Clone(ov.edgesByLabel)
 	return &cp
 }
 
@@ -189,11 +218,9 @@ func (ov *overlay) successor() *overlay {
 // (re)seal.
 func emptyOverlay(base *Graph) *overlay {
 	ov := &overlay{
-		base:         base,
-		nodesByLabel: base.nodesByLabel,
-		edgesByLabel: base.edgesByLabel,
-		liveNodes:    base.NumNodes(),
-		liveEdges:    base.NumEdges(),
+		base:      base,
+		liveNodes: base.NumNodes(),
+		liveEdges: base.NumEdges(),
 	}
 	ov.outPatch.cover(uint32(base.NumNodes()), 0)
 	ov.inPatch.cover(uint32(base.NumNodes()), 0)
@@ -291,37 +318,4 @@ func patchAdj(prev Adjacency, drop, add []adjRec) Adjacency {
 	}
 	addsBelow(math.MaxInt32)
 	return adj
-}
-
-// dropSorted returns prev, ascending, without the IDs of killed, which is
-// ascending too and may hold IDs prev lacks, and with room for extra more
-// IDs. Each killed ID is one binary search; the IDs between them are
-// copied in blocks.
-func dropSorted[ID NodeID | EdgeID](prev, killed []ID, extra int) []ID {
-	out := make([]ID, 0, len(prev)+extra)
-	i := 0
-	for _, k := range killed {
-		j := i + sort.Search(len(prev)-i, func(x int) bool { return prev[i+x] >= k })
-		if j < len(prev) && prev[j] == k {
-			out = append(out, prev[i:j]...)
-			i = j + 1
-		}
-	}
-	return append(out, prev[i:]...)
-}
-
-// patchLabel sets the live ID list of label l in m from the previous
-// epoch's, which is live and ascending: the batch's killed IDs dropped,
-// then added, the live objects of label l the batch appended, whose IDs
-// follow every earlier one. It costs one copy of the list, no map probe
-// per ID.
-func patchLabel[ID NodeID | EdgeID](m map[string][]ID, l string, killed, added []ID) {
-	if l == "" { // unlabelled objects have no index entry (labelIndex)
-		return
-	}
-	if ids := append(dropSorted(m[l], killed, len(added)), added...); len(ids) > 0 {
-		m[l] = ids
-	} else {
-		delete(m, l)
-	}
 }

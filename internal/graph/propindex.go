@@ -13,9 +13,10 @@ import (
 // first use of a key and cached per sealed *Graph value. Properties never
 // change after a node is created (Store.Apply only adds and tombstones
 // objects), so a delta view reads its base's postings, drops tombstoned
-// holders and merges its own matching appended nodes, and a compaction
-// carries every key its base had built into the folded graph the same
-// way (carryPostings).
+// holders and adds its own matching appended nodes — the posting rule its
+// label lists follow too (livePostings) — and a compaction carries every
+// key its base had built into the folded graph the same way
+// (carryPostings).
 
 // propIndex is one key's equality postings over a sealed graph. ids is a
 // single slab holding every holder of the key, grouped by canonical value
@@ -284,28 +285,14 @@ func (g *Graph) NodesWithProp(key string, v Value) (ids []NodeID, ok bool) {
 }
 
 // nodesWithProp answers NodesWithProp on a delta view from the base's
-// postings: tombstoned holders are dropped and live appended nodes whose
-// value equals v are added (their IDs follow every base ID, so the result
-// stays ascending). With nothing to drop or add it is the base's slice.
+// postings by the posting rule (livePostings): tombstoned holders are
+// dropped and live appended nodes whose value equals v are added.
 func (ov *overlay) nodesWithProp(key string, v Value) ([]NodeID, bool) {
-	out, ok := ov.base.NodesWithProp(key, v)
+	base, ok := ov.base.NodesWithProp(key, v)
 	if !ok {
 		return nil, false
 	}
-	if dead, _ := ov.deadCounts(); dead > 0 {
-		base := out
-		out = nil
-		for _, id := range base {
-			if !ov.nodeDead(id) {
-				out = append(out, id)
-			}
-		}
-	}
-	for i := range ov.extraNodes {
-		n := &ov.extraNodes[i]
-		if !ov.nodeDead(n.ID) && n.Props[key].Equal(v) {
-			out = append(out, n.ID) // copies a base group (see find)
-		}
-	}
-	return out, true
+	dead, _ := ov.deadCounts()
+	return livePostings(base, &ov.deadNodes, dead, NodeID(ov.base.NumNodes()), len(ov.extraNodes),
+		func(i int) bool { return ov.extraNodes[i].Props[key].Equal(v) }), true
 }

@@ -172,6 +172,63 @@ func TestNodesWithPropMatchesScan(t *testing.T) {
 	}
 }
 
+// TestPostingsSkipDeadWords: a delta view reads a label's objects and a
+// property value's holders past tombstone words whose 64 IDs are all
+// dead, which it skips whole, and past runs of dead IDs that start and
+// end inside a word.
+func TestPostingsSkipDeadWords(t *testing.T) {
+	b := NewBuilder()
+	for i := 0; i < 7; i++ {
+		b.AddNode(fmt.Sprintf("n%d", i), "L", Props("k", i%2))
+		b.AddEdge(fmt.Sprintf("b%d", i), "n0", fmt.Sprintf("n%d", i), "E", nil)
+	}
+	s := NewStore(b.MustBuild(), StoreOptions{CompactThreshold: -1})
+	defer s.Close()
+	var add, del []Op
+	for i := 0; i < 300; i++ {
+		add = append(add,
+			Op{Kind: OpAddNode, Key: fmt.Sprintf("x%d", i), Label: []string{"L", "M"}[i%3/2], Props: Props("k", i%2)},
+			Op{Kind: OpAddEdge, Key: fmt.Sprintf("e%d", i), Src: "n1", Dst: fmt.Sprintf("x%d", i), Label: "E"})
+		if i >= 20 && i < 185 || i%7 == 0 { // IDs 27-191 cover words 1 and 2 whole
+			del = append(del, Op{Kind: OpDelNode, Key: fmt.Sprintf("x%d", i)})
+		}
+	}
+	mustApply(t, s, add...)
+	mustApply(t, s, append(del, Op{Kind: OpDelNode, Key: "n3"})...)
+	g := s.Graph()
+	for _, l := range []string{"L", "M"} {
+		var want []NodeID
+		for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+			if g.NodeAlive(id) && g.NodeLabel(id) == l {
+				want = append(want, id)
+			}
+		}
+		if got := g.NodesWithLabel(l); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("NodesWithLabel(%s) = %v, scan = %v", l, got, want)
+		}
+	}
+	var edges []EdgeID
+	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
+		if g.EdgeAlive(id) {
+			edges = append(edges, id)
+		}
+	}
+	if got := g.EdgesWithLabel("E"); fmt.Sprint(got) != fmt.Sprint(edges) {
+		t.Errorf("EdgesWithLabel(E) = %v, scan = %v", got, edges)
+	}
+	for _, v := range []Value{IntValue(0), IntValue(1)} {
+		var want []NodeID
+		for id := NodeID(0); int(id) < g.NumNodes(); id++ {
+			if g.NodeAlive(id) && g.NodeProp(id, "k").Equal(v) {
+				want = append(want, id)
+			}
+		}
+		if got, _ := g.NodesWithProp("k", v); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("NodesWithProp(k, %v) = %v, scan = %v", v, got, want)
+		}
+	}
+}
+
 // TestNodesWithPropUnindexable pins the refusals: Null and NaN constants,
 // and numeric lookups on a key some node stores NaN under.
 func TestNodesWithPropUnindexable(t *testing.T) {

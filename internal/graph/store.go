@@ -321,10 +321,9 @@ func (s *Store) compactLocked() error {
 // sentinels (ErrDuplicateKey, ErrUnknownNode, ErrUnknownKey,
 // ErrInvalidValue). A batch whose edge labels are all known to the
 // sealed base extends the overlay at a cost of the batch plus what it
-// touched — the previous epoch's patches of the nodes it touched and
-// lists of the labels it touched, each copied once with its changes
-// (finalize), and the overlay's table leaves it writes (cow.go) — not
-// the delta before it; a batch
+// touched — the previous epoch's patches of the nodes it touched, each
+// copied once with its changes (finalize), and the overlay's table
+// leaves it writes (cow.go) — not the delta before it; a batch
 // introducing an unseen edge label reseals inline with Rebuild's fold
 // (the lexicographic symbol order the CSR depends on cannot absorb a new
 // symbol without perturbing discovery order).
@@ -354,7 +353,7 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	var g *Graph
 	if eff.newLabel {
 		// Reseal: the fold reads the appended rows and the tombstones,
-		// never the patches or label lists finalize would have set.
+		// never the patches finalize would have set.
 		t0 := time.Now()
 		g, err = ov.graph().Rebuild()
 		if err != nil {
@@ -402,13 +401,12 @@ type effects struct {
 	nodeLabels map[string]struct{}
 	edgeLabels map[string]struct{}
 
-	// The batch's own delta: the appended-object counts its overlay
-	// started from — extraNodes[startNodes:] and extraEdges[startEdges:] are what
-	// the batch appended — and the IDs it killed, in the order it killed
-	// them (finalize sorts them).
-	startNodes, startEdges int
-	killedNodes            []NodeID
-	killedEdges            []EdgeID
+	// The batch's own edge delta: the appended-edge count its overlay
+	// started from — extraEdges[startEdges:] is what the batch appended —
+	// and the edges it killed, in the order it killed them (finalize
+	// sorts them).
+	startEdges  int
+	killedEdges []EdgeID
 
 	anyNode, anyEdge bool
 	newLabel         bool
@@ -420,14 +418,13 @@ func newEffects(ov *overlay) *effects {
 		touchedIn:  map[NodeID]struct{}{},
 		nodeLabels: map[string]struct{}{},
 		edgeLabels: map[string]struct{}{},
-		startNodes: len(ov.extraNodes),
 		startEdges: len(ov.extraEdges),
 	}
 }
 
 // applyOps applies the batch's operations, in order, to the (private,
 // pre-publish) successor overlay: object and key bookkeeping only — adjacency
-// patches and label indexes are deferred to finalize so a
+// patches are deferred to finalize so a
 // failed op leaves nothing to unwind. Mid-batch reads therefore go
 // through the key tables and liveIncident, never through the stale
 // patches.
@@ -553,7 +550,6 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 		ov.killEdge(e, eff)
 	}
 	ov.deadNodes.add(uint32(n), ov.gen)
-	eff.killedNodes = append(eff.killedNodes, n)
 	ov.liveNodes--
 	eff.nodeLabels[ov.nodeLabel(n)] = struct{}{}
 	eff.anyNode = true
@@ -608,12 +604,10 @@ func (ov *overlay) liveIncident(n NodeID, eff *effects) []EdgeID {
 	return out
 }
 
-// finalize rematerializes the adjacency patches and label indexes the
-// batch invalidated, each from the previous epoch's: a touched node's
-// patch loses the edges the batch killed and gains the live edges it
-// appended, and a touched label's list the same.
+// finalize rematerializes the adjacency patches the batch invalidated,
+// each from the previous epoch's: a touched node's patch loses the edges
+// the batch killed and gains the live edges it appended.
 func (ov *overlay) finalize(eff *effects) {
-	slices.Sort(eff.killedNodes)
 	slices.Sort(eff.killedEdges)
 	outDrop, inDrop := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
 	prevEdges := EdgeID(ov.base.NumEdges() + eff.startEdges)
@@ -649,23 +643,6 @@ func (ov *overlay) finalize(eff *effects) {
 	}
 	for n := range eff.touchedIn {
 		ov.setPatch(&ov.inPatch, n, patchAdj(ov.adjacency(n, false), inDrop[n], inAdd[n]))
-	}
-	addedNodes, addedEdges := map[string][]NodeID{}, map[string][]EdgeID{}
-	for _, n := range ov.extraNodes[eff.startNodes:] {
-		if !ov.nodeDead(n.ID) {
-			addedNodes[n.Label] = append(addedNodes[n.Label], n.ID)
-		}
-	}
-	for _, e := range ov.extraEdges[eff.startEdges:] {
-		if !ov.edgeDead(e.ID) {
-			addedEdges[e.Label] = append(addedEdges[e.Label], e.ID)
-		}
-	}
-	for l := range eff.nodeLabels {
-		patchLabel(ov.nodesByLabel, l, eff.killedNodes, addedNodes[l])
-	}
-	for l := range eff.edgeLabels {
-		patchLabel(ov.edgesByLabel, l, eff.killedEdges, addedEdges[l])
 	}
 }
 

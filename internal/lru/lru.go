@@ -75,6 +75,21 @@ func (c *Cache[K, V]) Delete(k K) bool {
 	return true
 }
 
+// DeleteFunc removes every entry for which del returns true. del runs
+// under the cache's lock.
+func (c *Cache[K, V]) DeleteFunc(del func(K, V) bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.order.Front(); el != nil; {
+		next := el.Next()
+		if ent := el.Value.(*entry[K, V]); del(ent.key, ent.val) {
+			c.order.Remove(el)
+			delete(c.entries, ent.key)
+		}
+		el = next
+	}
+}
+
 // Len returns the number of cached entries.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

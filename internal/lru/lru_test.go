@@ -44,6 +44,31 @@ func TestReplaceAndClear(t *testing.T) {
 	}
 }
 
+func TestDeleteFunc(t *testing.T) {
+	c := New[int, string](8)
+	for i := 0; i < 6; i++ {
+		c.Put(i, fmt.Sprint(i))
+	}
+	c.DeleteFunc(func(k int, v string) bool { return k%2 == 0 && v == fmt.Sprint(k) })
+	if c.Len() != 3 {
+		t.Errorf("Len = %d after DeleteFunc, want 3", c.Len())
+	}
+	for i := 0; i < 6; i++ {
+		if _, ok := c.Get(i); ok != (i%2 == 1) {
+			t.Errorf("Get(%d) found = %v after deleting the even keys", i, ok)
+		}
+	}
+	// The survivors keep their order: 1 is least recently used.
+	c.Get(3)
+	c.Get(5)
+	for i := 6; i < 12; i++ {
+		c.Put(i, "")
+	}
+	if _, ok := c.Get(1); ok {
+		t.Error("1 survived eviction, want LRU out")
+	}
+}
+
 // TestConcurrent hammers one cache from many goroutines under -race.
 func TestConcurrent(t *testing.T) {
 	c := New[int, int](16)
@@ -58,6 +83,9 @@ func TestConcurrent(t *testing.T) {
 				c.Get(k)
 				if i%100 == 0 {
 					c.Len()
+				}
+				if i%50 == 0 {
+					c.DeleteFunc(func(k, _ int) bool { return k%3 == w%3 })
 				}
 			}
 		}(w)

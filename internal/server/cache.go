@@ -16,8 +16,11 @@ import (
 // clock). A delta touching only `knows` therefore evicts entries whose
 // plan reads `knows` and leaves the rest servable. Hits and misses are counted after
 // that check, so an invalidated entry — evicted on probe — counts as a
-// miss. Capacity is counted in entries; explicit invalidation (the
-// /cache/invalidate endpoint) empties the cache wholesale.
+// miss. An invalidated entry no probe reaches is dropped by the next
+// admission after the store's epoch moves (put), so dead answers do not
+// hold the LRU's capacity and bytes until they age out. Capacity is
+// counted in entries; explicit invalidation (the /cache/invalidate
+// endpoint) empties the cache wholesale.
 //
 // The server keeps two instances. The result cache holds query results
 // keyed by the canonical rendering of the PLANNED physical plan plus the
@@ -35,8 +38,10 @@ import (
 // cache policy choice. Reach keys also carry a "reach:<mode>:" prefix, so
 // even a merged store could not collide them.
 type footprintCache[V any] struct {
+	store        *graph.Store
 	entries      *lru.Cache[string, stamped[V]]
 	hits, misses atomic.Int64
+	swept        atomic.Uint64 // the store epoch of the last sweep (put)
 }
 
 // stamped is a cached answer with the epoch it was computed at and its
@@ -47,19 +52,21 @@ type stamped[V any] struct {
 	fp    graph.Footprint
 }
 
-func newFootprintCache[V any](capacity int) *footprintCache[V] {
-	return &footprintCache[V]{entries: lru.New[string, stamped[V]](capacity)}
+func newFootprintCache[V any](store *graph.Store, capacity int) *footprintCache[V] {
+	c := &footprintCache[V]{store: store, entries: lru.New[string, stamped[V]](capacity)}
+	c.swept.Store(store.Epoch())
+	return c
 }
 
 // get returns the cached answer for key if it is still valid at the
 // store's current epoch, bumping its recency.
-func (c *footprintCache[V]) get(store *graph.Store, key string) (V, bool) {
+func (c *footprintCache[V]) get(key string) (V, bool) {
 	var zero V
 	if c == nil {
 		return zero, false
 	}
 	ent, ok := c.entries.Get(key)
-	if ok && !store.ValidAt(ent.fp, ent.epoch) {
+	if ok && !c.store.ValidAt(ent.fp, ent.epoch) {
 		c.entries.Delete(key)
 		ok = false
 	}
@@ -72,10 +79,15 @@ func (c *footprintCache[V]) get(store *graph.Store, key string) (V, bool) {
 }
 
 // put admits an answer computed at epoch by a plan with footprint fp,
-// evicting least-recently-used entries beyond capacity.
+// evicting least-recently-used entries beyond capacity. The first put
+// after the store's epoch moves first deletes every entry the store has
+// invalidated since, so a store that takes no batches never sweeps.
 func (c *footprintCache[V]) put(key string, val V, epoch uint64, fp graph.Footprint) {
 	if c == nil {
 		return
+	}
+	if now := c.store.Epoch(); c.swept.Swap(now) != now {
+		c.entries.DeleteFunc(func(_ string, ent stamped[V]) bool { return !c.store.ValidAt(ent.fp, ent.epoch) })
 	}
 	c.entries.Put(key, stamped[V]{val: val, epoch: epoch, fp: fp})
 }

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
+	"pathalgebra/internal/graph"
 	"pathalgebra/internal/ldbc"
 )
 
@@ -254,6 +256,86 @@ func TestInvalidatedProbeCountsAsMiss(t *testing.T) {
 				c.name, c.before.Hits, c.after.Hits, c.before.Misses, c.after.Misses)
 		}
 	}
+}
+
+// TestAdmissionSweepsInvalidated: an entry a batch invalidated leaves the
+// result cache at the next admission, probed or not. After a batch that
+// touches Knows, admitting one more result leaves /stats counting only
+// the entries whose plans do not read Knows.
+func TestAdmissionSweepsInvalidated(t *testing.T) {
+	_, ts := newTestServer(t, Config{Graph: ldbc.Figure1(), Engine: engine.Options{Limits: core.Limits{MaxLen: 4}}})
+	entries := func() int { return decodeBody[statsResponse](t, mustGet(t, ts.URL+"/stats")).ResultCache.Entries }
+	admit := func(want int, queries ...string) {
+		t.Helper()
+		for _, q := range queries {
+			qr := decodeBody[queryResponse](t, postJSON(t, ts.URL+"/query", queryRequest{Query: q}))
+			drainCursor(t, ts.URL, qr.ID)
+		}
+		// The completion watcher admits a result after its last page.
+		deadline := time.Now().Add(5 * time.Second)
+		for entries() != want {
+			if time.Now().After(deadline) {
+				t.Fatalf("result cache holds %d entries, want %d", entries(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	admit(5,
+		`MATCH TRAIL p = (?x)-[:Knows+]->(?y)`,
+		`MATCH ANY SHORTEST WALK p = (?x)-[:Knows+]->(?y)`,
+		`MATCH ALL SHORTEST TRAIL p = (?x)-[:Knows+]->(?y)`,
+		`MATCH TRAIL p = (?x)-[:Likes]->(?y)`,
+		`MATCH TRAIL p = (?x)-[:Has_creator]->(?y)`)
+
+	ing := postBody(t, ts.URL+"/ingest", "application/x-ndjson",
+		`{"op":"add_edge","key":"knows-new","src":"n4","dst":"n1","label":"Knows"}`+"\n")
+	if ing.StatusCode != http.StatusOK {
+		t.Fatalf("ingest status = %d", ing.StatusCode)
+	}
+	ing.Body.Close()
+	if got := entries(); got != 5 {
+		t.Fatalf("a batch alone changed the result cache to %d entries, want 5", got)
+	}
+	admit(3, `MATCH TRAIL p = (?x)-[:Likes/:Has_creator]->(?y)`)
+}
+
+// TestSweepUnderConcurrentAdmission admits and probes entries from
+// several goroutines while batches land: under -race the sweep shares
+// the cache safely, and once the last admission after the last batch
+// has swept, every entry left is still valid.
+func TestSweepUnderConcurrentAdmission(t *testing.T) {
+	store := graph.NewStore(ldbc.Figure1(), graph.StoreOptions{CompactThreshold: -1})
+	defer store.Close()
+	c := newFootprintCache[int](store, 64)
+	footprints := []graph.Footprint{{EdgeLabels: []string{"Knows"}}, {EdgeLabels: []string{"Likes"}}, {NodeLabels: []string{"Person"}}}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				_, epoch := store.Current()
+				key := fmt.Sprint(w, i%40)
+				c.put(key, i, epoch, footprints[(w+i)%len(footprints)])
+				c.get(key)
+			}
+		}(w)
+	}
+	for i := 0; i < 30; i++ {
+		label := []string{"Knows", "Likes"}[i%2]
+		op := graph.Op{Kind: graph.OpAddEdge, Key: fmt.Sprint("e-new", i), Src: "n1", Dst: "n2", Label: label}
+		if _, err := store.Apply(graph.Batch{Ops: []graph.Op{op}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	c.put("last", 0, store.Epoch(), graph.Footprint{})
+	c.entries.DeleteFunc(func(key string, ent stamped[int]) bool {
+		if !store.ValidAt(ent.fp, ent.epoch) {
+			t.Errorf("entry %q (epoch %d, %+v) survived the sweep at epoch %d", key, ent.epoch, ent.fp, store.Epoch())
+		}
+		return false
+	})
 }
 
 // TestStatsStoreSection: /stats surfaces epoch, delta and compaction

@@ -120,7 +120,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	key := reachKey(mode, plan, lim)
 
 	if !req.NoCache {
-		if resp, ok := probeCache(root, s.store, s.reach, key); ok {
+		if resp, ok := probeCache(root, s.reach, key); ok {
 			resp.Cached = true
 			if wantTrace {
 				resp.Trace = tr.Tree()

@@ -216,8 +216,8 @@ func New(cfg Config) (*Server, error) {
 		mux:        http.NewServeMux(),
 	}
 	if n := cfg.cacheSize(); n > 0 {
-		s.cache = newFootprintCache[*encoded](n)
-		s.reach = newFootprintCache[reachResponse](n)
+		s.cache = newFootprintCache[*encoded](store, n)
+		s.reach = newFootprintCache[reachResponse](store, n)
 	}
 	s.metrics = newServerMetrics()
 	s.registerCollectors()
@@ -501,7 +501,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	cur.touch(time.Now())
 
 	if !req.NoCache {
-		if enc, ok := probeCache(root, s.store, s.cache, key); ok {
+		if enc, ok := probeCache(root, s.cache, key); ok {
 			// Rendered with the view of the epoch that evaluated it: no IDs.
 			cur.cancel, cur.ready, cur.enc, cur.total = func() {}, make(chan struct{}), enc, enc.lines()
 			close(cur.ready)

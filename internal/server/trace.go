@@ -5,7 +5,6 @@ import (
 
 	"pathalgebra/internal/core"
 	"pathalgebra/internal/engine"
-	"pathalgebra/internal/graph"
 	"pathalgebra/internal/obs"
 )
 
@@ -37,10 +36,10 @@ func tracePlan(root *obs.Span, eng *engine.Engine, logical core.PathExpr) core.P
 
 // probeCache looks up a footprint-invalidated cache under a
 // "cache_probe" span.
-func probeCache[V any](root *obs.Span, store *graph.Store, c *footprintCache[V], key string) (V, bool) {
+func probeCache[V any](root *obs.Span, c *footprintCache[V], key string) (V, bool) {
 	sp := root.Start("cache_probe")
 	defer sp.End()
-	val, ok := c.get(store, key)
+	val, ok := c.get(key)
 	if ok {
 		sp.SetInt("hit", 1)
 	}

@@ -289,7 +289,10 @@ done
 # and copy only what a batch writes. BenchmarkApplySteady applies
 # live_ingest's stream shape to the 7,000-person graph with the delta held
 # near 256 and near 1,900 records; B/op at 1,900 must stay within 1.5x
-# B/op at 256 (copying the overlay's maps per batch took 2.6x).
+# B/op at 256 (copying the overlay's maps per batch took 2.6x), and B/op
+# at each must stay within 96 KiB: a delta view reads a label's list off
+# the base and the tombstones, and a batch that copied each touched
+# label's live list took 171 KB and 178 KB.
 out=$(go test -run xxx -bench 'BenchmarkApplySteady' -benchtime 400x -benchmem ./internal/graph 2>&1)
 printf '%s\n' "$out"
 
@@ -303,4 +306,11 @@ if [ $((large * 2)) -gt $((small * 3)) ]; then
     echo "check_allocs: Apply allocates $large B/op at a 1,900-record delta vs $small at 256 > 1.5x — a batch's cost grows with the delta" >&2
     exit 1
 fi
-echo "check_allocs: Apply allocates $small B/op at a 256-record delta and $large at 1,900 (bound 1.5x)"
+for c in "256 $small" "1,900 $large"; do
+    set -- $c
+    if [ "$2" -gt 98304 ]; then
+        echo "check_allocs: Apply allocates $2 B/op at a $1-record delta > 96 KiB — a batch copies what it does not write" >&2
+        exit 1
+    fi
+done
+echo "check_allocs: Apply allocates $small B/op at a 256-record delta and $large at 1,900 (bounds 1.5x and 96 KiB)"
