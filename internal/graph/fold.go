@@ -18,9 +18,11 @@ import (
 //   - node labels are re-interned in first-seen order, and the live edge
 //     labels sorted into symbols, so a batch's new edge label (the inline
 //     reseal of Store.Apply) takes the same path as a compaction;
-//   - property cells are copied column by column and their strings laid
-//     out in (ID, sorted name) order, as propBuilder lays them; a column
-//     whose every holder died is dropped;
+//   - the base's live property cells are copied column by column, their
+//     strings laid out in (ID, sorted name) order, and the appended rows
+//     written after them by the Builder's propBuilder.set, which lays
+//     strings out in the same order; a column whose every holder died is
+//     dropped;
 //
 // and finish derives the rest, as Build's does. It costs a pass over the
 // columns plus finish, with no per-object map or hash beyond the key
@@ -216,96 +218,69 @@ func foldKeys(c *keyColumn, spans []span, extra []string, kind string) (keyColum
 }
 
 // foldProps returns the property columns of pc's objects in spans, in
-// order, followed by the rows extra — count objects in all. The cells are
-// copied a column and a span at a time; then the string values are laid
-// out in (ID, sorted name) order, as propBuilder.set lays them, and a
-// column no object holds is dropped.
+// order, followed by the rows extra — count objects in all. The base's
+// live cells are copied a column and a span at a time, in name order, a
+// column none of them holds is dropped, and their string values are laid
+// out in (ID, sorted name) order; then propBuilder.set writes each row of
+// extra, which lays its strings out after them in the same order.
 func foldProps(pc *propColumns, spans []span, count int, extra []map[string]Value) (propColumns, error) {
-	cols := make(map[string]*valueColumn, len(pc.cols))
-	column := func(name string) *valueColumn {
-		col := cols[name]
-		if col == nil {
-			col = &valueColumn{kinds: make([]ValueKind, count), bits: make([]uint64, count)}
-			cols[name] = col
-		}
-		return col
+	first := count - len(extra)
+	pb := propBuilder{cols: make(map[string]*valueColumn, len(pc.cols))}
+	names := make([]string, 0, len(pc.cols))
+	for name := range pc.cols {
+		names = append(names, name)
 	}
-	for name, old := range pc.cols {
-		col := column(name)
+	sort.Strings(names)
+	cols := make([]*valueColumn, 0, len(names)) // pb.cols, in name order
+	for _, name := range names {
+		old := pc.cols[name]
+		// Capacity count: set grows the column over extra in place.
+		col := &valueColumn{kinds: make([]ValueKind, first, count), bits: make([]uint64, first, count)}
 		at := 0
 		for _, s := range spans {
 			copy(col.kinds[at:], old.kinds[s.lo:s.hi])
 			copy(col.bits[at:], old.bits[s.lo:s.hi])
 			at += s.hi - s.lo
 		}
+		if !slices.ContainsFunc(col.kinds, func(k ValueKind) bool { return k != KindNull }) {
+			continue
+		}
+		pb.cols[name] = col
+		cols = append(cols, col)
 	}
-	first := count - len(extra)
 	size := uint64(len(pc.text))
-	for j, props := range extra {
-		for name, v := range props {
-			if v.Kind == KindNull {
-				continue
-			}
-			col := column(name)
-			col.kinds[first+j] = v.Kind
-			switch v.Kind {
-			case KindString:
-				size += uint64(len(v.str))
-			case KindInt:
-				col.bits[first+j] = uint64(v.i64)
-			case KindFloat:
-				col.bits[first+j] = math.Float64bits(v.f64)
-			case KindBool:
-				if v.b {
-					col.bits[first+j] = 1
-				}
-			}
+	for _, props := range extra {
+		for _, v := range props {
+			size += uint64(len(v.str))
 		}
 	}
-
-	// Keep the columns someone holds; those holding a string, in name
-	// order, take part in the text layout.
-	names := make([]string, 0, len(cols))
-	for name, col := range cols {
-		if slices.ContainsFunc(col.kinds, func(k ValueKind) bool { return k != KindNull }) {
-			names = append(names, name)
-		} else {
-			delete(cols, name)
-		}
-	}
-	if len(cols) == 0 {
-		return propColumns{}, nil
-	}
-	sort.Strings(names)
-	var strCols []*valueColumn
-	var strNames []string
-	for _, name := range names {
-		if slices.Contains(cols[name].kinds, KindString) {
-			strCols = append(strCols, cols[name])
-			strNames = append(strNames, name)
-		}
-	}
-	var buf strings.Builder
-	buf.Grow(int(min(size, math.MaxUint32)))
-	for id := 0; id < count; id++ {
-		for c, col := range strCols {
+	pb.buf.Grow(int(min(size, math.MaxUint32)))
+	for id := 0; len(cols) > 0 && id < first; id++ { // no pass over objects when no column is kept
+		for _, col := range cols {
 			if col.kinds[id] != KindString {
 				continue
 			}
-			var s string
-			if id < first {
-				old := col.bits[id]
-				s = pc.text[old>>32 : uint32(old)]
-			} else {
-				s = extra[id-first][strNames[c]].str
-			}
-			lo := uint64(buf.Len())
+			old := col.bits[id]
+			s := pc.text[old>>32 : uint32(old)]
+			lo := uint64(pb.buf.Len())
 			if lo+uint64(len(s)) > math.MaxUint32 {
 				return propColumns{}, fmt.Errorf("graph: string property values take more than the 4 GiB their offsets address")
 			}
-			buf.WriteString(s)
-			col.bits[id] = lo<<32 | uint64(buf.Len())
+			pb.buf.WriteString(s)
+			col.bits[id] = lo<<32 | uint64(pb.buf.Len())
 		}
 	}
-	return propColumns{cols: cols, text: buf.String()}, nil
+	pb.names = names // set sorts each row's names in it; the columns are laid out
+	for j, props := range extra {
+		if err := pb.set(uint32(first+j), props); err != nil {
+			return propColumns{}, err
+		}
+	}
+	if len(pb.cols) == 0 {
+		return propColumns{}, nil
+	}
+	for _, col := range pb.cols {
+		col.grow(count)
+	}
+	return propColumns{cols: pb.cols, text: pb.buf.String()}, nil
 }

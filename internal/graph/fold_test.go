@@ -110,12 +110,17 @@ type foldSeq struct {
 	ends  map[string][2]string
 	dead  []string // keys of deleted objects, free for reuse
 	next  int
+	// seeded is set once foldBase has built the seed graph, which never
+	// holds the property "fresh" that batches may draw.
+	seeded bool
 	foldCoverage
 }
 
-// foldCoverage counts the cases the sequences reached.
+// foldCoverage counts the cases the sequences reached. NewColumn and
+// BoolCell count the folds in which propBuilder.set writes a live
+// appended row's property whose column the base lacks, and a bool cell.
 type foldCoverage struct {
-	Reseals, Reused, SelfLoops, SameBatch, GoneLabel int
+	Reseals, Reused, SelfLoops, SameBatch, GoneLabel, NewColumn, BoolCell int
 }
 
 var (
@@ -145,6 +150,12 @@ func (q *foldSeq) props() map[string]Value {
 	}
 	if q.rng.Intn(4) == 0 {
 		p["w"] = FloatValue(q.rng.Float64())
+	}
+	if q.rng.Intn(4) == 0 {
+		p["ok"] = BoolValue(q.rng.Intn(2) == 0)
+	}
+	if q.seeded && q.rng.Intn(4) == 0 {
+		p["fresh"] = StringValue(fmt.Sprintf("f%d", q.rng.Intn(50)))
 	}
 	if q.rng.Intn(6) == 0 {
 		p["name"] = Null()
@@ -260,7 +271,42 @@ func foldBase(q *foldSeq) *Graph {
 		op := q.addEdge(foldEdgeLabels[q.rng.Intn(len(foldEdgeLabels))])
 		b.AddEdge(op.Key, op.Src, op.Dst, op.Label, op.Props)
 	}
+	q.seeded = true
 	return b.MustBuild()
+}
+
+// noteAppendedProps counts the cases of foldCoverage that the fold of g
+// reaches through its live appended rows.
+func (c *foldCoverage) noteAppendedProps(g *Graph) {
+	ov := g.ov
+	if ov == nil {
+		return
+	}
+	newColumn, boolCell := false, false
+	note := func(base *propColumns, props map[string]Value) {
+		for name, v := range props {
+			if _, held := base.cols[name]; !held && v.Kind != KindNull {
+				newColumn = true
+			}
+			boolCell = boolCell || v.Kind == KindBool
+		}
+	}
+	for _, n := range ov.extraNodes {
+		if !ov.nodeDead(n.ID) {
+			note(&ov.base.nodeProps, n.Props)
+		}
+	}
+	for _, e := range ov.extraEdges {
+		if !ov.edgeDead(e.ID) {
+			note(&ov.base.edgeProps, e.Props)
+		}
+	}
+	if newColumn {
+		c.NewColumn++
+	}
+	if boolCell {
+		c.BoolCell++
+	}
 }
 
 // TestRebuildMatchesReplay drives seeded batch sequences — adds, edge
@@ -316,6 +362,7 @@ func TestRebuildMatchesReplay(t *testing.T) {
 				t.Fatalf("%s: delta view differs from a Build of its live objects:\n got %s\nwant %s", stage, got, w)
 			}
 			checkFold(t, stage, g)
+			total.noteAppendedProps(g)
 			if epoch%13 == 0 {
 				if err := s.Compact(); err != nil {
 					t.Fatalf("%s: Compact: %v", stage, err)
@@ -329,7 +376,8 @@ func TestRebuildMatchesReplay(t *testing.T) {
 		total.SameBatch += q.SameBatch
 	}
 	t.Logf("coverage: %+v", total)
-	if total.Reseals == 0 || total.Reused == 0 || total.SelfLoops == 0 || total.SameBatch == 0 || total.GoneLabel == 0 {
+	if total.Reseals == 0 || total.Reused == 0 || total.SelfLoops == 0 || total.SameBatch == 0 || total.GoneLabel == 0 ||
+		total.NewColumn == 0 || total.BoolCell == 0 {
 		t.Fatalf("sequences missed a case: %+v", total)
 	}
 }

@@ -8,8 +8,8 @@ import (
 // overlay is the immutable delta layer a Store lays over a sealed CSR
 // epoch: appended nodes and edges (dense IDs continuing after the base),
 // tombstones, and per-node adjacency patches that fully materialize the
-// live (symbol, edge ID)-ordered adjacency of every node the delta
-// touches. Untouched nodes keep reading the base CSR, so overlay reads
+// live (symbol, edge ID)-ordered adjacency of every node whose edge set
+// the delta changed. Other nodes keep reading the base CSR, so overlay reads
 // cost one table walk more than sealed reads and patched reads stay in
 // the exact order the sealed CSR would produce after a rebuild — the
 // property the byte-identical differential gate rests on.
@@ -19,11 +19,12 @@ import (
 // the patch chunks grow past the lengths older epochs read, and the
 // per-ID state — tombstones, which patch a node reads, the appended
 // keys' index — sits in copy-on-write tables (cow.go) whose leaves a
-// batch copies only where it writes. The new patches are derived from
-// the previous epoch's, which are already live and in order, and from
-// the batch's own appended and killed objects, so an Apply costs the
-// batch and the touched nodes' degrees — never the delta before it, and
-// never a pass over the base.
+// batch copies only where it writes. A batch records its adjacency
+// changes once, as one list of slots to drop and to add, sorted by node
+// and direction; each node in it gets a new patch derived from its
+// previous adjacency, which is already live and in order, so an Apply
+// costs the batch and the changed nodes' degrees — never the delta
+// before it, and never a pass over the base.
 //
 // An overlay keeps no posting lists. A label's objects and a property
 // value's holders are read off the base's list, the tombstones and the
@@ -46,7 +47,7 @@ type overlay struct {
 	nodeKeys, edgeKeys keyIndex
 
 	// The live adjacency of every node whose edge set the delta changed
-	// (and of every appended or tombstoned node), in each direction:
+	// (and of every appended node), in each direction:
 	// outPatch and inPatch cover every node ID and point into chunks of
 	// 256 patches that never move. patches is the last chunk, which a
 	// batch appends past the length earlier epochs hold.
@@ -227,12 +228,15 @@ func emptyOverlay(base *Graph) *overlay {
 	return ov
 }
 
-// adjRec is one adjacency slot a batch adds or drops: the edge, its
-// symbol and the node at its other end.
+// adjRec is one adjacency slot a batch adds or drops: the node whose
+// adjacency holds it and in which direction, whether the batch adds it,
+// the edge, its symbol and the node at its other end.
 type adjRec struct {
-	sym SymbolID
-	id  EdgeID
-	nbr NodeID
+	node     NodeID
+	out, add bool
+	sym      SymbolID
+	id       EdgeID
+	nbr      NodeID
 }
 
 // adjacency returns node n's live adjacency in one direction: its
@@ -276,7 +280,8 @@ func (ov *overlay) edgeSym(id EdgeID) SymbolID {
 // patchAdj returns a node's live adjacency in one direction from prev,
 // its adjacency at the previous epoch: without the slots in drop, which
 // prev holds, and with the slots in add merged in, in (symbol, edge ID)
-// order. Both lists are in that order, and every added edge is newer than
+// order: drop and add are one node's group of finalize's sorted slots.
+// Both lists are in that order, and every added edge is newer than
 // every edge of prev, so it follows prev's edges of its symbol. The cost
 // is the node's degree plus the batch's slots, with no map probe.
 func patchAdj(prev Adjacency, drop, add []adjRec) Adjacency {

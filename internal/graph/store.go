@@ -63,10 +63,6 @@ type StoreOptions struct {
 	// 0 selects DefaultCompactThreshold; negative disables automatic
 	// compaction (Compact can still be called explicitly).
 	CompactThreshold int
-	// SyncCompact folds the delta inline in Apply when the threshold is
-	// reached instead of handing it to the background compactor —
-	// deterministic, for tests and single-shot CLI use.
-	SyncCompact bool
 }
 
 // DefaultCompactThreshold is the delta size that triggers compaction when
@@ -98,7 +94,7 @@ func newStoreAt(g *Graph, epoch uint64, opts StoreOptions) *Store {
 		doneCh: make(chan struct{}),
 	}
 	s.cur.Store(&epochState{epoch: epoch, g: g, clock: newLabelClock()})
-	if opts.CompactThreshold > 0 && !opts.SyncCompact {
+	if opts.CompactThreshold > 0 {
 		s.compactCh = make(chan struct{}, 1)
 		go s.compactor()
 	} else {
@@ -302,15 +298,21 @@ func (s *Store) compactLocked() error {
 	if cur.g.ov == nil {
 		return nil
 	}
-	t0 := time.Now()
-	g, err := cur.g.Rebuild()
-	if err != nil {
-		return err
-	}
 	if err := fault.Hit("compact.swap"); err != nil {
 		return fmt.Errorf("graph: compaction: %w", err)
 	}
-	s.cur.Store(&epochState{epoch: cur.epoch, g: g, clock: cur.clock})
+	return s.publishFold(cur.g, cur.epoch, cur.clock)
+}
+
+// publishFold publishes the fold of g as epoch and counts it as a
+// compaction: the compactor's, which keeps g's epoch, or Apply's reseal.
+func (s *Store) publishFold(g *Graph, epoch uint64, clock *labelClock) error {
+	t0 := time.Now()
+	f, err := g.Rebuild()
+	if err != nil {
+		return err
+	}
+	s.cur.Store(&epochState{epoch: epoch, g: f, clock: clock})
 	compactionSeconds.ObserveSince(t0)
 	s.compactions.Add(1)
 	return nil
@@ -321,9 +323,9 @@ func (s *Store) compactLocked() error {
 // sentinels (ErrDuplicateKey, ErrUnknownNode, ErrUnknownKey,
 // ErrInvalidValue). A batch whose edge labels are all known to the
 // sealed base extends the overlay at a cost of the batch plus what it
-// touched — the previous epoch's patches of the nodes it touched, each
-// copied once with its changes (finalize), and the overlay's table
-// leaves it writes (cow.go) — not the delta before it; a batch
+// changed — the previous epoch's adjacency of each node whose edge set
+// it changed, copied once with its changes (finalize), and the overlay's
+// table leaves it writes (cow.go) — not the delta before it; a batch
 // introducing an unseen edge label reseals inline with Rebuild's fold
 // (the lexicographic symbol order the CSR depends on cannot absorb a new
 // symbol without perturbing discovery order).
@@ -350,36 +352,20 @@ func (s *Store) Apply(b Batch) (uint64, error) {
 	epoch := cur.epoch + 1
 	clock := cur.clock.advance(eff, epoch)
 
-	var g *Graph
 	if eff.newLabel {
 		// Reseal: the fold reads the appended rows and the tombstones,
 		// never the patches finalize would have set.
-		t0 := time.Now()
-		g, err = ov.graph().Rebuild()
-		if err != nil {
+		if err := s.publishFold(ov.graph(), epoch, clock); err != nil {
 			return cur.epoch, err
 		}
-		compactionSeconds.ObserveSince(t0)
-		s.compactions.Add(1)
-	} else {
-		ov.finalize(eff)
-		g = ov.graph()
+		return epoch, nil
 	}
-	s.cur.Store(&epochState{epoch: epoch, g: g, clock: clock})
-
-	if g.ov != nil && s.opts.CompactThreshold > 0 && g.ov.deltaSize() >= s.opts.CompactThreshold {
-		if s.opts.SyncCompact {
-			if err := s.compactLocked(); err != nil {
-				return epoch, err
-			}
-			if err := s.checkpointLocked(); err != nil {
-				return epoch, err
-			}
-		} else if s.compactCh != nil {
-			select {
-			case s.compactCh <- struct{}{}:
-			default: // a compaction is already queued
-			}
+	ov.finalize(eff)
+	s.cur.Store(&epochState{epoch: epoch, g: ov.graph(), clock: clock})
+	if s.opts.CompactThreshold > 0 && ov.deltaSize() >= s.opts.CompactThreshold {
+		select {
+		case s.compactCh <- struct{}{}:
+		default: // a compaction is already queued
 		}
 	}
 	return epoch, nil
@@ -392,44 +378,29 @@ func overlayFor(g *Graph) *overlay {
 	return emptyOverlay(g)
 }
 
-// effects accumulates what one batch touched, for patch finalization
-// and the label clock.
+// effects accumulates what one batch changed, for finalize and the
+// label clock.
 type effects struct {
-	touchedOut map[NodeID]struct{}
-	touchedIn  map[NodeID]struct{}
-
 	nodeLabels map[string]struct{}
 	edgeLabels map[string]struct{}
 
-	// The batch's own edge delta: the appended-edge count its overlay
-	// started from — extraEdges[startEdges:] is what the batch appended —
-	// and the edges it killed, in the order it killed them (finalize
-	// sorts them).
-	startEdges  int
-	killedEdges []EdgeID
+	// extraEdges[startEdges:] is what the batch appended. slots is its
+	// one record of adjacency changes: the two slots each killed edge
+	// leaves in the previous epoch's adjacency (killEdge), then the two
+	// of each live appended edge (finalize).
+	startEdges int
+	slots      []adjRec
 
-	anyNode, anyEdge bool
-	newLabel         bool
-}
-
-func newEffects(ov *overlay) *effects {
-	return &effects{
-		touchedOut: map[NodeID]struct{}{},
-		touchedIn:  map[NodeID]struct{}{},
-		nodeLabels: map[string]struct{}{},
-		edgeLabels: map[string]struct{}{},
-		startEdges: len(ov.extraEdges),
-	}
+	newLabel bool
 }
 
 // applyOps applies the batch's operations, in order, to the (private,
-// pre-publish) successor overlay: object and key bookkeeping only — adjacency
-// patches are deferred to finalize so a
-// failed op leaves nothing to unwind. Mid-batch reads therefore go
-// through the key tables and liveIncident, never through the stale
-// patches.
+// pre-publish) successor overlay: objects, keys and eff.slots only —
+// adjacency patches are deferred to finalize so a failed op leaves
+// nothing to unwind. Mid-batch reads therefore go through the key tables
+// and liveIncident, never through the stale patches.
 func (ov *overlay) applyOps(b Batch) (*effects, error) {
-	eff := newEffects(ov)
+	eff := &effects{nodeLabels: map[string]struct{}{}, edgeLabels: map[string]struct{}{}, startEdges: len(ov.extraEdges)}
 	for i, op := range b.Ops {
 		if err := checkSnapshottable(op); err != nil {
 			return nil, fmt.Errorf("graph: batch op %d: %w", i, err)
@@ -502,7 +473,6 @@ func (ov *overlay) applyAddNode(op Op, eff *effects) error {
 	*ov.inPatch.ref(uint32(id), ov.gen) = &noEdges
 	ov.liveNodes++
 	eff.nodeLabels[op.Label] = struct{}{}
-	eff.anyNode = true
 	return nil
 }
 
@@ -534,9 +504,6 @@ func (ov *overlay) applyAddEdge(op Op, eff *effects) error {
 	})
 	ov.liveEdges++
 	eff.edgeLabels[op.Label] = struct{}{}
-	eff.touchedOut[src] = struct{}{}
-	eff.touchedIn[dst] = struct{}{}
-	eff.anyEdge = true
 	return nil
 }
 
@@ -552,9 +519,6 @@ func (ov *overlay) applyDelNode(op Op, eff *effects) error {
 	ov.deadNodes.add(uint32(n), ov.gen)
 	ov.liveNodes--
 	eff.nodeLabels[ov.nodeLabel(n)] = struct{}{}
-	eff.anyNode = true
-	eff.touchedOut[n] = struct{}{}
-	eff.touchedIn[n] = struct{}{}
 	return nil
 }
 
@@ -567,15 +531,19 @@ func (ov *overlay) applyDelEdge(op Op, eff *effects) error {
 	return nil
 }
 
+// killEdge tombstones edge id. An edge the batch itself appended is in
+// no previous adjacency, so it leaves no slot to drop.
 func (ov *overlay) killEdge(id EdgeID, eff *effects) {
-	src, dst := ov.endpoints(id)
 	ov.deadEdges.add(uint32(id), ov.gen)
-	eff.killedEdges = append(eff.killedEdges, id)
+	if int(id) < ov.base.NumEdges()+eff.startEdges {
+		src, dst := ov.endpoints(id)
+		sym := ov.edgeSym(id)
+		eff.slots = append(eff.slots,
+			adjRec{node: src, out: true, sym: sym, id: id, nbr: dst},
+			adjRec{node: dst, sym: sym, id: id, nbr: src})
+	}
 	ov.liveEdges--
 	eff.edgeLabels[ov.edgeLabel(id)] = struct{}{}
-	eff.touchedOut[src] = struct{}{}
-	eff.touchedIn[dst] = struct{}{}
-	eff.anyEdge = true
 }
 
 // liveIncident returns the live edges incident to n (out and in, a
@@ -604,46 +572,55 @@ func (ov *overlay) liveIncident(n NodeID, eff *effects) []EdgeID {
 	return out
 }
 
-// finalize rematerializes the adjacency patches the batch invalidated,
-// each from the previous epoch's: a touched node's patch loses the edges
-// the batch killed and gains the live edges it appended.
+// finalize adds the slots of the batch's live appended edges to
+// eff.slots and sorts it into (node, direction) groups; each group's node
+// gets a patch made of its previous adjacency by patchAdj. A node the
+// list does not name, such as the endpoint of an edge the batch appended
+// and killed again, keeps its previous patch.
 func (ov *overlay) finalize(eff *effects) {
-	slices.Sort(eff.killedEdges)
-	outDrop, inDrop := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
-	prevEdges := EdgeID(ov.base.NumEdges() + eff.startEdges)
-	for _, e := range eff.killedEdges {
-		if e < prevEdges { // in the previous epoch's adjacency
-			src, dst := ov.endpoints(e)
-			sym := ov.edgeSym(e)
-			outDrop[src] = append(outDrop[src], adjRec{sym, e, dst})
-			inDrop[dst] = append(inDrop[dst], adjRec{sym, e, src})
-		}
-	}
-	outAdd, inAdd := map[NodeID][]adjRec{}, map[NodeID][]adjRec{}
 	for i := eff.startEdges; i < len(ov.extraEdges); i++ {
 		e := &ov.extraEdges[i]
 		if !ov.edgeDead(e.ID) {
 			sym := ov.extraEdgeSym[i]
-			outAdd[e.Src] = append(outAdd[e.Src], adjRec{sym, e.ID, e.Dst})
-			inAdd[e.Dst] = append(inAdd[e.Dst], adjRec{sym, e.ID, e.Src})
+			eff.slots = append(eff.slots,
+				adjRec{node: e.Src, out: true, add: true, sym: sym, id: e.ID, nbr: e.Dst},
+				adjRec{node: e.Dst, add: true, sym: sym, id: e.ID, nbr: e.Src})
 		}
 	}
-	for _, m := range []map[NodeID][]adjRec{outDrop, inDrop, outAdd, inAdd} {
-		for _, recs := range m {
-			slices.SortFunc(recs, func(a, b adjRec) int {
-				if a.sym != b.sym {
-					return cmp.Compare(a.sym, b.sym)
-				}
-				return cmp.Compare(a.id, b.id)
-			})
+	slots := eff.slots
+	slices.SortFunc(slots, compareSlots)
+	for lo, hi := 0, 0; lo < len(slots); lo = hi {
+		n, out, mid := slots[lo].node, slots[lo].out, lo
+		for ; hi < len(slots) && slots[hi].node == n && slots[hi].out == out; hi++ {
+			if !slots[hi].add {
+				mid = hi + 1
+			}
 		}
+		patch := &ov.inPatch
+		if out {
+			patch = &ov.outPatch
+		}
+		ov.setPatch(patch, n, patchAdj(ov.adjacency(n, out), slots[lo:mid], slots[mid:hi]))
 	}
-	for n := range eff.touchedOut {
-		ov.setPatch(&ov.outPatch, n, patchAdj(ov.adjacency(n, true), outDrop[n], outAdd[n]))
+}
+
+// compareSlots orders adjacency slots by node, direction, drop before
+// add, symbol and edge ID.
+func compareSlots(a, b adjRec) int {
+	return cmp.Or(cmp.Compare(a.node, b.node), cmp.Compare(a.list(), b.list()),
+		cmp.Compare(a.sym, b.sym), cmp.Compare(a.id, b.id))
+}
+
+// list numbers the four lists of a node's slots: in-drops, in-adds,
+// out-drops and out-adds.
+func (r adjRec) list() (n int) {
+	if r.out {
+		n = 2
 	}
-	for n := range eff.touchedIn {
-		ov.setPatch(&ov.inPatch, n, patchAdj(ov.adjacency(n, false), inDrop[n], inAdd[n]))
+	if r.add {
+		n++
 	}
+	return n
 }
 
 // labelClock is the immutable invalidation clock one epoch publishes:
@@ -672,16 +649,12 @@ func (c *labelClock) advance(eff *effects, epoch uint64) *labelClock {
 		nodeLabels: make(map[string]uint64, len(c.nodeLabels)+len(eff.nodeLabels)),
 		edgeLabels: make(map[string]uint64, len(c.edgeLabels)+len(eff.edgeLabels)),
 	}
-	for l, e := range c.nodeLabels {
-		nc.nodeLabels[l] = e
-	}
-	for l, e := range c.edgeLabels {
-		nc.edgeLabels[l] = e
-	}
-	if eff.anyNode {
+	maps.Copy(nc.nodeLabels, c.nodeLabels)
+	maps.Copy(nc.edgeLabels, c.edgeLabels)
+	if len(eff.nodeLabels) > 0 {
 		nc.anyNode = epoch
 	}
-	if eff.anyEdge {
+	if len(eff.edgeLabels) > 0 {
 		nc.anyEdge = epoch
 	}
 	for l := range eff.nodeLabels {

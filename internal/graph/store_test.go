@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // seedGraph builds a small two-label graph: persons a,b,c in a Knows
@@ -279,25 +280,73 @@ func TestStoreNewLabelReseals(t *testing.T) {
 	}
 }
 
-// TestStoreAutoCompaction: crossing the threshold with SyncCompact folds
-// the delta inline.
+// TestStoreAutoCompaction: crossing the threshold hands the delta to the
+// background compactor, which publishes a sealed graph under the same
+// epoch.
 func TestStoreAutoCompaction(t *testing.T) {
-	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: 3, SyncCompact: true})
+	s := NewStore(seedGraph(t), StoreOptions{CompactThreshold: 3})
 	defer s.Close()
 
 	mustApply(t, s, Op{Kind: OpAddNode, Key: "x1", Label: "Person"})
 	if s.Graph().ov == nil {
 		t.Fatal("compacted below threshold")
 	}
-	mustApply(t, s,
+	epoch := mustApply(t, s,
 		Op{Kind: OpAddNode, Key: "x2", Label: "Person"},
 		Op{Kind: OpAddEdge, Key: "xx", Src: "x1", Dst: "x2", Label: "Knows"},
 	)
-	if s.Graph().ov != nil {
-		t.Fatalf("delta size %d ≥ threshold 3 but no compaction", s.DeltaSize())
+	for deadline := time.Now().Add(10 * time.Second); s.Graph().ov != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("delta size %d ≥ threshold 3 but no compaction within 10s", s.DeltaSize())
+		}
 	}
-	if s.DeltaSize() != 0 {
-		t.Fatalf("DeltaSize after compaction = %d", s.DeltaSize())
+	if g, e := s.Current(); e != epoch || g.NodeKey(NodeID(g.NumNodes()-1)) != "x2" {
+		t.Fatalf("compacted epoch %d, last node %q; want epoch %d, last node x2", e, g.NodeKey(NodeID(g.NumNodes()-1)), epoch)
+	}
+	if s.DeltaSize() != 0 || s.Compactions() != 1 {
+		t.Fatalf("after compaction: DeltaSize %d, Compactions %d; want 0 and 1", s.DeltaSize(), s.Compactions())
+	}
+}
+
+// TestStoreKeepsUnchangedPatches: a batch publishes a new patch only for
+// the nodes whose edge set it changed. Here one batch appends an edge and
+// deletes it again, and deletes a base node and an appended node that
+// have no live edge; those four nodes keep the patch pointers of the
+// previous epoch (nil where they read the base range), and the delta
+// view's adjacency equals a Build of its live objects.
+func TestStoreKeepsUnchangedPatches(t *testing.T) {
+	b := NewBuilder()
+	for _, k := range []string{"a", "b", "c", "d"} {
+		b.AddNode(k, "Person", nil)
+	}
+	b.AddEdge("ab", "a", "b", "Knows", nil)
+	s := NewStore(b.MustBuild(), StoreOptions{CompactThreshold: -1})
+	defer s.Close()
+	mustApply(t, s,
+		Op{Kind: OpAddNode, Key: "e", Label: "Person"},
+		Op{Kind: OpAddEdge, Key: "ba", Src: "b", Dst: "a", Label: "Knows"},
+	)
+	prev := s.Graph()
+	mustApply(t, s,
+		Op{Kind: OpAddEdge, Key: "ac", Src: "a", Dst: "c", Label: "Knows"},
+		Op{Kind: OpDelEdge, Key: "ac"},
+		Op{Kind: OpDelNode, Key: "d"},
+		Op{Kind: OpDelNode, Key: "e"},
+	)
+	g := s.Graph()
+	for _, k := range []string{"a", "c", "d", "e"} {
+		id, _ := prev.NodeIDByKey(k)
+		if g.ov.outPatch.get(uint32(id)) != prev.ov.outPatch.get(uint32(id)) ||
+			g.ov.inPatch.get(uint32(id)) != prev.ov.inPatch.get(uint32(id)) {
+			t.Errorf("node %s: the batch left its edges as they were but published a new patch", k)
+		}
+	}
+	want, err := replayRebuild(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, w := renderLive(g), renderLive(want); got != w {
+		t.Fatalf("delta view differs from a Build of its live objects:\n got %s\nwant %s", got, w)
 	}
 }
 

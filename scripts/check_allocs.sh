@@ -292,7 +292,9 @@ done
 # B/op at 256 (copying the overlay's maps per batch took 2.6x), and B/op
 # at each must stay within 96 KiB: a delta view reads a label's list off
 # the base and the tombstones, and a batch that copied each touched
-# label's live list took 171 KB and 178 KB.
+# label's live list took 171 KB and 178 KB. allocs/op at each must stay
+# at most 256: a batch records its adjacency changes in one sorted list,
+# and recording them in six maps took 294 and 300.
 out=$(go test -run xxx -bench 'BenchmarkApplySteady' -benchtime 400x -benchmem ./internal/graph 2>&1)
 printf '%s\n' "$out"
 
@@ -314,3 +316,16 @@ for c in "256 $small" "1,900 $large"; do
     fi
 done
 echo "check_allocs: Apply allocates $small B/op at a 256-record delta and $large at 1,900 (bounds 1.5x and 96 KiB)"
+
+for case in 256 1900; do
+    allocs=$(printf '%s\n' "$out" | awk -v c="BenchmarkApplySteady/delta=$case-" 'index($0, c) == 1 { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+    if [ -z "$allocs" ]; then
+        echo "check_allocs: could not find BenchmarkApplySteady/delta=$case allocs/op in benchmark output" >&2
+        exit 1
+    fi
+    if [ "$allocs" -gt 256 ]; then
+        echo "check_allocs: Apply allocates $allocs allocs/op at a $case-record delta > threshold 256 — a batch records its changes more than once" >&2
+        exit 1
+    fi
+    echo "check_allocs: Apply allocates $allocs allocs/op at a $case-record delta (threshold 256)"
+done
