@@ -15,16 +15,23 @@ import (
 // arrive; Build trims them and hands them to the Graph, so a sealed
 // graph holds no row of pointers.
 
-// keyTable finds an object's ID by its key through one pointer-free,
-// open-addressed array: slots holds ID+1, 0 marking an empty slot, and its
-// length is a power of two. A lookup probes linearly from the key's hash
-// and confirms each ID it meets against the raw key, so a hash collision
-// is only a longer probe. The table doubles once it passes half full,
-// which keeps probes short.
+// keyTable finds an object's ID by its key through pointer-free,
+// open-addressed arrays whose length is a power of two: slots holds ID+1,
+// 0 marking an empty slot, and tags beside it the top byte of the key's
+// hash, which no table's index uses. A lookup hashes the key once, probes
+// linearly from it and reads the key of an occupied slot only when the
+// slot's tag matches, so another key's slot costs no key read but one
+// time in 256, and a hash collision is only a longer probe. The table
+// doubles once it passes three quarters full (keySlots), which keeps
+// probes short.
 type keyTable struct {
 	slots []uint32
+	tags  []uint8
 	hash  func(string) uint64
 }
+
+// keyTag is the tag a key of hash h leaves in its slot.
+func keyTag(h uint64) uint8 { return uint8(h >> 56) }
 
 // keyColumn holds one kind's keys in ID order, each stored once between
 // its quotes — key i is text[off[i]+1:off[i+1]-1] — and the table that
@@ -49,43 +56,66 @@ func (c *keyColumn) key(id uint32) string {
 //
 //pathalgebra:hotpath
 func (c *keyColumn) find(key string) (uint32, bool) {
+	if len(c.index.slots) == 0 {
+		return 0, false
+	}
+	return c.findHash(key, c.index.hash(key))
+}
+
+// findHash is find for a key whose hash under the table's hash is h.
+//
+//pathalgebra:hotpath
+func (c *keyColumn) findHash(key string, h uint64) (uint32, bool) {
 	slots := c.index.slots
 	if len(slots) == 0 {
 		return 0, false
 	}
-	mask := uint64(len(slots) - 1)
-	for i := c.index.hash(key) & mask; ; i = (i + 1) & mask {
+	tags := c.index.tags[:len(slots)]
+	mask, tag := uint64(len(slots)-1), keyTag(h)
+	for i := h & mask; ; i = (i + 1) & mask {
 		s := slots[i]
 		if s == 0 {
 			return 0, false
 		}
-		if c.key(s-1) == key {
+		if tags[i] == tag && c.key(s-1) == key {
 			return s - 1, true
 		}
 	}
 }
 
-// insert enters id, whose key the column already holds, into the table.
-// When id would fill more than half of it, the table doubles first and
-// takes the IDs below id again, which cannot double it a second time.
-func (c *keyColumn) insert(id uint32) {
+// insert enters id, whose key the column already holds and hashes to h,
+// into the table. When id would fill more than three quarters of it, the
+// table doubles first and takes the IDs below id again, which cannot
+// double it a second time.
+func (c *keyColumn) insert(id uint32, h uint64) {
 	t := &c.index
-	if 2*(uint64(id)+1) > uint64(len(t.slots)) {
-		t.slots = make([]uint32, tableSlots(uint64(id)+1))
+	if 4*(uint64(id)+1) > 3*uint64(len(t.slots)) {
+		size := keySlots(uint64(id) + 1)
+		t.slots, t.tags = make([]uint32, size), make([]uint8, size)
 		for old := uint32(0); old < id; old++ {
-			c.insert(old)
+			c.insert(old, t.hash(c.key(old)))
 		}
 	}
 	mask := uint64(len(t.slots) - 1)
-	i := t.hash(c.key(id)) & mask
+	i := h & mask
 	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
-	t.slots[i] = id + 1
+	t.slots[i], t.tags[i] = id+1, keyTag(h)
 }
 
-// tableSlots is the size of a key table holding n keys: the least power
-// of two, 16 or more, that they fill at most half of.
+// keySlots is the size of a key column's table holding n keys: the least
+// power of two, 16 or more, that they fill at most three quarters of.
+func keySlots(n uint64) int {
+	size := 16
+	for 3*uint64(size) < 4*n {
+		size *= 2
+	}
+	return size
+}
+
+// tableSlots is the size of an overlay's keyIndex holding n keys: the
+// least power of two, 16 or more, that they fill at most half of.
 func tableSlots(n uint64) int {
 	size := 16
 	for uint64(size) < 2*n {
@@ -97,26 +127,33 @@ func tableSlots(n uint64) int {
 // buildIndex builds the column's key table over all of its keys at once,
 // at the size insert would reach, with one probe per key that both places
 // it and finds an earlier ID holding the same key. It reports the first
-// such key's two IDs, first < dup, and then leaves the table empty.
+// such key's two IDs, first < dup, and then leaves the table empty. A
+// column without a hash gets one under a fresh seed.
 func (c *keyColumn) buildIndex() (first, dup uint32, ok bool) {
 	n := uint32(len(c.off) - 1)
-	c.index.hash = newKeyHash()
+	if c.index.hash == nil {
+		c.index.hash = newKeyHash()
+	}
+	c.index.slots, c.index.tags = nil, nil
 	if n == 0 {
 		return 0, 0, true
 	}
-	slots := make([]uint32, tableSlots(uint64(n)))
-	mask := uint64(len(slots) - 1)
+	size := keySlots(uint64(n))
+	slots, tags := make([]uint32, size), make([]uint8, size)
+	mask := uint64(size - 1)
 	for id := uint32(0); id < n; id++ {
 		key := c.key(id)
-		i := c.index.hash(key) & mask
+		h := c.index.hash(key)
+		tag := keyTag(h)
+		i := h & mask
 		for ; slots[i] != 0; i = (i + 1) & mask {
-			if c.key(slots[i]-1) == key {
+			if tags[i] == tag && c.key(slots[i]-1) == key {
 				return slots[i] - 1, id, false
 			}
 		}
-		slots[i] = id + 1
+		slots[i], tags[i] = id+1, tag
 	}
-	c.index.slots = slots
+	c.index.slots, c.index.tags = slots, tags
 	return 0, 0, true
 }
 
@@ -133,19 +170,18 @@ type keyBuilder struct {
 	col keyColumn
 }
 
-// init makes the zero keyBuilder ready to use.
-func (kb *keyBuilder) init() {
+// init makes the zero keyBuilder ready to use, with hash as its table's.
+func (kb *keyBuilder) init(hash func(string) uint64) {
 	if kb.col.off == nil {
 		kb.col.off = []uint32{0}
-		kb.col.index.hash = newKeyHash()
+		kb.col.index.hash = hash
 	}
 }
 
-// add appends key as the next ID's key. The caller checks for
-// duplicates first; a duplicate key still gets its ID, and a Builder
-// holding one fails at Build.
-func (kb *keyBuilder) add(key string) error {
-	kb.init()
+// add appends key, whose hash is h, as the next ID's key. The caller
+// checks for duplicates first; a duplicate key still gets its ID, and a
+// Builder holding one fails at Build.
+func (kb *keyBuilder) add(key string, h uint64) error {
 	if uint64(kb.buf.Len())+uint64(len(key))+2 > math.MaxUint32 {
 		return fmt.Errorf("graph: keys and their quotes take more than the 4 GiB their offsets address")
 	}
@@ -161,13 +197,12 @@ func (kb *keyBuilder) add(key string) error {
 	if jsonUnchanged(key) {
 		kb.col.clean[id/64] |= 1 << (id % 64)
 	}
-	kb.col.insert(id)
+	kb.col.insert(id, h)
 	return nil
 }
 
 // seal returns the finished column, its text copied to its exact size.
 func (kb *keyBuilder) seal() keyColumn {
-	kb.init()
 	col := kb.col
 	col.text = strings.Clone(kb.buf.String())
 	return col

@@ -13,28 +13,59 @@ import (
 	"unicode/utf8"
 )
 
-// TestKeyTableCollisions builds key columns whose hashes collide: one
-// hash is constant, so every key shares one probe chain, and the other
-// differs between keys only above any table's mask, so every key starts
-// probing at the same slot. Each key must be found at its ID through the
-// chain, absent keys must not be, and both must hold across the table's
-// doublings.
-func TestKeyTableCollisions(t *testing.T) {
+// collidingHashes are key-table hashes under which keys collide: one is
+// constant, so every key starts probing at one slot and leaves one tag
+// there, and the other differs between keys only in bits above any
+// table's mask, so every key starts probing at the same slot but most
+// leave different tags.
+func collidingHashes() map[string]func(string) uint64 {
 	seed := maphash.MakeSeed()
-	hashes := map[string]func(string) uint64{
+	return map[string]func(string) uint64{
 		"constant":   func(string) uint64 { return 7 },
 		"above-mask": func(s string) uint64 { return maphash.String(seed, s)<<32 | 7 },
 	}
+}
+
+// collidingKeys are keys of every shape, 108 of them, so that a table
+// holding them has doubled three times.
+func collidingKeys() []string {
 	keys := []string{"n1", "", "n2", "\xff", "é", "n1\x00", `"`, `\"`}
 	for i := 0; i < 100; i++ {
 		keys = append(keys, "k"+strconv.Itoa(i))
 	}
-	for name, hash := range hashes {
+	return keys
+}
+
+// TestKeyTableCollisions builds key columns whose hashes collide
+// (collidingHashes), through insert as a Builder does and through
+// buildIndex as a fold and a snapshot recovery do. Each key must be found
+// at its ID through the probe chain, absent keys must not be, and both
+// must hold across the table's doublings; buildIndex must report a
+// repeated key at its two IDs, first < dup.
+func TestKeyTableCollisions(t *testing.T) {
+	keys := collidingKeys()
+	absent := []string{"n3", "n", "\xfe", "k100", `"n1"`, `n1"`, `""`}
+	check := func(t *testing.T, stage string, col *keyColumn) {
+		t.Helper()
+		for i, k := range keys {
+			if id, ok := col.find(k); !ok || id != uint32(i) {
+				t.Errorf("%s: find(%q) = %d, %v; want %d, true", stage, k, id, ok, i)
+			}
+			if got := col.key(uint32(i)); got != k {
+				t.Errorf("%s: key(%d) = %q, want %q", stage, i, got, k)
+			}
+		}
+		for _, k := range absent {
+			if id, ok := col.find(k); ok {
+				t.Errorf("%s: find(%q) = %d, true; want not found", stage, k, id)
+			}
+		}
+	}
+	for name, hash := range collidingHashes() {
 		var kb keyBuilder
-		kb.col.off = []uint32{0}
-		kb.col.index.hash = hash
+		kb.init(hash)
 		for _, k := range keys {
-			if err := kb.add(k); err != nil {
+			if err := kb.add(k, hash(k)); err != nil {
 				t.Fatalf("%s: add(%q): %v", name, k, err)
 			}
 		}
@@ -42,19 +73,111 @@ func TestKeyTableCollisions(t *testing.T) {
 		if got, want := len(col.index.slots), 16<<3; got < want {
 			t.Fatalf("%s: table has %d slots after %d keys, want at least %d (three doublings)", name, got, len(keys), want)
 		}
+		check(t, name+" insert", &col)
+
+		built := keyColumn{text: col.text, off: col.off, index: keyTable{hash: hash}}
+		if first, dup, ok := built.buildIndex(); !ok {
+			t.Fatalf("%s: buildIndex reports IDs %d and %d share a key", name, first, dup)
+		}
+		if got, want := len(built.index.slots), len(col.index.slots); got != want {
+			t.Errorf("%s: buildIndex made %d slots, insert %d", name, got, want)
+		}
+		check(t, name+" buildIndex", &built)
+
+		// Key 5 again at ID 50: the probe that places ID 50 meets ID 5.
+		var dupKB keyBuilder
+		dupKB.init(hash)
 		for i, k := range keys {
-			if id, ok := col.find(k); !ok || id != uint32(i) {
-				t.Errorf("%s: find(%q) = %d, %v; want %d, true", name, k, id, ok, i)
+			if i == 50 {
+				k = keys[5]
 			}
-			if got := col.key(uint32(i)); got != k {
-				t.Errorf("%s: key(%d) = %q, want %q", name, i, got, k)
-			}
-		}
-		for _, k := range []string{"n3", "n", "\xfe", "k100", `"n1"`, `n1"`, `""`} {
-			if id, ok := col.find(k); ok {
-				t.Errorf("%s: find(%q) = %d, true; want not found", name, k, id)
+			if err := dupKB.add(k, hash(k)); err != nil {
+				t.Fatalf("%s: add(%q): %v", name, k, err)
 			}
 		}
+		dupCol := dupKB.seal()
+		dupCol.index = keyTable{hash: hash}
+		if first, dup, ok := dupCol.buildIndex(); ok || first != 5 || dup != 50 {
+			t.Errorf("%s: buildIndex over a repeated key = %d, %d, %v; want 5, 50, false", name, first, dup, ok)
+		}
+		if dupCol.index.slots != nil {
+			t.Errorf("%s: buildIndex left a table after finding a repeated key", name)
+		}
+	}
+}
+
+// TestKeyIndexCollisions runs a delta view's key lookups under colliding
+// hashes: the sealed base's columns and the overlay's keyIndex, which
+// probes with the base's hash, share one probe chain. Appended, deleted
+// and re-added keys must each be found at their live ID, through the
+// keyIndex's doublings, and deleted and absent keys not at all.
+func TestKeyIndexCollisions(t *testing.T) {
+	keys := collidingKeys()
+	for name, hash := range collidingHashes() {
+		b := NewBuilder()
+		b.nodeKeys.init(hash)
+		b.edgeKeys.init(hash)
+		for _, k := range keys[:40] {
+			b.AddNode(k, "A", nil)
+		}
+		for i := 0; i < 20; i++ {
+			b.AddEdgeIDs("e"+strconv.Itoa(i), NodeID(i), NodeID(i+1), "E", nil)
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		s := NewStore(g, StoreOptions{CompactThreshold: -1})
+		var ops []Op
+		for _, k := range keys[40:] {
+			ops = append(ops, Op{Kind: OpAddNode, Key: k, Label: "A"})
+		}
+		ops = append(ops, Op{Kind: OpAddEdge, Key: "e20", Src: keys[0], Dst: keys[70], Label: "E"})
+		if _, err := s.Apply(Batch{Ops: ops}); err != nil {
+			t.Fatalf("%s: Apply: %v", name, err)
+		}
+		// Delete a base key and an appended one, then add both again:
+		// each probe passes the dead entry before the live one.
+		dead := []string{keys[30], keys[60]}
+		ops = ops[:0]
+		for _, k := range dead {
+			ops = append(ops, Op{Kind: OpDelNode, Key: k})
+		}
+		if _, err := s.Apply(Batch{Ops: ops}); err != nil {
+			t.Fatalf("%s: Apply deletes: %v", name, err)
+		}
+		v := s.Graph()
+		for _, k := range dead {
+			if id, ok := v.NodeIDByKey(k); ok {
+				t.Errorf("%s: deleted key %q found at %d", name, k, id)
+			}
+		}
+		ops = ops[:0]
+		for _, k := range dead {
+			ops = append(ops, Op{Kind: OpAddNode, Key: k, Label: "A"})
+		}
+		if _, err := s.Apply(Batch{Ops: ops}); err != nil {
+			t.Fatalf("%s: Apply re-adds: %v", name, err)
+		}
+		v = s.Graph()
+		for _, k := range keys {
+			id, ok := v.NodeIDByKey(k)
+			if !ok || !v.NodeAlive(id) || v.NodeKey(id) != k {
+				t.Errorf("%s: NodeIDByKey(%q) = %d, %v", name, k, id, ok)
+			}
+		}
+		for i := 0; i <= 20; i++ {
+			k := "e" + strconv.Itoa(i)
+			if id, ok := v.EdgeIDByKey(k); !ok || v.EdgeKey(id) != k {
+				t.Errorf("%s: EdgeIDByKey(%q) = %d, %v", name, k, id, ok)
+			}
+		}
+		for _, k := range []string{"n3", "k100", "e21", `"n1"`} {
+			if id, ok := v.NodeIDByKey(k); ok {
+				t.Errorf("%s: NodeIDByKey(%q) = %d, true; want not found", name, k, id)
+			}
+		}
+		s.Close()
 	}
 }
 

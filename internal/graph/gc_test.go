@@ -22,8 +22,10 @@ func heapNow() (live, scan uint64) {
 // where it is large: of the live heap a 20k-person graph adds, at most 5%
 // is memory the collector scans, so marking does not grow with the graph.
 // It also bounds that heap at 90 bytes per node and edge: each key is
-// stored once, and the table that finds it holds 4-byte IDs (a second,
-// rendered copy of the keys and a Go map from hashes to IDs took 110).
+// stored once, and the table that finds it holds a 4-byte ID and a 1-byte
+// hash tag per slot, at most three quarters full (a second, rendered copy
+// of the keys and a Go map from hashes to IDs took 110; 8-byte slots with
+// a 32-bit tag took 91.2).
 // Lazily built indexes (postings, bitsets) are not built here.
 func TestSealedGraphNotScanned(t *testing.T) {
 	cfg := ldbc.DefaultConfig()

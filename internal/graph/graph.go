@@ -561,46 +561,86 @@ func NewBuilder() *Builder {
 	return &Builder{}
 }
 
+// init gives the zero Builder its key columns. They share one hash, so
+// that AddNode and AddEdgeIDs hash a key once for the duplicate probe,
+// the probe of the other kind (N ∩ E = ∅) and the insert.
+func (b *Builder) init() {
+	if b.nodeKeys.col.off == nil {
+		hash := newKeyHash()
+		b.nodeKeys.init(hash)
+		b.edgeKeys.init(hash)
+	}
+}
+
 // AddNode appends a node with the given external key, label and properties.
 // Keys must be unique among nodes and edges combined (N ∩ E = ∅ in the
 // paper). Errors are deferred to Build.
 func (b *Builder) AddNode(key, label string, props map[string]Value) NodeID {
+	b.init()
+	h := b.nodeKeys.col.index.hash(key)
 	if b.err == nil {
-		if _, dup := b.nodeKeys.col.find(key); dup {
+		if _, dup := b.nodeKeys.col.findHash(key, h); dup {
 			b.err = fmt.Errorf("graph: duplicate node key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.edgeKeys.col.find(key); dup {
+		} else if _, dup := b.edgeKeys.col.findHash(key, h); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
 	id := NodeID(len(b.nodeLabel))
 	b.nodeLabel = append(b.nodeLabel, b.nodeLabels.intern(label))
-	b.note(b.nodeKeys.add(key))
+	b.note(b.nodeKeys.add(key, h))
 	b.note(b.nodeProps.set(uint32(id), props))
 	return id
 }
 
-// AddEdge appends a directed edge src→dst identified by key.
+// AddEdge appends a directed edge src→dst identified by key, its
+// endpoints named by their keys: AddEdgeIDs once they are resolved.
 func (b *Builder) AddEdge(key, srcKey, dstKey, label string, props map[string]Value) EdgeID {
 	src, okSrc := b.nodeKeys.col.find(srcKey)
 	dst, okDst := b.nodeKeys.col.find(dstKey)
+	var unknown error
+	switch {
+	case !okSrc:
+		unknown = fmt.Errorf("graph: edge %q references unknown source node %q: %w", key, srcKey, ErrUnknownNode)
+	case !okDst:
+		unknown = fmt.Errorf("graph: edge %q references unknown target node %q: %w", key, dstKey, ErrUnknownNode)
+	}
+	return b.addEdge(key, NodeID(src), NodeID(dst), label, props, unknown)
+}
+
+// AddEdgeIDs appends a directed edge src→dst identified by key, its
+// endpoints given by the IDs AddNode returned, for a producer that holds
+// them. An ID no node added so far has is ErrUnknownNode, deferred to
+// Build like every error.
+func (b *Builder) AddEdgeIDs(key string, src, dst NodeID, label string, props map[string]Value) EdgeID {
+	var unknown error
+	switch n := NodeID(len(b.nodeLabel)); {
+	case src >= n:
+		unknown = fmt.Errorf("graph: edge %q references unknown source node ID %d of %d: %w", key, src, n, ErrUnknownNode)
+	case dst >= n:
+		unknown = fmt.Errorf("graph: edge %q references unknown target node ID %d of %d: %w", key, dst, n, ErrUnknownNode)
+	}
+	return b.addEdge(key, src, dst, label, props, unknown)
+}
+
+// addEdge is AddEdge and AddEdgeIDs once the endpoints are IDs: unknown,
+// when not nil, says which of them names no node. A duplicate key is
+// reported before it.
+func (b *Builder) addEdge(key string, src, dst NodeID, label string, props map[string]Value, unknown error) EdgeID {
+	b.init()
+	h := b.edgeKeys.col.index.hash(key)
 	if b.err == nil {
-		switch {
-		case !okSrc:
-			b.err = fmt.Errorf("graph: edge %q references unknown source node %q: %w", key, srcKey, ErrUnknownNode)
-		case !okDst:
-			b.err = fmt.Errorf("graph: edge %q references unknown target node %q: %w", key, dstKey, ErrUnknownNode)
-		}
-		if _, dup := b.edgeKeys.col.find(key); dup {
+		b.err = unknown
+		if _, dup := b.edgeKeys.col.findHash(key, h); dup {
 			b.err = fmt.Errorf("graph: duplicate edge key %q: %w", key, ErrDuplicateKey)
-		} else if _, dup := b.nodeKeys.col.find(key); dup {
+		} else if _, dup := b.nodeKeys.col.findHash(key, h); dup {
 			b.err = fmt.Errorf("graph: key %q used by both a node and an edge: %w", key, ErrDuplicateKey)
 		}
 	}
 	id := EdgeID(len(b.edgeSrc))
-	b.edgeSrc = append(b.edgeSrc, NodeID(src))
-	b.edgeDst = append(b.edgeDst, NodeID(dst))
+	b.edgeSrc = append(b.edgeSrc, src)
+	b.edgeDst = append(b.edgeDst, dst)
 	b.edgeLabel = append(b.edgeLabel, b.edgeLabels.intern(label))
-	b.note(b.edgeKeys.add(key))
+	b.note(b.edgeKeys.add(key, h))
 	b.note(b.edgeProps.set(uint32(id), props))
 	return id
 }
@@ -621,6 +661,7 @@ func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	b.init()
 	g := &Graph{
 		edgeSrc:    b.edgeSrc,
 		edgeDst:    b.edgeDst,

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -259,6 +260,68 @@ func TestBuilderErrors(t *testing.T) {
 			},
 			want: ErrDuplicateKey,
 		},
+		{
+			name: "duplicate key before unknown node",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddEdge("e", "a", "a", "", nil)
+				b.AddEdge("e", "missing", "a", "", nil)
+			},
+			want: ErrDuplicateKey,
+		},
+		{
+			name: "AddEdgeIDs unknown source",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddEdgeIDs("e", 1, 0, "", nil)
+			},
+			want: ErrUnknownNode,
+		},
+		{
+			name: "AddEdgeIDs unknown target",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddEdgeIDs("e", 0, 1<<31, "", nil)
+			},
+			want: ErrUnknownNode,
+		},
+		{
+			name: "AddEdgeIDs node added after the edge",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddEdgeIDs("e", 0, 1, "", nil)
+				b.AddNode("b", "", nil)
+			},
+			want: ErrUnknownNode,
+		},
+		{
+			name: "AddEdgeIDs duplicate edge key",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddNode("b", "", nil)
+				b.AddEdgeIDs("e", 0, 1, "", nil)
+				b.AddEdgeIDs("e", 1, 0, "", nil)
+			},
+			want: ErrDuplicateKey,
+		},
+		{
+			name: "AddEdgeIDs node/edge key clash",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddNode("b", "", nil)
+				b.AddEdgeIDs("b", 0, 1, "", nil)
+			},
+			want: ErrDuplicateKey,
+		},
+		{
+			name: "AddEdgeIDs edge/node key clash",
+			build: func(b *Builder) {
+				b.AddNode("a", "", nil)
+				b.AddEdgeIDs("e", 0, 0, "", nil)
+				b.AddNode("e", "", nil)
+			},
+			want: ErrDuplicateKey,
+		},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -272,6 +335,42 @@ func TestBuilderErrors(t *testing.T) {
 				t.Errorf("error %q is not %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestAddEdgeIDsMatchesAddEdge builds one graph twice, its edges named
+// once by their endpoints' keys and once by the IDs AddNode returned:
+// both must write the same JSON bytes.
+func TestAddEdgeIDsMatchesAddEdge(t *testing.T) {
+	const nodes = 300
+	build := func(byID bool) []byte {
+		t.Helper()
+		b := NewBuilder()
+		ids := make([]NodeID, nodes)
+		for i := range ids {
+			ids[i] = b.AddNode("n"+strconv.Itoa(i), []string{"A", "B", ""}[i%3], Props("i", i, "s", strconv.Itoa(i*7)))
+		}
+		for i := 0; i < 4*nodes; i++ {
+			src, dst := (i*31)%nodes, (i*17+5)%nodes
+			key, label, props := "e"+strconv.Itoa(i), []string{"X", "Y"}[i%2], Props("w", float64(i)/4)
+			if byID {
+				b.AddEdgeIDs(key, ids[src], ids[dst], label, props)
+			} else {
+				b.AddEdge(key, "n"+strconv.Itoa(src), "n"+strconv.Itoa(dst), label, props)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("Build (byID %v): %v", byID, err)
+		}
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON: %v", err)
+		}
+		return buf.Bytes()
+	}
+	if byKey, byID := build(false), build(true); !bytes.Equal(byKey, byID) {
+		t.Errorf("AddEdgeIDs wrote %d JSON bytes unlike AddEdge's %d", len(byID), len(byKey))
 	}
 }
 

@@ -8,6 +8,7 @@ package ldbc
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"pathalgebra/internal/graph"
 )
@@ -115,37 +116,49 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	b := graph.NewBuilder()
 
-	personKeys := make([]string, cfg.Persons)
-	for i := 0; i < cfg.Persons; i++ {
-		key := fmt.Sprintf("p%d", i+1)
-		personKeys[i] = key
-		name := fmt.Sprintf("%s_%d", firstNames[i%len(firstNames)], i+1)
-		b.AddNode(key, LabelPerson, graph.Props("name", name, "id", int64(i+1)))
+	// Keys and strings are p<n>, m<n>, k<n>, <first name>_<n> and
+	// "message <n>", numbered from 1. The Builder copies what it is given,
+	// so each is formatted in one buffer and props is one map, rewritten
+	// per node.
+	var buf []byte
+	numbered := func(prefix string, n int) string {
+		buf = strconv.AppendInt(append(buf[:0], prefix...), int64(n), 10)
+		return string(buf)
 	}
-	messageKeys := make([]string, cfg.Messages)
-	for i := 0; i < cfg.Messages; i++ {
-		key := fmt.Sprintf("m%d", i+1)
-		messageKeys[i] = key
-		b.AddNode(key, LabelMessage, graph.Props("content", fmt.Sprintf("message %d", i+1), "id", int64(i+1)))
+	props := make(map[string]graph.Value, 2)
+	persons := make([]graph.NodeID, cfg.Persons)
+	for i := range persons {
+		props["name"] = graph.StringValue(numbered(firstNames[i%len(firstNames)]+"_", i+1))
+		props["id"] = graph.IntValue(int64(i + 1))
+		persons[i] = b.AddNode(numbered("p", i+1), LabelPerson, props)
+	}
+	clear(props)
+	messages := make([]graph.NodeID, cfg.Messages)
+	for i := range messages {
+		props["content"] = graph.StringValue(numbered("message ", i+1))
+		props["id"] = graph.IntValue(int64(i + 1))
+		messages[i] = b.AddNode(numbered("m", i+1), LabelMessage, props)
 	}
 
 	edgeSeq := 0
-	nextEdgeKey := func() string {
+	addEdge := func(src, dst graph.NodeID, label string) {
 		edgeSeq++
-		return fmt.Sprintf("k%d", edgeSeq)
+		b.AddEdgeIDs(numbered("k", edgeSeq), src, dst, label, nil)
 	}
 
-	// Knows: a ring fraction for guaranteed cycles plus random edges.
-	type pair struct{ a, b int }
-	seen := make(map[pair]bool)
+	// Knows: a ring fraction for guaranteed cycles plus random edges. A
+	// pair of node IDs is seen as one uint64.
+	pair := func(a, b graph.NodeID) uint64 { return uint64(a)<<32 | uint64(b) }
+	totalKnows := cfg.Persons * cfg.KnowsPerPerson
+	seen := make(map[uint64]bool, totalKnows)
 	addKnows := func(src, dst int) {
-		if src == dst || seen[pair{src, dst}] {
+		p := pair(persons[src], persons[dst])
+		if src == dst || seen[p] {
 			return
 		}
-		seen[pair{src, dst}] = true
-		b.AddEdge(nextEdgeKey(), personKeys[src], personKeys[dst], LabelKnows, nil)
+		seen[p] = true
+		addEdge(persons[src], persons[dst], LabelKnows)
 	}
-	totalKnows := cfg.Persons * cfg.KnowsPerPerson
 	ringEdges := int(float64(totalKnows) * cfg.CycleFraction)
 	if cfg.Persons > 1 {
 		for i := 0; i < ringEdges; i++ {
@@ -158,23 +171,22 @@ func Generate(cfg Config) (*graph.Graph, error) {
 	}
 
 	// Has_creator: exactly one creator per message.
-	for i := 0; i < cfg.Messages; i++ {
-		creator := personKeys[rng.Intn(cfg.Persons)]
-		b.AddEdge(nextEdgeKey(), messageKeys[i], creator, LabelHasCreator, nil)
+	for _, m := range messages {
+		addEdge(m, persons[rng.Intn(cfg.Persons)], LabelHasCreator)
 	}
 
 	// Likes: persons like random messages.
 	if cfg.Messages > 0 {
-		likeSeen := make(map[pair]bool)
 		total := cfg.Persons * cfg.LikesPerPerson
+		likeSeen := make(map[uint64]bool, total)
 		for i := 0; i < total; i++ {
-			p := rng.Intn(cfg.Persons)
-			m := rng.Intn(cfg.Messages)
-			if likeSeen[pair{p, m}] {
+			p := persons[rng.Intn(cfg.Persons)]
+			m := messages[rng.Intn(cfg.Messages)]
+			if likeSeen[pair(p, m)] {
 				continue
 			}
-			likeSeen[pair{p, m}] = true
-			b.AddEdge(nextEdgeKey(), personKeys[p], messageKeys[m], LabelLikes, nil)
+			likeSeen[pair(p, m)] = true
+			addEdge(p, m, LabelLikes)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package ldbc
 
 import (
+	"strconv"
 	"testing"
 
 	"pathalgebra/internal/graph"
@@ -203,4 +204,28 @@ func TestGenerateErrors(t *testing.T) {
 		}
 	}()
 	MustGenerate(Config{Persons: -1})
+}
+
+var sinkGraph *graph.Graph
+
+// BenchmarkGenerate builds the workloads' graphs: 7,000 persons as the
+// interactive and live_ingest workloads do and 150,000 as scale does,
+// each with twice as many messages. scripts/check_allocs.sh bounds the
+// 7,000-person case's allocs/op.
+func BenchmarkGenerate(b *testing.B) {
+	for _, persons := range []int{7_000, 150_000} {
+		b.Run("persons="+strconv.Itoa(persons), func(b *testing.B) {
+			if persons > 10_000 && testing.Short() {
+				b.Skip("150,000 persons take seconds per graph")
+			}
+			cfg := Config{
+				Persons: persons, Messages: 2 * persons,
+				KnowsPerPerson: 3, LikesPerPerson: 2, CycleFraction: 0.3, Seed: 1,
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkGraph = MustGenerate(cfg)
+			}
+		})
+	}
 }

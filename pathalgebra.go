@@ -41,7 +41,10 @@ import (
 type (
 	// Graph is an immutable property graph (Definition 2.1).
 	Graph = graph.Graph
-	// GraphBuilder accumulates nodes and edges into a Graph.
+	// GraphBuilder accumulates nodes and edges into a Graph. AddEdge
+	// names an edge's endpoints by their keys; AddEdgeIDs takes the
+	// NodeIDs AddNode returned, for a producer that holds them, and skips
+	// the two key lookups.
 	GraphBuilder = graph.Builder
 	// Value is a property value.
 	Value = graph.Value

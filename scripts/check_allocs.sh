@@ -329,3 +329,23 @@ for case in 256 1900; do
     fi
     echo "check_allocs: Apply allocates $allocs allocs/op at a $case-record delta (threshold 256)"
 done
+
+# Generator gate: the graph every workload starts from is built by
+# ldbc.Generate, which formats its keys and strings in one buffer,
+# reuses one property map and names each edge's endpoints by node ID,
+# and a Builder that hashes each key once. Generating the 7,000-person
+# graph must allocate at most 200,000 times; formatting with fmt.Sprintf
+# and building props with graph.Props took 271,917.
+out=$(go test -run xxx -bench 'BenchmarkGenerate/persons=7000$' -benchtime 3x -benchmem ./internal/ldbc 2>&1)
+printf '%s\n' "$out"
+
+allocs=$(printf '%s\n' "$out" | awk '/^BenchmarkGenerate\/persons=7000-/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") print $i }')
+if [ -z "$allocs" ]; then
+    echo "check_allocs: could not find BenchmarkGenerate/persons=7000 allocs/op in benchmark output" >&2
+    exit 1
+fi
+if [ "$allocs" -gt 200000 ]; then
+    echo "check_allocs: generating the 7,000-person graph allocates $allocs allocs/op > threshold 200000" >&2
+    exit 1
+fi
+echo "check_allocs: generating the 7,000-person graph allocates $allocs allocs/op (threshold 200000)"
